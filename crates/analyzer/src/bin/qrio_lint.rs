@@ -371,9 +371,7 @@ fn self_check() -> Vec<String> {
 
     // 6-9. The durability-journal family, over hand-built byte fixtures.
     {
-        use qrio::durability::{
-            encode_events_record, RECORD_COMMAND, RECORD_SNAPSHOT, RECORD_VERSION,
-        };
+        use qrio::durability::{encode_events_record, RECORD_COMMAND};
         use qrio::{JobEvent, JobId, JobState};
         use qrio_journal::{encode_record, header_bytes, Record};
 
@@ -402,18 +400,28 @@ fn self_check() -> Vec<String> {
             lint_journal_bytes("self-check torn", &torn),
         );
 
-        let liar = Record::new(
-            RECORD_SNAPSHOT,
-            RECORD_VERSION,
-            999u64.to_le_bytes().to_vec(),
-        );
+        // A well-formed snapshot whose cursor claims 999 events.
+        let mut liar = qrio::Qrio::new().snapshot_record();
+        liar.payload[..8].copy_from_slice(&999u64.to_le_bytes());
+        let events = encode_events_record(&[event]);
         expect(
             "snapshot ahead of the log head",
             LintCode::SnapshotBeyondLogHead,
             lint_journal_bytes(
                 "self-check liar-snapshot",
-                &journal(&[encode_events_record(&[event]), liar]),
+                &journal(&[events.clone(), liar.clone()]),
             ),
+        );
+
+        // The same snapshot with an honest cursor and half its body missing:
+        // the cursor alone reads fine, recovery would fail.
+        let mut gutted = liar;
+        gutted.payload[..8].copy_from_slice(&1u64.to_le_bytes());
+        gutted.payload.truncate(gutted.payload.len() / 2);
+        expect(
+            "snapshot whose body does not decode",
+            LintCode::MalformedJournal,
+            lint_journal_bytes("self-check gutted-snapshot", &journal(&[events, gutted])),
         );
 
         let future = Record::new(RECORD_COMMAND, 9, vec![0]);

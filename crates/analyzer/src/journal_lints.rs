@@ -16,14 +16,13 @@
 //! * **QL0403** (error) — a record carries a codec version this build cannot
 //!   decode; recovery would stop with a typed error at that record.
 //! * **QL0404** (error) — the file is not a journal at all, or a record's
-//!   payload is structurally undecodable.
+//!   payload (snapshot bodies included) does not decode.
 
 use std::fs;
 use std::path::Path;
 
 use qrio::durability::{
-    decode_command, decode_events, snapshot_cursor, RECORD_COMMAND, RECORD_EVENTS, RECORD_SNAPSHOT,
-    RECORD_VERSION,
+    decode_record, DurabilityError, JournalEntry, RECORD_COMMAND, RECORD_EVENTS, RECORD_VERSION,
 };
 use qrio_journal::scan_bytes;
 
@@ -51,71 +50,57 @@ pub fn lint_journal_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic> {
     let mut head: Option<u64> = None;
     for (index, record) in scan.records.iter().enumerate() {
         let context = format!("record #{index} (kind {})", record.kind);
-        if record.version != RECORD_VERSION {
+        let mut report = |code, message| {
             diagnostics.push(Diagnostic::new(
-                LintCode::RecordVersionMismatch,
+                code,
                 Location::at(subject, &context),
-                format!(
-                    "record version {} (this build decodes version {RECORD_VERSION})",
-                    record.version
-                ),
+                message,
             ));
-            continue;
-        }
-        match record.kind {
-            RECORD_COMMAND => {
-                if let Err(err) = decode_command(&record.payload) {
-                    diagnostics.push(Diagnostic::new(
-                        LintCode::MalformedJournal,
-                        Location::at(subject, &context),
-                        format!("command payload does not decode: {err}"),
-                    ));
+        };
+        match decode_record(record) {
+            Ok(JournalEntry::Command(_)) => {}
+            Ok(JournalEntry::Events(events)) => {
+                if let Some(last) = events.last() {
+                    head = Some(head.unwrap_or(0).max(last.seq + 1));
                 }
             }
-            RECORD_EVENTS => match decode_events(&record.payload) {
-                Ok(events) => {
-                    if let Some(last) = events.last() {
-                        head = Some(head.unwrap_or(0).max(last.seq + 1));
-                    }
+            Ok(JournalEntry::Snapshot(snapshot)) => {
+                let cursor = snapshot.cursor();
+                if let Some(known) = head.filter(|&known| cursor > known) {
+                    report(
+                        LintCode::SnapshotBeyondLogHead,
+                        format!(
+                            "snapshot cursor {cursor} exceeds the {known} event(s) \
+                             the journal has seen"
+                        ),
+                    );
                 }
-                Err(err) => {
-                    diagnostics.push(Diagnostic::new(
-                        LintCode::MalformedJournal,
-                        Location::at(subject, &context),
-                        format!("events payload does not decode: {err}"),
-                    ));
-                }
-            },
-            RECORD_SNAPSHOT => match snapshot_cursor(&record.payload) {
-                Ok(cursor) => {
-                    if let Some(known) = head {
-                        if cursor > known {
-                            diagnostics.push(Diagnostic::new(
-                                LintCode::SnapshotBeyondLogHead,
-                                Location::at(subject, &context),
-                                format!(
-                                    "snapshot cursor {cursor} exceeds the {known} event(s) \
-                                     the journal has seen"
-                                ),
-                            ));
-                        }
-                    }
-                    head = Some(head.unwrap_or(0).max(cursor));
-                }
-                Err(err) => {
-                    diagnostics.push(Diagnostic::new(
-                        LintCode::MalformedJournal,
-                        Location::at(subject, &context),
-                        format!("snapshot payload does not decode: {err}"),
-                    ));
-                }
-            },
-            kind => {
-                diagnostics.push(Diagnostic::new(
+                head = Some(head.unwrap_or(0).max(cursor));
+            }
+            Err(DurabilityError::UnsupportedRecord { version, .. })
+                if version != RECORD_VERSION =>
+            {
+                report(
+                    LintCode::RecordVersionMismatch,
+                    format!(
+                        "record version {version} (this build decodes version {RECORD_VERSION})"
+                    ),
+                );
+            }
+            Err(DurabilityError::UnsupportedRecord { kind, .. }) => report(
+                LintCode::MalformedJournal,
+                format!("unknown record kind {kind}"),
+            ),
+            Err(err) => {
+                let what = match record.kind {
+                    RECORD_COMMAND => "command",
+                    RECORD_EVENTS => "events",
+                    _ => "snapshot",
+                };
+                report(
                     LintCode::MalformedJournal,
-                    Location::at(subject, &context),
-                    format!("unknown record kind {kind}"),
-                ));
+                    format!("{what} payload does not decode: {err}"),
+                );
             }
         }
     }
@@ -150,8 +135,8 @@ pub fn lint_journal_file(path: &Path) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrio::durability::encode_events_record;
-    use qrio::{JobEvent, JobId, JobState};
+    use qrio::durability::{encode_events_record, RECORD_SNAPSHOT};
+    use qrio::{JobEvent, JobId, JobState, Qrio};
     use qrio_journal::{encode_record, header_bytes, Record};
 
     fn event(seq: u64) -> JobEvent {
@@ -164,6 +149,14 @@ mod tests {
             node: None,
             reason: None,
         }
+    }
+
+    /// A well-formed snapshot of an empty orchestrator, re-stamped to claim
+    /// `cursor` watch-log events.
+    fn snapshot(cursor: u64) -> Record {
+        let mut record = Qrio::new().snapshot_record();
+        record.payload[..8].copy_from_slice(&cursor.to_le_bytes());
+        record
     }
 
     fn journal(records: &[Record]) -> Vec<u8> {
@@ -181,8 +174,7 @@ mod tests {
     #[test]
     fn a_clean_journal_is_clean() {
         let events = encode_events_record(&[event(0), event(1)]);
-        let snapshot = Record::new(RECORD_SNAPSHOT, RECORD_VERSION, 2u64.to_le_bytes().to_vec());
-        let bytes = journal(&[events, snapshot]);
+        let bytes = journal(&[events, snapshot(2)]);
         assert!(lint_journal_bytes("test", &bytes).is_empty());
     }
 
@@ -209,12 +201,7 @@ mod tests {
     #[test]
     fn snapshot_beyond_head_is_ql0402() {
         let events = encode_events_record(&[event(0)]);
-        let liar = Record::new(
-            RECORD_SNAPSHOT,
-            RECORD_VERSION,
-            999u64.to_le_bytes().to_vec(),
-        );
-        let diags = lint_journal_bytes("test", &journal(&[events, liar]));
+        let diags = lint_journal_bytes("test", &journal(&[events, snapshot(999)]));
         assert_eq!(codes(&diags), ["QL0402"]);
     }
 
@@ -222,13 +209,27 @@ mod tests {
     fn genesis_snapshots_may_carry_prior_history() {
         // Durability can be enabled mid-run: the first snapshot's cursor is
         // unconstrained by (nonexistent) earlier records.
-        let genesis = Record::new(
-            RECORD_SNAPSHOT,
-            RECORD_VERSION,
-            17u64.to_le_bytes().to_vec(),
-        );
         let later = encode_events_record(&[event(17)]);
-        assert!(lint_journal_bytes("test", &journal(&[genesis, later])).is_empty());
+        assert!(lint_journal_bytes("test", &journal(&[snapshot(17), later])).is_empty());
+    }
+
+    #[test]
+    fn snapshot_with_an_undecodable_body_is_ql0404() {
+        // The cursor alone reads fine (and is consistent with the log head);
+        // recovery would still fail on the body.
+        let events = encode_events_record(&[event(0), event(1)]);
+        let mut truncated = snapshot(2);
+        truncated.payload.truncate(truncated.payload.len() / 2);
+        let cursor_only = Record::new(RECORD_SNAPSHOT, RECORD_VERSION, 2u64.to_le_bytes().to_vec());
+        for bad in [truncated, cursor_only] {
+            let diags = lint_journal_bytes("test", &journal(&[events.clone(), bad]));
+            assert_eq!(codes(&diags), ["QL0404"]);
+            assert!(
+                diags[0].message.contains("snapshot payload"),
+                "{}",
+                diags[0]
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use qrio_bytes::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+
 use crate::backend::{Backend, BasisGates};
 use crate::error::BackendError;
 use crate::graph::CouplingMap;
@@ -188,6 +190,21 @@ pub fn from_spec(text: &str) -> Result<Backend, BackendError> {
         backend.set_metadata(key, value);
     }
     Ok(backend)
+}
+
+/// A backend travels as its spec text: the format round-trips exactly and
+/// keeps journals and frames greppable.
+impl Encode for Backend {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(&to_spec(self));
+    }
+}
+
+impl Decode for Backend {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        from_spec(&r.take_str()?)
+            .map_err(|err| CodecError::Malformed(format!("backend spec: {err}")))
+    }
 }
 
 #[cfg(test)]

@@ -1,22 +1,12 @@
-//! Byte-level encoding primitives shared by every journal record codec.
-//!
-//! The journal's on-disk format is hand-rolled (the build environment has no
-//! crates.io access, so there is no serde). The conventions are deliberately
-//! boring and fixed so that encode→decode→encode is a byte-identical fixed
-//! point:
-//!
-//! * all integers are little-endian,
-//! * `f64` travels as its IEEE-754 bit pattern (`to_bits`/`from_bits`), so
-//!   every NaN payload and signed zero survives round-trips,
-//! * strings and byte blobs are length-prefixed with a `u64`,
-//! * `Option` and enums are prefixed with a one-byte tag.
+//! The byte-level primitives every QRIO format is written with.
 //!
 //! [`ByteWriter`] never fails; [`ByteReader`] fails with a typed
-//! [`CodecError`] and never panics on malformed input.
+//! [`CodecError`] and never panics on malformed input. The conventions they
+//! fix are listed in the [crate docs](crate).
 
 use std::fmt;
 
-/// Errors surfaced while decoding journal bytes.
+/// Errors surfaced while decoding bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The reader ran out of bytes mid-value.
@@ -45,6 +35,9 @@ pub enum CodecError {
         /// How many bytes were left unread.
         remaining: usize,
     },
+    /// The bytes decoded structurally but hold an invalid domain value
+    /// (unparsable embedded text, a widened integer out of range).
+    Malformed(String),
 }
 
 impl fmt::Display for CodecError {
@@ -66,6 +59,7 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after a complete value")
             }
+            CodecError::Malformed(detail) => f.write_str(detail),
         }
     }
 }
@@ -282,7 +276,7 @@ const fn make_crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = make_crc_table();
 
-/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, as used by every record's
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes`, as used by every frame's
 /// trailing checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
@@ -318,6 +312,7 @@ mod tests {
         writer.put_f64(f64::NAN);
         writer.put_bool(true);
         writer.put_str("héllo\nworld");
+        writer.put_str("ion-trap-α");
         writer.put_bytes(&[0, 255, 3]);
         let bytes = writer.into_bytes();
 
@@ -330,6 +325,7 @@ mod tests {
         assert!(reader.take_f64().unwrap().is_nan());
         assert!(reader.take_bool().unwrap());
         assert_eq!(reader.take_str().unwrap(), "héllo\nworld");
+        assert_eq!(reader.take_str().unwrap(), "ion-trap-α");
         assert_eq!(reader.take_blob().unwrap(), vec![0, 255, 3]);
         reader.finish().unwrap();
     }

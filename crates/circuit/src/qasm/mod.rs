@@ -12,3 +12,19 @@ mod writer;
 
 pub use parser::parse_qasm;
 pub use writer::to_qasm;
+
+use qrio_bytes::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+
+/// A circuit travels as its OpenQASM text: the format round-trips exactly
+/// and keeps journals greppable.
+impl Encode for crate::Circuit {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(&to_qasm(self));
+    }
+}
+
+impl Decode for crate::Circuit {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        parse_qasm(&r.take_str()?).map_err(|err| CodecError::Malformed(format!("qasm: {err}")))
+    }
+}

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use qrio_backend::Backend;
+use qrio_bytes::codec_struct;
 
 use crate::error::ClusterError;
 use crate::fault::{FaultInjector, FaultKind};
@@ -26,6 +27,8 @@ pub struct ClusterEvent {
     /// Human-readable message.
     pub message: String,
 }
+
+codec_struct!(ClusterEvent { kind, message });
 
 /// The outcome of running a job on a node, produced by a [`JobRunner`].
 #[derive(Debug, Clone, PartialEq)]
@@ -121,6 +124,14 @@ pub struct ScheduleDecision {
     pub filtered_out: Vec<(String, String)>,
 }
 
+codec_struct!(ScheduleDecision {
+    job,
+    node,
+    score,
+    candidates,
+    filtered_out,
+});
+
 /// The full persistable state of a [`Cluster`], used by durability snapshots:
 /// nodes, jobs, the image registry (with its counters), the event log and the
 /// FIFO submission queue.
@@ -139,6 +150,15 @@ pub struct ClusterState {
     /// The installed fault injector, when any.
     pub fault_injector: Option<FaultInjector>,
 }
+
+codec_struct!(ClusterState {
+    nodes,
+    jobs,
+    registry,
+    events,
+    queue,
+    fault_injector,
+});
 
 /// The QRIO cluster: nodes, jobs, images and events.
 #[derive(Default)]

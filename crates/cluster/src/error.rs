@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use qrio_bytes::{codec_enum, Wide32};
+
 use crate::fault::FaultKind;
 
 /// Errors produced by the cluster control plane, registry and executor.
@@ -78,6 +80,21 @@ pub enum ClusterError {
         deadline: u64,
     },
 }
+
+codec_enum!(ClusterError {
+    0 => DuplicateNode(name),
+    1 => UnknownNode(name),
+    2 => DuplicateJob(name),
+    3 => UnknownJob(name),
+    4 => ImageNotFound(name),
+    5 => BindingRejected { job, node, reason },
+    6 => Unschedulable { job, reason },
+    7 => SpecParse { line, message },
+    8 => ExecutionFailed { job, reason },
+    9 => PhaseConflict { job, action, phase },
+    10 => InjectedFault { job, node, kind, attempt as Wide32 },
+    11 => DeadlineExceeded { job, deadline },
+});
 
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -18,6 +18,8 @@
 
 use std::fmt;
 
+use qrio_bytes::{codec_enum, codec_struct, Wide32};
+
 use crate::error::ClusterError;
 
 /// FNV-1a over a string — used to fold job/node names into fault decisions.
@@ -57,6 +59,13 @@ pub enum FaultKind {
     /// A device flap: the node dropped out mid-execution and needs a restart.
     DeviceFlap,
 }
+
+codec_enum!(FaultKind {
+    0 => TransientExecution,
+    1 => CalibrationGlitch,
+    2 => SlowJob,
+    3 => DeviceFlap,
+});
 
 impl FaultKind {
     /// Every fault kind, in declaration order.
@@ -114,6 +123,14 @@ pub struct FaultInjector {
     /// Probability of a device flap per attempt.
     pub flap_rate: f64,
 }
+
+codec_struct!(FaultInjector {
+    seed,
+    transient_rate,
+    calibration_rate,
+    slow_rate,
+    flap_rate,
+});
 
 impl FaultInjector {
     /// An injector with the given seed and all rates zero (injects nothing
@@ -182,6 +199,11 @@ pub enum BackoffPolicy {
     },
 }
 
+codec_enum!(BackoffPolicy {
+    0 => Fixed { delay },
+    1 => Exponential { base, max, jitter },
+});
+
 impl BackoffPolicy {
     /// The backoff delay before retry `attempt` (1-based). Deterministic:
     /// the same `(seed, job, attempt)` always yields the same delay.
@@ -226,6 +248,14 @@ pub struct RetryOn {
     /// Retry real (non-injected) execution failures.
     pub execution: bool,
 }
+
+codec_struct!(RetryOn {
+    transient,
+    calibration,
+    slow,
+    flap,
+    execution,
+});
 
 impl RetryOn {
     /// Retry every failure class.
@@ -274,6 +304,12 @@ pub struct RetryPolicy {
     /// Which failure classes are retried at all.
     pub retry_on: RetryOn,
 }
+
+codec_struct!(RetryPolicy {
+    max_attempts as Wide32,
+    backoff,
+    retry_on,
+});
 
 impl RetryPolicy {
     /// A fixed-delay policy retrying every failure class.

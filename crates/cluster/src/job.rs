@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use qrio_backend::NodeLabels;
+use qrio_bytes::{codec_enum, codec_struct};
 
 use crate::fault::RetryPolicy;
 use crate::resources::Resources;
@@ -23,6 +24,14 @@ pub struct DeviceRequirements {
     /// Minimum average T2 (µs).
     pub min_t2_us: Option<f64>,
 }
+
+codec_struct!(DeviceRequirements {
+    min_qubits,
+    max_two_qubit_error,
+    max_readout_error,
+    min_t1_us,
+    min_t2_us,
+});
 
 impl DeviceRequirements {
     /// No constraints at all.
@@ -79,6 +88,13 @@ pub enum ParamValue {
     Edges(Vec<(usize, usize)>),
 }
 
+codec_enum!(ParamValue {
+    0 => Float(value),
+    1 => Int(value),
+    2 => Text(value),
+    3 => Edges(edges),
+});
+
 /// The typed parameter bag of a [`StrategySpec`]: ordered `name -> value`
 /// pairs that a ranking strategy interprets. The cluster substrate attaches no
 /// semantics to the keys; validation belongs to the strategy implementation.
@@ -86,6 +102,8 @@ pub enum ParamValue {
 pub struct StrategyParams {
     values: BTreeMap<String, ParamValue>,
 }
+
+codec_struct!(StrategyParams { values });
 
 impl StrategyParams {
     /// An empty parameter bag.
@@ -168,6 +186,8 @@ pub struct StrategySpec {
     /// Typed parameters interpreted by the strategy.
     pub params: StrategyParams,
 }
+
+codec_struct!(StrategySpec { name, params });
 
 impl StrategySpec {
     /// A strategy reference with no parameters.
@@ -301,6 +321,21 @@ pub struct JobSpec {
     pub deadline: Option<u64>,
 }
 
+codec_struct!(JobSpec {
+    name,
+    image,
+    qasm,
+    num_qubits,
+    resources,
+    requirements,
+    strategy,
+    priority,
+    shots,
+    threads,
+    retry,
+    deadline,
+});
+
 /// Lifecycle of a job inside the cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobPhase {
@@ -332,6 +367,15 @@ pub enum JobPhase {
         reason: String,
     },
 }
+
+codec_enum!(JobPhase {
+    0 => Pending,
+    1 => Scheduled { node },
+    2 => Running { node },
+    3 => Succeeded { node },
+    4 => Failed { reason },
+    5 => Cancelled { reason },
+});
 
 impl JobPhase {
     /// The bare variant name (no payload) — for user-facing messages where
@@ -384,6 +428,14 @@ pub struct JobSnapshot {
     /// Achieved fidelity, when computed.
     pub achieved_fidelity: Option<f64>,
 }
+
+codec_struct!(JobSnapshot {
+    spec,
+    phase,
+    logs,
+    result_counts,
+    achieved_fidelity,
+});
 
 /// A job tracked by the cluster: its spec, phase, logs and result summary.
 #[derive(Debug, Clone, PartialEq)]

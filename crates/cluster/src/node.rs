@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use qrio_backend::{Backend, NodeLabels};
+use qrio_bytes::{codec_enum, codec_struct};
 
 use crate::resources::Resources;
 
@@ -18,6 +19,8 @@ pub enum NodeStatus {
     /// The node has been cordoned by the vendor and accepts no new jobs.
     Cordoned,
 }
+
+codec_enum!(NodeStatus { 0 => Ready, 1 => NotReady, 2 => Cordoned });
 
 /// The full persistable state of a [`Node`], used by durability snapshots.
 ///
@@ -39,6 +42,15 @@ pub struct NodeState {
     /// Lifetime restart counter.
     pub restart_count: u64,
 }
+
+codec_struct!(NodeState {
+    backend,
+    labels,
+    capacity,
+    allocated,
+    status,
+    restart_count,
+});
 
 /// A QRIO worker node: a quantum device, its vendor-provided backend spec, the
 /// Kubernetes-style labels derived from it, and classical capacity (§3.1).

@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use qrio_bytes::codec_struct;
+
 use crate::error::ClusterError;
 
 /// A container image: a named bundle of text files.
@@ -15,6 +17,8 @@ pub struct ImageBundle {
     name: String,
     files: BTreeMap<String, String>,
 }
+
+codec_struct!(ImageBundle { name, files });
 
 impl ImageBundle {
     /// Create an empty image with the given name (e.g. `qrio/bv-job:latest`).
@@ -74,6 +78,12 @@ pub struct RegistryState {
     /// Lifetime pull-operation counter.
     pub pull_count: u64,
 }
+
+codec_struct!(RegistryState {
+    images,
+    push_count,
+    pull_count,
+});
 
 /// An in-memory image registry.
 #[derive(Debug, Clone, Default)]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use qrio_bytes::codec_struct;
+
 /// A classical resource request or capacity: CPU in millicores and memory in
 /// MiB, the two quantities the QRIO visualizer asks the user for (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -11,6 +13,11 @@ pub struct Resources {
     /// Memory in MiB.
     pub memory_mib: u64,
 }
+
+codec_struct!(Resources {
+    cpu_millis,
+    memory_mib
+});
 
 impl Resources {
     /// Construct a resource quantity.

@@ -28,6 +28,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use qrio_bytes::{codec_enum, codec_struct, Wide32};
+
 /// Thresholds shared by every device breaker on a board.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
@@ -44,6 +46,14 @@ pub struct BreakerConfig {
     /// Consecutive successes required in `HalfOpen` to close the breaker.
     pub probe_jobs: u32,
 }
+
+codec_struct!(BreakerConfig {
+    consecutive_failures as Wide32,
+    failure_rate,
+    window as Wide32,
+    open_ticks,
+    probe_jobs as Wide32,
+});
 
 impl Default for BreakerConfig {
     fn default() -> Self {
@@ -74,6 +84,12 @@ pub enum BreakerState {
         successes: u32,
     },
 }
+
+codec_enum!(BreakerState {
+    0 => Closed,
+    1 => Open { until },
+    2 => HalfOpen { successes as Wide32 },
+});
 
 impl BreakerState {
     /// The state's name, for events and reports.
@@ -107,6 +123,14 @@ pub struct BreakerEvent {
     pub reason: String,
 }
 
+codec_struct!(BreakerEvent {
+    at,
+    device,
+    from,
+    to,
+    reason,
+});
+
 /// One device's breaker: state plus the outcome bookkeeping that drives it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DeviceBreaker {
@@ -118,6 +142,13 @@ pub(crate) struct DeviceBreaker {
     /// Total number of times this breaker has tripped.
     pub(crate) trips: u64,
 }
+
+codec_struct!(DeviceBreaker {
+    state,
+    outcomes,
+    consecutive as Wide32,
+    trips,
+});
 
 impl DeviceBreaker {
     fn new() -> Self {
@@ -168,6 +199,12 @@ pub struct BreakerBoard {
     pub(crate) breakers: BTreeMap<String, DeviceBreaker>,
     pub(crate) events: Vec<BreakerEvent>,
 }
+
+codec_struct!(BreakerBoard {
+    config,
+    breakers,
+    events,
+});
 
 impl BreakerBoard {
     /// A board with the given thresholds and no devices yet (devices appear

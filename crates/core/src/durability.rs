@@ -26,11 +26,13 @@
 //!
 //! # Encoding conventions
 //!
-//! All scalars use the `qrio-journal` codec (little-endian, `f64` by bit
-//! pattern, length-prefixed strings, one-byte tags for options and enums).
-//! Backends are embedded as their `backend.spec` text and circuits as their
-//! OpenQASM text — both formats round-trip exactly, and keep the journal
-//! greppable where it matters most.
+//! Every journaled type states its byte format once, beside its definition,
+//! as a `qrio_bytes::Encode`/`Decode` impl (little-endian, `f64` by bit
+//! pattern, length-prefixed strings, one-byte tags for options and enums);
+//! this module only frames those values into records. Backends are embedded
+//! as their `backend.spec` text and circuits as their OpenQASM text — both
+//! formats round-trip exactly, and keep the journal greppable where it
+//! matters most.
 //!
 //! # What is *not* journaled
 //!
@@ -40,25 +42,18 @@
 //! deployment that installs either must recover through that hook. The
 //! failure cause of a terminal job is persisted as a cluster-level error:
 //! non-cluster failures survive with their message intact but re-surface as
-//! [`ClusterError::ExecutionFailed`] after a snapshot restore.
+//! [`qrio_cluster::ClusterError::ExecutionFailed`] after a snapshot restore.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use qrio_backend::{spec as backend_spec, Backend};
-use qrio_circuit::{qasm, Circuit};
-use qrio_cluster::{
-    BackoffPolicy, ClusterError, ClusterEvent, ClusterState, DeviceRequirements, FaultInjector,
-    FaultKind, ImageBundle, JobPhase, JobSnapshot, JobSpec, NodeState, NodeStatus, ParamValue,
-    RegistryState, Resources, RetryOn, RetryPolicy, ScheduleDecision, StrategyParams, StrategySpec,
-};
-use qrio_journal::{ByteReader, ByteWriter, CodecError, Journal, JournalError, Record};
-use qrio_meta::{DeviceTelemetry, FidelityRankingConfig, MetaState};
-use qrio_sim::ParallelConfig;
+use qrio_bytes::{codec_enum, codec_struct, from_bytes, to_bytes, ByteReader, CodecError};
+use qrio_cluster::{ClusterState, FaultInjector, Resources};
+use qrio_journal::{Journal, JournalError, Record};
+use qrio_meta::{DeviceTelemetry, MetaState};
 
-use crate::breaker::{BreakerBoard, BreakerConfig, BreakerEvent, BreakerState, DeviceBreaker};
-use crate::lifecycle::{JobEvent, JobId, JobState, JobStatus, LifecycleStore, Tracked};
+use crate::breaker::{BreakerBoard, BreakerConfig};
+use crate::lifecycle::{JobEvent, LifecycleStore};
 use crate::visualizer::JobRequest;
 
 /// Record kind: one journaled orchestrator mutation ([`Command`]).
@@ -134,7 +129,10 @@ impl From<JournalError> for DurabilityError {
 
 impl From<CodecError> for DurabilityError {
     fn from(err: CodecError) -> Self {
-        DurabilityError::Codec(err)
+        match err {
+            CodecError::Malformed(detail) => DurabilityError::Malformed(detail),
+            other => DurabilityError::Codec(other),
+        }
     }
 }
 
@@ -353,1387 +351,31 @@ pub enum Command {
     },
 }
 
-// ---------------------------------------------------------------------------
-// Scalar / option helpers
-// ---------------------------------------------------------------------------
-
-fn put_opt_str(w: &mut ByteWriter, value: Option<&str>) {
-    match value {
-        Some(text) => {
-            w.put_bool(true);
-            w.put_str(text);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_str(r: &mut ByteReader<'_>) -> Result<Option<String>, DurabilityError> {
-    Ok(if r.take_bool()? {
-        Some(r.take_str()?)
-    } else {
-        None
-    })
-}
-
-fn put_opt_f64(w: &mut ByteWriter, value: Option<f64>) {
-    match value {
-        Some(v) => {
-            w.put_bool(true);
-            w.put_f64(v);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_f64(r: &mut ByteReader<'_>) -> Result<Option<f64>, DurabilityError> {
-    Ok(if r.take_bool()? {
-        Some(r.take_f64()?)
-    } else {
-        None
-    })
-}
-
-fn put_opt_u64(w: &mut ByteWriter, value: Option<u64>) {
-    match value {
-        Some(v) => {
-            w.put_bool(true);
-            w.put_u64(v);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, DurabilityError> {
-    Ok(if r.take_bool()? {
-        Some(r.take_u64()?)
-    } else {
-        None
-    })
-}
-
-fn put_opt_usize(w: &mut ByteWriter, value: Option<usize>) {
-    match value {
-        Some(v) => {
-            w.put_bool(true);
-            w.put_usize(v);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_usize(r: &mut ByteReader<'_>) -> Result<Option<usize>, DurabilityError> {
-    Ok(if r.take_bool()? {
-        Some(r.take_usize()?)
-    } else {
-        None
-    })
-}
-
-fn put_str_vec(w: &mut ByteWriter, values: &[String]) {
-    w.put_usize(values.len());
-    for value in values {
-        w.put_str(value);
-    }
-}
-
-fn take_str_vec(r: &mut ByteReader<'_>) -> Result<Vec<String>, DurabilityError> {
-    let len = r.take_usize()?;
-    let mut out = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        out.push(r.take_str()?);
-    }
-    Ok(out)
-}
-
-fn bad_tag(what: &'static str, tag: u8) -> DurabilityError {
-    DurabilityError::Codec(CodecError::InvalidTag {
-        what,
-        tag: u64::from(tag),
-    })
-}
-
-fn take_backend(r: &mut ByteReader<'_>) -> Result<Backend, DurabilityError> {
-    let text = r.take_str()?;
-    backend_spec::from_spec(&text)
-        .map_err(|err| DurabilityError::Malformed(format!("backend spec: {err}")))
-}
-
-fn take_circuit(r: &mut ByteReader<'_>) -> Result<Circuit, DurabilityError> {
-    let text = r.take_str()?;
-    qasm::parse_qasm(&text).map_err(|err| DurabilityError::Malformed(format!("qasm: {err}")))
-}
-
-// ---------------------------------------------------------------------------
-// Domain codecs
-// ---------------------------------------------------------------------------
-
-fn put_resources(w: &mut ByteWriter, value: &Resources) {
-    w.put_u64(value.cpu_millis);
-    w.put_u64(value.memory_mib);
-}
-
-fn take_resources(r: &mut ByteReader<'_>) -> Result<Resources, DurabilityError> {
-    Ok(Resources {
-        cpu_millis: r.take_u64()?,
-        memory_mib: r.take_u64()?,
-    })
-}
-
-fn put_requirements(w: &mut ByteWriter, value: &DeviceRequirements) {
-    put_opt_usize(w, value.min_qubits);
-    put_opt_f64(w, value.max_two_qubit_error);
-    put_opt_f64(w, value.max_readout_error);
-    put_opt_f64(w, value.min_t1_us);
-    put_opt_f64(w, value.min_t2_us);
-}
-
-fn take_requirements(r: &mut ByteReader<'_>) -> Result<DeviceRequirements, DurabilityError> {
-    Ok(DeviceRequirements {
-        min_qubits: take_opt_usize(r)?,
-        max_two_qubit_error: take_opt_f64(r)?,
-        max_readout_error: take_opt_f64(r)?,
-        min_t1_us: take_opt_f64(r)?,
-        min_t2_us: take_opt_f64(r)?,
-    })
-}
-
-fn put_param_value(w: &mut ByteWriter, value: &ParamValue) {
-    match value {
-        ParamValue::Float(v) => {
-            w.put_u8(0);
-            w.put_f64(*v);
-        }
-        ParamValue::Int(v) => {
-            w.put_u8(1);
-            w.put_u64(*v);
-        }
-        ParamValue::Text(v) => {
-            w.put_u8(2);
-            w.put_str(v);
-        }
-        ParamValue::Edges(edges) => {
-            w.put_u8(3);
-            w.put_usize(edges.len());
-            for &(a, b) in edges {
-                w.put_usize(a);
-                w.put_usize(b);
-            }
-        }
-    }
-}
-
-fn take_param_value(r: &mut ByteReader<'_>) -> Result<ParamValue, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => ParamValue::Float(r.take_f64()?),
-        1 => ParamValue::Int(r.take_u64()?),
-        2 => ParamValue::Text(r.take_str()?),
-        3 => {
-            let len = r.take_usize()?;
-            let mut edges = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                edges.push((r.take_usize()?, r.take_usize()?));
-            }
-            ParamValue::Edges(edges)
-        }
-        tag => return Err(bad_tag("ParamValue", tag)),
-    })
-}
-
-fn put_strategy_spec(w: &mut ByteWriter, value: &StrategySpec) {
-    w.put_str(&value.name);
-    let params: Vec<(&str, &ParamValue)> = value.params.iter().collect();
-    w.put_usize(params.len());
-    for (key, param) in params {
-        w.put_str(key);
-        put_param_value(w, param);
-    }
-}
-
-fn take_strategy_spec(r: &mut ByteReader<'_>) -> Result<StrategySpec, DurabilityError> {
-    let name = r.take_str()?;
-    let len = r.take_usize()?;
-    let mut params = StrategyParams::new();
-    for _ in 0..len {
-        let key = r.take_str()?;
-        params.set(key, take_param_value(r)?);
-    }
-    Ok(StrategySpec { name, params })
-}
-
-fn put_job_request(w: &mut ByteWriter, value: &JobRequest) {
-    w.put_str(&value.job_name);
-    w.put_str(&value.image_name);
-    w.put_str(&value.qasm);
-    w.put_usize(value.num_qubits);
-    put_resources(w, &value.resources);
-    put_requirements(w, &value.requirements);
-    put_strategy_spec(w, &value.strategy);
-    w.put_u8(value.priority);
-    w.put_u64(value.shots);
-    w.put_usize(value.parallel.threads());
-    put_opt_retry_policy(w, value.retry.as_ref());
-    put_opt_u64(w, value.deadline);
-}
-
-fn take_job_request(r: &mut ByteReader<'_>) -> Result<JobRequest, DurabilityError> {
-    Ok(JobRequest {
-        job_name: r.take_str()?,
-        image_name: r.take_str()?,
-        qasm: r.take_str()?,
-        num_qubits: r.take_usize()?,
-        resources: take_resources(r)?,
-        requirements: take_requirements(r)?,
-        strategy: take_strategy_spec(r)?,
-        priority: r.take_u8()?,
-        shots: r.take_u64()?,
-        parallel: ParallelConfig::with_threads(r.take_usize()?),
-        retry: take_opt_retry_policy(r)?,
-        deadline: take_opt_u64(r)?,
-    })
-}
-
-fn put_telemetry(w: &mut ByteWriter, value: &DeviceTelemetry) {
-    w.put_usize(value.queue_depth);
-    w.put_f64(value.utilization);
-    w.put_f64(value.health_penalty);
-}
-
-fn take_telemetry(r: &mut ByteReader<'_>) -> Result<DeviceTelemetry, DurabilityError> {
-    Ok(DeviceTelemetry {
-        queue_depth: r.take_usize()?,
-        utilization: r.take_f64()?,
-        health_penalty: r.take_f64()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Fault-tolerance codecs: injector, retry policy, circuit breakers
-// ---------------------------------------------------------------------------
-
-fn fault_kind_tag(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::TransientExecution => 0,
-        FaultKind::CalibrationGlitch => 1,
-        FaultKind::SlowJob => 2,
-        FaultKind::DeviceFlap => 3,
-    }
-}
-
-fn take_fault_kind(r: &mut ByteReader<'_>) -> Result<FaultKind, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => FaultKind::TransientExecution,
-        1 => FaultKind::CalibrationGlitch,
-        2 => FaultKind::SlowJob,
-        3 => FaultKind::DeviceFlap,
-        tag => return Err(bad_tag("FaultKind", tag)),
-    })
-}
-
-fn put_opt_fault_injector(w: &mut ByteWriter, value: Option<&FaultInjector>) {
-    match value {
-        Some(injector) => {
-            w.put_bool(true);
-            w.put_u64(injector.seed);
-            w.put_f64(injector.transient_rate);
-            w.put_f64(injector.calibration_rate);
-            w.put_f64(injector.slow_rate);
-            w.put_f64(injector.flap_rate);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_fault_injector(
-    r: &mut ByteReader<'_>,
-) -> Result<Option<FaultInjector>, DurabilityError> {
-    Ok(if r.take_bool()? {
-        Some(FaultInjector {
-            seed: r.take_u64()?,
-            transient_rate: r.take_f64()?,
-            calibration_rate: r.take_f64()?,
-            slow_rate: r.take_f64()?,
-            flap_rate: r.take_f64()?,
-        })
-    } else {
-        None
-    })
-}
-
-fn put_backoff(w: &mut ByteWriter, value: &BackoffPolicy) {
-    match *value {
-        BackoffPolicy::Fixed { delay } => {
-            w.put_u8(0);
-            w.put_u64(delay);
-        }
-        BackoffPolicy::Exponential { base, max, jitter } => {
-            w.put_u8(1);
-            w.put_u64(base);
-            w.put_u64(max);
-            w.put_bool(jitter);
-        }
-    }
-}
-
-fn take_backoff(r: &mut ByteReader<'_>) -> Result<BackoffPolicy, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => BackoffPolicy::Fixed {
-            delay: r.take_u64()?,
-        },
-        1 => BackoffPolicy::Exponential {
-            base: r.take_u64()?,
-            max: r.take_u64()?,
-            jitter: r.take_bool()?,
-        },
-        tag => return Err(bad_tag("BackoffPolicy", tag)),
-    })
-}
-
-fn put_opt_retry_policy(w: &mut ByteWriter, value: Option<&RetryPolicy>) {
-    match value {
-        Some(policy) => {
-            w.put_bool(true);
-            w.put_u64(u64::from(policy.max_attempts));
-            put_backoff(w, &policy.backoff);
-            w.put_bool(policy.retry_on.transient);
-            w.put_bool(policy.retry_on.calibration);
-            w.put_bool(policy.retry_on.slow);
-            w.put_bool(policy.retry_on.flap);
-            w.put_bool(policy.retry_on.execution);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_retry_policy(r: &mut ByteReader<'_>) -> Result<Option<RetryPolicy>, DurabilityError> {
-    if !r.take_bool()? {
-        return Ok(None);
-    }
-    let max_attempts = u32::try_from(r.take_u64()?)
-        .map_err(|_| DurabilityError::Malformed("retry max_attempts exceeds u32".into()))?;
-    Ok(Some(RetryPolicy {
-        max_attempts,
-        backoff: take_backoff(r)?,
-        retry_on: RetryOn {
-            transient: r.take_bool()?,
-            calibration: r.take_bool()?,
-            slow: r.take_bool()?,
-            flap: r.take_bool()?,
-            execution: r.take_bool()?,
-        },
-    }))
-}
-
-fn put_breaker_config(w: &mut ByteWriter, config: &BreakerConfig) {
-    w.put_u64(u64::from(config.consecutive_failures));
-    w.put_f64(config.failure_rate);
-    w.put_u64(u64::from(config.window));
-    w.put_u64(config.open_ticks);
-    w.put_u64(u64::from(config.probe_jobs));
-}
-
-fn take_u32(r: &mut ByteReader<'_>, what: &'static str) -> Result<u32, DurabilityError> {
-    u32::try_from(r.take_u64()?)
-        .map_err(|_| DurabilityError::Malformed(format!("{what} exceeds u32")))
-}
-
-fn take_breaker_config(r: &mut ByteReader<'_>) -> Result<BreakerConfig, DurabilityError> {
-    Ok(BreakerConfig {
-        consecutive_failures: take_u32(r, "breaker consecutive_failures")?,
-        failure_rate: r.take_f64()?,
-        window: take_u32(r, "breaker window")?,
-        open_ticks: r.take_u64()?,
-        probe_jobs: take_u32(r, "breaker probe_jobs")?,
-    })
-}
-
-fn put_breaker_state(w: &mut ByteWriter, state: BreakerState) {
-    match state {
-        BreakerState::Closed => w.put_u8(0),
-        BreakerState::Open { until } => {
-            w.put_u8(1);
-            w.put_u64(until);
-        }
-        BreakerState::HalfOpen { successes } => {
-            w.put_u8(2);
-            w.put_u64(u64::from(successes));
-        }
-    }
-}
-
-fn take_breaker_state(r: &mut ByteReader<'_>) -> Result<BreakerState, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => BreakerState::Closed,
-        1 => BreakerState::Open {
-            until: r.take_u64()?,
-        },
-        2 => BreakerState::HalfOpen {
-            successes: take_u32(r, "breaker probe successes")?,
-        },
-        tag => return Err(bad_tag("BreakerState", tag)),
-    })
-}
-
-fn put_opt_breaker_board(w: &mut ByteWriter, value: Option<&BreakerBoard>) {
-    let Some(board) = value else {
-        w.put_bool(false);
-        return;
-    };
-    w.put_bool(true);
-    put_breaker_config(w, &board.config);
-    w.put_usize(board.breakers.len());
-    for (device, breaker) in &board.breakers {
-        w.put_str(device);
-        put_breaker_state(w, breaker.state);
-        w.put_usize(breaker.outcomes.len());
-        for failed in &breaker.outcomes {
-            w.put_bool(*failed);
-        }
-        w.put_u64(u64::from(breaker.consecutive));
-        w.put_u64(breaker.trips);
-    }
-    w.put_usize(board.events.len());
-    for event in &board.events {
-        w.put_u64(event.at);
-        w.put_str(&event.device);
-        put_breaker_state(w, event.from);
-        put_breaker_state(w, event.to);
-        w.put_str(&event.reason);
-    }
-}
-
-fn take_opt_breaker_board(r: &mut ByteReader<'_>) -> Result<Option<BreakerBoard>, DurabilityError> {
-    if !r.take_bool()? {
-        return Ok(None);
-    }
-    let config = take_breaker_config(r)?;
-    let len = r.take_usize()?;
-    let mut breakers = BTreeMap::new();
-    for _ in 0..len {
-        let device = r.take_str()?;
-        let state = take_breaker_state(r)?;
-        let outcomes_len = r.take_usize()?;
-        let mut outcomes = std::collections::VecDeque::with_capacity(outcomes_len.min(4096));
-        for _ in 0..outcomes_len {
-            outcomes.push_back(r.take_bool()?);
-        }
-        let consecutive = take_u32(r, "breaker consecutive run")?;
-        breakers.insert(
-            device,
-            DeviceBreaker {
-                state,
-                outcomes,
-                consecutive,
-                trips: r.take_u64()?,
-            },
-        );
-    }
-    let len = r.take_usize()?;
-    let mut events = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        events.push(BreakerEvent {
-            at: r.take_u64()?,
-            device: r.take_str()?,
-            from: take_breaker_state(r)?,
-            to: take_breaker_state(r)?,
-            reason: r.take_str()?,
-        });
-    }
-    Ok(Some(BreakerBoard {
-        config,
-        breakers,
-        events,
-    }))
-}
-
-fn job_state_tag(state: JobState) -> u8 {
-    match state {
-        JobState::Submitted => 0,
-        JobState::Queued => 1,
-        JobState::Scheduled => 2,
-        JobState::Running => 3,
-        JobState::Succeeded => 4,
-        JobState::Failed => 5,
-        JobState::Cancelled => 6,
-        JobState::Retrying => 7,
-    }
-}
-
-fn take_job_state(r: &mut ByteReader<'_>) -> Result<JobState, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => JobState::Submitted,
-        1 => JobState::Queued,
-        2 => JobState::Scheduled,
-        3 => JobState::Running,
-        4 => JobState::Succeeded,
-        5 => JobState::Failed,
-        6 => JobState::Cancelled,
-        7 => JobState::Retrying,
-        tag => return Err(bad_tag("JobState", tag)),
-    })
-}
-
-fn put_opt_job_state(w: &mut ByteWriter, value: Option<JobState>) {
-    match value {
-        Some(state) => {
-            w.put_bool(true);
-            w.put_u8(job_state_tag(state));
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn take_opt_job_state(r: &mut ByteReader<'_>) -> Result<Option<JobState>, DurabilityError> {
-    Ok(if r.take_bool()? {
-        Some(take_job_state(r)?)
-    } else {
-        None
-    })
-}
-
-fn put_job_event(w: &mut ByteWriter, event: &JobEvent) {
-    w.put_u64(event.seq);
-    w.put_u64(event.at);
-    w.put_str(event.job.as_str());
-    put_opt_job_state(w, event.from);
-    w.put_u8(job_state_tag(event.to));
-    put_opt_str(w, event.node.as_deref());
-    put_opt_str(w, event.reason.as_deref());
-}
-
-fn take_job_event(r: &mut ByteReader<'_>) -> Result<JobEvent, DurabilityError> {
-    Ok(JobEvent {
-        seq: r.take_u64()?,
-        at: r.take_u64()?,
-        job: JobId::new(&r.take_str()?),
-        from: take_opt_job_state(r)?,
-        to: take_job_state(r)?,
-        node: take_opt_str(r)?,
-        reason: take_opt_str(r)?,
-    })
-}
-
-fn put_job_status(w: &mut ByteWriter, status: &JobStatus) {
-    w.put_u8(job_state_tag(status.state));
-    put_opt_str(w, status.node.as_deref());
-    put_opt_str(w, status.reason.as_deref());
-    w.put_u8(status.priority);
-    w.put_usize(status.history.len());
-    for &(at, state) in &status.history {
-        w.put_u64(at);
-        w.put_u8(job_state_tag(state));
-    }
-}
-
-fn take_job_status(r: &mut ByteReader<'_>) -> Result<JobStatus, DurabilityError> {
-    let state = take_job_state(r)?;
-    let node = take_opt_str(r)?;
-    let reason = take_opt_str(r)?;
-    let priority = r.take_u8()?;
-    let len = r.take_usize()?;
-    let mut history = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let at = r.take_u64()?;
-        history.push((at, take_job_state(r)?));
-    }
-    Ok(JobStatus {
-        state,
-        node,
-        reason,
-        priority,
-        history,
-    })
-}
-
-fn put_schedule_decision(w: &mut ByteWriter, decision: &ScheduleDecision) {
-    w.put_str(&decision.job);
-    w.put_str(&decision.node);
-    w.put_f64(decision.score);
-    w.put_usize(decision.candidates.len());
-    for (node, score) in &decision.candidates {
-        w.put_str(node);
-        w.put_f64(*score);
-    }
-    w.put_usize(decision.filtered_out.len());
-    for (node, reason) in &decision.filtered_out {
-        w.put_str(node);
-        w.put_str(reason);
-    }
-}
-
-fn take_schedule_decision(r: &mut ByteReader<'_>) -> Result<ScheduleDecision, DurabilityError> {
-    let job = r.take_str()?;
-    let node = r.take_str()?;
-    let score = r.take_f64()?;
-    let len = r.take_usize()?;
-    let mut candidates = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let name = r.take_str()?;
-        candidates.push((name, r.take_f64()?));
-    }
-    let len = r.take_usize()?;
-    let mut filtered_out = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let name = r.take_str()?;
-        filtered_out.push((name, r.take_str()?));
-    }
-    Ok(ScheduleDecision {
-        job,
-        node,
-        score,
-        candidates,
-        filtered_out,
-    })
-}
-
-fn put_cluster_error(w: &mut ByteWriter, err: &ClusterError) {
-    match err {
-        ClusterError::DuplicateNode(name) => {
-            w.put_u8(0);
-            w.put_str(name);
-        }
-        ClusterError::UnknownNode(name) => {
-            w.put_u8(1);
-            w.put_str(name);
-        }
-        ClusterError::DuplicateJob(name) => {
-            w.put_u8(2);
-            w.put_str(name);
-        }
-        ClusterError::UnknownJob(name) => {
-            w.put_u8(3);
-            w.put_str(name);
-        }
-        ClusterError::ImageNotFound(name) => {
-            w.put_u8(4);
-            w.put_str(name);
-        }
-        ClusterError::BindingRejected { job, node, reason } => {
-            w.put_u8(5);
-            w.put_str(job);
-            w.put_str(node);
-            w.put_str(reason);
-        }
-        ClusterError::Unschedulable { job, reason } => {
-            w.put_u8(6);
-            w.put_str(job);
-            w.put_str(reason);
-        }
-        ClusterError::SpecParse { line, message } => {
-            w.put_u8(7);
-            w.put_usize(*line);
-            w.put_str(message);
-        }
-        ClusterError::ExecutionFailed { job, reason } => {
-            w.put_u8(8);
-            w.put_str(job);
-            w.put_str(reason);
-        }
-        ClusterError::PhaseConflict { job, action, phase } => {
-            w.put_u8(9);
-            w.put_str(job);
-            w.put_str(action);
-            w.put_str(phase);
-        }
-        ClusterError::InjectedFault {
-            job,
-            node,
-            kind,
-            attempt,
-        } => {
-            w.put_u8(10);
-            w.put_str(job);
-            w.put_str(node);
-            w.put_u8(fault_kind_tag(*kind));
-            w.put_u64(u64::from(*attempt));
-        }
-        ClusterError::DeadlineExceeded { job, deadline } => {
-            w.put_u8(11);
-            w.put_str(job);
-            w.put_u64(*deadline);
-        }
-    }
-}
-
-fn take_cluster_error(r: &mut ByteReader<'_>) -> Result<ClusterError, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => ClusterError::DuplicateNode(r.take_str()?),
-        1 => ClusterError::UnknownNode(r.take_str()?),
-        2 => ClusterError::DuplicateJob(r.take_str()?),
-        3 => ClusterError::UnknownJob(r.take_str()?),
-        4 => ClusterError::ImageNotFound(r.take_str()?),
-        5 => ClusterError::BindingRejected {
-            job: r.take_str()?,
-            node: r.take_str()?,
-            reason: r.take_str()?,
-        },
-        6 => ClusterError::Unschedulable {
-            job: r.take_str()?,
-            reason: r.take_str()?,
-        },
-        7 => ClusterError::SpecParse {
-            line: r.take_usize()?,
-            message: r.take_str()?,
-        },
-        8 => ClusterError::ExecutionFailed {
-            job: r.take_str()?,
-            reason: r.take_str()?,
-        },
-        9 => ClusterError::PhaseConflict {
-            job: r.take_str()?,
-            action: r.take_str()?,
-            phase: r.take_str()?,
-        },
-        10 => ClusterError::InjectedFault {
-            job: r.take_str()?,
-            node: r.take_str()?,
-            kind: take_fault_kind(r)?,
-            attempt: take_u32(r, "fault attempt")?,
-        },
-        11 => ClusterError::DeadlineExceeded {
-            job: r.take_str()?,
-            deadline: r.take_u64()?,
-        },
-        tag => return Err(bad_tag("ClusterError", tag)),
-    })
-}
-
-/// Project a lifecycle failure onto the persistable [`ClusterError`] space.
-/// Cluster failures survive exactly; anything else (meta, scheduler, ...)
-/// keeps its rendered message under `ExecutionFailed`.
-fn failure_as_cluster(job: &str, err: &crate::QrioError) -> ClusterError {
-    match err {
-        crate::QrioError::Cluster(inner) => inner.clone(),
-        other => ClusterError::ExecutionFailed {
-            job: job.to_string(),
-            reason: other.to_string(),
-        },
-    }
-}
-
-fn put_job_phase(w: &mut ByteWriter, phase: &JobPhase) {
-    match phase {
-        JobPhase::Pending => w.put_u8(0),
-        JobPhase::Scheduled { node } => {
-            w.put_u8(1);
-            w.put_str(node);
-        }
-        JobPhase::Running { node } => {
-            w.put_u8(2);
-            w.put_str(node);
-        }
-        JobPhase::Succeeded { node } => {
-            w.put_u8(3);
-            w.put_str(node);
-        }
-        JobPhase::Failed { reason } => {
-            w.put_u8(4);
-            w.put_str(reason);
-        }
-        JobPhase::Cancelled { reason } => {
-            w.put_u8(5);
-            w.put_str(reason);
-        }
-    }
-}
-
-fn take_job_phase(r: &mut ByteReader<'_>) -> Result<JobPhase, DurabilityError> {
-    Ok(match r.take_u8()? {
-        0 => JobPhase::Pending,
-        1 => JobPhase::Scheduled {
-            node: r.take_str()?,
-        },
-        2 => JobPhase::Running {
-            node: r.take_str()?,
-        },
-        3 => JobPhase::Succeeded {
-            node: r.take_str()?,
-        },
-        4 => JobPhase::Failed {
-            reason: r.take_str()?,
-        },
-        5 => JobPhase::Cancelled {
-            reason: r.take_str()?,
-        },
-        tag => return Err(bad_tag("JobPhase", tag)),
-    })
-}
-
-fn put_job_spec(w: &mut ByteWriter, spec: &JobSpec) {
-    w.put_str(&spec.name);
-    w.put_str(&spec.image);
-    w.put_str(&spec.qasm);
-    w.put_usize(spec.num_qubits);
-    put_resources(w, &spec.resources);
-    put_requirements(w, &spec.requirements);
-    put_strategy_spec(w, &spec.strategy);
-    w.put_u8(spec.priority);
-    w.put_u64(spec.shots);
-    w.put_usize(spec.threads);
-    put_opt_retry_policy(w, spec.retry.as_ref());
-    put_opt_u64(w, spec.deadline);
-}
-
-fn take_job_spec(r: &mut ByteReader<'_>) -> Result<JobSpec, DurabilityError> {
-    Ok(JobSpec {
-        name: r.take_str()?,
-        image: r.take_str()?,
-        qasm: r.take_str()?,
-        num_qubits: r.take_usize()?,
-        resources: take_resources(r)?,
-        requirements: take_requirements(r)?,
-        strategy: take_strategy_spec(r)?,
-        priority: r.take_u8()?,
-        shots: r.take_u64()?,
-        threads: r.take_usize()?,
-        retry: take_opt_retry_policy(r)?,
-        deadline: take_opt_u64(r)?,
-    })
-}
-
-fn put_job_snapshot(w: &mut ByteWriter, job: &JobSnapshot) {
-    put_job_spec(w, &job.spec);
-    put_job_phase(w, &job.phase);
-    put_str_vec(w, &job.logs);
-    w.put_usize(job.result_counts.len());
-    for (bitstring, count) in &job.result_counts {
-        w.put_str(bitstring);
-        w.put_u64(*count);
-    }
-    put_opt_f64(w, job.achieved_fidelity);
-}
-
-fn take_job_snapshot(r: &mut ByteReader<'_>) -> Result<JobSnapshot, DurabilityError> {
-    let spec = take_job_spec(r)?;
-    let phase = take_job_phase(r)?;
-    let logs = take_str_vec(r)?;
-    let len = r.take_usize()?;
-    let mut result_counts = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let bitstring = r.take_str()?;
-        result_counts.push((bitstring, r.take_u64()?));
-    }
-    Ok(JobSnapshot {
-        spec,
-        phase,
-        logs,
-        result_counts,
-        achieved_fidelity: take_opt_f64(r)?,
-    })
-}
-
-fn put_node_state(w: &mut ByteWriter, node: &NodeState) {
-    w.put_str(&backend_spec::to_spec(&node.backend));
-    w.put_usize(node.labels.len());
-    for (key, value) in &node.labels {
-        w.put_str(key);
-        w.put_str(value);
-    }
-    put_resources(w, &node.capacity);
-    put_resources(w, &node.allocated);
-    w.put_u8(match node.status {
-        NodeStatus::Ready => 0,
-        NodeStatus::NotReady => 1,
-        NodeStatus::Cordoned => 2,
-    });
-    w.put_u64(node.restart_count);
-}
-
-fn take_node_state(r: &mut ByteReader<'_>) -> Result<NodeState, DurabilityError> {
-    let backend = take_backend(r)?;
-    let len = r.take_usize()?;
-    let mut labels = BTreeMap::new();
-    for _ in 0..len {
-        let key = r.take_str()?;
-        labels.insert(key, r.take_str()?);
-    }
-    let capacity = take_resources(r)?;
-    let allocated = take_resources(r)?;
-    let status = match r.take_u8()? {
-        0 => NodeStatus::Ready,
-        1 => NodeStatus::NotReady,
-        2 => NodeStatus::Cordoned,
-        tag => return Err(bad_tag("NodeStatus", tag)),
-    };
-    Ok(NodeState {
-        backend,
-        labels,
-        capacity,
-        allocated,
-        status,
-        restart_count: r.take_u64()?,
-    })
-}
-
-fn put_registry_state(w: &mut ByteWriter, registry: &RegistryState) {
-    w.put_usize(registry.images.len());
-    for image in &registry.images {
-        w.put_str(image.name());
-        w.put_usize(image.len());
-        for (path, contents) in image.files() {
-            w.put_str(path);
-            w.put_str(contents);
-        }
-    }
-    w.put_u64(registry.push_count);
-    w.put_u64(registry.pull_count);
-}
-
-fn take_registry_state(r: &mut ByteReader<'_>) -> Result<RegistryState, DurabilityError> {
-    let len = r.take_usize()?;
-    let mut images = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let mut image = ImageBundle::new(r.take_str()?);
-        let files = r.take_usize()?;
-        for _ in 0..files {
-            let path = r.take_str()?;
-            image.add_file(path, r.take_str()?);
-        }
-        images.push(image);
-    }
-    Ok(RegistryState {
-        images,
-        push_count: r.take_u64()?,
-        pull_count: r.take_u64()?,
-    })
-}
-
-fn put_cluster_state(w: &mut ByteWriter, cluster: &ClusterState) {
-    w.put_usize(cluster.nodes.len());
-    for node in &cluster.nodes {
-        put_node_state(w, node);
-    }
-    w.put_usize(cluster.jobs.len());
-    for job in &cluster.jobs {
-        put_job_snapshot(w, job);
-    }
-    put_registry_state(w, &cluster.registry);
-    w.put_usize(cluster.events.len());
-    for event in &cluster.events {
-        w.put_str(&event.kind);
-        w.put_str(&event.message);
-    }
-    put_str_vec(w, &cluster.queue);
-    put_opt_fault_injector(w, cluster.fault_injector.as_ref());
-}
-
-fn take_cluster_state(r: &mut ByteReader<'_>) -> Result<ClusterState, DurabilityError> {
-    let len = r.take_usize()?;
-    let mut nodes = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        nodes.push(take_node_state(r)?);
-    }
-    let len = r.take_usize()?;
-    let mut jobs = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        jobs.push(take_job_snapshot(r)?);
-    }
-    let registry = take_registry_state(r)?;
-    let len = r.take_usize()?;
-    let mut events = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let kind = r.take_str()?;
-        events.push(ClusterEvent {
-            kind,
-            message: r.take_str()?,
-        });
-    }
-    let queue = take_str_vec(r)?;
-    Ok(ClusterState {
-        nodes,
-        jobs,
-        registry,
-        events,
-        queue,
-        fault_injector: take_opt_fault_injector(r)?,
-    })
-}
-
-fn put_meta_state(w: &mut ByteWriter, meta: &MetaState) {
-    w.put_u64(meta.fidelity_config.shots);
-    w.put_u64(meta.fidelity_config.seed);
-    w.put_f64(meta.fidelity_config.shortfall_weight);
-    w.put_usize(meta.backends.len());
-    for (backend, revision) in &meta.backends {
-        w.put_str(&backend_spec::to_spec(backend));
-        w.put_u64(*revision);
-    }
-    w.put_usize(meta.jobs.len());
-    for (job, strategy, circuit) in &meta.jobs {
-        w.put_str(job);
-        put_strategy_spec(w, strategy);
-        match circuit {
-            Some(circuit) => {
-                w.put_bool(true);
-                w.put_str(&qasm::to_qasm(circuit));
-            }
-            None => w.put_bool(false),
-        }
-    }
-    w.put_usize(meta.telemetry.len());
-    for (device, telemetry) in &meta.telemetry {
-        w.put_str(device);
-        put_telemetry(w, telemetry);
-    }
-}
-
-fn take_meta_state(r: &mut ByteReader<'_>) -> Result<MetaState, DurabilityError> {
-    let fidelity_config = FidelityRankingConfig {
-        shots: r.take_u64()?,
-        seed: r.take_u64()?,
-        shortfall_weight: r.take_f64()?,
-    };
-    let len = r.take_usize()?;
-    let mut backends = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let backend = take_backend(r)?;
-        backends.push((backend, r.take_u64()?));
-    }
-    let len = r.take_usize()?;
-    let mut jobs = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let job = r.take_str()?;
-        let strategy = take_strategy_spec(r)?;
-        let circuit = if r.take_bool()? {
-            Some(take_circuit(r)?)
-        } else {
-            None
-        };
-        jobs.push((job, strategy, circuit));
-    }
-    let len = r.take_usize()?;
-    let mut telemetry = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let device = r.take_str()?;
-        telemetry.push((device, take_telemetry(r)?));
-    }
-    Ok(MetaState {
-        fidelity_config,
-        backends,
-        jobs,
-        telemetry,
-    })
-}
-
-fn put_lifecycle(w: &mut ByteWriter, store: &LifecycleStore) {
-    w.put_u64(store.clock);
-    w.put_usize(store.events.len());
-    for event in &store.events {
-        put_job_event(w, event);
-    }
-    w.put_usize(store.jobs.len());
-    for (name, tracked) in &store.jobs {
-        w.put_str(name);
-        put_job_status(w, &tracked.status);
-        match &tracked.decision {
-            Some(decision) => {
-                w.put_bool(true);
-                put_schedule_decision(w, decision);
-            }
-            None => w.put_bool(false),
-        }
-        match &tracked.failure {
-            Some(failure) => {
-                w.put_bool(true);
-                put_cluster_error(w, &failure_as_cluster(name, failure));
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(u64::from(tracked.attempt));
-        w.put_u64(tracked.not_before);
-        put_opt_u64(w, tracked.deadline_at);
-    }
-    w.put_u64(store.admit_seq);
-    w.put_usize(store.pending.len());
-    for (priority, seq, name) in &store.pending {
-        w.put_u8(*priority);
-        w.put_u64(*seq);
-        w.put_str(name);
-    }
-    w.put_usize(store.device_queues.len());
-    for (device, queue) in &store.device_queues {
-        w.put_str(device);
-        w.put_usize(queue.len());
-        for name in queue {
-            w.put_str(name);
-        }
-    }
-    put_str_vec(w, &store.dead_letters);
-}
-
-fn take_lifecycle(r: &mut ByteReader<'_>) -> Result<LifecycleStore, DurabilityError> {
-    let clock = r.take_u64()?;
-    let len = r.take_usize()?;
-    let mut events = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        events.push(take_job_event(r)?);
-    }
-    let len = r.take_usize()?;
-    let mut jobs = BTreeMap::new();
-    for _ in 0..len {
-        let name = r.take_str()?;
-        let status = take_job_status(r)?;
-        let decision = if r.take_bool()? {
-            Some(take_schedule_decision(r)?)
-        } else {
-            None
-        };
-        let failure = if r.take_bool()? {
-            Some(crate::QrioError::Cluster(take_cluster_error(r)?))
-        } else {
-            None
-        };
-        let attempt = take_u32(r, "job attempt counter")?;
-        let not_before = r.take_u64()?;
-        let deadline_at = take_opt_u64(r)?;
-        jobs.insert(
-            name,
-            Tracked {
-                status,
-                decision,
-                failure,
-                attempt,
-                not_before,
-                deadline_at,
-            },
-        );
-    }
-    let admit_seq = r.take_u64()?;
-    let len = r.take_usize()?;
-    let mut pending = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        let priority = r.take_u8()?;
-        let seq = r.take_u64()?;
-        pending.push((priority, seq, r.take_str()?));
-    }
-    let len = r.take_usize()?;
-    let mut device_queues = BTreeMap::new();
-    for _ in 0..len {
-        let device = r.take_str()?;
-        let jobs_len = r.take_usize()?;
-        let mut queue = std::collections::VecDeque::with_capacity(jobs_len.min(4096));
-        for _ in 0..jobs_len {
-            queue.push_back(r.take_str()?);
-        }
-        device_queues.insert(device, queue);
-    }
-    let dead_letters = take_str_vec(r)?;
-    Ok(LifecycleStore {
-        clock,
-        events,
-        jobs,
-        admit_seq,
-        pending,
-        device_queues,
-        dead_letters,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Record-level encode / decode (public: the analyzer lints over these)
-// ---------------------------------------------------------------------------
-
-/// Encode a [`Command`] as a framed journal record.
-pub fn encode_command_record(cmd: &Command) -> Record {
-    let mut w = ByteWriter::new();
-    match cmd {
-        Command::AddDevice {
-            spec_text,
-            resources,
-        } => {
-            w.put_u8(0);
-            w.put_str(spec_text);
-            put_resources(&mut w, resources);
-        }
-        Command::Recalibrate { spec_text } => {
-            w.put_u8(1);
-            w.put_str(spec_text);
-        }
-        Command::Telemetry { reports } => {
-            w.put_u8(2);
-            w.put_usize(reports.len());
-            for (device, telemetry) in reports {
-                w.put_str(device);
-                put_telemetry(&mut w, telemetry);
-            }
-        }
-        Command::Enqueue { request } => {
-            w.put_u8(3);
-            put_job_request(&mut w, request);
-        }
-        Command::Cancel { job } => {
-            w.put_u8(4);
-            w.put_str(job);
-        }
-        Command::Tick => w.put_u8(5),
-        Command::ForceAdmit { job } => {
-            w.put_u8(6);
-            w.put_str(job);
-        }
-        Command::Schedule { job } => {
-            w.put_u8(7);
-            w.put_str(job);
-        }
-        Command::Execute { job } => {
-            w.put_u8(8);
-            w.put_str(job);
-        }
-        Command::Rebind { job, target } => {
-            w.put_u8(9);
-            w.put_str(job);
-            w.put_str(target);
-        }
-        Command::Cordon { node } => {
-            w.put_u8(10);
-            w.put_str(node);
-        }
-        Command::Uncordon { node } => {
-            w.put_u8(11);
-            w.put_str(node);
-        }
-        Command::Heal => w.put_u8(12),
-        Command::ConfigureFaults { injector } => {
-            w.put_u8(13);
-            put_opt_fault_injector(&mut w, injector.as_ref());
-        }
-        Command::ConfigureBreakers { config } => {
-            w.put_u8(14);
-            match config {
-                Some(config) => {
-                    w.put_bool(true);
-                    put_breaker_config(&mut w, config);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        Command::KickRetry { job } => {
-            w.put_u8(15);
-            w.put_str(job);
-        }
-        Command::Interrupt { job } => {
-            w.put_u8(16);
-            w.put_str(job);
-        }
-        Command::Probe { device } => {
-            w.put_u8(17);
-            w.put_str(device);
-        }
-    }
-    Record::new(RECORD_COMMAND, RECORD_VERSION, w.into_bytes())
-}
-
-/// Decode the payload of a [`RECORD_COMMAND`] record.
-///
-/// # Errors
-///
-/// Returns a codec error on truncated or trailing bytes and a
-/// [`DurabilityError::Codec`] invalid-tag error on unknown command tags.
-pub fn decode_command(payload: &[u8]) -> Result<Command, DurabilityError> {
-    let mut r = ByteReader::new(payload);
-    let cmd = match r.take_u8()? {
-        0 => {
-            let spec_text = r.take_str()?;
-            Command::AddDevice {
-                spec_text,
-                resources: take_resources(&mut r)?,
-            }
-        }
-        1 => Command::Recalibrate {
-            spec_text: r.take_str()?,
-        },
-        2 => {
-            let len = r.take_usize()?;
-            let mut reports = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                let device = r.take_str()?;
-                reports.push((device, take_telemetry(&mut r)?));
-            }
-            Command::Telemetry { reports }
-        }
-        3 => Command::Enqueue {
-            request: Box::new(take_job_request(&mut r)?),
-        },
-        4 => Command::Cancel { job: r.take_str()? },
-        5 => Command::Tick,
-        6 => Command::ForceAdmit { job: r.take_str()? },
-        7 => Command::Schedule { job: r.take_str()? },
-        8 => Command::Execute { job: r.take_str()? },
-        9 => {
-            let job = r.take_str()?;
-            Command::Rebind {
-                job,
-                target: r.take_str()?,
-            }
-        }
-        10 => Command::Cordon {
-            node: r.take_str()?,
-        },
-        11 => Command::Uncordon {
-            node: r.take_str()?,
-        },
-        12 => Command::Heal,
-        13 => Command::ConfigureFaults {
-            injector: take_opt_fault_injector(&mut r)?,
-        },
-        14 => Command::ConfigureBreakers {
-            config: if r.take_bool()? {
-                Some(take_breaker_config(&mut r)?)
-            } else {
-                None
-            },
-        },
-        15 => Command::KickRetry { job: r.take_str()? },
-        16 => Command::Interrupt { job: r.take_str()? },
-        17 => Command::Probe {
-            device: r.take_str()?,
-        },
-        tag => return Err(bad_tag("Command", tag)),
-    };
-    r.finish()?;
-    Ok(cmd)
-}
-
-/// Encode a slice of watch-log events as a framed journal record.
-pub fn encode_events_record(events: &[JobEvent]) -> Record {
-    let mut w = ByteWriter::new();
-    w.put_usize(events.len());
-    for event in events {
-        put_job_event(&mut w, event);
-    }
-    Record::new(RECORD_EVENTS, RECORD_VERSION, w.into_bytes())
-}
-
-/// Decode the payload of a [`RECORD_EVENTS`] record.
-///
-/// # Errors
-///
-/// Returns a codec error on truncated payloads or unknown state tags.
-pub fn decode_events(payload: &[u8]) -> Result<Vec<JobEvent>, DurabilityError> {
-    let mut r = ByteReader::new(payload);
-    let len = r.take_usize()?;
-    let mut events = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        events.push(take_job_event(&mut r)?);
-    }
-    r.finish()?;
-    Ok(events)
-}
-
-/// Read the event cursor a [`RECORD_SNAPSHOT`] payload starts with — the
-/// watch-log length at snapshot time — without decoding the rest. The
-/// analyzer's journal lints use this to cross-check snapshots against the
-/// event records around them.
-///
-/// # Errors
-///
-/// Returns a codec error when the payload is shorter than the cursor.
-pub fn snapshot_cursor(payload: &[u8]) -> Result<u64, DurabilityError> {
-    let mut r = ByteReader::new(payload);
-    Ok(r.take_u64()?)
-}
-
-/// The full orchestrator state captured by a snapshot record.
+codec_enum!(Command {
+    0 => AddDevice { spec_text, resources },
+    1 => Recalibrate { spec_text },
+    2 => Telemetry { reports },
+    3 => Enqueue { request },
+    4 => Cancel { job },
+    5 => Tick,
+    6 => ForceAdmit { job },
+    7 => Schedule { job },
+    8 => Execute { job },
+    9 => Rebind { job, target },
+    10 => Cordon { node },
+    11 => Uncordon { node },
+    12 => Heal,
+    13 => ConfigureFaults { injector },
+    14 => ConfigureBreakers { config },
+    15 => KickRetry { job },
+    16 => Interrupt { job },
+    17 => Probe { device },
+});
+
+/// The full orchestrator state captured by a snapshot record. Opaque outside
+/// the crate except for its [cursor](SnapshotState::cursor).
 #[derive(Debug, Clone)]
-pub(crate) struct SnapshotState {
+pub struct SnapshotState {
     /// Watch-log length at snapshot time (`lifecycle.events.len()`).
     pub(crate) cursor: u64,
     pub(crate) lifecycle: LifecycleStore,
@@ -1747,46 +389,107 @@ pub(crate) struct SnapshotState {
     pub(crate) breakers: Option<BreakerBoard>,
 }
 
-pub(crate) fn encode_snapshot_record(snap: &SnapshotState) -> Record {
-    let mut w = ByteWriter::new();
-    w.put_u64(snap.cursor);
-    put_lifecycle(&mut w, &snap.lifecycle);
-    put_cluster_state(&mut w, &snap.cluster);
-    put_meta_state(&mut w, &snap.meta);
-    w.put_u64(snap.runner_seed);
-    put_resources(&mut w, &snap.default_node_resources);
-    w.put_u64(snap.snapshot_every);
-    w.put_u64(snap.sync_every);
-    w.put_u64(snap.compact_above);
-    put_opt_breaker_board(&mut w, snap.breakers.as_ref());
-    Record::new(RECORD_SNAPSHOT, RECORD_VERSION, w.into_bytes())
+codec_struct!(SnapshotState {
+    cursor,
+    lifecycle,
+    cluster,
+    meta,
+    runner_seed,
+    default_node_resources,
+    snapshot_every,
+    sync_every,
+    compact_above,
+    breakers,
+});
+
+impl SnapshotState {
+    /// Watch-log length at snapshot time.
+    pub fn cursor(&self) -> u64 {
+        self.cursor
+    }
 }
 
-pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, DurabilityError> {
-    let mut r = ByteReader::new(payload);
-    let cursor = r.take_u64()?;
-    let lifecycle = take_lifecycle(&mut r)?;
-    let cluster = take_cluster_state(&mut r)?;
-    let meta = take_meta_state(&mut r)?;
-    let runner_seed = r.take_u64()?;
-    let default_node_resources = take_resources(&mut r)?;
-    let snapshot_every = r.take_u64()?;
-    let sync_every = r.take_u64()?;
-    let compact_above = r.take_u64()?;
-    let breakers = take_opt_breaker_board(&mut r)?;
-    r.finish()?;
-    Ok(SnapshotState {
-        cursor,
-        lifecycle,
-        cluster,
-        meta,
-        runner_seed,
-        default_node_resources,
-        snapshot_every,
-        sync_every,
-        compact_above,
-        breakers,
-    })
+// ---------------------------------------------------------------------------
+// Record-level encode / decode (public: the analyzer lints over these)
+// ---------------------------------------------------------------------------
+
+/// One decoded journal record.
+#[derive(Debug, Clone)]
+pub enum JournalEntry {
+    /// A [`RECORD_COMMAND`] record.
+    Command(Command),
+    /// A [`RECORD_EVENTS`] record.
+    Events(Vec<JobEvent>),
+    /// A [`RECORD_SNAPSHOT`] record (boxed: it dwarfs the other variants).
+    Snapshot(Box<SnapshotState>),
+}
+
+/// Decode one journal record: check its version, dispatch on its kind and
+/// fully decode its payload. Recovery, the time-travel inspector and the
+/// journal lints all read records through here.
+///
+/// # Errors
+///
+/// [`DurabilityError::UnsupportedRecord`] for a version other than
+/// [`RECORD_VERSION`] or an unknown kind; a codec error when the payload is
+/// truncated, carries trailing bytes or holds an invalid value.
+pub fn decode_record(record: &Record) -> Result<JournalEntry, DurabilityError> {
+    let unsupported = DurabilityError::UnsupportedRecord {
+        kind: record.kind,
+        version: record.version,
+    };
+    if record.version != RECORD_VERSION {
+        return Err(unsupported);
+    }
+    match record.kind {
+        RECORD_COMMAND => decode_command(&record.payload).map(JournalEntry::Command),
+        RECORD_EVENTS => decode_events(&record.payload).map(JournalEntry::Events),
+        RECORD_SNAPSHOT => Ok(JournalEntry::Snapshot(from_bytes(&record.payload)?)),
+        _ => Err(unsupported),
+    }
+}
+
+/// Encode a [`Command`] as a framed journal record.
+pub fn encode_command_record(cmd: &Command) -> Record {
+    Record::new(RECORD_COMMAND, RECORD_VERSION, to_bytes(cmd))
+}
+
+/// Decode the payload of a [`RECORD_COMMAND`] record.
+///
+/// # Errors
+///
+/// Returns a codec error on truncated or trailing bytes and a
+/// [`DurabilityError::Codec`] invalid-tag error on unknown command tags.
+pub fn decode_command(payload: &[u8]) -> Result<Command, DurabilityError> {
+    Ok(from_bytes(payload)?)
+}
+
+/// Encode a slice of watch-log events as a framed journal record.
+pub fn encode_events_record(events: &[JobEvent]) -> Record {
+    Record::new(RECORD_EVENTS, RECORD_VERSION, to_bytes(events))
+}
+
+/// Decode the payload of a [`RECORD_EVENTS`] record.
+///
+/// # Errors
+///
+/// Returns a codec error on truncated payloads or unknown state tags.
+pub fn decode_events(payload: &[u8]) -> Result<Vec<JobEvent>, DurabilityError> {
+    Ok(from_bytes(payload)?)
+}
+
+/// Read the event cursor a [`RECORD_SNAPSHOT`] payload starts with — the
+/// watch-log length at snapshot time — without decoding the rest.
+///
+/// # Errors
+///
+/// Returns a codec error when the payload is shorter than the cursor.
+pub fn snapshot_cursor(payload: &[u8]) -> Result<u64, DurabilityError> {
+    Ok(ByteReader::new(payload).take_u64()?)
+}
+
+pub(crate) fn encode_snapshot_record(snap: &SnapshotState) -> Record {
+    Record::new(RECORD_SNAPSHOT, RECORD_VERSION, to_bytes(snap))
 }
 
 // ---------------------------------------------------------------------------
@@ -1914,13 +617,13 @@ impl Durability {
     /// journal has outgrown [`DurabilityConfig::compact_above_bytes`], the
     /// records made obsolete by this snapshot are compacted away — recovery
     /// never reads past the last snapshot, so replay is unaffected.
-    pub(crate) fn log_snapshot(&mut self, snap: &SnapshotState) -> Result<(), DurabilityError> {
+    pub(crate) fn log_snapshot(&mut self, snapshot: &Record) -> Result<(), DurabilityError> {
         if let Some(err) = &self.error {
             return Err(err.clone());
         }
         let result: Result<(), DurabilityError> = (|| {
             let snapshot_offset = self.journal.byte_len()?;
-            self.journal.append(&encode_snapshot_record(snap))?;
+            self.journal.append(snapshot)?;
             self.journal.flush()?;
             if self.compact_above > 0 && self.journal.byte_len()? > self.compact_above {
                 self.journal.compact(snapshot_offset)?;
@@ -1951,6 +654,14 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerState;
+    use crate::lifecycle::{failure_as_cluster, JobId, JobState};
+    use qrio_backend::spec as backend_spec;
+    use qrio_cluster::{
+        BackoffPolicy, ClusterError, DeviceRequirements, FaultKind, RetryOn, RetryPolicy,
+        StrategySpec,
+    };
+    use qrio_sim::ParallelConfig;
 
     fn sample_request() -> JobRequest {
         JobRequest {
@@ -2074,22 +785,16 @@ mod tests {
         assert_eq!(record.kind, RECORD_EVENTS);
         assert_eq!(decode_events(&record.payload).unwrap(), events);
 
-        let snap_payload = {
-            let mut w = ByteWriter::new();
-            w.put_u64(42);
-            w.put_u8(0xFF); // trailing bytes are fine for cursor reads
-            w.into_bytes()
-        };
+        // Trailing bytes are fine for cursor reads.
+        let snap_payload = to_bytes(&(42u64, 0xFFu8));
         assert_eq!(snapshot_cursor(&snap_payload).unwrap(), 42);
         assert!(snapshot_cursor(&[1, 2]).is_err());
     }
 
     #[test]
     fn unknown_tags_are_typed_errors() {
-        let mut w = ByteWriter::new();
-        w.put_u8(200);
         assert!(matches!(
-            decode_command(&w.into_bytes()),
+            decode_command(&[200]),
             Err(DurabilityError::Codec(CodecError::InvalidTag { .. }))
         ));
     }
@@ -2136,12 +841,7 @@ mod tests {
             },
         ];
         for err in errors {
-            let mut w = ByteWriter::new();
-            put_cluster_error(&mut w, &err);
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes);
-            assert_eq!(take_cluster_error(&mut r).unwrap(), err);
-            r.finish().unwrap();
+            assert_eq!(from_bytes::<ClusterError>(&to_bytes(&err)).unwrap(), err);
         }
     }
 
@@ -2160,13 +860,10 @@ mod tests {
         board.tick(8); // flaky → half-open
         board.record_outcome("flaky", false, 9); // one probe passed
 
-        let mut w = ByteWriter::new();
-        put_opt_breaker_board(&mut w, Some(&board));
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let decoded = take_opt_breaker_board(&mut r).unwrap().unwrap();
-        r.finish().unwrap();
+        let board = Some(board);
+        let decoded: Option<BreakerBoard> = from_bytes(&to_bytes(&board)).unwrap();
         assert_eq!(decoded, board);
+        let decoded = decoded.unwrap();
         assert_eq!(
             decoded.state("flaky"),
             BreakerState::HalfOpen { successes: 1 }
@@ -2174,12 +871,9 @@ mod tests {
         assert_eq!(decoded.trip_count("flaky"), 1);
 
         // And the absent board is one byte.
-        let mut w = ByteWriter::new();
-        put_opt_breaker_board(&mut w, None);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(take_opt_breaker_board(&mut r).unwrap(), None);
-        r.finish().unwrap();
+        let bytes = to_bytes(&None::<BreakerBoard>);
+        assert_eq!(bytes, [0]);
+        assert_eq!(from_bytes::<Option<BreakerBoard>>(&bytes).unwrap(), None);
     }
 
     #[test]

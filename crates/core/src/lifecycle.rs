@@ -23,7 +23,10 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use qrio_cluster::ScheduleDecision;
+use qrio_bytes::{
+    codec_enum, codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode, Wide32,
+};
+use qrio_cluster::{ClusterError, ScheduleDecision};
 
 use crate::error::QrioError;
 
@@ -36,6 +39,19 @@ use crate::error::QrioError;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[must_use = "a JobId is the only handle to the enqueued job's lifecycle"]
 pub struct JobId(String);
+
+/// A job id travels as the job's name.
+impl Encode for JobId {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(&self.0);
+    }
+}
+
+impl Decode for JobId {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.take_str().map(JobId)
+    }
+}
 
 impl JobId {
     /// The id of the job with the given (unique) name.
@@ -92,6 +108,17 @@ pub enum JobState {
     /// Cancelled by the user before it started running.
     Cancelled,
 }
+
+codec_enum!(JobState {
+    0 => Submitted,
+    1 => Queued,
+    2 => Scheduled,
+    3 => Running,
+    4 => Succeeded,
+    5 => Failed,
+    6 => Cancelled,
+    7 => Retrying,
+});
 
 impl JobState {
     /// Every state, in lifecycle order.
@@ -177,6 +204,16 @@ pub struct JobEvent {
     pub reason: Option<String>,
 }
 
+codec_struct!(JobEvent {
+    seq,
+    at,
+    job,
+    from,
+    to,
+    node,
+    reason,
+});
+
 /// A point-in-time snapshot of one job's lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobStatus {
@@ -191,6 +228,14 @@ pub struct JobStatus {
     /// Every state the job has entered, with its virtual timestamp.
     pub history: Vec<(u64, JobState)>,
 }
+
+codec_struct!(JobStatus {
+    state,
+    node,
+    reason,
+    priority,
+    history,
+});
 
 /// What one [`crate::Qrio::tick`] service cycle did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -251,6 +296,32 @@ pub(crate) struct Tracked {
     pub(crate) deadline_at: Option<u64>,
 }
 
+/// Project a lifecycle failure onto the persistable [`ClusterError`] space.
+/// Cluster failures survive exactly; anything else (meta, scheduler, ...)
+/// keeps its rendered message under `ExecutionFailed`.
+pub(crate) fn failure_as_cluster(job: &str, err: &QrioError) -> ClusterError {
+    match err {
+        QrioError::Cluster(inner) => inner.clone(),
+        other => ClusterError::ExecutionFailed {
+            job: job.to_string(),
+            reason: other.to_string(),
+        },
+    }
+}
+
+impl Decode for Tracked {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Tracked {
+            status: Decode::decode(r)?,
+            decision: Decode::decode(r)?,
+            failure: Option::<ClusterError>::decode(r)?.map(QrioError::Cluster),
+            attempt: Wide32::decode(r)?.into(),
+            not_before: Decode::decode(r)?,
+            deadline_at: Decode::decode(r)?,
+        })
+    }
+}
+
 /// The lifecycle store owned by [`crate::Qrio`]: job records, the watch log,
 /// the admission queue and the per-device execution queues.
 #[derive(Debug, Clone, Default)]
@@ -276,6 +347,44 @@ pub(crate) struct LifecycleStore {
     /// in the order they were routed here. `pub(crate)` for durability
     /// snapshots.
     pub(crate) dead_letters: Vec<String>,
+}
+
+impl Encode for LifecycleStore {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.clock.encode(w);
+        self.events.encode(w);
+        // `Tracked` cannot encode on its own: a non-cluster failure is
+        // projected under the job's name, which is the map key.
+        w.put_usize(self.jobs.len());
+        for (name, tracked) in &self.jobs {
+            name.encode(w);
+            tracked.status.encode(w);
+            tracked.decision.encode(w);
+            let failure = tracked.failure.as_ref();
+            failure.map(|err| failure_as_cluster(name, err)).encode(w);
+            Wide32(tracked.attempt).encode(w);
+            tracked.not_before.encode(w);
+            tracked.deadline_at.encode(w);
+        }
+        self.admit_seq.encode(w);
+        self.pending.encode(w);
+        self.device_queues.encode(w);
+        self.dead_letters.encode(w);
+    }
+}
+
+impl Decode for LifecycleStore {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(LifecycleStore {
+            clock: Decode::decode(r)?,
+            events: Decode::decode(r)?,
+            jobs: Decode::decode(r)?,
+            admit_seq: Decode::decode(r)?,
+            pending: Decode::decode(r)?,
+            device_queues: Decode::decode(r)?,
+            dead_letters: Decode::decode(r)?,
+        })
+    }
 }
 
 impl LifecycleStore {

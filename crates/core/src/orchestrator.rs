@@ -39,7 +39,7 @@ use qrio_backend::{spec as backend_spec, Backend};
 use qrio_cluster::{
     framework, Cluster, ClusterError, FaultInjector, Node, Resources, ScheduleDecision,
 };
-use qrio_journal::Journal;
+use qrio_journal::{scan_file, Journal, Record};
 use qrio_meta::{DeviceTelemetry, FidelityRankingConfig, MetaServer, RankingStrategy};
 use qrio_proto::NodeCommand;
 use qrio_scheduler::{MetaRankingPlugin, QrioScheduler};
@@ -47,8 +47,8 @@ use qrio_scheduler::{MetaRankingPlugin, QrioScheduler};
 use crate::breaker::{BreakerAction, BreakerBoard, BreakerConfig};
 use crate::control::{ControlPlane, ObservedNode, TransportMode};
 use crate::durability::{
-    self, Command, Durability, DurabilityConfig, DurabilityError, RecoveryReport, ReplayCheckpoint,
-    SnapshotState, RECORD_COMMAND, RECORD_EVENTS, RECORD_SNAPSHOT, RECORD_VERSION,
+    self, Command, Durability, DurabilityConfig, DurabilityError, JournalEntry, RecoveryReport,
+    ReplayCheckpoint, SnapshotState, RECORD_SNAPSHOT,
 };
 use crate::error::QrioError;
 use crate::lifecycle::{JobEvent, JobId, JobState, JobStatus, LifecycleStore, TickReport};
@@ -112,6 +112,26 @@ pub struct Qrio {
     durability: Option<Durability>,
     breakers: Option<BreakerBoard>,
     control: ControlPlane,
+}
+
+/// The latest snapshot whose cursor does not exceed `at_most`, with its
+/// record index. Cursors only grow along the journal, so the search runs from
+/// the back and decodes no more snapshots than it must.
+fn latest_snapshot(
+    records: &[Record],
+    at_most: u64,
+) -> Result<(usize, SnapshotState), DurabilityError> {
+    for (index, record) in records.iter().enumerate().rev() {
+        if record.kind != RECORD_SNAPSHOT {
+            continue;
+        }
+        if let JournalEntry::Snapshot(snapshot) = durability::decode_record(record)? {
+            if snapshot.cursor <= at_most {
+                return Ok((index, *snapshot));
+            }
+        }
+    }
+    Err(DurabilityError::NoSnapshot)
 }
 
 impl Qrio {
@@ -1682,6 +1702,13 @@ impl Qrio {
         Ok(())
     }
 
+    /// The snapshot record [`Qrio::snapshot_now`] would append: the full
+    /// orchestrator state, encoded. Lets tools and tests obtain a well-formed
+    /// snapshot without a journal file.
+    pub fn snapshot_record(&self) -> Record {
+        durability::encode_snapshot_record(&self.export_snapshot())
+    }
+
     /// Journal one command plus the watch-log events it produced, then write
     /// a snapshot when the cadence says one is due. A no-op without
     /// durability.
@@ -1722,7 +1749,7 @@ impl Qrio {
         if self.durability.is_none() {
             return Ok(());
         }
-        let snapshot = self.export_snapshot();
+        let snapshot = self.snapshot_record();
         self.durability
             .as_mut()
             .expect("checked above")
@@ -1857,19 +1884,7 @@ impl Qrio {
         setup: impl FnOnce(&mut Qrio) -> Result<(), QrioError>,
     ) -> Result<(Qrio, RecoveryReport), QrioError> {
         let (journal, scan) = Journal::open(path.as_ref()).map_err(DurabilityError::Journal)?;
-        let snapshot_index = scan
-            .records
-            .iter()
-            .rposition(|record| record.kind == RECORD_SNAPSHOT)
-            .ok_or(DurabilityError::NoSnapshot)?;
-        let snapshot_record = &scan.records[snapshot_index];
-        if snapshot_record.version != RECORD_VERSION {
-            return Err(QrioError::Durability(DurabilityError::UnsupportedRecord {
-                kind: snapshot_record.kind,
-                version: snapshot_record.version,
-            }));
-        }
-        let snapshot = durability::decode_snapshot(&snapshot_record.payload)?;
+        let (snapshot_index, snapshot) = latest_snapshot(&scan.records, u64::MAX)?;
         let cursor = snapshot.cursor;
         let snapshot_every = snapshot.snapshot_every;
         let sync_every = snapshot.sync_every;
@@ -1881,27 +1896,14 @@ impl Qrio {
         let mut commands_replayed: u64 = 0;
         let mut journaled_tail: Vec<JobEvent> = Vec::new();
         for record in &scan.records[snapshot_index + 1..] {
-            if record.version != RECORD_VERSION {
-                return Err(QrioError::Durability(DurabilityError::UnsupportedRecord {
-                    kind: record.kind,
-                    version: record.version,
-                }));
-            }
-            match record.kind {
-                RECORD_COMMAND => {
-                    let cmd = durability::decode_command(&record.payload)?;
+            match durability::decode_record(record)? {
+                JournalEntry::Command(cmd) => {
                     qrio.apply_command(cmd)?;
                     commands_replayed += 1;
                 }
-                RECORD_EVENTS => {
-                    journaled_tail.extend(durability::decode_events(&record.payload)?);
-                }
-                kind => {
-                    return Err(QrioError::Durability(DurabilityError::UnsupportedRecord {
-                        kind,
-                        version: record.version,
-                    }));
-                }
+                JournalEntry::Events(events) => journaled_tail.extend(events),
+                // `snapshot_index` is the last snapshot: the tail holds none.
+                JournalEntry::Snapshot(_) => {}
             }
         }
 
@@ -1984,56 +1986,24 @@ impl Qrio {
         path: impl AsRef<Path>,
         cursor: u64,
     ) -> Result<(Qrio, ReplayCheckpoint), QrioError> {
-        let (_journal, scan) = Journal::open(path.as_ref()).map_err(DurabilityError::Journal)?;
+        // Read-only: unlike `Journal::open`, scanning leaves a torn tail in
+        // place for `recover` to deal with.
+        let scan = scan_file(path.as_ref()).map_err(DurabilityError::Journal)?;
 
-        // The latest snapshot that does not overshoot the target.
-        let mut chosen: Option<(usize, u64)> = None;
-        for (index, record) in scan.records.iter().enumerate() {
-            if record.kind != RECORD_SNAPSHOT {
-                continue;
-            }
-            if record.version != RECORD_VERSION {
-                return Err(QrioError::Durability(DurabilityError::UnsupportedRecord {
-                    kind: record.kind,
-                    version: record.version,
-                }));
-            }
-            let snap_cursor = durability::snapshot_cursor(&record.payload)?;
-            if snap_cursor <= cursor {
-                chosen = Some((index, snap_cursor));
-            }
-        }
-        let (snapshot_index, snapshot_cursor) =
-            chosen.ok_or(QrioError::Durability(DurabilityError::NoSnapshot))?;
+        let (snapshot_index, snapshot) = latest_snapshot(&scan.records, cursor)?;
+        let snapshot_cursor = snapshot.cursor;
 
-        let snapshot = durability::decode_snapshot(&scan.records[snapshot_index].payload)?;
         let mut qrio = Qrio::from_snapshot(snapshot);
         let mut commands_replayed: u64 = 0;
         for record in &scan.records[snapshot_index + 1..] {
             if qrio.lifecycle.events.len() as u64 >= cursor {
                 break;
             }
-            if record.version != RECORD_VERSION {
-                return Err(QrioError::Durability(DurabilityError::UnsupportedRecord {
-                    kind: record.kind,
-                    version: record.version,
-                }));
-            }
-            match record.kind {
-                RECORD_COMMAND => {
-                    let cmd = durability::decode_command(&record.payload)?;
-                    qrio.apply_command(cmd)?;
-                    commands_replayed += 1;
-                }
-                // Event acknowledgements and later snapshots carry no state
-                // transitions of their own — replay regenerates the events.
-                RECORD_EVENTS | RECORD_SNAPSHOT => {}
-                kind => {
-                    return Err(QrioError::Durability(DurabilityError::UnsupportedRecord {
-                        kind,
-                        version: record.version,
-                    }));
-                }
+            // Event acknowledgements and later snapshots carry no state
+            // transitions of their own — replay regenerates the events.
+            if let JournalEntry::Command(cmd) = durability::decode_record(record)? {
+                qrio.apply_command(cmd)?;
+                commands_replayed += 1;
             }
         }
 

@@ -7,6 +7,7 @@
 //! (Table 1). This module models that workflow as a typed builder, including
 //! the topology-drawing canvas (edges between qubits → topology circuit).
 
+use qrio_bytes::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use qrio_circuit::{library, qasm, Circuit};
 use qrio_cluster::{strategy_names, DeviceRequirements, Resources, RetryPolicy, StrategySpec};
 use qrio_sim::ParallelConfig;
@@ -124,6 +125,44 @@ pub struct JobRequest {
     /// Optional virtual-time deadline in ticks after admission. A job still
     /// non-terminal when it passes fails with `DeadlineExceeded`.
     pub deadline: Option<u64>,
+}
+
+/// The journal stores `parallel` as its thread count; every other field is
+/// itself, in declaration order.
+impl Encode for JobRequest {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.job_name.encode(w);
+        self.image_name.encode(w);
+        self.qasm.encode(w);
+        self.num_qubits.encode(w);
+        self.resources.encode(w);
+        self.requirements.encode(w);
+        self.strategy.encode(w);
+        self.priority.encode(w);
+        self.shots.encode(w);
+        self.parallel.threads().encode(w);
+        self.retry.encode(w);
+        self.deadline.encode(w);
+    }
+}
+
+impl Decode for JobRequest {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(JobRequest {
+            job_name: Decode::decode(r)?,
+            image_name: Decode::decode(r)?,
+            qasm: Decode::decode(r)?,
+            num_qubits: Decode::decode(r)?,
+            resources: Decode::decode(r)?,
+            requirements: Decode::decode(r)?,
+            strategy: Decode::decode(r)?,
+            priority: Decode::decode(r)?,
+            shots: Decode::decode(r)?,
+            parallel: ParallelConfig::with_threads(Decode::decode(r)?),
+            retry: Decode::decode(r)?,
+            deadline: Decode::decode(r)?,
+        })
+    }
 }
 
 /// Builder modelling the visualizer's three-step job submission form.

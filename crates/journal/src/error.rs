@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::codec::CodecError;
+use qrio_bytes::CodecError;
 
 /// Everything that can go wrong while creating, scanning or appending to a
 /// journal file.

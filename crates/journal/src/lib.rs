@@ -11,9 +11,10 @@
 //!
 //! # Layers
 //!
-//! * [`codec`] — [`ByteWriter`]/[`ByteReader`] primitives and the CRC-32
-//!   checksum shared by every payload codec.
-//! * [`wal`] — the on-disk format: file header, record framing,
+//! * `qrio-bytes` — the [`ByteWriter`]/[`ByteReader`] primitives, the CRC-32
+//!   checksum and the frame shape (`prefix ‖ len ‖ payload ‖ crc32`), shared
+//!   with the wire format and re-exported here.
+//! * [`wal`] — the on-disk format: file header, record prefix,
 //!   [`scan_bytes`] validation with [`TornTail`] reporting, and the
 //!   [`Journal`] append handle.
 //!
@@ -32,12 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod error;
 pub mod wal;
 
-pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use error::JournalError;
+pub use qrio_bytes::{crc32, ByteReader, ByteWriter, CodecError};
 pub use wal::{
     encode_record, header_bytes, looks_like_journal, scan_bytes, scan_file, Journal, Record,
     ScanReport, TornTail, FORMAT_VERSION, HEADER_LEN, MAGIC,

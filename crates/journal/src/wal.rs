@@ -35,7 +35,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{crc32, ByteWriter};
+use qrio_bytes::{open, seal, FrameError, LEN_BYTES};
+
 use crate::error::JournalError;
 
 /// The 8-byte magic every journal file starts with.
@@ -47,11 +48,8 @@ pub const FORMAT_VERSION: u16 = 1;
 /// Bytes occupied by the file header (magic + format version).
 pub const HEADER_LEN: usize = MAGIC.len() + 2;
 
-/// Bytes of record framing before the payload (kind + version + length).
-const RECORD_PREFIX_LEN: usize = 1 + 2 + 4;
-
-/// Bytes of the trailing checksum.
-const RECORD_CRC_LEN: usize = 4;
+/// Bytes of a record's frame prefix (kind + version).
+const RECORD_PREFIX_LEN: usize = 1 + 2;
 
 /// One framed record: an opaque payload tagged with an application-defined
 /// kind and per-kind version.
@@ -116,14 +114,10 @@ pub fn looks_like_journal(bytes: &[u8]) -> bool {
 /// Encode one record into its framed byte representation (without the file
 /// header).
 pub fn encode_record(record: &Record) -> Vec<u8> {
-    let mut writer = ByteWriter::new();
-    writer.put_u8(record.kind);
-    writer.put_u16(record.version);
-    writer.put_u32(record.payload.len() as u32);
-    writer.put_raw(&record.payload);
-    let crc = crc32(&writer.clone().into_bytes());
-    writer.put_u32(crc);
-    writer.into_bytes()
+    let [version_lo, version_hi] = record.version.to_le_bytes();
+    seal(&[record.kind, version_lo, version_hi], |w| {
+        w.put_raw(&record.payload)
+    })
 }
 
 /// Scan a journal's full byte image: validate the header, then every record
@@ -157,44 +151,27 @@ pub fn scan_bytes(bytes: &[u8]) -> Result<ScanReport, JournalError> {
         if remaining == 0 {
             break None;
         }
-        if remaining < RECORD_PREFIX_LEN {
-            break Some(format!(
-                "truncated record framing: {remaining} bytes left, {RECORD_PREFIX_LEN} needed"
-            ));
+        match open(&bytes[pos..], RECORD_PREFIX_LEN) {
+            Ok(frame) => {
+                records.push(Record {
+                    kind: frame.prefix[0],
+                    version: u16::from_le_bytes([frame.prefix[1], frame.prefix[2]]),
+                    payload: frame.payload.to_vec(),
+                });
+                pos += frame.len();
+            }
+            Err(FrameError::Truncated { needed, available }) => {
+                let part = if needed == RECORD_PREFIX_LEN + LEN_BYTES {
+                    "framing"
+                } else {
+                    "body"
+                };
+                break Some(format!(
+                    "truncated record {part}: {available} bytes left, {needed} needed"
+                ));
+            }
+            Err(err @ FrameError::Checksum { .. }) => break Some(err.to_string()),
         }
-        let kind = bytes[pos];
-        let version = u16::from_le_bytes([bytes[pos + 1], bytes[pos + 2]]);
-        let payload_len = u32::from_le_bytes([
-            bytes[pos + 3],
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-        ]) as usize;
-        let full_len = RECORD_PREFIX_LEN + payload_len + RECORD_CRC_LEN;
-        if remaining < full_len {
-            break Some(format!(
-                "truncated record body: {remaining} bytes left, {full_len} needed"
-            ));
-        }
-        let body_end = pos + RECORD_PREFIX_LEN + payload_len;
-        let stored_crc = u32::from_le_bytes([
-            bytes[body_end],
-            bytes[body_end + 1],
-            bytes[body_end + 2],
-            bytes[body_end + 3],
-        ]);
-        let computed_crc = crc32(&bytes[pos..body_end]);
-        if stored_crc != computed_crc {
-            break Some(format!(
-                "checksum mismatch: stored {stored_crc:#010x}, computed {computed_crc:#010x}"
-            ));
-        }
-        records.push(Record {
-            kind,
-            version,
-            payload: bytes[pos + RECORD_PREFIX_LEN..body_end].to_vec(),
-        });
-        pos += full_len;
     };
 
     Ok(ScanReport {

@@ -12,6 +12,7 @@
 //! scheduler penalises the shortfall against the user's target.
 
 use qrio_backend::Backend;
+use qrio_bytes::codec_struct;
 use qrio_circuit::Circuit;
 use qrio_sim::{executor, NoiseModel};
 use qrio_transpiler::{deflate, transpile};
@@ -28,6 +29,12 @@ pub struct FidelityRankingConfig {
     /// Extra penalty weight applied to the shortfall below the target.
     pub shortfall_weight: f64,
 }
+
+codec_struct!(FidelityRankingConfig {
+    shots,
+    seed,
+    shortfall_weight,
+});
 
 impl Default for FidelityRankingConfig {
     fn default() -> Self {

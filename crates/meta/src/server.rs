@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use qrio_backend::{spec as backend_spec, Backend};
+use qrio_bytes::codec_struct;
 use qrio_circuit::{qasm, Circuit};
 use qrio_cluster::{StrategyParams, StrategySpec};
 
@@ -69,6 +70,13 @@ pub struct MetaState {
     /// The latest telemetry per device, in name order.
     pub telemetry: Vec<(String, DeviceTelemetry)>,
 }
+
+codec_struct!(MetaState {
+    fidelity_config,
+    backends,
+    jobs,
+    telemetry,
+});
 
 /// Memoized `(job, device)` scores for cacheable strategies, plus hit/miss
 /// counters. Entries carry the device's calibration revision at compute time,

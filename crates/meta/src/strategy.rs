@@ -13,6 +13,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use qrio_backend::Backend;
+use qrio_bytes::codec_struct;
 use qrio_circuit::Circuit;
 use qrio_cluster::StrategyParams;
 
@@ -73,6 +74,12 @@ pub struct DeviceTelemetry {
     /// recently-flaky devices.
     pub health_penalty: f64,
 }
+
+codec_struct!(DeviceTelemetry {
+    queue_depth,
+    utilization,
+    health_penalty,
+});
 
 /// Everything a strategy may consult when scoring a job against a device.
 #[derive(Debug, Clone, Copy)]

@@ -1,6 +1,6 @@
 //! # qrio-proto
 //!
-//! Versioned, dependency-free wire format for QRIO control-plane traffic
+//! Versioned wire format for QRIO control-plane traffic
 //! (reproduction of *Empowering the Quantum Cloud User with QRIO*, IISWC
 //! 2024). The orchestrator and every node agent speak exclusively through
 //! these messages: [`NodeCommand`]s flow down (bind, run, cancel,
@@ -9,10 +9,10 @@
 //! inside a checksummed [`Envelope`] frame.
 //!
 //! The build environment has no crates.io access, so the codec is
-//! hand-rolled in the `qrio-journal` record idiom: magic/version/length/
-//! CRC-32 framing, little-endian integers, `u64`-length-prefixed strings,
-//! one-byte enum tags. Decoding never panics — every malformed input maps to
-//! a typed [`ProtoError`].
+//! hand-rolled on `qrio-bytes`, the one codec the journal uses too:
+//! magic/version/length/CRC-32 framing, little-endian integers,
+//! `u64`-length-prefixed strings, one-byte enum tags. Decoding never panics —
+//! every malformed input maps to a typed [`ProtoError`].
 //!
 //! ```
 //! use qrio_proto::{Envelope, NodeCommand, Payload};
@@ -32,10 +32,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod wire;
 
-pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
+pub use qrio_bytes::{crc32, ByteReader, ByteWriter, CodecError};
 pub use wire::{
     decode_stream, Envelope, FaultSpec, FrameHeader, NodeCommand, NodeReport, Payload, ProtoError,
     RunPayload, RunVerdict, TelemetryFrame, WireFaultKind, FRAME_CRC_LEN, FRAME_PREFIX_LEN,

@@ -1,7 +1,7 @@
 //! Control-plane message types and the envelope framing that carries them.
 //!
-//! Every message travels inside an [`Envelope`] frame laid out in the
-//! `qrio-journal` record idiom:
+//! Every message travels inside an [`Envelope`] frame — the `qrio-bytes`
+//! frame shape that journal records share, under its own prefix:
 //!
 //! ```text
 //! +--------------+---------+---------+------------------+-----------+
@@ -20,7 +20,10 @@
 
 use std::fmt;
 
-use crate::codec::{crc32, ByteReader, ByteWriter, CodecError};
+use qrio_bytes::{
+    codec_enum, codec_struct, from_bytes, open, payload_len, seal, CodecError, Encode, FrameError,
+    CRC_BYTES, LEN_BYTES,
+};
 
 /// Magic bytes opening every envelope frame.
 pub const PROTO_MAGIC: [u8; 8] = *b"QRIOPROT";
@@ -29,10 +32,13 @@ pub const PROTO_MAGIC: [u8; 8] = *b"QRIOPROT";
 pub const PROTO_VERSION: u16 = 1;
 
 /// Bytes before the payload: magic (8) + version (2) + length (4).
-pub const FRAME_PREFIX_LEN: usize = 14;
+pub const FRAME_PREFIX_LEN: usize = MAGIC_VERSION_LEN + LEN_BYTES;
 
 /// Trailing checksum width.
-pub const FRAME_CRC_LEN: usize = 4;
+pub const FRAME_CRC_LEN: usize = CRC_BYTES;
+
+/// Bytes of the frame prefix proper: magic (8) + version (2).
+const MAGIC_VERSION_LEN: usize = PROTO_MAGIC.len() + 2;
 
 /// Errors surfaced while decoding envelope frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,8 +105,21 @@ impl From<CodecError> for ProtoError {
     }
 }
 
+impl From<FrameError> for ProtoError {
+    fn from(err: FrameError) -> Self {
+        match err {
+            FrameError::Truncated { needed, available } => {
+                ProtoError::Truncated { needed, available }
+            }
+            FrameError::Checksum { stored, computed } => {
+                ProtoError::CorruptFrame { stored, computed }
+            }
+        }
+    }
+}
+
 /// Fault kinds as they travel on the wire, mirroring the cluster's
-/// `FaultKind` without depending on it (`qrio-proto` is a leaf crate).
+/// `FaultKind` without depending on it (`qrio-proto` knows no domain crate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFaultKind {
     /// A one-off execution failure that succeeds on retry.
@@ -112,6 +131,8 @@ pub enum WireFaultKind {
     /// The device dropped out mid-run.
     Flap,
 }
+
+codec_enum!(WireFaultKind { 0 => Transient, 1 => Calibration, 2 => Slow, 3 => Flap });
 
 impl WireFaultKind {
     /// Every kind, in wire-tag order.
@@ -131,28 +152,6 @@ impl WireFaultKind {
             WireFaultKind::Flap => "flap",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            WireFaultKind::Transient => 0,
-            WireFaultKind::Calibration => 1,
-            WireFaultKind::Slow => 2,
-            WireFaultKind::Flap => 3,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(WireFaultKind::Transient),
-            1 => Ok(WireFaultKind::Calibration),
-            2 => Ok(WireFaultKind::Slow),
-            3 => Ok(WireFaultKind::Flap),
-            other => Err(CodecError::InvalidTag {
-                what: "WireFaultKind",
-                tag: u64::from(other),
-            }),
-        }
-    }
 }
 
 /// Fault-injection parameters shipped to an agent in a `Bind` command, so the
@@ -170,6 +169,14 @@ pub struct FaultSpec {
     /// Probability of a device flap.
     pub flap_rate: f64,
 }
+
+codec_struct!(FaultSpec {
+    seed,
+    transient_rate,
+    calibration_rate,
+    slow_rate,
+    flap_rate,
+});
 
 /// Everything an agent needs to execute one attempt of one job: the circuit,
 /// the image files and the shot budget. Self-contained by design — the agent
@@ -193,6 +200,17 @@ pub struct RunPayload {
     /// Worker threads for shot execution (`0` = auto-detect).
     pub threads: u64,
 }
+
+codec_struct!(RunPayload {
+    job,
+    attempt,
+    image_name,
+    image_files,
+    qasm,
+    num_qubits,
+    shots,
+    threads,
+});
 
 /// Orchestrator → agent instructions.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,6 +247,16 @@ pub enum NodeCommand {
     /// Health probe; the agent answers with [`NodeReport::Status`].
     Probe,
 }
+
+codec_enum!(NodeCommand {
+    0 => Bind { backend_spec, injector },
+    1 => Run { payload },
+    2 => Cancel { job, reason },
+    3 => Recalibrate { backend_spec },
+    4 => Cordon,
+    5 => Uncordon,
+    6 => Probe,
+});
 
 impl NodeCommand {
     /// Stable lower-case name of the command variant.
@@ -274,6 +302,13 @@ pub enum RunVerdict {
     },
 }
 
+codec_enum!(RunVerdict {
+    0 => Succeeded { counts, fidelity, logs },
+    1 => Failed { reason },
+    2 => Faulted { kind },
+    3 => Rejected { reason },
+});
+
 /// One telemetry sample from an agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryFrame {
@@ -284,6 +319,12 @@ pub struct TelemetryFrame {
     /// Health penalty applied by the meta server's ranking.
     pub health_penalty: f64,
 }
+
+codec_struct!(TelemetryFrame {
+    queue_depth,
+    utilization,
+    health_penalty,
+});
 
 /// Agent → orchestrator reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -319,6 +360,13 @@ pub enum NodeReport {
     },
 }
 
+codec_enum!(NodeReport {
+    0 => Phase { job, attempt, verdict },
+    1 => Telemetry { frame },
+    2 => Calibration { revision },
+    3 => Status { cordoned, executed, calibration_revision },
+});
+
 impl NodeReport {
     /// Stable lower-case name of the report variant.
     pub fn name(&self) -> &'static str {
@@ -340,6 +388,8 @@ pub enum Payload {
     Report(NodeReport),
 }
 
+codec_enum!(Payload { 0 => Command(command), 1 => Report(report) });
+
 /// One framed control-plane message.
 ///
 /// `seq` is per-node *and* per-direction: the orchestrator numbers the
@@ -358,315 +408,20 @@ pub struct Envelope {
     pub payload: Payload,
 }
 
-fn put_fault_spec(writer: &mut ByteWriter, spec: &FaultSpec) {
-    writer.put_u64(spec.seed);
-    writer.put_f64(spec.transient_rate);
-    writer.put_f64(spec.calibration_rate);
-    writer.put_f64(spec.slow_rate);
-    writer.put_f64(spec.flap_rate);
-}
-
-fn take_fault_spec(reader: &mut ByteReader<'_>) -> Result<FaultSpec, CodecError> {
-    Ok(FaultSpec {
-        seed: reader.take_u64()?,
-        transient_rate: reader.take_f64()?,
-        calibration_rate: reader.take_f64()?,
-        slow_rate: reader.take_f64()?,
-        flap_rate: reader.take_f64()?,
-    })
-}
-
-fn put_run_payload(writer: &mut ByteWriter, payload: &RunPayload) {
-    writer.put_str(&payload.job);
-    writer.put_u32(payload.attempt);
-    writer.put_str(&payload.image_name);
-    writer.put_usize(payload.image_files.len());
-    for (path, contents) in &payload.image_files {
-        writer.put_str(path);
-        writer.put_str(contents);
-    }
-    writer.put_str(&payload.qasm);
-    writer.put_u64(payload.num_qubits);
-    writer.put_u64(payload.shots);
-    writer.put_u64(payload.threads);
-}
-
-fn take_run_payload(reader: &mut ByteReader<'_>) -> Result<RunPayload, CodecError> {
-    let job = reader.take_str()?;
-    let attempt = reader.take_u32()?;
-    let image_name = reader.take_str()?;
-    let file_count = reader.take_usize()?;
-    let mut image_files = Vec::new();
-    for _ in 0..file_count {
-        let path = reader.take_str()?;
-        let contents = reader.take_str()?;
-        image_files.push((path, contents));
-    }
-    Ok(RunPayload {
-        job,
-        attempt,
-        image_name,
-        image_files,
-        qasm: reader.take_str()?,
-        num_qubits: reader.take_u64()?,
-        shots: reader.take_u64()?,
-        threads: reader.take_u64()?,
-    })
-}
-
-fn put_command(writer: &mut ByteWriter, command: &NodeCommand) {
-    match command {
-        NodeCommand::Bind {
-            backend_spec,
-            injector,
-        } => {
-            writer.put_u8(0);
-            writer.put_str(backend_spec);
-            match injector {
-                None => writer.put_u8(0),
-                Some(spec) => {
-                    writer.put_u8(1);
-                    put_fault_spec(writer, spec);
-                }
-            }
-        }
-        NodeCommand::Run { payload } => {
-            writer.put_u8(1);
-            put_run_payload(writer, payload);
-        }
-        NodeCommand::Cancel { job, reason } => {
-            writer.put_u8(2);
-            writer.put_str(job);
-            writer.put_str(reason);
-        }
-        NodeCommand::Recalibrate { backend_spec } => {
-            writer.put_u8(3);
-            writer.put_str(backend_spec);
-        }
-        NodeCommand::Cordon => writer.put_u8(4),
-        NodeCommand::Uncordon => writer.put_u8(5),
-        NodeCommand::Probe => writer.put_u8(6),
-    }
-}
-
-fn take_command(reader: &mut ByteReader<'_>) -> Result<NodeCommand, CodecError> {
-    match reader.take_u8()? {
-        0 => {
-            let backend_spec = reader.take_str()?;
-            let injector = match reader.take_u8()? {
-                0 => None,
-                1 => Some(take_fault_spec(reader)?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "Option<FaultSpec>",
-                        tag: u64::from(tag),
-                    })
-                }
-            };
-            Ok(NodeCommand::Bind {
-                backend_spec,
-                injector,
-            })
-        }
-        1 => Ok(NodeCommand::Run {
-            payload: take_run_payload(reader)?,
-        }),
-        2 => Ok(NodeCommand::Cancel {
-            job: reader.take_str()?,
-            reason: reader.take_str()?,
-        }),
-        3 => Ok(NodeCommand::Recalibrate {
-            backend_spec: reader.take_str()?,
-        }),
-        4 => Ok(NodeCommand::Cordon),
-        5 => Ok(NodeCommand::Uncordon),
-        6 => Ok(NodeCommand::Probe),
-        tag => Err(CodecError::InvalidTag {
-            what: "NodeCommand",
-            tag: u64::from(tag),
-        }),
-    }
-}
-
-fn put_verdict(writer: &mut ByteWriter, verdict: &RunVerdict) {
-    match verdict {
-        RunVerdict::Succeeded {
-            counts,
-            fidelity,
-            logs,
-        } => {
-            writer.put_u8(0);
-            writer.put_usize(counts.len());
-            for (bitstring, count) in counts {
-                writer.put_str(bitstring);
-                writer.put_u64(*count);
-            }
-            match fidelity {
-                None => writer.put_u8(0),
-                Some(value) => {
-                    writer.put_u8(1);
-                    writer.put_f64(*value);
-                }
-            }
-            writer.put_usize(logs.len());
-            for line in logs {
-                writer.put_str(line);
-            }
-        }
-        RunVerdict::Failed { reason } => {
-            writer.put_u8(1);
-            writer.put_str(reason);
-        }
-        RunVerdict::Faulted { kind } => {
-            writer.put_u8(2);
-            writer.put_u8(kind.tag());
-        }
-        RunVerdict::Rejected { reason } => {
-            writer.put_u8(3);
-            writer.put_str(reason);
-        }
-    }
-}
-
-fn take_verdict(reader: &mut ByteReader<'_>) -> Result<RunVerdict, CodecError> {
-    match reader.take_u8()? {
-        0 => {
-            let count_len = reader.take_usize()?;
-            let mut counts = Vec::new();
-            for _ in 0..count_len {
-                let bitstring = reader.take_str()?;
-                let count = reader.take_u64()?;
-                counts.push((bitstring, count));
-            }
-            let fidelity = match reader.take_u8()? {
-                0 => None,
-                1 => Some(reader.take_f64()?),
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "Option<f64>",
-                        tag: u64::from(tag),
-                    })
-                }
-            };
-            let log_len = reader.take_usize()?;
-            let mut logs = Vec::new();
-            for _ in 0..log_len {
-                logs.push(reader.take_str()?);
-            }
-            Ok(RunVerdict::Succeeded {
-                counts,
-                fidelity,
-                logs,
-            })
-        }
-        1 => Ok(RunVerdict::Failed {
-            reason: reader.take_str()?,
-        }),
-        2 => Ok(RunVerdict::Faulted {
-            kind: WireFaultKind::from_tag(reader.take_u8()?)?,
-        }),
-        3 => Ok(RunVerdict::Rejected {
-            reason: reader.take_str()?,
-        }),
-        tag => Err(CodecError::InvalidTag {
-            what: "RunVerdict",
-            tag: u64::from(tag),
-        }),
-    }
-}
-
-fn put_report(writer: &mut ByteWriter, report: &NodeReport) {
-    match report {
-        NodeReport::Phase {
-            job,
-            attempt,
-            verdict,
-        } => {
-            writer.put_u8(0);
-            writer.put_str(job);
-            writer.put_u32(*attempt);
-            put_verdict(writer, verdict);
-        }
-        NodeReport::Telemetry { frame } => {
-            writer.put_u8(1);
-            writer.put_u64(frame.queue_depth);
-            writer.put_f64(frame.utilization);
-            writer.put_f64(frame.health_penalty);
-        }
-        NodeReport::Calibration { revision } => {
-            writer.put_u8(2);
-            writer.put_u64(*revision);
-        }
-        NodeReport::Status {
-            cordoned,
-            executed,
-            calibration_revision,
-        } => {
-            writer.put_u8(3);
-            writer.put_bool(*cordoned);
-            writer.put_u64(*executed);
-            writer.put_u64(*calibration_revision);
-        }
-    }
-}
-
-fn take_report(reader: &mut ByteReader<'_>) -> Result<NodeReport, CodecError> {
-    match reader.take_u8()? {
-        0 => Ok(NodeReport::Phase {
-            job: reader.take_str()?,
-            attempt: reader.take_u32()?,
-            verdict: take_verdict(reader)?,
-        }),
-        1 => Ok(NodeReport::Telemetry {
-            frame: TelemetryFrame {
-                queue_depth: reader.take_u64()?,
-                utilization: reader.take_f64()?,
-                health_penalty: reader.take_f64()?,
-            },
-        }),
-        2 => Ok(NodeReport::Calibration {
-            revision: reader.take_u64()?,
-        }),
-        3 => Ok(NodeReport::Status {
-            cordoned: reader.take_bool()?,
-            executed: reader.take_u64()?,
-            calibration_revision: reader.take_u64()?,
-        }),
-        tag => Err(CodecError::InvalidTag {
-            what: "NodeReport",
-            tag: u64::from(tag),
-        }),
-    }
-}
+codec_struct!(Envelope {
+    seq,
+    node_id,
+    virtual_ts,
+    payload,
+});
 
 impl Envelope {
     /// Encode this envelope as one self-delimiting frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
-        payload.put_u64(self.seq);
-        payload.put_str(&self.node_id);
-        payload.put_u64(self.virtual_ts);
-        match &self.payload {
-            Payload::Command(command) => {
-                payload.put_u8(0);
-                put_command(&mut payload, command);
-            }
-            Payload::Report(report) => {
-                payload.put_u8(1);
-                put_report(&mut payload, report);
-            }
-        }
-        let payload = payload.into_bytes();
-        let len = u32::try_from(payload.len()).expect("envelope payload exceeds u32::MAX bytes");
-
-        let mut frame = ByteWriter::new();
-        frame.put_raw(&PROTO_MAGIC);
-        frame.put_u16(PROTO_VERSION);
-        frame.put_u32(len);
-        frame.put_raw(&payload);
-        let crc = crc32(&frame.clone().into_bytes());
-        frame.put_u32(crc);
-        frame.into_bytes()
+        let mut prefix = [0u8; MAGIC_VERSION_LEN];
+        prefix[..PROTO_MAGIC.len()].copy_from_slice(&PROTO_MAGIC);
+        prefix[PROTO_MAGIC.len()..].copy_from_slice(&PROTO_VERSION.to_le_bytes());
+        seal(&prefix, |w| Encode::encode(self, w))
     }
 
     /// Decode one envelope from the front of `bytes`.
@@ -686,41 +441,8 @@ impl Envelope {
                 supported: PROTO_VERSION,
             });
         }
-        let frame = &bytes[..header.frame_len];
-        let body = &frame[..header.frame_len - FRAME_CRC_LEN];
-        let stored = {
-            let mut reader = ByteReader::new(&frame[header.frame_len - FRAME_CRC_LEN..]);
-            reader.take_u32().map_err(ProtoError::Payload)?
-        };
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(ProtoError::CorruptFrame { stored, computed });
-        }
-
-        let mut reader = ByteReader::new(&body[FRAME_PREFIX_LEN..]);
-        let seq = reader.take_u64()?;
-        let node_id = reader.take_str()?;
-        let virtual_ts = reader.take_u64()?;
-        let payload = match reader.take_u8()? {
-            0 => Payload::Command(take_command(&mut reader)?),
-            1 => Payload::Report(take_report(&mut reader)?),
-            tag => {
-                return Err(ProtoError::Payload(CodecError::InvalidTag {
-                    what: "Payload",
-                    tag: u64::from(tag),
-                }))
-            }
-        };
-        reader.finish().map_err(ProtoError::Payload)?;
-        Ok((
-            Envelope {
-                seq,
-                node_id,
-                virtual_ts,
-                payload,
-            },
-            header.frame_len,
-        ))
+        let frame = open(bytes, MAGIC_VERSION_LEN)?;
+        Ok((from_bytes(frame.payload)?, header.frame_len))
     }
 }
 
@@ -748,29 +470,14 @@ impl FrameHeader {
     /// [`ProtoError::Truncated`] when fewer bytes are available than the
     /// header (or the declared frame length) requires.
     pub fn peek(bytes: &[u8]) -> Result<FrameHeader, ProtoError> {
-        if bytes.len() < FRAME_PREFIX_LEN {
-            return Err(ProtoError::Truncated {
-                needed: FRAME_PREFIX_LEN,
-                available: bytes.len(),
-            });
-        }
-        if bytes[..PROTO_MAGIC.len()] != PROTO_MAGIC {
+        if bytes.len() >= FRAME_PREFIX_LEN && bytes[..PROTO_MAGIC.len()] != PROTO_MAGIC {
             return Err(ProtoError::BadMagic);
         }
-        let mut reader = ByteReader::new(&bytes[PROTO_MAGIC.len()..FRAME_PREFIX_LEN]);
-        let version = reader.take_u16().map_err(ProtoError::Payload)?;
-        let payload_len = reader.take_u32().map_err(ProtoError::Payload)? as usize;
-        let frame_len = FRAME_PREFIX_LEN + payload_len + FRAME_CRC_LEN;
-        if bytes.len() < frame_len {
-            return Err(ProtoError::Truncated {
-                needed: frame_len,
-                available: bytes.len(),
-            });
-        }
+        let payload_len = payload_len(bytes, MAGIC_VERSION_LEN)?;
         Ok(FrameHeader {
-            version,
+            version: u16::from_le_bytes([bytes[PROTO_MAGIC.len()], bytes[PROTO_MAGIC.len() + 1]]),
             payload_len,
-            frame_len,
+            frame_len: FRAME_PREFIX_LEN + payload_len + FRAME_CRC_LEN,
         })
     }
 }

@@ -255,3 +255,116 @@ fn version_mismatch_is_a_typed_error() {
         Err(ProtoError::UnsupportedVersion { .. })
     ));
 }
+
+/// One frame each of `Bind`, `Run`, `Phase{Succeeded}` and `Telemetry`.
+fn golden_envelopes() -> Vec<Envelope> {
+    let envelope = |seq: u64, payload: Payload| Envelope {
+        seq,
+        node_id: "dev-α".into(),
+        virtual_ts: 40 + seq,
+        payload,
+    };
+    vec![
+        envelope(
+            0,
+            Payload::Command(NodeCommand::Bind {
+                backend_spec: "name = dev\nqubits = 2\n".into(),
+                injector: Some(FaultSpec {
+                    seed: 7,
+                    transient_rate: 0.25,
+                    calibration_rate: 0.125,
+                    slow_rate: 0.0625,
+                    flap_rate: 0.03125,
+                }),
+            }),
+        ),
+        envelope(
+            1,
+            Payload::Command(NodeCommand::Run {
+                payload: RunPayload {
+                    job: "golden".into(),
+                    attempt: 2,
+                    image_name: "qrio/golden:latest".into(),
+                    image_files: vec![
+                        ("circuit.qasm".into(), "OPENQASM 2.0;\n".into()),
+                        ("run.py".into(), "run_job()\n".into()),
+                    ],
+                    qasm: "OPENQASM 2.0;\nqreg q[2];\n".into(),
+                    num_qubits: 2,
+                    shots: 16,
+                    threads: 1,
+                },
+            }),
+        ),
+        envelope(
+            0,
+            Payload::Report(NodeReport::Phase {
+                job: "golden".into(),
+                attempt: 2,
+                verdict: RunVerdict::Succeeded {
+                    counts: vec![("00".into(), 9), ("11".into(), 7)],
+                    fidelity: Some(0.875),
+                    logs: vec!["pulled image".into(), "16 shots".into()],
+                },
+            }),
+        ),
+        envelope(
+            1,
+            Payload::Report(NodeReport::Telemetry {
+                frame: TelemetryFrame {
+                    queue_depth: 3,
+                    utilization: 0.5,
+                    health_penalty: 0.25,
+                },
+            }),
+        ),
+    ]
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .map(|b| (b as char).to_digit(16).expect("hex digit") as u8)
+        .collect();
+    digits
+        .chunks(2)
+        .map(|pair| pair[0] << 4 | pair[1])
+        .collect()
+}
+
+/// The round trips above would all survive a self-consistent format change;
+/// these frames were captured from the build that introduced
+/// `PROTO_VERSION = 1` and must keep encoding and decoding exactly.
+#[test]
+fn golden_frames_pin_the_wire_format() {
+    for (envelope, fixture) in golden_envelopes().iter().zip(GOLDEN_FRAMES) {
+        let fixture = unhex(fixture);
+        assert_eq!(envelope.encode(), fixture, "{}", envelope.seq);
+        let (decoded, consumed) = Envelope::decode(&fixture).unwrap();
+        assert_eq!(consumed, fixture.len());
+        assert_eq!(&decoded, envelope);
+    }
+}
+
+const GOLDEN_FRAMES: [&str; 4] = [
+    "\
+     5152494f50524f54010067000000000000000000000006000000000000006465762dceb1280000000000 \
+     0000000016000000000000006e616d65203d206465760a717562697473203d20320a0107000000000000 \
+     00000000000000d03f000000000000c03f000000000000b03f000000000000a03fb9fc27f2",
+    "\
+     5152494f50524f540100d7000000010000000000000006000000000000006465762dceb1290000000000 \
+     000000010600000000000000676f6c64656e0200000012000000000000007172696f2f676f6c64656e3a \
+     6c617465737402000000000000000c00000000000000636972637569742e7161736d0e00000000000000 \
+     4f50454e5141534d20322e303b0a060000000000000072756e2e70790a0000000000000072756e5f6a6f \
+     6228290a19000000000000004f50454e5141534d20322e303b0a7172656720715b325d3b0a0200000000 \
+     00000010000000000000000100000000000000e2c49fa8",
+    "\
+     5152494f50524f54010094000000000000000000000006000000000000006465762dceb1280000000000 \
+     000001000600000000000000676f6c64656e020000000002000000000000000200000000000000303009 \
+     0000000000000002000000000000003131070000000000000001000000000000ec3f0200000000000000 \
+     0c0000000000000070756c6c656420696d616765080000000000000031362073686f74732e8d79bf",
+    "\
+     5152494f50524f54010038000000010000000000000006000000000000006465762dceb1290000000000 \
+     000001010300000000000000000000000000e03f000000000000d03f88429f13",
+];

@@ -5,12 +5,20 @@
 use proptest::prelude::*;
 
 use qrio::durability::{
-    decode_command, decode_events, encode_command_record, encode_events_record, Command,
-    RECORD_COMMAND, RECORD_EVENTS, RECORD_VERSION,
+    decode_command, decode_events, decode_record, encode_command_record, encode_events_record,
+    Command, JournalEntry, SnapshotState, RECORD_COMMAND, RECORD_EVENTS, RECORD_VERSION,
 };
-use qrio::{DeviceTelemetry, JobEvent, JobId, JobRequestBuilder, JobState};
+use qrio::{
+    BreakerConfig, DeviceTelemetry, DurabilityConfig, JobEvent, JobId, JobRequestBuilder, JobState,
+};
+use qrio_backend::{topology, Backend};
+use qrio_bytes::{from_bytes, to_bytes};
 use qrio_circuit::library;
-use qrio_cluster::{DeviceRequirements, ParamValue, Resources, StrategySpec};
+use qrio_cluster::{
+    BackoffPolicy, DeviceRequirements, FaultInjector, ParamValue, Resources, RetryOn, RetryPolicy,
+    StrategySpec,
+};
+use qrio_journal::{encode_record, header_bytes, scan_bytes, scan_file, Record};
 use qrio_sim::ParallelConfig;
 
 /// Deterministic splitmix-style generator so every proptest case derives a
@@ -100,6 +108,24 @@ fn arb_request(state: &mut u64) -> qrio::JobRequest {
         }
     };
     builder.build().expect("request builds")
+}
+
+/// A snapshot of a small orchestrator: a device, maybe a queued job, maybe
+/// a breaker board.
+fn arb_snapshot(state: &mut u64) -> Record {
+    let mut qrio = qrio::Qrio::new();
+    qrio.add_device(Backend::uniform("dev", topology::line(3), 0.002, 0.01))
+        .unwrap();
+    if next(state) % 2 == 0 {
+        // An unregistered strategy name is refused; the snapshot then simply
+        // holds no job.
+        let _ = qrio.enqueue(&arb_request(state));
+    }
+    if next(state) % 2 == 0 {
+        qrio.configure_breakers(Some(BreakerConfig::default()))
+            .unwrap();
+    }
+    qrio.snapshot_record()
 }
 
 fn arb_command(state: &mut u64) -> Command {
@@ -196,18 +222,43 @@ proptest! {
         prop_assert_eq!(re_encoded.payload, record.payload);
     }
 
-    /// Decoding a truncated command payload is a typed error, never a panic
-    /// and never a silently-wrong value.
+    /// Decoding a damaged record of any kind — truncated, or with a byte
+    /// flipped — is a typed error or a value that re-encodes, never a panic.
     #[test]
     fn truncated_command_payloads_never_panic(seed in 0u64..20_000) {
         let mut state = seed;
-        let cmd = arb_command(&mut state);
-        let record = encode_command_record(&cmd);
-        let cut = (next(&mut state) as usize) % (record.payload.len() + 1);
-        if cut < record.payload.len() {
-            // Either a typed error, or (when the cut lands on a record whose
-            // tail is optional-flag padding) a value — but never a panic.
-            let _ = decode_command(&record.payload[..cut]);
+        let mut record = match next(&mut state) % 3 {
+            0 => encode_command_record(&arb_command(&mut state)),
+            1 => {
+                let events: Vec<JobEvent> = (0..next(&mut state) % 6)
+                    .map(|seq| arb_event(&mut state, seq))
+                    .collect();
+                encode_events_record(&events)
+            }
+            _ => arb_snapshot(&mut state),
+        };
+        if next(&mut state) % 2 == 0 {
+            let cut = (next(&mut state) as usize) % (record.payload.len() + 1);
+            record.payload.truncate(cut);
+        } else if !record.payload.is_empty() {
+            let at = (next(&mut state) as usize) % record.payload.len();
+            record.payload[at] ^= 1 << (next(&mut state) % 8);
+        }
+        match decode_record(&record) {
+            Err(_) => {}
+            Ok(JournalEntry::Command(cmd)) => {
+                let again = encode_command_record(&cmd);
+                prop_assert_eq!(decode_command(&again.payload).expect("re-encodes"), cmd);
+            }
+            Ok(JournalEntry::Events(events)) => {
+                let again = encode_events_record(&events);
+                prop_assert_eq!(decode_events(&again.payload).expect("re-encodes"), events);
+            }
+            Ok(JournalEntry::Snapshot(snapshot)) => {
+                let again = to_bytes(&*snapshot);
+                let twice: SnapshotState = from_bytes(&again).expect("re-encodes");
+                prop_assert_eq!(to_bytes(&twice), again);
+            }
         }
     }
 }
@@ -220,3 +271,280 @@ fn empty_event_batch_round_trips() {
     assert!(decoded.is_empty());
     assert_eq!(encode_events_record(&decoded).payload, record.payload);
 }
+
+// ---------------------------------------------------------------------------
+// Golden bytes: the round trips above would all survive a self-consistent
+// format change. These fixtures were captured from the build that introduced
+// `RECORD_VERSION = 2`; a journal written then must decode now.
+// ---------------------------------------------------------------------------
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .map(|b| (b as char).to_digit(16).expect("hex digit") as u8)
+        .collect();
+    digits
+        .chunks(2)
+        .map(|pair| pair[0] << 4 | pair[1])
+        .collect()
+}
+
+fn golden_enqueue() -> Command {
+    Command::Enqueue {
+        request: Box::new(qrio::JobRequest {
+            job_name: "golden-é".into(),
+            image_name: "qrio/golden:1".into(),
+            qasm: "OPENQASM 2.0;\nqreg q[2];\n".into(),
+            num_qubits: 2,
+            resources: Resources {
+                cpu_millis: 750,
+                memory_mib: 384,
+            },
+            requirements: DeviceRequirements {
+                min_qubits: Some(2),
+                max_two_qubit_error: Some(0.05),
+                max_readout_error: None,
+                min_t1_us: Some(80.0),
+                min_t2_us: None,
+            },
+            strategy: {
+                let mut spec = StrategySpec::new("custom");
+                spec.params.set("edges", ParamValue::Edges(vec![(0, 1)]));
+                spec.params.set("note", ParamValue::Text("t".into()));
+                spec.params.set("target", ParamValue::Float(0.9));
+                spec.params.set("width", ParamValue::Int(7));
+                spec
+            },
+            priority: 3,
+            shots: 256,
+            parallel: ParallelConfig::with_threads(2),
+            retry: Some(RetryPolicy {
+                max_attempts: 3,
+                backoff: BackoffPolicy::Exponential {
+                    base: 2,
+                    max: 32,
+                    jitter: true,
+                },
+                retry_on: RetryOn::faults_only(),
+            }),
+            deadline: Some(120),
+        }),
+    }
+}
+
+fn golden_events() -> Vec<JobEvent> {
+    vec![
+        JobEvent {
+            seq: 0,
+            at: 0,
+            job: JobId::new("golden-é"),
+            from: None,
+            to: JobState::Submitted,
+            node: None,
+            reason: None,
+        },
+        JobEvent {
+            seq: 1,
+            at: 4,
+            job: JobId::new("golden-é"),
+            from: Some(JobState::Running),
+            to: JobState::Retrying,
+            node: Some("dev".into()),
+            reason: Some("attempt 1 failed".into()),
+        },
+    ]
+}
+
+/// A durable orchestrator with one device, telemetry, a fault plan, a
+/// breaker board and one queued job, and the genesis snapshot record that
+/// enabling durability wrote for it.
+fn golden_genesis(path: &std::path::Path) -> (qrio::Qrio, Record) {
+    let mut qrio = qrio::Qrio::with_config(
+        qrio::FidelityRankingConfig {
+            shots: 96,
+            seed: 23,
+            shortfall_weight: 100.0,
+        },
+        23,
+    );
+    qrio.add_device(Backend::uniform("dev", topology::line(2), 0.002, 0.01))
+        .unwrap();
+    qrio.report_telemetry([(
+        "dev".to_string(),
+        DeviceTelemetry {
+            queue_depth: 3,
+            utilization: 0.5,
+            health_penalty: 0.25,
+        },
+    )]);
+    qrio.configure_faults(Some(FaultInjector {
+        seed: 7,
+        transient_rate: 0.25,
+        calibration_rate: 0.125,
+        slow_rate: 0.0625,
+        flap_rate: 0.03125,
+    }))
+    .unwrap();
+    qrio.configure_breakers(Some(BreakerConfig::default()))
+        .unwrap();
+    let request = JobRequestBuilder::new()
+        .with_circuit(&library::ghz(2).unwrap())
+        .job_name("golden")
+        .min_queue()
+        .shots(16)
+        .retry_policy(RetryPolicy::fixed(2, 1))
+        .deadline(50)
+        .build()
+        .unwrap();
+    let _ = qrio.enqueue(&request).unwrap();
+
+    qrio.enable_durability(path, DurabilityConfig::default())
+        .unwrap();
+    let mut scan = scan_file(path).unwrap();
+    assert_eq!(scan.records.len(), 1, "enabling durability writes genesis");
+    (qrio, scan.records.remove(0))
+}
+
+/// The one record a journal holding only `fixture` scans to.
+fn sole_record(fixture: &[u8]) -> Record {
+    let mut journal = header_bytes().to_vec();
+    journal.extend_from_slice(fixture);
+    let mut scan = scan_bytes(&journal).unwrap();
+    assert_eq!((scan.records.len(), scan.torn), (1, None));
+    scan.records.remove(0)
+}
+
+#[test]
+fn golden_records_pin_the_journal_format() {
+    let fixture = unhex(GOLDEN_ENQUEUE_RECORD);
+    assert_eq!(
+        hex(&encode_record(&encode_command_record(&golden_enqueue()))),
+        hex(&fixture)
+    );
+    assert_eq!(
+        decode_command(&sole_record(&fixture).payload).unwrap(),
+        golden_enqueue()
+    );
+
+    let fixture = unhex(GOLDEN_EVENTS_RECORD);
+    assert_eq!(
+        hex(&encode_record(&encode_events_record(&golden_events()))),
+        hex(&fixture)
+    );
+    assert_eq!(
+        decode_events(&sole_record(&fixture).payload).unwrap(),
+        golden_events()
+    );
+
+    let dir = std::env::temp_dir().join(format!("qrio-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = unhex(GOLDEN_SNAPSHOT_RECORD);
+    let (live, genesis) = golden_genesis(&dir.join("live.qj"));
+    assert_eq!(hex(&encode_record(&genesis)), hex(&fixture));
+    assert!(matches!(
+        decode_record(&sole_record(&fixture)).unwrap(),
+        JournalEntry::Snapshot(snapshot) if snapshot.cursor() == 2
+    ));
+    // A journal holding only the fixture recovers to the live state.
+    let mut journal = header_bytes().to_vec();
+    journal.extend_from_slice(&fixture);
+    let path = dir.join("fixture.qj");
+    std::fs::write(&path, journal).unwrap();
+    let (recovered, report) = qrio::Qrio::recover(&path).unwrap();
+    assert_eq!(report.snapshot_cursor, 2);
+    assert_eq!(recovered.describe_state(), live.describe_state());
+    assert_eq!(recovered.watch(0), live.watch(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+const GOLDEN_ENQUEUE_RECORD: &str = "\
+    01020036010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
+    3a3119000000000000004f50454e5141534d20322e303b0a7172656720715b325d3b0a0200000000000000ee \
+    020000000000008001000000000000010200000000000000019a9999999999a93f0001000000000000544000 \
+    0600000000000000637573746f6d040000000000000005000000000000006564676573030100000000000000 \
+    0000000000000000010000000000000004000000000000006e6f746502010000000000000074060000000000 \
+    000074617267657400cdccccccccccec3f050000000000000077696474680107000000000000000300010000 \
+    0000000002000000000000000103000000000000000102000000000000002000000000000000010101010100 \
+    01780000000000000018869182";
+
+const GOLDEN_EVENTS_RECORD: &str = "\
+    020200760000000200000000000000000000000000000000000000000000000900000000000000676f6c6465 \
+    6e2dc3a900000000010000000000000004000000000000000900000000000000676f6c64656e2dc3a9010307 \
+    010300000000000000646576011000000000000000617474656d70742031206661696c656456a5fafd";
+
+const GOLDEN_SNAPSHOT_RECORD: &str = "\
+    030200e30b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
+    0000000600000000000000676f6c64656e000000000100000000000000000000000000000006000000000000 \
+    00676f6c64656e010001000001000000000000000600000000000000676f6c64656e01000000020000000000 \
+    0000000000000000000000000000000000000001000000000000000000000000000000000000013200000000 \
+    000000010000000000000001000000000000000000000000000000000600000000000000676f6c64656e0000 \
+    00000000000000000000000000000100000000000000080100000000000023205152494f206261636b656e64 \
+    2073706563696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f67 \
+    61746573203d2075312c75322c75332c63780a717562697420302074313d3130303030302074323d31303030 \
+    303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31 \
+    713d302e3030320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f \
+    6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a656467 \
+    6520302031206572726f723d302e3031206475726174696f6e3d3330300a0800000000000000140000000000 \
+    00007172696f2e696f2f6176672d31712d6572726f720800000000000000302e303032303030140000000000 \
+    00007172696f2e696f2f6176672d32712d6572726f720800000000000000302e303130303030190000000000 \
+    00007172696f2e696f2f6176672d726561646f75742d6572726f720800000000000000302e30303030303011 \
+    000000000000007172696f2e696f2f6176672d74312d757308000000000000003130303030302e3011000000 \
+    000000007172696f2e696f2f6176672d74322d757308000000000000003130303030302e3012000000000000 \
+    007172696f2e696f2f6370752d6d696c6c697304000000000000003430303012000000000000007172696f2e \
+    696f2f6d656d6f72792d6d69620400000000000000383139320e000000000000007172696f2e696f2f717562 \
+    697473010000000000000032a00f000000000000002000000000000000000000000000000000000000000000 \
+    00000000000000000001000000000000000600000000000000676f6c64656e12000000000000007172696f2f \
+    676f6c64656e3a6c61746573747c000000000000004f50454e5141534d20322e303b0a696e636c7564652022 \
+    71656c6962312e696e63223b0a7172656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a63 \
+    7820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b0a6d6561737572652071 \
+    5b315d202d3e20635b315d3b0a0200000000000000f401000000000000000200000000000000000000000900 \
+    0000000000006d696e5f71756575650000000000000000001000000000000000000000000000000001020000 \
+    0000000000000100000000000000010101010101320000000000000000000000000000000000000000000000 \
+    0000010000000000000012000000000000007172696f2f676f6c64656e3a6c61746573740400000000000000 \
+    0a00000000000000446f636b657266696c65880000000000000046524f4d20707974686f6e3a332e31312d73 \
+    6c696d0a2320696d6167653a207172696f2f676f6c64656e3a6c61746573740a574f524b444952202f6a6f62 \
+    0a434f5059202e202f6a6f620a52554e2070697020696e7374616c6c202d7220726571756972656d656e7473 \
+    2e7478740a434d44205b22707974686f6e222c202272756e2e7079225d0a0c00000000000000636972637569 \
+    742e7161736d7c000000000000004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e \
+    696e63223b0a7172656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c \
+    715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20 \
+    635b315d3b0a1000000000000000726571756972656d656e74732e74787444000000000000007169736b6974 \
+    0a7169736b69742d6165720a6d6174706c6f746c69620a7169736b69745f69626d715f70726f76696465720a \
+    7169736b69745f69626d5f72756e74696d65060000000000000072756e2e7079eb0100000000000023204175 \
+    746f2d67656e65726174656420627920746865205152494f206d61737465722073657276657220666f72206a \
+    6f622027676f6c64656e272e0a2320537465707320706572666f726d6564206f6e207468652061737369676e \
+    6564206e6f64653a0a23202020312e206c6f616420746865206e6f646527732076656e646f72206261636b65 \
+    6e64206465736372697074696f6e20286261636b656e642e73706563290a23202020322e2070617273652063 \
+    6972637569742e7161736d207368697070656420696e207468697320636f6e7461696e65720a23202020332e \
+    207472616e7370696c6520746865206369726375697420746f20746865206261636b656e6420286c61796f75 \
+    742c20726f7574696e672c2062617369732c206f7074696d697a65290a23202020342e206578656375746520 \
+    31362073686f747320756e64657220746865206261636b656e64206e6f697365206d6f64656c0a2320202035 \
+    2e2077726974652074686520686973746f6772616d20616e64206c6f6773206261636b20746f207468652051 \
+    52494f206d6173746572207365727665720a66726f6d207172696f20696d706f72742072756e5f6a6f620a0a \
+    72756e5f6a6f6228636972637569745f66696c653d22636972637569742e7161736d222c2073686f74733d31 \
+    36290a01000000000000000000000000000000030000000000000009000000000000004e6f64654164646564 \
+    1d000000000000006e6f6465202764657627206a6f696e65642074686520636c75737465720b000000000000 \
+    00496d6167655075736865642100000000000000696d61676520277172696f2f676f6c64656e3a6c61746573 \
+    7427207075736865640c000000000000004a6f625375626d697474656416000000000000006a6f622027676f \
+    6c64656e27207375626d697474656401000000000000000600000000000000676f6c64656e01070000000000 \
+    0000000000000000d03f000000000000c03f000000000000b03f000000000000a03f60000000000000001700 \
+    00000000000000000000000059400100000000000000080100000000000023205152494f206261636b656e64 \
+    2073706563696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f67 \
+    61746573203d2075312c75322c75332c63780a717562697420302074313d3130303030302074323d31303030 \
+    303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31 \
+    713d302e3030320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f \
+    6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a656467 \
+    6520302031206572726f723d302e3031206475726174696f6e3d3330300a0100000000000000010000000000 \
+    00000600000000000000676f6c64656e09000000000000006d696e5f71756575650000000000000000017c00 \
+    0000000000004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172 \
+    656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65 \
+    617375726520715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0100 \
+    00000000000003000000000000006465760300000000000000000000000000e03f000000000000d03f170000 \
+    0000000000a00f00000000000000200000000000004000000000000000000000000000000000000000000000 \
+    00010300000000000000333333333333e33f08000000000000000a0000000000000002000000000000000000 \
+    00000000000000000000000000001a4c9bc7";

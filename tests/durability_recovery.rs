@@ -548,3 +548,35 @@ fn replay_to_reconstructs_every_intermediate_prefix() {
     let (at_end, _) = Qrio::replay_to(&path, history.len() as u64).unwrap();
     assert_eq!(at_end.describe_state(), full.describe_state());
 }
+
+#[test]
+fn replay_to_leaves_a_torn_journal_untouched() {
+    // The time-travel inspector is read-only: a torn tail is `recover`'s to
+    // truncate, not the inspector's.
+    let path = journal_path("replay-to-read-only");
+    {
+        let mut qrio = seeded_qrio();
+        qrio.enable_durability(&path, DurabilityConfig::default())
+            .unwrap();
+        two_device_fleet(&mut qrio);
+        let _ = qrio.enqueue(&bv_request("ro-a")).unwrap();
+        qrio.run_until_idle();
+    }
+    let mut torn = fs::read(&path).unwrap();
+    torn.extend_from_slice(b"\x01\x02\x00\xff\xff garbage from a crash mid-append");
+    fs::write(&path, &torn).unwrap();
+
+    let (replica, checkpoint) = Qrio::replay_to(&path, u64::MAX).unwrap();
+    assert_eq!(checkpoint.reached_cursor as usize, replica.watch(0).len());
+    assert_eq!(
+        fs::read(&path).unwrap(),
+        torn,
+        "replay_to must not modify the journal it inspects"
+    );
+
+    // Recovery still truncates — that is its documented job.
+    let (recovered, report) = Qrio::recover(&path).unwrap();
+    assert!(report.torn_tail.is_some());
+    assert_eq!(recovered.watch(0), replica.watch(0));
+    assert!(fs::read(&path).unwrap().len() < torn.len());
+}
