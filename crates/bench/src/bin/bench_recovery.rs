@@ -85,6 +85,10 @@ fn main() {
         "auditor flagged the spliced watch log: {diagnostics:?}"
     );
     assert!(report.holds(), "durability contract violated:\n{report}");
+    assert!(
+        report.journal_snapshots >= 3 && report.recovery.snapshot_cursor > 0,
+        "the storm no longer recovers from a mid-storm snapshot:\n{report}"
+    );
 
     println!("{report}");
     println!("audited {} events: clean ({:.1?} wall)", log.len(), elapsed);

@@ -24,6 +24,20 @@
 //!   begins with a `u64` event cursor: the length of the watch log at
 //!   snapshot time. Recovery starts from the last snapshot in the log.
 //!
+//! # Snapshot cadence
+//!
+//! A command and the events it produced are appended with one write. After
+//! it, an automatic snapshot is due when at least
+//! [`DurabilityConfig::snapshot_every`] commands *and* at least the previous
+//! snapshot's framed size in command and events bytes have been journaled
+//! since that snapshot. A snapshot costs the whole retained state, so the
+//! byte condition is what amortises it: the snapshots that have been
+//! superseded never outweigh the log they summarise (file ≤ 2 × log + one
+//! snapshot), total snapshot work is O(bytes journaled), and recovery
+//! replays at most one snapshot's worth of log. Recovery restores the three
+//! counters from the file it scanned, so a recovered instance snapshots
+//! where the crashed one would have.
+//!
 //! # Encoding conventions
 //!
 //! Every journaled type states its byte format once, beside its definition,
@@ -143,10 +157,16 @@ impl From<CodecError> for DurabilityError {
 /// Configuration for [`crate::Qrio::enable_durability`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Write a fresh snapshot after this many journaled commands
-    /// (`0` = only the genesis snapshot, never again). Snapshots bound the
-    /// replay work recovery has to do; commands since the last snapshot are
-    /// replayed one by one.
+    /// The fewest journaled commands between two automatic snapshots
+    /// (`0` = only the genesis snapshot, never again). A snapshot is written
+    /// once this many commands have been journaled since the last one *and*
+    /// the command and events records appended since then weigh at least as
+    /// much as that snapshot did. The byte condition keeps the cost
+    /// amortised — superseded snapshots never outweigh the log they
+    /// summarise, so the file stays within 2 × log + one snapshot and
+    /// recovery replays at most one snapshot's worth of log; this floor
+    /// keeps a near-empty deployment from snapshotting on every command.
+    /// [`crate::Qrio::snapshot_now`] takes one regardless.
     pub snapshot_every: u64,
     /// Force the journal down to the storage device (`fdatasync`) after this
     /// many journaled commands (`0` = never automatically; only explicit
@@ -162,6 +182,9 @@ pub struct DurabilityConfig {
     /// rewrite (temp file + fsync + atomic rename); recovery from a
     /// compacted journal is byte-identical to recovery from the uncompacted
     /// one, because replay never needs records older than the last snapshot.
+    /// It runs only when a snapshot is written, so the file may exceed the
+    /// threshold by up to one snapshot interval (see
+    /// [`DurabilityConfig::snapshot_every`]).
     pub compact_above_bytes: u64,
 }
 
@@ -497,9 +520,9 @@ pub(crate) fn encode_snapshot_record(snap: &SnapshotState) -> Record {
 // ---------------------------------------------------------------------------
 
 /// The journaling half of a durable [`crate::Qrio`]: owns the open journal,
-/// tracks which watch-log events are already on disk, counts commands toward
-/// the next snapshot, and turns the first I/O failure into a sticky poison so
-/// the in-memory state can never silently outrun the log.
+/// tracks which watch-log events are already on disk, counts commands and
+/// log bytes toward the next snapshot, and turns the first I/O failure into a
+/// sticky poison so the in-memory state can never silently outrun the log.
 #[derive(Debug)]
 pub(crate) struct Durability {
     journal: Journal,
@@ -507,6 +530,11 @@ pub(crate) struct Durability {
     sync_every: u64,
     compact_above: u64,
     commands_since_snapshot: u64,
+    /// Framed bytes of the command and events records appended since the
+    /// last snapshot.
+    log_bytes_since_snapshot: u64,
+    /// Framed bytes of the last snapshot record.
+    last_snapshot_bytes: u64,
     commands_since_sync: u64,
     journaled_events: u64,
     error: Option<DurabilityError>,
@@ -526,10 +554,23 @@ impl Durability {
             sync_every,
             compact_above,
             commands_since_snapshot: 0,
+            log_bytes_since_snapshot: 0,
+            last_snapshot_bytes: 0,
             commands_since_sync: 0,
             journaled_events,
             error: None,
         }
+    }
+
+    /// Continue the snapshot cadence of the run that wrote the journal:
+    /// `commands` command records and `log_bytes` framed bytes follow the
+    /// snapshot recovery started from, which itself is `snapshot_bytes`
+    /// framed. Without this a recovered instance would take its next
+    /// snapshot at a different command than the crashed one would have.
+    pub(crate) fn resume_cadence(&mut self, commands: u64, log_bytes: u64, snapshot_bytes: u64) {
+        self.commands_since_snapshot = commands;
+        self.log_bytes_since_snapshot = log_bytes;
+        self.last_snapshot_bytes = snapshot_bytes;
     }
 
     pub(crate) fn snapshot_every(&self) -> u64 {
@@ -554,7 +595,8 @@ impl Durability {
         }
     }
 
-    /// Append one command record plus the events it produced, then flush.
+    /// Append one command record plus the events it produced — one write —
+    /// then flush.
     pub(crate) fn log_command(
         &mut self,
         cmd: &Command,
@@ -575,8 +617,13 @@ impl Durability {
         cmd: &Command,
         all_events: &[JobEvent],
     ) -> Result<(), DurabilityError> {
-        self.journal.append(&encode_command_record(cmd))?;
-        self.append_event_tail(all_events)?;
+        let command = encode_command_record(cmd);
+        let written = match self.unjournaled_events(all_events) {
+            Some(events) => self.journal.append_all(&[command, events])?,
+            None => self.journal.append_all(&[command])?,
+        };
+        self.log_bytes_since_snapshot += written;
+        self.journaled_events = all_events.len() as u64;
         self.journal.flush()?;
         self.commands_since_snapshot += 1;
         // Batched fdatasync: every command is already write-through to the
@@ -592,31 +639,45 @@ impl Durability {
         Ok(())
     }
 
-    /// Journal any watch-log events not yet on disk.
+    /// The events record for the watch-log events not yet on disk, if any.
+    fn unjournaled_events(&self, all_events: &[JobEvent]) -> Option<Record> {
+        all_events
+            .get(self.journaled_events as usize..)
+            .filter(|tail| !tail.is_empty())
+            .map(encode_events_record)
+    }
+
+    /// Journal any watch-log events not yet on disk (recovery heals a torn
+    /// tail through here).
     pub(crate) fn append_event_tail(
         &mut self,
         all_events: &[JobEvent],
     ) -> Result<(), DurabilityError> {
-        let start = self.journaled_events as usize;
-        if start >= all_events.len() {
-            return Ok(());
+        if let Some(events) = self.unjournaled_events(all_events) {
+            self.journal.append(&events)?;
+            self.log_bytes_since_snapshot += events.framed_len();
+            self.journaled_events = all_events.len() as u64;
         }
-        self.journal
-            .append(&encode_events_record(&all_events[start..]))?;
-        self.journaled_events = all_events.len() as u64;
         Ok(())
     }
 
+    /// The amortised rule: a snapshot is due once at least `snapshot_every`
+    /// commands *and* at least the last snapshot's own size in log bytes
+    /// have been journaled since it. The second condition keeps superseded
+    /// snapshots from ever outweighing the log they summarise, whatever the
+    /// ratio of state size to command size.
     pub(crate) fn snapshot_due(&self) -> bool {
         self.error.is_none()
             && self.snapshot_every > 0
             && self.commands_since_snapshot >= self.snapshot_every
+            && self.log_bytes_since_snapshot >= self.last_snapshot_bytes
     }
 
-    /// Append a snapshot record and reset the command counter. When the
-    /// journal has outgrown [`DurabilityConfig::compact_above_bytes`], the
-    /// records made obsolete by this snapshot are compacted away — recovery
-    /// never reads past the last snapshot, so replay is unaffected.
+    /// Append a snapshot record, reset the cadence counters and remember
+    /// the record's size. When the journal has outgrown
+    /// [`DurabilityConfig::compact_above_bytes`], the records made obsolete
+    /// by this snapshot are compacted away — recovery never reads past the
+    /// last snapshot, so replay is unaffected.
     pub(crate) fn log_snapshot(&mut self, snapshot: &Record) -> Result<(), DurabilityError> {
         if let Some(err) = &self.error {
             return Err(err.clone());
@@ -631,7 +692,11 @@ impl Durability {
             Ok(())
         })();
         match &result {
-            Ok(()) => self.commands_since_snapshot = 0,
+            Ok(()) => {
+                self.commands_since_snapshot = 0;
+                self.log_bytes_since_snapshot = 0;
+                self.last_snapshot_bytes = snapshot.framed_len();
+            }
             Err(err) => self.poison(err.clone()),
         }
         result

@@ -1894,8 +1894,10 @@ impl Qrio {
 
         // Replay the command tail, collecting the journaled events alongside.
         let mut commands_replayed: u64 = 0;
+        let mut tail_bytes: u64 = 0;
         let mut journaled_tail: Vec<JobEvent> = Vec::new();
         for record in &scan.records[snapshot_index + 1..] {
+            tail_bytes += record.framed_len();
             match durability::decode_record(record)? {
                 JournalEntry::Command(cmd) => {
                     qrio.apply_command(cmd)?;
@@ -1943,6 +1945,11 @@ impl Qrio {
             sync_every,
             compact_above,
             cursor + journaled_tail.len() as u64,
+        );
+        durability.resume_cadence(
+            commands_replayed,
+            tail_bytes,
+            scan.records[snapshot_index].framed_len(),
         );
         if events_healed > 0 {
             durability.append_event_tail(&qrio.lifecycle.events)?;

@@ -35,7 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use qrio_bytes::{open, seal, FrameError, LEN_BYTES};
+use qrio_bytes::{open, seal, FrameError, CRC_BYTES, LEN_BYTES};
 
 use crate::error::JournalError;
 
@@ -71,6 +71,12 @@ impl Record {
             version,
             payload,
         }
+    }
+
+    /// Bytes this record occupies in the file: prefix, length field, payload
+    /// and checksum — the length of [`encode_record`]'s output.
+    pub fn framed_len(&self) -> u64 {
+        (RECORD_PREFIX_LEN + LEN_BYTES + self.payload.len() + CRC_BYTES) as u64
     }
 }
 
@@ -118,6 +124,17 @@ pub fn encode_record(record: &Record) -> Vec<u8> {
     seal(&[record.kind, version_lo, version_hi], |w| {
         w.put_raw(&record.payload)
     })
+}
+
+/// [`encode_record`] for a record about to be appended, refusing a payload
+/// the length field cannot hold.
+fn checked_frame(record: &Record) -> Result<Vec<u8>, JournalError> {
+    if u32::try_from(record.payload.len()).is_err() {
+        return Err(JournalError::PayloadTooLarge {
+            len: record.payload.len() as u64,
+        });
+    }
+    Ok(encode_record(record))
 }
 
 /// Scan a journal's full byte image: validate the header, then every record
@@ -249,14 +266,24 @@ impl Journal {
 
     /// Append one framed record.
     pub fn append(&mut self, record: &Record) -> Result<(), JournalError> {
-        if u32::try_from(record.payload.len()).is_err() {
-            return Err(JournalError::PayloadTooLarge {
-                len: record.payload.len() as u64,
-            });
+        self.file
+            .write_all(&checked_frame(record)?)
+            .map_err(|e| JournalError::io("append", &e))
+    }
+
+    /// Append several records with a single write, so a crash cannot land
+    /// between them: either a prefix of whole records plus one torn record
+    /// reaches the file, or all of them do. Returns the bytes written — the
+    /// sum of the records' [`Record::framed_len`]s.
+    pub fn append_all(&mut self, records: &[Record]) -> Result<u64, JournalError> {
+        let mut frames = Vec::new();
+        for record in records {
+            frames.extend_from_slice(&checked_frame(record)?);
         }
         self.file
-            .write_all(&encode_record(record))
-            .map_err(|e| JournalError::io("append", &e))
+            .write_all(&frames)
+            .map_err(|e| JournalError::io("append", &e))?;
+        Ok(frames.len() as u64)
     }
 
     /// Flush userspace buffers to the OS. Appends already write through, so
@@ -450,6 +477,40 @@ mod tests {
             ]
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn append_all_writes_the_bytes_of_separate_appends_and_counts_them() {
+        let dir = std::env::temp_dir().join("qrio-journal-append-all-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = vec![
+            record(1, b"command"),
+            record(2, b""),
+            record(3, &[7u8; 300]),
+        ];
+
+        let one_by_one = dir.join("one-by-one.journal");
+        let mut journal = Journal::create(&one_by_one).unwrap();
+        for r in &records {
+            journal.append(r).unwrap();
+        }
+        drop(journal);
+
+        let batched = dir.join("batched.journal");
+        let mut journal = Journal::create(&batched).unwrap();
+        let written = journal.append_all(&records).unwrap();
+        assert_eq!(journal.append_all(&[]).unwrap(), 0);
+        drop(journal);
+
+        assert_eq!(written, records.iter().map(Record::framed_len).sum::<u64>());
+        for r in &records {
+            assert_eq!(r.framed_len(), encode_record(r).len() as u64);
+        }
+        let bytes = std::fs::read(&batched).unwrap();
+        assert_eq!(bytes, std::fs::read(&one_by_one).unwrap());
+        assert_eq!(bytes.len() as u64, HEADER_LEN as u64 + written);
+        std::fs::remove_file(&one_by_one).ok();
+        std::fs::remove_file(&batched).ok();
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use std::fmt;
 use std::path::Path;
 
+use qrio::durability::RECORD_SNAPSHOT;
 use qrio::{
     BreakerConfig, DurabilityConfig, FidelityRankingConfig, JobEvent, JobId, JobRequest,
     JobRequestBuilder, JobState, Qrio, RecoveryReport,
@@ -52,8 +53,10 @@ pub struct KillRestartScenario {
     /// Run one service cycle ([`Qrio::tick`]) after every N enqueues, so the
     /// crash lands over a mix of terminal, running and queued jobs.
     pub tick_every: u64,
-    /// Snapshot cadence handed to [`Qrio::enable_durability`] — small values
-    /// exercise multi-snapshot journals.
+    /// Snapshot floor handed to [`Qrio::enable_durability`]: at least this
+    /// many commands between automatic snapshots (the log must also have
+    /// outgrown the previous snapshot). Small values let a short storm write
+    /// several — see [`KillRestartReport::journal_snapshots`].
     pub snapshot_every: u64,
     /// Shots per job.
     pub shots: u64,
@@ -122,6 +125,10 @@ pub struct KillRestartReport {
     pub unfinished: u64,
     /// Total watch-log events across both phases.
     pub events_total: u64,
+    /// Snapshot records in the journal after the final drain, genesis
+    /// included. Recovery from a mid-storm snapshot is only exercised when
+    /// the journal holds more than the genesis one.
+    pub journal_snapshots: u64,
 }
 
 impl KillRestartReport {
@@ -153,6 +160,7 @@ impl fmt::Display for KillRestartReport {
         )?;
         writeln!(f, "  unfinished         = {}", self.unfinished)?;
         writeln!(f, "  events_total       = {}", self.events_total)?;
+        writeln!(f, "  journal_snapshots  = {}", self.journal_snapshots)?;
         write!(
             f,
             "  verdict            = {}",
@@ -422,6 +430,13 @@ pub fn run_kill_restart_with_log(
         }
     }
 
+    let journal_snapshots = qrio_journal::scan_file(journal_path)
+        .map_err(|e| LoadgenError::Engine(format!("cannot scan the journal: {e}")))?
+        .records
+        .iter()
+        .filter(|record| record.kind == RECORD_SNAPSHOT)
+        .count() as u64;
+
     let report = KillRestartReport {
         name: scenario.name.clone(),
         seed: scenario.seed,
@@ -436,6 +451,7 @@ pub fn run_kill_restart_with_log(
         terminal,
         unfinished,
         events_total: log.len() as u64,
+        journal_snapshots,
     };
     Ok((report, log))
 }
@@ -463,6 +479,10 @@ mod tests {
             scenario.jobs
         );
         assert!(report.events_total > 0);
+        // The crash must land past a mid-storm snapshot, or recovery only
+        // ever replays from the genesis.
+        assert!(report.journal_snapshots >= 2, "{report}");
+        assert!(report.recovery.snapshot_cursor > 0, "{report}");
     }
 
     #[test]

@@ -292,6 +292,9 @@ fn kill_restart_storm_is_certified_by_the_watch_log_auditor() {
     assert!(report.holds(), "durability contract violated:\n{report}");
     assert_eq!(report.jobs_lost, 0);
     assert_eq!(report.double_executed, 0);
+    // Recovery started from a mid-storm snapshot, not the genesis.
+    assert!(report.journal_snapshots >= 2, "{report}");
+    assert!(report.recovery.snapshot_cursor > 0, "{report}");
 
     // The spliced pre-crash + post-recovery stream must satisfy every watch
     // invariant the analyzer knows: dense sequences, legal transitions, one

@@ -2,11 +2,14 @@
 //! the orchestrator), recover from the journal and verify the rebuilt
 //! instance matches the pre-crash one exactly — then keep working with it.
 
+use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use qrio::durability::DurabilityError;
+use qrio::durability::{
+    snapshot_cursor, DurabilityError, RECORD_COMMAND, RECORD_EVENTS, RECORD_SNAPSHOT,
+};
 use qrio::{
     DeviceTelemetry, DurabilityConfig, FidelityRankingConfig, JobRequestBuilder, JobState, Qrio,
     QrioError,
@@ -21,6 +24,22 @@ fn journal_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qrio-recovery-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("scratch dir");
     dir.join(format!("{name}.qj"))
+}
+
+/// Framed sizes of the journal's records of one kind, in file order.
+fn framed_sizes(path: &Path, kind: u8) -> Vec<u64> {
+    let scan = qrio_journal::scan_file(path).expect("journal scans");
+    assert!(scan.torn.is_none(), "journal has a torn tail");
+    scan.records
+        .iter()
+        .filter(|record| record.kind == kind)
+        .map(qrio_journal::Record::framed_len)
+        .collect()
+}
+
+/// How many snapshot records the journal holds, genesis included.
+fn snapshot_count(path: &Path) -> usize {
+    framed_sizes(path, RECORD_SNAPSHOT).len()
 }
 
 fn seeded_qrio() -> Qrio {
@@ -79,6 +98,11 @@ fn recovery_restores_exact_pre_crash_state_and_resumes() {
                 health_penalty: 0.0,
             },
         )]);
+        // The cadence alone stops after the first automatic snapshot here
+        // (two devices' spec text outweigh this short log), so take the one
+        // recovery is to start from: telemetry and queued jobs are restored,
+        // the tick and the cancel below are replayed.
+        qrio.snapshot_now().unwrap();
         // One service cycle: some jobs finish, at least one stays in flight,
         // so the crash lands mid-workload.
         qrio.tick();
@@ -94,7 +118,10 @@ fn recovery_restores_exact_pre_crash_state_and_resumes() {
         // Crash: drop without any orderly shutdown.
     }
 
+    assert!(snapshot_count(&path) >= 3, "genesis, cadence, explicit");
     let (mut recovered, report) = Qrio::recover(&path).unwrap();
+    assert!(report.snapshot_cursor > 0, "recovered from the genesis");
+    assert!(report.commands_replayed > 0, "nothing left to replay");
     assert_eq!(recovered.watch(0), &pre_events[..]);
     for (id, status) in &pre_statuses {
         assert_eq!(recovered.job_status(id).unwrap(), status);
@@ -374,8 +401,14 @@ fn faulted_workload_recovers_retries_dead_letters_and_breakers_exactly() {
                     .unwrap(),
             )
             .unwrap();
-        for _ in 0..8 {
+        for tick in 0..8 {
             qrio.tick();
+            if tick == 3 {
+                // Recovery is to start mid-storm: breakers tripped, a job in
+                // backoff, attempts counted. The cadence no longer puts a
+                // snapshot here by itself.
+                qrio.snapshot_now().unwrap();
+            }
         }
         assert!(qrio.durability_error().is_none());
         assert!(
@@ -389,7 +422,10 @@ fn faulted_workload_recovers_retries_dead_letters_and_breakers_exactly() {
         // Crash.
     }
 
-    let (mut recovered, _) = Qrio::recover(&path).unwrap();
+    assert!(snapshot_count(&path) >= 3, "genesis, cadence, explicit");
+    let (mut recovered, report) = Qrio::recover(&path).unwrap();
+    assert!(report.snapshot_cursor > 0, "recovered from the genesis");
+    assert!(report.commands_replayed > 0, "nothing left to replay");
     assert_eq!(recovered.watch(0), &pre_events[..]);
     assert_eq!(recovered.dead_letters(), pre_dead);
     assert_eq!(recovered.breakers().cloned(), pre_board);
@@ -404,6 +440,125 @@ fn faulted_workload_recovers_retries_dead_letters_and_breakers_exactly() {
         JobState::Succeeded
     );
     assert!(recovered.durability_error().is_none());
+}
+
+/// A small job that skips the fidelity canaries, for tests that need many.
+fn small_request(name: &str) -> qrio::JobRequest {
+    JobRequestBuilder::new()
+        .with_circuit(&library::ghz(3).unwrap())
+        .job_name(name)
+        .min_queue()
+        .shots(16)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn superseded_snapshots_never_outweigh_the_log() {
+    // The amortised rule's guarantee, in exact byte counts: every snapshot
+    // but the last has been superseded, and together they may not outweigh
+    // the command and events records they summarise.
+    let path = journal_path("amortised");
+    let mut qrio = seeded_qrio();
+    qrio.enable_durability(&path, DurabilityConfig::default())
+        .unwrap();
+    two_device_fleet(&mut qrio);
+    for i in 0..320 {
+        let id = qrio.enqueue(&small_request(&format!("small-{i}"))).unwrap();
+        qrio.schedule(&id).unwrap();
+        qrio.execute(&id).unwrap();
+    }
+    assert!(qrio.durability_error().is_none());
+    drop(qrio);
+
+    let snapshots = framed_sizes(&path, RECORD_SNAPSHOT);
+    assert!(
+        snapshots.len() >= 3,
+        "only {} snapshots: the rule was never exercised",
+        snapshots.len()
+    );
+    let superseded: u64 = snapshots[..snapshots.len() - 1].iter().sum();
+    let log: u64 = [RECORD_COMMAND, RECORD_EVENTS]
+        .iter()
+        .flat_map(|&kind| framed_sizes(&path, kind))
+        .sum();
+    assert!(
+        superseded <= log,
+        "{} superseded snapshots hold {superseded} B around {log} B of log",
+        snapshots.len() - 1
+    );
+}
+
+#[test]
+fn snapshot_cadence_survives_recovery() {
+    // One command stream, run uninterrupted and run with crashes between
+    // snapshots: both must snapshot at the same watch-log cursors, because
+    // recovery restores the cadence counters from the journal it scanned.
+    // With compaction on, the snapshot recovered from is the first record.
+    let last_snapshot = |path: &Path| {
+        let scan = qrio_journal::scan_file(path).unwrap();
+        let record = scan
+            .records
+            .iter()
+            .rev()
+            .find(|r| r.kind == RECORD_SNAPSHOT);
+        snapshot_cursor(&record.expect("a snapshot").payload).unwrap()
+    };
+    let run = |name: &str, compact_above_bytes: u64, crash_after: &[usize]| {
+        let path = journal_path(name);
+        let mut qrio = seeded_qrio();
+        qrio.enable_durability(
+            &path,
+            DurabilityConfig {
+                snapshot_every: 16,
+                compact_above_bytes,
+                ..DurabilityConfig::default()
+            },
+        )
+        .unwrap();
+        two_device_fleet(&mut qrio);
+        let mut cursors = vec![last_snapshot(&path)];
+        for command in 0..180 {
+            let id = qrio::JobId::new(format!("cad-{}", command / 3));
+            match command % 3 {
+                0 => drop(qrio.enqueue(&small_request(id.as_str())).unwrap()),
+                1 => drop(qrio.schedule(&id).unwrap()),
+                _ => qrio.execute(&id).unwrap(),
+            }
+            let at = last_snapshot(&path);
+            if cursors.last() != Some(&at) {
+                cursors.push(at);
+            }
+            if crash_after.contains(&command) {
+                drop(qrio);
+                let (recovered, report) = Qrio::recover(&path).unwrap();
+                assert!(report.commands_replayed > 0, "crash on a boundary");
+                qrio = recovered;
+            }
+        }
+        assert!(qrio.durability_error().is_none());
+        drop(qrio);
+        (cursors, fs::read(&path).unwrap())
+    };
+
+    // One crash before the first automatic snapshot (the command floor
+    // decides it), two before the second (the log has to outgrow the first;
+    // both byte counters matter), two after.
+    let crashes = [4, 22, 61, 120, 149];
+    for (mode, compact_above_bytes) in [("full", 0), ("compacted", 1)] {
+        let (steady, steady_bytes) = run(&format!("cadence-{mode}"), compact_above_bytes, &[]);
+        let (crashed, crashed_bytes) = run(
+            &format!("cadence-{mode}-crashed"),
+            compact_above_bytes,
+            &crashes,
+        );
+        assert!(steady.len() >= 3, "{mode}: snapshots at {steady:?} only");
+        assert_eq!(steady, crashed, "{mode}: crashes moved the snapshots");
+        assert!(
+            steady_bytes == crashed_bytes,
+            "{mode}: same snapshots, different journal bytes"
+        );
+    }
 }
 
 #[test]
@@ -461,6 +616,10 @@ fn compacted_journal_recovers_identically_to_uncompacted() {
             .iter()
             .map(|name| qrio.enqueue(&bv_request(name)).unwrap())
             .collect();
+        // Compaction runs when a snapshot is written; the cadence writes
+        // none past the fleet registration on a log this short, so take one
+        // with the queue full and leave the drain as the tail to replay.
+        qrio.snapshot_now().unwrap();
         qrio.run_until_idle();
         assert!(qrio.durability_error().is_none());
         ids
@@ -472,6 +631,14 @@ fn compacted_journal_recovers_identically_to_uncompacted() {
     let ids = run(0, &full_path);
     let same_ids = run(1, &compact_path);
     assert_eq!(ids, same_ids);
+
+    // The full journal keeps every snapshot; the compacted one starts at the
+    // last snapshot written.
+    assert!(
+        snapshot_count(&full_path) >= 3,
+        "genesis, cadence, explicit"
+    );
+    assert_eq!(snapshot_count(&compact_path), 1);
 
     // Compaction actually reclaimed space on disk.
     let full_len = fs::metadata(&full_path).unwrap().len();
@@ -518,17 +685,24 @@ fn replay_to_reconstructs_every_intermediate_prefix() {
         for name in ["tt-a", "tt-b", "tt-c"] {
             let _ = qrio.enqueue(&bv_request(name)).unwrap();
         }
+        // A mid-history snapshot the cadence no longer takes by itself, so
+        // that cursors past it have a later snapshot to start from.
+        qrio.tick();
+        qrio.snapshot_now().unwrap();
         qrio.run_until_idle();
     }
 
+    assert!(snapshot_count(&path) >= 3, "genesis, cadence, explicit");
     let (full, _) = Qrio::recover(&path).unwrap();
     let history = full.watch(0).to_vec();
     assert!(history.len() > 4, "fixture needs a non-trivial history");
 
+    let mut started_from = BTreeSet::new();
     for cursor in 0..=(history.len() as u64 + 3) {
         let (replica, checkpoint) = Qrio::replay_to(&path, cursor).unwrap();
         assert_eq!(checkpoint.target_cursor, cursor);
         assert!(checkpoint.snapshot_cursor <= cursor);
+        started_from.insert(checkpoint.snapshot_cursor);
         assert!(
             checkpoint.reached_cursor >= cursor.min(history.len() as u64),
             "cursor {cursor}: replay stopped early at {}",
@@ -543,6 +717,11 @@ fn replay_to_reconstructs_every_intermediate_prefix() {
         // The replica is an inspection copy: nothing it does is journaled.
         assert!(!replica.is_durable());
     }
+
+    assert!(
+        started_from.len() >= 3,
+        "replay started from snapshot cursors {started_from:?} only"
+    );
 
     // Replaying to the end reconstructs the terminal state exactly.
     let (at_end, _) = Qrio::replay_to(&path, history.len() as u64).unwrap();
