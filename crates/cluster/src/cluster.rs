@@ -1,10 +1,11 @@
 //! The cluster control plane: node registry, job store, image registry,
-//! scheduling cycle, job execution and the event log.
+//! binding, job execution and the event log.
 //!
 //! This is the Kubernetes-shaped substrate QRIO is built on (§3.1): nodes are
 //! quantum devices labelled with their properties, jobs are containerized
-//! quantum circuits, the scheduler runs a filter → score → bind cycle, and a
-//! kubelet-style executor runs bound jobs against the node's backend.
+//! quantum circuits, the scheduler's filter → score cycle ends in
+//! [`Cluster::bind_job`], and a kubelet-style executor runs bound jobs
+//! against the node's backend.
 
 use std::collections::BTreeMap;
 
@@ -13,7 +14,6 @@ use qrio_bytes::codec_struct;
 
 use crate::error::ClusterError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::framework::{FilterPlugin, ScorePlugin};
 use crate::job::{Job, JobPhase, JobSnapshot, JobSpec};
 use crate::node::{Node, NodeState, NodeStatus};
 use crate::registry::{ImageBundle, ImageRegistry, RegistryState};
@@ -120,7 +120,7 @@ pub struct ScheduleDecision {
     pub score: f64,
     /// All scored candidates `(node, score)`, sorted best-first.
     pub candidates: Vec<(String, f64)>,
-    /// Nodes rejected during filtering, with the rejecting plugin and reason.
+    /// Nodes rejected during filtering, with the rejecting stage and reason.
     pub filtered_out: Vec<(String, String)>,
 }
 
@@ -450,106 +450,58 @@ impl Cluster {
 
     // --- Scheduling ----------------------------------------------------------------------
 
-    /// Run one scheduling cycle for `job_name`: filter nodes, score the
-    /// survivors with `scorer`, and bind the job to the lowest-scoring node.
+    /// Bind `job_name` to the best-ranked node of a finished scheduling cycle
+    /// — the "bind" stage of §3.5. The cycle itself runs outside the cluster
+    /// (feasibility per [`Node::rejection`], scores from the meta server);
+    /// this records what it found — `FilterRejected` per `rejected` node,
+    /// `ScoreFailed` per `skipped` one — reserves the job's resources on
+    /// `ranking[0]` (the ranking is best-first) and moves the job to
+    /// `Scheduled`.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::Unschedulable`] when no node passes filtering
-    /// or scoring, and [`ClusterError::UnknownJob`] for unknown jobs. In the
-    /// unschedulable case the job is marked `Failed`.
-    pub fn schedule_job(
+    /// Returns [`ClusterError::Unschedulable`] when the ranking is empty (the
+    /// job is marked `Failed`), [`ClusterError::UnknownJob`] /
+    /// [`ClusterError::UnknownNode`] for names the cluster does not hold, and
+    /// [`ClusterError::BindingRejected`] when the winner can no longer take
+    /// the job's resources (the job stays as it was).
+    pub fn bind_job(
         &mut self,
         job_name: &str,
-        filters: &[Box<dyn FilterPlugin>],
-        scorer: &dyn ScorePlugin,
+        ranking: Vec<(String, f64)>,
+        rejected: Vec<(String, String)>,
+        skipped: &[(String, String)],
     ) -> Result<ScheduleDecision, ClusterError> {
-        let spec = self
+        let resources = self
             .jobs
             .get(job_name)
-            .map(|j| j.spec().clone())
+            .map(|j| j.spec().resources)
             .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-
-        // Filtering stage.
-        let mut feasible: Vec<String> = Vec::new();
-        let mut filtered_out: Vec<(String, String)> = Vec::new();
-        for node in self.nodes.values() {
-            if node.status() != NodeStatus::Ready {
-                filtered_out.push((node.name().to_string(), "node not ready".to_string()));
-                continue;
-            }
-            let mut rejected = None;
-            for filter in filters {
-                if let Err(reason) = filter.filter(&spec, node) {
-                    rejected = Some(format!("{}: {reason}", filter.name()));
-                    break;
-                }
-            }
-            match rejected {
-                Some(reason) => filtered_out.push((node.name().to_string(), reason)),
-                None => feasible.push(node.name().to_string()),
-            }
-        }
-        for (node, reason) in &filtered_out {
+        for (node, reason) in &rejected {
             self.record(
                 "FilterRejected",
                 format!("job '{job_name}': node '{node}' rejected ({reason})"),
             );
         }
-        if feasible.is_empty() {
-            let reason = "no node passed the filtering stage".to_string();
-            if let Some(job) = self.jobs.get_mut(job_name) {
-                job.set_phase(JobPhase::Failed {
-                    reason: reason.clone(),
-                });
-            }
-            return Err(ClusterError::Unschedulable {
-                job: job_name.to_string(),
-                reason,
-            });
-        }
-
-        // Scoring stage.
-        let mut candidates: Vec<(String, f64)> = Vec::new();
-        for name in &feasible {
-            let node = &self.nodes[name];
-            match scorer.score(&spec, node) {
-                Ok(score) => candidates.push((name.clone(), score)),
-                Err(reason) => {
-                    self.record(
-                        "ScoreFailed",
-                        format!("job '{job_name}': node '{name}' could not be scored ({reason})"),
-                    );
-                }
-            }
-        }
-        if candidates.is_empty() {
-            let reason = format!(
-                "no feasible node could be scored by plugin '{}'",
-                scorer.name()
+        for (node, reason) in skipped {
+            self.record(
+                "ScoreFailed",
+                format!("job '{job_name}': node '{node}' could not be scored ({reason})"),
             );
-            if let Some(job) = self.jobs.get_mut(job_name) {
-                job.set_phase(JobPhase::Failed {
-                    reason: reason.clone(),
-                });
-            }
-            return Err(ClusterError::Unschedulable {
-                job: job_name.to_string(),
-                reason,
-            });
         }
-        // Deterministic ordering: ties in score break on node name, so the
-        // decision never depends on store iteration order.
-        candidates.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let (winner, score) = candidates[0].clone();
-
-        // Binding stage.
-        let node = self.nodes.get_mut(&winner).expect("winner exists");
-        if !node.allocate(&spec.resources) {
+        let Some((winner, score)) = ranking.first().cloned() else {
+            let reason = if skipped.is_empty() {
+                "no node passed the filtering stage"
+            } else {
+                "no feasible node could be scored by plugin 'QrioMetaRanking'"
+            };
+            return Err(self.fail_unschedulable(job_name, reason.to_string()));
+        };
+        let node = self
+            .nodes
+            .get_mut(&winner)
+            .ok_or_else(|| ClusterError::UnknownNode(winner.clone()))?;
+        if !node.allocate(&resources) {
             return Err(ClusterError::BindingRejected {
                 job: job_name.to_string(),
                 node: winner,
@@ -561,8 +513,7 @@ impl Cluster {
             node: winner.clone(),
         });
         job.log(format!(
-            "scheduled on '{winner}' with score {score:.4} by plugin '{}'",
-            scorer.name()
+            "scheduled on '{winner}' with score {score:.4} by plugin 'QrioMetaRanking'"
         ));
         self.record(
             "JobScheduled",
@@ -572,9 +523,23 @@ impl Cluster {
             job: job_name.to_string(),
             node: winner,
             score,
-            candidates,
-            filtered_out,
+            candidates: ranking,
+            filtered_out: rejected,
         })
+    }
+
+    /// End a job no scheduling cycle can place: mark it `Failed` with
+    /// `reason` and hand back the matching [`ClusterError::Unschedulable`].
+    pub fn fail_unschedulable(&mut self, job_name: &str, reason: String) -> ClusterError {
+        if let Some(job) = self.jobs.get_mut(job_name) {
+            job.set_phase(JobPhase::Failed {
+                reason: reason.clone(),
+            });
+        }
+        ClusterError::Unschedulable {
+            job: job_name.to_string(),
+            reason,
+        }
     }
 
     /// Replace the backend of an existing node after a calibration refresh or
@@ -999,30 +964,6 @@ impl Cluster {
             attempt,
         ))
     }
-
-    /// Schedule and run every pending job in FIFO order (the multi-job mode
-    /// the paper lists as future work, §5). Jobs that cannot be scheduled are
-    /// marked failed and skipped. Returns the decisions for jobs that were
-    /// scheduled.
-    pub fn process_queue(
-        &mut self,
-        filters: &[Box<dyn FilterPlugin>],
-        scorer: &dyn ScorePlugin,
-        runner: &dyn JobRunner,
-    ) -> Vec<ScheduleDecision> {
-        let pending = self.pending_jobs();
-        let mut decisions = Vec::new();
-        for job_name in pending {
-            match self.schedule_job(&job_name, filters, scorer) {
-                Ok(decision) => {
-                    let _ = self.run_job(&job_name, runner);
-                    decisions.push(decision);
-                }
-                Err(_) => continue,
-            }
-        }
-        decisions
-    }
 }
 
 impl std::fmt::Debug for Cluster {
@@ -1038,7 +979,6 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{default_filters, AverageErrorScore};
     use crate::job::{DeviceRequirements, StrategySpec};
     use crate::resources::Resources;
     use qrio_backend::topology;
@@ -1110,6 +1050,31 @@ mod tests {
         cluster
     }
 
+    /// Bind `job` to `node` with a one-entry ranking, for tests that only
+    /// need a `Scheduled` job.
+    fn bind(cluster: &mut Cluster, job: &str, node: &str) -> ScheduleDecision {
+        cluster
+            .bind_job(job, vec![(node.to_string(), 0.0)], Vec::new(), &[])
+            .unwrap()
+    }
+
+    /// One whole cycle over the cluster's own nodes: filter, score by average
+    /// two-qubit error (where the scheduler crate asks the meta server), bind.
+    fn schedule(cluster: &mut Cluster, job_name: &str) -> Result<ScheduleDecision, ClusterError> {
+        let job = cluster.job(job_name).unwrap();
+        let mut ranking = Vec::new();
+        let mut rejected = Vec::new();
+        for node in cluster.nodes() {
+            let name = node.name().to_string();
+            match node.rejection(job) {
+                Some(reason) => rejected.push((name, reason)),
+                None => ranking.push((name, node.backend().avg_two_qubit_error())),
+            }
+        }
+        ranking.sort_by(|a, b| a.1.total_cmp(&b.1));
+        cluster.bind_job(job_name, ranking, rejected, &[])
+    }
+
     fn push_image_for(cluster: &mut Cluster, spec: &JobSpec) {
         let mut image = ImageBundle::new(spec.image.clone());
         image.add_file("circuit.qasm", spec.qasm.clone());
@@ -1134,10 +1099,9 @@ mod tests {
         let spec = make_spec("job-a", 5);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        let decision = cluster
-            .schedule_job("job-a", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        let decision = schedule(&mut cluster, "job-a").unwrap();
         assert_eq!(decision.node, "quiet");
+        assert_eq!(decision.candidates.len(), 2);
         assert!(decision.filtered_out.iter().any(|(node, _)| node == "tiny"));
         assert_eq!(cluster.job("job-a").unwrap().phase().node(), Some("quiet"));
         // Resources were reserved on the chosen node.
@@ -1152,9 +1116,22 @@ mod tests {
         let mut cluster = cluster_with_nodes();
         let spec = make_spec("huge", 50);
         cluster.submit_job(spec).unwrap();
-        let err = cluster.schedule_job("huge", &default_filters(), &AverageErrorScore);
+        let err = schedule(&mut cluster, "huge");
         assert!(matches!(err, Err(ClusterError::Unschedulable { .. })));
-        assert!(cluster.job("huge").unwrap().phase().is_terminal());
+        assert_eq!(
+            cluster.job("huge").unwrap().phase(),
+            &JobPhase::Failed {
+                reason: "no node passed the filtering stage".into()
+            }
+        );
+        // One FilterRejected event per node, naming the stage that said no.
+        let rejections: Vec<&ClusterEvent> = cluster
+            .events()
+            .iter()
+            .filter(|e| e.kind == "FilterRejected")
+            .collect();
+        assert_eq!(rejections.len(), 3);
+        assert!(rejections.iter().all(|e| e.message.contains("QubitCount")));
     }
 
     #[test]
@@ -1163,9 +1140,7 @@ mod tests {
         let spec = make_spec("job-run", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        cluster
-            .schedule_job("job-run", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "job-run", "quiet");
         cluster.run_job("job-run", &EchoRunner).unwrap();
         let job = cluster.job("job-run").unwrap();
         assert!(matches!(job.phase(), JobPhase::Succeeded { .. }));
@@ -1184,9 +1159,7 @@ mod tests {
         let spec = make_spec("job-fail", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        cluster
-            .schedule_job("job-fail", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "job-fail", "quiet");
         assert!(cluster.run_job("job-fail", &FailingRunner).is_err());
         assert!(matches!(
             cluster.job("job-fail").unwrap().phase(),
@@ -1205,9 +1178,7 @@ mod tests {
         cluster.submit_job(spec).unwrap();
         // Not scheduled yet.
         assert!(cluster.run_job("job-x", &EchoRunner).is_err());
-        cluster
-            .schedule_job("job-x", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "job-x", "quiet");
         // Image was never pushed.
         assert!(matches!(
             cluster.run_job("job-x", &EchoRunner),
@@ -1225,8 +1196,12 @@ mod tests {
             cluster.submit_job(spec).unwrap();
         }
         assert_eq!(cluster.pending_jobs(), vec!["q-1", "q-2", "q-3"]);
-        let decisions = cluster.process_queue(&default_filters(), &AverageErrorScore, &EchoRunner);
-        assert_eq!(decisions.len(), 3);
+        // Draining the head leaves the rest pending, still in order.
+        for name in ["q-1", "q-2", "q-3"] {
+            assert_eq!(cluster.pending_jobs()[0], name);
+            bind(&mut cluster, name, "quiet");
+            cluster.run_job(name, &EchoRunner).unwrap();
+        }
         assert!(cluster.pending_jobs().is_empty());
         for name in ["q-1", "q-2", "q-3"] {
             assert!(matches!(
@@ -1247,9 +1222,7 @@ mod tests {
         let spec = make_spec("load-job", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        cluster
-            .schedule_job("load-job", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "load-job", "quiet");
         let busy = cluster.node_load("quiet").unwrap();
         assert_eq!(busy.active_jobs, 1);
         assert!((busy.cpu_utilization - 0.25).abs() < 1e-12);
@@ -1281,9 +1254,7 @@ mod tests {
         let spec = make_spec("mover", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        cluster
-            .schedule_job("mover", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "mover", "quiet");
         assert_eq!(cluster.job("mover").unwrap().phase().node(), Some("quiet"));
 
         cluster.rebind_job("mover", "noisy").unwrap();
@@ -1315,9 +1286,7 @@ mod tests {
             cluster.rebind_job("stuck", "noisy"),
             Err(ClusterError::BindingRejected { .. })
         ));
-        cluster
-            .schedule_job("stuck", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "stuck", "quiet");
         assert!(matches!(
             cluster.rebind_job("stuck", "missing"),
             Err(ClusterError::UnknownNode(_))
@@ -1331,18 +1300,13 @@ mod tests {
         hog.resources = Resources::new(4000, 8192);
         push_image_for(&mut cluster, &hog);
         cluster.submit_job(hog).unwrap();
-        cluster
-            .schedule_job("hog", &default_filters(), &AverageErrorScore)
-            .unwrap();
-        let hog_node = cluster
-            .job("hog")
-            .unwrap()
-            .phase()
-            .node()
-            .unwrap()
-            .to_string();
-        assert_ne!(hog_node, "quiet", "hog does not fit next to 'stuck'");
-        let err = cluster.rebind_job("stuck", &hog_node);
+        // The hog does not fit next to 'stuck', and binding says so.
+        assert!(matches!(
+            cluster.bind_job("hog", vec![("quiet".into(), 0.0)], Vec::new(), &[]),
+            Err(ClusterError::BindingRejected { .. })
+        ));
+        bind(&mut cluster, "hog", "noisy");
+        let err = cluster.rebind_job("stuck", "noisy");
         assert!(matches!(err, Err(ClusterError::BindingRejected { .. })));
         assert_eq!(cluster.job("stuck").unwrap().phase().node(), Some("quiet"));
     }
@@ -1387,9 +1351,7 @@ mod tests {
         let scheduled = make_spec("cancel-scheduled", 4);
         push_image_for(&mut cluster, &scheduled);
         cluster.submit_job(scheduled).unwrap();
-        cluster
-            .schedule_job("cancel-scheduled", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "cancel-scheduled", "quiet");
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::new(1000, 1024)
@@ -1417,9 +1379,7 @@ mod tests {
         let spec = make_spec("done-job", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        cluster
-            .schedule_job("done-job", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "done-job", "quiet");
         cluster.run_job("done-job", &EchoRunner).unwrap();
         assert!(matches!(
             cluster.cancel_job("done-job", "too late"),
@@ -1456,17 +1416,13 @@ mod tests {
         let done = make_spec("done", 4);
         push_image_for(&mut cluster, &done);
         cluster.submit_job(done).unwrap();
-        cluster
-            .schedule_job("done", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "done", "quiet");
         cluster.run_job("done", &EchoRunner).unwrap();
 
         let bound = make_spec("bound", 4);
         push_image_for(&mut cluster, &bound);
         cluster.submit_job(bound).unwrap();
-        cluster
-            .schedule_job("bound", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "bound", "quiet");
 
         let waiting = make_spec("waiting", 4);
         cluster.submit_job(waiting).unwrap();
@@ -1521,9 +1477,7 @@ mod tests {
         let spec = make_spec(name, 4);
         push_image_for(cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        cluster
-            .schedule_job(name, &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(cluster, name, "quiet");
     }
 
     #[test]
@@ -1623,9 +1577,7 @@ mod tests {
             Err(ClusterError::UnknownJob { .. })
         ));
         // The requeued job schedules and runs to completion again.
-        cluster
-            .schedule_job("retry-me", &default_filters(), &AverageErrorScore)
-            .unwrap();
+        bind(&mut cluster, "retry-me", "quiet");
         cluster.run_job("retry-me", &EchoRunner).unwrap();
     }
 

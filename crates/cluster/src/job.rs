@@ -41,32 +41,53 @@ impl DeviceRequirements {
 
     /// Whether a node with the given labels satisfies every requested bound.
     pub fn is_satisfied_by(&self, labels: &NodeLabels) -> bool {
+        self.rejection(labels).is_none()
+    }
+
+    /// The first requested bound `labels` violates, as a human-readable
+    /// reason; `None` when every bound holds (bounds are inclusive).
+    pub fn rejection(&self, labels: &NodeLabels) -> Option<String> {
         if let Some(min_qubits) = self.min_qubits {
             if labels.num_qubits < min_qubits {
-                return false;
+                return Some(format!(
+                    "{} qubits < required {min_qubits}",
+                    labels.num_qubits
+                ));
             }
         }
         if let Some(max_err) = self.max_two_qubit_error {
             if labels.avg_two_qubit_error > max_err {
-                return false;
+                return Some(format!(
+                    "avg 2q error {:.4} > allowed {max_err:.4}",
+                    labels.avg_two_qubit_error
+                ));
             }
         }
         if let Some(max_ro) = self.max_readout_error {
             if labels.avg_readout_error > max_ro {
-                return false;
+                return Some(format!(
+                    "avg readout error {:.4} > allowed {max_ro:.4}",
+                    labels.avg_readout_error
+                ));
             }
         }
         if let Some(min_t1) = self.min_t1_us {
             if labels.avg_t1_us < min_t1 {
-                return false;
+                return Some(format!(
+                    "avg T1 {:.0}us < required {min_t1:.0}us",
+                    labels.avg_t1_us
+                ));
             }
         }
         if let Some(min_t2) = self.min_t2_us {
             if labels.avg_t2_us < min_t2 {
-                return false;
+                return Some(format!(
+                    "avg T2 {:.0}us < required {min_t2:.0}us",
+                    labels.avg_t2_us
+                ));
             }
         }
-        true
+        None
     }
 }
 

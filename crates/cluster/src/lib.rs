@@ -10,17 +10,18 @@
 //! the paper evaluates runs against an API equivalent to the one it targets:
 //!
 //! * [`Node`] — a quantum device plus classical capacity, labelled with the
-//!   §3.1 properties, with cordon / failure / self-healing restart support.
+//!   §3.1 properties, with cordon / failure / self-healing restart support,
+//!   and the scheduler's one feasibility rule ([`Node::rejection`]: ready,
+//!   resource fit, qubit count, device-requirement bounds).
 //! * [`JobSpec`], [`Job`], [`yaml`] — job objects with device-requirement
 //!   bounds, an open [`StrategySpec`] (ranking strategy by name with typed
 //!   [`StrategyParams`]), lifecycle phases and logs.
 //! * [`ImageRegistry`], [`ImageBundle`] — the simulated Docker Hub the master
 //!   server pushes job containers to.
-//! * [`framework`] — filter/score plugin traits plus the built-in plugins
-//!   (resource fit, qubit count, device-requirement bounds).
-//! * [`Cluster`] — the control plane: node/job stores, the scheduling cycle,
-//!   the kubelet-style [`JobRunner`] execution hook, an event log, and a FIFO
-//!   queue for the multi-job mode the paper lists as future work.
+//! * [`Cluster`] — the control plane: node/job stores, the bind stage of
+//!   the scheduling cycle ([`Cluster::bind_job`]), the kubelet-style
+//!   [`JobRunner`] execution hook, an event log, and the FIFO submission
+//!   queue.
 //! * [`FaultInjector`], [`FaultKind`], [`RetryPolicy`] — deterministic typed
 //!   fault injection consulted by every execution attempt, plus the per-job
 //!   retry/backoff policies the orchestrator's fault-tolerant lifecycle runs.
@@ -29,14 +30,13 @@
 //!
 //! ```
 //! use qrio_backend::{topology, Backend};
-//! use qrio_cluster::{framework, Cluster, Node, Resources};
+//! use qrio_cluster::{Cluster, Node, Resources};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut cluster = Cluster::new();
 //! let backend = Backend::uniform("dev-a", topology::line(5), 0.01, 0.05);
 //! cluster.add_node(Node::from_backend(backend, Resources::new(4000, 8192)))?;
 //! assert_eq!(cluster.ready_nodes().count(), 1);
-//! assert_eq!(framework::default_filters().len(), 3);
 //! # Ok(())
 //! # }
 //! ```
@@ -47,7 +47,6 @@
 mod cluster;
 mod error;
 mod fault;
-pub mod framework;
 mod job;
 mod node;
 mod registry;
@@ -60,7 +59,6 @@ pub use cluster::{
 };
 pub use error::ClusterError;
 pub use fault::{BackoffPolicy, FaultInjector, FaultKind, RetryOn, RetryPolicy};
-pub use framework::{FilterPlugin, ScorePlugin};
 pub use job::{
     strategy_names, DeviceRequirements, Job, JobPhase, JobSnapshot, JobSpec, ParamValue,
     StrategyParams, StrategySpec,

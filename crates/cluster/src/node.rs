@@ -6,6 +6,7 @@ use std::fmt;
 use qrio_backend::{Backend, NodeLabels};
 use qrio_bytes::{codec_enum, codec_struct};
 
+use crate::job::{Job, JobPhase};
 use crate::resources::Resources;
 
 /// Health of a cluster node.
@@ -160,6 +161,47 @@ impl Node {
         self.status == NodeStatus::Ready && self.available().can_fit(request)
     }
 
+    /// Why this node cannot host `job` right now, or `None` when it can:
+    /// the node is Ready, has room for the job's classical request, has the
+    /// qubits, and its labels meet the job's device bounds. This is the one
+    /// feasibility rule of the scheduling cycle (the "Filtering" stage of
+    /// §3.5), shared by first binding and re-ranking: resources the job
+    /// already holds on this node count as free, so a bound job's own node
+    /// stays a candidate for it.
+    pub fn rejection(&self, job: &Job) -> Option<String> {
+        if self.status != NodeStatus::Ready {
+            return Some("node not ready".to_string());
+        }
+        let spec = job.spec();
+        let mut available = self.available();
+        match job.phase() {
+            JobPhase::Scheduled { node } | JobPhase::Running { node } if *node == self.name => {
+                available = available.plus(&spec.resources);
+            }
+            _ => {}
+        }
+        if !available.can_fit(&spec.resources) {
+            return Some(format!(
+                "ResourceFit: insufficient classical resources: need {}, available {available}",
+                spec.resources
+            ));
+        }
+        let qubits = self.backend.num_qubits();
+        if qubits < spec.num_qubits {
+            return Some(format!(
+                "QubitCount: device has {qubits} qubits, job needs {}",
+                spec.num_qubits
+            ));
+        }
+        let labels = self.node_labels();
+        if !spec.requirements.is_satisfied_by(&labels) {
+            return Some(format!(
+                "DeviceRequirements: node labels ({labels}) do not satisfy the requested device bounds"
+            ));
+        }
+        None
+    }
+
     /// Reserve resources for a job. Returns `false` (and reserves nothing) if
     /// the node cannot accept the request.
     pub fn allocate(&mut self, request: &Resources) -> bool {
@@ -237,11 +279,79 @@ impl fmt::Display for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{DeviceRequirements, JobSpec, StrategySpec};
     use qrio_backend::topology;
 
     fn node() -> Node {
         let backend = Backend::uniform("dev-a", topology::line(5), 0.01, 0.05);
         Node::from_backend(backend, Resources::new(4000, 8192))
+    }
+
+    fn job(qubits: usize) -> Job {
+        Job::new(JobSpec {
+            name: "test".into(),
+            image: "img".into(),
+            qasm: String::new(),
+            num_qubits: qubits,
+            resources: Resources::new(1000, 1024),
+            requirements: DeviceRequirements {
+                max_two_qubit_error: Some(0.1),
+                ..DeviceRequirements::default()
+            },
+            strategy: StrategySpec::fidelity(0.9),
+            priority: 0,
+            shots: 128,
+            threads: 0,
+            retry: None,
+            deadline: None,
+        })
+    }
+
+    #[test]
+    fn resource_fit_filter() {
+        let mut n = node();
+        let mut j = job(3);
+        assert_eq!(n.rejection(&j), None);
+        n.allocate(&Resources::new(4000, 8192));
+        let reason = n.rejection(&j).unwrap();
+        assert!(reason.starts_with("ResourceFit: "), "{reason}");
+        assert!(reason.ends_with("available 0m CPU / 0 MiB"), "{reason}");
+        // What the job itself holds on this node counts as free; a binding
+        // elsewhere does not.
+        n.release(&Resources::new(1000, 1024));
+        n.allocate(&Resources::new(1000, 1024));
+        j.set_phase(JobPhase::Scheduled {
+            node: "dev-a".into(),
+        });
+        assert_eq!(n.rejection(&j), None);
+        j.set_phase(JobPhase::Scheduled {
+            node: "elsewhere".into(),
+        });
+        assert!(n.rejection(&j).is_some());
+        // Not-ready nodes are rejected before anything else is looked at.
+        n.cordon();
+        assert_eq!(n.rejection(&job(3)).as_deref(), Some("node not ready"));
+    }
+
+    #[test]
+    fn qubit_count_filter() {
+        let n = node();
+        assert_eq!(n.rejection(&job(5)), None);
+        assert_eq!(
+            n.rejection(&job(6)).as_deref(),
+            Some("QubitCount: device has 5 qubits, job needs 6")
+        );
+    }
+
+    #[test]
+    fn device_requirements_filter() {
+        let bad = Node::from_backend(
+            Backend::uniform("bad", topology::line(5), 0.01, 0.5),
+            Resources::new(4000, 8192),
+        );
+        assert_eq!(node().rejection(&job(3)), None);
+        let reason = bad.rejection(&job(3)).unwrap();
+        assert!(reason.starts_with("DeviceRequirements: node labels ("));
     }
 
     #[test]

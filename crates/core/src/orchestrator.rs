@@ -36,13 +36,11 @@ use std::sync::Arc;
 
 use qrio_agent::{fault_spec_to_wire, ChannelTransport, InProcTransport, NodeAgent, Transport};
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_cluster::{
-    framework, Cluster, ClusterError, FaultInjector, Node, Resources, ScheduleDecision,
-};
+use qrio_cluster::{Cluster, ClusterError, FaultInjector, Node, Resources, ScheduleDecision};
 use qrio_journal::{scan_file, Journal, Record};
 use qrio_meta::{DeviceTelemetry, FidelityRankingConfig, MetaServer, RankingStrategy};
 use qrio_proto::NodeCommand;
-use qrio_scheduler::{MetaRankingPlugin, QrioScheduler};
+use qrio_scheduler::QrioScheduler;
 
 use crate::breaker::{BreakerAction, BreakerBoard, BreakerConfig};
 use crate::control::{ControlPlane, ObservedNode, TransportMode};
@@ -1070,33 +1068,29 @@ impl Qrio {
     /// be deferred is pushed through the scheduler anyway so it reaches a
     /// recorded verdict.
     fn admit(&mut self, name: &str, force: bool) -> Admitted {
-        let spec = self
+        let job = self
             .cluster
             .job(name)
-            .expect("queued jobs exist in the cluster store")
-            .spec()
-            .clone();
-        let filters = framework::default_filters();
+            .expect("queued jobs exist in the cluster store");
         let feasible_now = self
             .cluster
-            .ready_nodes()
-            .any(|node| filters.iter().all(|f| f.filter(&spec, node).is_ok()));
+            .nodes()
+            .any(|node| node.rejection(job).is_none());
         if !feasible_now && !force {
             // Resources may free up or a cordon may lift: stay Queued unless
-            // no node could ever host the job. "Ever" is judged by the same
-            // filter plugins, run against a pristine (idle, uncordoned)
-            // replica of each node, so the Deferred/Failed split cannot
-            // drift from the scheduler's real feasibility rules.
+            // no node could ever host the job. "Ever" is the scheduler's own
+            // feasibility rule asked of a pristine (idle, uncordoned) replica
+            // of each node, so the Deferred/Failed split cannot drift from it.
             let could_ever = self.cluster.nodes().any(|node| {
                 let pristine = Node::from_backend(node.backend().clone(), node.capacity());
-                filters.iter().all(|f| f.filter(&spec, &pristine).is_ok())
+                pristine.rejection(job).is_none()
             });
             if could_ever {
                 return Admitted::Deferred;
             }
         }
         self.sync_telemetry();
-        match self.schedule_queued(name, &filters) {
+        match self.schedule_queued(name) {
             Ok(decision) => Admitted::Scheduled(decision.node),
             // A rejected binding is transient (schedule_queued left the job
             // Queued): report it as deferred, not failed, so the service
@@ -1139,7 +1133,7 @@ impl Qrio {
 
     fn schedule_unjournaled(&mut self, id: &JobId) -> Result<ScheduleDecision, QrioError> {
         match self.status(id)? {
-            JobState::Queued => self.schedule_queued(id.as_str(), &framework::default_filters()),
+            JobState::Queued => self.schedule_queued(id.as_str()),
             other => Err(QrioError::Cluster(ClusterError::PhaseConflict {
                 job: id.to_string(),
                 action: "schedule".to_string(),
@@ -1309,50 +1303,25 @@ impl Qrio {
         }
     }
 
-    /// A snapshot of the backends of every node currently able to accept
-    /// work — the fleet [`Qrio::rank_ready`] ranks against. Callers
-    /// re-ranking many jobs in one sweep should take this snapshot once and
-    /// pass it to [`Qrio::rank_among`].
-    pub fn ready_fleet(&self) -> Vec<Backend> {
-        self.cluster
-            .ready_nodes()
-            .map(|node| node.backend().clone())
-            .collect()
-    }
-
-    /// Re-rank a job over the currently-ready fleet, best (lowest score)
-    /// first — the migration primitive: compare the fresh ranking against
-    /// the job's current binding and [`Qrio::rebind`] when it improved.
+    /// Re-rank a job over the nodes that can host it now, best (lowest
+    /// score) first — the migration primitive: compare the fresh ranking
+    /// against the job's current binding and [`Qrio::rebind`] when it
+    /// improved. This is the scheduling cycle [`Qrio::schedule`] binds from,
+    /// so every device it names would accept the job; what the job already
+    /// holds on its current device counts as free there.
     ///
     /// # Errors
     ///
-    /// Same contract as the scheduler's rank: empty fleet, empty shortlist,
-    /// missing metadata, or no scoreable device.
+    /// An unknown id, a job-level meta-server error (e.g. the job's metadata
+    /// is gone), or — when no device ranks — the reason: nothing feasible, or
+    /// the error of a device that could not be scored.
     pub fn rank_ready(&self, id: &JobId) -> Result<Vec<(String, f64)>, QrioError> {
-        self.rank_among(id, &self.ready_fleet())
-    }
-
-    /// Re-rank a job over an explicit fleet snapshot (see
-    /// [`Qrio::ready_fleet`]) — avoids re-cloning the fleet when many jobs
-    /// are re-ranked in one drift/outage sweep.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Qrio::rank_ready`].
-    pub fn rank_among(
-        &self,
-        id: &JobId,
-        fleet: &[Backend],
-    ) -> Result<Vec<(String, f64)>, QrioError> {
-        let requirements = self
+        let job = self
             .cluster
             .job(id.as_str())
-            .ok_or_else(|| QrioError::UnknownJob(id.to_string()))?
-            .spec()
-            .requirements;
-        let scheduler = QrioScheduler::new(&self.meta);
-        let (ranked, _) = scheduler.rank(id.as_str(), fleet, &requirements)?;
-        Ok(ranked)
+            .ok_or_else(|| QrioError::UnknownJob(id.to_string()))?;
+        let cycle = QrioScheduler::new(&self.meta).cycle(job, self.cluster.nodes())?;
+        Ok(cycle.ranked(id.as_str())?)
     }
 
     /// Move a `Scheduled` (bound but not yet running) job to another device,
@@ -1435,16 +1404,27 @@ impl Qrio {
         Ok(())
     }
 
-    /// Schedule a job known to be `Queued`, updating lifecycle state. The
-    /// caller provides the filter chain so admission's feasibility probe
-    /// and the scheduling cycle share one construction.
-    fn schedule_queued(
-        &mut self,
-        name: &str,
-        filters: &[Box<dyn framework::FilterPlugin>],
-    ) -> Result<ScheduleDecision, QrioError> {
-        let ranking = MetaRankingPlugin::new(&self.meta);
-        match self.cluster.schedule_job(name, filters, &ranking) {
+    /// Schedule a job known to be `Queued`: run the scheduling cycle, hand
+    /// what it found to the cluster to bind, and update lifecycle state.
+    fn schedule_queued(&mut self, name: &str) -> Result<ScheduleDecision, QrioError> {
+        let job = self
+            .cluster
+            .job(name)
+            .expect("queued jobs exist in the cluster store");
+        let bound = match QrioScheduler::new(&self.meta).cycle(job, self.cluster.nodes()) {
+            Ok(cycle) => {
+                let skipped: Vec<(String, String)> = cycle
+                    .skipped
+                    .into_iter()
+                    .map(|(device, err)| (device, err.to_string()))
+                    .collect();
+                self.cluster
+                    .bind_job(name, cycle.ranking, cycle.rejected, &skipped)
+            }
+            // Job-level: no device was at fault, so none is blamed.
+            Err(err) => Err(self.cluster.fail_unschedulable(name, err.to_string())),
+        };
+        match bound {
             Ok(decision) => {
                 self.lifecycle.remove_pending(name);
                 self.lifecycle

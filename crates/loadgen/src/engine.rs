@@ -30,7 +30,7 @@
 //! Drift events rewrite the device's calibration through
 //! [`Qrio::recalibrate_device`] (bumping the calibration revision, which
 //! invalidates memoized scores), then re-rank every *waiting* job with
-//! [`Qrio::rank_among`]; jobs whose best device changed migrate via
+//! [`Qrio::rank_ready`]; jobs whose best device changed migrate via
 //! [`Qrio::rebind`]. Outages cordon the node and force-migrate its waiting
 //! queue (the in-flight job finishes its window).
 
@@ -863,7 +863,7 @@ impl<'s> Engine<'s> {
 
     // --- Re-ranking / migration ----------------------------------------------------------
 
-    /// Re-rank waiting jobs through [`Qrio::rank_among`] and migrate the
+    /// Re-rank waiting jobs through [`Qrio::rank_ready`] and migrate the
     /// ones whose best device changed. `only` restricts the sweep to one
     /// device's queue (outages); `None` sweeps every queue (drift).
     ///
@@ -873,10 +873,9 @@ impl<'s> Engine<'s> {
     /// a fleeing queue spreads over the healthy fleet instead of herding
     /// onto whichever device looked emptiest in one stale snapshot.
     fn rerank_waiting(&mut self, only: Option<&str>) {
-        // One fleet snapshot per sweep: node readiness cannot change while
-        // the sweep runs (migrations move jobs, not node status).
-        let fleet = self.qrio.ready_fleet();
-        if fleet.is_empty() {
+        // Node readiness cannot change while the sweep runs (migrations move
+        // jobs, not node status): with nothing ready there is nowhere to go.
+        if self.qrio.cluster().ready_nodes().next().is_none() {
             return;
         }
         // Snapshot the candidates first (device name order, FIFO within a
@@ -897,7 +896,7 @@ impl<'s> Engine<'s> {
             let reports = self.telemetry_snapshot();
             self.qrio.report_telemetry(reports);
             let job_id = JobId::new(&job_name);
-            let Ok(ranked) = self.qrio.rank_among(&job_id, &fleet) else {
+            let Ok(ranked) = self.qrio.rank_ready(&job_id) else {
                 continue;
             };
             let (best_device, best_score) = ranked[0].clone();

@@ -29,6 +29,13 @@ pub enum MetaError {
     Simulator(SimulatorError),
     /// Layout search failed unexpectedly.
     Layout(LayoutError),
+    /// A strategy answered with a score that cannot be ranked (NaN or ±∞).
+    NonFiniteScore {
+        /// The device the score was for.
+        device: String,
+        /// The score the strategy returned.
+        score: f64,
+    },
 }
 
 impl fmt::Display for MetaError {
@@ -47,6 +54,9 @@ impl fmt::Display for MetaError {
             MetaError::Transpiler(err) => write!(f, "transpiler error: {err}"),
             MetaError::Simulator(err) => write!(f, "simulator error: {err}"),
             MetaError::Layout(err) => write!(f, "layout error: {err}"),
+            MetaError::NonFiniteScore { device, score } => {
+                write!(f, "non-finite score {score} for device '{device}'")
+            }
         }
     }
 }

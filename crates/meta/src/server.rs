@@ -3,12 +3,13 @@
 //!
 //! The meta server holds a copy of every vendor backend file, the metadata the
 //! visualizer uploads for each job (Table 1) and the latest load telemetry the
-//! control plane reports per device. When the scheduler's ranking plugin asks
-//! for a score of a job against a device, the server resolves the job's
-//! strategy **by name** in its [`StrategyRegistry`] and dispatches to that
-//! plugin (§3.4) — fidelity and topology ranking are just the built-in
-//! entries; user-defined strategies register through
-//! [`MetaServer::register_strategy`].
+//! control plane reports per device. When the scheduler asks for a score of a
+//! job against a device, the server resolves the job's strategy **by name**
+//! in its [`StrategyRegistry`] and dispatches to that plugin (§3.4) —
+//! fidelity and topology ranking are just the built-in entries; user-defined
+//! strategies register through [`MetaServer::register_strategy`]. Ordering
+//! the scores is the server's job too ([`MetaServer::rank`]): it is written
+//! here once, for every caller.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -110,6 +111,15 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
+
+/// What [`MetaServer::rank`] found for one job over a set of devices.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ranking {
+    /// The devices that were scored, best (lowest score) first.
+    pub scored: Vec<Score>,
+    /// The devices that could not be scored, each with the error.
+    pub skipped: Vec<(String, MetaError)>,
 }
 
 /// The QRIO Meta Server.
@@ -502,30 +512,74 @@ impl MetaServer {
         }
     }
 
-    /// Score a job against every registered device, returning successful
-    /// evaluations sorted best (lowest score) first; equal scores order by
-    /// device name so the ranking is deterministic. Devices that cannot host
-    /// the job are skipped.
+    /// The score-and-sort stage of the scheduling cycle: score `job_name`
+    /// against each of `devices`. In the returned [`Ranking`] the scored
+    /// devices come best (lowest score) first — [`f64::total_cmp`], then
+    /// device name, so the order never depends on the order of `devices` —
+    /// and the others are listed with the error that skipped them.
+    ///
+    /// Per the [`RankingStrategy`] contract a strategy error means "this
+    /// device cannot be evaluated" and skips the device; a score that is not
+    /// finite cannot be ordered against the others and is skipped the same
+    /// way, as [`MetaError::NonFiniteScore`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the job is unknown.
-    pub fn score_all(&self, job_name: &str) -> Result<Vec<Score>, MetaError> {
+    /// Job-level errors — [`MetaError::UnknownJob`],
+    /// [`MetaError::UnknownStrategy`], [`MetaError::InvalidMetadata`]: every
+    /// device would fail the same way — abort with that root cause.
+    pub fn rank<'d>(
+        &self,
+        job_name: &str,
+        devices: impl IntoIterator<Item = &'d str>,
+    ) -> Result<Ranking, MetaError> {
         if !self.jobs.contains_key(job_name) {
             return Err(MetaError::UnknownJob(job_name.to_string()));
         }
-        let mut responses: Vec<Score> = self
-            .backends
-            .keys()
-            .filter_map(|device| self.score(job_name, device).ok())
-            .collect();
-        responses.sort_by(|a, b| {
+        let mut scored = Vec::new();
+        let mut skipped = Vec::new();
+        for device in devices {
+            match self.score(job_name, device) {
+                Ok(mut score) if score.value.is_finite() => {
+                    // The ranking is keyed by the device that was asked
+                    // about, whatever name the strategy wrote into its answer.
+                    if score.device != device {
+                        score.device = device.to_string();
+                    }
+                    scored.push(score);
+                }
+                Ok(score) => skipped.push((
+                    device.to_string(),
+                    MetaError::NonFiniteScore {
+                        device: device.to_string(),
+                        score: score.value,
+                    },
+                )),
+                Err(
+                    err @ (MetaError::UnknownJob(_)
+                    | MetaError::UnknownStrategy(_)
+                    | MetaError::InvalidMetadata(_)),
+                ) => return Err(err),
+                Err(err) => skipped.push((device.to_string(), err)),
+            }
+        }
+        scored.sort_by(|a, b| {
             a.value
-                .partial_cmp(&b.value)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&b.value)
                 .then_with(|| a.device.cmp(&b.device))
         });
-        Ok(responses)
+        Ok(Ranking { scored, skipped })
+    }
+
+    /// [`MetaServer::rank`] over every registered device, keeping the scored
+    /// ones: best first, devices that cannot host the job left out.
+    ///
+    /// # Errors
+    ///
+    /// The job-level errors of [`MetaServer::rank`].
+    pub fn score_all(&self, job_name: &str) -> Result<Vec<Score>, MetaError> {
+        let devices = self.backends.keys().map(String::as_str);
+        Ok(self.rank(job_name, devices)?.scored)
     }
 }
 

@@ -15,11 +15,6 @@ pub enum SchedulerError {
         /// Job name.
         job: String,
     },
-    /// Devices survived filtering but none could be scored.
-    NoDeviceCouldBeScored {
-        /// Job name.
-        job: String,
-    },
     /// The candidate list was empty to begin with.
     EmptyFleet,
     /// The meta server reported an error.
@@ -35,9 +30,6 @@ impl fmt::Display for SchedulerError {
         match self {
             SchedulerError::NoDeviceAfterFiltering { job } => {
                 write!(f, "no device passed the filtering stage for job '{job}'")
-            }
-            SchedulerError::NoDeviceCouldBeScored { job } => {
-                write!(f, "no filtered device could be scored for job '{job}'")
             }
             SchedulerError::EmptyFleet => write!(f, "the candidate device list is empty"),
             SchedulerError::Meta(err) => write!(f, "meta server error: {err}"),

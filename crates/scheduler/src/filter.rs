@@ -48,56 +48,12 @@ pub fn filter_backends_report(
     let mut rejected = Vec::new();
     for backend in fleet {
         let labels = NodeLabels::from_backend(backend, u64::MAX, u64::MAX);
-        match rejection_reason(requirements, &labels) {
+        match requirements.rejection(&labels) {
             None => accepted.push(backend.name().to_string()),
             Some(reason) => rejected.push((backend.name().to_string(), reason)),
         }
     }
     FilterReport { accepted, rejected }
-}
-
-fn rejection_reason(requirements: &DeviceRequirements, labels: &NodeLabels) -> Option<String> {
-    if let Some(min_qubits) = requirements.min_qubits {
-        if labels.num_qubits < min_qubits {
-            return Some(format!(
-                "{} qubits < required {min_qubits}",
-                labels.num_qubits
-            ));
-        }
-    }
-    if let Some(max_err) = requirements.max_two_qubit_error {
-        if labels.avg_two_qubit_error > max_err {
-            return Some(format!(
-                "avg 2q error {:.4} > allowed {max_err:.4}",
-                labels.avg_two_qubit_error
-            ));
-        }
-    }
-    if let Some(max_ro) = requirements.max_readout_error {
-        if labels.avg_readout_error > max_ro {
-            return Some(format!(
-                "avg readout error {:.4} > allowed {max_ro:.4}",
-                labels.avg_readout_error
-            ));
-        }
-    }
-    if let Some(min_t1) = requirements.min_t1_us {
-        if labels.avg_t1_us < min_t1 {
-            return Some(format!(
-                "avg T1 {:.0}us < required {min_t1:.0}us",
-                labels.avg_t1_us
-            ));
-        }
-    }
-    if let Some(min_t2) = requirements.min_t2_us {
-        if labels.avg_t2_us < min_t2 {
-            return Some(format!(
-                "avg T2 {:.0}us < required {min_t2:.0}us",
-                labels.avg_t2_us
-            ));
-        }
-    }
-    None
 }
 
 /// Sweep the maximum-two-qubit-error bound across `thresholds` and report how

@@ -3,16 +3,19 @@
 //! The QRIO scheduler (reproduction of *Empowering the Quantum Cloud User
 //! with QRIO*, IISWC 2024, §3.5) and the baselines the paper compares it to.
 //!
-//! Scheduling a quantum job is a two-stage pipeline:
+//! Scheduling a quantum job is one two-stage cycle ([`QrioScheduler`]):
 //!
-//! 1. **Filtering** ([`filter`]) — devices that violate the user's bounds on
-//!    qubit count, average two-qubit error, readout error or T1/T2 are
-//!    removed (evaluated in Fig. 10).
-//! 2. **Ranking** ([`QrioScheduler`]) — each shortlisted device is scored by
-//!    the QRIO Meta Server through the job's registered ranking-strategy
-//!    plugin (Clifford-canary fidelity, Mapomatic topology similarity,
-//!    weighted multi-objective, min-queue, or any user-defined strategy) and
-//!    the device with the lowest score wins; ties break on device name.
+//! 1. **Filtering** — devices that cannot host the job are removed: over
+//!    cluster nodes, `Node::rejection` (ready, classical resources, qubit
+//!    count, the user's bounds); over a bare fleet ([`filter`]), the user's
+//!    bounds on qubit count, average two-qubit error, readout error or T1/T2
+//!    alone (evaluated in Fig. 10).
+//! 2. **Ranking** — each shortlisted device is scored by the QRIO Meta
+//!    Server through the job's registered ranking-strategy plugin
+//!    (Clifford-canary fidelity, Mapomatic topology similarity, weighted
+//!    multi-objective, min-queue, or any user-defined strategy) and ordered
+//!    there (`MetaServer::rank`): the lowest score wins, ties break on
+//!    device name, a device the strategy cannot score is skipped.
 //!
 //! [`baselines`] provides the comparison points of the evaluation: the random
 //! scheduler (Fig. 6/7) and the oracle scheduler that scores devices with the
@@ -41,8 +44,9 @@
 //! meta.upload_fidelity_metadata("bv-job", 0.9, &qasm::to_qasm(&bv))?;
 //!
 //! let scheduler = QrioScheduler::new(&meta);
-//! let decision = scheduler.select_device("bv-job", &fleet, &DeviceRequirements::none())?;
-//! assert_eq!(decision.device, "clean");
+//! let (ranked, shortlisted) = scheduler.rank("bv-job", &fleet, &DeviceRequirements::none())?;
+//! assert_eq!(ranked[0].0, "clean");
+//! assert_eq!(shortlisted, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -63,4 +67,4 @@ pub use filter::{
     filter_backends, filter_backends_report, paper_fig10_thresholds, two_qubit_error_sweep,
     FilterReport,
 };
-pub use qrio_scheduler::{MetaRankingPlugin, QrioScheduler, SchedulerDecision};
+pub use qrio_scheduler::{Cycle, QrioScheduler};

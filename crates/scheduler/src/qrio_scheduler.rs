@@ -1,32 +1,56 @@
 //! The QRIO scheduler: filtering followed by meta-server ranking (§3.5).
 //!
-//! This is the component the paper evaluates "outside the Kubernetes
-//! infrastructure" (§4.1): a scheduler that filters the fleet against the
-//! user's requirements, asks the QRIO Meta Server for a score of the job on
-//! each shortlisted device, and selects the device with the lowest score. The
-//! same logic is also exposed as a cluster [`ScorePlugin`] so it can drive the
-//! in-process Kubernetes-like substrate.
+//! One cycle, two stages, no side effects: feasibility — each node says
+//! whether it can host the job ([`Node::rejection`]) — then score-and-sort —
+//! the QRIO Meta Server scores the job on every shortlisted device and orders
+//! them ([`MetaServer::rank`]). The lowest score wins; binding the winner is
+//! the cluster's job (`Cluster::bind_job`). First binding and re-ranking of
+//! an already-bound job run this same cycle, so they cannot disagree about
+//! which devices are candidates.
+//!
+//! [`QrioScheduler::rank`] is the same two stages over a bare fleet of
+//! backends — the scheduler the paper evaluates "outside the Kubernetes
+//! infrastructure" (§4.1), where there are no nodes, resources or bindings
+//! and feasibility is the user's device bounds alone.
 
 use qrio_backend::Backend;
-use qrio_cluster::{DeviceRequirements, JobSpec, Node, ScorePlugin};
-use qrio_meta::MetaServer;
+use qrio_cluster::{DeviceRequirements, Job, Node};
+use qrio_meta::{MetaError, MetaServer};
 
 use crate::error::SchedulerError;
 use crate::filter::filter_backends;
 
-/// The decision made by the QRIO scheduler for one job.
+/// What one scheduling cycle found for a job. Nothing is bound yet.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerDecision {
-    /// The selected device (lowest score).
-    pub device: String,
-    /// The winning score.
-    pub score: f64,
-    /// Every scored candidate, sorted best-first.
-    pub ranked: Vec<(String, f64)>,
-    /// Number of devices that survived filtering.
-    pub shortlisted: usize,
-    /// Number of devices in the original fleet.
-    pub fleet_size: usize,
+pub struct Cycle {
+    /// Scored candidates `(device, score)`, best (lowest score) first.
+    pub ranking: Vec<(String, f64)>,
+    /// Devices the feasibility stage rejected, each with the reason.
+    pub rejected: Vec<(String, String)>,
+    /// Feasible devices the job's strategy could not score, each with the
+    /// error.
+    pub skipped: Vec<(String, MetaError)>,
+}
+
+impl Cycle {
+    /// The ranking, or — when no device was ranked — why not: the error of
+    /// the last skipped device (the root cause when every device failed the
+    /// same way), else the fact that nothing survived filtering.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error exactly when [`Cycle::ranking`] is empty.
+    pub fn ranked(mut self, job_name: &str) -> Result<Vec<(String, f64)>, SchedulerError> {
+        if !self.ranking.is_empty() {
+            return Ok(self.ranking);
+        }
+        Err(match self.skipped.pop() {
+            Some((_, err)) => err.into(),
+            None => SchedulerError::NoDeviceAfterFiltering {
+                job: job_name.to_string(),
+            },
+        })
+    }
 }
 
 /// The QRIO scheduler, parameterized by a meta server holding the backend
@@ -42,53 +66,43 @@ impl<'a> QrioScheduler<'a> {
         QrioScheduler { meta }
     }
 
-    /// The meta server the scheduler consults.
-    pub fn meta(&self) -> &MetaServer {
-        self.meta
+    /// Run one scheduling cycle for `job` over `nodes`: every node that can
+    /// host the job (see [`Node::rejection`]) is scored through the job's
+    /// ranking strategy. The job's metadata must already be on the meta
+    /// server. A job that is already bound is ranked the same way — its own
+    /// node stays a candidate — which makes this the re-ranking primitive
+    /// after calibration drift or an outage.
+    ///
+    /// # Errors
+    ///
+    /// Job-level meta-server errors (no metadata for the job, unknown
+    /// strategy, parameters every device would reject) abort the cycle; a
+    /// device the strategy cannot score is reported in [`Cycle::skipped`].
+    pub fn cycle<'n>(
+        &self,
+        job: &Job,
+        nodes: impl IntoIterator<Item = &'n Node>,
+    ) -> Result<Cycle, MetaError> {
+        let mut shortlist = Vec::new();
+        let mut rejected = Vec::new();
+        for node in nodes {
+            match node.rejection(job) {
+                Some(reason) => rejected.push((node.name().to_string(), reason)),
+                None => shortlist.push(node.name()),
+            }
+        }
+        self.rank_shortlist(job.name(), shortlist, rejected)
     }
 
-    /// Select a device for `job_name` from `fleet`, honouring the user's
-    /// device requirement bounds.
-    ///
-    /// The job's metadata (fidelity target or topology circuit) must already
-    /// have been uploaded to the meta server — that is the visualizer's
-    /// responsibility in the full system.
+    /// Filter a bare `fleet` against `requirements` and rank every surviving
+    /// device for `job_name`, best (lowest score) first. Returns the ranking
+    /// plus the shortlist size.
     ///
     /// # Errors
     ///
     /// Returns an error if the fleet is empty, no device passes filtering, no
-    /// shortlisted device can be scored, or the meta server has no metadata
-    /// for the job.
-    pub fn select_device(
-        &self,
-        job_name: &str,
-        fleet: &[Backend],
-        requirements: &DeviceRequirements,
-    ) -> Result<SchedulerDecision, SchedulerError> {
-        let (ranked, shortlisted) = self.rank(job_name, fleet, requirements)?;
-        let (device, score) = ranked[0].clone();
-        Ok(SchedulerDecision {
-            device,
-            score,
-            ranked,
-            shortlisted,
-            fleet_size: fleet.len(),
-        })
-    }
-
-    /// Filter `fleet` against `requirements` and rank every surviving device
-    /// for `job_name`, best (lowest score) first, without committing to a
-    /// decision. Returns the ranking plus the shortlist size.
-    ///
-    /// This is the re-ranking primitive: callers that already bound a job can
-    /// re-invoke it after a calibration-drift or outage event and compare the
-    /// fresh ranking against the original binding (see
-    /// `Cluster::rebind_job`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`QrioScheduler::select_device`]: empty fleet, empty
-    /// shortlist, missing metadata, or no scoreable device.
+    /// shortlisted device can be scored, or the meta server reports a
+    /// job-level error (see [`QrioScheduler::cycle`]).
     pub fn rank(
         &self,
         job_name: &str,
@@ -98,86 +112,29 @@ impl<'a> QrioScheduler<'a> {
         if fleet.is_empty() {
             return Err(SchedulerError::EmptyFleet);
         }
-        // Surface missing-metadata errors immediately rather than as an empty
-        // ranking.
-        if self.meta.job_metadata(job_name).is_none() {
-            return Err(SchedulerError::Meta(qrio_meta::MetaError::UnknownJob(
-                job_name.to_string(),
-            )));
-        }
-
-        // Stage 1: filtering.
-        let shortlisted = filter_backends(fleet, requirements);
-        if shortlisted.is_empty() {
-            return Err(SchedulerError::NoDeviceAfterFiltering {
-                job: job_name.to_string(),
-            });
-        }
-
-        // Stage 2: ranking via the meta server. Job-level errors (no such
-        // job / strategy, parameters every device would reject) abort the
-        // cycle; anything else is a device-evaluation failure — the strategy
-        // could not score *this* device (too small, no embedding, simulation
-        // failed, device unknown to the meta server) — and per the
-        // `RankingStrategy` contract such devices are skipped.
-        let mut ranked: Vec<(String, f64)> = Vec::with_capacity(shortlisted.len());
-        let mut last_skip_error = None;
-        for backend in &shortlisted {
-            match self.meta.score(job_name, backend.name()) {
-                Ok(response) => ranked.push((backend.name().to_string(), response.value)),
-                Err(
-                    err @ (qrio_meta::MetaError::UnknownJob(_)
-                    | qrio_meta::MetaError::UnknownStrategy(_)
-                    | qrio_meta::MetaError::InvalidMetadata(_)),
-                ) => return Err(err.into()),
-                Err(skipped) => last_skip_error = Some(skipped),
-            }
-        }
-        if ranked.is_empty() {
-            // Surface the root cause when every device failed the same way,
-            // rather than a generic "nothing could be scored".
-            return Err(match last_skip_error {
-                Some(err) => err.into(),
-                None => SchedulerError::NoDeviceCouldBeScored {
-                    job: job_name.to_string(),
-                },
-            });
-        }
-        // Deterministic ordering: equal scores break on device name, so the
-        // decision never depends on the caller's fleet ordering.
-        ranked.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        Ok((ranked, shortlisted.len()))
-    }
-}
-
-/// A cluster [`ScorePlugin`] that asks the meta server for the score of the
-/// job on each node's device — the "custom ranking plugin" of §3.5.
-#[derive(Debug, Clone, Copy)]
-pub struct MetaRankingPlugin<'a> {
-    meta: &'a MetaServer,
-}
-
-impl<'a> MetaRankingPlugin<'a> {
-    /// Create a ranking plugin backed by `meta`.
-    pub fn new(meta: &'a MetaServer) -> Self {
-        MetaRankingPlugin { meta }
-    }
-}
-
-impl ScorePlugin for MetaRankingPlugin<'_> {
-    fn name(&self) -> &str {
-        "QrioMetaRanking"
+        let shortlist = filter_backends(fleet, requirements);
+        let shortlisted = shortlist.len();
+        let names = shortlist.into_iter().map(Backend::name);
+        let cycle = self.rank_shortlist(job_name, names, Vec::new())?;
+        Ok((cycle.ranked(job_name)?, shortlisted))
     }
 
-    fn score(&self, spec: &JobSpec, node: &Node) -> Result<f64, String> {
-        self.meta
-            .score(&spec.name, node.name())
-            .map(|response| response.value)
-            .map_err(|err| err.to_string())
+    fn rank_shortlist<'d>(
+        &self,
+        job_name: &str,
+        shortlist: impl IntoIterator<Item = &'d str>,
+        rejected: Vec<(String, String)>,
+    ) -> Result<Cycle, MetaError> {
+        let ranking = self.meta.rank(job_name, shortlist)?;
+        Ok(Cycle {
+            ranking: ranking
+                .scored
+                .into_iter()
+                .map(|score| (score.device, score.value))
+                .collect(),
+            rejected,
+            skipped: ranking.skipped,
+        })
     }
 }
 
@@ -216,13 +173,13 @@ mod tests {
         meta.upload_fidelity_metadata("bv-job", 0.95, &qasm::to_qasm(&bv))
             .unwrap();
         let scheduler = QrioScheduler::new(&meta);
-        let decision = scheduler
-            .select_device("bv-job", &fleet, &DeviceRequirements::none())
+        let (ranked, shortlisted) = scheduler
+            .rank("bv-job", &fleet, &DeviceRequirements::none())
             .unwrap();
-        assert_eq!(decision.device, "clean");
-        assert_eq!(decision.shortlisted, 3);
-        assert_eq!(decision.ranked.len(), 3);
-        assert!(decision.ranked[0].1 <= decision.ranked[1].1);
+        assert_eq!(ranked[0].0, "clean");
+        assert_eq!(shortlisted, 3);
+        assert_eq!(ranked.len(), 3);
+        assert!(ranked[0].1 <= ranked[1].1);
     }
 
     #[test]
@@ -237,18 +194,16 @@ mod tests {
             max_two_qubit_error: Some(0.2),
             ..DeviceRequirements::default()
         };
-        let decision = scheduler
-            .select_device("bv-job", &fleet, &requirements)
-            .unwrap();
-        assert_eq!(decision.shortlisted, 2);
-        assert_ne!(decision.device, "noisy");
+        let (ranked, shortlisted) = scheduler.rank("bv-job", &fleet, &requirements).unwrap();
+        assert_eq!(shortlisted, 2);
+        assert_ne!(ranked[0].0, "noisy");
         // Impossible requirements -> filtering error.
         let impossible = DeviceRequirements {
             max_two_qubit_error: Some(0.001),
             ..DeviceRequirements::default()
         };
         assert!(matches!(
-            scheduler.select_device("bv-job", &fleet, &impossible),
+            scheduler.rank("bv-job", &fleet, &impossible),
             Err(SchedulerError::NoDeviceAfterFiltering { .. })
         ));
     }
@@ -264,16 +219,16 @@ mod tests {
         let request = library::topology_circuit(10, &topology::binary_tree(10).edges()).unwrap();
         meta.upload_topology_metadata("topo-job", request);
         let scheduler = QrioScheduler::new(&meta);
-        let decision = scheduler
-            .select_device("topo-job", &fleet, &DeviceRequirements::none())
+        let (ranked, _) = scheduler
+            .rank("topo-job", &fleet, &DeviceRequirements::none())
             .unwrap();
-        assert_eq!(decision.device, "tree-dev");
+        assert_eq!(ranked[0].0, "tree-dev");
     }
 
     #[test]
     fn rank_reflects_fresh_calibration_without_binding() {
         // The re-ranking path: after a calibration-drift re-registration the
-        // same job ranks differently, and rank() agrees with select_device().
+        // same job ranks differently.
         let fleet = fleet();
         let mut meta = meta_with_fleet(&fleet);
         let bv = library::bernstein_vazirani(5, 0b10011).unwrap();
@@ -286,10 +241,6 @@ mod tests {
         assert_eq!(shortlisted, 3);
         assert_eq!(ranked[0].0, "clean");
         assert!(ranked.windows(2).all(|w| w[0].1 <= w[1].1));
-        let decision = scheduler
-            .select_device("drift-job", &fleet, &DeviceRequirements::none())
-            .unwrap();
-        assert_eq!(decision.ranked, ranked);
 
         // 'clean' drifts to terrible calibration: re-ranking must demote it.
         let mut meta = meta;
@@ -307,11 +258,11 @@ mod tests {
         let meta = meta_with_fleet(&fleet);
         let scheduler = QrioScheduler::new(&meta);
         assert!(matches!(
-            scheduler.select_device("ghost", &fleet, &DeviceRequirements::none()),
-            Err(SchedulerError::Meta(_))
+            scheduler.rank("ghost", &fleet, &DeviceRequirements::none()),
+            Err(SchedulerError::Meta(MetaError::UnknownJob(_)))
         ));
         assert!(matches!(
-            scheduler.select_device("ghost", &[], &DeviceRequirements::none()),
+            scheduler.rank("ghost", &[], &DeviceRequirements::none()),
             Err(SchedulerError::EmptyFleet)
         ));
     }
@@ -325,10 +276,17 @@ mod tests {
         meta.upload_fidelity_metadata("ghz-job", 0.9, &qasm::to_qasm(&ghz))
             .unwrap();
         let scheduler = QrioScheduler::new(&meta);
-        let decision = scheduler
-            .select_device("ghz-job", &fleet, &DeviceRequirements::none())
+        let (ranked, shortlisted) = scheduler
+            .rank("ghz-job", &fleet, &DeviceRequirements::none())
             .unwrap();
-        assert!(decision.ranked.iter().all(|(name, _)| name != "tiny"));
+        assert_eq!(shortlisted, 4, "no bound was requested");
+        assert!(ranked.iter().all(|(name, _)| name != "tiny"));
+        // When the only device is one the strategy cannot score, the error
+        // is that device's, not a generic "nothing ranked".
+        assert!(matches!(
+            scheduler.rank("ghz-job", &fleet[3..], &DeviceRequirements::none()),
+            Err(SchedulerError::Meta(_))
+        ));
     }
 
     #[test]
@@ -346,25 +304,27 @@ mod tests {
             meta.upload_job_metadata("tie-job", &qrio_cluster::StrategySpec::min_queue(), None)
                 .unwrap();
             let scheduler = QrioScheduler::new(&meta);
-            let decision = scheduler
-                .select_device("tie-job", &fleet, &DeviceRequirements::none())
+            let (ranked, _) = scheduler
+                .rank("tie-job", &fleet, &DeviceRequirements::none())
                 .unwrap();
-            assert_eq!(decision.ranked[0].1, decision.ranked[1].1, "scores tie");
-            assert_eq!(decision.device, "twin-a", "ties break lexicographically");
-            let names: Vec<&str> = decision.ranked.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(names, vec!["twin-a", "twin-b"]);
+            assert_eq!(ranked[0].1, ranked[1].1, "scores tie");
+            let names: Vec<&str> = ranked.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, vec!["twin-a", "twin-b"], "ties break by name");
         }
     }
 
     #[test]
     fn ranking_plugin_scores_cluster_nodes() {
-        use qrio_cluster::{Resources, StrategySpec};
-        let fleet = fleet();
+        use qrio_cluster::{Cluster, JobSpec, Resources, StrategySpec};
+        let mut fleet = fleet();
+        fleet.push(Backend::uniform("tiny", topology::line(2), 0.0, 0.0));
         let mut meta = meta_with_fleet(&fleet);
+        let mut cluster = Cluster::new();
+        for backend in &fleet {
+            let node = Node::from_backend(backend.clone(), Resources::new(1000, 1024));
+            cluster.add_node(node).unwrap();
+        }
         let bv = library::bernstein_vazirani(5, 0b10011).unwrap();
-        meta.upload_fidelity_metadata("bv-plugin", 0.9, &qasm::to_qasm(&bv))
-            .unwrap();
-        let plugin = MetaRankingPlugin::new(&meta);
         let spec = JobSpec {
             name: "bv-plugin".into(),
             image: "img".into(),
@@ -379,15 +339,41 @@ mod tests {
             retry: None,
             deadline: None,
         };
-        let clean_node = Node::from_backend(fleet[0].clone(), Resources::new(1000, 1024));
-        let noisy_node = Node::from_backend(fleet[2].clone(), Resources::new(1000, 1024));
-        let clean_score = plugin.score(&spec, &clean_node).unwrap();
-        let noisy_score = plugin.score(&spec, &noisy_node).unwrap();
-        assert!(clean_score < noisy_score);
-        assert_eq!(plugin.name(), "QrioMetaRanking");
-        // Unknown job -> error string.
-        let mut unknown_spec = spec;
-        unknown_spec.name = "missing".into();
-        assert!(plugin.score(&unknown_spec, &clean_node).is_err());
+        cluster.submit_job(spec.clone()).unwrap();
+        let scheduler = QrioScheduler::new(&meta);
+        // No metadata uploaded yet: a job-level error, not three skips.
+        let job = cluster.job("bv-plugin").unwrap();
+        assert_eq!(
+            scheduler.cycle(job, cluster.nodes()),
+            Err(MetaError::UnknownJob("bv-plugin".into()))
+        );
+
+        meta.upload_job_metadata("bv-plugin", &spec.strategy, Some(&spec.qasm))
+            .unwrap();
+        let scheduler = QrioScheduler::new(&meta);
+        let cycle = scheduler.cycle(job, cluster.nodes()).unwrap();
+        let names: Vec<&str> = cycle.ranking.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["clean", "mid", "noisy"], "lowest score first");
+        assert!(cycle.ranking[0].1 < cycle.ranking[2].1);
+        assert!(cycle.skipped.is_empty());
+        assert_eq!(cycle.rejected.len(), 1, "the 2-qubit device is filtered");
+        assert_eq!(cycle.rejected[0].0, "tiny");
+        assert!(cycle.rejected[0].1.starts_with("QubitCount: "));
+        // The bare-fleet entry runs the same stages: same order, same scores.
+        let (bare, _) = scheduler
+            .rank("bv-plugin", &fleet[..3], &DeviceRequirements::none())
+            .unwrap();
+        assert_eq!(bare, cycle.ranking);
+
+        // Binding what the cycle found reserves the winner for the job, and
+        // the bound job's own node stays a candidate when it is re-ranked.
+        let decision = cluster
+            .bind_job("bv-plugin", cycle.ranking.clone(), cycle.rejected, &[])
+            .unwrap();
+        assert_eq!(decision.node, "clean");
+        let job = cluster.job("bv-plugin").unwrap();
+        assert_eq!(job.phase().node(), Some("clean"));
+        let again = scheduler.cycle(job, cluster.nodes()).unwrap();
+        assert_eq!(again.ranking, cycle.ranking);
     }
 }

@@ -1,14 +1,12 @@
 //! Vendor / cluster-administrator perspective: define devices with the
 //! `backend.spec` text format, watch the event log, cordon and heal nodes, and
-//! process a queue of jobs (the multi-job mode the paper lists as future work).
+//! drain a queue of jobs (the multi-job mode the paper lists as future work).
 //!
 //! Run with: `cargo run --example cluster_admin`
 
-use qrio::{JobRequestBuilder, Qrio, SimJobRunner};
+use qrio::{JobRequestBuilder, Qrio};
 use qrio_backend::{spec, topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::framework;
-use qrio_scheduler::MetaRankingPlugin;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut qrio = Qrio::new();
@@ -62,15 +60,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("job ghz-{i} ran on {}", outcome.decision.node);
     }
 
-    // Drain any remaining pending work with the FIFO queue API.
-    let filters = framework::default_filters();
-    let meta = qrio.meta().clone();
-    let ranking = MetaRankingPlugin::new(&meta);
-    let runner = SimJobRunner::new(1);
-    let decisions = qrio
-        .cluster_mut()
-        .process_queue(&filters, &ranking, &runner);
-    println!("queue drained: {} additional jobs", decisions.len());
+    // Queue a batch without blocking and let the service loop drain it:
+    // the 12-qubit job only fits the ring device, the others go wherever
+    // the meta server ranks best among the uncordoned nodes.
+    let mut batch = Vec::new();
+    for (i, n) in [3usize, 12, 6].iter().enumerate() {
+        let request = JobRequestBuilder::new()
+            .with_circuit(&library::ghz(*n)?)
+            .job_name(format!("batch-{i}"))
+            .fidelity_target(0.8)
+            .shots(128)
+            .build()?;
+        batch.push(qrio.enqueue(&request)?);
+    }
+    let finished = qrio.run_until_idle();
+    println!("queue drained: {} additional jobs", finished.len());
+    for id in &batch {
+        let node = qrio.job_status(id)?.node.clone().unwrap_or_default();
+        println!("  {id}: {} on {node}", qrio.status(id)?);
+    }
 
     // Event log: the audit trail of everything that happened.
     println!("\n--- cluster events ---");

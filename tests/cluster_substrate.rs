@@ -5,13 +5,44 @@
 use qrio::{containerize, JobRequestBuilder, SimJobRunner};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::{framework, yaml, Cluster, JobPhase, Node, Resources};
+use qrio_cluster::{yaml, Cluster, JobPhase, Node, Resources, ScheduleDecision};
+use qrio_meta::MetaServer;
+use qrio_scheduler::QrioScheduler;
 
 fn node(name: &str, qubits: usize, err: f64) -> Node {
     Node::from_backend(
         Backend::uniform(name, topology::grid(2, qubits.div_ceil(2)), 0.01, err),
         Resources::new(4000, 8192),
     )
+}
+
+/// One scheduling cycle over the substrate, as the orchestrator runs it: a
+/// meta server holding the nodes' backends and the job's metadata scores the
+/// nodes that can host the job, and the cluster binds the best.
+fn schedule(cluster: &mut Cluster, job_name: &str) -> ScheduleDecision {
+    let mut meta = MetaServer::new();
+    for node in cluster.nodes() {
+        meta.register_backend(node.backend().clone());
+    }
+    let job = cluster.job(job_name).unwrap();
+    let spec = job.spec();
+    meta.upload_job_metadata(job_name, &spec.strategy, Some(&spec.qasm))
+        .unwrap();
+    let cycle = QrioScheduler::new(&meta)
+        .cycle(job, cluster.nodes())
+        .unwrap();
+    assert!(cycle.skipped.is_empty());
+    cluster
+        .bind_job(job_name, cycle.ranking, cycle.rejected, &[])
+        .unwrap()
+}
+
+/// Bind `job_name` to `node` directly, for tests that only need a
+/// `Scheduled` job.
+fn bind(cluster: &mut Cluster, job_name: &str, node: &str) {
+    cluster
+        .bind_job(job_name, vec![(node.to_string(), 0.0)], Vec::new(), &[])
+        .unwrap();
 }
 
 fn containerized_request(
@@ -45,13 +76,7 @@ fn master_server_artifacts_run_on_the_cluster() {
 
     cluster.push_image(image);
     cluster.submit_job(spec).unwrap();
-    let decision = cluster
-        .schedule_job(
-            "ghz-cluster",
-            &framework::default_filters(),
-            &framework::AverageErrorScore,
-        )
-        .unwrap();
+    let decision = schedule(&mut cluster, "ghz-cluster");
     assert_eq!(decision.node, "quiet");
     cluster
         .run_job("ghz-cluster", &SimJobRunner::new(3))
@@ -73,13 +98,7 @@ fn node_failure_heal_and_reschedule() {
     let (spec, image) = containerized_request("failover-job", 4);
     cluster.push_image(image);
     cluster.submit_job(spec).unwrap();
-    let decision = cluster
-        .schedule_job(
-            "failover-job",
-            &framework::default_filters(),
-            &framework::AverageErrorScore,
-        )
-        .unwrap();
+    let decision = schedule(&mut cluster, "failover-job");
     assert_eq!(decision.node, "alpha");
     assert!(decision
         .filtered_out
@@ -91,13 +110,7 @@ fn node_failure_heal_and_reschedule() {
     let (spec2, image2) = containerized_request("post-heal-job", 4);
     cluster.push_image(image2);
     cluster.submit_job(spec2).unwrap();
-    let decision2 = cluster
-        .schedule_job(
-            "post-heal-job",
-            &framework::default_filters(),
-            &framework::AverageErrorScore,
-        )
-        .unwrap();
+    let decision2 = schedule(&mut cluster, "post-heal-job");
     assert_eq!(decision2.node, "beta");
 }
 
@@ -111,12 +124,14 @@ fn fifo_queue_runs_every_job_with_the_real_runner() {
         cluster.submit_job(spec).unwrap();
     }
     assert_eq!(cluster.pending_jobs().len(), 3);
-    let decisions = cluster.process_queue(
-        &framework::default_filters(),
-        &framework::AverageErrorScore,
-        &SimJobRunner::new(9),
-    );
-    assert_eq!(decisions.len(), 3);
+    // Drain from the head: the queue hands jobs out in submission order.
+    for i in 0..3 {
+        let head = cluster.pending_jobs()[0].clone();
+        assert_eq!(head, format!("queued-{i}"));
+        bind(&mut cluster, &head, "only-node");
+        cluster.run_job(&head, &SimJobRunner::new(9)).unwrap();
+    }
+    assert!(cluster.pending_jobs().is_empty());
     for i in 0..3 {
         let job = cluster.job(&format!("queued-{i}")).unwrap();
         assert!(
@@ -140,13 +155,7 @@ fn registry_tracks_pushes_and_pulls() {
     cluster.push_image(image);
     assert!(cluster.registry().contains(&spec.image));
     cluster.submit_job(spec).unwrap();
-    cluster
-        .schedule_job(
-            "registry-job",
-            &framework::default_filters(),
-            &framework::AverageErrorScore,
-        )
-        .unwrap();
+    bind(&mut cluster, "registry-job", "n");
     cluster
         .run_job("registry-job", &SimJobRunner::new(1))
         .unwrap();

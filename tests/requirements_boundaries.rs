@@ -125,4 +125,43 @@ proptest! {
         };
         prop_assert_eq!(req.is_satisfied_by(&device), qubits >= bound);
     }
+
+    /// `rejection` and `is_satisfied_by` are one verdict: a reason is given
+    /// exactly when the device is not accepted, and it names the first
+    /// violated bound in declaration order.
+    #[test]
+    fn rejection_gives_a_reason_exactly_when_not_satisfied(
+        qubits in 1usize..100,
+        min_qubits in 1usize..100,
+        two_q_milli in 0u64..1000,
+        max_two_q_milli in 0u64..1000,
+        t1_tenths in 0u64..2000,
+        min_t1_tenths in 0u64..2000,
+    ) {
+        let two_q = two_q_milli as f64 / 1000.0;
+        let t1 = t1_tenths as f64 / 10.0;
+        let device = labels(qubits, two_q, 0.0, t1, t1);
+        let req = DeviceRequirements {
+            min_qubits: Some(min_qubits),
+            max_two_qubit_error: Some(max_two_q_milli as f64 / 1000.0),
+            min_t1_us: Some(min_t1_tenths as f64 / 10.0),
+            ..DeviceRequirements::default()
+        };
+        let reason = req.rejection(&device);
+        prop_assert_eq!(reason.is_some(), !req.is_satisfied_by(&device));
+        let expected = if qubits < min_qubits {
+            Some("qubits <")
+        } else if two_q_milli > max_two_q_milli {
+            Some("avg 2q error")
+        } else if t1_tenths < min_t1_tenths {
+            Some("avg T1")
+        } else {
+            None
+        };
+        match (reason, expected) {
+            (Some(reason), Some(fragment)) => prop_assert!(reason.contains(fragment), "{reason}"),
+            (None, None) => {}
+            (reason, expected) => prop_assert!(false, "{reason:?} vs {expected:?}"),
+        }
+    }
 }

@@ -37,10 +37,10 @@ fn qrio_beats_the_random_scheduler_on_achieved_fidelity() {
         .unwrap();
 
     let scheduler = QrioScheduler::new(&meta);
-    let decision = scheduler
-        .select_device("rep-job", &fleet, &DeviceRequirements::none())
+    let (ranked, _) = scheduler
+        .rank("rep-job", &fleet, &DeviceRequirements::none())
         .unwrap();
-    let qrio_backend = fleet.iter().find(|b| b.name() == decision.device).unwrap();
+    let qrio_backend = fleet.iter().find(|b| b.name() == ranked[0].0).unwrap();
     let qrio_fidelity = achieved_fidelity(&circuit, qrio_backend, 128, 3).unwrap();
 
     // Average fidelity over several random choices.
@@ -71,12 +71,12 @@ fn qrio_choice_tracks_the_oracle_choice() {
         .unwrap();
 
     let scheduler = QrioScheduler::new(&meta);
-    let decision = scheduler
-        .select_device("bv-job", &fleet, &DeviceRequirements::none())
+    let (ranked, _) = scheduler
+        .rank("bv-job", &fleet, &DeviceRequirements::none())
         .unwrap();
     let oracle = oracle_select(&circuit, &fleet, 128, 5).unwrap();
 
-    let qrio_backend = fleet.iter().find(|b| b.name() == decision.device).unwrap();
+    let qrio_backend = fleet.iter().find(|b| b.name() == ranked[0].0).unwrap();
     let qrio_fidelity = achieved_fidelity(&circuit, qrio_backend, 128, 5).unwrap();
     // The Clifford choice should reach a large fraction of the oracle's fidelity.
     assert!(
@@ -134,8 +134,8 @@ fn topology_scheduling_prefers_denser_devices_for_dense_requests() {
     let request = library::topology_circuit(4, &topology::fully_connected(4).edges()).unwrap();
     meta.upload_topology_metadata("dense-req", request);
     let scheduler = QrioScheduler::new(&meta);
-    let decision = scheduler
-        .select_device("dense-req", &devices, &DeviceRequirements::none())
+    let (ranked, _) = scheduler
+        .rank("dense-req", &devices, &DeviceRequirements::none())
         .unwrap();
-    assert_eq!(decision.device, "dense");
+    assert_eq!(ranked[0].0, "dense");
 }

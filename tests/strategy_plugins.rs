@@ -253,11 +253,11 @@ fn scheduler_tie_break_is_independent_of_fleet_order() {
         meta.upload_job_metadata("tie", &StrategySpec::min_queue(), None)
             .unwrap();
         let scheduler = QrioScheduler::new(&meta);
-        let decision = scheduler
-            .select_device("tie", &fleet, &qrio_cluster::DeviceRequirements::none())
+        let (ranked, _) = scheduler
+            .rank("tie", &fleet, &qrio_cluster::DeviceRequirements::none())
             .unwrap();
-        assert_eq!(decision.ranked[0].1, decision.ranked[1].1);
-        winners.push(decision.device.clone());
+        assert_eq!(ranked[0].1, ranked[1].1);
+        winners.push(ranked[0].0.clone());
         // score_all shares the same deterministic ordering.
         let ranked = meta.score_all("tie").unwrap();
         assert_eq!(ranked[0].device, "twin-a");
