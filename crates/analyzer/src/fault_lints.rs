@@ -125,7 +125,7 @@ pub fn lint_chaos_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
             continue;
         };
         let worst: u64 = (1..retry.max_attempts)
-            .map(|attempt| retry.backoff_ms(attempt))
+            .map(|attempt| retry.backoff.delay(0, "", attempt))
             .fold(0, u64::saturating_add);
         if worst > deadline {
             diagnostics.push(Diagnostic::new(

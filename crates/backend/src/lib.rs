@@ -17,6 +17,8 @@
 //!   [`BasisGates`] — the device description itself.
 //! * [`spec`] — the plain-text `backend.spec` vendor file format (the Rust
 //!   equivalent of the paper's `backend.py`).
+//! * [`reader`] — the one reader of lines, fields and typed, line-numbered
+//!   values under `backend.spec`, the job YAML and the scenario YAML.
 //! * [`fleet`] — the Table-2 fleet generator producing the 100 simulated
 //!   devices used throughout the evaluation.
 //! * [`NodeLabels`] — the summary labels QRIO attaches to cluster nodes for
@@ -45,6 +47,7 @@ pub mod fleet;
 mod graph;
 mod labels;
 mod properties;
+pub mod reader;
 pub mod spec;
 pub mod topology;
 

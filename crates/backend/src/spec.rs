@@ -20,6 +20,12 @@
 //! edge 1 2 error=0.03 duration=300
 //! meta vendor=example-lab
 //! ```
+//!
+//! This module is the format's *grammar* — the header keys, the `qubit` /
+//! `edge` / `meta` records and their fields, what may repeat and what is in
+//! range. Reading lines, fields and typed, line-numbered values is
+//! [`crate::reader`], shared with the job YAML and the scenario YAML. `#`
+//! opens a comment only at the start of a line; values are taken whole.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,6 +36,7 @@ use crate::backend::{Backend, BasisGates};
 use crate::error::BackendError;
 use crate::graph::CouplingMap;
 use crate::properties::{QubitProperties, TwoQubitGateProperties};
+use crate::reader::{self, Fields, Line, SpecError, Value};
 
 /// Serialize a backend into the `backend.spec` text format.
 pub fn to_spec(backend: &Backend) -> String {
@@ -64,112 +71,83 @@ pub fn to_spec(backend: &Backend) -> String {
 
 /// Parse a `backend.spec` document into a [`Backend`].
 ///
+/// Nothing is silently last-wins or silently dropped: a repeated header key,
+/// a repeated `qubit N` record, a repeated `k=v` inside one record and a
+/// `qubit N` record with `N >= qubits` are errors.
+///
 /// # Errors
 ///
 /// Returns [`BackendError::SpecParse`] on malformed lines, and the usual
 /// construction errors if the parsed data is inconsistent.
 pub fn from_spec(text: &str) -> Result<Backend, BackendError> {
-    let mut name = String::from("unnamed");
-    let mut num_qubits: Option<usize> = None;
-    let mut basis = BasisGates::ibm_default();
-    let mut qubit_props: BTreeMap<usize, QubitProperties> = BTreeMap::new();
+    let mut header = Fields::new("header field", 0);
+    let mut qubit_props: BTreeMap<usize, (usize, QubitProperties)> = BTreeMap::new();
     let mut edges: Vec<(usize, usize, TwoQubitGateProperties)> = Vec::new();
-    let mut metadata: Vec<(String, String)> = Vec::new();
+    let mut metadata: Vec<(&str, &str)> = Vec::new();
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    for line in reader::lines(text) {
+        if line.item {
+            return Err(line
+                .err(format!("unrecognised line '- {}'", line.text))
+                .into());
         }
-        let err = |message: String| BackendError::SpecParse {
-            line: line_no,
-            message,
-        };
-        if let Some(rest) = line.strip_prefix("qubit ") {
-            let mut parts = rest.split_whitespace();
-            let q: usize = parts
-                .next()
-                .ok_or_else(|| err("missing qubit index".into()))?
-                .parse()
-                .map_err(|_| err("invalid qubit index".into()))?;
-            let mut props = QubitProperties::default();
-            for field in parts {
-                let (key, value) = field
+        let (keyword, rest) = line
+            .text
+            .split_once(char::is_whitespace)
+            .unwrap_or((line.text, ""));
+        match keyword {
+            "qubit" => {
+                let ([q], mut fields) = record(&line, rest, "qubit field")?;
+                let defaults = QubitProperties::default();
+                let props = QubitProperties {
+                    t1_us: fields.or("t1", defaults.t1_us)?,
+                    t2_us: fields.or("t2", defaults.t2_us)?,
+                    readout_error: fields.or("readout_error", defaults.readout_error)?,
+                    readout_length_ns: fields.or("readout_length", defaults.readout_length_ns)?,
+                    single_qubit_error: fields.or("error_1q", defaults.single_qubit_error)?,
+                };
+                fields.finish("qubit field")?;
+                if qubit_props.insert(q, (line.no, props)).is_some() {
+                    return Err(line.err(format!("duplicate record 'qubit {q}'")).into());
+                }
+            }
+            "edge" => {
+                let ([a, b], mut fields) = record(&line, rest, "edge field")?;
+                let defaults = TwoQubitGateProperties::default();
+                let gate = TwoQubitGateProperties {
+                    error: fields.or("error", defaults.error)?,
+                    duration_ns: fields.or("duration", defaults.duration_ns)?,
+                };
+                fields.finish("edge field")?;
+                edges.push((a, b, gate));
+            }
+            // Metadata is free text: no inline comments, no typed values.
+            "meta" => {
+                let (key, value) = rest
                     .split_once('=')
-                    .ok_or_else(|| err(format!("expected key=value, found '{field}'")))?;
-                let value: f64 = value
-                    .parse()
-                    .map_err(|_| err(format!("invalid number '{value}'")))?;
-                match key {
-                    "t1" => props.t1_us = value,
-                    "t2" => props.t2_us = value,
-                    "readout_error" => props.readout_error = value,
-                    "readout_length" => props.readout_length_ns = value,
-                    "error_1q" => props.single_qubit_error = value,
-                    other => return Err(err(format!("unknown qubit field '{other}'"))),
-                }
+                    .ok_or_else(|| line.err("expected meta key=value"))?;
+                metadata.push((key.trim(), value.trim()));
             }
-            qubit_props.insert(q, props);
-        } else if let Some(rest) = line.strip_prefix("edge ") {
-            let mut parts = rest.split_whitespace();
-            let a: usize = parts
-                .next()
-                .ok_or_else(|| err("missing edge endpoint".into()))?
-                .parse()
-                .map_err(|_| err("invalid edge endpoint".into()))?;
-            let b: usize = parts
-                .next()
-                .ok_or_else(|| err("missing edge endpoint".into()))?
-                .parse()
-                .map_err(|_| err("invalid edge endpoint".into()))?;
-            let mut gate = TwoQubitGateProperties::default();
-            for field in parts {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| err(format!("expected key=value, found '{field}'")))?;
-                let value: f64 = value
-                    .parse()
-                    .map_err(|_| err(format!("invalid number '{value}'")))?;
-                match key {
-                    "error" => gate.error = value,
-                    "duration" => gate.duration_ns = value,
-                    other => return Err(err(format!("unknown edge field '{other}'"))),
-                }
+            _ => {
+                let (key, value) = line.key_value('=')?;
+                header.insert(key, value, line.no)?;
             }
-            edges.push((a, b, gate));
-        } else if let Some(rest) = line.strip_prefix("meta ") {
-            let (key, value) = rest
-                .split_once('=')
-                .ok_or_else(|| err("expected meta key=value".into()))?;
-            metadata.push((key.trim().to_string(), value.trim().to_string()));
-        } else if let Some((key, value)) = line.split_once('=') {
-            let key = key.trim();
-            let value = value.trim();
-            match key {
-                "name" => name = value.to_string(),
-                "qubits" => {
-                    num_qubits = Some(
-                        value
-                            .parse()
-                            .map_err(|_| err(format!("invalid qubit count '{value}'")))?,
-                    );
-                }
-                "basis_gates" => {
-                    basis =
-                        BasisGates::new(value.split(',').map(str::trim).filter(|s| !s.is_empty()));
-                }
-                other => return Err(err(format!("unknown header field '{other}'"))),
-            }
-        } else {
-            return Err(err(format!("unrecognised line '{line}'")));
         }
     }
 
-    let n = num_qubits.ok_or(BackendError::SpecParse {
-        line: 0,
-        message: "missing 'qubits = N' header".into(),
-    })?;
+    let n: usize = header.req("qubits")?;
+    // The name is free text too (an empty one round-trips).
+    let name = header.take("name").map_or("unnamed", |(name, _)| name);
+    let basis = match header.take("basis_gates") {
+        Some((gates, _)) => {
+            BasisGates::new(gates.split(',').map(str::trim).filter(|s| !s.is_empty()))
+        }
+        None => BasisGates::ibm_default(),
+    };
+    header.finish("header field")?;
+    if let Some((q, (line, _))) = qubit_props.range(n..).next() {
+        return Err(SpecError::new(*line, format!("qubit {q} out of range for {n} qubits")).into());
+    }
     let mut coupling = CouplingMap::new(n);
     let mut gate_map = BTreeMap::new();
     for (a, b, gate) in edges {
@@ -183,13 +161,45 @@ pub fn from_spec(text: &str) -> Result<Backend, BackendError> {
     }
     let mut props = Vec::with_capacity(n);
     for q in 0..n {
-        props.push(qubit_props.get(&q).copied().unwrap_or_default());
+        props.push(qubit_props.get(&q).map(|(_, p)| *p).unwrap_or_default());
     }
     let mut backend = Backend::new(name, coupling, props, gate_map, basis)?;
     for (key, value) in metadata {
         backend.set_metadata(key, value);
     }
     Ok(backend)
+}
+
+/// The rest of a `<keyword> <index>… k=v…` record line: its `N` positional
+/// indices and its `k=v` fields (`what` names those in errors).
+fn record<'a, const N: usize>(
+    line: &Line<'a>,
+    rest: &'a str,
+    what: &'a str,
+) -> Result<([usize; N], Fields<'a>), SpecError> {
+    let mut parts = rest.split_whitespace();
+    let mut indices = [0usize; N];
+    for index in &mut indices {
+        let part = parts.next().ok_or_else(|| line.err("missing index"))?;
+        *index = Value::read(part).map_err(|message| line.err(format!("index: {message}")))?;
+    }
+    let mut fields = Fields::new(what, line.no);
+    for part in parts {
+        let (key, value) = part
+            .split_once('=')
+            .ok_or_else(|| line.err(format!("expected key=value, found '{part}'")))?;
+        fields.insert(key, value, line.no)?;
+    }
+    Ok((indices, fields))
+}
+
+impl From<SpecError> for BackendError {
+    fn from(err: SpecError) -> Self {
+        BackendError::SpecParse {
+            line: err.line,
+            message: err.message,
+        }
+    }
 }
 
 /// A backend travels as its spec text: the format round-trips exactly and
@@ -264,6 +274,73 @@ meta vendor=example-lab
         assert!(from_spec("qubits = 2\nwhat is this\n").is_err());
         assert!(from_spec("qubits = 2\nqubit 0 oops=3\n").is_err());
         assert!(from_spec("qubits = 2\nedge 0 5 error=0.1\n").is_err());
+    }
+
+    /// Nothing is silently last-wins or silently dropped: the input arrives
+    /// over the wire and out of journals, where a repeated or out-of-range
+    /// record means the writer and the reader disagree about the device.
+    #[test]
+    fn repeats_and_out_of_range_records_are_line_numbered_errors() {
+        let cases = [
+            (
+                "qubits = 2\nqubits = 3\n",
+                2,
+                "duplicate header field 'qubits'",
+            ),
+            (
+                "name = a\nqubits = 2\nname = b\n",
+                3,
+                "duplicate header field 'name'",
+            ),
+            (
+                "qubits = 2\nqubit 1 t1=5\nqubit 1 t1=6\n",
+                3,
+                "duplicate record 'qubit 1'",
+            ),
+            (
+                "qubits = 2\nqubit 0 t1=5 t2=1 t1=6\n",
+                2,
+                "duplicate qubit field 't1'",
+            ),
+            (
+                "qubits = 2\nedge 0 1 error=0.1 error=0.2\n",
+                2,
+                "duplicate edge field 'error'",
+            ),
+            (
+                "qubit 7 t1=5\nqubits = 3\n",
+                1,
+                "qubit 7 out of range for 3 qubits",
+            ),
+            (
+                "qubits = 3\nqubit 3 t1=5\n",
+                2,
+                "qubit 3 out of range for 3 qubits",
+            ),
+        ];
+        for (text, line, message) in cases {
+            assert_eq!(
+                from_spec(text),
+                Err(BackendError::SpecParse {
+                    line,
+                    message: message.into()
+                }),
+                "{text:?}"
+            );
+        }
+    }
+
+    /// Values are taken whole: `backend.spec` has comment lines but no inline
+    /// comments, and an empty name round-trips.
+    #[test]
+    fn values_keep_their_hashes_and_empty_names_round_trip() {
+        let backend = from_spec("# head\nname =\nqubits = 1\nmeta note=x # y\n").unwrap();
+        assert_eq!(backend.name(), "");
+        assert_eq!(
+            backend.metadata().get("note").map(String::as_str),
+            Some("x # y")
+        );
+        assert_eq!(from_spec(&to_spec(&backend)).unwrap(), backend);
     }
 
     #[test]

@@ -286,9 +286,30 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// FNV-1a (64-bit) over `text` — the cheap, stable hash that folds names
+/// into seeds (fault decisions, per-job and per-tenant RNG streams). Every
+/// committed report depends on these exact values.
+#[inline]
+pub fn fnv1a(text: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in text.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_known_vectors() {
+        // Reference values of 64-bit FNV-1a.
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -17,7 +17,7 @@
 //! # Layers
 //!
 //! * [`codec`] — [`ByteWriter`]/[`ByteReader`] primitives, [`CodecError`]
-//!   and the [`crc32`] checksum.
+//!   the [`crc32`] checksum and the [`fnv1a`] name hash.
 //! * [`encode`] — the [`Encode`]/[`Decode`] trait pair, generic impls for
 //!   scalars and containers, and the [`codec_struct!`]/[`codec_enum!`]
 //!   "derives" that let each type state its format once, beside its
@@ -51,6 +51,6 @@ pub mod codec;
 pub mod encode;
 pub mod frame;
 
-pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
+pub use codec::{crc32, fnv1a, ByteReader, ByteWriter, CodecError};
 pub use encode::{from_bytes, to_bytes, Decode, Encode, Wide32};
 pub use frame::{open, payload_len, seal, Frame, FrameError, CRC_BYTES, LEN_BYTES};

@@ -18,19 +18,9 @@
 
 use std::fmt;
 
-use qrio_bytes::{codec_enum, codec_struct, Wide32};
+use qrio_bytes::{codec_enum, codec_struct, fnv1a, Wide32};
 
 use crate::error::ClusterError;
-
-/// FNV-1a over a string — used to fold job/node names into fault decisions.
-fn fnv(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// SplitMix64 finalizer — turns a folded key into well-mixed bits.
 fn mix(mut x: u64) -> u64 {
@@ -156,8 +146,8 @@ impl FaultInjector {
         }
         let key = self
             .seed
-            .wrapping_add(fnv(job))
-            .wrapping_add(fnv(node).rotate_left(17))
+            .wrapping_add(fnv1a(job))
+            .wrapping_add(fnv1a(node).rotate_left(17))
             .wrapping_add(u64::from(attempt).wrapping_mul(0x2545_F491_4F6C_DD1D));
         let draw = unit(mix(key));
         let mut ladder = 0.0;
@@ -215,7 +205,7 @@ impl BackoffPolicy {
                 let raw = base.saturating_mul(1u64 << exp).min(max);
                 if jitter {
                     let bits = mix(seed
-                        .wrapping_add(fnv(job))
+                        .wrapping_add(fnv1a(job))
                         .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9)));
                     raw.saturating_add(bits % (raw / 2 + 1)).min(max)
                 } else {

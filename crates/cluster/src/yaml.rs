@@ -11,8 +11,16 @@
 //! [`StrategyParams`] are rendered under `strategyParams:` (floats keep a
 //! decimal point, text is quoted, edge lists nest one `- [a, b]` item per
 //! edge), so user-defined strategies serialize without touching this module.
+//!
+//! The parse side is this format's *grammar* only — sections, the keys of a
+//! job, the open `strategyParams:` bag and its edge lists. Reading lines,
+//! fields and typed, line-numbered values (duplicates, missing and unknown
+//! fields, bad numbers) is [`qrio_backend::reader`], shared with
+//! `backend.spec` and the scenario YAML.
 
 use std::fmt::Write as _;
+
+use qrio_backend::reader::{self, Fields, Line, SpecError, Value};
 
 use crate::error::ClusterError;
 use crate::fault::{BackoffPolicy, RetryOn, RetryPolicy};
@@ -143,32 +151,6 @@ fn render_float(v: f64) -> String {
     }
 }
 
-/// The scalar (single-value) fields of the document: each needs a value and
-/// may appear at most once.
-const SCALAR_FIELDS: &[&str] = &[
-    "name",
-    "image",
-    "qubits",
-    "shots",
-    "priority",
-    "threads",
-    "deadline",
-    "retryMaxAttempts",
-    "retryBackoff",
-    "retryDelay",
-    "retryMaxDelay",
-    "retryJitter",
-    "retryOn",
-    "cpuMillis",
-    "memoryMib",
-    "minQubits",
-    "maxTwoQubitError",
-    "maxReadoutError",
-    "minT1Us",
-    "minT2Us",
-    "strategy",
-];
-
 /// Render a [`RetryOn`] class set: the `all` / `faults` / `none` presets when
 /// one matches, else a comma-joined class list.
 fn render_retry_on(on: RetryOn) -> String {
@@ -195,71 +177,58 @@ fn render_retry_on(on: RetryOn) -> String {
     }
 }
 
-/// Invert [`render_retry_on`].
-fn parse_retry_on(text: &str) -> Result<RetryOn, String> {
-    match text {
-        "all" => return Ok(RetryOn::all()),
-        "faults" => return Ok(RetryOn::faults_only()),
-        "none" => {
-            return Ok(RetryOn {
-                transient: false,
-                calibration: false,
-                slow: false,
-                flap: false,
-                execution: false,
-            })
+/// Invert `render_retry_on`.
+impl Value for RetryOn {
+    fn read(text: &str) -> Result<Self, String> {
+        let mut on = RetryOn {
+            transient: false,
+            calibration: false,
+            slow: false,
+            flap: false,
+            execution: false,
+        };
+        match text {
+            "all" => return Ok(RetryOn::all()),
+            "faults" => return Ok(RetryOn::faults_only()),
+            "none" => return Ok(on),
+            _ => {}
         }
-        _ => {}
-    }
-    let mut on = RetryOn {
-        transient: false,
-        calibration: false,
-        slow: false,
-        flap: false,
-        execution: false,
-    };
-    for class in text.split(',').map(str::trim) {
-        match class {
-            "transient" => on.transient = true,
-            "calibration" => on.calibration = true,
-            "slow" => on.slow = true,
-            "flap" => on.flap = true,
-            "execution" => on.execution = true,
-            other => return Err(format!("unknown retry class '{other}'")),
+        for class in text.split(',').map(str::trim) {
+            match class {
+                "transient" => on.transient = true,
+                "calibration" => on.calibration = true,
+                "slow" => on.slow = true,
+                "flap" => on.flap = true,
+                "execution" => on.execution = true,
+                other => return Err(format!("unknown retry class '{other}'")),
+            }
         }
+        Ok(on)
     }
-    Ok(on)
 }
 
 /// Parse a YAML-like job document produced by [`to_yaml`].
 ///
 /// The parser is intentionally narrow: it understands the structure this crate
-/// emits (plus arbitrary indentation within a section and blank lines), not
-/// arbitrary YAML. The `qasm` field of the returned spec is empty — the
-/// circuit travels in the container image. Scalar fields may appear at most
-/// once; a duplicate is a parse error rather than silently last-wins.
+/// emits (plus arbitrary indentation within a section, blank lines and `#`
+/// comment lines), not arbitrary YAML. The `qasm` field of the returned spec
+/// is empty — the circuit travels in the container image. Fields, sections
+/// and strategy params may appear at most once; a duplicate is a parse error
+/// rather than silently last-wins (a duplicated requirement bound would
+/// otherwise loosen the spec without a trace). Values are taken whole: a job
+/// named `a #b` keeps its `#`.
 ///
 /// # Errors
 ///
 /// Returns [`ClusterError::SpecParse`] on malformed documents.
 pub fn from_yaml(text: &str) -> Result<JobSpec, ClusterError> {
-    let mut name = None;
-    let mut image = None;
-    let mut qubits = None;
-    let mut shots = 1024u64;
-    let mut priority = 0u8;
-    let mut threads = 0usize;
-    let mut deadline: Option<u64> = None;
-    let mut retry_max_attempts: Option<u32> = None;
-    let mut retry_backoff: Option<String> = None;
-    let mut retry_delay: Option<u64> = None;
-    let mut retry_max_delay: Option<u64> = None;
-    let mut retry_jitter: Option<bool> = None;
-    let mut retry_on: Option<RetryOn> = None;
-    let mut cpu = 0u64;
-    let mut mem = 0u64;
-    let mut requirements = DeviceRequirements::default();
-    let mut strategy_name: Option<String> = None;
+    Ok(read_job(text)?)
+}
+
+fn read_job(text: &str) -> Result<JobSpec, SpecError> {
+    let mut fields = Fields::new("field", 0);
+    let mut sections = Fields::new("section", 0);
+    let mut param_keys = Fields::new("strategy param", 0);
     let mut params = StrategyParams::new();
     // Section tracking: once `strategyParams:` is seen, every line indented
     // deeper than it belongs to the params bag (param keys may otherwise
@@ -267,230 +236,152 @@ pub fn from_yaml(text: &str) -> Result<JobSpec, ClusterError> {
     let mut params_indent: Option<usize> = None;
     // While a `key:` param with no inline value is open, `- [a, b]` items
     // accumulate into its edge list.
-    let mut open_edges: Option<(String, Vec<(usize, usize)>)> = None;
-    // Scalar fields already assigned: a repeat is rejected rather than
-    // silently last-wins (a duplicated requirement bound would otherwise
-    // loosen the spec without a trace).
-    let mut seen_scalars: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+    let mut open_edges: Option<(&str, Vec<(usize, usize)>)> = None;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let indent = raw.len() - raw.trim_start().len();
-        let err = |message: String| ClusterError::SpecParse {
-            line: idx + 1,
-            message,
-        };
-        let in_params = params_indent.is_some_and(|p| indent > p);
-        if !in_params {
-            // Leaving the params section closes any pending edge list.
-            if let Some((key, edges)) = open_edges.take() {
-                params.set(key, ParamValue::Edges(edges));
-            }
-            params_indent = None;
-        }
-
-        if let Some(rest) = line.strip_prefix("- [") {
-            let Some(body) = rest.strip_suffix(']') else {
-                return Err(err(format!("edge item '{line}' is not closed with ']'")));
-            };
-            let parts: Vec<&str> = body.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
-                return Err(err(format!(
-                    "edge item '{line}' must have exactly two endpoints"
-                )));
-            }
-            let a = parts[0]
-                .parse()
-                .map_err(|_| err(format!("bad edge endpoint '{}'", parts[0])))?;
-            let b = parts[1]
-                .parse()
-                .map_err(|_| err(format!("bad edge endpoint '{}'", parts[1])))?;
-            match open_edges.as_mut() {
-                Some((_, edges)) => edges.push((a, b)),
-                None => return Err(err(format!("edge '{line}' outside an edge list"))),
+    for line in reader::lines(text) {
+        let in_params = params_indent.is_some_and(|p| line.indent > p);
+        if line.item {
+            let edge = read_edge(&line)?;
+            match &mut open_edges {
+                Some((_, edges)) if in_params => edges.push(edge),
+                _ => return Err(line.err(format!("edge '- {}' outside an edge list", line.text))),
             }
             continue;
         }
-
-        let Some((key, value)) = line.split_once(':') else {
-            return Err(err(format!("unrecognised line '{line}'")));
-        };
-        let key = key.trim();
-        let value = value.trim();
-
+        // Any other line closes the pending edge list.
+        if let Some((key, edges)) = open_edges.take() {
+            params.set(key, ParamValue::Edges(edges));
+        }
+        let (key, value) = line.key_value(':')?;
         if in_params {
-            // A new param key closes any previously-open edge list.
-            if let Some((open_key, edges)) = open_edges.take() {
-                params.set(open_key, ParamValue::Edges(edges));
-            }
-            // A repeated param key would silently last-wins, just like a
-            // repeated scalar field — reject it the same way.
-            if params.get(key).is_some() {
-                return Err(err(format!("duplicate strategy param '{key}'")));
-            }
+            param_keys.insert(key, value, line.no)?;
             if value.is_empty() {
-                open_edges = Some((key.to_string(), Vec::new()));
+                open_edges = Some((key, Vec::new()));
             } else {
                 let parsed = parse_param_value(value)
-                    .map_err(|message| err(format!("strategy param '{key}': {message}")))?;
+                    .map_err(|message| line.err(format!("strategy param '{key}': {message}")))?;
                 params.set(key, parsed);
             }
             continue;
         }
-
-        if key == "strategyParams" && value.is_empty() {
-            if !seen_scalars.insert("strategyParams") {
-                return Err(err("duplicate section 'strategyParams'".into()));
-            }
-            params_indent = Some(indent);
-            continue;
-        }
-        if value.is_empty() {
-            // Scalar fields need a value; anything else with no value is a
-            // section header (metadata:, spec:, resources:, ...).
-            if SCALAR_FIELDS.contains(&key) {
-                return Err(err(format!("field '{key}': missing value")));
-            }
-            continue;
-        }
-        if let Some(&field) = SCALAR_FIELDS.iter().find(|&&f| f == key) {
-            if !seen_scalars.insert(field) {
-                return Err(err(format!("duplicate field '{field}'")));
-            }
-        }
-        let parse_f64 = |field: &str, v: &str| {
-            v.parse::<f64>()
-                .map_err(|_| err(format!("field '{field}': bad number '{v}'")))
-        };
-        let parse_u64 = |field: &str, v: &str| {
-            v.parse::<u64>()
-                .map_err(|_| err(format!("field '{field}': bad non-negative integer '{v}'")))
-        };
-        match key {
-            "apiVersion" | "kind" => {}
-            "name" => name = Some(value.to_string()),
-            "image" => image = Some(value.to_string()),
-            "qubits" => qubits = Some(parse_u64(key, value)? as usize),
-            "shots" => shots = parse_u64(key, value)?,
-            "priority" => {
-                priority = u8::try_from(parse_u64(key, value)?)
-                    .map_err(|_| err(format!("field 'priority': '{value}' exceeds 255")))?
-            }
-            "threads" => threads = parse_u64(key, value)? as usize,
-            "deadline" => deadline = Some(parse_u64(key, value)?),
-            "retryMaxAttempts" => {
-                retry_max_attempts =
-                    Some(u32::try_from(parse_u64(key, value)?).map_err(|_| {
-                        err(format!("field 'retryMaxAttempts': '{value}' exceeds u32"))
-                    })?)
-            }
-            "retryBackoff" => {
-                if value != "fixed" && value != "exponential" {
-                    return Err(err(format!(
-                        "field 'retryBackoff': '{value}' is neither 'fixed' nor 'exponential'"
-                    )));
+        params_indent = None;
+        match (key, value) {
+            ("metadata" | "spec" | "resources" | "requirements" | "strategyParams", "") => {
+                sections.insert(key, value, line.no)?;
+                if key == "strategyParams" {
+                    params_indent = Some(line.indent);
                 }
-                retry_backoff = Some(value.to_string());
             }
-            "retryDelay" => retry_delay = Some(parse_u64(key, value)?),
-            "retryMaxDelay" => retry_max_delay = Some(parse_u64(key, value)?),
-            "retryJitter" => {
-                retry_jitter =
-                    Some(value.parse::<bool>().map_err(|_| {
-                        err(format!("field 'retryJitter': '{value}' is not a boolean"))
-                    })?)
-            }
-            "retryOn" => {
-                retry_on = Some(
-                    parse_retry_on(value)
-                        .map_err(|message| err(format!("field 'retryOn': {message}")))?,
-                )
-            }
-            "cpuMillis" => cpu = parse_u64(key, value)?,
-            "memoryMib" => mem = parse_u64(key, value)?,
-            "minQubits" => requirements.min_qubits = Some(parse_u64(key, value)? as usize),
-            "maxTwoQubitError" => requirements.max_two_qubit_error = Some(parse_f64(key, value)?),
-            "maxReadoutError" => requirements.max_readout_error = Some(parse_f64(key, value)?),
-            "minT1Us" => requirements.min_t1_us = Some(parse_f64(key, value)?),
-            "minT2Us" => requirements.min_t2_us = Some(parse_f64(key, value)?),
-            "strategy" => strategy_name = Some(value.to_string()),
-            other => return Err(err(format!("unknown field '{other}'"))),
+            _ => fields.insert(key, value, line.no)?,
         }
     }
     if let Some((key, edges)) = open_edges.take() {
         params.set(key, ParamValue::Edges(edges));
     }
 
-    let name = name.ok_or(ClusterError::SpecParse {
-        line: 0,
-        message: "missing job name".into(),
-    })?;
-    let image = image.ok_or(ClusterError::SpecParse {
-        line: 0,
-        message: "missing image".into(),
-    })?;
-    let num_qubits = qubits.ok_or(ClusterError::SpecParse {
-        line: 0,
-        message: "missing qubit count".into(),
-    })?;
-    let strategy_name = strategy_name.ok_or(ClusterError::SpecParse {
-        line: 0,
-        message: "missing strategy name".into(),
-    })?;
-    let retry = match retry_max_attempts {
-        None => {
-            // Retry tuning without a retryMaxAttempts anchor would silently
-            // configure nothing — reject instead.
-            if retry_backoff.is_some()
-                || retry_delay.is_some()
-                || retry_max_delay.is_some()
-                || retry_jitter.is_some()
-                || retry_on.is_some()
-            {
-                return Err(ClusterError::SpecParse {
-                    line: 0,
-                    message: "retry fields present but 'retryMaxAttempts' is missing".into(),
-                });
-            }
-            None
-        }
+    fields.take("apiVersion");
+    fields.take("kind");
+    let retry = match fields.opt("retryMaxAttempts")? {
         Some(max_attempts) => {
-            let delay = retry_delay.unwrap_or(1);
-            let backoff = match retry_backoff.as_deref().unwrap_or("fixed") {
-                "exponential" => BackoffPolicy::Exponential {
+            let delay = fields.or("retryDelay", 1)?;
+            let max = fields.opt("retryMaxDelay")?;
+            let jitter = fields.or("retryJitter", false)?;
+            let exponential = fields.choice(
+                "retryBackoff",
+                "retryBackoff",
+                &[("fixed", false), ("exponential", true)],
+            )?;
+            let backoff = if exponential == Some(true) {
+                BackoffPolicy::Exponential {
                     base: delay,
-                    max: retry_max_delay.unwrap_or_else(|| delay.saturating_mul(32)),
-                    jitter: retry_jitter.unwrap_or(false),
-                },
-                _ => BackoffPolicy::Fixed { delay },
+                    max: max.unwrap_or_else(|| delay.saturating_mul(32)),
+                    jitter,
+                }
+            } else {
+                BackoffPolicy::Fixed { delay }
             };
             Some(RetryPolicy {
                 max_attempts,
                 backoff,
-                retry_on: retry_on.unwrap_or_else(RetryOn::all),
+                retry_on: fields.opt("retryOn")?.unwrap_or_else(RetryOn::all),
             })
         }
+        None => {
+            // Retry tuning without a retryMaxAttempts anchor would silently
+            // configure nothing — reject instead.
+            fields.forbid(
+                &[
+                    "retryBackoff",
+                    "retryDelay",
+                    "retryMaxDelay",
+                    "retryJitter",
+                    "retryOn",
+                ],
+                "requires 'retryMaxAttempts'",
+            )?;
+            None
+        }
     };
-    Ok(JobSpec {
-        name,
-        image,
+    let spec = JobSpec {
+        name: fields.req("name")?,
+        image: fields.req("image")?,
         qasm: String::new(),
-        num_qubits,
-        resources: Resources::new(cpu, mem),
-        requirements,
+        num_qubits: fields.req("qubits")?,
+        resources: Resources::new(fields.or("cpuMillis", 0)?, fields.or("memoryMib", 0)?),
+        requirements: DeviceRequirements {
+            min_qubits: fields.opt("minQubits")?,
+            max_two_qubit_error: fields.opt("maxTwoQubitError")?,
+            max_readout_error: fields.opt("maxReadoutError")?,
+            min_t1_us: fields.opt("minT1Us")?,
+            min_t2_us: fields.opt("minT2Us")?,
+        },
         strategy: StrategySpec {
-            name: strategy_name,
+            name: fields.req("strategy")?,
             params,
         },
-        priority,
-        shots,
-        threads,
+        priority: fields.or("priority", 0)?,
+        shots: fields.or("shots", 1024)?,
+        threads: fields.or("threads", 0)?,
         retry,
-        deadline,
-    })
+        deadline: fields.opt("deadline")?,
+    };
+    fields.finish("field")?;
+    Ok(spec)
+}
+
+/// One `- [a, b]` item of an edge list.
+fn read_edge(line: &Line<'_>) -> Result<(usize, usize), SpecError> {
+    let body = line
+        .text
+        .strip_prefix('[')
+        .and_then(|rest| rest.strip_suffix(']'))
+        .ok_or_else(|| {
+            line.err(format!(
+                "edge item '- {}' is not an '[a, b]' pair closed with ']'",
+                line.text
+            ))
+        })?;
+    let endpoint = |part: &str| {
+        part.trim()
+            .parse()
+            .map_err(|_| line.err(format!("bad edge endpoint '{}'", part.trim())))
+    };
+    match body.split_once(',') {
+        Some((a, b)) if !b.contains(',') => Ok((endpoint(a)?, endpoint(b)?)),
+        _ => Err(line.err(format!(
+            "edge item '- {}' must have exactly two endpoints",
+            line.text
+        ))),
+    }
+}
+
+impl From<SpecError> for ClusterError {
+    fn from(err: SpecError) -> Self {
+        ClusterError::SpecParse {
+            line: err.line,
+            message: err.message,
+        }
+    }
 }
 
 /// Infer the type of an inline param value: quoted -> text, integer-looking ->

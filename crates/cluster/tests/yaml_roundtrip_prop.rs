@@ -60,6 +60,8 @@ fn tricky_text(selector: u64) -> String {
         "0.5",
         "17",
         "- [0, 1]",
+        "a # b",
+        "#lead",
     ];
     let mut text = String::new();
     let mut s = selector;
@@ -136,7 +138,9 @@ proptest! {
     ) {
         let bound = req_milli as f64 / 1000.0;
         let spec = JobSpec {
-            name: format!("job-{strategy_selector}-{int_param}"),
+            // ` #` in a name is text, not a comment: job YAML has no inline
+            // comments.
+            name: format!("job #{strategy_selector}-{int_param}"),
             image: format!("qrio/image-{qubits}:v{shots}"),
             qasm: "OPENQASM 2.0; // does not travel in the YAML".into(),
             num_qubits: qubits,

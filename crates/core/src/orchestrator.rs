@@ -36,7 +36,9 @@ use std::sync::Arc;
 
 use qrio_agent::{fault_spec_to_wire, ChannelTransport, InProcTransport, NodeAgent, Transport};
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_cluster::{Cluster, ClusterError, FaultInjector, Node, Resources, ScheduleDecision};
+use qrio_cluster::{
+    Cluster, ClusterError, FaultInjector, Node, NodeStatus, Resources, ScheduleDecision,
+};
 use qrio_journal::{scan_file, Journal, Record};
 use qrio_meta::{DeviceTelemetry, FidelityRankingConfig, MetaServer, RankingStrategy};
 use qrio_proto::NodeCommand;
@@ -314,17 +316,33 @@ impl Qrio {
     /// Returns an error when no such node exists, or when the journal append
     /// fails.
     pub fn cordon_device(&mut self, name: &str) -> Result<(), QrioError> {
-        self.cluster
-            .node_mut(name)
-            .ok_or_else(|| QrioError::Cluster(ClusterError::UnknownNode(name.to_string())))?
-            .cordon();
-        let _ = self
-            .control
-            .send_command(name, self.lifecycle.clock, NodeCommand::Cordon);
-        self.control.drain();
+        self.set_cordon_unjournaled(name, true)?;
         self.journal_command(Command::Cordon {
             node: name.to_string(),
         })?;
+        Ok(())
+    }
+
+    /// Cordon or uncordon the node and tell its agent, free of journaling —
+    /// the one body behind [`Qrio::cordon_device`], [`Qrio::uncordon_device`]
+    /// and their replay, so a recovered agent's cordon flag matches the
+    /// crashed instance's.
+    fn set_cordon_unjournaled(&mut self, name: &str, cordoned: bool) -> Result<(), QrioError> {
+        let node = self
+            .cluster
+            .node_mut(name)
+            .ok_or_else(|| QrioError::Cluster(ClusterError::UnknownNode(name.to_string())))?;
+        let command = if cordoned {
+            node.cordon();
+            NodeCommand::Cordon
+        } else {
+            node.uncordon();
+            NodeCommand::Uncordon
+        };
+        let _ = self
+            .control
+            .send_command(name, self.lifecycle.clock, command);
+        self.control.drain();
         Ok(())
     }
 
@@ -336,14 +354,7 @@ impl Qrio {
     /// Returns an error when no such node exists, or when the journal append
     /// fails.
     pub fn uncordon_device(&mut self, name: &str) -> Result<(), QrioError> {
-        self.cluster
-            .node_mut(name)
-            .ok_or_else(|| QrioError::Cluster(ClusterError::UnknownNode(name.to_string())))?
-            .uncordon();
-        let _ = self
-            .control
-            .send_command(name, self.lifecycle.clock, NodeCommand::Uncordon);
-        self.control.drain();
+        self.set_cordon_unjournaled(name, false)?;
         self.journal_command(Command::Uncordon {
             node: name.to_string(),
         })?;
@@ -359,9 +370,14 @@ impl Qrio {
     /// Returns an error only when the journal append fails; the restarts
     /// themselves are infallible.
     pub fn heal_devices(&mut self) -> Result<Vec<String>, QrioError> {
-        let healed = self.cluster.heal_nodes();
+        let healed = self.heal_unjournaled();
         self.journal_command(Command::Heal)?;
         Ok(healed)
+    }
+
+    /// The self-healing sweep itself, free of journaling.
+    fn heal_unjournaled(&mut self) -> Vec<String> {
+        self.cluster.heal_nodes()
     }
 
     // --- Fault tolerance -----------------------------------------------------------------
@@ -426,9 +442,14 @@ impl Qrio {
     ///
     /// Returns an error only when the journal append fails.
     pub fn configure_breakers(&mut self, config: Option<BreakerConfig>) -> Result<(), QrioError> {
-        self.breakers = config.map(BreakerBoard::new);
+        self.configure_breakers_unjournaled(config);
         self.journal_command(Command::ConfigureBreakers { config })?;
         Ok(())
+    }
+
+    /// Install a fresh breaker board (or none), free of journaling.
+    fn configure_breakers_unjournaled(&mut self, config: Option<BreakerConfig>) {
+        self.breakers = config.map(BreakerBoard::new);
     }
 
     /// The circuit-breaker board, when breakers are configured.
@@ -488,22 +509,23 @@ impl Qrio {
     }
 
     /// Register one agent per cluster node on the current transport and
-    /// re-ship calibration + fault plan. Used when the transport is swapped
-    /// and when an orchestrator is rebuilt from a snapshot.
+    /// re-ship calibration, fault plan and cordon. Used when the transport is
+    /// swapped and when an orchestrator is rebuilt from a snapshot.
     fn rebuild_agents(&mut self) {
         let injector = self.cluster.fault_injector().map(fault_spec_to_wire);
-        let nodes: Vec<(String, String)> = self
+        let nodes: Vec<(String, String, bool)> = self
             .cluster
             .nodes()
             .map(|node| {
                 (
                     node.backend().name().to_string(),
                     backend_spec::to_spec(node.backend()),
+                    node.status() == NodeStatus::Cordoned,
                 )
             })
             .collect();
         let clock = self.lifecycle.clock;
-        for (name, spec_text) in nodes {
+        for (name, spec_text, cordoned) in nodes {
             let _ = self
                 .control
                 .register_agent(NodeAgent::new(&name, Box::new(self.runner)));
@@ -515,6 +537,9 @@ impl Qrio {
                     injector,
                 },
             );
+            if cordoned {
+                let _ = self.control.send_command(&name, clock, NodeCommand::Cordon);
+            }
         }
         self.control.drain();
     }
@@ -1801,23 +1826,19 @@ impl Qrio {
                 let _ = self.rebind_unjournaled(&JobId::new(&job), &target);
             }
             Command::Cordon { node } => {
-                if let Some(node) = self.cluster.node_mut(&node) {
-                    node.cordon();
-                }
+                let _ = self.set_cordon_unjournaled(&node, true);
             }
             Command::Uncordon { node } => {
-                if let Some(node) = self.cluster.node_mut(&node) {
-                    node.uncordon();
-                }
+                let _ = self.set_cordon_unjournaled(&node, false);
             }
             Command::Heal => {
-                let _ = self.cluster.heal_nodes();
+                let _ = self.heal_unjournaled();
             }
             Command::ConfigureFaults { injector } => {
                 self.configure_faults_unjournaled(injector);
             }
             Command::ConfigureBreakers { config } => {
-                self.breakers = config.map(BreakerBoard::new);
+                self.configure_breakers_unjournaled(config);
             }
             Command::KickRetry { job } => {
                 let _ = self.kick_retry_unjournaled(&JobId::new(&job));
@@ -2363,7 +2384,7 @@ mod tests {
     // --- Fault tolerance ----------------------------------------------------------------
 
     use crate::BreakerState;
-    use qrio_cluster::{FaultKind, NodeStatus, RetryPolicy};
+    use qrio_cluster::{FaultKind, RetryPolicy};
 
     /// An injector that faults every attempt with the given kind's rate at 1.
     fn always(kind: FaultKind) -> FaultInjector {

@@ -7,6 +7,7 @@
 //! transcript of what it did (the job logs the visualizer later shows).
 
 use qrio_backend::Backend;
+use qrio_bytes::fnv1a;
 use qrio_circuit::qasm;
 use qrio_cluster::{ExecutionOutcome, ImageBundle, JobRunner, JobSpec};
 use qrio_sim::{executor, NoiseModel, ParallelConfig, SEED_STREAM_STRIDE};
@@ -83,7 +84,7 @@ impl JobRunner for SimJobRunner {
         let deflated =
             deflate(&transpiled.circuit, backend).map_err(|e| format!("deflation failed: {e}"))?;
         let noise = NoiseModel::from_backend(&deflated.backend);
-        let seed = self.seed ^ fnv(&spec.name) ^ fnv(backend.name());
+        let seed = self.seed ^ fnv1a(&spec.name) ^ fnv1a(backend.name());
         let parallel = ParallelConfig::with_threads(spec.threads);
         let noisy = executor::run_with_noise_parallel(
             &deflated.circuit,
@@ -125,15 +126,6 @@ impl JobRunner for SimJobRunner {
             logs,
         })
     }
-}
-
-fn fnv(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]

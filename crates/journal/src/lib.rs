@@ -37,7 +37,7 @@ pub mod error;
 pub mod wal;
 
 pub use error::JournalError;
-pub use qrio_bytes::{crc32, ByteReader, ByteWriter, CodecError};
+pub use qrio_bytes::{crc32, fnv1a, ByteReader, ByteWriter, CodecError};
 pub use wal::{
     encode_record, header_bytes, looks_like_journal, scan_bytes, scan_file, Journal, Record,
     ScanReport, TornTail, FORMAT_VERSION, HEADER_LEN, MAGIC,

@@ -43,6 +43,7 @@ use qrio::{
 };
 use qrio_backend::Backend;
 use qrio_cluster::{FaultInjector, Resources, RetryPolicy};
+use qrio_journal::fnv1a;
 
 use crate::arrival::ArrivalSampler;
 use crate::error::LoadgenError;
@@ -63,16 +64,6 @@ const NODE_RESOURCES: (u64, u64) = (1 << 30, 1 << 30);
 /// Minimum score improvement before a drift re-ranking migrates a waiting
 /// job (hysteresis against churn on near-ties).
 const MIGRATION_EPSILON: f64 = 1e-9;
-
-/// FNV-1a, used to derive independent RNG streams per tenant.
-fn fnv(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum EventKind {
@@ -261,7 +252,7 @@ impl<'s> Engine<'s> {
         let samplers = scenario
             .tenants
             .iter()
-            .map(|t| ArrivalSampler::new(t.arrival, scenario.seed ^ fnv(&t.name)))
+            .map(|t| ArrivalSampler::new(t.arrival, scenario.seed ^ fnv1a(&t.name)))
             .collect();
         if let Some(breakers) = &scenario.breakers {
             qrio.configure_breakers(Some(BreakerConfig {
@@ -634,7 +625,8 @@ impl<'s> Engine<'s> {
             .retry
             .as_ref()
             .expect("jobs only enter Retrying when the tenant set a retry policy")
-            .backoff_ms(attempts)
+            .backoff
+            .delay(0, "", attempts)
             .max(1);
         let arrival = self.jobs[job_name].arrival_ms;
         let misses_deadline = tenant

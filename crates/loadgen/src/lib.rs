@@ -67,6 +67,6 @@ pub use killrestart::{
 };
 pub use metrics::{ChaosStats, CloudReport, DeviceStats, JobSample, LoadBucket, TenantStats};
 pub use scenario::{
-    BreakerSettings, DeviceSpec, RetryBackoffKind, Scenario, ScenarioEvent, TenantRetrySpec,
-    TenantSpec, TenantStrategy, TopologyKind, WorkloadCircuit,
+    BreakerSettings, DeviceSpec, Scenario, ScenarioEvent, TenantRetrySpec, TenantSpec,
+    TenantStrategy, TopologyKind, WorkloadCircuit,
 };

@@ -4,10 +4,12 @@
 //! A scenario is the complete, seedable description of one cloud workload:
 //! which devices exist (and how fast/noisy they are), which tenants submit
 //! jobs (circuit template, ranking strategy, arrival process) and what goes
-//! wrong along the way. Scenarios travel as YAML documents with the same
-//! narrow-but-typed parsing discipline as job specs
-//! ([`qrio_cluster::yaml`]): the loader understands exactly the schema below
-//! and rejects anything else with a line-numbered
+//! wrong along the way. Scenarios travel as YAML documents read with the same
+//! reader as job specs ([`qrio_cluster::yaml`]) and `backend.spec`: this
+//! module holds the scenario's *grammar* — the schema below, its defaults and
+//! its one format-specific rule, inline ` # comment`s — and
+//! [`qrio_backend::reader`] reads the lines, fields and typed values, so
+//! anything outside the schema is rejected with a line-numbered
 //! [`LoadgenError::ScenarioParse`].
 //!
 //! ```yaml
@@ -70,11 +72,10 @@
 //! again. `faultSeed` decouples the fault stream from the arrival streams so
 //! the same workload can replay under different fault schedules.
 
-use std::collections::BTreeMap;
-
+use qrio_backend::reader::{self, Fields, SpecError};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, Circuit};
-use qrio_cluster::StrategySpec;
+use qrio_cluster::{BackoffPolicy, StrategySpec};
 
 use crate::arrival::ArrivalProcess;
 use crate::error::LoadgenError;
@@ -94,20 +95,6 @@ pub enum TopologyKind {
     Star,
     /// All-to-all connectivity.
     Full,
-}
-
-impl TopologyKind {
-    fn parse(text: &str) -> Option<Self> {
-        Some(match text {
-            "line" => TopologyKind::Line,
-            "ring" => TopologyKind::Ring,
-            "grid" => TopologyKind::Grid,
-            "tree" => TopologyKind::Tree,
-            "star" => TopologyKind::Star,
-            "full" => TopologyKind::Full,
-            _ => return None,
-        })
-    }
 }
 
 /// One device of the simulated fleet.
@@ -179,18 +166,6 @@ pub enum WorkloadCircuit {
     RandomClifford,
 }
 
-impl WorkloadCircuit {
-    fn parse(text: &str) -> Option<Self> {
-        Some(match text {
-            "bv" => WorkloadCircuit::Bv,
-            "ghz" => WorkloadCircuit::Ghz,
-            "grover" => WorkloadCircuit::Grover,
-            "random_clifford" => WorkloadCircuit::RandomClifford,
-            _ => return None,
-        })
-    }
-}
-
 /// The ranking strategy a tenant selects for every job it submits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TenantStrategy {
@@ -233,55 +208,17 @@ impl TenantStrategy {
     }
 }
 
-/// How a tenant's retry backoff grows across attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryBackoffKind {
-    /// The same delay before every retry.
-    Fixed,
-    /// Doubling delay, capped at `retryMaxDelayMs`.
-    Exponential,
-}
-
-impl RetryBackoffKind {
-    fn parse(text: &str) -> Option<Self> {
-        Some(match text {
-            "fixed" => RetryBackoffKind::Fixed,
-            "exponential" => RetryBackoffKind::Exponential,
-            _ => return None,
-        })
-    }
-}
-
 /// A tenant's retry policy, in virtual milliseconds. The engine paces
 /// re-submissions on its own event heap (virtual-time drivers never call
 /// `Qrio::tick`), so delays here are wall-clock-free simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantRetrySpec {
     /// Total execution attempts allowed, the first included.
     pub max_attempts: u32,
-    /// Delay growth across attempts.
-    pub backoff: RetryBackoffKind,
-    /// First (and, for `Fixed`, every) backoff delay in virtual ms.
-    pub delay_ms: u64,
-    /// Cap on the exponential delay in virtual ms.
-    pub max_delay_ms: u64,
-}
-
-impl TenantRetrySpec {
-    /// The backoff before retry number `attempt` (1-based: the delay between
-    /// the first failure and the second attempt is `backoff_ms(1)`).
-    /// Deterministic in `(spec, attempt)` so chaos runs replay byte-for-byte.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        match self.backoff {
-            RetryBackoffKind::Fixed => self.delay_ms,
-            RetryBackoffKind::Exponential => {
-                let exp = attempt.saturating_sub(1).min(32);
-                self.delay_ms
-                    .saturating_mul(1u64 << exp)
-                    .min(self.max_delay_ms)
-            }
-        }
-    }
+    /// The backoff before each retry in virtual ms, never jittered:
+    /// `backoff.delay(_, _, attempt)` is deterministic in `(spec, attempt)`
+    /// so chaos runs replay byte-for-byte.
+    pub backoff: BackoffPolicy,
 }
 
 /// Circuit-breaker thresholds for the whole fleet, as configured by the
@@ -547,16 +484,10 @@ impl Scenario {
                         tenant.name
                     ));
                 }
-                if retry.delay_ms == 0 {
+                if retry.backoff.delay(0, "", 1) == 0 {
                     return invalid(format!(
                         "tenant '{}': retryDelayMs must be >= 1",
                         tenant.name
-                    ));
-                }
-                if retry.max_delay_ms < retry.delay_ms {
-                    return invalid(format!(
-                        "tenant '{}': retryMaxDelayMs {} is below retryDelayMs {}",
-                        tenant.name, retry.max_delay_ms, retry.delay_ms
                     ));
                 }
             }
@@ -651,488 +582,292 @@ impl Scenario {
     /// malformed documents and [`LoadgenError::InvalidScenario`] on semantic
     /// violations.
     pub fn from_yaml(text: &str) -> Result<Self, LoadgenError> {
-        parse_scenario(text)
-    }
-}
-
-/// One `- key: value` list item under `fleet:`/`tenants:`/`events:`, with the
-/// line number of each field for error messages.
-type Item = BTreeMap<String, (String, usize)>;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
-    None,
-    Fleet,
-    Tenants,
-    Events,
-}
-
-fn parse_scenario(text: &str) -> Result<Scenario, LoadgenError> {
-    let mut name = String::from("unnamed");
-    let mut seed = 0u64;
-    let mut duration_ms = 0u64;
-    let mut max_jobs = 0u64;
-    let mut service_base_us = 20_000u64;
-    let mut service_per_shot_us = 400u64;
-    let mut canary_shots = 32u64;
-    let mut fault_seed: Option<u64> = None;
-    let mut breakers_on = false;
-    let mut breaker_settings = BreakerSettings::default();
-    // Line of the first `breaker*` threshold, so thresholds without
-    // `breakers: on` are rejected instead of silently inert.
-    let mut breaker_scalar_line: Option<usize> = None;
-
-    let mut section = Section::None;
-    let mut items: Vec<(Section, Item)> = Vec::new();
-    let mut current: Option<Item> = None;
-    // Top-level scalars already assigned: a repeat is rejected rather than
-    // silently last-wins (same discipline as the job-spec parser).
-    let mut seen_scalars: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |message: String| LoadgenError::ScenarioParse {
-            line: line_no,
-            message,
-        };
-        let (is_item_start, body) = match line.strip_prefix("- ") {
-            Some(rest) => (true, rest),
-            None => (false, line),
-        };
-        let Some((key, value)) = body.split_once(':') else {
-            return Err(err(format!("unrecognised line '{line}'")));
-        };
-        let key = key.trim().to_string();
-        let value = strip_inline_comment(value).trim().to_string();
-
-        if is_item_start {
-            if section == Section::None {
-                return Err(err(format!("list item '{line}' outside a section")));
-            }
-            if let Some(item) = current.take() {
-                items.push((section, item));
-            }
-            let mut item = Item::new();
-            item.insert(key, (value, line_no));
-            current = Some(item);
-            continue;
-        }
-
-        if value.is_empty() {
-            // Section headers. Flush the previous section's pending item
-            // before switching.
-            if let Some(item) = current.take() {
-                items.push((section, item));
-            }
-            section = match key.as_str() {
-                "fleet" => Section::Fleet,
-                "tenants" => Section::Tenants,
-                "events" => Section::Events,
-                other => return Err(err(format!("unknown section '{other}'"))),
-            };
-            continue;
-        }
-
-        if let Some(item) = current.as_mut() {
-            if item.insert(key.clone(), (value, line_no)).is_some() {
-                return Err(err(format!("duplicate item field '{key}'")));
-            }
-            continue;
-        }
-
-        // Top-level scalar.
-        if !seen_scalars.insert(key.clone()) {
-            return Err(err(format!("duplicate field '{key}'")));
-        }
-        let parse_u64 = |v: &str| {
-            v.parse::<u64>()
-                .map_err(|_| err(format!("field '{key}': bad integer '{v}'")))
-        };
-        let parse_f64 = |v: &str| {
-            v.parse::<f64>()
-                .map_err(|_| err(format!("field '{key}': bad number '{v}'")))
-        };
-        match key.as_str() {
-            "scenario" => name = value,
-            "seed" => seed = parse_u64(&value)?,
-            "durationMs" => duration_ms = parse_u64(&value)?,
-            "maxJobs" => max_jobs = parse_u64(&value)?,
-            "serviceBaseUs" => service_base_us = parse_u64(&value)?,
-            "servicePerShotUs" => service_per_shot_us = parse_u64(&value)?,
-            "canaryShots" => canary_shots = parse_u64(&value)?,
-            "faultSeed" => fault_seed = Some(parse_u64(&value)?),
-            "breakers" => {
-                breakers_on = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(err(format!("field 'breakers': '{other}' (on|off)"))),
-                }
-            }
-            "breakerConsecutiveFailures" => {
-                breaker_scalar_line.get_or_insert(line_no);
-                breaker_settings.consecutive_failures = parse_u64(&value)? as u32;
-            }
-            "breakerFailureRate" => {
-                breaker_scalar_line.get_or_insert(line_no);
-                breaker_settings.failure_rate = parse_f64(&value)?;
-            }
-            "breakerWindow" => {
-                breaker_scalar_line.get_or_insert(line_no);
-                breaker_settings.window = parse_u64(&value)? as u32;
-            }
-            "breakerOpenMs" => {
-                breaker_scalar_line.get_or_insert(line_no);
-                breaker_settings.open_ms = parse_u64(&value)?;
-            }
-            "breakerProbeJobs" => {
-                breaker_scalar_line.get_or_insert(line_no);
-                breaker_settings.probe_jobs = parse_u64(&value)? as u32;
-            }
-            other => return Err(err(format!("unknown field '{other}'"))),
-        }
-    }
-    if let Some(item) = current.take() {
-        items.push((section, item));
-    }
-    if let (Some(line), false) = (breaker_scalar_line, breakers_on) {
-        return Err(LoadgenError::ScenarioParse {
-            line,
-            message: "breaker thresholds require 'breakers: on'".into(),
-        });
-    }
-
-    let mut fleet = Vec::new();
-    let mut tenants = Vec::new();
-    let mut events = Vec::new();
-    for (section, item) in items {
-        match section {
-            Section::Fleet => fleet.push(parse_device(&item)?),
-            Section::Tenants => tenants.push(parse_tenant(&item)?),
-            Section::Events => events.push(parse_event(&item)?),
-            Section::None => unreachable!("items outside sections are rejected above"),
-        }
-    }
-
-    let scenario = Scenario {
-        name,
-        seed,
-        duration_ms,
-        max_jobs,
-        service_base_us,
-        service_per_shot_us,
-        canary_shots,
-        fault_seed: fault_seed.unwrap_or(seed),
-        breakers: breakers_on.then_some(breaker_settings),
-        fleet,
-        tenants,
-        events,
-    };
-    scenario.validate()?;
-    Ok(scenario)
-}
-
-/// Strip an inline `# comment` from a value. Only a `#` preceded by
-/// whitespace (or starting the value) opens a comment, so names containing a
-/// bare `#` (e.g. `device: qpu#1`) survive intact — matching YAML's rule.
-fn strip_inline_comment(value: &str) -> &str {
-    let bytes = value.as_bytes();
-    for (index, &byte) in bytes.iter().enumerate() {
-        if byte == b'#' && (index == 0 || bytes[index - 1].is_ascii_whitespace()) {
-            return &value[..index];
-        }
-    }
-    value
-}
-
-/// Reject item fields outside `allowed` — a typo'd optional field (or a
-/// top-level scalar accidentally indented into a list item) must not be
-/// silently dropped onto its default.
-fn reject_unknown_fields(item: &Item, kind: &str, allowed: &[&str]) -> Result<(), LoadgenError> {
-    for (key, &(_, line)) in item {
-        if !allowed.contains(&key.as_str()) {
-            return Err(LoadgenError::ScenarioParse {
-                line,
-                message: format!(
-                    "unknown {kind} field '{key}' (expected one of: {})",
-                    allowed.join(", ")
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn field<'a>(item: &'a Item, key: &str) -> Result<(&'a str, usize), LoadgenError> {
-    item.get(key)
-        .map(|(value, line)| (value.as_str(), *line))
-        .ok_or_else(|| {
-            let line = item.values().map(|(_, l)| *l).min().unwrap_or(0);
-            LoadgenError::ScenarioParse {
-                line,
-                message: format!("missing field '{key}'"),
-            }
-        })
-}
-
-fn field_or<'a>(item: &'a Item, key: &str, default: &'a str) -> (&'a str, usize) {
-    item.get(key)
-        .map(|(value, line)| (value.as_str(), *line))
-        .unwrap_or((default, 0))
-}
-
-fn parse_f64_at(value: &str, line: usize, key: &str) -> Result<f64, LoadgenError> {
-    value
-        .parse::<f64>()
-        .map_err(|_| LoadgenError::ScenarioParse {
-            line,
-            message: format!("field '{key}': bad number '{value}'"),
-        })
-}
-
-fn parse_u64_at(value: &str, line: usize, key: &str) -> Result<u64, LoadgenError> {
-    value
-        .parse::<u64>()
-        .map_err(|_| LoadgenError::ScenarioParse {
-            line,
-            message: format!("field '{key}': bad integer '{value}'"),
-        })
-}
-
-fn parse_device(item: &Item) -> Result<DeviceSpec, LoadgenError> {
-    reject_unknown_fields(
-        item,
-        "device",
-        &[
-            "device",
-            "topology",
-            "qubits",
-            "singleQubitError",
-            "twoQubitError",
-            "readoutError",
-            "speed",
-        ],
-    )?;
-    let (name, _) = field(item, "device")?;
-    let (topo, topo_line) = field_or(item, "topology", "line");
-    let topology = TopologyKind::parse(topo).ok_or_else(|| LoadgenError::ScenarioParse {
-        line: topo_line,
-        message: format!("unknown topology '{topo}' (line|ring|grid|tree|star|full)"),
-    })?;
-    let (qubits, q_line) = field(item, "qubits")?;
-    let (sq, sq_line) = field_or(item, "singleQubitError", "0.001");
-    let (tq, tq_line) = field_or(item, "twoQubitError", "0.01");
-    let (ro, ro_line) = field_or(item, "readoutError", "0.02");
-    let (speed, sp_line) = field_or(item, "speed", "1.0");
-    Ok(DeviceSpec {
-        name: name.to_string(),
-        topology,
-        qubits: parse_u64_at(qubits, q_line, "qubits")? as usize,
-        single_qubit_error: parse_f64_at(sq, sq_line, "singleQubitError")?,
-        two_qubit_error: parse_f64_at(tq, tq_line, "twoQubitError")?,
-        readout_error: parse_f64_at(ro, ro_line, "readoutError")?,
-        speed: parse_f64_at(speed, sp_line, "speed")?,
-    })
-}
-
-fn parse_tenant(item: &Item) -> Result<TenantSpec, LoadgenError> {
-    reject_unknown_fields(
-        item,
-        "tenant",
-        &[
-            "tenant",
-            "strategy",
-            "target",
-            "circuit",
-            "qubits",
-            "shots",
-            "arrival",
-            "ratePerSec",
-            "burstMultiplier",
-            "meanBurstMs",
-            "meanIdleMs",
-            "amplitude",
-            "periodMs",
-            "retryMaxAttempts",
-            "retryBackoff",
-            "retryDelayMs",
-            "retryMaxDelayMs",
-            "deadlineMs",
-        ],
-    )?;
-    let (name, _) = field(item, "tenant")?;
-    let (strategy_name, strategy_line) = field(item, "strategy")?;
-    let (target, t_line) = field_or(item, "target", "0.9");
-    let target = parse_f64_at(target, t_line, "target")?;
-    let strategy = match strategy_name {
-        "fidelity" => TenantStrategy::Fidelity { target },
-        "weighted" => TenantStrategy::Weighted { target },
-        "min_queue" => TenantStrategy::MinQueue,
-        "topology" => TenantStrategy::Topology,
-        other => {
-            return Err(LoadgenError::ScenarioParse {
-                line: strategy_line,
-                message: format!(
-                    "unknown strategy '{other}' (fidelity|weighted|min_queue|topology)"
-                ),
-            })
-        }
-    };
-    let (circuit, c_line) = field_or(item, "circuit", "bv");
-    let circuit = WorkloadCircuit::parse(circuit).ok_or_else(|| LoadgenError::ScenarioParse {
-        line: c_line,
-        message: format!("unknown circuit '{circuit}' (bv|ghz|grover|random_clifford)"),
-    })?;
-    let (qubits, q_line) = field(item, "qubits")?;
-    let (shots, s_line) = field_or(item, "shots", "64");
-    let (arrival_kind, a_line) = field_or(item, "arrival", "poisson");
-    let (rate, r_line) = field(item, "ratePerSec")?;
-    let rate = parse_f64_at(rate, r_line, "ratePerSec")?;
-    let arrival = match arrival_kind {
-        "poisson" => ArrivalProcess::Poisson { rate_per_sec: rate },
-        "bursty" => {
-            let (mult, m_line) = field_or(item, "burstMultiplier", "8.0");
-            let (burst, b_line) = field_or(item, "meanBurstMs", "1000");
-            let (idle, i_line) = field_or(item, "meanIdleMs", "4000");
-            ArrivalProcess::Bursty {
-                base_rate_per_sec: rate,
-                burst_multiplier: parse_f64_at(mult, m_line, "burstMultiplier")?,
-                mean_burst_ms: parse_u64_at(burst, b_line, "meanBurstMs")?,
-                mean_idle_ms: parse_u64_at(idle, i_line, "meanIdleMs")?,
-            }
-        }
-        "diurnal" => {
-            let (amp, am_line) = field_or(item, "amplitude", "0.8");
-            let (period, p_line) = field_or(item, "periodMs", "20000");
-            ArrivalProcess::Diurnal {
-                base_rate_per_sec: rate,
-                amplitude: parse_f64_at(amp, am_line, "amplitude")?,
-                period_ms: parse_u64_at(period, p_line, "periodMs")?,
-            }
-        }
-        other => {
-            return Err(LoadgenError::ScenarioParse {
-                line: a_line,
-                message: format!("unknown arrival '{other}' (poisson|bursty|diurnal)"),
-            })
-        }
-    };
-    let retry = match item.get("retryMaxAttempts") {
-        Some((attempts, ra_line)) => {
-            let max_attempts = parse_u64_at(attempts, *ra_line, "retryMaxAttempts")? as u32;
-            let (backoff, b_line) = field_or(item, "retryBackoff", "fixed");
-            let backoff =
-                RetryBackoffKind::parse(backoff).ok_or_else(|| LoadgenError::ScenarioParse {
-                    line: b_line,
-                    message: format!("unknown retryBackoff '{backoff}' (fixed|exponential)"),
+        let mut top = Fields::new("field", 0);
+        let mut section: Option<&str> = None;
+        let mut items: Vec<(&str, Fields<'_>)> = Vec::new();
+        // Whether the last item is still open: a section header closes it,
+        // and fields after a header with no item yet are top-level scalars.
+        let mut in_item = false;
+        for line in reader::lines(text) {
+            let (key, value) = line.key_value(':')?;
+            // Inline ` # comment`s are a rule of this format only: job YAML
+            // and `backend.spec` values keep their `#`.
+            let value = reader::strip_inline_comment(value).trim_end();
+            if line.item {
+                let section = section.ok_or_else(|| {
+                    line.err(format!("list item '- {}' outside a section", line.text))
                 })?;
-            let (delay, d_line) = field_or(item, "retryDelayMs", "1000");
-            let delay_ms = parse_u64_at(delay, d_line, "retryDelayMs")?;
-            let default_max = delay_ms.saturating_mul(8).to_string();
-            let (max_delay, md_line) = field_or(item, "retryMaxDelayMs", &default_max);
+                let mut item = Fields::new("item field", line.no);
+                item.insert(key, value, line.no)?;
+                items.push((section, item));
+                in_item = true;
+            } else if value.is_empty() {
+                section = Some(match key {
+                    "fleet" | "tenants" | "events" => key,
+                    other => return Err(line.err(format!("unknown section '{other}'")).into()),
+                });
+                in_item = false;
+            } else {
+                let fields = match items.last_mut() {
+                    Some((_, item)) if in_item => item,
+                    _ => &mut top,
+                };
+                fields.insert(key, value, line.no)?;
+            }
+        }
+
+        let seed = top.or("seed", 0)?;
+        let breakers_on = top.choice("breakers", "breakers", &[("on", true), ("off", false)])?;
+        let breakers = if breakers_on == Some(true) {
+            let defaults = BreakerSettings::default();
+            Some(BreakerSettings {
+                consecutive_failures: top
+                    .or("breakerConsecutiveFailures", defaults.consecutive_failures)?,
+                failure_rate: top.or("breakerFailureRate", defaults.failure_rate)?,
+                window: top.or("breakerWindow", defaults.window)?,
+                open_ms: top.or("breakerOpenMs", defaults.open_ms)?,
+                probe_jobs: top.or("breakerProbeJobs", defaults.probe_jobs)?,
+            })
+        } else {
+            // Thresholds without `breakers: on` are rejected instead of
+            // silently inert.
+            top.forbid(
+                &[
+                    "breakerConsecutiveFailures",
+                    "breakerFailureRate",
+                    "breakerWindow",
+                    "breakerOpenMs",
+                    "breakerProbeJobs",
+                ],
+                "breaker thresholds require 'breakers: on'",
+            )?;
+            None
+        };
+        let mut scenario = Scenario {
+            name: top.or("scenario", "unnamed".to_string())?,
+            seed,
+            duration_ms: top.or("durationMs", 0)?,
+            max_jobs: top.or("maxJobs", 0)?,
+            service_base_us: top.or("serviceBaseUs", 20_000)?,
+            service_per_shot_us: top.or("servicePerShotUs", 400)?,
+            canary_shots: top.or("canaryShots", 32)?,
+            fault_seed: top.or("faultSeed", seed)?,
+            breakers,
+            fleet: Vec::new(),
+            tenants: Vec::new(),
+            events: Vec::new(),
+        };
+        top.finish("field")?;
+        for (section, item) in items {
+            match section {
+                "fleet" => scenario.fleet.push(read_device(item)?),
+                "tenants" => scenario.tenants.push(read_tenant(item)?),
+                _ => scenario.events.push(read_event(item)?),
+            }
+        }
+        scenario.validate()?;
+        Ok(scenario)
+    }
+}
+
+fn read_device(mut item: Fields<'_>) -> Result<DeviceSpec, SpecError> {
+    let device = DeviceSpec {
+        name: item.req("device")?,
+        topology: item
+            .choice(
+                "topology",
+                "topology",
+                &[
+                    ("line", TopologyKind::Line),
+                    ("ring", TopologyKind::Ring),
+                    ("grid", TopologyKind::Grid),
+                    ("tree", TopologyKind::Tree),
+                    ("star", TopologyKind::Star),
+                    ("full", TopologyKind::Full),
+                ],
+            )?
+            .unwrap_or(TopologyKind::Line),
+        qubits: item.req("qubits")?,
+        single_qubit_error: item.or("singleQubitError", 0.001)?,
+        two_qubit_error: item.or("twoQubitError", 0.01)?,
+        readout_error: item.or("readoutError", 0.02)?,
+        speed: item.or("speed", 1.0)?,
+    };
+    item.finish("device field")?;
+    Ok(device)
+}
+
+#[derive(Clone, Copy)]
+enum ArrivalKind {
+    Poisson,
+    Bursty,
+    Diurnal,
+}
+
+fn read_tenant(mut item: Fields<'_>) -> Result<TenantSpec, LoadgenError> {
+    let name: String = item.req("tenant")?;
+    let target = item.or("target", 0.9)?;
+    let strategy = item
+        .choice(
+            "strategy",
+            "strategy",
+            &[
+                ("fidelity", TenantStrategy::Fidelity { target }),
+                ("weighted", TenantStrategy::Weighted { target }),
+                ("min_queue", TenantStrategy::MinQueue),
+                ("topology", TenantStrategy::Topology),
+            ],
+        )?
+        .ok_or_else(|| item.missing("strategy"))?;
+    let circuit = item
+        .choice(
+            "circuit",
+            "circuit",
+            &[
+                ("bv", WorkloadCircuit::Bv),
+                ("ghz", WorkloadCircuit::Ghz),
+                ("grover", WorkloadCircuit::Grover),
+                ("random_clifford", WorkloadCircuit::RandomClifford),
+            ],
+        )?
+        .unwrap_or(WorkloadCircuit::Bv);
+    let rate = item.req("ratePerSec")?;
+    let arrival_kind = item.choice(
+        "arrival",
+        "arrival",
+        &[
+            ("poisson", ArrivalKind::Poisson),
+            ("bursty", ArrivalKind::Bursty),
+            ("diurnal", ArrivalKind::Diurnal),
+        ],
+    )?;
+    let arrival = match arrival_kind.unwrap_or(ArrivalKind::Poisson) {
+        ArrivalKind::Poisson => ArrivalProcess::Poisson { rate_per_sec: rate },
+        ArrivalKind::Bursty => ArrivalProcess::Bursty {
+            base_rate_per_sec: rate,
+            burst_multiplier: item.or("burstMultiplier", 8.0)?,
+            mean_burst_ms: item.or("meanBurstMs", 1000)?,
+            mean_idle_ms: item.or("meanIdleMs", 4000)?,
+        },
+        ArrivalKind::Diurnal => ArrivalProcess::Diurnal {
+            base_rate_per_sec: rate,
+            amplitude: item.or("amplitude", 0.8)?,
+            period_ms: item.or("periodMs", 20000)?,
+        },
+    };
+    let retry = match item.opt("retryMaxAttempts")? {
+        Some(max_attempts) => {
+            let delay: u64 = item.or("retryDelayMs", 1000)?;
+            let max = item.or("retryMaxDelayMs", delay.saturating_mul(8))?;
+            // Checked here, for either backoff: `fixed` keeps no cap to
+            // check later.
+            if max < delay {
+                return Err(LoadgenError::InvalidScenario(format!(
+                    "tenant '{name}': retryMaxDelayMs {max} is below retryDelayMs {delay}"
+                )));
+            }
+            let exponential = item.choice(
+                "retryBackoff",
+                "retryBackoff",
+                &[("fixed", false), ("exponential", true)],
+            )?;
+            let backoff = if exponential == Some(true) {
+                BackoffPolicy::Exponential {
+                    base: delay,
+                    max,
+                    jitter: false,
+                }
+            } else {
+                BackoffPolicy::Fixed { delay }
+            };
             Some(TenantRetrySpec {
                 max_attempts,
                 backoff,
-                delay_ms,
-                max_delay_ms: parse_u64_at(max_delay, md_line, "retryMaxDelayMs")?,
             })
         }
         None => {
             // Stray retry knobs without the policy itself would be silently
             // inert; reject them like any other field mistake.
-            for stray in ["retryBackoff", "retryDelayMs", "retryMaxDelayMs"] {
-                if let Some((_, line)) = item.get(stray) {
-                    return Err(LoadgenError::ScenarioParse {
-                        line: *line,
-                        message: format!("'{stray}' requires 'retryMaxAttempts'"),
-                    });
-                }
-            }
+            item.forbid(
+                &["retryBackoff", "retryDelayMs", "retryMaxDelayMs"],
+                "requires 'retryMaxAttempts'",
+            )?;
             None
         }
     };
-    let deadline_ms = match item.get("deadlineMs") {
-        Some((value, line)) => Some(parse_u64_at(value, *line, "deadlineMs")?),
-        None => None,
-    };
-    Ok(TenantSpec {
-        name: name.to_string(),
+    let tenant = TenantSpec {
+        name,
         strategy,
         circuit,
-        qubits: parse_u64_at(qubits, q_line, "qubits")? as usize,
-        shots: parse_u64_at(shots, s_line, "shots")?,
+        qubits: item.req("qubits")?,
+        shots: item.or("shots", 64)?,
         arrival,
         retry,
-        deadline_ms,
-    })
+        deadline_ms: item.opt("deadlineMs")?,
+    };
+    item.finish("tenant field")?;
+    Ok(tenant)
 }
 
-fn parse_event(item: &Item) -> Result<ScenarioEvent, LoadgenError> {
-    let (at, at_line) = field(item, "atMs")?;
-    let at_ms = parse_u64_at(at, at_line, "atMs")?;
-    let (kind, kind_line) = field(item, "kind")?;
-    match kind {
-        "drift" => {
-            reject_unknown_fields(
-                item,
-                "drift event",
-                &["atMs", "kind", "device", "errorFactor"],
-            )?;
-            let (device, _) = field(item, "device")?;
-            let (factor, f_line) = field(item, "errorFactor")?;
-            Ok(ScenarioEvent::Drift {
+#[derive(Clone, Copy)]
+enum EventKind {
+    Drift,
+    Outage,
+    Faults,
+}
+
+fn read_event(mut item: Fields<'_>) -> Result<ScenarioEvent, SpecError> {
+    let at_ms = item.req("atMs")?;
+    let kind = item
+        .choice(
+            "kind",
+            "event kind",
+            &[
+                ("drift", EventKind::Drift),
+                ("outage", EventKind::Outage),
+                ("faults", EventKind::Faults),
+            ],
+        )?
+        .ok_or_else(|| item.missing("kind"))?;
+    let (event, what) = match kind {
+        EventKind::Drift => (
+            ScenarioEvent::Drift {
                 at_ms,
-                device: device.to_string(),
-                error_factor: parse_f64_at(factor, f_line, "errorFactor")?,
-            })
-        }
-        "outage" => {
-            reject_unknown_fields(item, "outage event", &["atMs", "kind", "device", "downMs"])?;
-            let (device, _) = field(item, "device")?;
-            let (down, d_line) = field(item, "downMs")?;
-            Ok(ScenarioEvent::Outage {
+                device: item.req("device")?,
+                error_factor: item.req("errorFactor")?,
+            },
+            "drift event field",
+        ),
+        EventKind::Outage => (
+            ScenarioEvent::Outage {
                 at_ms,
-                device: device.to_string(),
-                down_ms: parse_u64_at(down, d_line, "downMs")?,
-            })
-        }
-        "faults" => {
-            // Fleet-wide: no `device` field.
-            reject_unknown_fields(
-                item,
-                "faults event",
-                &[
-                    "atMs",
-                    "kind",
-                    "transientRate",
-                    "calibrationRate",
-                    "slowRate",
-                    "flapRate",
-                ],
-            )?;
-            let mut rates = [0.0f64; 4];
-            for (slot, key) in ["transientRate", "calibrationRate", "slowRate", "flapRate"]
-                .into_iter()
-                .enumerate()
-            {
-                let (value, line) = field_or(item, key, "0");
-                rates[slot] = parse_f64_at(value, line, key)?;
-            }
-            Ok(ScenarioEvent::Faults {
+                device: item.req("device")?,
+                down_ms: item.req("downMs")?,
+            },
+            "outage event field",
+        ),
+        // Fleet-wide: no `device` field.
+        EventKind::Faults => (
+            ScenarioEvent::Faults {
                 at_ms,
-                transient_rate: rates[0],
-                calibration_rate: rates[1],
-                slow_rate: rates[2],
-                flap_rate: rates[3],
-            })
+                transient_rate: item.or("transientRate", 0.0)?,
+                calibration_rate: item.or("calibrationRate", 0.0)?,
+                slow_rate: item.or("slowRate", 0.0)?,
+                flap_rate: item.or("flapRate", 0.0)?,
+            },
+            "faults event field",
+        ),
+    };
+    item.finish(what)?;
+    Ok(event)
+}
+
+impl From<SpecError> for LoadgenError {
+    fn from(err: SpecError) -> Self {
+        LoadgenError::ScenarioParse {
+            line: err.line,
+            message: err.message,
         }
-        other => Err(LoadgenError::ScenarioParse {
-            line: kind_line,
-            message: format!("unknown event kind '{other}' (drift|outage|faults)"),
-        }),
     }
 }
 
@@ -1300,7 +1035,14 @@ events:
         let tenant = &scenario.tenants[0];
         let retry = tenant.retry.expect("retry policy");
         assert_eq!(retry.max_attempts, 4);
-        assert_eq!(retry.backoff, RetryBackoffKind::Exponential);
+        assert_eq!(
+            retry.backoff,
+            BackoffPolicy::Exponential {
+                base: 200,
+                max: 900,
+                jitter: false
+            }
+        );
         assert_eq!(tenant.deadline_ms, Some(4000));
         assert!(matches!(
             scenario.events[0],
@@ -1326,26 +1068,74 @@ events:
 
     #[test]
     fn tenant_backoff_schedules_are_deterministic() {
-        let fixed = TenantRetrySpec {
-            max_attempts: 3,
-            backoff: RetryBackoffKind::Fixed,
-            delay_ms: 250,
-            max_delay_ms: 2000,
+        let retry = |knobs: &str| {
+            let doc = CHAOS_SAMPLE.replace(
+                "    retryBackoff: exponential\n    retryDelayMs: 200\n    retryMaxDelayMs: 900\n",
+                knobs,
+            );
+            Scenario::from_yaml(&doc).unwrap().tenants[0]
+                .retry
+                .expect("retry policy")
         };
-        assert_eq!(fixed.backoff_ms(1), 250);
-        assert_eq!(fixed.backoff_ms(7), 250);
-        let expo = TenantRetrySpec {
-            max_attempts: 6,
-            backoff: RetryBackoffKind::Exponential,
-            delay_ms: 100,
-            max_delay_ms: 500,
-        };
+        let backoff_ms = |spec: TenantRetrySpec, attempt| spec.backoff.delay(0, "", attempt);
+        let fixed = retry("    retryDelayMs: 250\n    retryMaxDelayMs: 2000\n");
+        assert_eq!(fixed.backoff, BackoffPolicy::Fixed { delay: 250 });
+        assert_eq!(backoff_ms(fixed, 1), 250);
+        assert_eq!(backoff_ms(fixed, 7), 250);
+        let expo = retry(
+            "    retryBackoff: exponential\n    retryDelayMs: 100\n    retryMaxDelayMs: 500\n",
+        );
         assert_eq!(
-            (1..=4).map(|a| expo.backoff_ms(a)).collect::<Vec<_>>(),
+            (1..=4).map(|a| backoff_ms(expo, a)).collect::<Vec<_>>(),
             vec![100, 200, 400, 500]
         );
         // Saturates instead of overflowing on absurd attempt counts.
-        assert_eq!(expo.backoff_ms(u32::MAX), 500);
+        assert_eq!(backoff_ms(expo, u32::MAX), 500);
+        // The exponential cap defaults to 8 x the first delay.
+        let capped = retry("    retryBackoff: exponential\n    retryDelayMs: 100\n");
+        assert_eq!(backoff_ms(capped, 9), 800);
+    }
+
+    /// The `u32` counts are read as `u32`: a value past the type's range is
+    /// an error naming the field and its line, not a silent wrap to `0`
+    /// ("disables the trigger") or `1`.
+    #[test]
+    fn counts_beyond_u32_are_rejected_not_wrapped() {
+        let cases = [
+            (
+                "breakerConsecutiveFailures: 2",
+                "breakerConsecutiveFailures: 4294967296",
+            ),
+            (
+                "breakerOpenMs: 1500",
+                "breakerOpenMs: 1500\nbreakerWindow: 4294967297",
+            ),
+            (
+                "breakerOpenMs: 1500",
+                "breakerOpenMs: 1500\nbreakerProbeJobs: 4294967296",
+            ),
+            ("retryMaxAttempts: 4", "retryMaxAttempts: 4294967297"),
+        ];
+        for (from, to) in cases {
+            let doc = CHAOS_SAMPLE.replace(from, to);
+            let (field, _) = to.rsplit_once(": ").unwrap();
+            let field = field.rsplit('\n').next().unwrap();
+            let expected_line = 1 + doc[..doc.find(field).unwrap()].matches('\n').count();
+            match Scenario::from_yaml(&doc) {
+                Err(LoadgenError::ScenarioParse { line, message }) => {
+                    assert_eq!(line, expected_line, "{field}");
+                    assert!(
+                        message.contains(field) && message.contains("bad integer"),
+                        "{field}: {message}"
+                    );
+                }
+                other => panic!("{field} past u32 must be rejected, got {other:?}"),
+            }
+        }
+        // The largest representable count still parses.
+        let doc = CHAOS_SAMPLE.replace("retryMaxAttempts: 4", "retryMaxAttempts: 4294967295");
+        let retry = Scenario::from_yaml(&doc).unwrap().tenants[0].retry.unwrap();
+        assert_eq!(retry.max_attempts, u32::MAX);
     }
 
     #[test]
@@ -1417,12 +1207,9 @@ events:
 
     #[test]
     fn inline_comments_strip_only_after_whitespace() {
-        assert_eq!(strip_inline_comment("5.0  # rate"), "5.0  ");
-        assert_eq!(strip_inline_comment("# all comment"), "");
-        assert_eq!(strip_inline_comment("qpu#1"), "qpu#1");
-        assert_eq!(strip_inline_comment("qpu#1 # note"), "qpu#1 ");
-        // End to end: a device name containing '#' survives parsing and can
-        // be referenced by events.
+        // The four unit cases live with `reader::strip_inline_comment`. End
+        // to end: a device name containing '#' survives parsing and can be
+        // referenced by events.
         let scenario = Scenario::from_yaml(
             "scenario: hash\nseed: 1\ndurationMs: 10\n\
              fleet:\n  - device: qpu#1\n    qubits: 4  # four qubits\n\

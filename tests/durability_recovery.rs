@@ -139,6 +139,48 @@ fn recovery_restores_exact_pre_crash_state_and_resumes() {
     }
 }
 
+/// A cordon is state the node agent holds too: whether recovery restores it
+/// from a snapshot (`clean`, re-sent when agents are rebuilt) or replays it
+/// from the command tail (`noisy`), the recovered agent reports the flag the
+/// crashed instance's agent held — and an uncordon is replayed as well.
+#[test]
+fn cordons_reach_the_agents_of_a_recovered_instance() {
+    let path = journal_path("agent-cordon");
+    let observed_cordon = |qrio: &Qrio, node: &str| match &qrio.observed_nodes()[node].report {
+        qrio_proto::NodeReport::Status { cordoned, .. } => Some(*cordoned),
+        _ => None,
+    };
+    let pre_state;
+    {
+        let mut qrio = seeded_qrio();
+        qrio.enable_durability(&path, DurabilityConfig::default())
+            .unwrap();
+        two_device_fleet(&mut qrio);
+        qrio.add_device(Backend::uniform("spare", topology::line(8), 0.01, 0.05))
+            .unwrap();
+        qrio.cordon_device("clean").unwrap();
+        qrio.snapshot_now().unwrap();
+        qrio.cordon_device("noisy").unwrap();
+        qrio.cordon_device("spare").unwrap();
+        qrio.uncordon_device("spare").unwrap();
+        for (node, cordoned) in [("clean", true), ("noisy", true), ("spare", false)] {
+            assert_eq!(observed_cordon(&qrio, node), Some(cordoned), "live {node}");
+        }
+        pre_state = qrio.describe_state();
+    }
+    let (recovered, report) = Qrio::recover(&path).unwrap();
+    assert_eq!(report.commands_replayed, 3);
+    assert_eq!(recovered.describe_state(), pre_state);
+    for (node, cordoned) in [("clean", true), ("noisy", true), ("spare", false)] {
+        assert_eq!(
+            observed_cordon(&recovered, node),
+            Some(cordoned),
+            "recovered {node}"
+        );
+    }
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn recovering_the_same_journal_twice_is_byte_deterministic() {
     let path = journal_path("deterministic");
