@@ -10,13 +10,13 @@
 use std::collections::BTreeMap;
 
 use qrio_backend::Backend;
-use qrio_bytes::codec_struct;
+use qrio_bytes::{codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode};
 
 use crate::error::ClusterError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::job::{Job, JobPhase, JobSnapshot, JobSpec};
-use crate::node::{Node, NodeState, NodeStatus};
-use crate::registry::{ImageBundle, ImageRegistry, RegistryState};
+use crate::job::{Job, JobPhase, JobSpec};
+use crate::node::{Node, NodeStatus};
+use crate::registry::{decode_keyed, encode_values, ImageBundle, ImageRegistry};
 use crate::resources::Resources;
 
 /// One entry in the cluster's event log.
@@ -132,34 +132,6 @@ codec_struct!(ScheduleDecision {
     filtered_out,
 });
 
-/// The full persistable state of a [`Cluster`], used by durability snapshots:
-/// nodes, jobs, the image registry (with its counters), the event log and the
-/// FIFO submission queue.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClusterState {
-    /// Every node's state, in name order.
-    pub nodes: Vec<NodeState>,
-    /// Every job's state, in name order.
-    pub jobs: Vec<JobSnapshot>,
-    /// The image registry with its push/pull counters.
-    pub registry: RegistryState,
-    /// The event log, in chronological order.
-    pub events: Vec<ClusterEvent>,
-    /// Pending job names in submission order.
-    pub queue: Vec<String>,
-    /// The installed fault injector, when any.
-    pub fault_injector: Option<FaultInjector>,
-}
-
-codec_struct!(ClusterState {
-    nodes,
-    jobs,
-    registry,
-    events,
-    queue,
-    fault_injector,
-});
-
 /// The QRIO cluster: nodes, jobs, images and events.
 #[derive(Default)]
 pub struct Cluster {
@@ -173,45 +145,37 @@ pub struct Cluster {
     fault_injector: Option<FaultInjector>,
 }
 
+// Nodes, jobs, the registry (with its counters), the event log, the FIFO
+// submission queue and the fault injector, verbatim: decoding re-records no
+// event and resets no counter.
+impl Encode for Cluster {
+    fn encode(&self, w: &mut ByteWriter) {
+        encode_values(&self.nodes, w);
+        encode_values(&self.jobs, w);
+        self.registry.encode(w);
+        self.events.encode(w);
+        self.queue.encode(w);
+        self.fault_injector.encode(w);
+    }
+}
+
+impl Decode for Cluster {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Cluster {
+            nodes: decode_keyed(r, Node::name)?,
+            jobs: decode_keyed(r, Job::name)?,
+            registry: Decode::decode(r)?,
+            events: Decode::decode(r)?,
+            queue: Decode::decode(r)?,
+            fault_injector: Decode::decode(r)?,
+        })
+    }
+}
+
 impl Cluster {
     /// An empty cluster.
     pub fn new() -> Self {
         Cluster::default()
-    }
-
-    /// Rebuild a cluster from a previously exported [`ClusterState`],
-    /// verbatim: no events are re-recorded and no counters are reset.
-    pub fn from_state(state: ClusterState) -> Self {
-        Cluster {
-            nodes: state
-                .nodes
-                .into_iter()
-                .map(Node::from_state)
-                .map(|node| (node.name().to_string(), node))
-                .collect(),
-            jobs: state
-                .jobs
-                .into_iter()
-                .map(Job::from_state)
-                .map(|job| (job.name().to_string(), job))
-                .collect(),
-            registry: ImageRegistry::from_state(state.registry),
-            events: state.events,
-            queue: state.queue,
-            fault_injector: state.fault_injector,
-        }
-    }
-
-    /// Export the cluster's full persistable state for a durability snapshot.
-    pub fn export_state(&self) -> ClusterState {
-        ClusterState {
-            nodes: self.nodes.values().map(Node::export_state).collect(),
-            jobs: self.jobs.values().map(Job::export_state).collect(),
-            registry: self.registry.export_state(),
-            events: self.events.clone(),
-            queue: self.queue.clone(),
-            fault_injector: self.fault_injector,
-        }
     }
 
     /// Install (or, with `None`, remove) the deterministic fault injector.
@@ -982,6 +946,7 @@ mod tests {
     use crate::job::{DeviceRequirements, StrategySpec};
     use crate::resources::Resources;
     use qrio_backend::topology;
+    use qrio_bytes::{from_bytes, to_bytes};
 
     struct EchoRunner;
 
@@ -1435,11 +1400,13 @@ mod tests {
             .unwrap()
             .set_label("vendor", "umich");
 
-        let state = cluster.export_state();
-        let restored = Cluster::from_state(state.clone());
+        let bytes = to_bytes(&cluster);
+        let restored: Cluster = from_bytes(&bytes).unwrap();
 
-        // The restored cluster exports byte-for-byte the same state.
-        assert_eq!(restored.export_state(), state);
+        // Decoding is a fixed point: the restored cluster encodes to the
+        // same bytes — no job grew a `phase:` log line on the way.
+        assert_eq!(to_bytes(&restored), bytes);
+        assert_eq!(restored.job_logs("done"), cluster.job_logs("done"));
         // Live behaviour survives: the pending queue, bound resources and
         // counters are intact.
         assert_eq!(restored.pending_jobs(), vec!["waiting"]);
@@ -1616,7 +1583,7 @@ mod tests {
             ..FaultInjector::new(7)
         };
         cluster.set_fault_injector(Some(injector));
-        let restored = Cluster::from_state(cluster.export_state());
+        let restored: Cluster = from_bytes(&to_bytes(&cluster)).unwrap();
         assert_eq!(restored.fault_injector(), Some(&injector));
     }
 }

@@ -431,33 +431,6 @@ impl JobPhase {
     }
 }
 
-/// The full persistable state of a [`Job`], used by durability snapshots.
-///
-/// Restoring through [`Job::from_state`] sets every field verbatim — in
-/// particular it does **not** route through [`Job::set_phase`], which would
-/// append a spurious log line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSnapshot {
-    /// The job specification.
-    pub spec: JobSpec,
-    /// Lifecycle phase at snapshot time.
-    pub phase: JobPhase,
-    /// Accumulated log lines.
-    pub logs: Vec<String>,
-    /// Result histogram, when finished.
-    pub result_counts: Vec<(String, u64)>,
-    /// Achieved fidelity, when computed.
-    pub achieved_fidelity: Option<f64>,
-}
-
-codec_struct!(JobSnapshot {
-    spec,
-    phase,
-    logs,
-    result_counts,
-    achieved_fidelity,
-});
-
 /// A job tracked by the cluster: its spec, phase, logs and result summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
@@ -470,6 +443,16 @@ pub struct Job {
     achieved_fidelity: Option<f64>,
 }
 
+// Decoding sets every field verbatim: it does not route through
+// `Job::set_phase`, which would append a log line.
+codec_struct!(Job {
+    spec,
+    phase,
+    logs,
+    result_counts,
+    achieved_fidelity,
+});
+
 impl Job {
     /// Wrap a spec into a pending job.
     pub fn new(spec: JobSpec) -> Self {
@@ -479,28 +462,6 @@ impl Job {
             logs: Vec::new(),
             result_counts: Vec::new(),
             achieved_fidelity: None,
-        }
-    }
-
-    /// Rebuild a job from a previously exported [`JobSnapshot`], verbatim.
-    pub fn from_state(state: JobSnapshot) -> Self {
-        Job {
-            spec: state.spec,
-            phase: state.phase,
-            logs: state.logs,
-            result_counts: state.result_counts,
-            achieved_fidelity: state.achieved_fidelity,
-        }
-    }
-
-    /// Export the job's full persistable state for a durability snapshot.
-    pub fn export_state(&self) -> JobSnapshot {
-        JobSnapshot {
-            spec: self.spec.clone(),
-            phase: self.phase.clone(),
-            logs: self.logs.clone(),
-            result_counts: self.result_counts.clone(),
-            achieved_fidelity: self.achieved_fidelity,
         }
     }
 

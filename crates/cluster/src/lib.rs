@@ -54,15 +54,15 @@ mod resources;
 pub mod yaml;
 
 pub use cluster::{
-    AttemptVerdict, Cluster, ClusterEvent, ClusterState, ExecutionOutcome, JobRunner, NodeLoad,
-    ScheduleDecision, WorkOrder,
+    AttemptVerdict, Cluster, ClusterEvent, ExecutionOutcome, JobRunner, NodeLoad, ScheduleDecision,
+    WorkOrder,
 };
 pub use error::ClusterError;
 pub use fault::{BackoffPolicy, FaultInjector, FaultKind, RetryOn, RetryPolicy};
 pub use job::{
-    strategy_names, DeviceRequirements, Job, JobPhase, JobSnapshot, JobSpec, ParamValue,
-    StrategyParams, StrategySpec,
+    strategy_names, DeviceRequirements, Job, JobPhase, JobSpec, ParamValue, StrategyParams,
+    StrategySpec,
 };
-pub use node::{Node, NodeState, NodeStatus};
-pub use registry::{ImageBundle, ImageRegistry, RegistryState};
+pub use node::{Node, NodeStatus};
+pub use registry::{ImageBundle, ImageRegistry};
 pub use resources::Resources;

@@ -23,41 +23,10 @@ pub enum NodeStatus {
 
 codec_enum!(NodeStatus { 0 => Ready, 1 => NotReady, 2 => Cordoned });
 
-/// The full persistable state of a [`Node`], used by durability snapshots.
-///
-/// Unlike [`Node::from_backend`], restoring from a `NodeState` preserves the
-/// label map verbatim (including custom labels), the live allocations, the
-/// health status and the restart counter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeState {
-    /// The quantum device hosted by the node.
-    pub backend: Backend,
-    /// The full label map, custom labels included.
-    pub labels: BTreeMap<String, String>,
-    /// Total classical capacity.
-    pub capacity: Resources,
-    /// Classical resources allocated to bound jobs.
-    pub allocated: Resources,
-    /// Health status.
-    pub status: NodeStatus,
-    /// Lifetime restart counter.
-    pub restart_count: u64,
-}
-
-codec_struct!(NodeState {
-    backend,
-    labels,
-    capacity,
-    allocated,
-    status,
-    restart_count,
-});
-
 /// A QRIO worker node: a quantum device, its vendor-provided backend spec, the
 /// Kubernetes-style labels derived from it, and classical capacity (§3.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    name: String,
     backend: Backend,
     labels: BTreeMap<String, String>,
     capacity: Resources,
@@ -65,6 +34,18 @@ pub struct Node {
     status: NodeStatus,
     restart_count: u64,
 }
+
+// Decoding restores the label map (custom labels included), the live
+// allocations, the health status and the restart counter verbatim: no label
+// is rederived and no counter reset, unlike `Node::from_backend`.
+codec_struct!(Node {
+    backend,
+    labels,
+    capacity,
+    allocated,
+    status,
+    restart_count,
+});
 
 impl Node {
     /// Create a node from a backend with the given classical capacity.
@@ -75,7 +56,6 @@ impl Node {
         let labels = NodeLabels::from_backend(&backend, capacity.cpu_millis, capacity.memory_mib)
             .to_string_map();
         Node {
-            name: backend.name().to_string(),
             backend,
             labels,
             capacity,
@@ -85,35 +65,9 @@ impl Node {
         }
     }
 
-    /// Rebuild a node from a previously exported [`NodeState`], byte-for-byte:
-    /// no labels are rederived and no counters are reset.
-    pub fn from_state(state: NodeState) -> Self {
-        Node {
-            name: state.backend.name().to_string(),
-            backend: state.backend,
-            labels: state.labels,
-            capacity: state.capacity,
-            allocated: state.allocated,
-            status: state.status,
-            restart_count: state.restart_count,
-        }
-    }
-
-    /// Export the node's full persistable state for a durability snapshot.
-    pub fn export_state(&self) -> NodeState {
-        NodeState {
-            backend: self.backend.clone(),
-            labels: self.labels.clone(),
-            capacity: self.capacity,
-            allocated: self.allocated,
-            status: self.status,
-            restart_count: self.restart_count,
-        }
-    }
-
     /// The node name (equals the device name).
     pub fn name(&self) -> &str {
-        &self.name
+        self.backend.name()
     }
 
     /// The quantum device hosted by this node.
@@ -175,7 +129,7 @@ impl Node {
         let spec = job.spec();
         let mut available = self.available();
         match job.phase() {
-            JobPhase::Scheduled { node } | JobPhase::Running { node } if *node == self.name => {
+            JobPhase::Scheduled { node } | JobPhase::Running { node } if node == self.name() => {
                 available = available.plus(&spec.resources);
             }
             _ => {}
@@ -268,7 +222,7 @@ impl fmt::Display for Node {
         write!(
             f,
             "Node '{}' [{:?}]: {} qubits, {} available",
-            self.name,
+            self.name(),
             self.status,
             self.backend.num_qubits(),
             self.available()

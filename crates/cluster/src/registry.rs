@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use qrio_bytes::codec_struct;
+use qrio_bytes::{codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode};
 
 use crate::error::ClusterError;
 
@@ -65,26 +65,6 @@ impl ImageBundle {
     }
 }
 
-/// The full persistable state of an [`ImageRegistry`], used by durability
-/// snapshots. Carries the operation counters explicitly, since
-/// [`ImageRegistry::push`] and [`ImageRegistry::pull`] bump them as a side
-/// effect.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegistryState {
-    /// Every stored image, in name order.
-    pub images: Vec<ImageBundle>,
-    /// Lifetime push-operation counter.
-    pub push_count: u64,
-    /// Lifetime pull-operation counter.
-    pub pull_count: u64,
-}
-
-codec_struct!(RegistryState {
-    images,
-    push_count,
-    pull_count,
-});
-
 /// An in-memory image registry.
 #[derive(Debug, Clone, Default)]
 pub struct ImageRegistry {
@@ -93,33 +73,51 @@ pub struct ImageRegistry {
     pull_count: u64,
 }
 
+/// A name-keyed map is stored as the sequence of its values, in name order:
+/// every value carries its own name.
+pub(crate) fn encode_values<T: Encode>(map: &BTreeMap<String, T>, w: &mut ByteWriter) {
+    w.put_usize(map.len());
+    for value in map.values() {
+        value.encode(w);
+    }
+}
+
+/// The inverse of [`encode_values`]: each decoded value is keyed by `name`.
+pub(crate) fn decode_keyed<T: Decode>(
+    r: &mut ByteReader<'_>,
+    name: impl Fn(&T) -> &str,
+) -> Result<BTreeMap<String, T>, CodecError> {
+    let values = Vec::<T>::decode(r)?;
+    Ok(values
+        .into_iter()
+        .map(|value| (name(&value).to_string(), value))
+        .collect())
+}
+
+// The operation counters are stored, since `push` and `pull` bump them as a
+// side effect.
+impl Encode for ImageRegistry {
+    fn encode(&self, w: &mut ByteWriter) {
+        encode_values(&self.images, w);
+        self.push_count.encode(w);
+        self.pull_count.encode(w);
+    }
+}
+
+impl Decode for ImageRegistry {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(ImageRegistry {
+            images: decode_keyed(r, ImageBundle::name)?,
+            push_count: Decode::decode(r)?,
+            pull_count: Decode::decode(r)?,
+        })
+    }
+}
+
 impl ImageRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         ImageRegistry::default()
-    }
-
-    /// Rebuild a registry from a previously exported [`RegistryState`],
-    /// counters included.
-    pub fn from_state(state: RegistryState) -> Self {
-        ImageRegistry {
-            images: state
-                .images
-                .into_iter()
-                .map(|image| (image.name().to_string(), image))
-                .collect(),
-            push_count: state.push_count,
-            pull_count: state.pull_count,
-        }
-    }
-
-    /// Export the registry's full persistable state for a durability snapshot.
-    pub fn export_state(&self) -> RegistryState {
-        RegistryState {
-            images: self.images.values().cloned().collect(),
-            push_count: self.push_count,
-            pull_count: self.pull_count,
-        }
     }
 
     /// Push an image, replacing any previous image with the same name.

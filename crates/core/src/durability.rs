@@ -19,10 +19,14 @@
 //! * [`RECORD_EVENTS`] — the watch-log [`JobEvent`]s the preceding command
 //!   produced. Never replayed (replay regenerates them); used to *verify*
 //!   that replay reproduced the pre-crash history bit-for-bit.
-//! * [`RECORD_SNAPSHOT`] — the full orchestrator state (cluster, meta
-//!   server, lifecycle store, runner seed, configuration). The payload
-//!   begins with a `u64` event cursor: the length of the watch log at
-//!   snapshot time. Recovery starts from the last snapshot in the log.
+//! * [`RECORD_SNAPSHOT`] — the full orchestrator state. The payload begins
+//!   with a `u64` event cursor (the length of the watch log at snapshot
+//!   time) and goes on with the stores themselves, in [`SnapshotState`]
+//!   field order: lifecycle store, cluster, meta server, runner seed,
+//!   configuration, breaker board. Each store is its own stored form:
+//!   [`crate::Qrio::snapshot_record`] encodes the live ones from borrows,
+//!   and recovery — which starts from the last snapshot in the log — moves
+//!   the decoded ones into the new orchestrator.
 //!
 //! # Snapshot cadence
 //!
@@ -62,9 +66,9 @@ use std::error::Error;
 use std::fmt;
 
 use qrio_bytes::{codec_enum, codec_struct, from_bytes, to_bytes, ByteReader, CodecError};
-use qrio_cluster::{ClusterState, FaultInjector, Resources};
+use qrio_cluster::{Cluster, FaultInjector, Resources};
 use qrio_journal::{Journal, JournalError, Record};
-use qrio_meta::{DeviceTelemetry, MetaState};
+use qrio_meta::{DeviceTelemetry, MetaServer};
 
 use crate::breaker::{BreakerBoard, BreakerConfig};
 use crate::lifecycle::{JobEvent, LifecycleStore};
@@ -395,15 +399,16 @@ codec_enum!(Command {
     17 => Probe { device },
 });
 
-/// The full orchestrator state captured by a snapshot record. Opaque outside
-/// the crate except for its [cursor](SnapshotState::cursor).
-#[derive(Debug, Clone)]
+/// The full orchestrator state captured by a snapshot record: the stores
+/// themselves, ready to be moved into a recovered [`crate::Qrio`]. Opaque
+/// outside the crate except for its [cursor](SnapshotState::cursor).
+#[derive(Debug)]
 pub struct SnapshotState {
     /// Watch-log length at snapshot time (`lifecycle.events.len()`).
     pub(crate) cursor: u64,
     pub(crate) lifecycle: LifecycleStore,
-    pub(crate) cluster: ClusterState,
-    pub(crate) meta: MetaState,
+    pub(crate) cluster: Cluster,
+    pub(crate) meta: MetaServer,
     pub(crate) runner_seed: u64,
     pub(crate) default_node_resources: Resources,
     pub(crate) snapshot_every: u64,
@@ -437,7 +442,7 @@ impl SnapshotState {
 // ---------------------------------------------------------------------------
 
 /// One decoded journal record.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum JournalEntry {
     /// A [`RECORD_COMMAND`] record.
     Command(Command),
@@ -509,10 +514,6 @@ pub fn decode_events(payload: &[u8]) -> Result<Vec<JobEvent>, DurabilityError> {
 /// Returns a codec error when the payload is shorter than the cursor.
 pub fn snapshot_cursor(payload: &[u8]) -> Result<u64, DurabilityError> {
     Ok(ByteReader::new(payload).take_u64()?)
-}
-
-pub(crate) fn encode_snapshot_record(snap: &SnapshotState) -> Record {
-    Record::new(RECORD_SNAPSHOT, RECORD_VERSION, to_bytes(snap))
 }
 
 // ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ use std::sync::Arc;
 
 use qrio_agent::{fault_spec_to_wire, ChannelTransport, InProcTransport, NodeAgent, Transport};
 use qrio_backend::{spec as backend_spec, Backend};
+use qrio_bytes::{ByteWriter, Encode};
 use qrio_cluster::{
-    Cluster, ClusterError, FaultInjector, Node, NodeStatus, Resources, ScheduleDecision,
+    AttemptVerdict, Cluster, ClusterError, FaultInjector, Node, NodeStatus, Resources,
+    ScheduleDecision,
 };
 use qrio_journal::{scan_file, Journal, Record};
 use qrio_meta::{DeviceTelemetry, FidelityRankingConfig, MetaServer, RankingStrategy};
@@ -48,7 +50,7 @@ use crate::breaker::{BreakerAction, BreakerBoard, BreakerConfig};
 use crate::control::{ControlPlane, ObservedNode, TransportMode};
 use crate::durability::{
     self, Command, Durability, DurabilityConfig, DurabilityError, JournalEntry, RecoveryReport,
-    ReplayCheckpoint, SnapshotState, RECORD_SNAPSHOT,
+    ReplayCheckpoint, SnapshotState, RECORD_SNAPSHOT, RECORD_VERSION,
 };
 use crate::error::QrioError;
 use crate::lifecycle::{JobEvent, JobId, JobState, JobStatus, LifecycleStore, TickReport};
@@ -213,31 +215,53 @@ impl Qrio {
             )));
         }
         let name = backend.name().to_string();
-        let spec_text = backend_spec::to_spec(&backend);
         self.meta.register_backend(backend.clone());
         self.cluster
             .add_node(Node::from_backend(backend, resources))?;
-        self.attach_agent(&name, spec_text);
+        self.bind_agent(&name, true);
+        self.control.drain();
         Ok(())
     }
 
-    /// Stand up the node's agent: register it on the control-plane transport
-    /// and ship the calibration plus the current fault plan in a `Bind`
-    /// command. Transport sends only fail when the workers are torn down, so
-    /// failures here are ignored rather than surfaced to the vendor API.
-    fn attach_agent(&mut self, node: &str, backend_spec: String) {
-        let _ = self
-            .control
-            .register_agent(NodeAgent::new(node, Box::new(self.runner)));
+    /// Ship a node's calibration and the current fault plan to its agent in
+    /// a `Bind` command. A `fresh` agent is first stood up on the transport
+    /// and, knowing nothing yet, is also told when its node is cordoned.
+    /// Transport sends only fail when the workers are torn down, so failures
+    /// here are ignored rather than surfaced to the vendor API; the caller
+    /// drains the acknowledgements.
+    fn bind_agent(&mut self, name: &str, fresh: bool) {
+        let node = self.cluster.node(name).expect("callers name a node");
+        let backend_spec = backend_spec::to_spec(node.backend());
+        let cordoned = node.status() == NodeStatus::Cordoned;
         let injector = self.cluster.fault_injector().map(fault_spec_to_wire);
+        let clock = self.lifecycle.clock;
+        if fresh {
+            let _ = self
+                .control
+                .register_agent(NodeAgent::new(name, Box::new(self.runner)));
+        }
         let _ = self.control.send_command(
-            node,
-            self.lifecycle.clock,
+            name,
+            clock,
             NodeCommand::Bind {
                 backend_spec,
                 injector,
             },
         );
+        if fresh && cordoned {
+            let _ = self.control.send_command(name, clock, NodeCommand::Cordon);
+        }
+    }
+
+    /// [`Qrio::bind_agent`] for every node, in name order: a fault plan
+    /// rebroadcast to the agents there are, or (`fresh`) every agent stood up
+    /// anew — when the transport is swapped and when an orchestrator is
+    /// rebuilt from a snapshot.
+    fn bind_agents(&mut self, fresh: bool) {
+        let names: Vec<String> = self.cluster.nodes().map(|n| n.name().to_string()).collect();
+        for name in names {
+            self.bind_agent(&name, fresh);
+        }
         self.control.drain();
     }
 
@@ -403,29 +427,7 @@ impl Qrio {
     /// pure decision function.
     fn configure_faults_unjournaled(&mut self, injector: Option<FaultInjector>) {
         self.cluster.set_fault_injector(injector);
-        let wire = injector.as_ref().map(fault_spec_to_wire);
-        let nodes: Vec<(String, String)> = self
-            .cluster
-            .nodes()
-            .map(|node| {
-                (
-                    node.backend().name().to_string(),
-                    backend_spec::to_spec(node.backend()),
-                )
-            })
-            .collect();
-        let clock = self.lifecycle.clock;
-        for (name, spec_text) in nodes {
-            let _ = self.control.send_command(
-                &name,
-                clock,
-                NodeCommand::Bind {
-                    backend_spec: spec_text,
-                    injector: wire,
-                },
-            );
-        }
-        self.control.drain();
+        self.bind_agents(false);
     }
 
     /// The currently-installed fault injector, if any.
@@ -471,7 +473,7 @@ impl Qrio {
             TransportMode::Threaded { threads } => Box::new(ChannelTransport::new(threads)),
         };
         self.control.install(transport, mode);
-        self.rebuild_agents();
+        self.bind_agents(true);
     }
 
     /// The active control-plane transport mode.
@@ -506,42 +508,6 @@ impl Qrio {
     /// Take the recorded control-plane trace, leaving recording enabled.
     pub fn take_control_trace(&mut self) -> Vec<u8> {
         self.control.take_trace()
-    }
-
-    /// Register one agent per cluster node on the current transport and
-    /// re-ship calibration, fault plan and cordon. Used when the transport is
-    /// swapped and when an orchestrator is rebuilt from a snapshot.
-    fn rebuild_agents(&mut self) {
-        let injector = self.cluster.fault_injector().map(fault_spec_to_wire);
-        let nodes: Vec<(String, String, bool)> = self
-            .cluster
-            .nodes()
-            .map(|node| {
-                (
-                    node.backend().name().to_string(),
-                    backend_spec::to_spec(node.backend()),
-                    node.status() == NodeStatus::Cordoned,
-                )
-            })
-            .collect();
-        let clock = self.lifecycle.clock;
-        for (name, spec_text, cordoned) in nodes {
-            let _ = self
-                .control
-                .register_agent(NodeAgent::new(&name, Box::new(self.runner)));
-            let _ = self.control.send_command(
-                &name,
-                clock,
-                NodeCommand::Bind {
-                    backend_spec: spec_text,
-                    injector,
-                },
-            );
-            if cordoned {
-                let _ = self.control.send_command(&name, clock, NodeCommand::Cordon);
-            }
-        }
-        self.control.drain();
     }
 
     /// The dead-letter queue: ids of jobs whose retry policy was exhausted,
@@ -942,7 +908,11 @@ impl Qrio {
                 .and_then(|queue| queue.pop_front());
             debug_assert_eq!(popped.as_deref(), Some(name.as_str()));
             let _ = self.execute_bound(&name);
-            report.completed.push(JobId::new(&name));
+            let bucket = match self.lifecycle.jobs[&name].status.state {
+                JobState::Retrying => &mut report.retried,
+                _ => &mut report.completed,
+            };
+            bucket.push(JobId::new(&name));
         }
         self.lifecycle
             .device_queues
@@ -1501,9 +1471,17 @@ impl Qrio {
     /// for the matching `Phase` report, and settle the verdict back into the
     /// cluster. The agent holds the fault-plan replica, so injected-fault
     /// verdicts are drawn device-side from the same pure decision function.
+    ///
+    /// A transport failure is settled like any failed attempt — the job is
+    /// `Running` in the cluster by then, and only settling releases the node
+    /// and keeps the cluster phase in step with the lifecycle state.
     fn dispatch_attempt(&mut self, name: &str, attempt: u32) -> Result<(), ClusterError> {
         let order = self.cluster.prepare_run(name, attempt)?;
-        let verdict = self.control.run(&order, self.lifecycle.clock)?;
+        let verdict = match self.control.run(&order, self.lifecycle.clock) {
+            Ok(verdict) => verdict,
+            Err(ClusterError::ExecutionFailed { reason, .. }) => AttemptVerdict::Failed(reason),
+            Err(other) => AttemptVerdict::Failed(other.to_string()),
+        };
         self.cluster.settle_run(&order, verdict)
     }
 
@@ -1710,8 +1688,27 @@ impl Qrio {
     /// The snapshot record [`Qrio::snapshot_now`] would append: the full
     /// orchestrator state, encoded. Lets tools and tests obtain a well-formed
     /// snapshot without a journal file.
+    ///
+    /// Writes the fields of [`SnapshotState`], in its order, straight from
+    /// the live stores: nothing is copied to be encoded.
     pub fn snapshot_record(&self) -> Record {
-        durability::encode_snapshot_record(&self.export_snapshot())
+        let durability = self.durability.as_ref();
+        let mut w = ByteWriter::new();
+        (self.lifecycle.events.len() as u64).encode(&mut w);
+        self.lifecycle.encode(&mut w);
+        self.cluster.encode(&mut w);
+        self.meta.encode(&mut w);
+        self.runner.seed.encode(&mut w);
+        self.default_node_resources.encode(&mut w);
+        durability
+            .map_or(0, Durability::snapshot_every)
+            .encode(&mut w);
+        durability.map_or(0, Durability::sync_every).encode(&mut w);
+        durability
+            .map_or(0, Durability::compact_above)
+            .encode(&mut w);
+        self.breakers.encode(&mut w);
+        Record::new(RECORD_SNAPSHOT, RECORD_VERSION, w.into_bytes())
     }
 
     /// Journal one command plus the watch-log events it produced, then write
@@ -1726,28 +1723,6 @@ impl Qrio {
             self.write_snapshot()?;
         }
         Ok(())
-    }
-
-    /// Capture the full orchestrator state as a snapshot payload.
-    fn export_snapshot(&self) -> SnapshotState {
-        SnapshotState {
-            cursor: self.lifecycle.events.len() as u64,
-            lifecycle: self.lifecycle.clone(),
-            cluster: self.cluster.export_state(),
-            meta: self.meta.export_state(),
-            runner_seed: self.runner.seed,
-            default_node_resources: self.default_node_resources,
-            snapshot_every: self
-                .durability
-                .as_ref()
-                .map_or(0, Durability::snapshot_every),
-            sync_every: self.durability.as_ref().map_or(0, Durability::sync_every),
-            compact_above: self
-                .durability
-                .as_ref()
-                .map_or(0, Durability::compact_above),
-            breakers: self.breakers.clone(),
-        }
     }
 
     fn write_snapshot(&mut self) -> Result<(), DurabilityError> {
@@ -1765,8 +1740,8 @@ impl Qrio {
     /// attached yet; the caller wires that after replay.
     fn from_snapshot(snapshot: SnapshotState) -> Self {
         let mut qrio = Qrio {
-            cluster: Cluster::from_state(snapshot.cluster),
-            meta: MetaServer::from_state(snapshot.meta),
+            cluster: snapshot.cluster,
+            meta: snapshot.meta,
             runner: SimJobRunner::new(snapshot.runner_seed),
             default_node_resources: snapshot.default_node_resources,
             lifecycle: snapshot.lifecycle,
@@ -1778,7 +1753,7 @@ impl Qrio {
         // Snapshots carry no agent state: agents are pure functions of their
         // command streams, so rebuilding them from the restored cluster and
         // re-binding calibration + fault plan reproduces them exactly.
-        qrio.rebuild_agents();
+        qrio.bind_agents(true);
         qrio
     }
 
@@ -2429,8 +2404,11 @@ mod tests {
                 None,
             ))
             .unwrap();
-        qrio.tick();
+        let report = qrio.tick();
         assert_eq!(qrio.status(&id).unwrap(), JobState::Retrying);
+        assert_eq!(report.retried, vec![id.clone()]);
+        assert!(report.completed.is_empty(), "a retrying job is not done");
+        assert!(report.made_progress());
         let status = qrio.job_status(&id).unwrap();
         assert!(
             status.reason.as_deref().unwrap().contains("transient"),
@@ -2466,6 +2444,63 @@ mod tests {
         );
         // The outcome is a real one: counts from the successful attempt.
         assert!(!qrio.outcome(&id).unwrap().counts.is_empty());
+    }
+
+    /// A transport whose workers are gone: agents register, nothing sends.
+    #[derive(Debug)]
+    struct DeadTransport;
+
+    impl Transport for DeadTransport {
+        fn mode(&self) -> &'static str {
+            "dead"
+        }
+        fn register(&mut self, _agent: NodeAgent) -> Result<(), qrio_agent::AgentError> {
+            Ok(())
+        }
+        fn send(&mut self, _frame: Vec<u8>) -> Result<(), qrio_agent::AgentError> {
+            Err(qrio_agent::AgentError::Disconnected)
+        }
+        fn recv(&mut self, _wait: bool) -> Result<Option<Vec<u8>>, qrio_agent::AgentError> {
+            Ok(None)
+        }
+        fn node_names(&self) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn wire_failure_releases_the_node_and_is_retried_like_any_failed_attempt() {
+        let mut qrio = small_qrio();
+        qrio.control
+            .install(Box::new(DeadTransport), TransportMode::InProc);
+        let id = qrio
+            .enqueue(&faulty_request(
+                "unplugged",
+                Some(RetryPolicy::fixed(3, 1)),
+                None,
+            ))
+            .unwrap();
+        qrio.tick();
+
+        // The attempt failed on the wire, and both job tables say so.
+        assert_eq!(qrio.status(&id).unwrap(), JobState::Retrying);
+        let reason = qrio.job_status(&id).unwrap().reason.clone().unwrap();
+        assert!(reason.contains("control plane:"), "{reason}");
+        assert_eq!(
+            qrio.cluster().job("unplugged").unwrap().phase(),
+            &JobPhase::Pending
+        );
+        for node in qrio.cluster().nodes() {
+            assert_eq!(node.allocated(), Resources::default(), "{}", node.name());
+        }
+
+        // On a healthy transport the retry binds once and succeeds.
+        qrio.set_transport(TransportMode::InProc);
+        qrio.run_until_idle();
+        assert_eq!(qrio.status(&id).unwrap(), JobState::Succeeded);
+        for node in qrio.cluster().nodes() {
+            assert_eq!(node.allocated(), Resources::default(), "{}", node.name());
+        }
     }
 
     #[test]
@@ -2600,12 +2635,7 @@ mod tests {
                 health_penalty: 0.0,
             },
         )]);
-        let meta_state = qrio.meta().export_state();
-        let (_, telemetry) = meta_state
-            .telemetry
-            .iter()
-            .find(|(device, _)| device == "solo")
-            .unwrap();
+        let telemetry = qrio.meta().telemetry_for("solo").unwrap();
         assert_eq!(telemetry.health_penalty, 1.0);
 
         // The storm passes. A queued job waits out the open interval, the

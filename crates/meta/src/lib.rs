@@ -63,6 +63,6 @@ pub use error::MetaError;
 pub use fidelity_ranking::{
     canary_fidelity_on_backend, evaluate_fidelity, FidelityEvaluation, FidelityRankingConfig,
 };
-pub use server::{CacheStats, JobRecord, MetaServer, MetaState, Ranking};
+pub use server::{CacheStats, JobRecord, MetaServer, Ranking};
 pub use strategy::{DeviceTelemetry, JobContext, RankingStrategy, Score, StrategyRegistry};
 pub use topology_ranking::{evaluate_topology, topology_circuit, TopologyEvaluation};

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_bytes::codec_struct;
+use qrio_bytes::{codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode};
 use qrio_circuit::{qasm, Circuit};
 use qrio_cluster::{StrategyParams, StrategySpec};
 
@@ -33,6 +33,8 @@ pub struct JobRecord {
     circuit: Option<Circuit>,
 }
 
+codec_struct!(JobRecord { strategy, circuit });
+
 impl JobRecord {
     /// Name of the ranking strategy the job selected.
     pub fn strategy_name(&self) -> &str {
@@ -49,35 +51,6 @@ impl JobRecord {
         self.circuit.as_ref()
     }
 }
-
-/// The full persistable state of a [`MetaServer`], used by durability
-/// snapshots.
-///
-/// The strategy registry is deliberately **not** part of the state: strategy
-/// implementations are arbitrary Rust values and cannot be serialized.
-/// [`MetaServer::from_state`] starts from the built-in registry; user-defined
-/// strategies must be re-registered by the caller before any scoring happens
-/// (the orchestrator's recovery hook does exactly that). The memoized-score
-/// cache is also dropped — it is a pure performance artifact and every entry
-/// is deterministically recomputable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetaState {
-    /// The fidelity-ranking configuration of the built-in strategies.
-    pub fidelity_config: FidelityRankingConfig,
-    /// Every registered backend with its calibration revision, in name order.
-    pub backends: Vec<(Backend, u64)>,
-    /// Every job record as `(job, strategy, circuit)`, in name order.
-    pub jobs: Vec<(String, StrategySpec, Option<Circuit>)>,
-    /// The latest telemetry per device, in name order.
-    pub telemetry: Vec<(String, DeviceTelemetry)>,
-}
-
-codec_struct!(MetaState {
-    fidelity_config,
-    backends,
-    jobs,
-    telemetry,
-});
 
 /// Memoized `(job, device)` scores for cacheable strategies, plus hit/miss
 /// counters. Entries carry the device's calibration revision at compute time,
@@ -159,6 +132,46 @@ impl Clone for MetaServer {
     }
 }
 
+// The stored form: the fidelity configuration, every backend with its
+// calibration revision, the job records and the latest telemetry.
+//
+// The strategy registry is deliberately **not** stored: strategy
+// implementations are arbitrary Rust values and cannot be serialized.
+// Decoding starts from the built-in registry; user-defined strategies must be
+// re-registered by the caller before any scoring happens (the orchestrator's
+// recovery hook does exactly that). The memoized-score cache is not stored
+// either — it is a pure performance artifact and every entry is
+// deterministically recomputable — so a decoded server starts cold.
+impl Encode for MetaServer {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.fidelity_config.encode(w);
+        w.put_usize(self.backends.len());
+        for (name, backend) in &self.backends {
+            backend.encode(w);
+            let revision = self.backend_revisions.get(name).copied().unwrap_or(0);
+            revision.encode(w);
+        }
+        self.jobs.encode(w);
+        self.telemetry.encode(w);
+    }
+}
+
+// Everything is restored verbatim: revision counters are **not** re-bumped
+// and job records are **not** re-validated (they were validated at upload).
+impl Decode for MetaServer {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let mut server = MetaServer::with_config(Decode::decode(r)?);
+        for (backend, revision) in Vec::<(Backend, u64)>::decode(r)? {
+            let name = backend.name().to_string();
+            server.backend_revisions.insert(name.clone(), revision);
+            server.backends.insert(name, backend);
+        }
+        server.jobs = Decode::decode(r)?;
+        server.telemetry = Decode::decode(r)?;
+        Ok(server)
+    }
+}
+
 impl MetaServer {
     /// An empty meta server with default scoring configuration and the four
     /// built-in strategies registered.
@@ -183,60 +196,6 @@ impl MetaServer {
     /// The fidelity-ranking configuration the built-in strategies use.
     pub fn fidelity_config(&self) -> &FidelityRankingConfig {
         &self.fidelity_config
-    }
-
-    /// Rebuild a meta server from a previously exported [`MetaState`].
-    ///
-    /// Backends, calibration revisions, job records and telemetry are restored
-    /// verbatim — in particular, revision counters are **not** re-bumped and
-    /// job records are **not** re-validated (they were validated at original
-    /// upload time). The registry starts from the built-ins; see [`MetaState`]
-    /// for the custom-strategy caveat. The score cache starts cold.
-    pub fn from_state(state: MetaState) -> Self {
-        let mut server = MetaServer::with_config(state.fidelity_config);
-        for (backend, revision) in state.backends {
-            let name = backend.name().to_string();
-            server.backend_revisions.insert(name.clone(), revision);
-            server.backends.insert(name, backend);
-        }
-        for (job, strategy, circuit) in state.jobs {
-            server.jobs.insert(job, JobRecord { strategy, circuit });
-        }
-        for (device, telemetry) in state.telemetry {
-            server.telemetry.insert(device, telemetry);
-        }
-        server
-    }
-
-    /// Export the server's full persistable state for a durability snapshot.
-    pub fn export_state(&self) -> MetaState {
-        MetaState {
-            fidelity_config: self.fidelity_config,
-            backends: self
-                .backends
-                .iter()
-                .map(|(name, backend)| {
-                    let revision = self.backend_revisions.get(name).copied().unwrap_or(0);
-                    (backend.clone(), revision)
-                })
-                .collect(),
-            jobs: self
-                .jobs
-                .iter()
-                .map(|(name, record)| {
-                    (
-                        name.clone(),
-                        record.strategy.clone(),
-                        record.circuit.clone(),
-                    )
-                })
-                .collect(),
-            telemetry: self
-                .telemetry
-                .iter()
-                .map(|(device, telemetry)| (device.clone(), *telemetry))
-                .collect(),
-        }
     }
 
     // --- Strategy registry ---------------------------------------------------------------
@@ -588,6 +547,7 @@ mod tests {
     use super::*;
     use crate::strategy::{RankingStrategy, Score};
     use qrio_backend::{spec, topology};
+    use qrio_bytes::{from_bytes, to_bytes};
     use qrio_circuit::library;
 
     fn server_with_devices() -> MetaServer {
@@ -910,18 +870,18 @@ mod tests {
             },
         );
 
-        let state = server.export_state();
-        let restored = MetaServer::from_state(state.clone());
-        assert_eq!(restored.export_state(), state);
-        // Revisions were restored verbatim (not re-bumped).
+        // Warm the cache: it must not travel.
+        server.score_all("bv").unwrap();
+        let bytes = to_bytes(&server);
+        let restored: MetaServer = from_bytes(&bytes).unwrap();
+        assert_eq!(to_bytes(&restored), bytes);
+        // Revisions were restored verbatim (not re-bumped), records too.
+        assert_eq!(restored.backend_revisions, server.backend_revisions);
+        assert_eq!(restored.backend_revisions["noisy"], 2);
+        assert_eq!(restored.job_metadata("bv"), server.job_metadata("bv"));
         assert_eq!(
-            state
-                .backends
-                .iter()
-                .find(|(b, _)| b.name() == "noisy")
-                .unwrap()
-                .1,
-            2
+            restored.job_metadata("queued"),
+            server.job_metadata("queued")
         );
         // Scoring reproduces the original server's results from a cold cache.
         assert_eq!(restored.cache_stats().entries, 0);

@@ -548,3 +548,204 @@ const GOLDEN_SNAPSHOT_RECORD: &str = "\
     0000000000a00f00000000000000200000000000004000000000000000000000000000000000000000000000 \
     00010300000000000000333333333333e33f08000000000000000a0000000000000002000000000000000000 \
     00000000000000000000000000001a4c9bc7";
+
+// ---------------------------------------------------------------------------
+// A busy snapshot: the genesis golden above holds one queued job. This one
+// holds every store mid-flight; its length and digest were captured from the
+// last build that wrote snapshots through separate `*State` copies of the
+// stores (PR 15), so the stores' own codecs must lay out the same bytes.
+// ---------------------------------------------------------------------------
+
+/// Three devices under a fault plan with breakers on, telemetry reported.
+fn busy_fleet() -> qrio::Qrio {
+    let mut qrio = qrio::Qrio::with_config(
+        qrio::FidelityRankingConfig {
+            shots: 64,
+            seed: 11,
+            shortfall_weight: 100.0,
+        },
+        11,
+    );
+    for (name, qubits, error) in [("alpha", 6, 0.01), ("beta", 5, 0.02), ("gamma", 4, 0.03)] {
+        qrio.add_device(Backend::uniform(name, topology::line(qubits), 0.002, error))
+            .unwrap();
+    }
+    qrio.configure_breakers(Some(BreakerConfig {
+        consecutive_failures: 3,
+        failure_rate: 2.0,
+        window: 8,
+        open_ticks: 3,
+        probe_jobs: 1,
+    }))
+    .unwrap();
+    qrio.configure_faults(Some(FaultInjector {
+        seed: 5,
+        transient_rate: 0.5,
+        calibration_rate: 0.05,
+        slow_rate: 0.05,
+        flap_rate: 0.05,
+    }))
+    .unwrap();
+    qrio.report_telemetry([(
+        "beta".to_string(),
+        DeviceTelemetry {
+            queue_depth: 2,
+            utilization: 0.25,
+            health_penalty: 0.125,
+        },
+    )]);
+    qrio
+}
+
+/// The `i`-th job of the busy workload: GHZ-3 circuits cycling through the
+/// strategies, every other one retryable, every fifth with a deadline.
+fn busy_request(i: u64) -> qrio::JobRequest {
+    let mut builder = JobRequestBuilder::new()
+        .with_circuit(&library::ghz(3).unwrap())
+        .job_name(format!("busy-{i:02}"))
+        .resources(900, 1024)
+        .priority((i % 3) as u8)
+        .shots(16);
+    builder = match i % 3 {
+        0 => builder.min_queue(),
+        1 => builder.fidelity_target(0.6),
+        _ => builder.weighted(0.6, 1.0, 1.0, 1.0),
+    };
+    if i % 2 == 0 {
+        builder = builder.retry_policy(if i % 4 == 0 {
+            RetryPolicy::fixed(2, 1)
+        } else {
+            RetryPolicy::exponential(4, 6, 40)
+        });
+    }
+    if i % 5 == 0 {
+        builder = builder.deadline(6);
+    }
+    builder.build().unwrap()
+}
+
+/// 44 jobs enqueued, ticked to mid-flight with one device cordoned and one
+/// job cancelled.
+fn busy_orchestrator() -> qrio::Qrio {
+    let mut qrio = busy_fleet();
+    for i in 0..44 {
+        let _ = qrio.enqueue(&busy_request(i)).unwrap();
+    }
+    for tick in 0..8 {
+        qrio.tick();
+        if tick == 2 {
+            qrio.cordon_device("gamma").unwrap();
+            qrio.cancel(&JobId::new("busy-43")).unwrap();
+        }
+    }
+    qrio
+}
+
+#[test]
+fn busy_snapshot_digest_pins_the_snapshot_format() {
+    let qrio = busy_orchestrator();
+    let states: Vec<JobState> = (0..44)
+        .map(|i| qrio.status(&JobId::new(format!("busy-{i:02}"))).unwrap())
+        .collect();
+    for wanted in [
+        JobState::Queued,
+        JobState::Scheduled,
+        JobState::Retrying,
+        JobState::Succeeded,
+        JobState::Failed,
+        JobState::Cancelled,
+    ] {
+        assert!(states.contains(&wanted), "no {wanted} job in {states:?}");
+    }
+    assert!(!qrio.dead_letters().is_empty(), "no dead letter");
+    assert_eq!(
+        qrio.cluster().node("gamma").unwrap().status(),
+        qrio_cluster::NodeStatus::Cordoned
+    );
+
+    let record = qrio.snapshot_record();
+    assert_eq!(
+        (
+            record.payload.len(),
+            qrio_bytes::fnv1a(&hex(&record.payload))
+        ),
+        BUSY_SNAPSHOT_LEN_AND_DIGEST
+    );
+}
+
+const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (100252, 17965864324552244613);
+
+/// Every node's allocation is exactly what the cluster jobs bound to it
+/// claim, and the snapshot of this state decodes to a value that re-encodes
+/// to the same bytes.
+fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
+    use qrio_cluster::JobPhase;
+    for node in qrio.cluster().nodes() {
+        let bound = qrio
+            .cluster()
+            .jobs()
+            .filter(|job| match job.phase() {
+                JobPhase::Scheduled { node: on } | JobPhase::Running { node: on } => {
+                    on == node.name()
+                }
+                _ => false,
+            })
+            .fold(Resources::default(), |sum, job| {
+                sum.plus(&job.spec().resources)
+            });
+        assert_eq!(node.allocated(), bound, "{step}: node {}", node.name());
+    }
+    let record = qrio.snapshot_record();
+    let JournalEntry::Snapshot(snapshot) = decode_record(&record).expect("snapshot decodes") else {
+        panic!("{step}: not a snapshot record");
+    };
+    assert!(to_bytes(&*snapshot) == record.payload, "{step}: re-encode");
+}
+
+#[test]
+fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
+    let (mut cancelled, mut interrupted) = (0, 0);
+    for seed in 0..4u64 {
+        let mut state = seed;
+        let mut qrio = busy_fleet();
+        let mut enqueued = 0u64;
+        for step in 0..60 {
+            let pick = JobId::new(format!("busy-{:02}", next(&mut state) % enqueued.max(1)));
+            let what = match next(&mut state) % 8 {
+                0..=2 => {
+                    let _ = qrio.enqueue(&busy_request(enqueued)).unwrap();
+                    enqueued += 1;
+                    "enqueue"
+                }
+                3..=5 => {
+                    qrio.tick();
+                    "tick"
+                }
+                // Refused unless the job is still cancellable / bound.
+                6 => {
+                    cancelled += usize::from(qrio.cancel(&pick).is_ok());
+                    "cancel"
+                }
+                _ => {
+                    // An applied interrupt surfaces as the fault it injects.
+                    interrupted += usize::from(matches!(
+                        qrio.interrupt(&pick),
+                        Err(qrio::QrioError::Cluster(
+                            qrio_cluster::ClusterError::InjectedFault { .. }
+                        ))
+                    ));
+                    "interrupt"
+                }
+            };
+            assert_allocations_and_snapshot_fixed_point(
+                &qrio,
+                &format!("seed {seed} step {step} ({what} {pick})"),
+            );
+        }
+        assert!(enqueued >= 10, "seed {seed} barely enqueued");
+    }
+    assert!(
+        cancelled > 0 && interrupted > 0,
+        "{cancelled} cancels, {interrupted} interrupts applied"
+    );
+}
