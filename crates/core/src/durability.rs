@@ -279,7 +279,8 @@ impl fmt::Display for ReplayCheckpoint {
 /// One journaled orchestrator mutation. Replaying the command sequence from a
 /// snapshot deterministically reproduces the orchestrator's state: every
 /// source of nondeterminism (runner seed, clock, admission order) is part of
-/// the snapshot, not the environment.
+/// the snapshot, not the environment. A command is replayed by making the
+/// public call its variant names once more, with the journal detached.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// [`crate::Qrio::add_device_with_resources`] — backend as spec text.
@@ -527,9 +528,7 @@ pub fn snapshot_cursor(payload: &[u8]) -> Result<u64, DurabilityError> {
 #[derive(Debug)]
 pub(crate) struct Durability {
     journal: Journal,
-    snapshot_every: u64,
-    sync_every: u64,
-    compact_above: u64,
+    config: DurabilityConfig,
     commands_since_snapshot: u64,
     /// Framed bytes of the command and events records appended since the
     /// last snapshot.
@@ -542,18 +541,10 @@ pub(crate) struct Durability {
 }
 
 impl Durability {
-    pub(crate) fn new(
-        journal: Journal,
-        snapshot_every: u64,
-        sync_every: u64,
-        compact_above: u64,
-        journaled_events: u64,
-    ) -> Self {
+    pub(crate) fn new(journal: Journal, config: DurabilityConfig, journaled_events: u64) -> Self {
         Durability {
             journal,
-            snapshot_every,
-            sync_every,
-            compact_above,
+            config,
             commands_since_snapshot: 0,
             log_bytes_since_snapshot: 0,
             last_snapshot_bytes: 0,
@@ -574,26 +565,28 @@ impl Durability {
         self.last_snapshot_bytes = snapshot_bytes;
     }
 
-    pub(crate) fn snapshot_every(&self) -> u64 {
-        self.snapshot_every
-    }
-
-    pub(crate) fn sync_every(&self) -> u64 {
-        self.sync_every
-    }
-
-    pub(crate) fn compact_above(&self) -> u64 {
-        self.compact_above
+    pub(crate) fn config(&self) -> DurabilityConfig {
+        self.config
     }
 
     pub(crate) fn error(&self) -> Option<&DurabilityError> {
         self.error.as_ref()
     }
 
-    pub(crate) fn poison(&mut self, err: DurabilityError) {
-        if self.error.is_none() {
-            self.error = Some(err);
+    /// Run one journal operation under the sticky poison: refused with the
+    /// remembered error once the journal has failed, and the first failure is
+    /// what gets remembered.
+    fn guarded(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<(), DurabilityError>,
+    ) -> Result<(), DurabilityError> {
+        if let Some(err) = &self.error {
+            return Err(err.clone());
         }
+        let result = op(self);
+        // Not poisoned on entry, so a failure here is the first.
+        self.error = result.as_ref().err().cloned();
+        result
     }
 
     /// Append one command record plus the events it produced — one write —
@@ -603,41 +596,28 @@ impl Durability {
         cmd: &Command,
         all_events: &[JobEvent],
     ) -> Result<(), DurabilityError> {
-        if let Some(err) = &self.error {
-            return Err(err.clone());
-        }
-        let result = self.log_command_inner(cmd, all_events);
-        if let Err(err) = &result {
-            self.poison(err.clone());
-        }
-        result
-    }
-
-    fn log_command_inner(
-        &mut self,
-        cmd: &Command,
-        all_events: &[JobEvent],
-    ) -> Result<(), DurabilityError> {
-        let command = encode_command_record(cmd);
-        let written = match self.unjournaled_events(all_events) {
-            Some(events) => self.journal.append_all(&[command, events])?,
-            None => self.journal.append_all(&[command])?,
-        };
-        self.log_bytes_since_snapshot += written;
-        self.journaled_events = all_events.len() as u64;
-        self.journal.flush()?;
-        self.commands_since_snapshot += 1;
-        // Batched fdatasync: every command is already write-through to the
-        // OS (flush above), so a process crash loses nothing acknowledged;
-        // the periodic sync additionally bounds what power loss could lose.
-        if self.sync_every > 0 {
-            self.commands_since_sync += 1;
-            if self.commands_since_sync >= self.sync_every {
-                self.journal.sync()?;
-                self.commands_since_sync = 0;
+        self.guarded(|this| {
+            let command = encode_command_record(cmd);
+            let written = match this.unjournaled_events(all_events) {
+                Some(events) => this.journal.append_all(&[command, events])?,
+                None => this.journal.append_all(&[command])?,
+            };
+            this.log_bytes_since_snapshot += written;
+            this.journaled_events = all_events.len() as u64;
+            this.journal.flush()?;
+            this.commands_since_snapshot += 1;
+            // Batched fdatasync: every command is already write-through to the
+            // OS (flush above), so a process crash loses nothing acknowledged;
+            // the periodic sync additionally bounds what power loss could lose.
+            if this.config.sync_every_n_commands > 0 {
+                this.commands_since_sync += 1;
+                if this.commands_since_sync >= this.config.sync_every_n_commands {
+                    this.journal.sync()?;
+                    this.commands_since_sync = 0;
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// The events record for the watch-log events not yet on disk, if any.
@@ -669,8 +649,8 @@ impl Durability {
     /// ratio of state size to command size.
     pub(crate) fn snapshot_due(&self) -> bool {
         self.error.is_none()
-            && self.snapshot_every > 0
-            && self.commands_since_snapshot >= self.snapshot_every
+            && self.config.snapshot_every > 0
+            && self.commands_since_snapshot >= self.config.snapshot_every
             && self.log_bytes_since_snapshot >= self.last_snapshot_bytes
     }
 
@@ -680,40 +660,28 @@ impl Durability {
     /// by this snapshot are compacted away — recovery never reads past the
     /// last snapshot, so replay is unaffected.
     pub(crate) fn log_snapshot(&mut self, snapshot: &Record) -> Result<(), DurabilityError> {
-        if let Some(err) = &self.error {
-            return Err(err.clone());
-        }
-        let result: Result<(), DurabilityError> = (|| {
-            let snapshot_offset = self.journal.byte_len()?;
-            self.journal.append(snapshot)?;
-            self.journal.flush()?;
-            if self.compact_above > 0 && self.journal.byte_len()? > self.compact_above {
-                self.journal.compact(snapshot_offset)?;
+        self.guarded(|this| {
+            let snapshot_offset = this.journal.byte_len()?;
+            this.journal.append(snapshot)?;
+            this.journal.flush()?;
+            let limit = this.config.compact_above_bytes;
+            if limit > 0 && this.journal.byte_len()? > limit {
+                this.journal.compact(snapshot_offset)?;
             }
+            this.commands_since_snapshot = 0;
+            this.log_bytes_since_snapshot = 0;
+            this.last_snapshot_bytes = snapshot.framed_len();
             Ok(())
-        })();
-        match &result {
-            Ok(()) => {
-                self.commands_since_snapshot = 0;
-                self.log_bytes_since_snapshot = 0;
-                self.last_snapshot_bytes = snapshot.framed_len();
-            }
-            Err(err) => self.poison(err.clone()),
-        }
-        result
+        })
     }
 
     /// Force the journal down to the storage device (`fdatasync`).
     pub(crate) fn sync(&mut self) -> Result<(), DurabilityError> {
-        if let Some(err) = &self.error {
-            return Err(err.clone());
-        }
-        let result = self.journal.sync().map_err(DurabilityError::from);
-        match &result {
-            Ok(()) => self.commands_since_sync = 0,
-            Err(err) => self.poison(err.clone()),
-        }
-        result
+        self.guarded(|this| {
+            this.journal.sync()?;
+            this.commands_since_sync = 0;
+            Ok(())
+        })
     }
 }
 

@@ -431,14 +431,16 @@ impl LifecycleStore {
     }
 
     /// Append a transition to the watch log and fold it into the job's
-    /// status. The caller guarantees legality (debug-asserted here).
+    /// status. The caller guarantees legality (debug-asserted here) and gets
+    /// the job's record back, to attach what the transition produced (the
+    /// decision, the failure, the backoff horizon).
     pub(crate) fn record(
         &mut self,
         name: &str,
         to: JobState,
         node: Option<String>,
         reason: Option<String>,
-    ) {
+    ) -> &mut Tracked {
         let tracked = self.jobs.get_mut(name).expect("recorded jobs are tracked");
         let from = tracked.status.history.last().map(|(_, state)| *state);
         debug_assert!(
@@ -461,6 +463,12 @@ impl LifecycleStore {
             node,
             reason,
         });
+        tracked
+    }
+
+    /// The current state of a job, by name; `None` for names never admitted.
+    pub(crate) fn state(&self, name: &str) -> Option<JobState> {
+        self.jobs.get(name).map(|tracked| tracked.status.state)
     }
 
     /// The admission queue in draining order: priority descending, then

@@ -1,0 +1,637 @@
+//! Everything that moves an admitted job: the `tick()` service cycle and its
+//! fixed-point drivers, the step calls virtual-time simulators make instead,
+//! the execution attempt over the control plane, and how its outcome settles
+//! into success, a retry, or a terminal failure.
+
+use qrio_cluster::{AttemptVerdict, ClusterError, ScheduleDecision};
+use qrio_scheduler::QrioScheduler;
+
+use super::admission::Admitted;
+use super::{JobOutcome, Qrio};
+use crate::breaker::BreakerAction;
+use crate::durability::Command;
+use crate::error::QrioError;
+use crate::lifecycle::{JobId, JobState, TickReport};
+use crate::visualizer::JobRequest;
+
+impl Qrio {
+    // --- Service loop --------------------------------------------------------------------
+
+    /// Run one deterministic service cycle.
+    ///
+    /// 1. **Admission**: the queue drains in priority order (FIFO within a
+    ///    priority; ties never depend on map iteration order). Each job is
+    ///    bound via filter + meta-server ranking against fresh cluster
+    ///    telemetry. Jobs no device can host *right now* stay `Queued`; jobs
+    ///    no device could *ever* host end `Failed`.
+    /// 2. **Execution**: each device (in name order) runs the head of its
+    ///    queue to completion.
+    pub fn tick(&mut self) -> TickReport {
+        self.lifecycle.clock += 1;
+        let now = self.lifecycle.clock;
+        let mut report = TickReport {
+            tick: now,
+            ..TickReport::default()
+        };
+        // Circuit breakers: every Open breaker whose timer expired moves to
+        // HalfOpen and its device is uncordoned for probation.
+        let probing = self.breakers.as_mut().map(|board| board.tick(now));
+        for device in probing.unwrap_or_default() {
+            self.mark_cordon(&device, false);
+        }
+        // Deadline expiry: Queued / Retrying jobs past their deadline fail
+        // with DeadlineExceeded before anything else happens this cycle —
+        // the deadline dominates an elapsed backoff.
+        for (name, deadline) in self.expired_deadline_jobs() {
+            self.expire_deadline(&name, deadline);
+            report.expired.push(JobId::new(name));
+        }
+        // Retry promotion: Retrying jobs whose backoff elapsed re-enter the
+        // admission queue with a fresh admission sequence.
+        for name in self.due_retry_jobs() {
+            self.requeue_retry(&name, "backoff elapsed; re-queued for retry");
+        }
+        // Admission.
+        for name in self.lifecycle.pending_in_order() {
+            let bucket = match self.admit_and_bind(&name, false) {
+                Admitted::Scheduled => &mut report.scheduled,
+                Admitted::Deferred => &mut report.deferred,
+                Admitted::Failed => &mut report.failed,
+            };
+            bucket.push(JobId::new(name));
+        }
+        // Execution, as a reconcile step: diff the desired-state table (the
+        // head of every device queue is the binding that *should* run now)
+        // against the observed per-node reports, then emit one `Run` command
+        // per planned pair — one job per device per tick, device-name order.
+        for (device, name) in self.plan_executions() {
+            let popped = self
+                .lifecycle
+                .device_queues
+                .get_mut(&device)
+                .and_then(|queue| queue.pop_front());
+            debug_assert_eq!(popped.as_deref(), Some(name.as_str()));
+            let _ = self.run_bound(&name, false);
+            let bucket = match self.lifecycle.state(&name) {
+                Some(JobState::Retrying) => &mut report.retried,
+                _ => &mut report.completed,
+            };
+            bucket.push(JobId::new(name));
+        }
+        self.lifecycle
+            .device_queues
+            .retain(|_, queue| !queue.is_empty());
+        // Fold any still-unread reports (fire-and-forget acknowledgements,
+        // telemetry) into the observed table. With real worker threads these
+        // may lag the commands that caused them; this is where stale
+        // observations converge.
+        self.control.drain();
+        // Infallible signature: a journal failure poisons durability (see
+        // `Qrio::durability_error`) instead of surfacing here.
+        let _ = self.journal(|| Command::Tick);
+        report
+    }
+
+    /// The reconcile diff: the next `(device, job)` pair to dispatch for
+    /// every device, in name order. Desired state is the head of each device
+    /// queue; a device whose last observed report shows an unfinished run is
+    /// skipped until its phase report lands (with the blocking round-trip
+    /// dispatch below this never triggers, but the plan stays correct for
+    /// transports that acknowledge asynchronously).
+    fn plan_executions(&self) -> Vec<(String, String)> {
+        self.lifecycle
+            .device_queues
+            .iter()
+            .filter_map(|(device, queue)| {
+                let job = queue.front()?;
+                Some((device.clone(), job.clone()))
+            })
+            .collect()
+    }
+
+    /// Queued / Retrying jobs whose absolute deadline has passed, each with
+    /// that deadline, in name order (deterministic: `lifecycle.jobs` is a
+    /// sorted map).
+    fn expired_deadline_jobs(&self) -> Vec<(String, u64)> {
+        let now = self.lifecycle.clock;
+        self.lifecycle
+            .jobs
+            .iter()
+            .filter(|(_, tracked)| {
+                matches!(tracked.status.state, JobState::Queued | JobState::Retrying)
+            })
+            .filter_map(|(name, tracked)| {
+                let deadline = tracked.deadline_at.filter(|at| now > *at)?;
+                Some((name.clone(), deadline))
+            })
+            .collect()
+    }
+
+    /// Retrying jobs whose backoff horizon has been reached, in name order.
+    fn due_retry_jobs(&self) -> Vec<String> {
+        let now = self.lifecycle.clock;
+        self.lifecycle
+            .jobs
+            .iter()
+            .filter(|(_, tracked)| {
+                tracked.status.state == JobState::Retrying && tracked.not_before <= now
+            })
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
+
+    /// Terminally fail a Queued / Retrying job whose deadline passed.
+    fn expire_deadline(&mut self, name: &str, deadline: u64) {
+        let node = self
+            .lifecycle
+            .jobs
+            .get(name)
+            .and_then(|tracked| tracked.status.node.clone());
+        // The cluster job is `Pending` in both source states (Queued before
+        // scheduling; Retrying jobs were requeued at the retry decision) —
+        // withdraw it so the cluster queue and logs agree.
+        let _ = self
+            .cluster
+            .cancel_job(name, format!("deadline exceeded at t={deadline}"));
+        self.lifecycle.remove_pending(name);
+        self.lifecycle.remove_from_device_queues(name);
+        let err = ClusterError::DeadlineExceeded {
+            job: name.to_string(),
+            deadline,
+        };
+        self.fail_job(name, node, err.into());
+    }
+
+    /// The terminal failure of a job, whatever ended it (a blown deadline,
+    /// an unschedulable request, an execution nobody will retry): `Failed`
+    /// is recorded under the error's text, the error itself is kept for
+    /// [`Qrio::outcome`], and the job's artifacts are garbage-collected.
+    fn fail_job(&mut self, name: &str, node: Option<String>, err: QrioError) {
+        let reason = Some(err.to_string());
+        self.lifecycle
+            .record(name, JobState::Failed, node, reason)
+            .failure = Some(err);
+        self.cleanup_terminal(name);
+    }
+
+    /// Promote a `Retrying` job to `Queued` with a fresh admission sequence:
+    /// its backoff elapsed ([`Qrio::tick`]) or was skipped
+    /// ([`Qrio::kick_retry`]).
+    fn requeue_retry(&mut self, name: &str, reason: &str) {
+        let reason = Some(reason.to_string());
+        let tracked = self.lifecycle.record(name, JobState::Queued, None, reason);
+        let priority = tracked.status.priority;
+        self.lifecycle.enqueue_pending(name, priority);
+    }
+
+    /// Tick until every enqueued job reached a terminal state. When a cycle
+    /// makes no progress (jobs deferred forever — e.g. waiting on a device
+    /// that stays cordoned), the stragglers are deterministically failed
+    /// rather than spinning. Returns the ids of the jobs that reached a
+    /// terminal state during this call, in event order.
+    pub fn run_until_idle(&mut self) -> Vec<JobId> {
+        let first_new_event = self.lifecycle.events.len();
+        self.drive(None);
+        self.lifecycle.events[first_new_event..]
+            .iter()
+            .filter(|event| event.to.is_terminal())
+            .map(|event| event.job.clone())
+            .collect()
+    }
+
+    /// Submit a job request and drive it to completion — the blocking
+    /// convenience wrapper over the lifecycle API: [`Qrio::enqueue`], then
+    /// [`Qrio::tick`] until *this* job is terminal, then [`Qrio::outcome`].
+    ///
+    /// Other queued work naturally advances while the loop runs (it shares
+    /// the cluster), but only the submitted job is ever force-failed when
+    /// it cannot make progress — jobs someone else enqueued are left
+    /// `Queued` for their owner's service loop. A retry backoff is waited
+    /// out, not cut short: ticks that only move the clock are its progress.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any stage fails (no matching devices, execution
+    /// failure, ...). The job object in the cluster records the failure too.
+    pub fn submit(&mut self, request: &JobRequest) -> Result<JobOutcome, QrioError> {
+        let id = self.enqueue(request)?;
+        self.drive(Some(&id));
+        self.outcome(&id)
+    }
+
+    /// The fixed-point driver under [`Qrio::run_until_idle`] (every job) and
+    /// [`Qrio::submit`] (`own`: that job alone): tick while the scope has
+    /// unsettled work, and when a cycle made no progress, force the scope's
+    /// stragglers to a verdict before the next one.
+    fn drive(&mut self, own: Option<&JobId>) {
+        let mut force_next = false;
+        while self.unsettled(own) {
+            if force_next {
+                // Fixed point: nothing scheduled, ran or failed last cycle.
+                // Force an admission verdict for every straggler: either it
+                // schedules after all, or the cluster records why it cannot.
+                // (Jobs waiting out a retry backoff are not stragglers —
+                // ticking the clock forward is exactly their progress.)
+                for name in self.lifecycle.pending_in_order() {
+                    if own.map_or(true, |id| id.as_str() == name) {
+                        self.force_admit(&name);
+                    }
+                }
+                let stuck = self.lifecycle.has_pending()
+                    && !self.lifecycle.has_bound_work()
+                    && !self.lifecycle.has_waiting_retries();
+                // Defensive (nothing more can change), or the forced verdict
+                // settled the one job this call is about.
+                if stuck || (own.is_some() && !self.unsettled(own)) {
+                    break;
+                }
+            }
+            let report = self.tick();
+            force_next = !report.made_progress();
+        }
+    }
+
+    /// Whether the driver's scope still has work the service loop can move:
+    /// the one job short of a terminal state, or anything queued, bound or
+    /// backing off.
+    fn unsettled(&self, own: Option<&JobId>) -> bool {
+        match own {
+            Some(id) => self
+                .lifecycle
+                .state(id.as_str())
+                .is_some_and(|state| !state.is_terminal()),
+            None => {
+                self.lifecycle.has_pending()
+                    || self.lifecycle.has_bound_work()
+                    || self.lifecycle.has_waiting_retries()
+            }
+        }
+    }
+
+    // --- Lifecycle primitives (also public for virtual-time simulators) ------------------
+
+    /// Journal a step call made on a job. An attempt on a known job mutates
+    /// state even when it fails (`Failed` transitions, cluster filter and
+    /// rebind events), so the command is journaled whatever the attempt
+    /// returned — only unknown-job lookups (pure no-ops) are skipped.
+    fn journal_attempt<T>(
+        &mut self,
+        result: Result<T, QrioError>,
+        command: impl FnOnce() -> Command,
+    ) -> Result<T, QrioError> {
+        if !matches!(result, Err(QrioError::UnknownJob(_))) {
+            self.journal(command)?;
+        }
+        result
+    }
+
+    /// Bind one `Queued` job to a device: filter the fleet, rank the
+    /// survivors through the meta server, reserve resources on the winner.
+    ///
+    /// Unlike [`Qrio::tick`], this primitive does **not** refresh telemetry
+    /// from the cluster registry first — it scores against whatever
+    /// [`Qrio::report_telemetry`] last reported, which is exactly what
+    /// virtual-time simulators need. A job bound through this primitive is
+    /// the caller's to run (via [`Qrio::execute`]) — the `tick()` service
+    /// loop only executes jobs it admitted itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the job is not `Queued`, or when scheduling
+    /// fails. An unschedulable job ends `Failed` (terminal); a job whose
+    /// binding was rejected for transient resource reasons stays `Queued`.
+    pub fn schedule(&mut self, id: &JobId) -> Result<ScheduleDecision, QrioError> {
+        let result = self
+            .require_state(id, "schedule", JobState::Queued)
+            .and_then(|()| self.schedule_queued(id.as_str()));
+        self.journal_attempt(result, || Command::Schedule {
+            job: id.to_string(),
+        })
+    }
+
+    /// Execute one `Scheduled` job on its bound device, driving it through
+    /// `Running` to `Succeeded` or `Failed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the job is not `Scheduled`, or propagates the
+    /// execution failure (the job then ends `Failed`).
+    pub fn execute(&mut self, id: &JobId) -> Result<(), QrioError> {
+        let result = self
+            .require_state(id, "execute", JobState::Scheduled)
+            .and_then(|()| {
+                self.lifecycle.remove_from_device_queues(id.as_str());
+                self.run_bound(id.as_str(), false)
+            });
+        self.journal_attempt(result, || Command::Execute {
+            job: id.to_string(),
+        })
+    }
+
+    /// Interrupt a `Scheduled` job whose device died under it: the job
+    /// passes through `Running` straight into a device-flap fault without
+    /// the runner being invoked, then flows through its retry policy like
+    /// any other failure. Virtual-time simulators call this when an outage
+    /// lands on a device with a job mid-execution, so the work is visibly
+    /// lost (and retried) instead of silently completing.
+    ///
+    /// # Errors
+    ///
+    /// Always errs on success: the interrupt surfaces as
+    /// [`ClusterError::InjectedFault`] (wrapped). A job that is not
+    /// `Scheduled` reports a phase conflict instead, and an id never
+    /// enqueued [`QrioError::UnknownJob`].
+    pub fn interrupt(&mut self, id: &JobId) -> Result<(), QrioError> {
+        let result = self
+            .require_state(id, "interrupt", JobState::Scheduled)
+            .and_then(|()| {
+                self.lifecycle.remove_from_device_queues(id.as_str());
+                self.run_bound(id.as_str(), true)
+            });
+        self.journal_attempt(result, || Command::Interrupt {
+            job: id.to_string(),
+        })
+    }
+
+    /// Promote a `Retrying` job straight to `Queued`, ignoring its backoff
+    /// horizon — the retry primitive of virtual-time simulators, which own
+    /// the backoff timing themselves (they model it in wall-clock
+    /// milliseconds, not service-loop ticks) and never call [`Qrio::tick`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a phase conflict for jobs not in `Retrying`, an unknown-job
+    /// error for ids never enqueued, or the journal failure.
+    pub fn kick_retry(&mut self, id: &JobId) -> Result<(), QrioError> {
+        self.require_state(id, "kick_retry", JobState::Retrying)?;
+        self.requeue_retry(id.as_str(), "retry kicked; re-queued");
+        self.journal(|| Command::KickRetry {
+            job: id.to_string(),
+        })
+    }
+
+    /// Re-rank a job over the nodes that can host it now, best (lowest
+    /// score) first — the migration primitive: compare the fresh ranking
+    /// against the job's current binding and [`Qrio::rebind`] when it
+    /// improved. This is the scheduling cycle [`Qrio::schedule`] binds from,
+    /// so every device it names would accept the job; what the job already
+    /// holds on its current device counts as free there.
+    ///
+    /// # Errors
+    ///
+    /// An unknown id, a job-level meta-server error (e.g. the job's metadata
+    /// is gone), or — when no device ranks — the reason: nothing feasible, or
+    /// the error of a device that could not be scored.
+    pub fn rank_ready(&self, id: &JobId) -> Result<Vec<(String, f64)>, QrioError> {
+        let job = self
+            .cluster
+            .job(id.as_str())
+            .ok_or_else(|| QrioError::UnknownJob(id.to_string()))?;
+        let cycle = QrioScheduler::new(&self.meta).cycle(job, self.cluster.nodes())?;
+        Ok(cycle.ranked(id.as_str())?)
+    }
+
+    /// Move a `Scheduled` (bound but not yet running) job to another device,
+    /// releasing resources on the old node and reserving them on the new
+    /// one. Rebinding a `Scheduled` job onto its current device is a no-op.
+    /// The job stays `Scheduled`; the move is recorded in the watch log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the cluster's rebind errors (unknown job or node, wrong
+    /// phase — including a same-device rebind of a job that is no longer
+    /// `Scheduled` — target full); the original binding survives an error.
+    pub fn rebind(&mut self, id: &JobId, target: &str) -> Result<(), QrioError> {
+        let result = self.move_binding(id, target);
+        self.journal_attempt(result, || Command::Rebind {
+            job: id.to_string(),
+            target: target.to_string(),
+        })
+    }
+
+    /// The move itself; [`Qrio::rebind`] journals the attempt whatever this
+    /// returned.
+    fn move_binding(&mut self, id: &JobId, target: &str) -> Result<(), QrioError> {
+        let status = self.job_status(id)?;
+        let from = status
+            .node
+            .clone()
+            .unwrap_or_else(|| "<unbound>".to_string());
+        // The no-op arc exists only for jobs that are actually rebindable;
+        // anything else falls through so the cluster reports the phase
+        // conflict instead of a silent Ok.
+        if status.state == JobState::Scheduled && from == target {
+            return Ok(());
+        }
+        self.cluster.rebind_job(id.as_str(), target)?;
+        // Keep the tick()-loop queues consistent: the job leaves its old
+        // device queue and joins the tail of the new one.
+        let was_queued = self
+            .lifecycle
+            .device_queues
+            .values()
+            .any(|queue| queue.iter().any(|name| name == id.as_str()));
+        self.lifecycle.remove_from_device_queues(id.as_str());
+        if was_queued {
+            self.lifecycle
+                .device_queues
+                .entry(target.to_string())
+                .or_default()
+                .push_back(id.as_str().to_string());
+        }
+        // The stored decision must follow the job: outcome() reports the
+        // device that will actually run it. The candidate list keeps
+        // documenting the original scheduling cycle; the score moves with
+        // the node when that cycle ranked the target. A forced migration
+        // outside the original ranking has no comparable score — infinity
+        // marks it (sorting last under lower-is-better) without poisoning
+        // the derived `PartialEq` the way NaN would.
+        if let Some(decision) = self
+            .lifecycle
+            .jobs
+            .get_mut(id.as_str())
+            .and_then(|tracked| tracked.decision.as_mut())
+        {
+            decision.node = target.to_string();
+            decision.score = decision
+                .candidates
+                .iter()
+                .find(|(name, _)| name == target)
+                .map_or(f64::INFINITY, |(_, score)| *score);
+        }
+        self.lifecycle.record(
+            id.as_str(),
+            JobState::Scheduled,
+            Some(target.to_string()),
+            Some(format!("rebound from '{from}' to '{target}'")),
+        );
+        Ok(())
+    }
+
+    /// Schedule a job known to be `Queued`: run the scheduling cycle, hand
+    /// what it found to the cluster to bind, and update lifecycle state.
+    pub(super) fn schedule_queued(&mut self, name: &str) -> Result<ScheduleDecision, QrioError> {
+        let job = self
+            .cluster
+            .job(name)
+            .ok_or_else(|| QrioError::UnknownJob(name.to_string()))?;
+        let bound = match QrioScheduler::new(&self.meta).cycle(job, self.cluster.nodes()) {
+            Ok(cycle) => {
+                let skipped: Vec<(String, String)> = cycle
+                    .skipped
+                    .into_iter()
+                    .map(|(device, err)| (device, err.to_string()))
+                    .collect();
+                self.cluster
+                    .bind_job(name, cycle.ranking, cycle.rejected, &skipped)
+            }
+            // Job-level: no device was at fault, so none is blamed.
+            Err(err) => Err(self.cluster.fail_unschedulable(name, err.to_string())),
+        };
+        match bound {
+            Ok(decision) => {
+                self.lifecycle.remove_pending(name);
+                let node = Some(decision.node.clone());
+                self.lifecycle
+                    .record(name, JobState::Scheduled, node, None)
+                    .decision = Some(decision.clone());
+                Ok(decision)
+            }
+            Err(err @ ClusterError::BindingRejected { .. }) => {
+                // Transient: the resources were claimed during scoring. The
+                // job stays Queued and may be rescheduled later.
+                Err(err.into())
+            }
+            Err(err) => {
+                let err = QrioError::from(err);
+                self.lifecycle.remove_pending(name);
+                self.fail_job(name, None, err.clone());
+                Err(err)
+            }
+        }
+    }
+
+    // --- Execution -----------------------------------------------------------------------
+
+    /// One attempt of a job known to be `Scheduled` (already removed from
+    /// any device queue): enter `Running`, make the attempt, settle what it
+    /// returned. The attempt is an execution on the node's agent or, when
+    /// `interrupted`, the device flap that kept it from happening. The
+    /// attempt number passed to the cluster makes injected-fault decisions
+    /// attempt-aware, so a retried job can draw a different verdict than its
+    /// first run.
+    fn run_bound(&mut self, name: &str, interrupted: bool) -> Result<(), QrioError> {
+        let tracked = self.lifecycle.jobs.get(name);
+        let node = tracked.and_then(|tracked| tracked.status.node.clone());
+        let attempt = tracked.map_or(0, |tracked| tracked.attempt);
+        self.lifecycle
+            .record(name, JobState::Running, node.clone(), None);
+        let result = if interrupted {
+            self.cluster.interrupt_job(name, attempt)
+        } else {
+            self.dispatch_attempt(name, attempt)
+        };
+        self.settle_execution(name, node, attempt + 1, result)
+    }
+
+    /// One execution attempt over the control plane: prepare the work order
+    /// locally (phase check, image pull, `JobStarted`), ship it to the
+    /// node's agent as an encoded `Run` envelope across the transport, block
+    /// for the matching `Phase` report, and settle the verdict back into the
+    /// cluster. The agent holds the fault-plan replica, so injected-fault
+    /// verdicts are drawn device-side from the same pure decision function.
+    ///
+    /// A transport failure is settled like any failed attempt — the job is
+    /// `Running` in the cluster by then, and only settling releases the node
+    /// and keeps the cluster phase in step with the lifecycle state.
+    fn dispatch_attempt(&mut self, name: &str, attempt: u32) -> Result<(), ClusterError> {
+        let order = self.cluster.prepare_run(name, attempt)?;
+        let verdict = match self.control.run(&order, self.lifecycle.clock) {
+            Ok(verdict) => verdict,
+            Err(ClusterError::ExecutionFailed { reason, .. }) => AttemptVerdict::Failed(reason),
+            Err(other) => AttemptVerdict::Failed(other.to_string()),
+        };
+        self.cluster.settle_run(&order, verdict)
+    }
+
+    /// Fold the outcome of a job's `consumed`-th attempt into the lifecycle:
+    /// feed the device's circuit breaker, then either record success, enter
+    /// `Retrying` with a backoff horizon, or fail terminally (routing
+    /// exhausted retry policies to the dead-letter queue).
+    fn settle_execution(
+        &mut self,
+        name: &str,
+        node: Option<String>,
+        consumed: u32,
+        result: Result<(), ClusterError>,
+    ) -> Result<(), QrioError> {
+        let now = self.lifecycle.clock;
+        // Every outcome on a device feeds its breaker; a trip cordons the
+        // device so the scheduler steers around it.
+        if let (Some(board), Some(device)) = (self.breakers.as_mut(), node.as_deref()) {
+            if let Some(action) = board.record_outcome(device, result.is_err(), now) {
+                self.mark_cordon(device, action == BreakerAction::Cordon);
+            }
+        }
+        if let Some(tracked) = self.lifecycle.jobs.get_mut(name) {
+            tracked.attempt = consumed;
+        }
+        let Err(err) = result else {
+            self.lifecycle.record(name, JobState::Succeeded, node, None);
+            return Ok(());
+        };
+        let policy = self.cluster.job(name).and_then(|job| job.spec().retry);
+        let retry =
+            policy.filter(|policy| consumed < policy.max_attempts && policy.retry_on.matches(&err));
+        let err = QrioError::from(err);
+        if let Some(policy) = retry {
+            // Backoff is a pure function of (seed, job, attempt) —
+            // byte-identical on journal replay. At least one tick so
+            // the job never re-queues within the same cycle.
+            let delay = policy
+                .backoff
+                .delay(self.runner.seed, name, consumed)
+                .max(1);
+            let reason = format!("attempt {consumed} failed: {err}; backing off {delay} ticks");
+            self.lifecycle
+                .record(name, JobState::Retrying, node, Some(reason))
+                .not_before = now + delay;
+            // The cluster job goes back to Pending now; the
+            // lifecycle gate (Retrying until not_before) decides
+            // when it may actually re-bind.
+            let _ = self.cluster.requeue_job(name);
+        } else {
+            // A job that consumed every allowed attempt is a dead
+            // letter; one that failed on a non-retryable class (or
+            // had no policy) is a plain failure.
+            if policy.is_some_and(|policy| consumed >= policy.max_attempts) {
+                self.lifecycle.dead_letters.push(name.to_string());
+            }
+            self.fail_job(name, node, err.clone());
+        }
+        Err(err)
+    }
+
+    /// Garbage-collect the artifacts of a job that reached a terminal
+    /// failure or cancellation: its metadata leaves the meta server and its
+    /// image leaves the registry (unless another live job still references
+    /// the same image). The cluster's job record — phase, logs — survives as
+    /// the queryable history.
+    pub(super) fn cleanup_terminal(&mut self, name: &str) {
+        self.meta.remove_job_metadata(name);
+        if let Some(image) = self.cluster.job(name).map(|job| job.spec().image.clone()) {
+            self.remove_image_if_unreferenced(&image, name);
+        }
+    }
+
+    /// Remove `image` from the registry unless a different non-terminal job
+    /// still references it.
+    pub(super) fn remove_image_if_unreferenced(&mut self, image: &str, except_job: &str) {
+        let referenced = self.cluster.jobs().any(|job| {
+            job.name() != except_job && !job.phase().is_terminal() && job.spec().image == image
+        });
+        if !referenced {
+            self.cluster.remove_image(image);
+        }
+    }
+}

@@ -8,11 +8,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use qrio::durability::{
-    snapshot_cursor, DurabilityError, RECORD_COMMAND, RECORD_EVENTS, RECORD_SNAPSHOT,
+    decode_command, encode_command_record, snapshot_cursor, DurabilityError, RECORD_COMMAND,
+    RECORD_EVENTS, RECORD_SNAPSHOT,
 };
 use qrio::{
-    DeviceTelemetry, DurabilityConfig, FidelityRankingConfig, JobRequestBuilder, JobState, Qrio,
-    QrioError,
+    Command, DeviceTelemetry, DurabilityConfig, FidelityRankingConfig, JobRequestBuilder, JobState,
+    Qrio, QrioError,
 };
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, Circuit};
@@ -800,4 +801,239 @@ fn replay_to_leaves_a_torn_journal_untouched() {
     assert!(report.torn_tail.is_some());
     assert_eq!(recovered.watch(0), replica.watch(0));
     assert!(fs::read(&path).unwrap().len() < torn.len());
+}
+
+/// The position of a command's variant in [`Command`]. Exhaustive on purpose:
+/// a new variant does not compile until it is listed here, and
+/// `every_command_variant_is_recovered` then fails until its script issues it.
+fn variant_index(command: &Command) -> usize {
+    match command {
+        Command::AddDevice { .. } => 0,
+        Command::Recalibrate { .. } => 1,
+        Command::Telemetry { .. } => 2,
+        Command::Enqueue { .. } => 3,
+        Command::Cancel { .. } => 4,
+        Command::Tick => 5,
+        Command::ForceAdmit { .. } => 6,
+        Command::Schedule { .. } => 7,
+        Command::Execute { .. } => 8,
+        Command::Rebind { .. } => 9,
+        Command::Cordon { .. } => 10,
+        Command::Uncordon { .. } => 11,
+        Command::Heal => 12,
+        Command::ConfigureFaults { .. } => 13,
+        Command::ConfigureBreakers { .. } => 14,
+        Command::KickRetry { .. } => 15,
+        Command::Interrupt { .. } => 16,
+        Command::Probe { .. } => 17,
+    }
+}
+
+/// How many variants [`variant_index`] lists.
+const COMMAND_VARIANTS: usize = 18;
+
+/// One step of [`every_command_script`]: a public call on the orchestrator.
+type Step = Box<dyn Fn(&mut Qrio)>;
+
+/// One public call per step, between them every journaled command: a job is
+/// bound, flapped, kicked, rebound and run by hand; one is cancelled; one is
+/// force-failed against a cordoned fleet; one retries into the dead-letter
+/// queue under an injected storm. Results are ignored where the call errs by
+/// design (`interrupt`) — the states are compared, not the returns.
+fn every_command_script() -> Vec<Step> {
+    use qrio::BreakerConfig;
+    use qrio_cluster::{FaultInjector, RetryPolicy};
+
+    fn retrying_request(name: &str, policy: RetryPolicy) -> qrio::JobRequest {
+        JobRequestBuilder::new()
+            .with_circuit(&library::bernstein_vazirani(4, 0b1011).unwrap())
+            .job_name(name)
+            .fidelity_target(0.8)
+            .shots(64)
+            .retry_policy(policy)
+            .build()
+            .unwrap()
+    }
+    let id = qrio::JobId::new;
+    vec![
+        Box::new(two_device_fleet),
+        Box::new(|q| {
+            q.configure_breakers(Some(BreakerConfig {
+                consecutive_failures: 1,
+                failure_rate: 2.0,
+                window: 4,
+                open_ticks: 1_000_000,
+                probe_jobs: 1,
+            }))
+            .unwrap();
+        }),
+        Box::new(|q| {
+            let request = retrying_request("by-hand", RetryPolicy::fixed(3, 1_000));
+            drop(q.enqueue(&request).unwrap());
+        }),
+        Box::new(|q| {
+            q.report_telemetry([(
+                "noisy".to_string(),
+                DeviceTelemetry {
+                    queue_depth: 2,
+                    utilization: 0.25,
+                    health_penalty: 0.0,
+                },
+            )]);
+        }),
+        Box::new(move |q| drop(q.schedule(&id("by-hand")).unwrap())),
+        // The flap trips the device's breaker (one failure suffices).
+        Box::new(move |q| drop(q.interrupt(&id("by-hand")).unwrap_err())),
+        Box::new(move |q| q.kick_retry(&id("by-hand")).unwrap()),
+        Box::new(|q| drop(q.heal_devices().unwrap())),
+        Box::new(|q| {
+            let tripped: Vec<String> = ["clean", "noisy"]
+                .into_iter()
+                .filter(|device| q.probe_device(device).unwrap())
+                .map(str::to_string)
+                .collect();
+            assert_eq!(tripped.len(), 1, "the flapped device was on probation");
+        }),
+        Box::new(|q| {
+            q.recalibrate_device(Backend::uniform("noisy", topology::line(8), 0.04, 0.3))
+                .unwrap();
+        }),
+        Box::new(move |q| drop(q.schedule(&id("by-hand")).unwrap())),
+        Box::new(move |q| {
+            let bound = q.job_status(&id("by-hand")).unwrap().node.clone().unwrap();
+            let other = if bound == "clean" { "noisy" } else { "clean" };
+            q.rebind(&id("by-hand"), other).unwrap();
+        }),
+        Box::new(move |q| q.execute(&id("by-hand")).unwrap()),
+        Box::new(|q| drop(q.enqueue(&bv_request("withdrawn")).unwrap())),
+        Box::new(move |q| q.cancel(&id("withdrawn")).unwrap()),
+        Box::new(|q| q.cordon_device("clean").unwrap()),
+        Box::new(|q| q.cordon_device("noisy").unwrap()),
+        // Nothing can host it now: a no-progress tick, then a forced verdict.
+        Box::new(|q| drop(q.enqueue(&bv_request("stranded")).unwrap())),
+        Box::new(|q| drop(q.run_until_idle())),
+        Box::new(|q| q.uncordon_device("clean").unwrap()),
+        Box::new(|q| {
+            q.configure_faults(Some(FaultInjector {
+                seed: 5,
+                transient_rate: 1.0,
+                ..FaultInjector::default()
+            }))
+            .unwrap();
+        }),
+        Box::new(|q| {
+            let request = retrying_request("doomed", RetryPolicy::fixed(2, 2));
+            drop(q.enqueue(&request).unwrap());
+        }),
+        Box::new(|q| drop(q.run_until_idle())),
+        Box::new(|q| q.configure_faults(None).unwrap()),
+    ]
+}
+
+#[test]
+fn every_command_variant_is_recovered() {
+    // Only the genesis snapshot is ever written, so each recovery replays the
+    // whole command history so far — and the last one replays all of it.
+    let run = |name: &str, crash_after: &[usize]| {
+        let path = journal_path(name);
+        let mut qrio = seeded_qrio();
+        let config = DurabilityConfig {
+            snapshot_every: 0,
+            ..DurabilityConfig::default()
+        };
+        qrio.enable_durability(&path, config).unwrap();
+        for (step, call) in every_command_script().iter().enumerate() {
+            call(&mut qrio);
+            if crash_after.contains(&step) {
+                drop(qrio);
+                qrio = Qrio::recover(&path).unwrap().0;
+            }
+        }
+        assert!(qrio.durability_error().is_none());
+        (qrio.describe_state(), qrio.snapshot_record().payload, path)
+    };
+
+    let steps = every_command_script().len();
+    let (steady_state, steady_snapshot, path) = run("every-command", &[]);
+    // After every step (each call then runs on a recovered instance), and at
+    // a few, so state also has to survive several calls in memory between
+    // two recoveries.
+    let crashes = [
+        ("every-step", (0..steps).collect()),
+        ("some-steps", vec![5, 11, 18, steps - 1]),
+    ];
+    for (name, crash_after) in &crashes {
+        let (state, snapshot, _) = run(&format!("every-command-{name}"), crash_after);
+        assert_eq!(state, steady_state, "{name}: crashes moved the state");
+        assert!(
+            snapshot == steady_snapshot,
+            "{name}: same description, different snapshot bytes"
+        );
+    }
+
+    // The run exercised the states the script is written to reach.
+    for (job, state) in [
+        ("by-hand", JobState::Succeeded),
+        ("withdrawn", JobState::Cancelled),
+        ("stranded", JobState::Failed),
+        ("doomed", JobState::Failed),
+    ] {
+        assert!(
+            steady_state.contains(&format!("  {job}: {state:?} ")),
+            "{job} is not {state:?} in:\n{steady_state}"
+        );
+    }
+
+    // Every variant is in the journal, after its only snapshot.
+    let scan = qrio_journal::scan_file(&path).unwrap();
+    assert_eq!(scan.records[0].kind, RECORD_SNAPSHOT);
+    assert_eq!(snapshot_count(&path), 1);
+    let journaled: BTreeSet<usize> = scan
+        .records
+        .iter()
+        .filter(|record| record.kind == RECORD_COMMAND)
+        .map(|record| variant_index(&decode_command(&record.payload).unwrap()))
+        .collect();
+    let missing: Vec<usize> = (0..COMMAND_VARIANTS)
+        .filter(|variant| !journaled.contains(variant))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "the script never journals the command variants at {missing:?}"
+    );
+    let (recovered, report) = Qrio::recover(&path).unwrap();
+    assert_eq!(
+        report.commands_replayed,
+        framed_sizes(&path, RECORD_COMMAND).len() as u64
+    );
+    assert_eq!(recovered.describe_state(), steady_state);
+}
+
+#[test]
+fn a_forced_admission_the_journal_made_up_replays_as_a_no_op() {
+    // `ForceAdmit` is only ever journaled for a `Queued` straggler. A journal
+    // that is CRC-valid but names a job nobody enqueued, or one that has long
+    // finished, must neither panic recovery nor re-bind settled work.
+    let mut qrio = seeded_qrio();
+    two_device_fleet(&mut qrio);
+    let done = qrio.enqueue(&bv_request("done")).unwrap();
+    qrio.run_until_idle();
+    assert_eq!(qrio.status(&done).unwrap(), JobState::Succeeded);
+    let state = qrio.describe_state();
+
+    let path = journal_path("made-up-force-admit");
+    let mut journal = qrio_journal::Journal::create(&path).unwrap();
+    journal.append(&qrio.snapshot_record()).unwrap();
+    for job in ["ghost", "done"] {
+        let command = Command::ForceAdmit { job: job.into() };
+        journal.append(&encode_command_record(&command)).unwrap();
+    }
+    journal.flush().unwrap();
+    drop(journal);
+
+    let (recovered, report) = Qrio::recover(&path).unwrap();
+    assert_eq!(report.commands_replayed, 2);
+    assert_eq!(report.events_regenerated, 0);
+    assert_eq!(recovered.describe_state(), state);
+    assert_eq!(recovered.status(&done).unwrap(), JobState::Succeeded);
 }
