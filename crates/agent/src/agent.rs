@@ -5,15 +5,26 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_cluster::{
-    DeviceRequirements, FaultInjector, FaultKind, ImageBundle, JobRunner, JobSpec, Resources,
-    StrategySpec,
-};
+use qrio_cluster::{ExecutionOutcome, FaultInjector, FaultKind};
 use qrio_proto::{
     Envelope, FaultSpec, NodeCommand, NodeReport, Payload, RunPayload, RunVerdict, WireFaultKind,
 };
 
 use crate::error::AgentError;
+
+/// Executes one attempt on a node's quantum device — the role of the
+/// generated runner script inside the job container (§3.3). The agent stays
+/// agnostic of *how* circuits are simulated; the orchestrator crate brings
+/// the implementation.
+pub trait JobRunner {
+    /// Run the attempt `run` describes on `backend`. The payload is all a
+    /// runner ever learns about a job: it is what crossed the wire.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable reason when execution fails.
+    fn run(&self, run: &RunPayload, backend: &Backend) -> Result<ExecutionOutcome, String>;
+}
 
 /// Convert a cluster-side fault kind to its wire twin.
 pub fn fault_kind_to_wire(kind: FaultKind) -> WireFaultKind {
@@ -204,9 +215,10 @@ impl NodeAgent {
         }
     }
 
-    /// Execute one attempt. Mirrors the order of the cluster substrate's
-    /// direct execution path exactly: fault decision first (a pure function
-    /// of `(job, node, attempt)` and the injector seed), then the runner.
+    /// Execute one attempt — the one place the order of an attempt is
+    /// written: a cancelled job is dropped, an unbound device refuses, then
+    /// the fault decision (a pure function of `(job, node, attempt)` and the
+    /// injector seed), then the runner.
     fn run(&mut self, payload: &RunPayload) -> RunVerdict {
         self.executed += 1;
         if self.cancelled.remove(&payload.job) {
@@ -231,25 +243,7 @@ impl NodeAgent {
         // Note: a cordoned agent still runs — cordoning gates *scheduling*
         // (the orchestrator's cluster substrate), not work already bound.
 
-        let spec = JobSpec {
-            name: payload.job.clone(),
-            image: payload.image_name.clone(),
-            qasm: payload.qasm.clone(),
-            num_qubits: usize::try_from(payload.num_qubits).unwrap_or(usize::MAX),
-            resources: Resources::new(0, 0),
-            requirements: DeviceRequirements::none(),
-            strategy: StrategySpec::new("fidelity"),
-            priority: 0,
-            shots: payload.shots,
-            threads: usize::try_from(payload.threads).unwrap_or(usize::MAX),
-            retry: None,
-            deadline: None,
-        };
-        let mut image = ImageBundle::new(payload.image_name.clone());
-        for (path, contents) in &payload.image_files {
-            image.add_file(path.clone(), contents.clone());
-        }
-        match self.runner.run(&spec, &image, backend) {
+        match self.runner.run(payload, backend) {
             Ok(outcome) => RunVerdict::Succeeded {
                 counts: outcome.counts,
                 fidelity: outcome.fidelity,
@@ -282,23 +276,58 @@ impl NodeAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrio_cluster::ExecutionOutcome;
 
     #[derive(Debug)]
     struct EchoRunner;
 
     impl JobRunner for EchoRunner {
-        fn run(
-            &self,
-            spec: &JobSpec,
-            image: &ImageBundle,
-            backend: &Backend,
-        ) -> Result<ExecutionOutcome, String> {
+        fn run(&self, run: &RunPayload, backend: &Backend) -> Result<ExecutionOutcome, String> {
             Ok(ExecutionOutcome {
-                counts: vec![("0".into(), spec.shots)],
+                counts: vec![("0".into(), run.shots)],
                 fidelity: None,
-                logs: vec![format!("{} files on {}", image.len(), backend.name())],
+                logs: vec![format!(
+                    "{} files on {}",
+                    run.image_files.len(),
+                    backend.name()
+                )],
             })
+        }
+    }
+
+    /// A runner no test may reach: everything an agent decides before the
+    /// runner must be decided without it.
+    #[derive(Debug)]
+    struct UnreachableRunner;
+
+    impl JobRunner for UnreachableRunner {
+        fn run(&self, run: &RunPayload, _: &Backend) -> Result<ExecutionOutcome, String> {
+            panic!("the runner was called for job '{}'", run.job)
+        }
+    }
+
+    fn run_command(job: &str) -> NodeCommand {
+        NodeCommand::Run {
+            payload: RunPayload {
+                job: job.into(),
+                attempt: 0,
+                image_name: "img".into(),
+                image_files: vec![],
+                qasm: String::new(),
+                num_qubits: 1,
+                shots: 8,
+                threads: 0,
+            },
+        }
+    }
+
+    /// The verdict of the one `Phase` report in `replies`.
+    fn verdict(replies: &[Envelope]) -> &RunVerdict {
+        match replies {
+            [Envelope {
+                payload: Payload::Report(NodeReport::Phase { verdict, .. }),
+                ..
+            }] => verdict,
+            other => panic!("unexpected replies: {other:?}"),
         }
     }
 
@@ -320,27 +349,8 @@ mod tests {
     #[test]
     fn unbound_runs_are_rejected_and_bind_enables_execution() {
         let mut agent = NodeAgent::new("dev-α", Box::new(EchoRunner));
-        let run = NodeCommand::Run {
-            payload: RunPayload {
-                job: "j1".into(),
-                attempt: 0,
-                image_name: "img".into(),
-                image_files: vec![],
-                qasm: String::new(),
-                num_qubits: 1,
-                shots: 8,
-                threads: 0,
-            },
-        };
-
-        let replies = agent.handle(&command("dev-α", 0, run.clone()));
-        assert_eq!(replies.len(), 1);
-        match &replies[0].payload {
-            Payload::Report(NodeReport::Phase { verdict, .. }) => {
-                assert!(matches!(verdict, RunVerdict::Rejected { .. }));
-            }
-            other => panic!("unexpected reply: {other:?}"),
-        }
+        let replies = agent.handle(&command("dev-α", 0, run_command("j1")));
+        assert!(matches!(verdict(&replies), RunVerdict::Rejected { .. }));
 
         let replies = agent.handle(&command(
             "dev-α",
@@ -355,13 +365,8 @@ mod tests {
             Payload::Report(NodeReport::Calibration { revision: 1 })
         ));
 
-        let replies = agent.handle(&command("dev-α", 2, run));
-        match &replies[0].payload {
-            Payload::Report(NodeReport::Phase { verdict, .. }) => {
-                assert!(matches!(verdict, RunVerdict::Succeeded { .. }));
-            }
-            other => panic!("unexpected reply: {other:?}"),
-        }
+        let replies = agent.handle(&command("dev-α", 2, run_command("j1")));
+        assert!(matches!(verdict(&replies), RunVerdict::Succeeded { .. }));
         // Report seqs are dense per agent.
         assert_eq!(replies[0].seq, 2);
     }
@@ -385,30 +390,52 @@ mod tests {
                 reason: "user interrupt".into(),
             },
         ));
-        let frame = command(
-            "dev-α",
-            2,
-            NodeCommand::Run {
-                payload: RunPayload {
-                    job: "j1".into(),
-                    attempt: 0,
-                    image_name: "img".into(),
-                    image_files: vec![],
-                    qasm: String::new(),
-                    num_qubits: 1,
-                    shots: 8,
-                    threads: 0,
-                },
-            },
-        )
-        .encode();
+        let frame = command("dev-α", 2, run_command("j1")).encode();
         let replies = agent.handle_frame(&frame).unwrap();
         let (reply, _) = Envelope::decode(&replies[0]).unwrap();
-        match reply.payload {
-            Payload::Report(NodeReport::Phase { verdict, .. }) => {
-                assert!(matches!(verdict, RunVerdict::Rejected { .. }));
+        assert!(matches!(verdict(&[reply]), RunVerdict::Rejected { .. }));
+    }
+
+    #[test]
+    fn faults_and_rejections_are_decided_before_the_runner() {
+        let mut agent = NodeAgent::new("dev-α", Box::new(UnreachableRunner));
+        // Unbound: refused.
+        let replies = agent.handle(&command("dev-α", 0, run_command("j1")));
+        assert!(matches!(verdict(&replies), RunVerdict::Rejected { .. }));
+
+        // Bound under a plan that faults every attempt: the replica decides.
+        agent.handle(&command(
+            "dev-α",
+            1,
+            NodeCommand::Bind {
+                backend_spec: bind_spec(),
+                injector: Some(fault_spec_to_wire(&FaultInjector {
+                    transient_rate: 1.0,
+                    ..FaultInjector::new(7)
+                })),
+            },
+        ));
+        let replies = agent.handle(&command("dev-α", 2, run_command("j1")));
+        assert_eq!(
+            verdict(&replies),
+            &RunVerdict::Faulted {
+                kind: WireFaultKind::Transient
             }
-            other => panic!("unexpected reply: {other:?}"),
+        );
+
+        // Cancelled: dropped, even though the plan would have faulted it.
+        agent.handle(&command(
+            "dev-α",
+            3,
+            NodeCommand::Cancel {
+                job: "j2".into(),
+                reason: "user interrupt".into(),
+            },
+        ));
+        let replies = agent.handle(&command("dev-α", 4, run_command("j2")));
+        match verdict(&replies) {
+            RunVerdict::Rejected { reason } => assert!(reason.contains("cancelled"), "{reason}"),
+            other => panic!("unexpected verdict: {other:?}"),
         }
     }
 

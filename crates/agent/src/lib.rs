@@ -3,9 +3,13 @@
 //! Node agents for the QRIO control plane (reproduction of *Empowering the
 //! Quantum Cloud User with QRIO*, IISWC 2024). A [`NodeAgent`] is one
 //! device's worker: it holds a replica of the device calibration and the
-//! fault-injection plan (both shipped in `Bind` commands), executes
-//! self-contained `Run` work orders with a [`qrio_cluster::JobRunner`], and
-//! answers every command with exactly one report.
+//! fault-injection plan (both shipped in `Bind` commands), executes `Run`
+//! commands with its [`JobRunner`] — which sees the decoded
+//! [`qrio_proto::RunPayload`] and the bound backend, nothing else — and
+//! answers every command with exactly one report. This is the one path from
+//! a job to a device: whether an attempt is dropped as cancelled, refused as
+//! unbound, faulted by the plan or handed to the runner is decided in
+//! [`NodeAgent`], in that order, and nowhere else.
 //!
 //! Agents never touch orchestrator state — all traffic is encoded
 //! [`qrio_proto::Envelope`] frames crossing a [`Transport`]:
@@ -17,17 +21,16 @@
 //! |                      | over `mpsc` channels    | worker count (agents are pure)       |
 //!
 //! ```
-//! use qrio_agent::{InProcTransport, NodeAgent, Transport};
-//! use qrio_cluster::{ExecutionOutcome, ImageBundle, JobRunner, JobSpec};
-//! use qrio_proto::{Envelope, NodeCommand, Payload};
+//! use qrio_agent::{InProcTransport, JobRunner, NodeAgent, Transport};
+//! use qrio_cluster::ExecutionOutcome;
+//! use qrio_proto::{Envelope, NodeCommand, Payload, RunPayload};
 //!
 //! #[derive(Debug)]
 //! struct NullRunner;
 //! impl JobRunner for NullRunner {
 //!     fn run(
 //!         &self,
-//!         _spec: &JobSpec,
-//!         _image: &ImageBundle,
+//!         _run: &RunPayload,
 //!         _backend: &qrio_backend::Backend,
 //!     ) -> Result<ExecutionOutcome, String> {
 //!         Err("not a real device".into())
@@ -54,6 +57,8 @@ pub mod agent;
 pub mod error;
 pub mod transport;
 
-pub use agent::{fault_kind_from_wire, fault_kind_to_wire, fault_spec_to_wire, NodeAgent};
+pub use agent::{
+    fault_kind_from_wire, fault_kind_to_wire, fault_spec_to_wire, JobRunner, NodeAgent,
+};
 pub use error::AgentError;
 pub use transport::{ChannelTransport, InProcTransport, Transport};

@@ -1,7 +1,10 @@
 //! The transport seam between the orchestrator and its node agents.
 //!
 //! Both implementations carry **encoded** [`qrio_proto::Envelope`] frames, so
-//! the full encode→decode path is exercised no matter which mode is active:
+//! the full encode→decode path is exercised no matter which mode is active.
+//! A command frame is decoded once, at `send` — where a malformed frame or an
+//! unknown node is a typed error in both modes — and the decoded envelope is
+//! what reaches [`NodeAgent::handle`]:
 //!
 //! * [`InProcTransport`] — agents live in the caller's thread and process
 //!   each frame synchronously at `send` time. Fully deterministic in virtual
@@ -95,9 +98,9 @@ impl Transport for InProcTransport {
             .ok_or(AgentError::UnknownNode {
                 node: envelope.node_id.clone(),
             })?;
-        for reply in agent.handle_frame(&frame)? {
-            self.inbox.push_back(reply);
-        }
+        let replies = agent.handle(&envelope);
+        self.inbox
+            .extend(replies.iter().map(|reply| reply.encode()));
         Ok(())
     }
 
@@ -112,7 +115,8 @@ impl Transport for InProcTransport {
 
 enum WorkerMsg {
     Attach(Box<NodeAgent>),
-    Frame(Vec<u8>),
+    /// A decoded command for an agent attached to this worker earlier.
+    Command(Envelope),
     Shutdown,
 }
 
@@ -148,16 +152,13 @@ fn worker_loop(rx: mpsc::Receiver<WorkerMsg>, tx: mpsc::Sender<Vec<u8>>) {
             WorkerMsg::Attach(agent) => {
                 agents.insert(agent.node_id().to_string(), *agent);
             }
-            WorkerMsg::Frame(frame) => {
-                let replies = match Envelope::decode(&frame) {
-                    Ok((envelope, _)) => match agents.get_mut(&envelope.node_id) {
-                        Some(agent) => agent.handle_frame(&frame).unwrap_or_default(),
-                        None => Vec::new(),
-                    },
-                    Err(_) => Vec::new(),
+            WorkerMsg::Command(envelope) => {
+                let replies = match agents.get_mut(&envelope.node_id) {
+                    Some(agent) => agent.handle(&envelope),
+                    None => Vec::new(),
                 };
                 for reply in replies {
-                    if tx.send(reply).is_err() {
+                    if tx.send(reply.encode()).is_err() {
                         return;
                     }
                 }
@@ -223,7 +224,7 @@ impl Transport for ChannelTransport {
             })?;
         self.workers[index]
             .tx
-            .send(WorkerMsg::Frame(frame))
+            .send(WorkerMsg::Command(envelope))
             .map_err(|_| AgentError::Disconnected)?;
         self.in_flight += 1;
         Ok(())
@@ -272,8 +273,9 @@ impl Drop for ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrio_cluster::{ExecutionOutcome, ImageBundle, JobRunner, JobSpec};
-    use qrio_proto::{NodeCommand, NodeReport, Payload};
+    use crate::agent::JobRunner;
+    use qrio_cluster::ExecutionOutcome;
+    use qrio_proto::{NodeCommand, NodeReport, Payload, RunPayload};
 
     #[derive(Debug)]
     struct NullRunner;
@@ -281,8 +283,7 @@ mod tests {
     impl JobRunner for NullRunner {
         fn run(
             &self,
-            _spec: &JobSpec,
-            _image: &ImageBundle,
+            _run: &RunPayload,
             _backend: &qrio_backend::Backend,
         ) -> Result<ExecutionOutcome, String> {
             Err("no device".into())

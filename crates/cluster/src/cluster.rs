@@ -4,8 +4,9 @@
 //! This is the Kubernetes-shaped substrate QRIO is built on (§3.1): nodes are
 //! quantum devices labelled with their properties, jobs are containerized
 //! quantum circuits, the scheduler's filter → score cycle ends in
-//! [`Cluster::bind_job`], and a kubelet-style executor runs bound jobs
-//! against the node's backend.
+//! [`Cluster::bind_job`], and a bound job's attempt is started here
+//! ([`Cluster::prepare_run`]), executed by the node's agent, and settled
+//! here again ([`Cluster::settle_run`]).
 
 use std::collections::BTreeMap;
 
@@ -30,7 +31,8 @@ pub struct ClusterEvent {
 
 codec_struct!(ClusterEvent { kind, message });
 
-/// The outcome of running a job on a node, produced by a [`JobRunner`].
+/// The outcome of running a job on a node, produced by the node agent's
+/// runner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionOutcome {
     /// Histogram of measurement outcomes (`bitstring -> count`).
@@ -41,10 +43,9 @@ pub struct ExecutionOutcome {
     pub logs: Vec<String>,
 }
 
-/// A self-contained execution work order produced by [`Cluster::prepare_run`]:
-/// everything the device side needs to run one attempt (the spec, the pulled
-/// image, the bound node) without reaching back into cluster state. This is
-/// the unit that crosses the control-plane wire to a node agent.
+/// The receipt of a started attempt, produced by [`Cluster::prepare_run`]
+/// and redeemed by [`Cluster::settle_run`]: which job runs where, which
+/// attempt it is, and the classical resources settling releases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkOrder {
     /// Job name.
@@ -53,10 +54,8 @@ pub struct WorkOrder {
     pub node: String,
     /// Zero-based attempt number (drives the fault decision).
     pub attempt: u32,
-    /// The job's full spec.
-    pub spec: JobSpec,
-    /// The image pulled for this attempt.
-    pub image: ImageBundle,
+    /// What the job holds on the node while it runs.
+    pub resources: Resources,
 }
 
 /// The device side's verdict on one prepared attempt, applied with
@@ -69,24 +68,6 @@ pub enum AttemptVerdict {
     Failed(String),
     /// The fault injector fired before the runner started.
     Faulted(FaultKind),
-}
-
-/// Executes a job's payload on a node's quantum device — the role of the
-/// generated runner script inside the job container (§3.3). Implemented by the
-/// QRIO orchestrator crate; the cluster substrate stays agnostic of *how*
-/// circuits are simulated.
-pub trait JobRunner {
-    /// Run `spec` (whose files are in `image`) on `backend`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable reason when execution fails.
-    fn run(
-        &self,
-        spec: &JobSpec,
-        image: &ImageBundle,
-        backend: &Backend,
-    ) -> Result<ExecutionOutcome, String>;
 }
 
 /// A point-in-time load summary for one node: how busy its queue and its
@@ -179,8 +160,8 @@ impl Cluster {
     }
 
     /// Install (or, with `None`, remove) the deterministic fault injector.
-    /// Every subsequent execution attempt consults it; see
-    /// [`Cluster::run_job_attempt`].
+    /// The cluster only stores the plan: the orchestrator ships it to the
+    /// node agents, which consult it before every execution attempt.
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.fault_injector = injector;
     }
@@ -637,122 +618,90 @@ impl Cluster {
         Ok(())
     }
 
-    /// Execute a previously-scheduled job on its bound node using `runner` —
-    /// the first (0th) attempt of [`Cluster::run_job_attempt`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the job is not in the `Scheduled` phase, the image
-    /// is missing, or the runner fails; in the latter cases the job is marked
-    /// `Failed` and the node's resources are released.
-    pub fn run_job(&mut self, job_name: &str, runner: &dyn JobRunner) -> Result<(), ClusterError> {
-        self.run_job_attempt(job_name, runner, 0)
-    }
-
-    /// Execute attempt `attempt` of a previously-scheduled job. Before the
-    /// runner is invoked, the installed [`FaultInjector`] (if any) decides —
-    /// as a pure function of `(seed, job, node, attempt)` — whether this
-    /// attempt faults; an injected fault marks the job `Failed` with the
-    /// fault's typed reason and surfaces as [`ClusterError::InjectedFault`].
-    /// A [`FaultKind::DeviceFlap`] additionally marks the node `NotReady`
-    /// (self-healing restarts it later).
-    ///
-    /// # Errors
-    ///
-    /// As [`Cluster::run_job`], plus [`ClusterError::InjectedFault`].
-    pub fn run_job_attempt(
-        &mut self,
-        job_name: &str,
-        runner: &dyn JobRunner,
-        attempt: u32,
-    ) -> Result<(), ClusterError> {
-        let order = self.prepare_run(job_name, attempt)?;
-        // Fault injection: a stateless decision, so snapshot-based recovery
-        // (and remote node agents holding an injector replica) replay the
-        // exact same verdict for this (job, node, attempt).
-        let verdict = if let Some(kind) = self
-            .fault_injector
-            .and_then(|injector| injector.decide(job_name, &order.node, attempt))
-        {
-            AttemptVerdict::Faulted(kind)
-        } else {
-            let backend = self
-                .nodes
-                .get(&order.node)
-                .expect("prepare_run verified the node")
-                .backend()
-                .clone();
-            match runner.run(&order.spec, &order.image, &backend) {
-                Ok(result) => AttemptVerdict::Completed(result),
-                Err(reason) => AttemptVerdict::Failed(reason),
-            }
-        };
-        self.settle_run(&order, verdict)
-    }
-
     /// The orchestrator half of starting an execution attempt: verify the job
     /// is `Scheduled`, pull its image from the registry, verify the bound
     /// node exists, move the job to `Running` and record `JobStarted`.
     ///
-    /// Returns the self-contained [`WorkOrder`] describing what must now be
-    /// executed. The device half — fault decision plus runner invocation —
-    /// can then happen anywhere (in-process or on a remote node agent), and
-    /// its verdict is applied with [`Cluster::settle_run`].
+    /// Returns the [`WorkOrder`] to settle later, with the job's spec and the
+    /// pulled image on loan — what the caller describes the attempt from. The
+    /// device half — cancellation and binding checks, the fault decision, the
+    /// runner — happens on the node's agent, and its verdict is applied with
+    /// [`Cluster::settle_run`].
     ///
     /// # Errors
     ///
     /// Returns an error if the job is unknown or not `Scheduled`, the image
     /// is missing, or the bound node is gone; job state is untouched in every
     /// error case.
-    pub fn prepare_run(&mut self, job_name: &str, attempt: u32) -> Result<WorkOrder, ClusterError> {
-        let (spec, node_name) = {
-            let job = self
-                .jobs
-                .get(job_name)
-                .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-            let node = match job.phase() {
-                JobPhase::Scheduled { node } => node.clone(),
-                other => {
-                    return Err(ClusterError::ExecutionFailed {
-                        job: job_name.to_string(),
-                        reason: format!("job is not in the Scheduled phase (currently {other:?})"),
-                    })
-                }
-            };
-            (job.spec().clone(), node)
-        };
-        let image = self.registry.pull(&spec.image)?;
-        if !self.nodes.contains_key(&node_name) {
-            return Err(ClusterError::UnknownNode(node_name.clone()));
-        }
+    pub fn prepare_run(
+        &mut self,
+        job_name: &str,
+        attempt: u32,
+    ) -> Result<(WorkOrder, &JobSpec, &ImageBundle), ClusterError> {
+        let order = self.start_run(job_name, attempt, true)?;
+        // `start_run` has just seen both; neither lookup can miss.
+        let spec = self
+            .jobs
+            .get(job_name)
+            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?
+            .spec();
+        let image = self.registry.image(&spec.image)?;
+        Ok((order, spec, image))
+    }
 
-        if let Some(job) = self.jobs.get_mut(job_name) {
-            job.set_phase(JobPhase::Running {
-                node: node_name.clone(),
-            });
+    /// Move a `Scheduled` job to `Running` on its bound node and record
+    /// `JobStarted`. A real attempt first `pull`s the job's image and makes
+    /// sure the node is still there; an interrupted one, whose device is the
+    /// very thing that went away, does neither.
+    fn start_run(
+        &mut self,
+        job_name: &str,
+        attempt: u32,
+        pull: bool,
+    ) -> Result<WorkOrder, ClusterError> {
+        let job = self
+            .jobs
+            .get_mut(job_name)
+            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
+        let node = match job.phase() {
+            JobPhase::Scheduled { node } => node.clone(),
+            other => {
+                return Err(ClusterError::ExecutionFailed {
+                    job: job_name.to_string(),
+                    reason: format!("job is not in the Scheduled phase (currently {other:?})"),
+                })
+            }
+        };
+        if pull {
+            self.registry.pull(&job.spec().image)?;
+            if !self.nodes.contains_key(&node) {
+                return Err(ClusterError::UnknownNode(node));
+            }
         }
+        job.set_phase(JobPhase::Running { node: node.clone() });
+        let resources = job.spec().resources;
         self.record(
             "JobStarted",
-            format!("job '{job_name}' running on '{node_name}'"),
+            format!("job '{job_name}' running on '{node}'"),
         );
         Ok(WorkOrder {
             job: job_name.to_string(),
-            node: node_name,
+            node,
             attempt,
-            spec,
-            image,
+            resources,
         })
     }
 
     /// Apply the device-side verdict of a prepared attempt: release the
-    /// node's classical resources and move the job to its terminal phase,
-    /// recording the same events direct execution would.
+    /// node's classical resources and move the job to its terminal phase.
+    /// An injected fault marks the job `Failed` with the fault's typed
+    /// reason; a [`FaultKind::DeviceFlap`] additionally marks the node
+    /// `NotReady` (self-healing restarts it later).
     ///
     /// # Errors
     ///
     /// [`ClusterError::ExecutionFailed`] for failed runs and
-    /// [`ClusterError::InjectedFault`] for faulted ones, mirroring
-    /// [`Cluster::run_job_attempt`].
+    /// [`ClusterError::InjectedFault`] for faulted ones.
     pub fn settle_run(
         &mut self,
         order: &WorkOrder,
@@ -761,16 +710,10 @@ impl Cluster {
         let job_name = &order.job;
         let node_name = &order.node;
         match verdict {
-            AttemptVerdict::Faulted(kind) => Err(self.fail_with_fault(
-                job_name,
-                node_name,
-                &order.spec.resources,
-                kind,
-                order.attempt,
-            )),
+            AttemptVerdict::Faulted(kind) => Err(self.fail_with_fault(order, kind)),
             AttemptVerdict::Completed(result) => {
                 if let Some(node) = self.nodes.get_mut(node_name) {
-                    node.release(&order.spec.resources);
+                    node.release(&order.resources);
                 }
                 let job = self.jobs.get_mut(job_name).expect("job exists");
                 for line in &result.logs {
@@ -788,7 +731,7 @@ impl Cluster {
             }
             AttemptVerdict::Failed(reason) => {
                 if let Some(node) = self.nodes.get_mut(node_name) {
-                    node.release(&order.spec.resources);
+                    node.release(&order.resources);
                 }
                 let job = self.jobs.get_mut(job_name).expect("job exists");
                 job.set_phase(JobPhase::Failed {
@@ -808,16 +751,10 @@ impl Cluster {
 
     /// Mark a `Running` job as faulted: release its node's resources, record
     /// the typed failure, and (for device flaps) take the node down.
-    fn fail_with_fault(
-        &mut self,
-        job_name: &str,
-        node_name: &str,
-        resources: &Resources,
-        kind: FaultKind,
-        attempt: u32,
-    ) -> ClusterError {
+    fn fail_with_fault(&mut self, order: &WorkOrder, kind: FaultKind) -> ClusterError {
+        let (job_name, node_name, attempt) = (&order.job, &order.node, order.attempt);
         if let Some(node) = self.nodes.get_mut(node_name) {
-            node.release(resources);
+            node.release(&order.resources);
             if kind == FaultKind::DeviceFlap {
                 node.mark_not_ready();
             }
@@ -895,38 +832,8 @@ impl Cluster {
     /// any other injected fault. `UnknownJob` / `ExecutionFailed` report a
     /// missing job or one that is not `Scheduled`.
     pub fn interrupt_job(&mut self, job_name: &str, attempt: u32) -> Result<(), ClusterError> {
-        let (resources, node_name) = {
-            let job = self
-                .jobs
-                .get(job_name)
-                .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-            let node = match job.phase() {
-                JobPhase::Scheduled { node } => node.clone(),
-                other => {
-                    return Err(ClusterError::ExecutionFailed {
-                        job: job_name.to_string(),
-                        reason: format!("job is not in the Scheduled phase (currently {other:?})"),
-                    })
-                }
-            };
-            (job.spec().resources, node)
-        };
-        if let Some(job) = self.jobs.get_mut(job_name) {
-            job.set_phase(JobPhase::Running {
-                node: node_name.clone(),
-            });
-        }
-        self.record(
-            "JobStarted",
-            format!("job '{job_name}' running on '{node_name}'"),
-        );
-        Err(self.fail_with_fault(
-            job_name,
-            &node_name,
-            &resources,
-            FaultKind::DeviceFlap,
-            attempt,
-        ))
+        let order = self.start_run(job_name, attempt, false)?;
+        self.settle_run(&order, AttemptVerdict::Faulted(FaultKind::DeviceFlap))
     }
 }
 
@@ -948,39 +855,34 @@ mod tests {
     use qrio_backend::topology;
     use qrio_bytes::{from_bytes, to_bytes};
 
-    struct EchoRunner;
-
-    impl JobRunner for EchoRunner {
-        fn run(
-            &self,
-            spec: &JobSpec,
-            image: &ImageBundle,
-            backend: &Backend,
-        ) -> Result<ExecutionOutcome, String> {
-            Ok(ExecutionOutcome {
-                counts: vec![("0".repeat(spec.num_qubits), spec.shots)],
-                fidelity: Some(1.0),
-                logs: vec![format!(
-                    "ran {} from {} on {}",
-                    spec.name,
-                    image.name(),
-                    backend.name()
-                )],
-            })
-        }
+    /// One attempt of `job` as the orchestrator makes it, with the device's
+    /// answer supplied: `prepare_run`, then `settle_run(verdict)`.
+    fn attempt(
+        cluster: &mut Cluster,
+        job: &str,
+        verdict: AttemptVerdict,
+    ) -> Result<(), ClusterError> {
+        let (order, _, _) = cluster.prepare_run(job, 0)?;
+        cluster.settle_run(&order, verdict)
     }
 
-    struct FailingRunner;
+    /// An attempt the device completes.
+    fn run(cluster: &mut Cluster, job: &str) -> Result<(), ClusterError> {
+        let outcome = ExecutionOutcome {
+            counts: vec![("0000".into(), 64)],
+            fidelity: Some(1.0),
+            logs: vec![format!("ran {job}")],
+        };
+        attempt(cluster, job, AttemptVerdict::Completed(outcome))
+    }
 
-    impl JobRunner for FailingRunner {
-        fn run(
-            &self,
-            _: &JobSpec,
-            _: &ImageBundle,
-            _: &Backend,
-        ) -> Result<ExecutionOutcome, String> {
-            Err("simulated runner crash".into())
-        }
+    /// An attempt the device's runner fails.
+    fn crash(cluster: &mut Cluster, job: &str) -> Result<(), ClusterError> {
+        attempt(
+            cluster,
+            job,
+            AttemptVerdict::Failed("simulated runner crash".into()),
+        )
     }
 
     fn make_node(name: &str, qubits: usize, err: f64) -> Node {
@@ -1106,7 +1008,7 @@ mod tests {
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
         bind(&mut cluster, "job-run", "quiet");
-        cluster.run_job("job-run", &EchoRunner).unwrap();
+        run(&mut cluster, "job-run").unwrap();
         let job = cluster.job("job-run").unwrap();
         assert!(matches!(job.phase(), JobPhase::Succeeded { .. }));
         assert_eq!(job.result_counts()[0].1, 64);
@@ -1125,7 +1027,7 @@ mod tests {
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
         bind(&mut cluster, "job-fail", "quiet");
-        assert!(cluster.run_job("job-fail", &FailingRunner).is_err());
+        assert!(crash(&mut cluster, "job-fail").is_err());
         assert!(matches!(
             cluster.job("job-fail").unwrap().phase(),
             JobPhase::Failed { .. }
@@ -1142,14 +1044,14 @@ mod tests {
         let spec = make_spec("job-x", 4);
         cluster.submit_job(spec).unwrap();
         // Not scheduled yet.
-        assert!(cluster.run_job("job-x", &EchoRunner).is_err());
+        assert!(run(&mut cluster, "job-x").is_err());
         bind(&mut cluster, "job-x", "quiet");
         // Image was never pushed.
         assert!(matches!(
-            cluster.run_job("job-x", &EchoRunner),
+            run(&mut cluster, "job-x"),
             Err(ClusterError::ImageNotFound(_))
         ));
-        assert!(cluster.run_job("unknown", &EchoRunner).is_err());
+        assert!(run(&mut cluster, "unknown").is_err());
     }
 
     #[test]
@@ -1165,7 +1067,7 @@ mod tests {
         for name in ["q-1", "q-2", "q-3"] {
             assert_eq!(cluster.pending_jobs()[0], name);
             bind(&mut cluster, name, "quiet");
-            cluster.run_job(name, &EchoRunner).unwrap();
+            run(&mut cluster, name).unwrap();
         }
         assert!(cluster.pending_jobs().is_empty());
         for name in ["q-1", "q-2", "q-3"] {
@@ -1198,7 +1100,7 @@ mod tests {
         assert_eq!(loads.len(), 3);
         assert!(loads.windows(2).all(|w| w[0].0 < w[1].0));
 
-        cluster.run_job("load-job", &EchoRunner).unwrap();
+        run(&mut cluster, "load-job").unwrap();
         assert_eq!(cluster.node_load("quiet").unwrap().active_jobs, 0);
     }
 
@@ -1236,7 +1138,7 @@ mod tests {
         // Rebinding onto the current node is a no-op.
         cluster.rebind_job("mover", "noisy").unwrap();
         // The migrated job still runs to completion on the new node.
-        cluster.run_job("mover", &EchoRunner).unwrap();
+        run(&mut cluster, "mover").unwrap();
         assert_eq!(cluster.job("mover").unwrap().phase().node(), Some("noisy"));
     }
 
@@ -1327,7 +1229,7 @@ mod tests {
             Resources::default()
         );
         // A cancelled job cannot be run or cancelled again.
-        assert!(cluster.run_job("cancel-scheduled", &EchoRunner).is_err());
+        assert!(run(&mut cluster, "cancel-scheduled").is_err());
         assert!(matches!(
             cluster.cancel_job("cancel-scheduled", "again"),
             Err(ClusterError::PhaseConflict { .. })
@@ -1345,7 +1247,7 @@ mod tests {
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
         bind(&mut cluster, "done-job", "quiet");
-        cluster.run_job("done-job", &EchoRunner).unwrap();
+        run(&mut cluster, "done-job").unwrap();
         assert!(matches!(
             cluster.cancel_job("done-job", "too late"),
             Err(ClusterError::PhaseConflict { .. })
@@ -1382,7 +1284,7 @@ mod tests {
         push_image_for(&mut cluster, &done);
         cluster.submit_job(done).unwrap();
         bind(&mut cluster, "done", "quiet");
-        cluster.run_job("done", &EchoRunner).unwrap();
+        run(&mut cluster, "done").unwrap();
 
         let bound = make_spec("bound", 4);
         push_image_for(&mut cluster, &bound);
@@ -1450,12 +1352,15 @@ mod tests {
     #[test]
     fn injected_fault_fails_job_and_releases_resources() {
         let mut cluster = cluster_with_nodes();
-        cluster.set_fault_injector(Some(FaultInjector {
+        let injector = FaultInjector {
             transient_rate: 1.0,
             ..FaultInjector::new(11)
-        }));
+        };
+        cluster.set_fault_injector(Some(injector));
         submit_and_schedule(&mut cluster, "doomed");
-        let err = cluster.run_job("doomed", &EchoRunner).unwrap_err();
+        // The agent holding the plan's replica draws this before its runner.
+        let kind = injector.decide("doomed", "quiet", 0).unwrap();
+        let err = attempt(&mut cluster, "doomed", AttemptVerdict::Faulted(kind)).unwrap_err();
         assert!(matches!(
             err,
             ClusterError::InjectedFault {
@@ -1499,12 +1404,14 @@ mod tests {
     #[test]
     fn device_flap_marks_node_not_ready_and_heals() {
         let mut cluster = cluster_with_nodes();
-        cluster.set_fault_injector(Some(FaultInjector {
+        let injector = FaultInjector {
             flap_rate: 1.0,
             ..FaultInjector::new(3)
-        }));
+        };
+        cluster.set_fault_injector(Some(injector));
         submit_and_schedule(&mut cluster, "flappy");
-        let err = cluster.run_job("flappy", &EchoRunner).unwrap_err();
+        let kind = injector.decide("flappy", "quiet", 0).unwrap();
+        let err = attempt(&mut cluster, "flappy", AttemptVerdict::Faulted(kind)).unwrap_err();
         assert!(matches!(
             err,
             ClusterError::InjectedFault {
@@ -1525,7 +1432,7 @@ mod tests {
     fn requeue_returns_failed_job_to_pending() {
         let mut cluster = cluster_with_nodes();
         submit_and_schedule(&mut cluster, "retry-me");
-        assert!(cluster.run_job("retry-me", &FailingRunner).is_err());
+        assert!(crash(&mut cluster, "retry-me").is_err());
         // Only Failed jobs may be requeued.
         cluster.requeue_job("retry-me").unwrap();
         assert!(matches!(
@@ -1545,7 +1452,7 @@ mod tests {
         ));
         // The requeued job schedules and runs to completion again.
         bind(&mut cluster, "retry-me", "quiet");
-        cluster.run_job("retry-me", &EchoRunner).unwrap();
+        run(&mut cluster, "retry-me").unwrap();
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! makes those failure modes first-class in the cluster substrate:
 //!
 //! * [`FaultKind`] — the typed catalogue of injectable faults.
-//! * [`FaultInjector`] — a deterministic, seeded injector consulted by
-//!   `Cluster::run_job_attempt` before each execution. Decisions are a *pure
-//!   function* of `(seed, job, node, attempt)` — no mutable RNG stream — so
-//!   snapshot-based crash recovery replays the exact same fault schedule no
-//!   matter where the snapshot cut the history.
+//! * [`FaultInjector`] — a deterministic, seeded injector. The cluster
+//!   stores the plan, every node agent holds a replica and consults it
+//!   before each execution. Decisions are a *pure function* of
+//!   `(seed, job, node, attempt)` — no mutable RNG stream — so snapshot-based
+//!   crash recovery, and a replica on any thread, replay the exact same
+//!   fault schedule no matter where the snapshot cut the history.
 //! * [`RetryPolicy`] / [`BackoffPolicy`] / [`RetryOn`] — the per-job policy
 //!   that decides whether a failure is retried, how long to back off
 //!   (fixed or exponential, with seed-derived deterministic jitter), and

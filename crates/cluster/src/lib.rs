@@ -19,12 +19,15 @@
 //! * [`ImageRegistry`], [`ImageBundle`] — the simulated Docker Hub the master
 //!   server pushes job containers to.
 //! * [`Cluster`] — the control plane: node/job stores, the bind stage of
-//!   the scheduling cycle ([`Cluster::bind_job`]), the kubelet-style
-//!   [`JobRunner`] execution hook, an event log, and the FIFO submission
-//!   queue.
-//! * [`FaultInjector`], [`FaultKind`], [`RetryPolicy`] — deterministic typed
-//!   fault injection consulted by every execution attempt, plus the per-job
-//!   retry/backoff policies the orchestrator's fault-tolerant lifecycle runs.
+//!   the scheduling cycle ([`Cluster::bind_job`]), the two ends of an
+//!   execution attempt ([`Cluster::prepare_run`] starts it and lends out what
+//!   describes it, [`Cluster::settle_run`] applies the device's
+//!   [`AttemptVerdict`]; the device in between belongs to `qrio-agent`), an
+//!   event log, and the FIFO submission queue.
+//! * [`FaultInjector`], [`FaultKind`], [`RetryPolicy`] — the deterministic
+//!   typed fault plan node agents consult before every execution attempt,
+//!   plus the per-job retry/backoff policies the orchestrator's
+//!   fault-tolerant lifecycle runs.
 //!
 //! # Examples
 //!
@@ -54,8 +57,7 @@ mod resources;
 pub mod yaml;
 
 pub use cluster::{
-    AttemptVerdict, Cluster, ClusterEvent, ExecutionOutcome, JobRunner, NodeLoad, ScheduleDecision,
-    WorkOrder,
+    AttemptVerdict, Cluster, ClusterEvent, ExecutionOutcome, NodeLoad, ScheduleDecision, WorkOrder,
 };
 pub use error::ClusterError;
 pub use fault::{BackoffPolicy, FaultInjector, FaultKind, RetryOn, RetryPolicy};

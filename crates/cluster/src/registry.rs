@@ -126,16 +126,25 @@ impl ImageRegistry {
         self.images.insert(image.name().to_string(), image);
     }
 
-    /// Pull an image by name.
+    /// Pull an image by name: [`ImageRegistry::image`], counted (a miss
+    /// counts too).
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::ImageNotFound`] when no such image exists.
-    pub fn pull(&mut self, name: &str) -> Result<ImageBundle, ClusterError> {
+    pub fn pull(&mut self, name: &str) -> Result<&ImageBundle, ClusterError> {
         self.pull_count += 1;
+        self.image(name)
+    }
+
+    /// Look an image up by name without counting a pull.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::ImageNotFound`] when no such image exists.
+    pub fn image(&self, name: &str) -> Result<&ImageBundle, ClusterError> {
         self.images
             .get(name)
-            .cloned()
             .ok_or_else(|| ClusterError::ImageNotFound(name.to_string()))
     }
 

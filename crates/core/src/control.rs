@@ -3,13 +3,18 @@
 //! [`ControlPlane`] is the only path between the reconcile loop and the
 //! devices: every piece of device work is encoded as a versioned
 //! [`qrio_proto::Envelope`], crosses a [`qrio_agent::Transport`], and comes
-//! back as a [`qrio_proto::NodeReport`]. It keeps the two reconcile tables
-//! the tick loop diffs:
+//! back as a [`qrio_proto::NodeReport`]. The orchestrator fills the one
+//! description of an attempt, the [`RunPayload`] ([`ControlPlane::run`]);
+//! the node agent decodes it and hands it to its runner as it is. Two tables
+//! sit on either side of the wire:
 //!
 //! * the **desired state** lives in the lifecycle device queues (job →
-//!   binding, owned by the orchestrator), and
+//!   binding, owned by the orchestrator) — each tick dispatches the head of
+//!   every queue, and
 //! * the **observed state** lives here — the last decoded report per node,
-//!   folded in as report envelopes are drained off the transport.
+//!   folded in as report envelopes are drained off the transport. Nothing
+//!   plans from it yet: dispatch blocks for its `Phase` report, so no run is
+//!   ever unfinished when the next tick plans.
 //!
 //! With [`InProcTransport`] every command is answered synchronously, so the
 //! observed table is always current. With
@@ -21,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use qrio_agent::{AgentError, InProcTransport, NodeAgent, Transport};
-use qrio_cluster::{AttemptVerdict, ClusterError, ExecutionOutcome, WorkOrder};
+use qrio_cluster::{AttemptVerdict, ExecutionOutcome, ImageBundle, JobSpec, WorkOrder};
 use qrio_proto::{Envelope, NodeCommand, NodeReport, Payload, RunPayload, RunVerdict};
 
 /// Which transport carries control-plane frames.
@@ -52,7 +57,6 @@ pub struct ObservedNode {
 /// sequence counters, the observed-state table, and the transport itself.
 pub struct ControlPlane {
     transport: Box<dyn Transport>,
-    mode: TransportMode,
     command_seq: BTreeMap<String, u64>,
     observed: BTreeMap<String, ObservedNode>,
     trace: Option<Vec<u8>>,
@@ -73,7 +77,6 @@ impl ControlPlane {
     pub fn new_in_proc() -> Self {
         ControlPlane {
             transport: Box::new(InProcTransport::new()),
-            mode: TransportMode::InProc,
             command_seq: BTreeMap::new(),
             observed: BTreeMap::new(),
             trace: None,
@@ -82,16 +85,10 @@ impl ControlPlane {
 
     /// Replace the transport. All agents and sequence counters are dropped;
     /// the caller re-registers agents for every node afterwards.
-    pub fn install(&mut self, transport: Box<dyn Transport>, mode: TransportMode) {
+    pub fn install(&mut self, transport: Box<dyn Transport>) {
         self.transport = transport;
-        self.mode = mode;
         self.command_seq.clear();
         self.observed.clear();
-    }
-
-    /// The active transport mode.
-    pub fn mode(&self) -> TransportMode {
-        self.mode
     }
 
     /// Short name of the active transport (`"in-proc"` / `"threaded"`).
@@ -193,40 +190,45 @@ impl ControlPlane {
         while let Ok(Some(_)) = self.pump(false) {}
     }
 
-    /// Execute one prepared [`WorkOrder`] over the wire: encode a `Run`
-    /// command, send it, and block until the matching `Phase` report comes
-    /// back (draining unrelated acknowledgements into the observed table
-    /// along the way).
+    /// Execute one attempt over the wire: describe it in a `Run` command
+    /// (the [`RunPayload`] built here from the borrowed spec and image is the
+    /// one description of an attempt, and its strings the one copy made of
+    /// them before encoding), send it to the order's node, and block until the
+    /// matching `Phase` report comes back (draining unrelated
+    /// acknowledgements into the observed table along the way).
     ///
-    /// # Errors
-    ///
-    /// Surfaces transport failures as [`ClusterError::ExecutionFailed`];
-    /// the protocol itself cannot fail an attempt (rejections travel inside
-    /// the verdict).
-    pub fn run(&mut self, order: &WorkOrder, now: u64) -> Result<AttemptVerdict, ClusterError> {
-        let wire_error = |err: AgentError| ClusterError::ExecutionFailed {
-            job: order.job.clone(),
-            reason: format!("control plane: {err}"),
-        };
+    /// The protocol itself cannot fail an attempt (rejections travel inside
+    /// the verdict); a transport failure is one — a failed attempt, settled
+    /// like any other.
+    pub fn run(
+        &mut self,
+        order: &WorkOrder,
+        spec: &JobSpec,
+        image: &ImageBundle,
+        now: u64,
+    ) -> AttemptVerdict {
+        let wire_error = |err: AgentError| AttemptVerdict::Failed(format!("control plane: {err}"));
         let payload = RunPayload {
             job: order.job.clone(),
             attempt: order.attempt,
-            image_name: order.image.name().to_string(),
-            image_files: order
-                .image
+            image_name: image.name().to_string(),
+            image_files: image
                 .files()
                 .map(|(path, contents)| (path.to_string(), contents.to_string()))
                 .collect(),
-            qasm: order.spec.qasm.clone(),
-            num_qubits: order.spec.num_qubits as u64,
-            shots: order.spec.shots,
-            threads: order.spec.threads as u64,
+            qasm: spec.qasm.clone(),
+            num_qubits: spec.num_qubits as u64,
+            shots: spec.shots,
+            threads: spec.threads as u64,
         };
-        self.send_command(&order.node, now, NodeCommand::Run { payload })
-            .map_err(wire_error)?;
+        if let Err(err) = self.send_command(&order.node, now, NodeCommand::Run { payload }) {
+            return wire_error(err);
+        }
         loop {
-            let Some(envelope) = self.pump(true).map_err(wire_error)? else {
-                return Err(wire_error(AgentError::Disconnected));
+            let envelope = match self.pump(true) {
+                Ok(Some(envelope)) => envelope,
+                Ok(None) => return wire_error(AgentError::Disconnected),
+                Err(err) => return wire_error(err),
             };
             let Payload::Report(NodeReport::Phase {
                 job,
@@ -240,7 +242,7 @@ impl ControlPlane {
                 continue; // a stale phase report from a previous attempt
             }
             debug_assert_eq!(attempt, order.attempt);
-            return Ok(match verdict {
+            return match verdict {
                 RunVerdict::Succeeded {
                     counts,
                     fidelity,
@@ -257,7 +259,7 @@ impl ControlPlane {
                 RunVerdict::Rejected { reason } => {
                     AttemptVerdict::Failed(format!("rejected by node agent: {reason}"))
                 }
-            });
+            };
         }
     }
 }

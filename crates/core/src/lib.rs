@@ -17,7 +17,9 @@
 //! * [`master_server`] — job containerization, image push and Job YAML
 //!   generation (§3.3),
 //! * [`SimJobRunner`] — the per-node executor that transpiles and runs the
-//!   circuit on its assigned device (the generated runner script of §3.3),
+//!   circuit on its assigned device (the generated runner script of §3.3):
+//!   the [`qrio_agent::JobRunner`] every node agent is stood up with, fed the
+//!   `Run` payload its agent decoded,
 //! * [`Qrio`] — the end-to-end orchestrator over the Kubernetes-like cluster
 //!   substrate, the meta server and the scheduler, exposing a non-blocking
 //!   job lifecycle ([`Qrio::enqueue`] → [`Qrio::tick`] → [`Qrio::outcome`])

@@ -354,7 +354,7 @@ impl Qrio {
             TransportMode::InProc => Box::new(InProcTransport::new()),
             TransportMode::Threaded { threads } => Box::new(ChannelTransport::new(threads)),
         };
-        self.control.install(transport, mode);
+        self.control.install(transport);
         self.bind_agents(true);
     }
 

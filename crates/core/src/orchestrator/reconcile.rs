@@ -3,7 +3,7 @@
 //! the execution attempt over the control plane, and how its outcome settles
 //! into success, a retry, or a terminal failure.
 
-use qrio_cluster::{AttemptVerdict, ClusterError, ScheduleDecision};
+use qrio_cluster::{ClusterError, ScheduleDecision};
 use qrio_scheduler::QrioScheduler;
 
 use super::admission::Admitted;
@@ -60,10 +60,9 @@ impl Qrio {
             };
             bucket.push(JobId::new(name));
         }
-        // Execution, as a reconcile step: diff the desired-state table (the
-        // head of every device queue is the binding that *should* run now)
-        // against the observed per-node reports, then emit one `Run` command
-        // per planned pair — one job per device per tick, device-name order.
+        // Execution: the head of every device queue is the binding that
+        // *should* run now; emit one `Run` command per planned pair — one
+        // job per device per tick, device-name order.
         for (device, name) in self.plan_executions() {
             let popped = self
                 .lifecycle
@@ -92,12 +91,10 @@ impl Qrio {
         report
     }
 
-    /// The reconcile diff: the next `(device, job)` pair to dispatch for
-    /// every device, in name order. Desired state is the head of each device
-    /// queue; a device whose last observed report shows an unfinished run is
-    /// skipped until its phase report lands (with the blocking round-trip
-    /// dispatch below this never triggers, but the plan stays correct for
-    /// transports that acknowledge asynchronously).
+    /// The next `(device, job)` pair to dispatch for every device, in name
+    /// order: the head of each device queue. The observed per-node reports
+    /// are not consulted — dispatch is a blocking round trip, so no device
+    /// has an unfinished run when a tick plans.
     fn plan_executions(&self) -> Vec<(String, String)> {
         self.lifecycle
             .device_queues
@@ -534,23 +531,20 @@ impl Qrio {
         self.settle_execution(name, node, attempt + 1, result)
     }
 
-    /// One execution attempt over the control plane: prepare the work order
-    /// locally (phase check, image pull, `JobStarted`), ship it to the
-    /// node's agent as an encoded `Run` envelope across the transport, block
-    /// for the matching `Phase` report, and settle the verdict back into the
-    /// cluster. The agent holds the fault-plan replica, so injected-fault
-    /// verdicts are drawn device-side from the same pure decision function.
+    /// One execution attempt over the control plane: start it in the cluster
+    /// (phase check, image pull, `JobStarted`), describe it to the node's
+    /// agent from the spec and image the cluster lends out, block for the
+    /// matching `Phase` report, and settle the verdict back into the cluster.
+    /// The agent holds the fault-plan replica, so injected-fault verdicts are
+    /// drawn device-side from the same pure decision function.
     ///
-    /// A transport failure is settled like any failed attempt — the job is
-    /// `Running` in the cluster by then, and only settling releases the node
-    /// and keeps the cluster phase in step with the lifecycle state.
+    /// A transport failure comes back as a failed verdict and is settled like
+    /// any other — the job is `Running` in the cluster by then, and only
+    /// settling releases the node and keeps the cluster phase in step with
+    /// the lifecycle state.
     fn dispatch_attempt(&mut self, name: &str, attempt: u32) -> Result<(), ClusterError> {
-        let order = self.cluster.prepare_run(name, attempt)?;
-        let verdict = match self.control.run(&order, self.lifecycle.clock) {
-            Ok(verdict) => verdict,
-            Err(ClusterError::ExecutionFailed { reason, .. }) => AttemptVerdict::Failed(reason),
-            Err(other) => AttemptVerdict::Failed(other.to_string()),
-        };
+        let (order, spec, image) = self.cluster.prepare_run(name, attempt)?;
+        let verdict = self.control.run(&order, spec, image, self.lifecycle.clock);
         self.cluster.settle_run(&order, verdict)
     }
 

@@ -371,8 +371,7 @@ impl Transport for DeadTransport {
 #[test]
 fn wire_failure_releases_the_node_and_is_retried_like_any_failed_attempt() {
     let mut qrio = small_qrio();
-    qrio.control
-        .install(Box::new(DeadTransport), TransportMode::InProc);
+    qrio.control.install(Box::new(DeadTransport));
     let id = qrio
         .enqueue(&faulty_request(
             "unplugged",

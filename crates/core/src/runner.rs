@@ -1,15 +1,18 @@
 //! The in-process job runner: the Rust equivalent of the generated Python
 //! script that executes inside each job container (§3.3).
 //!
-//! When a job lands on a node, the runner reads the circuit from the
-//! container image, transpiles it to the node's backend, executes it under the
-//! backend's noise model, and reports the histogram, achieved fidelity and a
-//! transcript of what it did (the job logs the visualizer later shows).
+//! When a job lands on a node, the runner takes the job's circuit from the
+//! `Run` payload the node agent decoded, transpiles it to the node's backend,
+//! executes it under the backend's noise model, and reports the histogram,
+//! achieved fidelity and a transcript of what it did (the job logs the
+//! visualizer later shows).
 
+use qrio_agent::JobRunner;
 use qrio_backend::Backend;
 use qrio_bytes::fnv1a;
 use qrio_circuit::qasm;
-use qrio_cluster::{ExecutionOutcome, ImageBundle, JobRunner, JobSpec};
+use qrio_cluster::ExecutionOutcome;
+use qrio_proto::RunPayload;
 use qrio_sim::{executor, NoiseModel, ParallelConfig, SEED_STREAM_STRIDE};
 use qrio_transpiler::{deflate, transpile};
 
@@ -36,36 +39,30 @@ impl Default for SimJobRunner {
 }
 
 impl JobRunner for SimJobRunner {
-    fn run(
-        &self,
-        spec: &JobSpec,
-        image: &ImageBundle,
-        backend: &Backend,
-    ) -> Result<ExecutionOutcome, String> {
+    fn run(&self, run: &RunPayload, backend: &Backend) -> Result<ExecutionOutcome, String> {
         let mut logs = Vec::new();
-        // 1. Read the circuit from the container image (fall back to the spec
-        //    payload, which the master server also includes).
-        let qasm_text = image
-            .file(CIRCUIT_FILE)
-            .map(str::to_string)
-            .filter(|text| !text.is_empty())
-            .or_else(|| {
-                if spec.qasm.is_empty() {
-                    None
-                } else {
-                    Some(spec.qasm.clone())
-                }
-            })
-            .ok_or_else(|| format!("image '{}' contains no circuit", image.name()))?;
+        // 1. The job's own circuit, from its spec. Only a spec without one
+        //    falls back to the container image: images are replaced by name
+        //    on push, so a shared image holds some *other* job's circuit.
+        let qasm_text = if run.qasm.is_empty() {
+            run.image_files
+                .iter()
+                .find(|(path, _)| path == CIRCUIT_FILE)
+                .map(|(_, contents)| contents.as_str())
+                .filter(|text| !text.is_empty())
+                .ok_or_else(|| format!("image '{}' contains no circuit", run.image_name))?
+        } else {
+            run.qasm.as_str()
+        };
         let circuit =
-            qasm::parse_qasm(&qasm_text).map_err(|e| format!("cannot parse circuit: {e}"))?;
+            qasm::parse_qasm(qasm_text).map_err(|e| format!("cannot parse circuit: {e}"))?;
         let mut circuit = circuit;
         if circuit.measurement_count() == 0 {
             circuit.measure_all().map_err(|e| e.to_string())?;
         }
         logs.push(format!(
             "loaded circuit '{}' with {} qubits, {} two-qubit gates",
-            spec.name,
+            run.job,
             circuit.num_qubits(),
             circuit.two_qubit_gate_count()
         ));
@@ -84,12 +81,13 @@ impl JobRunner for SimJobRunner {
         let deflated =
             deflate(&transpiled.circuit, backend).map_err(|e| format!("deflation failed: {e}"))?;
         let noise = NoiseModel::from_backend(&deflated.backend);
-        let seed = self.seed ^ fnv1a(&spec.name) ^ fnv1a(backend.name());
-        let parallel = ParallelConfig::with_threads(spec.threads);
+        let seed = self.seed ^ fnv1a(&run.job) ^ fnv1a(backend.name());
+        let threads = usize::try_from(run.threads).unwrap_or(usize::MAX);
+        let parallel = ParallelConfig::with_threads(threads);
         let noisy = executor::run_with_noise_parallel(
             &deflated.circuit,
             &noise,
-            spec.shots,
+            run.shots,
             seed,
             &parallel,
         )
@@ -99,7 +97,7 @@ impl JobRunner for SimJobRunner {
         // with the noisy run.
         let fidelity = executor::run_ideal_parallel(
             &deflated.circuit,
-            spec.shots,
+            run.shots,
             seed.wrapping_add(SEED_STREAM_STRIDE),
             &parallel,
         )
@@ -107,7 +105,7 @@ impl JobRunner for SimJobRunner {
         .map(|ideal| ideal.hellinger_fidelity(&noisy));
         logs.push(format!(
             "executed {} shots on '{}'",
-            spec.shots,
+            run.shots,
             backend.name()
         ));
         if let Some(f) = fidelity {
@@ -133,35 +131,28 @@ mod tests {
     use super::*;
     use qrio_backend::topology;
     use qrio_circuit::library;
-    use qrio_cluster::{DeviceRequirements, Resources, StrategySpec};
 
-    fn spec_and_image(shots: u64) -> (JobSpec, ImageBundle) {
+    /// A 5-qubit Bernstein–Vazirani attempt as the wire carries it: the
+    /// circuit in the spec's `qasm` and again in the image.
+    fn bv_run(shots: u64) -> RunPayload {
         let bv = library::bernstein_vazirani(5, 0b10110).unwrap();
         let qasm_text = qasm::to_qasm(&bv);
-        let mut image = ImageBundle::new("qrio/bv:test");
-        image.add_file(CIRCUIT_FILE, qasm_text.clone());
-        let spec = JobSpec {
-            name: "bv-runner".into(),
-            image: "qrio/bv:test".into(),
+        RunPayload {
+            job: "bv-runner".into(),
+            attempt: 0,
+            image_name: "qrio/bv:test".into(),
+            image_files: vec![(CIRCUIT_FILE.into(), qasm_text.clone())],
             qasm: qasm_text,
             num_qubits: 5,
-            resources: Resources::new(100, 128),
-            requirements: DeviceRequirements::none(),
-            strategy: StrategySpec::fidelity(0.9),
-            priority: 0,
             shots,
             threads: 0,
-            retry: None,
-            deadline: None,
-        };
-        (spec, image)
+        }
     }
 
     #[test]
     fn runner_executes_and_reports_fidelity() {
-        let (spec, image) = spec_and_image(512);
         let backend = Backend::uniform("clean", topology::line(8), 0.0, 0.0);
-        let outcome = SimJobRunner::new(1).run(&spec, &image, &backend).unwrap();
+        let outcome = SimJobRunner::new(1).run(&bv_run(512), &backend).unwrap();
         assert!(!outcome.counts.is_empty());
         assert!(outcome.fidelity.unwrap() > 0.95);
         assert!(outcome.logs.iter().any(|l| l.contains("transpiled")));
@@ -172,37 +163,34 @@ mod tests {
 
     #[test]
     fn noisy_backend_reduces_fidelity() {
-        let (spec, image) = spec_and_image(256);
+        let run = bv_run(256);
         let clean = Backend::uniform("clean", topology::line(8), 0.0, 0.0);
         let noisy = Backend::uniform("noisy", topology::line(8), 0.05, 0.3);
         let runner = SimJobRunner::new(2);
-        let f_clean = runner.run(&spec, &image, &clean).unwrap().fidelity.unwrap();
-        let f_noisy = runner.run(&spec, &image, &noisy).unwrap().fidelity.unwrap();
+        let f_clean = runner.run(&run, &clean).unwrap().fidelity.unwrap();
+        let f_noisy = runner.run(&run, &noisy).unwrap().fidelity.unwrap();
         assert!(f_clean > f_noisy);
     }
 
     #[test]
     fn missing_or_bad_circuit_is_an_error() {
-        let (mut spec, _) = spec_and_image(64);
-        spec.qasm.clear();
-        let empty_image = ImageBundle::new("empty");
         let backend = Backend::uniform("dev", topology::line(5), 0.0, 0.0);
-        assert!(SimJobRunner::new(0)
-            .run(&spec, &empty_image, &backend)
-            .is_err());
-
-        let mut bad_image = ImageBundle::new("bad");
-        bad_image.add_file(CIRCUIT_FILE, "garbage $");
-        assert!(SimJobRunner::new(0)
-            .run(&spec, &bad_image, &backend)
-            .is_err());
+        let mut run = bv_run(64);
+        run.qasm.clear();
+        // With no circuit in the spec, the image's is the fallback ...
+        assert!(SimJobRunner::new(0).run(&run, &backend).is_ok());
+        // ... a bad one fails to parse, and an image without one is an error.
+        run.image_files = vec![(CIRCUIT_FILE.into(), "garbage $".into())];
+        assert!(SimJobRunner::new(0).run(&run, &backend).is_err());
+        run.image_files.clear();
+        let err = SimJobRunner::new(0).run(&run, &backend).unwrap_err();
+        assert!(err.contains("contains no circuit"), "{err}");
     }
 
     #[test]
     fn oversized_circuits_fail_cleanly() {
-        let (spec, image) = spec_and_image(64);
         let tiny = Backend::uniform("tiny", topology::line(2), 0.0, 0.0);
-        let err = SimJobRunner::new(0).run(&spec, &image, &tiny).unwrap_err();
+        let err = SimJobRunner::new(0).run(&bv_run(64), &tiny).unwrap_err();
         assert!(err.contains("transpilation failed"));
     }
 }

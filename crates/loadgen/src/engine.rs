@@ -39,10 +39,10 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use qrio::{
     BreakerConfig, BreakerState, DeviceTelemetry, FidelityRankingConfig, JobId, JobRequestBuilder,
-    JobState, Qrio,
+    JobState, Qrio, QrioError,
 };
 use qrio_backend::Backend;
-use qrio_cluster::{FaultInjector, Resources, RetryPolicy};
+use qrio_cluster::{ClusterError, FaultInjector, FaultKind, Resources, RetryPolicy};
 use qrio_journal::fnv1a;
 
 use crate::arrival::ArrivalSampler;
@@ -429,45 +429,55 @@ impl<'s> Engine<'s> {
             .entry(tenant.name.clone())
             .or_insert(0) += 1;
 
-        // 2. Scheduling cycle: report the virtual-queue telemetry, then bind
-        //    via filter + meta-rank. A job no eligible device can host
-        //    (outage window, oversized circuit, ...) ends `Failed`.
+        // 2. Scheduling cycle, then the chosen device's virtual queue. A job
+        //    no eligible device can host (outage window, oversized circuit,
+        //    ...) ends `Failed`.
+        let track = JobTrack {
+            tenant: tenant.name.clone(),
+            tenant_idx,
+            arrival_ms: self.now,
+            queue_depth_at_bind: 0,
+            migrated: false,
+            attempts: 0,
+        };
+        if !self.bind(&job_id, Some(track)) {
+            self.rejected += 1;
+            *self
+                .rejected_by_tenant
+                .entry(tenant.name.clone())
+                .or_insert(0) += 1;
+        }
+        Ok(())
+    }
+
+    /// One scheduling cycle for a `Queued` job, first submission and retry
+    /// alike: report the virtual-queue telemetry, bind via filter +
+    /// meta-rank, note the queue depth the job met at its device — in
+    /// `fresh`, the track of a job bound for the first time, or in the one a
+    /// retried job already has — and enter that device's virtual queue.
+    /// `false` when `schedule` found no device and settled the job `Failed`
+    /// (terminal); the caller counts it.
+    fn bind(&mut self, job_id: &JobId, fresh: Option<JobTrack>) -> bool {
         let reports = self.telemetry_snapshot();
         self.qrio.report_telemetry(reports);
-        let decision = match self.qrio.schedule(&job_id) {
-            Ok(decision) => decision,
-            Err(_) => {
-                self.rejected += 1;
-                *self
-                    .rejected_by_tenant
-                    .entry(tenant.name.clone())
-                    .or_insert(0) += 1;
-                return Ok(());
-            }
+        let Ok(decision) = self.qrio.schedule(job_id) else {
+            return false;
         };
-
-        // 3. Enter the chosen device's virtual queue.
         let device = decision.node;
-        let depth = {
-            let sim = self
-                .devices
-                .get(&device)
-                .expect("scheduler only binds to registered devices");
-            sim.queue.len() + usize::from(sim.busy_with.is_some())
-        };
-        self.jobs.insert(
-            job_name.clone(),
-            JobTrack {
-                tenant: tenant.name.clone(),
-                tenant_idx,
-                arrival_ms: self.now,
-                queue_depth_at_bind: depth,
-                migrated: false,
-                attempts: 0,
-            },
-        );
+        let sim = self
+            .devices
+            .get(&device)
+            .expect("scheduler only binds to registered devices");
+        let depth = sim.queue.len() + usize::from(sim.busy_with.is_some());
+        let job_name = job_id.to_string();
+        if let Some(track) = fresh {
+            self.jobs.insert(job_name.clone(), track);
+        }
+        if let Some(track) = self.jobs.get_mut(&job_name) {
+            track.queue_depth_at_bind = depth;
+        }
         self.enqueue(&device, job_name);
-        Ok(())
+        true
     }
 
     /// Put a bound job at the tail of a device's virtual queue, starting it
@@ -574,7 +584,7 @@ impl<'s> Engine<'s> {
                     migrated: track.migrated,
                 });
             }
-            Err(error) => self.handle_failed_attempt(&job_name, &error.to_string()),
+            Err(error) => self.handle_failed_attempt(&job_name, &error),
         }
         self.note_breaker_state(device);
         let sim = self.devices.get_mut(device).expect("device exists");
@@ -590,17 +600,15 @@ impl<'s> Engine<'s> {
     /// orchestrator parked the job in `Retrying`, schedule the engine-paced
     /// retry (or cancel it when the backoff would blow the tenant deadline);
     /// otherwise the failure is terminal.
-    fn handle_failed_attempt(&mut self, job_name: &str, error_text: &str) {
-        if error_text.contains("injected fault") {
-            if error_text.contains("transient") {
-                self.chaos.injected_transient += 1;
-            } else if error_text.contains("calibration") {
-                self.chaos.injected_calibration += 1;
-            } else if error_text.contains("hung") {
-                self.chaos.injected_slow += 1;
-            } else if error_text.contains("flapped") {
-                self.chaos.injected_flap += 1;
-            }
+    fn handle_failed_attempt(&mut self, job_name: &str, error: &QrioError) {
+        if let QrioError::Cluster(ClusterError::InjectedFault { kind, .. }) = error {
+            let injected = match kind {
+                FaultKind::TransientExecution => &mut self.chaos.injected_transient,
+                FaultKind::CalibrationGlitch => &mut self.chaos.injected_calibration,
+                FaultKind::SlowJob => &mut self.chaos.injected_slow,
+                FaultKind::DeviceFlap => &mut self.chaos.injected_flap,
+            };
+            *injected += 1;
         }
         let job_id = JobId::new(job_name);
         let retrying = self
@@ -656,25 +664,8 @@ impl<'s> Engine<'s> {
             return;
         }
         self.chaos.retries += 1;
-        let reports = self.telemetry_snapshot();
-        self.qrio.report_telemetry(reports);
-        match self.qrio.schedule(&job_id) {
-            Ok(decision) => {
-                let device = decision.node;
-                let depth = {
-                    let sim = self
-                        .devices
-                        .get(&device)
-                        .expect("scheduler only binds to registered devices");
-                    sim.queue.len() + usize::from(sim.busy_with.is_some())
-                };
-                if let Some(track) = self.jobs.get_mut(job) {
-                    track.queue_depth_at_bind = depth;
-                }
-                self.enqueue(&device, job.to_string());
-            }
-            // `schedule` settles unschedulable jobs as `Failed` (terminal).
-            Err(_) => self.execution_failures += 1,
+        if !self.bind(&job_id, None) {
+            self.execution_failures += 1;
         }
     }
 
@@ -822,7 +813,7 @@ impl<'s> Engine<'s> {
                 .qrio
                 .interrupt(&JobId::new(&job_name))
                 .expect_err("interrupting a scheduled job always fails the attempt");
-            self.handle_failed_attempt(&job_name, &error.to_string());
+            self.handle_failed_attempt(&job_name, &error);
         }
         if let Some(node) = self.qrio.cluster_mut().node_mut(device) {
             node.cordon();

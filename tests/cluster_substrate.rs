@@ -2,11 +2,13 @@
 //! the master server artifacts: images, YAML specs, node lifecycle and the
 //! FIFO queue.
 
-use qrio::{containerize, JobRequestBuilder, SimJobRunner};
-use qrio_backend::{topology, Backend};
+use qrio::{containerize, ControlPlane, JobRequestBuilder, SimJobRunner};
+use qrio_agent::NodeAgent;
+use qrio_backend::{spec as backend_spec, topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::{yaml, Cluster, JobPhase, Node, Resources, ScheduleDecision};
+use qrio_cluster::{yaml, Cluster, ClusterError, JobPhase, Node, Resources, ScheduleDecision};
 use qrio_meta::MetaServer;
+use qrio_proto::NodeCommand;
 use qrio_scheduler::QrioScheduler;
 
 fn node(name: &str, qubits: usize, err: f64) -> Node {
@@ -45,6 +47,38 @@ fn bind(cluster: &mut Cluster, job_name: &str, node: &str) {
         .unwrap();
 }
 
+/// A control plane with one agent per node of `cluster`, each with a real
+/// runner and bound to its node's calibration — the device side the
+/// orchestrator stands up, over the bare substrate.
+fn control_plane(cluster: &Cluster, seed: u64) -> ControlPlane {
+    let mut control = ControlPlane::new_in_proc();
+    for node in cluster.nodes() {
+        let runner = Box::new(SimJobRunner::new(seed));
+        control
+            .register_agent(NodeAgent::new(node.name(), runner))
+            .unwrap();
+        let bind = NodeCommand::Bind {
+            backend_spec: backend_spec::to_spec(node.backend()),
+            injector: None,
+        };
+        control.send_command(node.name(), 0, bind).unwrap();
+    }
+    control.drain();
+    control
+}
+
+/// One attempt of a `Scheduled` job: started in the cluster, run by the
+/// bound node's agent across the wire, settled back into the cluster.
+fn attempt_over_the_wire(
+    cluster: &mut Cluster,
+    control: &mut ControlPlane,
+    job_name: &str,
+) -> Result<(), ClusterError> {
+    let (order, spec, image) = cluster.prepare_run(job_name, 0)?;
+    let verdict = control.run(&order, spec, image, 0);
+    cluster.settle_run(&order, verdict)
+}
+
 fn containerized_request(
     name: &str,
     qubits: usize,
@@ -78,9 +112,8 @@ fn master_server_artifacts_run_on_the_cluster() {
     cluster.submit_job(spec).unwrap();
     let decision = schedule(&mut cluster, "ghz-cluster");
     assert_eq!(decision.node, "quiet");
-    cluster
-        .run_job("ghz-cluster", &SimJobRunner::new(3))
-        .unwrap();
+    let mut control = control_plane(&cluster, 3);
+    attempt_over_the_wire(&mut cluster, &mut control, "ghz-cluster").unwrap();
     let job = cluster.job("ghz-cluster").unwrap();
     assert!(matches!(job.phase(), JobPhase::Succeeded { .. }));
     assert!(job.achieved_fidelity().unwrap() > 0.5);
@@ -124,12 +157,13 @@ fn fifo_queue_runs_every_job_with_the_real_runner() {
         cluster.submit_job(spec).unwrap();
     }
     assert_eq!(cluster.pending_jobs().len(), 3);
+    let mut control = control_plane(&cluster, 9);
     // Drain from the head: the queue hands jobs out in submission order.
     for i in 0..3 {
         let head = cluster.pending_jobs()[0].clone();
         assert_eq!(head, format!("queued-{i}"));
         bind(&mut cluster, &head, "only-node");
-        cluster.run_job(&head, &SimJobRunner::new(9)).unwrap();
+        attempt_over_the_wire(&mut cluster, &mut control, &head).unwrap();
     }
     assert!(cluster.pending_jobs().is_empty());
     for i in 0..3 {
@@ -156,9 +190,8 @@ fn registry_tracks_pushes_and_pulls() {
     assert!(cluster.registry().contains(&spec.image));
     cluster.submit_job(spec).unwrap();
     bind(&mut cluster, "registry-job", "n");
-    cluster
-        .run_job("registry-job", &SimJobRunner::new(1))
-        .unwrap();
+    let mut control = control_plane(&cluster, 1);
+    attempt_over_the_wire(&mut cluster, &mut control, "registry-job").unwrap();
     assert_eq!(cluster.registry().pull_count(), 1);
 }
 

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use qrio::{JobId, JobRequest, JobRequestBuilder, JobState, Qrio, QrioError};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::{ClusterError, DeviceRequirements, JobPhase, Resources};
+use qrio_cluster::{
+    ClusterError, DeviceRequirements, FaultInjector, JobPhase, Resources, RetryPolicy,
+};
 use qrio_meta::FidelityRankingConfig;
 
 fn fast_qrio() -> Qrio {
@@ -504,6 +506,94 @@ fn watch_streams_and_listings_replay_byte_identically() {
     sorted.sort();
     assert_eq!(meta_names, sorted);
 }
+
+// --- One path from job to device ---------------------------------------------------------
+
+/// A 2-qubit circuit that measures `|00⟩`, or `|11⟩` when `flip`ped.
+fn two_qubit_request(name: &str, flip: bool) -> JobRequest {
+    let gates = if flip { "x q[0];\nx q[1];\n" } else { "" };
+    let qasm = format!(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n{gates}\
+         measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+    );
+    JobRequestBuilder::new()
+        .with_qasm(qasm)
+        .unwrap()
+        .job_name(name)
+        .image_name("qrio/shared:latest")
+        .min_queue()
+        .shots(64)
+        .build()
+        .unwrap()
+}
+
+/// Images are replaced by name on push, so the image two jobs share holds
+/// the later job's circuit; each job still runs the circuit of its own spec.
+#[test]
+fn two_jobs_sharing_an_image_name_each_run_their_own_circuit() {
+    let mut qrio = fast_qrio();
+    qrio.add_device(Backend::uniform("clean", topology::line(2), 0.0, 0.0))
+        .unwrap();
+    let a = qrio.enqueue(&two_qubit_request("a-zeros", false)).unwrap();
+    let b = qrio.enqueue(&two_qubit_request("b-ones", true)).unwrap();
+    qrio.run_until_idle();
+    for (id, expected) in [(&a, "00"), (&b, "11")] {
+        let counts = qrio.outcome(id).unwrap().counts;
+        assert_eq!(counts, vec![(expected.to_string(), 64)], "job {id}");
+    }
+}
+
+/// Every frame that crosses the control plane during a fixed script — the
+/// `Bind`s, a clean run, a recalibration and a cordon, then a run that
+/// faults and is retried — with the frames' bytes pinned by length and
+/// digest. Command order and `RunPayload` contents cannot drift unnoticed.
+#[test]
+fn control_trace_digest_pins_the_wire_bytes_of_a_fixed_script() {
+    let mut qrio = fast_qrio();
+    qrio.enable_control_trace();
+    qrio.add_device(Backend::uniform("alpha", topology::line(8), 0.005, 0.02))
+        .unwrap();
+    qrio.add_device(Backend::uniform("beta", topology::line(8), 0.02, 0.1))
+        .unwrap();
+
+    let clean = qrio.enqueue(&fidelity_request("clean", 4, 0)).unwrap();
+    qrio.run_until_idle();
+    assert_eq!(qrio.status(&clean).unwrap(), JobState::Succeeded);
+
+    qrio.recalibrate_device(Backend::uniform("alpha", topology::line(8), 0.01, 0.04))
+        .unwrap();
+    qrio.cordon_device("beta").unwrap();
+
+    qrio.configure_faults(Some(FaultInjector {
+        transient_rate: 1.0,
+        ..FaultInjector::new(5)
+    }))
+    .unwrap();
+    let circuit = library::ghz(3).unwrap();
+    let retried = JobRequestBuilder::new()
+        .with_circuit(&circuit)
+        .job_name("retried")
+        .fidelity_target(0.9)
+        .shots(32)
+        .retry_policy(RetryPolicy::fixed(3, 1))
+        .build()
+        .unwrap();
+    let retried = qrio.enqueue(&retried).unwrap();
+    qrio.tick();
+    assert_eq!(qrio.status(&retried).unwrap(), JobState::Retrying);
+    qrio.configure_faults(None).unwrap();
+    qrio.run_until_idle();
+    assert_eq!(qrio.status(&retried).unwrap(), JobState::Succeeded);
+
+    let trace = qrio.take_control_trace();
+    let hex: String = trace.iter().map(|byte| format!("{byte:02x}")).collect();
+    assert_eq!(
+        (trace.len(), qrio_bytes::fnv1a(&hex)),
+        CONTROL_TRACE_LEN_AND_DIGEST
+    );
+}
+
+const CONTROL_TRACE_LEN_AND_DIGEST: (usize, u64) = (12133, 12344309489119712723);
 
 // --- Property test: observed transitions are always legal --------------------------------
 
