@@ -10,6 +10,7 @@
 
 use qrio_backend::{Backend, BasisGates, CouplingMap};
 use qrio_circuit::{Circuit, Gate};
+use qrio_sim::executor::forces_replay;
 use qrio_transpiler::TranspileResult;
 
 use crate::diag::{Diagnostic, LintCode, Location};
@@ -262,45 +263,34 @@ pub fn lint_engine_fit(circuit: &Circuit, name: &str, engine: EngineHint) -> Vec
 /// Lint a Clifford circuit's simulator-path fit (QL0008): a reset anywhere,
 /// or any operation after a measurement, makes the circuit ineligible for the
 /// batched Pauli-frame path, so the executor falls back to per-shot replay —
-/// typically an order of magnitude slower. Only the first offending
-/// instruction is reported; fixing it may reveal later ones.
+/// typically an order of magnitude slower. The rule is the simulator's own
+/// ([`qrio_sim::executor::forces_replay`], the predicate its executor
+/// branches on); this lint reports the instruction it returns. Only the first
+/// offending instruction is reported; fixing it may reveal later ones.
 pub fn lint_simulation_path(circuit: &Circuit, name: &str) -> Vec<Diagnostic> {
-    let subject = format!("circuit '{name}'");
-    let mut measured = false;
-    for (index, inst) in circuit.instructions().iter().enumerate() {
-        match inst.gate {
-            Gate::Barrier => continue,
-            Gate::Measure => measured = true,
-            Gate::Reset => {
-                return vec![Diagnostic::new(
-                    LintCode::MidCircuitForcesReplay,
-                    Location::at(
-                        &subject,
-                        instruction_context(index, &inst.gate, &inst.qubits),
-                    ),
-                    "reset forces the simulator off the batched Pauli-frame \
-                     path onto per-shot replay",
-                )];
-            }
-            _ if measured => {
-                return vec![Diagnostic::new(
-                    LintCode::MidCircuitForcesReplay,
-                    Location::at(
-                        &subject,
-                        instruction_context(index, &inst.gate, &inst.qubits),
-                    ),
-                    format!(
-                        "'{}' after a measurement makes that measurement \
-                         mid-circuit, forcing per-shot replay instead of the \
-                         batched Pauli-frame path",
-                        inst.gate.name()
-                    ),
-                )];
-            }
-            _ => {}
-        }
-    }
-    Vec::new()
+    let Some((index, inst)) = forces_replay(circuit) else {
+        return Vec::new();
+    };
+    let message = if inst.gate == Gate::Reset {
+        "reset forces the simulator off the batched Pauli-frame \
+         path onto per-shot replay"
+            .to_string()
+    } else {
+        format!(
+            "'{}' after a measurement makes that measurement \
+             mid-circuit, forcing per-shot replay instead of the \
+             batched Pauli-frame path",
+            inst.gate.name()
+        )
+    };
+    vec![Diagnostic::new(
+        LintCode::MidCircuitForcesReplay,
+        Location::at(
+            format!("circuit '{name}'"),
+            instruction_context(index, &inst.gate, &inst.qubits),
+        ),
+        message,
+    )]
 }
 
 /// Lint a circuit's width against a whole fleet (QL0003): flags circuits no

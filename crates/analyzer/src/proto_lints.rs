@@ -15,8 +15,10 @@
 //!   for a job the trace never dispatched to that node with a `Run` command:
 //!   the report is orphaned, or the trace was truncated at the front.
 //! * **QL0602** (warning) — the orchestrator sent a `Run` command to a node
-//!   after `Cordon` and before any `Uncordon`. Agents reject such runs, so
-//!   the command is wasted work and usually a reconcile-loop bug.
+//!   after `Cordon` and before any `Uncordon`. The agent runs it all the
+//!   same — cordoning gates *scheduling*, not work already bound — so the
+//!   job executes on a device the operator took out of service: usually a
+//!   reconcile-loop bug.
 //! * **QL0603** (error) — a frame's header declares a wire version this
 //!   build does not speak. The frame is skipped (the header is
 //!   version-independent) and scanning continues behind it.

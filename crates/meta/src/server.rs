@@ -62,6 +62,23 @@ struct ScoreCache {
     misses: u64,
 }
 
+impl ScoreCache {
+    /// Drop every memoized score of `job`. The map is sorted by `(job,
+    /// device)`, so the job's entries are one contiguous range: this walks
+    /// them, not the whole cache (`enqueue` calls it once per job).
+    fn forget_job(&mut self, job: &str) {
+        let doomed: Vec<(String, String)> = self
+            .entries
+            .range((job.to_string(), String::new())..)
+            .take_while(|((owner, _), _)| owner == job)
+            .map(|(key, _)| key.clone())
+            .collect();
+        for key in doomed {
+            self.entries.remove(&key);
+        }
+    }
+}
+
 /// A snapshot of the memoized-score cache counters, exported for operational
 /// dashboards and workload reports (e.g. `BENCH_cloud.json`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -353,8 +370,7 @@ impl MetaServer {
         self.score_cache
             .lock()
             .expect("cache poisoned")
-            .entries
-            .retain(|(job, _), _| *job != job_name);
+            .forget_job(&job_name);
         self.jobs.insert(job_name, JobRecord { strategy, circuit });
         Ok(())
     }
@@ -375,8 +391,7 @@ impl MetaServer {
         self.score_cache
             .lock()
             .expect("cache poisoned")
-            .entries
-            .retain(|(job, _), _| job != job_name);
+            .forget_job(job_name);
         Some(removed)
     }
 
@@ -823,22 +838,28 @@ mod tests {
         server.register_backend(Backend::uniform("ring", topology::ring(6), 0.01, 0.05));
         server.register_backend(Backend::uniform("line", topology::line(6), 0.01, 0.05));
         let request = library::topology_circuit(6, &topology::ring(6).edges()).unwrap();
-        server.upload_topology_metadata("keep", request.clone());
-        server.upload_topology_metadata("drop", request);
-        assert_eq!(server.job_count(), 2);
-        assert_eq!(server.job_names(), vec!["drop", "keep"]);
-        server.score_all("keep").unwrap();
-        server.score_all("drop").unwrap();
-        assert_eq!(server.cache_stats().entries, 4);
+        // The kept jobs sort directly before and after the dropped one, so
+        // the range walk over the sorted cache must stop at both ends.
+        for job in ["dro", "drop", "drop-2"] {
+            server.upload_topology_metadata(job, request.clone());
+            server.score_all(job).unwrap();
+        }
+        assert_eq!(server.job_names(), vec!["dro", "drop", "drop-2"]);
+        assert_eq!(server.cache_stats().entries, 6);
 
         let removed = server.remove_job_metadata("drop").unwrap();
         assert_eq!(removed.strategy_name(), "topology");
         assert!(server.job_metadata("drop").is_none());
-        assert_eq!(server.job_count(), 1);
+        assert_eq!(server.job_count(), 2);
         // Only the removed job's memoized scores are dropped.
-        assert_eq!(server.cache_stats().entries, 2);
-        server.score_all("keep").unwrap();
-        assert_eq!(server.cache_stats().hits, 2, "'keep' entries survived");
+        assert_eq!(server.cache_stats().entries, 4);
+        server.score_all("dro").unwrap();
+        server.score_all("drop-2").unwrap();
+        assert_eq!(
+            server.cache_stats().hits,
+            4,
+            "the neighbours' entries survived"
+        );
         // Removing again (or a never-uploaded job) is None, not an error.
         assert!(server.remove_job_metadata("drop").is_none());
         assert!(server.remove_job_metadata("ghost").is_none());

@@ -23,7 +23,8 @@
 //!   n-qubit Pauli frame (two `u64` masks per 64 qubits) and draws from the
 //!   RNG in the exact order of the replay path — byte-identical histograms,
 //!   orders of magnitude less work. Mid-circuit measure/reset falls back to
-//!   per-shot replay (the analyzer flags this as lint QL0008).
+//!   per-shot replay ([`forces_replay`] names the instruction; the analyzer
+//!   reports it as lint QL0008).
 //! * **Deterministic parallel shards.** Shots are split into fixed-size
 //!   shards; shard `s` runs on its own `StdRng` seeded with
 //!   `seed + s`, and shard histograms merge commutatively. The shard
@@ -31,6 +32,14 @@
 //!   so a run is bit-reproducible whether it executes on 1 thread or 16.
 //!   [`ParallelConfig`] selects the worker count; the default uses the
 //!   machine's available parallelism (capped) with `std::thread::scope`.
+//!
+//! Everything else is per-shot replay, and there is one walker for it:
+//! `replay_shot` drives either engine through the two calls it needs (apply a
+//! gate, measure a qubit), so gate noise, reset (measure, then X if set, then
+//! the reset pulse's own error) and readout flips are written once and cannot
+//! differ between the stabilizer and the statevector engine. On every path a
+//! circuit without measurements is measured exactly as if `measure_all` had
+//! been appended: qubit `q` into bit `q`, readout noise included.
 //!
 //! Because consecutive seeds own consecutive shard streams, callers that
 //! execute *paired* runs (ideal vs. noisy) should separate the two seeds by
@@ -43,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qrio_backend::Backend;
-use qrio_circuit::{Circuit, Gate};
+use qrio_circuit::{Circuit, Gate, Instruction};
 
 use crate::counts::Counts;
 use crate::error::SimulatorError;
@@ -338,7 +347,7 @@ pub fn run_with_noise_path(
     let engine = select_engine(circuit)?;
     let num_bits = effective_num_bits(circuit);
     let fast_path =
-        path == ExecutionPath::Auto && noise.is_ideal() && has_only_terminal_measurements(circuit);
+        path == ExecutionPath::Auto && noise.is_ideal() && forces_replay(circuit).is_none();
     let prepared = match engine {
         Engine::Stabilizer if fast_path => {
             let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
@@ -404,11 +413,21 @@ pub fn run_with_noise_path(
                     &mut rng,
                     frame_scratch.as_mut().expect("scratch built with the plan"),
                 ),
-                Prepared::StabilizerReplay => run_stabilizer_shot(circuit, noise, &mut rng)?,
+                Prepared::StabilizerReplay => replay_shot(
+                    StabilizerSimulator::new(circuit.num_qubits()),
+                    circuit,
+                    noise,
+                    &mut rng,
+                )?,
                 Prepared::StatevectorFast { table, mapping } => {
                     map_outcome(table.sample(&mut rng), mapping)
                 }
-                Prepared::StatevectorReplay => run_statevector_shot(circuit, noise, &mut rng)?,
+                Prepared::StatevectorReplay => replay_shot(
+                    StateVector::new(circuit.num_qubits())?,
+                    circuit,
+                    noise,
+                    &mut rng,
+                )?,
             };
             counts.record(outcome);
         }
@@ -481,8 +500,9 @@ fn effective_num_bits(circuit: &Circuit) -> usize {
 }
 
 /// Measurement map `qubit -> clbit`; when the circuit has no measurements,
-/// every qubit is implicitly measured into the same-numbered bit.
-fn measurement_mapping(circuit: &Circuit) -> Vec<(usize, usize)> {
+/// every qubit is implicitly measured into the same-numbered bit, exactly as
+/// if `measure_all` had been appended.
+pub(crate) fn measurement_mapping(circuit: &Circuit) -> Vec<(usize, usize)> {
     let mut mapping = Vec::new();
     for inst in circuit.instructions() {
         if inst.gate == Gate::Measure {
@@ -503,6 +523,16 @@ fn map_outcome(basis_state: u64, mapping: &[(usize, usize)]) -> u64 {
         }
     }
     outcome
+}
+
+/// Replay-path overwrite semantics: a later measurement into the same
+/// classical bit replaces the earlier value.
+pub(crate) fn record_bit(outcome: &mut u64, clbit: usize, bit: bool) {
+    if bit {
+        *outcome |= 1 << clbit;
+    } else {
+        *outcome &= !(1 << clbit);
+    }
 }
 
 /// Width of the packed `u64` outcome register every shot loop writes into.
@@ -536,111 +566,102 @@ fn validate_outcome_register(circuit: &Circuit) -> Result<(), SimulatorError> {
     Ok(())
 }
 
-pub(crate) fn has_only_terminal_measurements(circuit: &Circuit) -> bool {
+/// The first instruction that forces a circuit off the one-pass paths (the
+/// ideal fast paths and the Pauli-frame path) onto per-shot replay: a `Reset`
+/// anywhere, or any operation after a measurement, which makes that
+/// measurement mid-circuit. `None` means every measurement is terminal. This
+/// is the structural half of frame eligibility, written once — the executor
+/// and [`FramePlan::build`] branch on it, the analyzer's `QL0008` names what
+/// it returns; the other half is that the circuit is Clifford with at most
+/// 64 random-outcome measurements.
+pub fn forces_replay(circuit: &Circuit) -> Option<(usize, &Instruction)> {
     let mut seen_measure = false;
-    for inst in circuit.instructions() {
+    for (index, inst) in circuit.instructions().iter().enumerate() {
         match inst.gate {
             Gate::Measure => seen_measure = true,
-            Gate::Reset => return false,
+            Gate::Reset => return Some((index, inst)),
             Gate::Barrier => {}
-            _ if seen_measure => return false,
+            _ if seen_measure => return Some((index, inst)),
             _ => {}
         }
     }
-    true
+    None
 }
 
-fn run_stabilizer_shot(
+/// What [`replay_shot`] needs of an engine: apply a gate, measure a qubit.
+trait ShotEngine {
+    fn gate(&mut self, gate: &Gate, qubits: &[usize]) -> Result<(), SimulatorError>;
+    fn measure(&mut self, qubit: usize, rng: &mut StdRng) -> bool;
+}
+
+impl ShotEngine for StabilizerSimulator {
+    #[inline]
+    fn gate(&mut self, gate: &Gate, qubits: &[usize]) -> Result<(), SimulatorError> {
+        self.apply_gate(gate, qubits)
+    }
+    #[inline]
+    fn measure(&mut self, qubit: usize, rng: &mut StdRng) -> bool {
+        StabilizerSimulator::measure(self, qubit, rng)
+    }
+}
+
+impl ShotEngine for StateVector {
+    #[inline]
+    fn gate(&mut self, gate: &Gate, qubits: &[usize]) -> Result<(), SimulatorError> {
+        self.apply_gate(gate, qubits)
+    }
+    #[inline]
+    fn measure(&mut self, qubit: usize, rng: &mut StdRng) -> bool {
+        self.measure_qubit(qubit, rng)
+    }
+}
+
+/// The one per-shot walker: replay `circuit` on a fresh `engine`, injecting
+/// `noise` after every gate and reset and flipping every readout. A circuit
+/// without measurements is measured exactly as if `measure_all` had been
+/// appended — qubit-per-bit, readout noise included — on either engine.
+fn replay_shot<E: ShotEngine>(
+    mut engine: E,
     circuit: &Circuit,
     noise: &NoiseModel,
     rng: &mut StdRng,
 ) -> Result<u64, SimulatorError> {
-    let mut sim = StabilizerSimulator::new(circuit.num_qubits());
     let mut outcome = 0u64;
+    let mut measure = |engine: &mut E, rng: &mut StdRng, qubit: usize, clbit: usize| {
+        let raw = engine.measure(qubit, rng);
+        record_bit(&mut outcome, clbit, noise.flip_readout(qubit, raw, rng));
+    };
     let mut any_measure = false;
     for inst in circuit.instructions() {
         match inst.gate {
             Gate::Barrier => {}
             Gate::Measure => {
                 any_measure = true;
-                let raw = sim.measure(inst.qubits[0], rng);
-                let bit = noise.flip_readout(inst.qubits[0], raw, rng);
-                if bit {
-                    outcome |= 1 << inst.clbits[0];
-                } else {
-                    outcome &= !(1 << inst.clbits[0]);
-                }
+                measure(&mut engine, rng, inst.qubits[0], inst.clbits[0]);
             }
             Gate::Reset => {
                 // The internal collapse is not a classical readout, so no
                 // readout flip — but the reset pulse itself carries the
                 // qubit's single-qubit error (see `sample_reset_error`).
-                if sim.measure(inst.qubits[0], rng) {
-                    sim.x_gate(inst.qubits[0]);
+                if engine.measure(inst.qubits[0], rng) {
+                    engine.gate(&Gate::X, &[inst.qubits[0]])?;
                 }
                 if let Some(pauli) = noise.sample_reset_error(inst.qubits[0], rng) {
-                    sim.apply_gate(&pauli.gate(), &[inst.qubits[0]])?;
+                    engine.gate(&pauli.gate(), &[inst.qubits[0]])?;
                 }
             }
             ref gate => {
-                sim.apply_gate(gate, &inst.qubits)?;
+                engine.gate(gate, &inst.qubits)?;
                 for (q, pauli) in noise.sample_gate_errors(gate, &inst.qubits, rng) {
-                    sim.apply_gate(&pauli.gate(), &[q])?;
+                    engine.gate(&pauli.gate(), &[q])?;
                 }
             }
         }
     }
     if !any_measure {
         for q in 0..circuit.num_qubits() {
-            let raw = sim.measure(q, rng);
-            if noise.flip_readout(q, raw, rng) {
-                outcome |= 1 << q;
-            }
+            measure(&mut engine, rng, q, q);
         }
-    }
-    Ok(outcome)
-}
-
-fn run_statevector_shot(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    rng: &mut StdRng,
-) -> Result<u64, SimulatorError> {
-    let mut state = StateVector::new(circuit.num_qubits())?;
-    let mut outcome = 0u64;
-    let mut any_measure = false;
-    for inst in circuit.instructions() {
-        match inst.gate {
-            Gate::Barrier => {}
-            Gate::Measure => {
-                any_measure = true;
-                let raw = state.measure_qubit(inst.qubits[0], rng);
-                let bit = noise.flip_readout(inst.qubits[0], raw, rng);
-                if bit {
-                    outcome |= 1 << inst.clbits[0];
-                } else {
-                    outcome &= !(1 << inst.clbits[0]);
-                }
-            }
-            Gate::Reset => {
-                // Same semantics as the stabilizer path: ideal collapse (no
-                // readout flip), then the qubit's single-qubit gate error.
-                state.reset_qubit(inst.qubits[0], rng);
-                if let Some(pauli) = noise.sample_reset_error(inst.qubits[0], rng) {
-                    state.apply_gate(&pauli.gate(), &[inst.qubits[0]])?;
-                }
-            }
-            ref gate => {
-                state.apply_gate(gate, &inst.qubits)?;
-                for (q, pauli) in noise.sample_gate_errors(gate, &inst.qubits, rng) {
-                    state.apply_gate(&pauli.gate(), &[q])?;
-                }
-            }
-        }
-    }
-    if !any_measure {
-        let basis = state.sample(rng);
-        outcome = basis;
     }
     Ok(outcome)
 }
@@ -772,6 +793,64 @@ mod tests {
         nonclifford.x(1).unwrap();
         let counts = run_ideal(&nonclifford, 16, 0).unwrap();
         assert_eq!(counts.most_frequent(), Some(0b10));
+    }
+
+    #[test]
+    fn a_circuit_without_measurements_runs_as_if_measure_all_were_appended() {
+        // The two-line reproduction: certain readout flips reach both bits
+        // on either engine (the statevector walker used to skip them).
+        let flip_all = NoiseModel::uniform(2, 0.0, 0.0, 1.0);
+        let mut clifford = Circuit::new(2, 0);
+        clifford.x(0).unwrap();
+        let mut dense = clifford.clone();
+        dense.t(0).unwrap();
+        for circuit in [&clifford, &dense] {
+            let counts = run_with_noise(circuit, &flip_all, 32, 0).unwrap();
+            assert_eq!(counts.iter().collect::<Vec<_>>(), [(0b10, 32)]);
+        }
+
+        // Histogram for histogram, on every path that accepts the circuit.
+        let clifford = library::random_clifford_circuit(4, 3, 5)
+            .unwrap()
+            .without_measurements();
+        let mut dense = clifford.clone();
+        dense.t(2).unwrap();
+        dense.h(2).unwrap();
+        let mut cases = Vec::new();
+        for base in [clifford, dense] {
+            let mut with_reset = base.clone();
+            with_reset.reset(1).unwrap();
+            with_reset.h(1).unwrap();
+            cases.extend([base, with_reset]);
+        }
+        let serial = ParallelConfig::serial();
+        for implicit in &cases {
+            let mut explicit = implicit.clone();
+            explicit.measure_all().unwrap();
+            for noise in [
+                NoiseModel::ideal(4),
+                NoiseModel::uniform(4, 0.01, 0.02, 0.3),
+            ] {
+                let mut compared = 0;
+                for path in [
+                    ExecutionPath::Auto,
+                    ExecutionPath::Replay,
+                    ExecutionPath::Frame,
+                ] {
+                    let run = |c: &Circuit| run_with_noise_path(c, &noise, 300, 9, &serial, path);
+                    match (run(implicit), run(&explicit)) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a, b, "{path:?} diverged on {}", implicit.name());
+                            compared += 1;
+                        }
+                        // Frame refuses both or neither.
+                        (Err(_), Err(_)) => assert_eq!(path, ExecutionPath::Frame),
+                        (a, b) => panic!("{path:?}: {a:?} vs {b:?}"),
+                    }
+                }
+                assert!(compared >= 2);
+            }
+        }
     }
 
     #[test]

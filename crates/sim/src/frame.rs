@@ -34,24 +34,40 @@
 //!    plain XOR.
 //!
 //! [`FramePlan::build`] therefore (a) forward-propagates a unit X and a unit
-//! Z frame from every noise site to the end of the circuit, and (b) replays
+//! Z frame from every noise site to the end of the circuit, and (b) collapses
 //! the terminal measurement block *symbolically*, tracking for every phase
 //! bit its dependence on the coins and on the terminal frame. A shot then
 //! draws from the RNG **in exactly the order the replay path would** (noise
 //! sites in instruction order, then per measurement the coin and the readout
-//! flip), so the frame path is byte-identical to [`run_stabilizer_shot`]
-//! replay — with or without noise — and slots into the sharded executor
-//! without disturbing shard seeding or [`SEED_STREAM_STRIDE`] semantics.
+//! flip), so the frame path is byte-identical to per-shot replay — with or
+//! without noise — and slots into the sharded executor without disturbing
+//! shard seeding or [`SEED_STREAM_STRIDE`] semantics.
+//!
+//! # What is shared with replay, not restated
+//!
+//! The planner owns no copy of anything replay does; it calls it:
+//!
+//! * a frame is conjugated by `apply_clifford`, the one Clifford table the
+//!   tableau's `apply_gate` runs (`Frame` is its sign-free
+//!   `CliffordTarget`);
+//! * the symbolic collapse is `StabilizerSimulator::collapse`, the pivot
+//!   search, row operations and `rowsum` of a concrete `measure`, with the
+//!   dependency rows riding along as its `PhaseRider`;
+//! * noise sites come from `NoiseModel::fault_sites`, the rule under
+//!   `sample_gate_errors`, and a shot draws each through
+//!   `FaultSite::sample` (and so [`PauliError::random`]) and each readout
+//!   flip through `flip_bit`, the draw under `flip_readout`;
+//! * which measurements a circuit has, explicit or implicit, is
+//!   `measurement_mapping`.
 //!
 //! # Eligibility
 //!
 //! A plan is built only for circuits that are Clifford with all measurements
-//! terminal (no mid-circuit measure, no `Reset` anywhere) and at most 64
-//! random-outcome measurements; anything else returns `None` and the executor
-//! falls back to per-shot replay. The analyzer flags fallback-forcing
-//! circuits as lint `QL0008`.
+//! terminal ([`forces_replay`] finds no mid-circuit measure and no `Reset`)
+//! and at most 64 random-outcome measurements; anything else returns `None`
+//! and the executor falls back to per-shot replay. The analyzer reports what
+//! `forces_replay` returns as lint `QL0008`.
 //!
-//! [`run_stabilizer_shot`]: crate::executor::run_with_noise_parallel
 //! [`SEED_STREAM_STRIDE`]: crate::executor::SEED_STREAM_STRIDE
 
 use rand::Rng;
@@ -59,15 +75,17 @@ use rand::Rng;
 use qrio_circuit::{Circuit, Gate, Instruction};
 
 use crate::error::SimulatorError;
-use crate::executor::has_only_terminal_measurements;
-use crate::noise::NoiseModel;
-use crate::stabilizer::StabilizerSimulator;
+use crate::executor::{forces_replay, measurement_mapping, record_bit};
+use crate::noise::{flip_bit, FaultSite, NoiseModel, PauliError};
+use crate::stabilizer::{
+    apply_clifford, CliffordTarget, Collapse, PhaseRider, StabilizerSimulator,
+};
 
 /// A bit-packed n-qubit Pauli operator, sign-free: `fx` holds the X
 /// components, `fz` the Z components. Used both as the per-shot error frame
 /// and, at plan time, to forward-propagate unit errors through the circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Frame {
+pub(crate) struct Frame {
     fx: Vec<u64>,
     fz: Vec<u64>,
 }
@@ -100,7 +118,23 @@ impl Frame {
         self.fz[q >> 6] >> (q & 63) & 1 == 1
     }
 
+    /// Multiply by `other`, sign-free.
+    fn xor(&mut self, other: &Frame) {
+        for (d, s) in self.fx.iter_mut().zip(&other.fx) {
+            *d ^= *s;
+        }
+        for (d, s) in self.fz.iter_mut().zip(&other.fz) {
+            *d ^= *s;
+        }
+    }
+}
+
+/// The sign-free target of the one Clifford table
+/// ([`apply_clifford`]): S† is S and Paulis do nothing, so the frame and the
+/// tableau agree gate for gate because they are conjugated by the same code.
+impl CliffordTarget for Frame {
     /// Conjugate by H on `q`: X ↔ Z.
+    #[inline]
     fn h(&mut self, q: usize) {
         let (w, bit) = (q >> 6, 1u64 << (q & 63));
         let xb = self.fx[w] & bit;
@@ -110,12 +144,14 @@ impl Frame {
     }
 
     /// Conjugate by S (or S†, identical sign-free) on `q`: X → Y.
+    #[inline]
     fn s(&mut self, q: usize) {
         let (w, bit) = (q >> 6, 1u64 << (q & 63));
         self.fz[w] ^= self.fx[w] & bit;
     }
 
     /// Conjugate by CNOT control `a`, target `b`: X_a → X_a X_b, Z_b → Z_a Z_b.
+    #[inline]
     fn cx(&mut self, a: usize, b: usize) {
         if self.x_bit(a) {
             self.fx[b >> 6] ^= 1 << (b & 63);
@@ -124,119 +160,57 @@ impl Frame {
             self.fz[a >> 6] ^= 1 << (a & 63);
         }
     }
-
-    /// RZ at a multiple of π/2; mirrors `StabilizerSimulator::apply_quarter_z`
-    /// (sign-free, so S and S† coincide and Z is the identity).
-    fn quarter_z(&mut self, q: usize, theta: f64) {
-        let k = (theta / std::f64::consts::FRAC_PI_2).round() as i64;
-        if k.rem_euclid(2) == 1 {
-            self.s(q);
-        }
-    }
-
-    fn u3(&mut self, q: usize, theta: f64, phi: f64, lambda: f64) {
-        self.quarter_z(q, lambda);
-        self.s(q); // sdg ≡ s sign-free
-        self.h(q);
-        self.quarter_z(q, theta);
-        self.h(q);
-        self.s(q);
-        self.quarter_z(q, phi);
-    }
-
-    /// Conjugate the frame by one Clifford gate, using the same decomposition
-    /// as `StabilizerSimulator::apply_gate` so both views of the circuit
-    /// agree gate-for-gate. Paulis and the identity are no-ops (they commute
-    /// with every Pauli up to a sign the frame does not carry).
-    fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) -> Result<(), SimulatorError> {
-        match *gate {
-            Gate::I | Gate::Barrier | Gate::X | Gate::Y | Gate::Z => {}
-            Gate::H => self.h(qubits[0]),
-            Gate::S | Gate::Sdg => self.s(qubits[0]),
-            Gate::SX => {
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-            }
-            Gate::CX => self.cx(qubits[0], qubits[1]),
-            Gate::CZ => {
-                self.h(qubits[1]);
-                self.cx(qubits[0], qubits[1]);
-                self.h(qubits[1]);
-            }
-            Gate::CY => {
-                self.s(qubits[1]);
-                self.cx(qubits[0], qubits[1]);
-                self.s(qubits[1]);
-            }
-            Gate::Swap => {
-                self.cx(qubits[0], qubits[1]);
-                self.cx(qubits[1], qubits[0]);
-                self.cx(qubits[0], qubits[1]);
-            }
-            Gate::RZ(theta) | Gate::U1(theta) => self.quarter_z(qubits[0], theta),
-            Gate::RX(theta) => {
-                self.h(qubits[0]);
-                self.quarter_z(qubits[0], theta);
-                self.h(qubits[0]);
-            }
-            Gate::RY(theta) => {
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-                self.quarter_z(qubits[0], theta);
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-            }
-            Gate::U2(phi, lambda) => {
-                self.u3(qubits[0], std::f64::consts::FRAC_PI_2, phi, lambda);
-            }
-            Gate::U3(theta, phi, lambda) => self.u3(qubits[0], theta, phi, lambda),
-            Gate::CP(theta) | Gate::CRZ(theta) => {
-                let k = (theta / std::f64::consts::PI).round() as i64;
-                if k.rem_euclid(2) == 1 {
-                    self.h(qubits[1]);
-                    self.cx(qubits[0], qubits[1]);
-                    self.h(qubits[1]);
-                }
-                if matches!(gate, Gate::CRZ(_)) {
-                    self.quarter_z(qubits[0], -theta / 2.0);
-                }
-            }
-            ref g => {
-                return Err(SimulatorError::NotClifford {
-                    gate: g.name().to_string(),
-                })
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The terminal images of a unit X and a unit Z error injected at one noise
-/// site: XORing the matching pair into the shot frame accounts for the error
-/// exactly (Y uses both pairs, since Y ∝ X·Z and propagation is linear).
+/// site: XORing the matching image into the shot frame accounts for the error
+/// exactly (Y uses both, since Y ∝ X·Z and propagation is linear).
 #[derive(Debug, Clone)]
 struct Propagated {
-    x_fx: Vec<u64>,
-    x_fz: Vec<u64>,
-    z_fx: Vec<u64>,
-    z_fz: Vec<u64>,
+    x: Frame,
+    z: Frame,
+}
+
+impl Propagated {
+    /// Terminal images of unit X / unit Z errors on `q` injected just before
+    /// `rest` of the circuit.
+    fn new(q: usize, rest: &[Instruction], wpr: usize) -> Result<Self, SimulatorError> {
+        let mut prop = Propagated {
+            x: Frame::unit_x(q, wpr),
+            z: Frame::unit_z(q, wpr),
+        };
+        for inst in rest {
+            if matches!(inst.gate, Gate::Measure | Gate::Reset | Gate::Barrier) {
+                continue;
+            }
+            apply_clifford(&mut prop.x, &inst.gate, &inst.qubits)?;
+            apply_clifford(&mut prop.z, &inst.gate, &inst.qubits)?;
+        }
+        Ok(prop)
+    }
+
+    /// XOR the terminal image of `pauli` at this site into the shot frame.
+    #[inline]
+    fn strike(&self, pauli: PauliError, frame: &mut Frame) {
+        if pauli != PauliError::Z {
+            frame.xor(&self.x);
+        }
+        if pauli != PauliError::X {
+            frame.xor(&self.z);
+        }
+    }
 }
 
 /// One step of the per-shot loop, in the exact order (and with the exact RNG
 /// draw pattern) of the replay path.
 #[derive(Debug, Clone)]
 enum ShotOp {
-    /// Single-qubit depolarizing site with `p > 0`: one `gen_bool(p)`, and on
-    /// a hit one `gen_range(0..3)` picking X/Y/Z.
-    NoiseOne { p: f64, prop: Propagated },
-    /// Two-qubit depolarizing site with `p > 0`: one `gen_bool(p)`, and on a
-    /// hit one `gen_range(0..3)` picking first/second/both operands, each
-    /// faulted operand drawing its own Pauli.
-    NoiseTwo {
-        p: f64,
-        prop_a: Propagated,
-        prop_b: Propagated,
+    /// A depolarizing site with `p > 0`, drawn by [`FaultSite::sample`]
+    /// exactly as the replay path draws it; `props` holds one propagated
+    /// error per operand the site can strike.
+    Noise {
+        site: FaultSite,
+        props: Vec<Propagated>,
     },
     /// Measurement with a random ideal outcome: the outcome *is* coin `coin`
     /// (errors flip phase bits, never the freshly drawn sign), followed by
@@ -257,14 +231,6 @@ enum ShotOp {
         dep_fz: Vec<u64>,
         readout_p: f64,
     },
-}
-
-/// Reusable per-worker buffers for [`FramePlan::run_shot`], so the hot loop
-/// allocates nothing.
-#[derive(Debug, Clone)]
-pub(crate) struct FrameScratch {
-    fx: Vec<u64>,
-    fz: Vec<u64>,
 }
 
 /// A compiled Pauli-frame execution plan: the ideal circuit folded into
@@ -297,88 +263,54 @@ impl FramePlan {
         circuit: &Circuit,
         noise: &NoiseModel,
     ) -> Result<Option<FramePlan>, SimulatorError> {
-        if !circuit.is_clifford() || !has_only_terminal_measurements(circuit) {
+        if !circuit.is_clifford() || forces_replay(circuit).is_some() {
             return Ok(None);
         }
-        let n = circuit.num_qubits();
-        let wpr = n.div_ceil(64).max(1);
-
-        let mut tableau = StabilizerSimulator::new(n);
+        let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
         tableau.apply_circuit(circuit)?;
-        let mut sym = SymbolicTableau::new(&tableau);
+        let wpr = tableau.words_per_row();
+        let mut sym = SymbolicTableau::new(tableau);
 
         let instructions = circuit.instructions();
         let mut ops = Vec::new();
-        let mut coins = 0u32;
-        let mut any_measure = false;
+        // Measurements are terminal and directives have no sites, so every
+        // site precedes the measurement block, as it does in replay order.
         for (index, inst) in instructions.iter().enumerate() {
-            match inst.gate {
-                Gate::Barrier => {}
-                Gate::Measure => {
-                    any_measure = true;
-                    match symbolic_measure_op(
-                        &mut sym,
-                        inst.qubits[0],
-                        inst.clbits[0],
-                        &mut coins,
-                        noise,
-                    )? {
-                        Some(op) => ops.push(op),
-                        None => return Ok(None),
-                    }
-                }
-                Gate::Reset => unreachable!("terminal-measurement check rejects Reset"),
-                ref gate => {
-                    if let Some(op) = noise_site(gate, inst, index, instructions, wpr, noise)? {
-                        ops.push(op);
-                    }
-                }
+            for site in noise.fault_sites(&inst.gate, &inst.qubits) {
+                let props = site
+                    .operands()
+                    .iter()
+                    .map(|&q| Propagated::new(q, &instructions[index + 1..], wpr))
+                    .collect::<Result<_, _>>()?;
+                ops.push(ShotOp::Noise { site, props });
             }
         }
-        if !any_measure {
-            for q in 0..n {
-                match symbolic_measure_op(&mut sym, q, q, &mut coins, noise)? {
-                    Some(op) => ops.push(op),
-                    None => return Ok(None),
-                }
+        for (qubit, clbit) in measurement_mapping(circuit) {
+            match sym.measure_op(qubit, clbit, noise.readout_error(qubit)) {
+                Some(op) => ops.push(op),
+                None => return Ok(None),
             }
         }
         Ok(Some(FramePlan { wpr, ops }))
     }
 
-    /// Fresh scratch buffers sized for this plan.
-    pub(crate) fn scratch(&self) -> FrameScratch {
-        FrameScratch {
-            fx: vec![0; self.wpr],
-            fz: vec![0; self.wpr],
-        }
+    /// A fresh shot frame sized for this plan, reused across shots so the hot
+    /// loop allocates nothing.
+    pub(crate) fn scratch(&self) -> Frame {
+        Frame::zero(self.wpr)
     }
 
     /// Execute one shot: walk the plan, drawing noise hits, measurement coins
     /// and readout flips in replay order, and return the packed outcome.
-    pub(crate) fn run_shot<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut FrameScratch) -> u64 {
-        scratch.fx.fill(0);
-        scratch.fz.fill(0);
+    pub(crate) fn run_shot<R: Rng + ?Sized>(&self, rng: &mut R, frame: &mut Frame) -> u64 {
+        frame.fx.fill(0);
+        frame.fz.fill(0);
         let mut coins = 0u64;
         let mut outcome = 0u64;
         for op in &self.ops {
             match op {
-                ShotOp::NoiseOne { p, prop } => {
-                    if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                        xor_random_pauli(prop, rng, scratch);
-                    }
-                }
-                ShotOp::NoiseTwo { p, prop_a, prop_b } => {
-                    if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                        match rng.gen_range(0..3u8) {
-                            0 => xor_random_pauli(prop_a, rng, scratch),
-                            1 => xor_random_pauli(prop_b, rng, scratch),
-                            _ => {
-                                xor_random_pauli(prop_a, rng, scratch);
-                                xor_random_pauli(prop_b, rng, scratch);
-                            }
-                        }
-                    }
+                ShotOp::Noise { site, props } => {
+                    site.sample(rng, |operand, pauli| props[operand].strike(pauli, frame));
                 }
                 ShotOp::MeasureRandom {
                     clbit,
@@ -387,7 +319,7 @@ impl FramePlan {
                 } => {
                     let raw = rng.gen_bool(0.5);
                     coins |= u64::from(raw) << coin;
-                    record_bit(&mut outcome, *clbit, readout(raw, *readout_p, rng));
+                    record_bit(&mut outcome, *clbit, flip_bit(*readout_p, raw, rng));
                 }
                 ShotOp::MeasureDet {
                     clbit,
@@ -400,11 +332,11 @@ impl FramePlan {
                     let mut acc = dep_u & coins;
                     let mut word_acc = 0u64;
                     for j in 0..self.wpr {
-                        word_acc ^= (dep_fx[j] & scratch.fx[j]) ^ (dep_fz[j] & scratch.fz[j]);
+                        word_acc ^= (dep_fx[j] & frame.fx[j]) ^ (dep_fz[j] & frame.fz[j]);
                     }
                     acc ^= word_acc; // parities add mod 2, so XOR then popcount once
                     let raw = *base ^ (acc.count_ones() & 1 == 1);
-                    record_bit(&mut outcome, *clbit, readout(raw, *readout_p, rng));
+                    record_bit(&mut outcome, *clbit, flip_bit(*readout_p, raw, rng));
                 }
             }
         }
@@ -412,282 +344,109 @@ impl FramePlan {
     }
 }
 
-/// Build the noise-site op (if any) for the unitary at `index`, propagating
-/// unit errors on each faultable operand through the rest of the circuit.
-fn noise_site(
-    gate: &Gate,
-    inst: &Instruction,
-    index: usize,
-    instructions: &[Instruction],
-    wpr: usize,
-    noise: &NoiseModel,
-) -> Result<Option<ShotOp>, SimulatorError> {
-    if gate.is_directive() {
-        return Ok(None);
-    }
-    if gate.is_two_qubit() && inst.qubits.len() == 2 {
-        let p = noise.two_qubit_error(inst.qubits[0], inst.qubits[1]);
-        if p > 0.0 {
-            return Ok(Some(ShotOp::NoiseTwo {
-                p,
-                prop_a: propagate(inst.qubits[0], &instructions[index + 1..], wpr)?,
-                prop_b: propagate(inst.qubits[1], &instructions[index + 1..], wpr)?,
-            }));
-        }
-    } else if let Some(&q) = inst.qubits.first() {
-        let p = noise.single_qubit_error(q);
-        if p > 0.0 {
-            return Ok(Some(ShotOp::NoiseOne {
-                p,
-                prop: propagate(q, &instructions[index + 1..], wpr)?,
-            }));
-        }
-    }
-    Ok(None)
-}
-
-/// Terminal images of unit X / unit Z errors on `q` injected just before
-/// `rest` of the circuit.
-fn propagate(q: usize, rest: &[Instruction], wpr: usize) -> Result<Propagated, SimulatorError> {
-    let mut xf = Frame::unit_x(q, wpr);
-    let mut zf = Frame::unit_z(q, wpr);
-    for inst in rest {
-        if matches!(inst.gate, Gate::Measure | Gate::Reset | Gate::Barrier) {
-            continue;
-        }
-        xf.apply_gate(&inst.gate, &inst.qubits)?;
-        zf.apply_gate(&inst.gate, &inst.qubits)?;
-    }
-    Ok(Propagated {
-        x_fx: xf.fx,
-        x_fz: xf.fz,
-        z_fx: zf.fx,
-        z_fz: zf.fz,
-    })
-}
-
-/// XOR a uniformly random non-identity Pauli at a site into the shot frame,
-/// drawing exactly like `PauliError::random` (one `gen_range(0..3)`).
-fn xor_random_pauli<R: Rng + ?Sized>(prop: &Propagated, rng: &mut R, scratch: &mut FrameScratch) {
-    let kind = rng.gen_range(0..3u8); // 0 = X, 1 = Y, 2 = Z
-    if kind != 2 {
-        xor_into(&mut scratch.fx, &prop.x_fx);
-        xor_into(&mut scratch.fz, &prop.x_fz);
-    }
-    if kind != 0 {
-        xor_into(&mut scratch.fx, &prop.z_fx);
-        xor_into(&mut scratch.fz, &prop.z_fz);
-    }
-}
-
-fn xor_into(dst: &mut [u64], src: &[u64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= *s;
-    }
-}
-
-/// Readout flip, drawing exactly like `NoiseModel::flip_readout`.
-fn readout<R: Rng + ?Sized>(raw: bool, p: f64, rng: &mut R) -> bool {
-    if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
-        !raw
-    } else {
-        raw
-    }
-}
-
-/// Replay-path overwrite semantics: a later measurement into the same
-/// classical bit replaces the earlier value.
-fn record_bit(outcome: &mut u64, clbit: usize, bit: bool) {
-    if bit {
-        *outcome |= 1 << clbit;
-    } else {
-        *outcome &= !(1 << clbit);
-    }
-}
-
-/// Run one symbolic measurement of `qubit` into `clbit`, mutating the
-/// symbolic tableau exactly like `StabilizerSimulator::measure` mutates the
-/// concrete one. Returns `None` when the plan would need more than 64 coins.
-fn symbolic_measure_op(
-    sym: &mut SymbolicTableau,
-    qubit: usize,
-    clbit: usize,
-    coins: &mut u32,
-    noise: &NoiseModel,
-) -> Result<Option<ShotOp>, SimulatorError> {
-    let readout_p = noise.readout_error(qubit);
-    match sym.measure(qubit, *coins) {
-        SymbolicOutcome::Random => {
-            if *coins >= 64 {
-                return Ok(None);
-            }
-            let coin = *coins;
-            *coins += 1;
-            Ok(Some(ShotOp::MeasureRandom {
-                clbit,
-                coin,
-                readout_p,
-            }))
-        }
-        SymbolicOutcome::Det {
-            base,
-            dep_u,
-            dep_fx,
-            dep_fz,
-        } => Ok(Some(ShotOp::MeasureDet {
-            clbit,
-            base,
-            dep_u,
-            dep_fx,
-            dep_fz,
-            readout_p,
-        })),
-    }
-}
-
-/// Outcome of a symbolic measurement.
-enum SymbolicOutcome {
-    /// The ideal outcome is a fresh coin; the tableau consumed it.
-    Random,
-    /// The ideal outcome is `base` XOR the parity of the listed dependencies.
-    Det {
-        base: bool,
-        dep_u: u64,
-        dep_fx: Vec<u64>,
-        dep_fz: Vec<u64>,
-    },
-}
-
-/// A CHP tableau augmented with, per row, the GF(2) dependence of its phase
+/// The plan-time tableau plus, per row, the GF(2) dependence of its phase
 /// bit on the measurement coins (`dep_u`, one bit per coin) and on the
 /// terminal error frame (`dep_fx`/`dep_fz`, one bit per qubit).
 ///
 /// Row `i`'s phase flips iff the terminal frame anticommutes with row `i`:
 /// `parity(fx & z_i) ^ parity(fz & x_i)` — hence the initial dependence of
-/// row `i` is `dep_fx = z_i`, `dep_fz = x_i`. `rowsum` propagates
-/// dependencies by XOR (phase updates are linear in `r`, see module docs),
-/// and a random measurement's fresh row depends on its coin alone.
+/// row `i` is `dep_fx = z_i`, `dep_fz = x_i`, a plain copy of the tableau's
+/// words. The rows then ride through [`StabilizerSimulator::collapse`] as its
+/// [`PhaseRider`]: `rowsum` propagates dependencies by XOR (phase updates are
+/// linear in `r`, see module docs), and a random measurement's fresh row
+/// depends on its coin alone.
 struct SymbolicTableau {
-    n: usize,
+    tableau: StabilizerSimulator,
+    deps: DepRows,
+    /// Coins handed out so far.
+    coins: u32,
+}
+
+struct DepRows {
     wpr: usize,
-    x: Vec<u64>,
-    z: Vec<u64>,
-    r: Vec<bool>,
     dep_u: Vec<u64>,
     dep_fx: Vec<u64>,
     dep_fz: Vec<u64>,
 }
 
-impl SymbolicTableau {
-    fn new(sim: &StabilizerSimulator) -> Self {
-        let n = sim.num_qubits();
-        let wpr = sim.words_per_row();
-        let rows = 2 * n + 1;
-        let mut x = Vec::with_capacity(rows * wpr);
-        let mut z = Vec::with_capacity(rows * wpr);
-        let mut r = Vec::with_capacity(rows);
-        let mut dep_fx = Vec::with_capacity(rows * wpr);
-        let mut dep_fz = Vec::with_capacity(rows * wpr);
-        for i in 0..rows {
-            x.extend_from_slice(sim.row_x(i));
-            z.extend_from_slice(sim.row_z(i));
-            r.push(sim.phase_bit(i));
-            dep_fx.extend_from_slice(sim.row_z(i));
-            dep_fz.extend_from_slice(sim.row_x(i));
-        }
-        SymbolicTableau {
-            n,
-            wpr,
-            x,
-            z,
-            r,
-            dep_u: vec![0; rows],
-            dep_fx,
-            dep_fz,
-        }
-    }
-
-    /// `rowsum` with dependency tracking: identical X/Z/phase arithmetic to
-    /// `StabilizerSimulator::rowsum`, plus `deps[h] ^= deps[i]`.
-    fn rowsum(&mut self, h: usize, i: usize) {
-        let mut phase: i64 = i64::from(self.r[h]) * 2 + i64::from(self.r[i]) * 2;
-        let hoff = h * self.wpr;
-        let ioff = i * self.wpr;
-        for j in 0..self.wpr {
-            let x1 = self.x[ioff + j];
-            let z1 = self.z[ioff + j];
-            let x2 = self.x[hoff + j];
-            let z2 = self.z[hoff + j];
-            let plus = (x1 & z1 & !x2 & z2) | (x1 & !z1 & x2 & z2) | (!x1 & z1 & x2 & !z2);
-            let minus = (x1 & z1 & x2 & !z2) | (x1 & !z1 & !x2 & z2) | (!x1 & z1 & x2 & z2);
-            phase += i64::from(plus.count_ones()) - i64::from(minus.count_ones());
-            self.x[hoff + j] = x2 ^ x1;
-            self.z[hoff + j] = z2 ^ z1;
-            self.dep_fx[hoff + j] ^= self.dep_fx[ioff + j];
-            self.dep_fz[hoff + j] ^= self.dep_fz[ioff + j];
-        }
-        self.r[h] = phase.rem_euclid(4) == 2;
+impl PhaseRider for DepRows {
+    fn add(&mut self, h: usize, i: usize) {
         self.dep_u[h] ^= self.dep_u[i];
+        for j in 0..self.wpr {
+            self.dep_fx[h * self.wpr + j] ^= self.dep_fx[i * self.wpr + j];
+            self.dep_fz[h * self.wpr + j] ^= self.dep_fz[i * self.wpr + j];
+        }
     }
 
-    /// Symbolic mirror of `StabilizerSimulator::measure`: same pivot search
-    /// and row operations (both are error-independent), but outcomes are
-    /// returned as dependency sets instead of drawing from an RNG.
-    fn measure(&mut self, a: usize, next_coin: u32) -> SymbolicOutcome {
-        let n = self.n;
+    fn copy(&mut self, dst: usize, src: usize) {
         let wpr = self.wpr;
-        let (w, bit) = (a >> 6, 1u64 << (a & 63));
-        let mut p = None;
-        for i in n..2 * n {
-            if self.x[i * wpr + w] & bit != 0 {
-                p = Some(i);
-                break;
-            }
+        self.dep_u[dst] = self.dep_u[src];
+        self.dep_fx
+            .copy_within(src * wpr..(src + 1) * wpr, dst * wpr);
+        self.dep_fz
+            .copy_within(src * wpr..(src + 1) * wpr, dst * wpr);
+    }
+
+    fn clear(&mut self, row: usize) {
+        let wpr = self.wpr;
+        self.dep_u[row] = 0;
+        self.dep_fx[row * wpr..(row + 1) * wpr].fill(0);
+        self.dep_fz[row * wpr..(row + 1) * wpr].fill(0);
+    }
+}
+
+impl SymbolicTableau {
+    fn new(tableau: StabilizerSimulator) -> Self {
+        let (x, z) = tableau.xz_words();
+        let deps = DepRows {
+            wpr: tableau.words_per_row(),
+            dep_u: vec![0; 2 * tableau.num_qubits() + 1],
+            dep_fx: z.to_vec(),
+            dep_fz: x.to_vec(),
+        };
+        SymbolicTableau {
+            tableau,
+            deps,
+            coins: 0,
         }
-        if let Some(p) = p {
-            for i in 0..2 * n {
-                if i != p && self.x[i * wpr + w] & bit != 0 {
-                    self.rowsum(i, p);
+    }
+
+    /// Collapse `qubit` on the plan-time tableau — the same
+    /// [`StabilizerSimulator::collapse`] a concrete measurement runs — and
+    /// compile the measurement into `clbit` as a shot op whose outcome is a
+    /// dependency set instead of an RNG draw. Returns `None` when the plan
+    /// would need more than 64 coins.
+    fn measure_op(&mut self, qubit: usize, clbit: usize, readout_p: f64) -> Option<ShotOp> {
+        let deps = &mut self.deps;
+        Some(match self.tableau.collapse(qubit, deps) {
+            Collapse::Random(row) => {
+                if self.coins >= 64 {
+                    return None;
+                }
+                let coin = self.coins;
+                self.coins += 1;
+                // The concrete tableau signs the fresh row with the coin it
+                // draws; symbolically that is a sole dependency on the coin.
+                deps.dep_u[row] = 1 << coin;
+                ShotOp::MeasureRandom {
+                    clbit,
+                    coin,
+                    readout_p,
                 }
             }
-            self.x.copy_within(p * wpr..(p + 1) * wpr, (p - n) * wpr);
-            self.z.copy_within(p * wpr..(p + 1) * wpr, (p - n) * wpr);
-            self.r[p - n] = self.r[p];
-            self.dep_u[p - n] = self.dep_u[p];
-            self.dep_fx
-                .copy_within(p * wpr..(p + 1) * wpr, (p - n) * wpr);
-            self.dep_fz
-                .copy_within(p * wpr..(p + 1) * wpr, (p - n) * wpr);
-            self.x[p * wpr..(p + 1) * wpr].fill(0);
-            self.z[p * wpr..(p + 1) * wpr].fill(0);
-            self.z[p * wpr + w] |= bit;
-            // The concrete tableau sets r[p] to the fresh coin; symbolically
-            // that is base=false plus a sole dependency on the coin.
-            self.r[p] = false;
-            self.dep_u[p] = 1u64.checked_shl(next_coin).unwrap_or(0);
-            self.dep_fx[p * wpr..(p + 1) * wpr].fill(0);
-            self.dep_fz[p * wpr..(p + 1) * wpr].fill(0);
-            SymbolicOutcome::Random
-        } else {
-            let scratch = 2 * n;
-            self.x[scratch * wpr..(scratch + 1) * wpr].fill(0);
-            self.z[scratch * wpr..(scratch + 1) * wpr].fill(0);
-            self.r[scratch] = false;
-            self.dep_u[scratch] = 0;
-            self.dep_fx[scratch * wpr..(scratch + 1) * wpr].fill(0);
-            self.dep_fz[scratch * wpr..(scratch + 1) * wpr].fill(0);
-            for i in 0..n {
-                if self.x[i * wpr + w] & bit != 0 {
-                    self.rowsum(scratch, i + n);
+            Collapse::Determined(base) => {
+                let scratch = deps.dep_u.len() - 1;
+                let words = scratch * deps.wpr..(scratch + 1) * deps.wpr;
+                ShotOp::MeasureDet {
+                    clbit,
+                    base,
+                    dep_u: deps.dep_u[scratch],
+                    dep_fx: deps.dep_fx[words.clone()].to_vec(),
+                    dep_fz: deps.dep_fz[words].to_vec(),
+                    readout_p,
                 }
             }
-            SymbolicOutcome::Det {
-                base: self.r[scratch],
-                dep_u: self.dep_u[scratch],
-                dep_fx: self.dep_fx[scratch * wpr..(scratch + 1) * wpr].to_vec(),
-                dep_fz: self.dep_fz[scratch * wpr..(scratch + 1) * wpr].to_vec(),
-            }
-        }
+        })
     }
 }
 
@@ -726,6 +485,98 @@ mod tests {
         assert!(FramePlan::build(&t, &NoiseModel::ideal(1))
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn every_clifford_gate_conjugates_the_frame_as_the_tableau_does() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let quarter: Vec<f64> = (0..4).map(|k| f64::from(k) * FRAC_PI_2).collect();
+        let mut gates = vec![
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::SX,
+            Gate::CX,
+            Gate::CZ,
+            Gate::CY,
+            Gate::Swap,
+        ];
+        for &a in &quarter {
+            gates.extend([Gate::RX(a), Gate::RY(a), Gate::RZ(a), Gate::U1(a)]);
+            for &b in &quarter {
+                gates.push(Gate::U2(a, b));
+                gates.extend(quarter.iter().map(|&c| Gate::U3(a, b, c)));
+            }
+        }
+        for angle in [0.0, PI] {
+            gates.extend([Gate::CP(angle), Gate::CRZ(angle)]);
+        }
+
+        let (n, wpr) = (3, 1);
+        for gate in gates {
+            assert!(gate.is_clifford(), "{gate:?}");
+            // Operands out of order, so control and target cannot be confused.
+            let qubits = &[2, 0][..gate.num_qubits()];
+            // Row q of a fresh tableau is X_q and row n+q is Z_q, so after
+            // the gate they hold the images of the unit frames, sign aside.
+            let mut tableau = StabilizerSimulator::new(n);
+            tableau.apply_gate(&gate, qubits).unwrap();
+            let (x, z) = tableau.xz_words();
+            for &q in qubits {
+                for (row, mut frame) in [(q, Frame::unit_x(q, wpr)), (n + q, Frame::unit_z(q, wpr))]
+                {
+                    apply_clifford(&mut frame, &gate, qubits).unwrap();
+                    assert_eq!(
+                        (&frame.fx[..], &frame.fz[..]),
+                        (&x[row * wpr..][..wpr], &z[row * wpr..][..wpr]),
+                        "{gate:?} on {qubits:?}, row {row}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symbolic_and_concrete_collapse_agree() {
+        for seed in 0..24 {
+            // Measure everything twice: the second round is determined by
+            // the coins of the first.
+            let mut circuit = library::random_clifford_circuit(6, 4, seed).unwrap();
+            circuit.measure_all().unwrap();
+            let plan = FramePlan::build(&circuit, &NoiseModel::ideal(6))
+                .unwrap()
+                .expect("terminal Clifford circuit");
+            let mapping = measurement_mapping(&circuit);
+            assert_eq!(plan.ops.len(), mapping.len(), "an ideal plan has no sites");
+
+            let mut concrete = StabilizerSimulator::new(6);
+            concrete.apply_circuit(&circuit).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut coins = 0u64;
+            for (op, (qubit, _)) in plan.ops.iter().zip(mapping) {
+                let random = matches!(
+                    concrete.clone().collapse(qubit, &mut ()),
+                    Collapse::Random(_)
+                );
+                let drawn = concrete.measure(qubit, &mut rng);
+                match op {
+                    ShotOp::MeasureRandom { coin, .. } => {
+                        assert!(random, "seed {seed}: plan drew a coin for a fixed outcome");
+                        coins |= u64::from(drawn) << coin;
+                    }
+                    ShotOp::MeasureDet { base, dep_u, .. } => {
+                        assert!(!random, "seed {seed}: plan fixed a random outcome");
+                        let predicted = base ^ ((dep_u & coins).count_ones() & 1 == 1);
+                        assert_eq!(predicted, drawn, "seed {seed}, qubit {qubit}");
+                    }
+                    ShotOp::Noise { .. } => unreachable!("checked above"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,14 +13,21 @@
 //!   Oracle baseline of §4.3), limited to a modest qubit count.
 //! * [`StabilizerSimulator`] — Aaronson–Gottesman CHP tableau simulation of
 //!   Clifford circuits (the Gottesman–Knill path behind Clifford canaries).
+//!   Its module also holds the one table that decomposes a Clifford gate and
+//!   the one computational-basis collapse; the Pauli-frame planner calls
+//!   both rather than mirroring them.
 //! * [`NoiseModel`] — per-qubit/per-edge depolarizing Pauli errors plus
-//!   readout flips, derived from a [`qrio_backend::Backend`].
+//!   readout flips, derived from a [`qrio_backend::Backend`]. One rule says
+//!   where a gate can fault and one function draws each site and each
+//!   readout flip, for replay and for the Pauli-frame path alike.
 //! * [`executor`] — shot execution with automatic engine selection,
 //!   ideal-terminal-measurement fast paths, Pauli-frame batched shots for
-//!   noisy Clifford circuits ([`FramePlan`]), deterministic sharded parallel
+//!   noisy Clifford circuits ([`FramePlan`]), one per-shot replay walker over
+//!   both engines for everything else, deterministic sharded parallel
 //!   execution ([`ParallelConfig`]), and the [`executor::fidelity_on_backend`]
 //!   helper that compares noisy output to the noise-free reference with
-//!   Hellinger fidelity.
+//!   Hellinger fidelity. A circuit without measurements is measured as if
+//!   `measure_all` had been appended, on every path.
 //! * [`Counts`] — outcome histograms and distribution metrics.
 //!
 //! # Examples

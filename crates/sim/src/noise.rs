@@ -139,6 +139,35 @@ impl NoiseModel {
         self.readout_error.get(q).copied().unwrap_or(0.0)
     }
 
+    /// The places a gate on `qubits` can fault, in draw order: none for a
+    /// directive, one pair site for a two-qubit gate, otherwise one site per
+    /// operand. A site with `p == 0` draws nothing and is left out. This is
+    /// the one site rule: [`NoiseModel::sample_gate_errors`] draws from it
+    /// per gate, the Pauli-frame planner compiles it once per run.
+    pub(crate) fn fault_sites<'a>(
+        &'a self,
+        gate: &Gate,
+        qubits: &'a [usize],
+    ) -> impl Iterator<Item = FaultSite> + 'a {
+        let pair = gate.is_two_qubit() && qubits.len() == 2;
+        let sites = if gate.is_directive() {
+            0
+        } else if pair {
+            1
+        } else {
+            qubits.len()
+        };
+        qubits[..sites].iter().filter_map(move |&q| {
+            let (partner, p) = if pair {
+                (qubits[1], self.two_qubit_error(q, qubits[1]))
+            } else {
+                (q, self.single_qubit_error(q))
+            };
+            let qubits = [q, partner];
+            (p > 0.0).then_some(FaultSite { qubits, pair, p })
+        })
+    }
+
     /// Sample the Pauli errors (if any) to inject after a gate on `qubits`.
     /// Two-qubit gates may fault either or both operands.
     pub fn sample_gate_errors<R: Rng + ?Sized>(
@@ -148,29 +177,10 @@ impl NoiseModel {
         rng: &mut R,
     ) -> Vec<(usize, PauliError)> {
         let mut faults = Vec::new();
-        if gate.is_directive() {
-            return faults;
-        }
-        if gate.is_two_qubit() && qubits.len() == 2 {
-            let p = self.two_qubit_error(qubits[0], qubits[1]);
-            if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
-                // Depolarizing on the pair: fault one or both qubits.
-                match rng.gen_range(0..3u8) {
-                    0 => faults.push((qubits[0], PauliError::random(rng))),
-                    1 => faults.push((qubits[1], PauliError::random(rng))),
-                    _ => {
-                        faults.push((qubits[0], PauliError::random(rng)));
-                        faults.push((qubits[1], PauliError::random(rng)));
-                    }
-                }
-            }
-        } else {
-            for &q in qubits {
-                let p = self.single_qubit_error(q);
-                if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
-                    faults.push((q, PauliError::random(rng)));
-                }
-            }
+        for site in self.fault_sites(gate, qubits) {
+            site.sample(rng, |operand, pauli| {
+                faults.push((site.operands()[operand], pauli))
+            });
         }
         faults
     }
@@ -194,12 +204,60 @@ impl NoiseModel {
 
     /// Apply readout noise to a measured bit.
     pub fn flip_readout<R: Rng + ?Sized>(&self, q: usize, value: bool, rng: &mut R) -> bool {
-        let p = self.readout_error(q);
-        if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
-            !value
-        } else {
-            value
+        flip_bit(self.readout_error(q), value, rng)
+    }
+}
+
+/// One depolarizing site of a gate (see [`NoiseModel::fault_sites`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FaultSite {
+    /// Both operands of a pair site; the first entry alone otherwise.
+    qubits: [usize; 2],
+    /// Whether this is the pair site of a two-qubit gate.
+    pair: bool,
+    /// Probability that the site fires; always `> 0`.
+    p: f64,
+}
+
+impl FaultSite {
+    /// The qubits a hit can strike.
+    pub(crate) fn operands(&self) -> &[usize] {
+        &self.qubits[..1 + usize::from(self.pair)]
+    }
+
+    /// Draw the site: one `gen_bool(p)`; on a hit a pair site draws which
+    /// operands fault (first, second, both), and every faulted operand draws
+    /// its own Pauli, first operand first. `fault` receives the operand's
+    /// position in [`FaultSite::operands`].
+    #[inline]
+    pub(crate) fn sample<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        mut fault: impl FnMut(usize, PauliError),
+    ) {
+        if !rng.gen_bool(self.p.clamp(0.0, 1.0)) {
+            return;
         }
+        // Depolarizing on the pair: fault one or both qubits.
+        let struck = if self.pair { rng.gen_range(0..3u8) } else { 0 };
+        if struck != 1 {
+            fault(0, PauliError::random(rng));
+        }
+        if struck != 0 {
+            fault(1, PauliError::random(rng));
+        }
+    }
+}
+
+/// Flip `value` with probability `p`: one `gen_bool(p)` when `p > 0`, no draw
+/// otherwise. The one readout draw, behind [`NoiseModel::flip_readout`] and
+/// the Pauli-frame shot loop (which stores `p` per measurement).
+#[inline]
+pub(crate) fn flip_bit<R: Rng + ?Sized>(p: f64, value: bool, rng: &mut R) -> bool {
+    if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
+        !value
+    } else {
+        value
     }
 }
 

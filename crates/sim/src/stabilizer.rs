@@ -17,12 +17,78 @@
 //! and popcounts instead of a per-qubit table lookup, and the row XOR touches
 //! `⌈n/64⌉` words instead of `n` booleans. This is ~64× less memory and
 //! memory traffic than the previous `Vec<Vec<bool>>` layout.
+//!
+//! Two things are written here once, for every Clifford view of a circuit.
+//! [`apply_clifford`] is the one table that decomposes a Clifford gate into
+//! the generators {H, S, S†, CX, X, Y, Z}; it drives any [`CliffordTarget`]:
+//! this tableau, which tracks signs, and the sign-free Pauli frame of
+//! [`crate::frame`]. [`StabilizerSimulator::collapse`] is the one
+//! computational-basis collapse (pivot search, row operations, `rowsum`
+//! phase arithmetic), generic over the [`PhaseRider`] that travels with each
+//! row's phase bit: nothing for [`StabilizerSimulator::measure`], the coin /
+//! frame dependency rows for the Pauli-frame planner.
 
 use rand::Rng;
 
 use qrio_circuit::{Circuit, Gate};
 
 use crate::error::SimulatorError;
+use crate::noise::PauliError;
+
+/// What [`apply_clifford`] drives: the generators every Clifford gate
+/// decomposes into. A target that tracks signs implements all five; a
+/// sign-free one leaves the defaults, for which S† is S and a Pauli does
+/// nothing (it commutes with every Pauli up to a sign the target does not
+/// carry).
+pub(crate) trait CliffordTarget {
+    /// Conjugate by H on `q`.
+    fn h(&mut self, q: usize);
+    /// Conjugate by S on `q`.
+    fn s(&mut self, q: usize);
+    /// Conjugate by CNOT with control `a` and target `b`.
+    fn cx(&mut self, a: usize, b: usize);
+    /// Conjugate by S† on `q`.
+    #[inline]
+    fn sdg(&mut self, q: usize) {
+        self.s(q);
+    }
+    /// Conjugate by the Pauli `pauli` on `q`.
+    #[inline]
+    fn pauli(&mut self, _pauli: PauliError, _q: usize) {}
+}
+
+/// What travels with each row's phase bit through
+/// [`StabilizerSimulator::collapse`]. Phase updates are linear in the phase
+/// bits, so a rider sees exactly the row operations the phases see.
+pub(crate) trait PhaseRider {
+    /// Row `h` was multiplied by row `i`: phases add, riders XOR.
+    fn add(&mut self, h: usize, i: usize);
+    /// Row `dst` became a copy of row `src`.
+    fn copy(&mut self, dst: usize, src: usize);
+    /// Row `row` was overwritten by a fresh operator with phase `+1`.
+    fn clear(&mut self, row: usize);
+}
+
+/// Nothing rides along: the concrete tableau of [`StabilizerSimulator::measure`].
+impl PhaseRider for () {
+    #[inline]
+    fn add(&mut self, _h: usize, _i: usize) {}
+    #[inline]
+    fn copy(&mut self, _dst: usize, _src: usize) {}
+    #[inline]
+    fn clear(&mut self, _row: usize) {}
+}
+
+/// How [`StabilizerSimulator::collapse`] left the tableau.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Collapse {
+    /// The outcome is random: this stabilizer row is now the fresh `+Z_a`,
+    /// for the caller to sign with the outcome it draws.
+    Random(usize),
+    /// The outcome is determined: the phase of the scratch row (row `2n`),
+    /// whose rider holds what that phase depends on.
+    Determined(bool),
+}
 
 /// CHP stabilizer tableau over `n` qubits, bit-packed 64 qubits per word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,19 +137,10 @@ impl StabilizerSimulator {
         self.wpr
     }
 
-    /// The packed X components of row `i` (row layout documented on `x`).
-    pub(crate) fn row_x(&self, i: usize) -> &[u64] {
-        &self.x[i * self.wpr..(i + 1) * self.wpr]
-    }
-
-    /// The packed Z components of row `i`.
-    pub(crate) fn row_z(&self, i: usize) -> &[u64] {
-        &self.z[i * self.wpr..(i + 1) * self.wpr]
-    }
-
-    /// The phase bit of row `i` (true = −1).
-    pub(crate) fn phase_bit(&self, i: usize) -> bool {
-        self.r[i]
+    /// The packed X and Z components of every row (layout documented on
+    /// `x`): what the Pauli-frame planner's dependency rows start as.
+    pub(crate) fn xz_words(&self) -> (&[u64], &[u64]) {
+        (&self.x, &self.z)
     }
 
     /// Apply a Hadamard gate to qubit `a`.
@@ -160,18 +217,12 @@ impl StabilizerSimulator {
         self.x_gate(a);
     }
 
-    fn sdg(&mut self, a: usize) {
-        self.s(a);
-        self.s(a);
-        self.s(a);
-    }
-
     /// Rowsum as defined by Aaronson–Gottesman: row `h` *= row `i`.
     ///
     /// Word-parallel: the per-qubit phase function `g` is evaluated for all 64
     /// qubits of a word at once as "+1" and "−1" bit masks, accumulated with
     /// popcounts.
-    fn rowsum(&mut self, h: usize, i: usize) {
+    fn rowsum<P: PhaseRider>(&mut self, h: usize, i: usize, rider: &mut P) {
         let mut phase: i64 = i64::from(self.r[h]) * 2 + i64::from(self.r[i]) * 2;
         let hoff = h * self.wpr;
         let ioff = i * self.wpr;
@@ -189,10 +240,14 @@ impl StabilizerSimulator {
             self.z[hoff + j] = z2 ^ z1;
         }
         self.r[h] = phase.rem_euclid(4) == 2;
+        rider.add(h, i);
     }
 
-    /// Measure qubit `a` in the computational basis, collapsing the state.
-    pub fn measure<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) -> bool {
+    /// Collapse qubit `a` in the computational basis: the pivot search and
+    /// the row operations, which depend on the X/Z components alone — never
+    /// on a phase bit, a coin or an error — and are therefore the same in
+    /// every shot. `rider` is told of every row operation.
+    pub(crate) fn collapse<P: PhaseRider>(&mut self, a: usize, rider: &mut P) -> Collapse {
         let n = self.n;
         let wpr = self.wpr;
         let (w, bit) = (a >> 6, 1u64 << (a & 63));
@@ -208,32 +263,47 @@ impl StabilizerSimulator {
             // Random outcome.
             for i in 0..2 * n {
                 if i != p && self.x[i * wpr + w] & bit != 0 {
-                    self.rowsum(i, p);
+                    self.rowsum(i, p, rider);
                 }
             }
             // Destabilizer row p-n becomes the old stabilizer row p.
             self.x.copy_within(p * wpr..(p + 1) * wpr, (p - n) * wpr);
             self.z.copy_within(p * wpr..(p + 1) * wpr, (p - n) * wpr);
             self.r[p - n] = self.r[p];
-            // New stabilizer row p = ±Z_a with random sign.
+            rider.copy(p - n, p);
+            // New stabilizer row p = +Z_a; the caller gives it its sign.
             self.x[p * wpr..(p + 1) * wpr].fill(0);
             self.z[p * wpr..(p + 1) * wpr].fill(0);
             self.z[p * wpr + w] |= bit;
-            let outcome = rng.gen_bool(0.5);
-            self.r[p] = outcome;
-            outcome
+            self.r[p] = false;
+            rider.clear(p);
+            Collapse::Random(p)
         } else {
             // Deterministic outcome: compute it in the scratch row 2n.
             let scratch = 2 * n;
             self.x[scratch * wpr..(scratch + 1) * wpr].fill(0);
             self.z[scratch * wpr..(scratch + 1) * wpr].fill(0);
             self.r[scratch] = false;
+            rider.clear(scratch);
             for i in 0..n {
                 if self.x[i * wpr + w] & bit != 0 {
-                    self.rowsum(scratch, i + n);
+                    self.rowsum(scratch, i + n, rider);
                 }
             }
-            self.r[scratch]
+            Collapse::Determined(self.r[scratch])
+        }
+    }
+
+    /// Measure qubit `a` in the computational basis, collapsing the state.
+    pub fn measure<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) -> bool {
+        match self.collapse(a, &mut ()) {
+            Collapse::Random(p) => {
+                // New stabilizer row p = ±Z_a with random sign.
+                let outcome = rng.gen_bool(0.5);
+                self.r[p] = outcome;
+                outcome
+            }
+            Collapse::Determined(outcome) => outcome,
         }
     }
 
@@ -257,103 +327,12 @@ impl StabilizerSimulator {
                 gate: gate.name().to_string(),
             });
         }
-        match *gate {
-            Gate::I | Gate::Barrier => {}
-            Gate::H => self.h(qubits[0]),
-            Gate::S => self.s(qubits[0]),
-            Gate::Sdg => self.sdg(qubits[0]),
-            Gate::X => self.x_gate(qubits[0]),
-            Gate::Y => self.y_gate(qubits[0]),
-            Gate::Z => self.z_gate(qubits[0]),
-            Gate::SX => {
-                // sqrt(X) = H S H up to global phase.
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-            }
-            Gate::CX => self.cx(qubits[0], qubits[1]),
-            Gate::CZ => {
-                self.h(qubits[1]);
-                self.cx(qubits[0], qubits[1]);
-                self.h(qubits[1]);
-            }
-            Gate::CY => {
-                self.sdg(qubits[1]);
-                self.cx(qubits[0], qubits[1]);
-                self.s(qubits[1]);
-            }
-            Gate::Swap => {
-                self.cx(qubits[0], qubits[1]);
-                self.cx(qubits[1], qubits[0]);
-                self.cx(qubits[0], qubits[1]);
-            }
-            Gate::RZ(theta) | Gate::U1(theta) => self.apply_quarter_z(qubits[0], theta),
-            Gate::RX(theta) => {
-                self.h(qubits[0]);
-                self.apply_quarter_z(qubits[0], theta);
-                self.h(qubits[0]);
-            }
-            Gate::RY(theta) => {
-                // RY(θ) = S · RX(θ) · S†
-                self.sdg(qubits[0]);
-                self.h(qubits[0]);
-                self.apply_quarter_z(qubits[0], theta);
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-            }
-            Gate::U2(phi, lambda) => {
-                self.apply_u3(qubits[0], std::f64::consts::FRAC_PI_2, phi, lambda);
-            }
-            Gate::U3(theta, phi, lambda) => self.apply_u3(qubits[0], theta, phi, lambda),
-            Gate::CP(theta) | Gate::CRZ(theta) => {
-                // At Clifford angles (multiples of π) both reduce to CZ or identity
-                // up to single-qubit phases that do not affect measurement outcomes.
-                let k = (theta / std::f64::consts::PI).round() as i64;
-                if k.rem_euclid(2) == 1 {
-                    self.h(qubits[1]);
-                    self.cx(qubits[0], qubits[1]);
-                    self.h(qubits[1]);
-                }
-                if matches!(gate, Gate::CRZ(_)) {
-                    // CRZ(kπ) also applies RZ(-kπ/2) on the control (global-phase free).
-                    self.apply_quarter_z(qubits[0], -theta / 2.0);
-                }
-            }
-            Gate::Measure | Gate::Reset => {
-                return Err(SimulatorError::Unsupported(
-                    "measure/reset must be handled by the executor, not applied as a unitary"
-                        .into(),
-                ));
-            }
-            ref g => {
-                return Err(SimulatorError::NotClifford {
-                    gate: g.name().to_string(),
-                })
-            }
+        if matches!(gate, Gate::Measure | Gate::Reset) {
+            return Err(SimulatorError::Unsupported(
+                "measure/reset must be handled by the executor, not applied as a unitary".into(),
+            ));
         }
-        Ok(())
-    }
-
-    /// Apply RZ at a multiple of π/2 as a power of S.
-    fn apply_quarter_z(&mut self, q: usize, theta: f64) {
-        let k = (theta / std::f64::consts::FRAC_PI_2).round() as i64;
-        match k.rem_euclid(4) {
-            1 => self.s(q),
-            2 => self.z_gate(q),
-            3 => self.sdg(q),
-            _ => {}
-        }
-    }
-
-    /// Apply a Clifford-angle u3 via the ZYZ decomposition u3 = RZ(φ)·RY(θ)·RZ(λ).
-    fn apply_u3(&mut self, q: usize, theta: f64, phi: f64, lambda: f64) {
-        self.apply_quarter_z(q, lambda);
-        self.sdg(q);
-        self.h(q);
-        self.apply_quarter_z(q, theta);
-        self.h(q);
-        self.s(q);
-        self.apply_quarter_z(q, phi);
+        apply_clifford(self, gate, qubits)
     }
 
     /// Apply every unitary instruction of a Clifford circuit.
@@ -377,6 +356,141 @@ impl StabilizerSimulator {
         }
         Ok(())
     }
+}
+
+impl CliffordTarget for StabilizerSimulator {
+    #[inline]
+    fn h(&mut self, q: usize) {
+        StabilizerSimulator::h(self, q);
+    }
+    #[inline]
+    fn s(&mut self, q: usize) {
+        StabilizerSimulator::s(self, q);
+    }
+    #[inline]
+    fn cx(&mut self, a: usize, b: usize) {
+        StabilizerSimulator::cx(self, a, b);
+    }
+    #[inline]
+    fn sdg(&mut self, q: usize) {
+        self.s(q);
+        self.s(q);
+        self.s(q);
+    }
+    #[inline]
+    fn pauli(&mut self, pauli: PauliError, q: usize) {
+        match pauli {
+            PauliError::X => self.x_gate(q),
+            PauliError::Y => self.y_gate(q),
+            PauliError::Z => self.z_gate(q),
+        }
+    }
+}
+
+/// The one Clifford table: conjugate `target` by `gate`, as a product of the
+/// generators of [`CliffordTarget`] and up to a global phase. The caller has
+/// checked qubit ranges and Clifford angles; measure and reset are not
+/// unitaries and are not in the table.
+///
+/// # Errors
+///
+/// Returns [`SimulatorError::NotClifford`] for a gate outside the table.
+pub(crate) fn apply_clifford<T: CliffordTarget>(
+    target: &mut T,
+    gate: &Gate,
+    qubits: &[usize],
+) -> Result<(), SimulatorError> {
+    match *gate {
+        Gate::I | Gate::Barrier => {}
+        Gate::H => target.h(qubits[0]),
+        Gate::S => target.s(qubits[0]),
+        Gate::Sdg => target.sdg(qubits[0]),
+        Gate::X => target.pauli(PauliError::X, qubits[0]),
+        Gate::Y => target.pauli(PauliError::Y, qubits[0]),
+        Gate::Z => target.pauli(PauliError::Z, qubits[0]),
+        Gate::SX => {
+            // sqrt(X) = H S H up to global phase.
+            target.h(qubits[0]);
+            target.s(qubits[0]);
+            target.h(qubits[0]);
+        }
+        Gate::CX => target.cx(qubits[0], qubits[1]),
+        Gate::CZ => {
+            target.h(qubits[1]);
+            target.cx(qubits[0], qubits[1]);
+            target.h(qubits[1]);
+        }
+        Gate::CY => {
+            target.sdg(qubits[1]);
+            target.cx(qubits[0], qubits[1]);
+            target.s(qubits[1]);
+        }
+        Gate::Swap => {
+            target.cx(qubits[0], qubits[1]);
+            target.cx(qubits[1], qubits[0]);
+            target.cx(qubits[0], qubits[1]);
+        }
+        Gate::RZ(theta) | Gate::U1(theta) => quarter_z(target, qubits[0], theta),
+        Gate::RX(theta) => {
+            target.h(qubits[0]);
+            quarter_z(target, qubits[0], theta);
+            target.h(qubits[0]);
+        }
+        Gate::RY(theta) => {
+            // RY(θ) = S · RX(θ) · S†
+            target.sdg(qubits[0]);
+            target.h(qubits[0]);
+            quarter_z(target, qubits[0], theta);
+            target.h(qubits[0]);
+            target.s(qubits[0]);
+        }
+        Gate::U2(phi, lambda) => {
+            u3(target, qubits[0], std::f64::consts::FRAC_PI_2, phi, lambda);
+        }
+        Gate::U3(theta, phi, lambda) => u3(target, qubits[0], theta, phi, lambda),
+        Gate::CP(theta) | Gate::CRZ(theta) => {
+            // At Clifford angles (multiples of π) both reduce to CZ or identity
+            // up to single-qubit phases that do not affect measurement outcomes.
+            let k = (theta / std::f64::consts::PI).round() as i64;
+            if k.rem_euclid(2) == 1 {
+                target.h(qubits[1]);
+                target.cx(qubits[0], qubits[1]);
+                target.h(qubits[1]);
+            }
+            if matches!(gate, Gate::CRZ(_)) {
+                // CRZ(kπ) also applies RZ(-kπ/2) on the control (global-phase free).
+                quarter_z(target, qubits[0], -theta / 2.0);
+            }
+        }
+        ref g => {
+            return Err(SimulatorError::NotClifford {
+                gate: g.name().to_string(),
+            })
+        }
+    }
+    Ok(())
+}
+
+/// Apply RZ at a multiple of π/2 as a power of S.
+fn quarter_z<T: CliffordTarget>(target: &mut T, q: usize, theta: f64) {
+    let k = (theta / std::f64::consts::FRAC_PI_2).round() as i64;
+    match k.rem_euclid(4) {
+        1 => target.s(q),
+        2 => target.pauli(PauliError::Z, q),
+        3 => target.sdg(q),
+        _ => {}
+    }
+}
+
+/// Apply a Clifford-angle u3 via the ZYZ decomposition u3 = RZ(φ)·RY(θ)·RZ(λ).
+fn u3<T: CliffordTarget>(target: &mut T, q: usize, theta: f64, phi: f64, lambda: f64) {
+    quarter_z(target, q, lambda);
+    target.sdg(q);
+    target.h(q);
+    quarter_z(target, q, theta);
+    target.h(q);
+    target.s(q);
+    quarter_z(target, q, phi);
 }
 
 #[cfg(test)]

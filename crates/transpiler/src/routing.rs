@@ -110,6 +110,31 @@ fn emit_instruction(
     Ok(())
 }
 
+/// Walk a blocked gate's operands together: SWAP the first operand along a
+/// BFS shortest path until it is adjacent to the second. Returns the number
+/// of SWAPs inserted.
+fn walk_together(
+    out: &mut Circuit,
+    mapping: &mut LiveMapping,
+    backend: &Backend,
+    inst: &Instruction,
+) -> Result<usize, TranspilerError> {
+    let (a, b) = (mapping.phys(inst.qubits[0]), mapping.phys(inst.qubits[1]));
+    let path = backend.coupling_map().shortest_path(a, b).ok_or_else(|| {
+        TranspilerError::RoutingStuck(format!(
+            "no path between physical qubits {a} and {b} on device '{}'",
+            backend.name()
+        ))
+    })?;
+    // Walk the first operand along the path until adjacent to b.
+    let hops = path.len().saturating_sub(2);
+    for window in path.windows(2).take(hops) {
+        emit_swap(out, window[0], window[1])?;
+        mapping.swap_physical(window[0], window[1]);
+    }
+    Ok(hops)
+}
+
 fn route_shortest_path(
     circuit: &Circuit,
     backend: &Backend,
@@ -128,18 +153,7 @@ fn route_shortest_path(
         if inst.is_two_qubit_gate() {
             let (a, b) = (mapping.phys(inst.qubits[0]), mapping.phys(inst.qubits[1]));
             if !map.has_edge(a, b) {
-                let path = map.shortest_path(a, b).ok_or_else(|| {
-                    TranspilerError::RoutingStuck(format!(
-                        "no path between physical qubits {a} and {b} on device '{}'",
-                        backend.name()
-                    ))
-                })?;
-                // Walk the first operand along the path until adjacent to b.
-                for window in path.windows(2).take(path.len().saturating_sub(2)) {
-                    emit_swap(&mut out, window[0], window[1])?;
-                    mapping.swap_physical(window[0], window[1]);
-                    swaps += 1;
-                }
+                swaps += walk_together(&mut out, &mut mapping, backend, inst)?;
             }
         }
         emit_instruction(&mut out, inst, &mapping)?;
@@ -210,44 +224,30 @@ fn route_sabre(
         candidates.sort_unstable();
         candidates.dedup();
 
+        // Each candidate is scored once; `min_by` keeps the first minimum.
         let score = |candidate: (usize, usize)| -> f64 {
-            let mut trial = mapping.clone();
-            trial.swap_physical(candidate.0, candidate.1);
             let front_cost: f64 = pair_cost(&front_pairs, candidate, &dist);
             let look_cost: f64 = pair_cost(&lookahead_pairs, candidate, &dist);
             front_cost + SABRE_LOOKAHEAD_WEIGHT * look_cost / lookahead_pairs.len().max(1) as f64
         };
-
         let current_front_cost = pair_cost(&front_pairs, (usize::MAX, usize::MAX), &dist);
-        let best = candidates.iter().copied().min_by(|&c1, &c2| {
-            score(c1)
-                .partial_cmp(&score(c2))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let best = candidates
+            .iter()
+            .map(|&candidate| (candidate, score(candidate)))
+            .min_by(|(_, s1), (_, s2)| s1.partial_cmp(s2).unwrap_or(std::cmp::Ordering::Equal));
 
         stall += 1;
         if stall > SABRE_MAX_STALL || best.is_none() {
             // Deterministic fallback: move the blocked pair together directly.
-            let (a, b) = (mapping.phys(inst.qubits[0]), mapping.phys(inst.qubits[1]));
-            let path = map.shortest_path(a, b).ok_or_else(|| {
-                TranspilerError::RoutingStuck(format!(
-                    "no path between physical qubits {a} and {b} on device '{}'",
-                    backend.name()
-                ))
-            })?;
-            for window in path.windows(2).take(path.len().saturating_sub(2)) {
-                emit_swap(&mut out, window[0], window[1])?;
-                mapping.swap_physical(window[0], window[1]);
-                swaps += 1;
-            }
+            swaps += walk_together(&mut out, &mut mapping, backend, inst)?;
             stall = 0;
             continue;
         }
 
-        let chosen = best.expect("candidate list checked non-empty above");
+        let (chosen, chosen_score) = best.expect("candidate list checked non-empty above");
         // Only accept swaps that do not make the front layer strictly worse;
         // otherwise fall through to the deterministic path on the next stall.
-        let improves = score(chosen) <= current_front_cost + f64::EPSILON;
+        let improves = chosen_score <= current_front_cost + f64::EPSILON;
         if improves {
             emit_swap(&mut out, chosen.0, chosen.1)?;
             mapping.swap_physical(chosen.0, chosen.1);

@@ -8,7 +8,9 @@ use qrio_backend::fleet::{generate_fleet, FleetConfig};
 use qrio_backend::{topology, Backend, CouplingMap};
 use qrio_circuit::{library, qasm};
 use qrio_meta::{canary_fidelity_on_backend, FidelityRankingConfig};
-use qrio_sim::{run_ideal, StabilizerSimulator};
+use qrio_sim::{
+    run_ideal, run_with_noise_path, ExecutionPath, NoiseModel, ParallelConfig, StabilizerSimulator,
+};
 use qrio_transpiler::{deflate, transpile};
 
 #[test]
@@ -76,6 +78,57 @@ fn clifford_canary_of_every_benchmark_is_clifford_and_structurally_faithful() {
         assert_eq!(canary.num_qubits(), circuit.num_qubits());
     }
 }
+
+/// What the router emits is what every execution and every canary score
+/// runs, so every report and journal digest sits on top of it. The constant
+/// was measured before the router's shared walk helper and score-once loop
+/// went in; a routing refactor must not move it.
+#[test]
+fn routed_circuits_digest_is_pinned() {
+    let mut circuits: Vec<_> = (3..=8).map(|n| library::ghz(n).unwrap()).collect();
+    circuits.push(library::bernstein_vazirani(5, 0b10110).unwrap());
+    circuits.extend((3..=5).map(|n| library::qft(n).unwrap()));
+    circuits.extend((0..4).map(|seed| library::random_clifford_circuit(7, 5, seed).unwrap()));
+    let devices = [
+        Backend::uniform("line", topology::line(8), 0.01, 0.05),
+        Backend::uniform("ring", topology::ring(8), 0.01, 0.05),
+        Backend::uniform("grid", topology::grid(3, 3), 0.01, 0.05),
+        Backend::uniform("heavy", topology::heavy_square(9), 0.01, 0.05),
+    ];
+    let mut text = String::new();
+    for backend in &devices {
+        for circuit in &circuits {
+            text.push_str(&qasm::to_qasm(
+                &transpile(circuit, backend).unwrap().circuit,
+            ));
+        }
+    }
+    assert_eq!(qrio_bytes::fnv1a(&text), ROUTED_CIRCUITS_DIGEST);
+}
+
+const ROUTED_CIRCUITS_DIGEST: u64 = 0x4f73_77e6_c246_75ef;
+
+/// The histogram `bench_sim --canary` writes (same circuit, noise model,
+/// shots and seed), pinned as a constant measured before the simulator's
+/// shared Clifford table, collapse and shot walker went in: the Pauli-frame
+/// path at 1 / 2 / 8 threads and per-shot replay must all still produce it.
+#[test]
+fn noisy_canary_histogram_digest_is_pinned() {
+    let canary = library::random_clifford_circuit(20, 8, 7).unwrap();
+    let noise = NoiseModel::uniform(20, 0.01, 0.05, 0.02);
+    let digest = |threads: usize, path: ExecutionPath| {
+        let parallel = ParallelConfig::with_threads(threads);
+        let counts = run_with_noise_path(&canary, &noise, 1024, 13, &parallel, path).unwrap();
+        let text: String = counts.iter().map(|(o, c)| format!("{o}:{c};")).collect();
+        qrio_bytes::fnv1a(&text)
+    };
+    assert_eq!(digest(1, ExecutionPath::Replay), NOISY_CANARY_DIGEST);
+    for threads in [1, 2, 8] {
+        assert_eq!(digest(threads, ExecutionPath::Frame), NOISY_CANARY_DIGEST);
+    }
+}
+
+const NOISY_CANARY_DIGEST: u64 = 0x6537_9127_f17a_6035;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
