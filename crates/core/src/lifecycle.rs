@@ -341,7 +341,9 @@ pub(crate) struct LifecycleStore {
     /// on insert, so every tick reads it without re-sorting. `pub(crate)`
     /// for durability snapshots.
     pub(crate) pending: Vec<(u8, u64, String)>,
-    /// Bound jobs waiting for their device, FIFO per device.
+    /// Bound jobs waiting for their device, FIFO per device: a job is
+    /// `Scheduled` if and only if its name is exactly once in here, in the
+    /// queue of its `status.node`. A queue that empties is removed.
     pub(crate) device_queues: BTreeMap<String, VecDeque<String>>,
     /// Dead-letter queue: names of jobs whose retry policy was exhausted,
     /// in the order they were routed here. `pub(crate)` for durability
@@ -491,18 +493,40 @@ impl LifecycleStore {
         self.pending.retain(|(_, _, queued)| queued != name);
     }
 
-    /// Drop a job from whichever device queue holds it, pruning the queue
-    /// when it empties.
-    pub(crate) fn remove_from_device_queues(&mut self, name: &str) {
-        for queue in self.device_queues.values_mut() {
-            queue.retain(|queued| queued != name);
-        }
-        self.device_queues.retain(|_, queue| !queue.is_empty());
+    /// Append a freshly bound job to the tail of `device`'s queue — the one
+    /// push behind "a job is `Scheduled` iff it is exactly once in the queue
+    /// of its `status.node`".
+    pub(crate) fn join_device_queue(&mut self, device: &str, name: &str) {
+        self.device_queues
+            .entry(device.to_string())
+            .or_default()
+            .push_back(name.to_string());
     }
 
-    /// Whether any device queue still holds work.
+    /// Take a `Scheduled` job out of the queue of the device it is bound to
+    /// (it is about to run, move or be cancelled), pruning the queue when it
+    /// empties. Only that one queue is looked at, head first: the head is
+    /// what `tick()`, `execute` and `interrupt` take.
+    pub(crate) fn leave_device_queue(&mut self, name: &str) {
+        let tracked = self.jobs.get(name);
+        let Some(device) = tracked.and_then(|tracked| tracked.status.node.as_deref()) else {
+            return;
+        };
+        let Some(queue) = self.device_queues.get_mut(device) else {
+            return;
+        };
+        if let Some(at) = queue.iter().position(|queued| queued == name) {
+            queue.remove(at);
+        }
+        if queue.is_empty() {
+            self.device_queues.remove(device);
+        }
+    }
+
+    /// Whether any device queue still holds work (an empty queue is pruned,
+    /// never kept).
     pub(crate) fn has_bound_work(&self) -> bool {
-        self.device_queues.values().any(|queue| !queue.is_empty())
+        !self.device_queues.is_empty()
     }
 
     /// Whether any job is sitting in `Retrying`, waiting out its backoff.

@@ -28,7 +28,10 @@
 //! [`Qrio::execute`] runs one bound job, [`Qrio::rank_ready`] re-ranks a job
 //! over the currently-ready fleet, [`Qrio::rebind`] migrates a waiting job,
 //! and [`Qrio::recalibrate_device`] applies a calibration refresh to the
-//! meta server and the cluster in one step.
+//! meta server and the cluster in one step. They and `tick()` work on the
+//! same per-device FIFOs ([`Qrio::device_queue`]): a job is `Scheduled`
+//! exactly while it waits in the queue of the device it is bound to, whoever
+//! bound it, so a simulator keeps no queue of its own.
 //!
 //! # Map
 //!
@@ -36,7 +39,7 @@
 //! so its fields stay private to this file and its children:
 //!
 //! * this file — the struct, [`JobOutcome`], [`AdmissionGate`], the
-//!   constructors and the read accessors;
+//!   constructors and the read accessors (`device_queue` among them);
 //! * `fleet` — devices and what is done to them: `add_device*`, `add_fleet`,
 //!   `recalibrate_device`, `cordon_device` / `uncordon_device`,
 //!   `heal_devices`, `configure_faults`, `configure_breakers`,
@@ -225,6 +228,17 @@ impl Qrio {
             .iter()
             .map(|name| JobId::new(name.as_str()))
             .collect()
+    }
+
+    /// The jobs bound to `device` and waiting for it, next to run first. A
+    /// job is `Scheduled` exactly while it is in here, in the queue of the
+    /// device it is bound to, whoever bound it ([`Qrio::tick`] admission or
+    /// [`Qrio::schedule`]); [`Qrio::rebind`] moves it to the tail of the
+    /// target's queue. Empty for an idle or unknown device.
+    pub fn device_queue(&self, device: &str) -> impl ExactSizeIterator<Item = &str> {
+        let queue = self.lifecycle.device_queues.get(device);
+        let names = queue.map(|queue| queue.iter()).unwrap_or_default();
+        names.map(String::as_str)
     }
 
     /// The virtual timestamp of the service loop: how many [`Qrio::tick`]

@@ -140,9 +140,13 @@ impl Qrio {
         // The event names the device whose binding the cancellation frees
         // (None for jobs cancelled before they were bound).
         let node = status.node.clone();
+        let bound = status.state == JobState::Scheduled;
         self.cluster.cancel_job(id.as_str(), "cancelled by user")?;
-        self.lifecycle.remove_pending(id.as_str());
-        self.lifecycle.remove_from_device_queues(id.as_str());
+        if bound {
+            self.lifecycle.leave_device_queue(id.as_str());
+        } else {
+            self.lifecycle.remove_pending(id.as_str());
+        }
         self.lifecycle.record(
             id.as_str(),
             JobState::Cancelled,
@@ -278,11 +282,11 @@ impl Qrio {
         });
     }
 
-    /// Decide admission for one queued job and, when it schedules, append it
-    /// to the tail of its device's execution queue — the single bookkeeping
-    /// path every service-loop admission (regular or forced) goes through.
-    /// With `force`, a job that would be deferred is pushed through the
-    /// scheduler anyway so it reaches a recorded verdict.
+    /// Decide admission for one queued job — the single path every
+    /// service-loop admission (regular or forced) goes through; a job that
+    /// schedules joins its device's queue in [`Qrio::schedule_queued`]. With
+    /// `force`, a job that would be deferred is pushed through the scheduler
+    /// anyway so it reaches a recorded verdict.
     pub(super) fn admit_and_bind(&mut self, name: &str, force: bool) -> Admitted {
         let job = self
             .cluster
@@ -307,14 +311,7 @@ impl Qrio {
         }
         self.sync_telemetry();
         match self.schedule_queued(name) {
-            Ok(decision) => {
-                self.lifecycle
-                    .device_queues
-                    .entry(decision.node)
-                    .or_default()
-                    .push_back(name.to_string());
-                Admitted::Scheduled
-            }
+            Ok(_) => Admitted::Scheduled,
             // A rejected binding is transient (schedule_queued left the job
             // Queued): report it as deferred, not failed, so the service
             // loop retries instead of mislabelling a live job.

@@ -63,13 +63,7 @@ impl Qrio {
         // Execution: the head of every device queue is the binding that
         // *should* run now; emit one `Run` command per planned pair — one
         // job per device per tick, device-name order.
-        for (device, name) in self.plan_executions() {
-            let popped = self
-                .lifecycle
-                .device_queues
-                .get_mut(&device)
-                .and_then(|queue| queue.pop_front());
-            debug_assert_eq!(popped.as_deref(), Some(name.as_str()));
+        for name in self.plan_executions() {
             let _ = self.run_bound(&name, false);
             let bucket = match self.lifecycle.state(&name) {
                 Some(JobState::Retrying) => &mut report.retried,
@@ -77,9 +71,6 @@ impl Qrio {
             };
             bucket.push(JobId::new(name));
         }
-        self.lifecycle
-            .device_queues
-            .retain(|_, queue| !queue.is_empty());
         // Fold any still-unread reports (fire-and-forget acknowledgements,
         // telemetry) into the observed table. With real worker threads these
         // may lag the commands that caused them; this is where stale
@@ -91,19 +82,13 @@ impl Qrio {
         report
     }
 
-    /// The next `(device, job)` pair to dispatch for every device, in name
-    /// order: the head of each device queue. The observed per-node reports
-    /// are not consulted — dispatch is a blocking round trip, so no device
-    /// has an unfinished run when a tick plans.
-    fn plan_executions(&self) -> Vec<(String, String)> {
-        self.lifecycle
-            .device_queues
-            .iter()
-            .filter_map(|(device, queue)| {
-                let job = queue.front()?;
-                Some((device.clone(), job.clone()))
-            })
-            .collect()
+    /// The next job to dispatch for every device, in device-name order: the
+    /// head of each device queue. The observed per-node reports are not
+    /// consulted — dispatch is a blocking round trip, so no device has an
+    /// unfinished run when a tick plans.
+    fn plan_executions(&self) -> Vec<String> {
+        let queues = self.lifecycle.device_queues.values();
+        queues.filter_map(|queue| queue.front().cloned()).collect()
     }
 
     /// Queued / Retrying jobs whose absolute deadline has passed, each with
@@ -151,7 +136,6 @@ impl Qrio {
             .cluster
             .cancel_job(name, format!("deadline exceeded at t={deadline}"));
         self.lifecycle.remove_pending(name);
-        self.lifecycle.remove_from_device_queues(name);
         let err = ClusterError::DeadlineExceeded {
             job: name.to_string(),
             deadline,
@@ -288,9 +272,9 @@ impl Qrio {
     /// Unlike [`Qrio::tick`], this primitive does **not** refresh telemetry
     /// from the cluster registry first — it scores against whatever
     /// [`Qrio::report_telemetry`] last reported, which is exactly what
-    /// virtual-time simulators need. A job bound through this primitive is
-    /// the caller's to run (via [`Qrio::execute`]) — the `tick()` service
-    /// loop only executes jobs it admitted itself.
+    /// virtual-time simulators need. A bound job joins the tail of its
+    /// device's queue ([`Qrio::device_queue`]); [`Qrio::execute`] it yourself
+    /// or let [`Qrio::tick`] reach it.
     ///
     /// # Errors
     ///
@@ -316,10 +300,7 @@ impl Qrio {
     pub fn execute(&mut self, id: &JobId) -> Result<(), QrioError> {
         let result = self
             .require_state(id, "execute", JobState::Scheduled)
-            .and_then(|()| {
-                self.lifecycle.remove_from_device_queues(id.as_str());
-                self.run_bound(id.as_str(), false)
-            });
+            .and_then(|()| self.run_bound(id.as_str(), false));
         self.journal_attempt(result, || Command::Execute {
             job: id.to_string(),
         })
@@ -341,10 +322,7 @@ impl Qrio {
     pub fn interrupt(&mut self, id: &JobId) -> Result<(), QrioError> {
         let result = self
             .require_state(id, "interrupt", JobState::Scheduled)
-            .and_then(|()| {
-                self.lifecycle.remove_from_device_queues(id.as_str());
-                self.run_bound(id.as_str(), true)
-            });
+            .and_then(|()| self.run_bound(id.as_str(), true));
         self.journal_attempt(result, || Command::Interrupt {
             job: id.to_string(),
         })
@@ -421,21 +399,10 @@ impl Qrio {
             return Ok(());
         }
         self.cluster.rebind_job(id.as_str(), target)?;
-        // Keep the tick()-loop queues consistent: the job leaves its old
-        // device queue and joins the tail of the new one.
-        let was_queued = self
-            .lifecycle
-            .device_queues
-            .values()
-            .any(|queue| queue.iter().any(|name| name == id.as_str()));
-        self.lifecycle.remove_from_device_queues(id.as_str());
-        if was_queued {
-            self.lifecycle
-                .device_queues
-                .entry(target.to_string())
-                .or_default()
-                .push_back(id.as_str().to_string());
-        }
+        // The job leaves its old device's queue and joins the tail of the
+        // new one.
+        self.lifecycle.leave_device_queue(id.as_str());
+        self.lifecycle.join_device_queue(target, id.as_str());
         // The stored decision must follow the job: outcome() reports the
         // device that will actually run it. The candidate list keeps
         // documenting the original scheduling cycle; the score moves with
@@ -466,7 +433,10 @@ impl Qrio {
     }
 
     /// Schedule a job known to be `Queued`: run the scheduling cycle, hand
-    /// what it found to the cluster to bind, and update lifecycle state.
+    /// what it found to the cluster to bind, and update lifecycle state — the
+    /// one place a binding is recorded, so the one place a job joins its
+    /// device's queue ([`Qrio::tick`] admission, the forced verdict and
+    /// [`Qrio::schedule`] all bind here).
     pub(super) fn schedule_queued(&mut self, name: &str) -> Result<ScheduleDecision, QrioError> {
         let job = self
             .cluster
@@ -488,6 +458,7 @@ impl Qrio {
         match bound {
             Ok(decision) => {
                 self.lifecycle.remove_pending(name);
+                self.lifecycle.join_device_queue(&decision.node, name);
                 let node = Some(decision.node.clone());
                 self.lifecycle
                     .record(name, JobState::Scheduled, node, None)
@@ -510,9 +481,9 @@ impl Qrio {
 
     // --- Execution -----------------------------------------------------------------------
 
-    /// One attempt of a job known to be `Scheduled` (already removed from
-    /// any device queue): enter `Running`, make the attempt, settle what it
-    /// returned. The attempt is an execution on the node's agent or, when
+    /// One attempt of a job known to be `Scheduled`: leave its device's
+    /// queue, enter `Running`, make the attempt, settle what it returned.
+    /// The attempt is an execution on the node's agent or, when
     /// `interrupted`, the device flap that kept it from happening. The
     /// attempt number passed to the cluster makes injected-fault decisions
     /// attempt-aware, so a retried job can draw a different verdict than its
@@ -521,6 +492,7 @@ impl Qrio {
         let tracked = self.lifecycle.jobs.get(name);
         let node = tracked.and_then(|tracked| tracked.status.node.clone());
         let attempt = tracked.map_or(0, |tracked| tracked.attempt);
+        self.lifecycle.leave_device_queue(name);
         self.lifecycle
             .record(name, JobState::Running, node.clone(), None);
         let result = if interrupted {

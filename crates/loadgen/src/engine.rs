@@ -15,14 +15,16 @@
 //! metadata upload to the meta server (strategy validation included),
 //! containerization through the master server, image push and job
 //! submission. The engine then reports its virtual device load (queue depth
-//! and busy fraction from its own queues) through
-//! [`Qrio::report_telemetry`] and binds the job with the lifecycle
-//! primitive [`Qrio::schedule`] — the same filter + meta-rank cycle the
-//! service loop runs. The chosen device's queue is then simulated in
-//! virtual time: each device executes one job at a time; its service time
-//! is `(serviceBaseUs + shots·servicePerShotUs) / speed`. When a job
-//! reaches the head of the queue, the engine calls [`Qrio::execute`], which
-//! transpiles and simulates the circuit under the device's *current*
+//! read from the orchestrator's device queue, busy fraction from its own
+//! service model) through [`Qrio::report_telemetry`] and binds the job with
+//! the lifecycle primitive [`Qrio::schedule`] — the same filter + meta-rank
+//! cycle the service loop runs — which puts it at the tail of the chosen
+//! device's queue. The engine keeps no queue of its own: it reads
+//! [`Qrio::device_queue`] and adds only *time*. Each device serves the head
+//! of its queue, one job at a time, for
+//! `(serviceBaseUs + shots·servicePerShotUs) / speed`; when that window
+//! elapses the engine calls [`Qrio::execute`], which takes the job off the
+//! queue, transpiles and simulates the circuit under the device's *current*
 //! (possibly drifted) noise model — so calibration drift degrades the
 //! fidelity of jobs executed after the drift, producing a real
 //! fidelity-vs-load signal.
@@ -31,11 +33,11 @@
 //! [`Qrio::recalibrate_device`] (bumping the calibration revision, which
 //! invalidates memoized scores), then re-rank every *waiting* job with
 //! [`Qrio::rank_ready`]; jobs whose best device changed migrate via
-//! [`Qrio::rebind`]. Outages cordon the node and force-migrate its waiting
-//! queue (the in-flight job finishes its window).
+//! [`Qrio::rebind`] (to the tail of the target's queue). Outages interrupt
+//! the in-flight job, cordon the node and force-migrate its waiting queue.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use qrio::{
     BreakerConfig, BreakerState, DeviceTelemetry, FidelityRankingConfig, JobId, JobRequestBuilder,
@@ -70,19 +72,15 @@ enum EventKind {
     /// The next arrival of one tenant's stream.
     Arrival { tenant: usize },
     /// `job`, in flight on `device`, finishes its service window. Stale once
-    /// the job was interrupted by an outage — `job` no longer matches the
-    /// device's `busy_with`, and the event is ignored.
+    /// the job was interrupted by an outage — the device is idle or the head
+    /// of its queue is another job, and the event is ignored.
     Completion { device: String, job: String },
-    /// A calibration-drift event (`index` into `Scenario::events`, so the
-    /// exact `f64` factor is read back without quantization).
-    Drift { index: usize },
-    /// An outage begins.
-    OutageStart { device: String, down_ms: u64 },
+    /// A drift, outage or fault-rate event of the scenario's timeline
+    /// (`index` into `Scenario::events`, so every `f64` is read back
+    /// without quantization).
+    Timeline { index: usize },
     /// An outage ends.
     OutageEnd { device: String },
-    /// A `faults` timeline event reconfigures the fault injector (`index`
-    /// into `Scenario::events`, so rates are read back exactly).
-    FaultRates { index: usize },
     /// `job`'s backoff elapsed: kick the retry and re-bind it.
     Retry { job: String },
     /// A tripped breaker's open window elapsed: probe `device`.
@@ -113,13 +111,14 @@ impl PartialOrd for Event {
     }
 }
 
-/// The virtual queue state of one device.
+/// The service model of one device: *when* it serves. *What* it serves is
+/// the orchestrator's queue for the device ([`Qrio::device_queue`]).
 #[derive(Debug, Default)]
 struct DeviceSim {
-    /// Waiting job names, FIFO.
-    queue: VecDeque<String>,
-    /// The in-flight job, if any.
-    busy_with: Option<String>,
+    /// When the in-flight job started; while this is `Some`, that job is the
+    /// head of the device's queue (nothing but its own `execute` or
+    /// `interrupt` takes a head, and both clear this first).
+    busy_since: Option<u64>,
     /// Accumulated busy time (ms).
     busy_ms: u64,
     /// Largest queue length observed (waiting + in-flight).
@@ -212,7 +211,6 @@ struct Engine<'s> {
     rejected_by_tenant: BTreeMap<String, u64>,
     samples: Vec<JobSample>,
     jobs: BTreeMap<String, JobTrack>,
-    start_times: BTreeMap<String, u64>,
     rejected: u64,
     execution_failures: u64,
     migrations: u64,
@@ -282,7 +280,6 @@ impl<'s> Engine<'s> {
             rejected_by_tenant: BTreeMap::new(),
             samples: Vec::new(),
             jobs: BTreeMap::new(),
-            start_times: BTreeMap::new(),
             rejected: 0,
             execution_failures: 0,
             migrations: 0,
@@ -301,7 +298,7 @@ impl<'s> Engine<'s> {
 
     fn run(mut self) -> Result<(CloudReport, Vec<qrio::JobEvent>), LoadgenError> {
         // Seed the timeline: one first arrival per tenant, plus the scenario's
-        // drift/outage events.
+        // drift / outage / fault-rate events.
         for tenant in 0..self.scenario.tenants.len() {
             let gap = self.samplers[tenant].next_gap_ms(0);
             if gap < self.scenario.duration_ms {
@@ -310,19 +307,7 @@ impl<'s> Engine<'s> {
         }
         let scenario = self.scenario;
         for (index, event) in scenario.events.iter().enumerate() {
-            match event.clone() {
-                ScenarioEvent::Drift { at_ms, .. } => {
-                    self.push_event(at_ms, EventKind::Drift { index })
-                }
-                ScenarioEvent::Outage {
-                    at_ms,
-                    device,
-                    down_ms,
-                } => self.push_event(at_ms, EventKind::OutageStart { device, down_ms }),
-                ScenarioEvent::Faults { at_ms, .. } => {
-                    self.push_event(at_ms, EventKind::FaultRates { index })
-                }
-            }
+            self.push_event(event.at_ms(), EventKind::Timeline { index });
         }
 
         while let Some(event) = self.heap.pop() {
@@ -330,35 +315,30 @@ impl<'s> Engine<'s> {
             self.makespan = self.makespan.max(event.time);
             match event.kind {
                 EventKind::Arrival { tenant } => self.on_arrival(tenant)?,
-                EventKind::Completion { device, job } => self.on_completion(&device, &job)?,
-                EventKind::Drift { index } => {
-                    let ScenarioEvent::Drift {
+                EventKind::Completion { device, job } => self.on_completion(&device, &job),
+                EventKind::Timeline { index } => match &scenario.events[index] {
+                    ScenarioEvent::Drift {
                         device,
                         error_factor,
                         ..
-                    } = &scenario.events[index]
-                    else {
-                        unreachable!("drift events index only Drift entries");
-                    };
-                    self.on_drift(device, *error_factor)?;
-                }
-                EventKind::OutageStart { device, down_ms } => {
-                    self.on_outage_start(&device, down_ms)
-                }
-                EventKind::OutageEnd { device } => self.on_outage_end(&device),
-                EventKind::FaultRates { index } => {
-                    let ScenarioEvent::Faults {
+                    } => self.on_drift(device, *error_factor)?,
+                    ScenarioEvent::Outage {
+                        device, down_ms, ..
+                    } => self.on_outage_start(device, *down_ms),
+                    ScenarioEvent::Faults {
                         transient_rate,
                         calibration_rate,
                         slow_rate,
                         flap_rate,
                         ..
-                    } = &scenario.events[index]
-                    else {
-                        unreachable!("fault-rate events index only Faults entries");
-                    };
-                    self.on_fault_rates(*transient_rate, *calibration_rate, *slow_rate, *flap_rate);
-                }
+                    } => self.on_fault_rates(
+                        *transient_rate,
+                        *calibration_rate,
+                        *slow_rate,
+                        *flap_rate,
+                    ),
+                },
+                EventKind::OutageEnd { device } => self.on_outage_end(&device),
                 EventKind::Retry { job } => self.on_retry(&job),
                 EventKind::Probe { device } => self.on_probe(&device),
             }
@@ -451,147 +431,110 @@ impl<'s> Engine<'s> {
     }
 
     /// One scheduling cycle for a `Queued` job, first submission and retry
-    /// alike: report the virtual-queue telemetry, bind via filter +
-    /// meta-rank, note the queue depth the job met at its device — in
-    /// `fresh`, the track of a job bound for the first time, or in the one a
-    /// retried job already has — and enter that device's virtual queue.
-    /// `false` when `schedule` found no device and settled the job `Failed`
-    /// (terminal); the caller counts it.
+    /// alike: report the virtual-time telemetry, bind via filter + meta-rank
+    /// (which puts the job at the tail of its device's queue), note the
+    /// queue depth the job met there — in `fresh`, the track of a job bound
+    /// for the first time, or in the one a retried job already has — and
+    /// start it when the device is idle. `false` when `schedule` found no
+    /// device and settled the job `Failed` (terminal); the caller counts it.
     fn bind(&mut self, job_id: &JobId, fresh: Option<JobTrack>) -> bool {
         let reports = self.telemetry_snapshot();
         self.qrio.report_telemetry(reports);
         let Ok(decision) = self.qrio.schedule(job_id) else {
             return false;
         };
-        let device = decision.node;
-        let sim = self
-            .devices
-            .get(&device)
-            .expect("scheduler only binds to registered devices");
-        let depth = sim.queue.len() + usize::from(sim.busy_with.is_some());
-        let job_name = job_id.to_string();
         if let Some(track) = fresh {
-            self.jobs.insert(job_name.clone(), track);
+            self.jobs.insert(job_id.to_string(), track);
         }
-        if let Some(track) = self.jobs.get_mut(&job_name) {
-            track.queue_depth_at_bind = depth;
+        if let Some(track) = self.jobs.get_mut(job_id.as_str()) {
+            // Everything ahead of the job in the queue it just joined.
+            track.queue_depth_at_bind = self.qrio.device_queue(&decision.node).len() - 1;
         }
-        self.enqueue(&device, job_name);
+        self.joined(&decision.node);
         true
     }
 
-    /// Put a bound job at the tail of a device's virtual queue, starting it
-    /// immediately when the device is idle.
-    fn enqueue(&mut self, device: &str, job_name: String) {
-        let sim = self.devices.get_mut(device).expect("device exists");
-        sim.queue.push_back(job_name);
-        let occupancy = sim.queue.len() + usize::from(sim.busy_with.is_some());
-        sim.peak_queue = sim.peak_queue.max(occupancy);
-        if sim.busy_with.is_none() && !sim.cordoned {
-            self.start_next(device);
-        }
+    /// The service model of `device`.
+    fn sim(&mut self, device: &str) -> &mut DeviceSim {
+        self.devices
+            .get_mut(device)
+            .expect("bindings and validated scenario events name fleet devices only")
     }
 
-    /// Start the next waiting job on an idle device.
+    /// A job joined the tail of `device`'s queue (bound or migrated there):
+    /// note the occupancy and start the job when the device is idle.
+    fn joined(&mut self, device: &str) {
+        let occupancy = self.qrio.device_queue(device).len();
+        let sim = self.sim(device);
+        sim.peak_queue = sim.peak_queue.max(occupancy);
+        self.start_next(device);
+    }
+
+    /// Put the head of `device`'s queue in flight, when the device is idle,
+    /// serving and has one.
     fn start_next(&mut self, device: &str) {
-        let shots = {
-            let sim = self.devices.get_mut(device).expect("device exists");
-            debug_assert!(sim.busy_with.is_none());
-            let Some(job_name) = sim.queue.pop_front() else {
-                return;
-            };
-            sim.busy_with = Some(job_name.clone());
-            let shots = self
-                .qrio
-                .cluster()
-                .job(&job_name)
-                .map(|j| j.spec().shots)
-                .unwrap_or(1);
-            self.start_times.insert(job_name, self.now);
-            shots
+        let sim = self.sim(device);
+        if sim.cordoned || sim.busy_since.is_some() {
+            return;
+        }
+        let speed = sim.speed;
+        let Some(job) = self.qrio.device_queue(device).next() else {
+            return;
         };
-        let sim = self.devices.get_mut(device).expect("device exists");
+        let shots = self.qrio.cluster().job(job).map_or(1, |j| j.spec().shots);
         let service_us =
             self.scenario.service_base_us + shots.saturating_mul(self.scenario.service_per_shot_us);
-        let service_ms = ((service_us as f64 / sim.speed / 1000.0).ceil() as u64).max(1);
+        let service_ms = ((service_us as f64 / speed / 1000.0).ceil() as u64).max(1);
+        let completion = EventKind::Completion {
+            device: device.to_string(),
+            job: job.to_string(),
+        };
         // Busy time is charged as it elapses (at completion, and pro rata in
         // telemetry), not up front.
-        let finish = self.now + service_ms;
-        let job = self
-            .devices
-            .get(device)
-            .and_then(|sim| sim.busy_with.clone())
-            .expect("start_next just set busy_with");
-        self.push_event(
-            finish,
-            EventKind::Completion {
-                device: device.to_string(),
-                job,
-            },
-        );
+        self.push_event(self.now + service_ms, completion);
+        self.sim(device).busy_since = Some(self.now);
     }
 
     // --- Completions ---------------------------------------------------------------------
 
-    fn on_completion(&mut self, device: &str, job: &str) -> Result<(), LoadgenError> {
-        {
-            let sim = self.devices.get_mut(device).expect("device exists");
-            // Stale event: the job was interrupted (outage) before its window
-            // elapsed, so the device is busy with something else (or idle).
-            if sim.busy_with.as_deref() != Some(job) {
-                return Ok(());
-            }
-            sim.busy_with = None;
+    fn on_completion(&mut self, device: &str, job: &str) {
+        // Stale event: the job was interrupted (outage) before its window
+        // elapsed, so the device is idle or serving another head.
+        if self.qrio.device_queue(device).next() != Some(job) {
+            return;
         }
-        let job_name = job.to_string();
+        let now = self.now;
+        let sim = self.sim(device);
+        let Some(start_ms) = sim.busy_since.take() else {
+            return;
+        };
+        sim.busy_ms += now - start_ms;
         // Execute the container on the node: transpile + simulate under the
         // device's *current* (possibly drifted) noise model. The fault
         // injector (if configured) is consulted inside this call.
-        let run = self.qrio.execute(&JobId::new(&job_name));
-        let fidelity = match &run {
-            Ok(()) => self
-                .qrio
-                .cluster()
-                .job(&job_name)
-                .and_then(|j| j.achieved_fidelity()),
-            Err(_) => None,
-        };
-        let track = self
-            .jobs
-            .get(&job_name)
-            .expect("completed jobs were tracked at bind time")
-            .clone();
-        let start_ms = self
-            .start_times
-            .remove(&job_name)
-            .expect("started jobs have a start time");
-        {
-            let sim = self.devices.get_mut(device).expect("device exists");
-            sim.busy_ms += self.now - start_ms;
-        }
-        match run {
+        match self.qrio.execute(&JobId::new(job)) {
             Ok(()) => {
-                let sim = self.devices.get_mut(device).expect("device exists");
-                sim.completed += 1;
+                self.sim(device).completed += 1;
+                let track = self
+                    .jobs
+                    .get(job)
+                    .expect("a job is tracked from its first bind on");
+                let ran = self.qrio.cluster().job(job);
                 self.samples.push(JobSample {
-                    tenant: track.tenant,
+                    tenant: track.tenant.clone(),
                     device: device.to_string(),
                     arrival_ms: track.arrival_ms,
                     start_ms,
                     completion_ms: self.now,
                     queue_depth_at_bind: track.queue_depth_at_bind,
-                    fidelity,
+                    fidelity: ran.and_then(|j| j.achieved_fidelity()),
                     migrated: track.migrated,
                 });
             }
-            Err(error) => self.handle_failed_attempt(&job_name, &error),
+            Err(error) => self.handle_failed_attempt(job, &error),
         }
         self.note_breaker_state(device);
-        let sim = self.devices.get_mut(device).expect("device exists");
-        if !sim.cordoned && sim.busy_with.is_none() && !sim.queue.is_empty() {
-            self.start_next(device);
-        }
-        Ok(())
+        self.start_next(device);
     }
 
     // --- Fault handling ------------------------------------------------------------------
@@ -620,23 +563,20 @@ impl<'s> Engine<'s> {
             self.execution_failures += 1;
             return;
         }
-        let (attempts, tenant_idx) = {
-            let track = self
-                .jobs
-                .get_mut(job_name)
-                .expect("failed jobs were tracked at bind time");
-            track.attempts += 1;
-            (track.attempts, track.tenant_idx)
-        };
-        let tenant = &self.scenario.tenants[tenant_idx];
+        let track = self
+            .jobs
+            .get_mut(job_name)
+            .expect("a job is tracked from its first bind on");
+        track.attempts += 1;
+        let tenant = &self.scenario.tenants[track.tenant_idx];
         let backoff = tenant
             .retry
             .as_ref()
             .expect("jobs only enter Retrying when the tenant set a retry policy")
             .backoff
-            .delay(0, "", attempts)
+            .delay(0, "", track.attempts)
             .max(1);
-        let arrival = self.jobs[job_name].arrival_ms;
+        let arrival = track.arrival_ms;
         let misses_deadline = tenant
             .deadline_ms
             .is_some_and(|deadline| self.now + backoff > arrival.saturating_add(deadline));
@@ -695,17 +635,13 @@ impl<'s> Engine<'s> {
         self.probe_pending.remove(device);
         self.chaos.breaker_probes += 1;
         if self.qrio.probe_device(device).unwrap_or(false) {
-            if let Some(sim) = self.devices.get_mut(device) {
-                sim.cordoned = false;
-                if sim.busy_with.is_none() && !sim.queue.is_empty() {
-                    self.start_next(device);
-                }
-            }
+            self.sim(device).cordoned = false;
+            self.start_next(device);
         }
     }
 
     /// After an execution outcome, mirror the breaker's verdict into the
-    /// engine's virtual queues: an `Open` breaker pauses the device (its
+    /// engine's service model: an `Open` breaker pauses the device (its
     /// waiting queue flees to the healthy fleet) and schedules exactly one
     /// probe for when the open window elapses.
     fn note_breaker_state(&mut self, device: &str) {
@@ -728,31 +664,25 @@ impl<'s> Engine<'s> {
                 device: device.to_string(),
             },
         );
-        if let Some(sim) = self.devices.get_mut(device) {
-            sim.cordoned = true;
-        }
+        self.sim(device).cordoned = true;
         self.rerank_waiting(Some(device));
     }
 
     // --- Telemetry -----------------------------------------------------------------------
 
-    /// Snapshot the current queue depth and utilization of every virtual
-    /// device — the live signal `weighted` and `min_queue` react to, fed to
-    /// the meta server via [`Qrio::report_telemetry`]. The reported queue
-    /// depth equals what the cluster counts as bound jobs (waiting +
-    /// in-flight); utilization is the device's busy fraction of elapsed
-    /// virtual time, with the in-flight job charged only for the portion
-    /// that has actually elapsed.
+    /// Snapshot the current queue depth and utilization of every device —
+    /// the live signal `weighted` and `min_queue` react to, fed to the meta
+    /// server via [`Qrio::report_telemetry`]. The queue depth is the length
+    /// of the orchestrator's queue for the device (waiting + in-flight);
+    /// utilization is the device's busy fraction of elapsed virtual time,
+    /// with the in-flight job charged only for the portion that has
+    /// actually elapsed.
     fn telemetry_snapshot(&self) -> Vec<(String, DeviceTelemetry)> {
         self.devices
             .iter()
             .map(|(name, sim)| {
-                let queue_depth = sim.queue.len() + usize::from(sim.busy_with.is_some());
-                let in_flight_ms = sim
-                    .busy_with
-                    .as_ref()
-                    .and_then(|job| self.start_times.get(job))
-                    .map_or(0, |&start| self.now - start);
+                let queue_depth = self.qrio.device_queue(name).len();
+                let in_flight_ms = sim.busy_since.map_or(0, |start| self.now - start);
                 let utilization = if self.now == 0 {
                     0.0
                 } else {
@@ -797,58 +727,42 @@ impl<'s> Engine<'s> {
         // may retry, per its policy) instead of letting its completion event
         // silently succeed later. Interrupt *before* cordoning so the
         // outage-end uncordon restores the node cleanly.
-        let in_flight = self
-            .devices
-            .get_mut(device)
-            .and_then(|sim| sim.busy_with.take());
-        if let Some(job_name) = in_flight {
-            let start_ms = self
-                .start_times
-                .remove(&job_name)
-                .expect("started jobs have a start time");
-            let sim = self.devices.get_mut(device).expect("device exists");
-            sim.busy_ms += self.now - start_ms;
+        let head = self.qrio.device_queue(device).next().map(str::to_string);
+        let now = self.now;
+        let sim = self.sim(device);
+        sim.cordoned = true;
+        if let (Some(start_ms), Some(job_name)) = (sim.busy_since.take(), head) {
+            sim.busy_ms += now - start_ms;
             self.chaos.interrupted += 1;
-            let error = self
-                .qrio
-                .interrupt(&JobId::new(&job_name))
-                .expect_err("interrupting a scheduled job always fails the attempt");
-            self.handle_failed_attempt(&job_name, &error);
+            // Interrupting a `Scheduled` job always fails the attempt.
+            if let Err(error) = self.qrio.interrupt(&JobId::new(&job_name)) {
+                self.handle_failed_attempt(&job_name, &error);
+            }
         }
-        if let Some(node) = self.qrio.cluster_mut().node_mut(device) {
-            node.cordon();
-        }
-        if let Some(sim) = self.devices.get_mut(device) {
-            sim.cordoned = true;
-        }
+        // Journaled and told to the node's agent, like any vendor's cordon.
+        let _ = self.qrio.cordon_device(device);
         self.push_event(
             self.now + down_ms.max(1),
             EventKind::OutageEnd {
                 device: device.to_string(),
             },
         );
-        // Waiting jobs flee to the healthy part of the fleet; the in-flight
-        // job finishes its window.
+        // Waiting jobs flee to the healthy part of the fleet.
         self.rerank_waiting(Some(device));
     }
 
     fn on_outage_end(&mut self, device: &str) {
-        if let Some(node) = self.qrio.cluster_mut().node_mut(device) {
-            node.uncordon();
-        }
-        if let Some(sim) = self.devices.get_mut(device) {
-            sim.cordoned = false;
-            if sim.busy_with.is_none() && !sim.queue.is_empty() {
-                self.start_next(device);
-            }
-        }
+        let _ = self.qrio.uncordon_device(device);
+        self.sim(device).cordoned = false;
+        self.start_next(device);
     }
 
     // --- Re-ranking / migration ----------------------------------------------------------
 
-    /// Re-rank waiting jobs through [`Qrio::rank_ready`] and migrate the
-    /// ones whose best device changed. `only` restricts the sweep to one
-    /// device's queue (outages); `None` sweeps every queue (drift).
+    /// Re-rank waiting jobs (every queue's, less the head a busy device has
+    /// in flight) through [`Qrio::rank_ready`] and migrate the ones whose
+    /// best device changed. `only` restricts the sweep to one device's queue
+    /// (outages); `None` sweeps every queue (drift).
     ///
     /// Jobs on a cordoned device migrate whenever *any* eligible device
     /// exists; elsewhere a strictly better score is required. Each job is
@@ -868,9 +782,9 @@ impl<'s> Engine<'s> {
             .iter()
             .filter(|(device, _)| only.map_or(true, |o| o == device.as_str()))
             .flat_map(|(device, sim)| {
-                sim.queue
-                    .iter()
-                    .map(|job| (device.clone(), job.clone(), sim.cordoned))
+                let in_flight = usize::from(sim.busy_since.is_some());
+                let waiting = self.qrio.device_queue(device).skip(in_flight);
+                waiting.map(|job| (device.clone(), job.to_string(), sim.cordoned))
             })
             .collect();
         for (device, job_name, fleeing) in candidates {
@@ -899,16 +813,15 @@ impl<'s> Engine<'s> {
             if !(fleeing || improves) {
                 continue;
             }
+            // `rebind` moves the job to the tail of the target's queue.
             if self.qrio.rebind(&job_id, &best_device).is_err() {
                 continue;
             }
-            let from_sim = self.devices.get_mut(&device).expect("device exists");
-            from_sim.queue.retain(|name| name != &job_name);
             if let Some(track) = self.jobs.get_mut(&job_name) {
                 track.migrated = true;
             }
             self.migrations += 1;
-            self.enqueue(&best_device, job_name);
+            self.joined(&best_device);
         }
     }
 
@@ -1097,6 +1010,52 @@ mod tests {
             failed_reason.contains("flapped"),
             "reason should name the flap fault, got: {failed_reason}"
         );
+    }
+
+    #[test]
+    fn outage_holds_the_waiter_until_the_device_is_back() {
+        // Two jobs on one device, 600 ms each, both bound before the outage
+        // at 100 ms: the first is in flight (the head of the queue), the
+        // second waits behind it and has nowhere to flee to.
+        let scenario = Scenario::from_yaml(
+            "scenario: hold\n\
+             seed: 5\n\
+             durationMs: 1000\n\
+             maxJobs: 2\n\
+             serviceBaseUs: 600000\n\
+             servicePerShotUs: 0\n\
+             fleet:\n\
+               - device: solo\n\
+                 qubits: 6\n\
+             tenants:\n\
+               - tenant: alice\n\
+                 strategy: min_queue\n\
+                 circuit: ghz\n\
+                 qubits: 4\n\
+                 shots: 16\n\
+                 ratePerSec: 1000.0\n\
+             events:\n\
+               - kind: outage\n\
+                 atMs: 100\n\
+                 device: solo\n\
+                 downMs: 100\n",
+        )
+        .unwrap();
+        let (report, log) = run_scenario_with_log(&scenario).unwrap();
+        assert_eq!((report.submitted, report.rejected), (2, 0));
+        // The interrupted head left the queue for good (no retry policy)...
+        assert_eq!((report.completed, report.execution_failures), (1, 1));
+        let ended: Vec<_> = log.iter().filter(|e| e.to.is_terminal()).collect();
+        assert_eq!(ended[0].job.as_str(), "alice-0");
+        assert_eq!(ended[0].to, qrio::JobState::Failed);
+        assert_eq!(ended[1].job.as_str(), "alice-1");
+        assert_eq!(ended[1].to, qrio::JobState::Succeeded);
+        // ...and the waiter was started by `OutageEnd` at 200 ms, not by the
+        // interrupt at 100 ms: its 600 ms window closes at 800.
+        assert_eq!(report.makespan_ms, 800);
+        let solo = &report.devices["solo"];
+        assert_eq!(solo.completed, 1);
+        assert_eq!(solo.peak_queue_depth, 2, "in-flight head + one waiter");
     }
 
     #[test]

@@ -556,6 +556,9 @@ const GOLDEN_SNAPSHOT_RECORD: &str = "\
 // stores (PR 15), so the stores' own codecs must lay out the same bytes.
 // ---------------------------------------------------------------------------
 
+/// The busy fleet's devices, in name order.
+const DEVICES: [&str; 3] = ["alpha", "beta", "gamma"];
+
 /// Three devices under a fault plan with breakers on, telemetry reported.
 fn busy_fleet() -> qrio::Qrio {
     let mut qrio = qrio::Qrio::with_config(
@@ -566,7 +569,7 @@ fn busy_fleet() -> qrio::Qrio {
         },
         11,
     );
-    for (name, qubits, error) in [("alpha", 6, 0.01), ("beta", 5, 0.02), ("gamma", 4, 0.03)] {
+    for (name, (qubits, error)) in DEVICES.into_iter().zip([(6, 0.01), (5, 0.02), (4, 0.03)]) {
         qrio.add_device(Backend::uniform(name, topology::line(qubits), 0.002, error))
             .unwrap();
     }
@@ -676,7 +679,8 @@ fn busy_snapshot_digest_pins_the_snapshot_format() {
 const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (100252, 17965864324552244613);
 
 /// Every node's allocation is exactly what the cluster jobs bound to it
-/// claim, and the snapshot of this state decodes to a value that re-encodes
+/// claim, every `Scheduled` job waits in the queue of its device and nowhere
+/// else, and the snapshot of this state decodes to a value that re-encodes
 /// to the same bytes.
 fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
     use qrio_cluster::JobPhase;
@@ -695,6 +699,37 @@ fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
             });
         assert_eq!(node.allocated(), bound, "{step}: node {}", node.name());
     }
+    // Placement: a job is `Scheduled` if and only if it is exactly once in a
+    // device queue, the queue of its `status.node`.
+    let nodes = || qrio.cluster().nodes().map(|node| node.name());
+    let mut queued: Vec<(&str, &str)> = nodes()
+        .flat_map(|device| qrio.device_queue(device).map(move |job| (job, device)))
+        .collect();
+    queued.sort_unstable();
+    let mut scheduled: Vec<(&str, &str)> = qrio
+        .cluster()
+        .jobs()
+        .filter_map(|job| {
+            let status = qrio.job_status(&JobId::new(job.name())).ok()?;
+            let node = status.node.as_deref().unwrap_or("<unbound>");
+            (status.state == JobState::Scheduled).then_some((job.name(), node))
+        })
+        .collect();
+    scheduled.sort_unstable();
+    assert_eq!(
+        queued, scheduled,
+        "{step}: queued vs Scheduled (job, device)"
+    );
+    // The printed count is the length of the stored (and encoded) map: a
+    // queue that emptied is gone from it, not kept empty.
+    let waited_on = nodes()
+        .filter(|device| qrio.device_queue(device).len() > 0)
+        .count();
+    let printed = format!("device queues ({waited_on}):\n");
+    assert!(
+        qrio.describe_state().contains(&printed),
+        "{step}: {printed}"
+    );
     let record = qrio.snapshot_record();
     let JournalEntry::Snapshot(snapshot) = decode_record(&record).expect("snapshot decodes") else {
         panic!("{step}: not a snapshot record");
@@ -704,14 +739,33 @@ fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
 
 #[test]
 fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
+    use qrio::QrioError::Cluster as Refused;
+    use qrio_cluster::ClusterError::InjectedFault;
     let (mut cancelled, mut interrupted) = (0, 0);
+    let (mut bound, mut executed, mut moved) = (0, 0, 0);
     for seed in 0..4u64 {
         let mut state = seed;
         let mut qrio = busy_fleet();
         let mut enqueued = 0u64;
-        for step in 0..60 {
-            let pick = JobId::new(format!("busy-{:02}", next(&mut state) % enqueued.max(1)));
-            let what = match next(&mut state) % 8 {
+        for step in 0..90 {
+            let roll = next(&mut state) % 11;
+            // Any job ever enqueued — or, so that the calls which apply to
+            // one state only are not refused every time, the newest (likely
+            // still `Queued`) for `schedule`, and one that is waiting on a
+            // device, when any is, for `interrupt` / `execute` / `rebind`.
+            let waiting: Vec<&str> = DEVICES
+                .iter()
+                .flat_map(|device| qrio.device_queue(device))
+                .collect();
+            let any = next(&mut state);
+            let pick = match roll {
+                7 | 9 | 10 if !waiting.is_empty() => {
+                    JobId::new(waiting[(any % waiting.len() as u64) as usize])
+                }
+                8 => JobId::new(format!("busy-{:02}", enqueued.saturating_sub(1))),
+                _ => JobId::new(format!("busy-{:02}", any % enqueued.max(1))),
+            };
+            let what = match roll {
                 0..=2 => {
                     let _ = qrio.enqueue(&busy_request(enqueued)).unwrap();
                     enqueued += 1;
@@ -726,15 +780,31 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
                     cancelled += usize::from(qrio.cancel(&pick).is_ok());
                     "cancel"
                 }
-                _ => {
+                7 => {
                     // An applied interrupt surfaces as the fault it injects.
-                    interrupted += usize::from(matches!(
-                        qrio.interrupt(&pick),
-                        Err(qrio::QrioError::Cluster(
-                            qrio_cluster::ClusterError::InjectedFault { .. }
-                        ))
-                    ));
+                    let applied =
+                        matches!(qrio.interrupt(&pick), Err(Refused(InjectedFault { .. })));
+                    interrupted += usize::from(applied);
                     "interrupt"
+                }
+                // The step calls, by hand beside the loop: refused unless the
+                // job is `Queued` (schedule) or `Scheduled` (execute, rebind).
+                8 => {
+                    bound += usize::from(qrio.schedule(&pick).is_ok());
+                    "schedule"
+                }
+                9 => {
+                    // An applied execute moves the job on, whatever it drew.
+                    let _ = qrio.execute(&pick);
+                    executed += usize::from(qrio.status(&pick).ok() != Some(JobState::Scheduled));
+                    "execute"
+                }
+                _ => {
+                    let target = DEVICES[(next(&mut state) % 3) as usize];
+                    let from = qrio.job_status(&pick).map(|status| status.node.clone());
+                    let applied = qrio.rebind(&pick, target).is_ok();
+                    moved += usize::from(applied && from.ok().flatten().as_deref() != Some(target));
+                    "rebind"
                 }
             };
             assert_allocations_and_snapshot_fixed_point(
@@ -744,6 +814,10 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
         }
         assert!(enqueued >= 10, "seed {seed} barely enqueued");
     }
+    assert!(
+        bound > 0 && executed > 0 && moved > 0,
+        "{bound} schedules, {executed} executes, {moved} rebinds applied"
+    );
     assert!(
         cancelled > 0 && interrupted > 0,
         "{cancelled} cancels, {interrupted} interrupts applied"

@@ -106,6 +106,23 @@ fn cancel_while_scheduled_releases_the_binding() {
 }
 
 #[test]
+fn the_service_loop_runs_a_job_bound_by_hand() {
+    // `schedule` binds outside `tick()` admission; the job waits in its
+    // device's queue all the same, so the loop sees unsettled work, runs it
+    // and releases its allocation.
+    let mut qrio = two_device_qrio();
+    let id = qrio.enqueue(&fidelity_request("by-hand", 4, 0)).unwrap();
+    let node = qrio.schedule(&id).unwrap().node;
+    assert_eq!(qrio.run_until_idle(), vec![id.clone()]);
+    assert_eq!(qrio.status(&id).unwrap(), JobState::Succeeded);
+    assert_eq!(
+        qrio.cluster().node(&node).unwrap().allocated(),
+        Resources::default(),
+        "the run released what the binding reserved"
+    );
+}
+
+#[test]
 fn submit_never_force_fails_other_queued_jobs() {
     let mut qrio = two_device_qrio();
     // A job only 'alpha' can satisfy, enqueued while 'alpha' is cordoned:
