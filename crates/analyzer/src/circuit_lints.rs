@@ -261,9 +261,11 @@ pub fn lint_engine_fit(circuit: &Circuit, name: &str, engine: EngineHint) -> Vec
 }
 
 /// Lint a Clifford circuit's simulator-path fit (QL0008): a reset anywhere,
-/// or any operation after a measurement, makes the circuit ineligible for the
-/// batched Pauli-frame path, so the executor falls back to per-shot replay —
-/// typically an order of magnitude slower. The rule is the simulator's own
+/// or an operation on a qubit that was already measured, makes the circuit
+/// ineligible for the batched Pauli-frame path, so the executor falls back to
+/// per-shot replay — typically an order of magnitude slower. Work on *other*
+/// qubits after a measurement is not flagged: the measurement commutes with
+/// it and stays terminal. The rule is the simulator's own
 /// ([`qrio_sim::executor::forces_replay`], the predicate its executor
 /// branches on); this lint reports the instruction it returns. Only the first
 /// offending instruction is reported; fixing it may reveal later ones.
@@ -277,9 +279,9 @@ pub fn lint_simulation_path(circuit: &Circuit, name: &str) -> Vec<Diagnostic> {
             .to_string()
     } else {
         format!(
-            "'{}' after a measurement makes that measurement \
-             mid-circuit, forcing per-shot replay instead of the \
-             batched Pauli-frame path",
+            "'{}' on a qubit that was already measured makes that \
+             measurement mid-circuit, forcing per-shot replay instead of \
+             the batched Pauli-frame path",
             inst.gate.name()
         )
     };
@@ -428,7 +430,7 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::MidCircuitForcesReplay);
 
-        // A gate after a measurement makes that measurement mid-circuit.
+        // A gate on a measured qubit makes that measurement mid-circuit.
         let mut mid_measure = Circuit::new(2, 2);
         mid_measure.h(0).unwrap();
         mid_measure.measure(0, 0).unwrap();
@@ -437,7 +439,18 @@ mod tests {
         let diags = lint_simulation_path(&mid_measure, "mid-measure");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::MidCircuitForcesReplay);
-        assert!(diags[0].message.contains("mid-circuit"));
+        assert!(diags[0]
+            .message
+            .contains("'cx' on a qubit that was already measured"));
+
+        // A gate on another qubit after a measurement does not: this is how
+        // every transpiled circuit ends.
+        let mut late_work = Circuit::new(2, 2);
+        late_work.h(0).unwrap();
+        late_work.measure(0, 0).unwrap();
+        late_work.x(1).unwrap();
+        late_work.measure(1, 1).unwrap();
+        assert!(lint_simulation_path(&late_work, "late-work").is_empty());
 
         // Terminal measurements (even followed by more measurements or
         // barriers) stay on the frame path.

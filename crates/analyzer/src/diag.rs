@@ -86,7 +86,7 @@ lint_codes! {
     (NoMeasurements, "QL0007", Warning,
      "circuit has no measurements, so sampling it yields no classical data"),
     (MidCircuitForcesReplay, "QL0008", Warning,
-     "mid-circuit measurement or reset forces the simulator off the batched Pauli-frame path onto per-shot replay"),
+     "reset, or work on a measured qubit, forces the simulator off the batched Pauli-frame path onto per-shot replay"),
     // Spec and scenario lints (QL01xx).
     (ScenarioInvalid, "QL0100", Error,
      "scenario failed to parse or validate"),

@@ -305,3 +305,56 @@ fn kill_restart_storm_is_certified_by_the_watch_log_auditor() {
         "auditor flagged the spliced stream: {diagnostics:?}"
     );
 }
+
+// --- The simulator paths the flagship's circuits take -------------------------------------
+
+/// Every circuit the flagship scenario ranks or runs must be on the
+/// simulator's one-pass paths: a canary is scored on six devices per job and
+/// a job runs once per attempt, so one that falls back to per-shot replay is
+/// paid for thousands of times a round — and nothing else notices, because
+/// replay returns the same bytes. For every tenant circuit × device this
+/// takes the two routes the system takes (the meta server's deflated canary,
+/// the agent's execution transpile) and requires the Pauli-frame path to
+/// accept the circuit and to return what replay returns.
+#[test]
+fn every_flagship_circuit_is_frame_eligible_on_every_device() {
+    use qrio_circuit::qasm;
+    use qrio_sim::{run_with_noise_path, ExecutionPath, NoiseModel, ParallelConfig};
+    use qrio_transpiler::{deflate, transpile};
+
+    let scenario = Scenario::from_yaml(include_str!("../../../scenarios/cloud.yaml")).unwrap();
+    let mut checked = 0;
+    for tenant in &scenario.tenants {
+        for index in [0, 1, 7, 450] {
+            let circuit = tenant.circuit_for(index).unwrap();
+            assert!(circuit.measurement_count() > 0 && circuit.is_clifford());
+            // What the agent is sent, and what the meta server is given.
+            let sent = qasm::parse_qasm(&qasm::to_qasm(&circuit)).unwrap();
+            for device in &scenario.fleet {
+                let backend = device.backend();
+                let canary = transpile(&circuit.to_clifford(), &backend).unwrap();
+                let execution = transpile(&sent, &backend).unwrap();
+                for (routed, shots) in [
+                    (canary.circuit.to_clifford(), scenario.canary_shots),
+                    (execution.circuit, tenant.shots),
+                ] {
+                    let deflated = deflate(&routed, &backend).unwrap();
+                    let noise = NoiseModel::from_backend(&deflated.backend);
+                    let run = |path| {
+                        let serial = ParallelConfig::serial();
+                        run_with_noise_path(&deflated.circuit, &noise, shots, index, &serial, path)
+                    };
+                    let frame = run(ExecutionPath::Frame).unwrap_or_else(|e| {
+                        panic!(
+                            "{}'s job {index} on {} left the frame path: {e}",
+                            tenant.name, device.name
+                        )
+                    });
+                    assert_eq!(frame, run(ExecutionPath::Replay).unwrap());
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 4 * 4 * 6 * 2);
+}

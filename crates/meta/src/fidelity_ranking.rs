@@ -81,7 +81,7 @@ pub fn evaluate_fidelity(
             "target fidelity {target_fidelity} is outside [0, 1]"
         )));
     }
-    let canary_fidelity = canary_fidelity_on_backend(circuit, backend, config)?;
+    let (canary_fidelity, canary_swaps) = run_canary(circuit, backend, config)?;
     let mut score = 100.0 * (1.0 - canary_fidelity);
     if canary_fidelity < target_fidelity {
         score += config.shortfall_weight * (target_fidelity - canary_fidelity);
@@ -90,9 +90,9 @@ pub fn evaluate_fidelity(
         device: backend.name().to_string(),
         canary_fidelity,
         score,
-        swaps_inserted: transpile(&ensure_measured(circuit), backend)
-            .map(|r| r.swaps_inserted)
-            .unwrap_or(0),
+        swaps_inserted: canary_swaps.unwrap_or_else(|| {
+            transpile(&ensure_measured(circuit), backend).map_or(0, |r| r.swaps_inserted)
+        }),
     })
 }
 
@@ -108,9 +108,22 @@ pub fn canary_fidelity_on_backend(
     backend: &Backend,
     config: &FidelityRankingConfig,
 ) -> Result<f64, MetaError> {
+    run_canary(circuit, backend, config).map(|(fidelity, _)| fidelity)
+}
+
+/// The canary fidelity and, when snapping to Clifford changed no instruction
+/// (every Clifford job), the SWAPs the canary's transpile inserted — which
+/// are then the SWAPs the user's circuit needs, without transpiling it again.
+fn run_canary(
+    circuit: &Circuit,
+    backend: &Backend,
+    config: &FidelityRankingConfig,
+) -> Result<(f64, Option<usize>), MetaError> {
     let prepared = ensure_measured(circuit);
     let canary = prepared.to_clifford();
     let transpiled = transpile(&canary, backend)?;
+    let same_circuit = canary.instructions() == prepared.instructions();
+    let canary_swaps = same_circuit.then_some(transpiled.swaps_inserted);
     // Re-snap: basis translation / 1q fusion keeps Clifford circuits Clifford,
     // but floating-point angle extraction can drift by ~1e-15; snapping makes
     // the stabilizer engine's Clifford check robust.
@@ -128,7 +141,7 @@ pub fn canary_fidelity_on_backend(
         config.shots,
         seed.wrapping_add(qrio_sim::SEED_STREAM_STRIDE),
     )?;
-    Ok(ideal.hellinger_fidelity(&noisy))
+    Ok((ideal.hellinger_fidelity(&noisy), canary_swaps))
 }
 
 /// Add terminal measurements when the user circuit has none, so that there is
@@ -201,6 +214,25 @@ mod tests {
             "higher targets must penalise shortfalls harder"
         );
         assert!((strict.canary_fidelity - lax.canary_fidelity).abs() < 1e-9);
+    }
+
+    #[test]
+    fn swaps_are_those_of_the_users_circuit_clifford_or_not() {
+        // A Clifford job reads the count off the canary's transpile; a
+        // non-Clifford one transpiles the user's circuit for it, as before.
+        let backend = Backend::uniform("line", topology::line(8), 0.01, 0.05);
+        for circuit in [
+            library::bernstein_vazirani(6, 0b101101).unwrap(),
+            library::topology_circuit(4, &[(0, 2), (1, 3), (0, 3)]).unwrap(),
+            library::random_circuit(6, 5, 3).unwrap(),
+            library::qft(5).unwrap(),
+        ] {
+            let expected = transpile(&ensure_measured(&circuit), &backend)
+                .unwrap()
+                .swaps_inserted;
+            let evaluation = evaluate_fidelity(&circuit, 0.9, &backend, &config()).unwrap();
+            assert_eq!(evaluation.swaps_inserted, expected, "{}", circuit.name());
+        }
     }
 
     #[test]

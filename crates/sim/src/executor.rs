@@ -22,9 +22,19 @@
 //!   tableau and the noise sites once; each shot then propagates only an
 //!   n-qubit Pauli frame (two `u64` masks per 64 qubits) and draws from the
 //!   RNG in the exact order of the replay path — byte-identical histograms,
-//!   orders of magnitude less work. Mid-circuit measure/reset falls back to
-//!   per-shot replay ([`forces_replay`] names the instruction; the analyzer
-//!   reports it as lint QL0008).
+//!   orders of magnitude less work.
+//!
+//!   "Terminal" is a property of the qubit, not of the program text: for the
+//!   stabilizer engine a measurement is terminal when nothing but a barrier
+//!   or another measurement touches its qubit afterwards ([`forces_replay`]
+//!   names the first instruction that breaks this; the analyzer reports it
+//!   as lint QL0008). A transpiled circuit routinely ends with a fused `u3`
+//!   on an idle qubit *after* the measurement block; that measurement
+//!   commutes with the gate, so the circuit stays on the one-pass paths. A
+//!   `Reset`, or work on a measured qubit, falls back to per-shot replay. The
+//!   statevector engine's ideal fast path keeps the stricter program-order
+//!   rule (`measurements_end_the_program`), because there the rule decides
+//!   how many numbers a shot draws.
 //! * **Deterministic parallel shards.** Shots are split into fixed-size
 //!   shards; shard `s` runs on its own `StdRng` seeded with
 //!   `seed + s`, and shard histograms merge commutatively. The shard
@@ -272,8 +282,8 @@ pub enum ExecutionPath {
     /// Force per-shot replay (full tableau / statevector rebuild per shot).
     Replay,
     /// Force the Pauli-frame batched-shot path. Errors when the circuit is
-    /// not frame-eligible (non-Clifford, mid-circuit measure/reset, or more
-    /// than 64 random-outcome measurements).
+    /// not frame-eligible (non-Clifford, a reset or work on a measured qubit,
+    /// or more than 64 random-outcome measurements).
     Frame,
 }
 
@@ -289,8 +299,8 @@ enum Prepared {
     /// Pauli frame per shot through a precompiled [`FramePlan`]
     /// (byte-identical to replay, orders of magnitude faster).
     StabilizerFrame(FramePlan),
-    /// General stabilizer path: replay the circuit per shot (mid-circuit
-    /// measurement/reset, or >64 random-outcome measurements).
+    /// General stabilizer path: replay the circuit per shot (what
+    /// [`forces_replay`] names, or >64 random-outcome measurements).
     StabilizerReplay,
     /// Ideal terminal-measurement dense circuit: sample the precomputed
     /// cumulative distribution per shot.
@@ -346,10 +356,9 @@ pub fn run_with_noise_path(
     validate_outcome_register(circuit)?;
     let engine = select_engine(circuit)?;
     let num_bits = effective_num_bits(circuit);
-    let fast_path =
-        path == ExecutionPath::Auto && noise.is_ideal() && forces_replay(circuit).is_none();
+    let ideal_auto = path == ExecutionPath::Auto && noise.is_ideal();
     let prepared = match engine {
-        Engine::Stabilizer if fast_path => {
+        Engine::Stabilizer if ideal_auto && forces_replay(circuit).is_none() => {
             let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
             tableau.apply_circuit(circuit)?;
             Prepared::StabilizerFast {
@@ -364,14 +373,14 @@ pub fn run_with_noise_path(
                 None if path == ExecutionPath::Frame => {
                     return Err(SimulatorError::Unsupported(
                         "circuit is not eligible for the Pauli-frame path \
-                             (mid-circuit measure/reset or >64 random measurements)"
+                             (reset, work on a measured qubit, or >64 random measurements)"
                             .into(),
                     ));
                 }
                 None => Prepared::StabilizerReplay,
             },
         },
-        Engine::Statevector if fast_path => {
+        Engine::Statevector if ideal_auto && measurements_end_the_program(circuit) => {
             let mut state = StateVector::new(circuit.num_qubits())?;
             state.apply_circuit(circuit)?;
             Prepared::StatevectorFast {
@@ -403,9 +412,7 @@ pub fn run_with_noise_path(
                     let mut sim = tableau.clone();
                     let mut outcome = 0u64;
                     for &(qubit, clbit) in mapping {
-                        if sim.measure(qubit, &mut rng) {
-                            outcome |= 1 << clbit;
-                        }
+                        record_bit(&mut outcome, clbit, sim.measure(qubit, &mut rng));
                     }
                     outcome
                 }
@@ -441,11 +448,14 @@ pub fn run_with_noise_path(
         Prepared::StatevectorReplay => (MAX_REPLAY_AMPLITUDES >> circuit.num_qubits()).max(1),
         _ => usize::MAX,
     };
-    let workers = parallel
-        .effective_threads()
-        .max(1)
-        .min(shard_count as usize)
-        .min(memory_cap);
+    // One shard can only ever use one worker, so do not ask the OS how many
+    // there are (`available_parallelism` is a syscall plus cgroup file reads).
+    let threads = if shard_count > 1 {
+        parallel.effective_threads()
+    } else {
+        1
+    };
+    let workers = threads.max(1).min(shard_count as usize).min(memory_cap);
     let results: Vec<Result<Counts, SimulatorError>> = if workers <= 1 {
         (0..shard_count).map(run_shard).collect()
     } else {
@@ -518,15 +528,13 @@ pub(crate) fn measurement_mapping(circuit: &Circuit) -> Vec<(usize, usize)> {
 fn map_outcome(basis_state: u64, mapping: &[(usize, usize)]) -> u64 {
     let mut outcome = 0u64;
     for &(qubit, clbit) in mapping {
-        if (basis_state >> qubit) & 1 == 1 {
-            outcome |= 1 << clbit;
-        }
+        record_bit(&mut outcome, clbit, (basis_state >> qubit) & 1 == 1);
     }
     outcome
 }
 
-/// Replay-path overwrite semantics: a later measurement into the same
-/// classical bit replaces the earlier value.
+/// The one write into the outcome register, on every path: a later
+/// measurement into the same classical bit replaces the earlier value.
 pub(crate) fn record_bit(outcome: &mut u64, clbit: usize, bit: bool) {
     if bit {
         *outcome |= 1 << clbit;
@@ -566,26 +574,43 @@ fn validate_outcome_register(circuit: &Circuit) -> Result<(), SimulatorError> {
     Ok(())
 }
 
-/// The first instruction that forces a circuit off the one-pass paths (the
-/// ideal fast paths and the Pauli-frame path) onto per-shot replay: a `Reset`
-/// anywhere, or any operation after a measurement, which makes that
-/// measurement mid-circuit. `None` means every measurement is terminal. This
-/// is the structural half of frame eligibility, written once — the executor
+/// The first instruction that forces a Clifford circuit off the one-pass
+/// paths (the stabilizer engine's ideal fast path and the Pauli-frame path)
+/// onto per-shot replay: a `Reset` anywhere, or any operation other than a
+/// barrier or another measurement on a qubit that has already been measured,
+/// which makes that measurement mid-circuit. `None` means every measurement
+/// is terminal: a measurement commutes with every later gate that does not
+/// touch its qubit, so work on *other* qubits after it — the idle-qubit `u3`
+/// a transpiled circuit ends with — forces nothing. This is the structural
+/// half of frame eligibility, written once — the executor's stabilizer arms
 /// and [`FramePlan::build`] branch on it, the analyzer's `QL0008` names what
 /// it returns; the other half is that the circuit is Clifford with at most
 /// 64 random-outcome measurements.
 pub fn forces_replay(circuit: &Circuit) -> Option<(usize, &Instruction)> {
-    let mut seen_measure = false;
+    let mut measured = vec![false; circuit.num_qubits()];
     for (index, inst) in circuit.instructions().iter().enumerate() {
         match inst.gate {
-            Gate::Measure => seen_measure = true,
+            Gate::Measure => measured[inst.qubits[0]] = true,
             Gate::Reset => return Some((index, inst)),
             Gate::Barrier => {}
-            _ if seen_measure => return Some((index, inst)),
+            _ if inst.qubits.iter().any(|&q| measured[q]) => return Some((index, inst)),
             _ => {}
         }
     }
     None
+}
+
+/// The statevector engine's ideal fast path is taken only when no `Reset`
+/// occurs and nothing but barriers and measurements follows the first
+/// measurement *in program order*. It may not follow [`forces_replay`]'s
+/// per-qubit rule: the fast path draws one number a shot where replay draws
+/// one per measured qubit, so which circuits take it decides every histogram
+/// byte of every committed report (`dense_fast_path_rule_is_frozen` pins it).
+fn measurements_end_the_program(circuit: &Circuit) -> bool {
+    let gates = circuit.instructions().iter().map(|inst| inst.gate);
+    let no_reset = gates.clone().all(|gate| gate != Gate::Reset);
+    let mut from_first_measure = gates.skip_while(|gate| *gate != Gate::Measure);
+    no_reset && from_first_measure.all(|gate| gate.is_directive())
 }
 
 /// What [`replay_shot`] needs of an engine: apply a gate, measure a qubit.
@@ -1015,6 +1040,52 @@ mod tests {
             ExecutionPath::Auto
         )
         .is_ok());
+    }
+
+    #[test]
+    fn a_reused_classical_bit_keeps_the_later_write_on_every_path() {
+        // q0 reads 1, q1 reads 0, both into c0: the later write wins. The
+        // ideal fast paths used to OR the two bits together.
+        let mut clifford = Circuit::new(2, 1);
+        clifford.x(0).unwrap();
+        let mut dense = clifford.clone();
+        dense.t(1).unwrap();
+        for circuit in [&mut clifford, &mut dense] {
+            circuit.measure(0, 0).unwrap();
+            circuit.measure(1, 0).unwrap();
+            let run = |path| {
+                let (ideal, serial) = (NoiseModel::ideal(2), ParallelConfig::serial());
+                run_with_noise_path(circuit, &ideal, 32, 0, &serial, path).unwrap()
+            };
+            let replay = run(ExecutionPath::Replay);
+            assert_eq!(replay.iter().collect::<Vec<_>>(), [(0, 32)]);
+            let engine = select_engine(circuit).unwrap();
+            assert_eq!(run(ExecutionPath::Auto), replay, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn only_work_on_a_measured_qubit_forces_replay() {
+        let mut circuit = Circuit::new(3, 3);
+        circuit.h(0).unwrap();
+        circuit.measure(0, 0).unwrap();
+        circuit.cx(1, 2).unwrap(); // other qubits: nothing forced
+        circuit.barrier(&[]).unwrap();
+        circuit.measure(0, 1).unwrap(); // a repeated measure neither
+        assert_eq!(forces_replay(&circuit), None);
+        // ... while the dense engine's program-order rule already says no.
+        assert!(!measurements_end_the_program(&circuit));
+
+        circuit.measure(1, 2).unwrap();
+        circuit.cx(2, 1).unwrap();
+        let (index, inst) = forces_replay(&circuit).expect("q1 was measured");
+        assert_eq!((index, inst.gate), (6, Gate::CX));
+
+        let mut reset = Circuit::new(2, 2);
+        reset.reset(1).unwrap();
+        reset.measure_all().unwrap();
+        assert_eq!(forces_replay(&reset).map(|(index, _)| index), Some(0));
+        assert!(!measurements_end_the_program(&reset));
     }
 
     #[test]

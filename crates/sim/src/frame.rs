@@ -33,23 +33,53 @@
 //!    perturbation `δ` of the phase bits propagates as `δ[h] ^= δ[i]` —
 //!    plain XOR.
 //!
-//! [`FramePlan::build`] therefore (a) forward-propagates a unit X and a unit
-//! Z frame from every noise site to the end of the circuit, and (b) collapses
-//! the terminal measurement block *symbolically*, tracking for every phase
-//! bit its dependence on the coins and on the terminal frame. A shot then
-//! draws from the RNG **in exactly the order the replay path would** (noise
-//! sites in instruction order, then per measurement the coin and the readout
-//! flip), so the frame path is byte-identical to per-shot replay — with or
-//! without noise — and slots into the sharded executor without disturbing
-//! shard seeding or [`SEED_STREAM_STRIDE`] semantics.
+//! [`FramePlan::build`] therefore (a) finds, for every noise site, the images
+//! at the end of the circuit of a unit X and a unit Z error injected there,
+//! and (b) collapses the measurements *symbolically* on the final tableau, in
+//! measurement order, tracking for every phase bit its dependence on the
+//! coins and on the terminal frame. A shot then draws from the RNG **in
+//! exactly the order the replay path would** — the plan's ops are in
+//! instruction order, a noise site drawing its hit, a measurement its coin
+//! and its readout flip — so the frame path is byte-identical to per-shot
+//! replay — with or without noise — and slots into the sharded executor
+//! without disturbing shard seeding or [`SEED_STREAM_STRIDE`] semantics.
+//!
+//! # Measurements need not be last
+//!
+//! A measurement is followed, on its own qubit, by nothing but barriers and
+//! further measurements ([`forces_replay`]); gates and noise sites on *other*
+//! qubits may come after it, as they do in every transpiled circuit (the
+//! optimizer's end-of-circuit flush emits a fused `u3` on an idle qubit after
+//! the measurement block). Collapsing on the final tableau is still exact:
+//! a measurement commutes with every later gate that does not touch its
+//! qubit, so whether an outcome is random or determined, and every determined
+//! value, is the same on the final state as at the measurement's own place;
+//! an error injected after the measurement lives on other qubits and stays
+//! there (no later gate touches the measured one), so its terminal image
+//! commutes with the measured `Z` and could not move the outcome even if it
+//! were already in the frame — and it is not, because a measurement op reads
+//! the shot frame as it stands at its place in instruction order.
+//!
+//! # Plan build is linear in the gate count
+//!
+//! The terminal images are built in one walk **back** from the end of the
+//! circuit. The walk keeps, per qubit, the images of unit X and unit Z under
+//! the gates it has passed (at the end: the units themselves). Stepping back
+//! over a gate composes it in front: the gate's generators, as
+//! `apply_clifford` emits them, are recorded and taken last-first — H swaps
+//! the qubit's pair, S multiplies its Z image into its X image, CX(a, b)
+//! multiplies X_b's image into X_a's and Z_a's into Z_b's. A noise site
+//! clones the images of its operands as the walk passes it. One step per
+//! generator, so O(gates) for the circuit where conjugating two fresh frames
+//! through the rest of the circuit for every site was O(gates²).
 //!
 //! # What is shared with replay, not restated
 //!
 //! The planner owns no copy of anything replay does; it calls it:
 //!
-//! * a frame is conjugated by `apply_clifford`, the one Clifford table the
-//!   tableau's `apply_gate` runs (`Frame` is its sign-free
-//!   `CliffordTarget`);
+//! * a gate is decomposed by `apply_clifford`, the one Clifford table the
+//!   tableau's `apply_gate` runs (the planner's generator buffer is its
+//!   sign-free `CliffordTarget`);
 //! * the symbolic collapse is `StabilizerSimulator::collapse`, the pivot
 //!   search, row operations and `rowsum` of a concrete `measure`, with the
 //!   dependency rows riding along as its `PhaseRider`;
@@ -63,16 +93,16 @@
 //! # Eligibility
 //!
 //! A plan is built only for circuits that are Clifford with all measurements
-//! terminal ([`forces_replay`] finds no mid-circuit measure and no `Reset`)
-//! and at most 64 random-outcome measurements; anything else returns `None`
-//! and the executor falls back to per-shot replay. The analyzer reports what
-//! `forces_replay` returns as lint `QL0008`.
+//! terminal ([`forces_replay`] finds no `Reset` and no work on a measured
+//! qubit) and at most 64 random-outcome measurements; anything else returns
+//! `None` and the executor falls back to per-shot replay. The analyzer
+//! reports what `forces_replay` returns as lint `QL0008`.
 //!
 //! [`SEED_STREAM_STRIDE`]: crate::executor::SEED_STREAM_STRIDE
 
 use rand::Rng;
 
-use qrio_circuit::{Circuit, Gate, Instruction};
+use qrio_circuit::{Circuit, Gate};
 
 use crate::error::SimulatorError;
 use crate::executor::{forces_replay, measurement_mapping, record_bit};
@@ -83,8 +113,8 @@ use crate::stabilizer::{
 
 /// A bit-packed n-qubit Pauli operator, sign-free: `fx` holds the X
 /// components, `fz` the Z components. Used both as the per-shot error frame
-/// and, at plan time, to forward-propagate unit errors through the circuit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// and, at plan time, as the terminal image of a unit error.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Frame {
     fx: Vec<u64>,
     fz: Vec<u64>,
@@ -110,14 +140,6 @@ impl Frame {
         f
     }
 
-    fn x_bit(&self, q: usize) -> bool {
-        self.fx[q >> 6] >> (q & 63) & 1 == 1
-    }
-
-    fn z_bit(&self, q: usize) -> bool {
-        self.fz[q >> 6] >> (q & 63) & 1 == 1
-    }
-
     /// Multiply by `other`, sign-free.
     fn xor(&mut self, other: &Frame) {
         for (d, s) in self.fx.iter_mut().zip(&other.fx) {
@@ -129,64 +151,23 @@ impl Frame {
     }
 }
 
-/// The sign-free target of the one Clifford table
-/// ([`apply_clifford`]): S† is S and Paulis do nothing, so the frame and the
-/// tableau agree gate for gate because they are conjugated by the same code.
-impl CliffordTarget for Frame {
-    /// Conjugate by H on `q`: X ↔ Z.
-    #[inline]
-    fn h(&mut self, q: usize) {
-        let (w, bit) = (q >> 6, 1u64 << (q & 63));
-        let xb = self.fx[w] & bit;
-        let zb = self.fz[w] & bit;
-        self.fx[w] = (self.fx[w] & !bit) | zb;
-        self.fz[w] = (self.fz[w] & !bit) | xb;
-    }
-
-    /// Conjugate by S (or S†, identical sign-free) on `q`: X → Y.
-    #[inline]
-    fn s(&mut self, q: usize) {
-        let (w, bit) = (q >> 6, 1u64 << (q & 63));
-        self.fz[w] ^= self.fx[w] & bit;
-    }
-
-    /// Conjugate by CNOT control `a`, target `b`: X_a → X_a X_b, Z_b → Z_a Z_b.
-    #[inline]
-    fn cx(&mut self, a: usize, b: usize) {
-        if self.x_bit(a) {
-            self.fx[b >> 6] ^= 1 << (b & 63);
-        }
-        if self.z_bit(b) {
-            self.fz[a >> 6] ^= 1 << (a & 63);
-        }
-    }
-}
-
-/// The terminal images of a unit X and a unit Z error injected at one noise
-/// site: XORing the matching image into the shot frame accounts for the error
-/// exactly (Y uses both, since Y ∝ X·Z and propagation is linear).
-#[derive(Debug, Clone)]
+/// The terminal images of a unit X and a unit Z error on one qubit, injected
+/// at one place in the circuit: XORing the matching image into the shot frame
+/// accounts for the error exactly (Y uses both, since Y ∝ X·Z and propagation
+/// is linear).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Propagated {
     x: Frame,
     z: Frame,
 }
 
 impl Propagated {
-    /// Terminal images of unit X / unit Z errors on `q` injected just before
-    /// `rest` of the circuit.
-    fn new(q: usize, rest: &[Instruction], wpr: usize) -> Result<Self, SimulatorError> {
-        let mut prop = Propagated {
+    /// The unit errors on `q` themselves: their images at the end of the circuit.
+    fn unit(q: usize, wpr: usize) -> Self {
+        Propagated {
             x: Frame::unit_x(q, wpr),
             z: Frame::unit_z(q, wpr),
-        };
-        for inst in rest {
-            if matches!(inst.gate, Gate::Measure | Gate::Reset | Gate::Barrier) {
-                continue;
-            }
-            apply_clifford(&mut prop.x, &inst.gate, &inst.qubits)?;
-            apply_clifford(&mut prop.z, &inst.gate, &inst.qubits)?;
         }
-        Ok(prop)
     }
 
     /// XOR the terminal image of `pauli` at this site into the shot frame.
@@ -201,13 +182,75 @@ impl Propagated {
     }
 }
 
+/// A generator [`apply_clifford`] emitted, recorded so that the walk can take
+/// a gate's generators last-first. Sign-free like [`Frame`]: S† is S and a
+/// Pauli is nothing, the defaults of [`CliffordTarget`].
+#[derive(Debug, Clone, Copy)]
+enum Generator {
+    H(usize),
+    S(usize),
+    Cx(usize, usize),
+}
+
+impl CliffordTarget for Vec<Generator> {
+    #[inline]
+    fn h(&mut self, q: usize) {
+        self.push(Generator::H(q));
+    }
+    #[inline]
+    fn s(&mut self, q: usize) {
+        self.push(Generator::S(q));
+    }
+    #[inline]
+    fn cx(&mut self, a: usize, b: usize) {
+        self.push(Generator::Cx(a, b));
+    }
+}
+
+/// One step of the backward walk of [`FramePlan::build`]: `images[q]` holds
+/// the terminal images of unit X / unit Z errors on `q` injected just after
+/// `gate`, and is moved to just before it. An error `P` before a generator
+/// `g` is the error `g P g†` after it, and the image of a product is the
+/// product of the images. `generators` is the walk's reused buffer.
+fn step_back(
+    images: &mut [Propagated],
+    generators: &mut Vec<Generator>,
+    gate: &Gate,
+    qubits: &[usize],
+) -> Result<(), SimulatorError> {
+    generators.clear();
+    apply_clifford(generators, gate, qubits)?;
+    for generator in generators.iter().rev() {
+        match *generator {
+            // H: X ↔ Z.
+            Generator::H(q) => {
+                let image = &mut images[q];
+                std::mem::swap(&mut image.x, &mut image.z);
+            }
+            // S: X → XZ.
+            Generator::S(q) => {
+                let image = &mut images[q];
+                image.x.xor(&image.z);
+            }
+            // CX: X_a → X_a X_b, Z_b → Z_a Z_b.
+            Generator::Cx(a, b) => {
+                let mut control = std::mem::take(&mut images[a]);
+                control.x.xor(&images[b].x);
+                images[b].z.xor(&control.z);
+                images[a] = control;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// One step of the per-shot loop, in the exact order (and with the exact RNG
 /// draw pattern) of the replay path.
 #[derive(Debug, Clone)]
 enum ShotOp {
     /// A depolarizing site with `p > 0`, drawn by [`FaultSite::sample`]
-    /// exactly as the replay path draws it; `props` holds one propagated
-    /// error per operand the site can strike.
+    /// exactly as the replay path draws it; `props` holds the terminal images
+    /// of one unit error per operand the site can strike.
     Noise {
         site: FaultSite,
         props: Vec<Propagated>,
@@ -234,7 +277,7 @@ enum ShotOp {
 }
 
 /// A compiled Pauli-frame execution plan: the ideal circuit folded into
-/// per-site error masks and a symbolic terminal measurement block.
+/// per-site error masks and symbolic measurements, in instruction order.
 ///
 /// Built once per run by [`FramePlan::build`]; [`run`]s of the shot loop are
 /// then O(sites + measurements) word operations and draw from the RNG in the
@@ -252,7 +295,7 @@ impl FramePlan {
     /// Compile a plan for `circuit` under `noise`.
     ///
     /// Returns `Ok(None)` when the circuit is not eligible — non-Clifford,
-    /// mid-circuit measurement, any `Reset`, or more than 64 random-outcome
+    /// any `Reset`, work on a measured qubit, or more than 64 random-outcome
     /// measurements — in which case the caller should use the replay path.
     ///
     /// # Errors
@@ -269,28 +312,43 @@ impl FramePlan {
         let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
         tableau.apply_circuit(circuit)?;
         let wpr = tableau.words_per_row();
-        let mut sym = SymbolicTableau::new(tableau);
 
-        let instructions = circuit.instructions();
-        let mut ops = Vec::new();
-        // Measurements are terminal and directives have no sites, so every
-        // site precedes the measurement block, as it does in replay order.
-        for (index, inst) in instructions.iter().enumerate() {
-            for site in noise.fault_sites(&inst.gate, &inst.qubits) {
-                let props = site
-                    .operands()
-                    .iter()
-                    .map(|&q| Propagated::new(q, &instructions[index + 1..], wpr))
-                    .collect::<Result<_, _>>()?;
-                ops.push(ShotOp::Noise { site, props });
-            }
-        }
+        // Every measurement collapses the final tableau, in measurement order.
+        let mut sym = SymbolicTableau::new(tableau);
+        let mut measures = Vec::new();
         for (qubit, clbit) in measurement_mapping(circuit) {
             match sym.measure_op(qubit, clbit, noise.readout_error(qubit)) {
-                Some(op) => ops.push(op),
+                Some(op) => measures.push(op),
                 None => return Ok(None),
             }
         }
+
+        // One walk back from the end emits the ops last-first: a `Measure`
+        // takes its compiled op, a gate's sites clone their operands' images
+        // before the walk steps over the gate (a site fires after its gate).
+        let mut ops = Vec::new();
+        if circuit.measurement_count() == 0 {
+            // Implicit measurement: as if `measure_all` ended the circuit.
+            ops.extend(measures.drain(..).rev());
+        }
+        let mut images: Vec<Propagated> = (0..circuit.num_qubits())
+            .map(|q| Propagated::unit(q, wpr))
+            .collect();
+        let mut generators = Vec::new();
+        for inst in circuit.instructions().iter().rev() {
+            if inst.gate == Gate::Measure {
+                ops.push(measures.pop().expect("one compiled op per Measure"));
+                continue;
+            }
+            let first = ops.len();
+            for site in noise.fault_sites(&inst.gate, &inst.qubits) {
+                let props = site.operands().iter().map(|&q| images[q].clone()).collect();
+                ops.push(ShotOp::Noise { site, props });
+            }
+            ops[first..].reverse(); // a gate's sites stay in draw order
+            step_back(&mut images, &mut generators, &inst.gate, &inst.qubits)?;
+        }
+        ops.reverse();
         Ok(Some(FramePlan { wpr, ops }))
     }
 
@@ -457,6 +515,35 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The forward reference: a frame conjugated gate by gate through the one
+    /// Clifford table (S† is S and Paulis do nothing, sign-free), as the
+    /// planner conjugated two per noise site before it walked backwards. The
+    /// tableau test below holds it to the tableau, the corpus test holds the
+    /// backward walk to it.
+    impl CliffordTarget for Frame {
+        /// Conjugate by H on `q`: X ↔ Z.
+        fn h(&mut self, q: usize) {
+            let (w, bit) = (q >> 6, 1u64 << (q & 63));
+            let (xb, zb) = (self.fx[w] & bit, self.fz[w] & bit);
+            self.fx[w] = (self.fx[w] & !bit) | zb;
+            self.fz[w] = (self.fz[w] & !bit) | xb;
+        }
+
+        /// Conjugate by S (or S†, identical sign-free) on `q`: X → Y.
+        fn s(&mut self, q: usize) {
+            let (w, bit) = (q >> 6, 1u64 << (q & 63));
+            self.fz[w] ^= self.fx[w] & bit;
+        }
+
+        /// Conjugate by CNOT control `a`, target `b`: X_a → X_a X_b, Z_b → Z_a Z_b.
+        fn cx(&mut self, a: usize, b: usize) {
+            let x_a = self.fx[a >> 6] >> (a & 63) & 1;
+            let z_b = self.fz[b >> 6] >> (b & 63) & 1;
+            self.fx[b >> 6] ^= x_a << (b & 63);
+            self.fz[a >> 6] ^= z_b << (a & 63);
+        }
+    }
+
     #[test]
     fn ineligible_circuits_return_none() {
         // Mid-circuit reset.
@@ -468,11 +555,11 @@ mod tests {
             .unwrap()
             .is_none());
 
-        // Gate after measurement.
+        // Gate on a qubit that was already measured.
         let mut mid = Circuit::new(2, 2);
         mid.h(0).unwrap();
         mid.measure(0, 0).unwrap();
-        mid.x(1).unwrap();
+        mid.x(0).unwrap();
         mid.measure(1, 1).unwrap();
         assert!(FramePlan::build(&mid, &NoiseModel::ideal(2))
             .unwrap()
@@ -485,6 +572,111 @@ mod tests {
         assert!(FramePlan::build(&t, &NoiseModel::ideal(1))
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn work_on_other_qubits_after_a_measurement_stays_eligible() {
+        // The twin of the ineligible case above, and the shape every
+        // transpiled circuit has: the gate after the measurement acts on a
+        // qubit that is measured later, or never.
+        let mut late = Circuit::new(3, 2);
+        late.h(0).unwrap();
+        late.measure(0, 0).unwrap();
+        late.x(1).unwrap();
+        late.measure(1, 1).unwrap();
+        late.h(2).unwrap();
+        late.measure(0, 0).unwrap(); // a repeated measure is still terminal
+        late.barrier(&[]).unwrap();
+        let noise = NoiseModel::uniform(3, 0.1, 0.1, 0.1);
+        let plan = FramePlan::build(&late, &noise)
+            .unwrap()
+            .expect("no gate touches a measured qubit");
+        // Ops are in instruction order: site, measure, site, measure, site, measure.
+        let kinds: Vec<bool> = plan
+            .ops
+            .iter()
+            .map(|op| matches!(op, ShotOp::Noise { .. }))
+            .collect();
+        assert_eq!(kinds, [true, false, true, false, true, false]);
+    }
+
+    /// The forward walk the planner used to make per site: conjugate a unit
+    /// X and a unit Z on `q` through `rest` of the circuit.
+    fn forward_images(q: usize, rest: &[qrio_circuit::Instruction], wpr: usize) -> Propagated {
+        let mut prop = Propagated::unit(q, wpr);
+        for inst in rest {
+            if !inst.gate.is_directive() {
+                apply_clifford(&mut prop.x, &inst.gate, &inst.qubits).unwrap();
+                apply_clifford(&mut prop.z, &inst.gate, &inst.qubits).unwrap();
+            }
+        }
+        prop
+    }
+
+    #[test]
+    fn backward_walk_builds_the_images_of_the_forward_walk() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        // Every decomposition of the Clifford table, so that a generator
+        // sequence taken in the wrong order shows.
+        let gates = [
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::X,
+            Gate::SX,
+            Gate::RX(FRAC_PI_2),
+            Gate::RY(-FRAC_PI_2),
+            Gate::RZ(PI),
+            Gate::U2(0.0, FRAC_PI_2),
+            Gate::U3(FRAC_PI_2, PI, -FRAC_PI_2),
+            Gate::CX,
+            Gate::CZ,
+            Gate::CY,
+            Gate::Swap,
+            Gate::CP(PI),
+            Gate::CRZ(PI),
+        ];
+        let mut compared = 0;
+        for (seed, n) in [(1u64, 2usize), (2, 5), (3, 9), (4, 70)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut circuit = Circuit::new(n, n);
+            for step in 0..60 {
+                // The last qubit is measured halfway and left alone after.
+                if step == 30 {
+                    circuit.measure(n - 1, n - 1).unwrap();
+                }
+                let gate = gates[rng.gen_range(0..gates.len())];
+                let a = rng.gen_range(0..n - 1);
+                let b = rng.gen_range(a + 1..n);
+                let qubits = if rng.gen_bool(0.5) { [a, b] } else { [b, a] };
+                let qubits = &qubits[..gate.num_qubits()];
+                if step < 30 || !qubits.contains(&(n - 1)) {
+                    circuit.append(gate, qubits).unwrap();
+                }
+            }
+            assert_eq!(circuit.measurement_count(), 1);
+            let noise = NoiseModel::uniform(n, 0.1, 0.1, 0.0);
+            let plan = FramePlan::build(&circuit, &noise).unwrap().unwrap();
+            let wpr = plan.wpr;
+            let mut planned = plan.ops.iter().filter_map(|op| match op {
+                ShotOp::Noise { site, props } => Some((site, props)),
+                _ => None,
+            });
+            let instructions = circuit.instructions();
+            for (index, inst) in instructions.iter().enumerate() {
+                for site in noise.fault_sites(&inst.gate, &inst.qubits) {
+                    let (planned_site, props) = planned.next().expect("a planned op per site");
+                    assert_eq!(*planned_site, site, "n {n}, instruction {index}");
+                    for (prop, &q) in props.iter().zip(site.operands()) {
+                        let forward = forward_images(q, &instructions[index + 1..], wpr);
+                        assert_eq!(*prop, forward, "n {n}, instruction {index}, qubit {q}");
+                        compared += 1;
+                    }
+                }
+            }
+            assert!(planned.next().is_none());
+        }
+        assert!(compared > 200, "{compared}");
     }
 
     #[test]

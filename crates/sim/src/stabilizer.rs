@@ -21,12 +21,14 @@
 //! Two things are written here once, for every Clifford view of a circuit.
 //! [`apply_clifford`] is the one table that decomposes a Clifford gate into
 //! the generators {H, S, S†, CX, X, Y, Z}; it drives any [`CliffordTarget`]:
-//! this tableau, which tracks signs, and the sign-free Pauli frame of
-//! [`crate::frame`]. [`StabilizerSimulator::collapse`] is the one
-//! computational-basis collapse (pivot search, row operations, `rowsum`
-//! phase arithmetic), generic over the [`PhaseRider`] that travels with each
-//! row's phase bit: nothing for [`StabilizerSimulator::measure`], the coin /
-//! frame dependency rows for the Pauli-frame planner.
+//! this tableau, which tracks signs, and the sign-free generator buffer of
+//! the Pauli-frame planner in [`crate::frame`], which steps its error images
+//! back over a gate generator by generator.
+//! [`StabilizerSimulator::collapse`] is the one computational-basis collapse
+//! (pivot search, row operations, `rowsum` phase arithmetic), generic over
+//! the [`PhaseRider`] that travels with each row's phase bit: nothing for
+//! [`StabilizerSimulator::measure`], the coin / frame dependency rows for
+//! the Pauli-frame planner.
 
 use rand::Rng;
 

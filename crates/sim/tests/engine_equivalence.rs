@@ -13,10 +13,10 @@
 use proptest::prelude::*;
 
 use qrio_circuit::{library, Circuit};
-use qrio_sim::executor::{select_engine, Engine};
+use qrio_sim::executor::{forces_replay, select_engine, Engine};
 use qrio_sim::{
-    run_ideal, run_with_noise_parallel, run_with_noise_path, Counts, ExecutionPath, NoiseModel,
-    ParallelConfig, StateVector,
+    run_ideal, run_with_noise_parallel, run_with_noise_path, Counts, ExecutionPath, FramePlan,
+    NoiseModel, ParallelConfig, StateVector,
 };
 
 /// Exact outcome distribution of a measurement-free circuit, from the dense
@@ -333,5 +333,53 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(frame, replay);
+    }
+    /// Measurements need not be last: each qubit is measured somewhere after
+    /// its own last gate, among gates (and noise sites) on other qubits, and
+    /// the frame path still matches replay byte for byte — ops are drawn in
+    /// instruction order. One gate on a measured qubit ends eligibility.
+    #[test]
+    fn interleaved_measurements_keep_frame_equal_to_replay(
+        qubits in 2usize..9,
+        depth in 1usize..7,
+        circuit_seed in 0u64..1_000_000,
+        places in proptest::collection::vec(0usize..1_000, 9..10),
+        seed in 0u64..1_000_000,
+    ) {
+        let gates = library::random_clifford_circuit(qubits, depth, circuit_seed)
+            .unwrap()
+            .without_measurements();
+        let gates = gates.instructions();
+        // Qubit q may be measured before instruction `at` for any `at` past
+        // its last gate; `places` picks one.
+        let mut measure_before = vec![Vec::new(); gates.len() + 1];
+        for (q, place) in places.iter().enumerate().take(qubits) {
+            let last_gate = gates.iter().rposition(|i| i.qubits.contains(&q));
+            let free_from = last_gate.map_or(0, |i| i + 1);
+            measure_before[free_from + place % (gates.len() + 1 - free_from)].push(q);
+        }
+        let mut circuit = Circuit::new(qubits, qubits);
+        for (at, measured) in measure_before.iter().enumerate() {
+            for &q in measured {
+                circuit.measure(q, q).unwrap();
+            }
+            if let Some(inst) = gates.get(at) {
+                circuit.append(inst.gate, &inst.qubits).unwrap();
+            }
+        }
+        prop_assert_eq!(forces_replay(&circuit), None);
+
+        let noise = NoiseModel::uniform(qubits, 0.02, 0.05, 0.03);
+        let run = |circuit: &Circuit, path| {
+            run_with_noise_path(circuit, &noise, 130, seed, &ParallelConfig::serial(), path)
+        };
+        prop_assert_eq!(
+            run(&circuit, ExecutionPath::Frame).unwrap(),
+            run(&circuit, ExecutionPath::Replay).unwrap()
+        );
+
+        circuit.h(places[0] % qubits).unwrap();
+        prop_assert!(FramePlan::build(&circuit, &noise).unwrap().is_none());
+        prop_assert!(run(&circuit, ExecutionPath::Frame).is_err());
     }
 }
