@@ -9,8 +9,12 @@
 //! observed transition is in the legality table (QL0303), no job is left
 //! non-terminal at the end of a drained run (QL0304), no job re-enters
 //! `Running` without an intervening `Retrying` decision (QL0305), retry
-//! attempt counters climb by exactly one per `Retrying` event (QL0306), and
-//! nothing happens to a job after it reaches a terminal state (QL0307).
+//! attempt counters climb by exactly one per `Retrying` event (QL0306),
+//! nothing happens to a job after it reaches a terminal state (QL0307), the
+//! `at` stamps never run backwards along the log (QL0308) and no retry
+//! re-queues before the backoff its `Retrying` event announced has elapsed
+//! (QL0309) — the one clock behind every stamp only moves forward, and the
+//! backoff timer is armed from it.
 
 use std::collections::BTreeMap;
 
@@ -56,9 +60,23 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
     // Running entry, restored by a Retrying decision.
     let mut may_run: BTreeMap<&str, bool> = BTreeMap::new();
     let mut last_attempt: BTreeMap<&str, u64> = BTreeMap::new();
+    // When the backoff a job's latest Retrying event announced elapses.
+    let mut not_before: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut clock = 0;
     for event in events {
         let job = event.job.as_str();
         let previous = last_state.get(job).copied();
+
+        // QL0308: the stamps are readings of one clock that only moves
+        // forward.
+        if event.at < clock {
+            diagnostics.push(Diagnostic::new(
+                LintCode::TimeRanBackwards,
+                Location::at(&subject, format!("seq {}", event.seq)),
+                format!("stamped at {}, after an event stamped at {clock}", event.at),
+            ));
+        }
+        clock = clock.max(event.at);
 
         // QL0307: terminal states are final — any further event for the job
         // means the orchestrator kept mutating settled work.
@@ -140,6 +158,27 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
                 }
                 last_attempt.insert(job, attempt);
             }
+            if let Some(delay) = event.reason.as_deref().and_then(parse_backoff) {
+                not_before.insert(job, event.at.saturating_add(delay));
+            }
+        }
+
+        // QL0309: "backoff elapsed" must be true of the announced backoff.
+        // (A cancel, a deadline or an operator's kick may end a backoff
+        // early; none of them says it elapsed.)
+        let reason = event.reason.as_deref().unwrap_or_default();
+        if event.from == Some(JobState::Retrying) && reason.starts_with("backoff elapsed") {
+            let due = not_before.get(job).copied().unwrap_or(0);
+            if event.at < due {
+                diagnostics.push(Diagnostic::new(
+                    LintCode::BackoffCutShort,
+                    Location::at(&subject, format!("seq {} (job '{job}')", event.seq)),
+                    format!(
+                        "re-queued at {} as \"backoff elapsed\", but the backoff announced runs until {due}",
+                        event.at
+                    ),
+                ));
+            }
         }
 
         last_state.insert(job, event.to);
@@ -165,11 +204,21 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
 /// orchestrator's form `"attempt N failed: ..."`. Returns `None` for logs
 /// that carry no (or a foreign) reason — those simply skip the QL0306 check.
 fn parse_attempt(reason: &str) -> Option<u64> {
-    let rest = reason.strip_prefix("attempt ")?;
-    let end = rest
+    leading_number(reason.strip_prefix("attempt ")?)
+}
+
+/// Parse the delay out of the same reason's tail, `"...; backing off N
+/// ticks"` (the unit is the clock's, whatever the word says).
+fn parse_backoff(reason: &str) -> Option<u64> {
+    let marker = "backing off ";
+    leading_number(&reason[reason.find(marker)? + marker.len()..])
+}
+
+fn leading_number(text: &str) -> Option<u64> {
+    let end = text
         .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+        .unwrap_or(text.len());
+    text[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -350,6 +399,41 @@ mod tests {
     }
 
     #[test]
+    fn stamps_running_backwards_and_backoffs_cut_short_are_flagged() {
+        // Attempt 1 fails at t=10 and announces 4, attempt 2 at t=20 and
+        // announces 8; both re-queue on the dot.
+        let mut log = retry_log(
+            "attempt 1 failed: boom; backing off 4 ticks",
+            "attempt 2 failed: boom; backing off 8 ticks",
+        );
+        for (seq, at) in [0, 0, 1, 10, 10, 14, 14, 20, 20, 28, 28, 30, 30]
+            .into_iter()
+            .enumerate()
+        {
+            log[seq].at = at;
+        }
+        for requeue in [5, 9] {
+            log[requeue].reason = Some("backoff elapsed; re-queued for retry".to_string());
+        }
+        assert!(audit_watch_log(&log, AuditOptions::default()).is_empty());
+
+        let codes = |log: &[JobEvent]| -> Vec<LintCode> {
+            let diags = audit_watch_log(log, AuditOptions::default());
+            diags.iter().map(|d| d.code).collect()
+        };
+        let mut early = log.clone();
+        early[9].at = 27;
+        assert_eq!(codes(&early), [LintCode::BackoffCutShort]);
+        // The same early re-queue under any other reason is someone's
+        // decision, not a timer's claim.
+        early[9].reason = Some("retry kicked; re-queued".to_string());
+        assert!(codes(&early).is_empty());
+        let mut rewound = log.clone();
+        rewound[11].at = 27;
+        assert_eq!(codes(&rewound), [LintCode::TimeRanBackwards]);
+    }
+
+    #[test]
     fn events_after_a_terminal_state_are_flagged() {
         use JobState::*;
         let log = vec![
@@ -376,5 +460,10 @@ mod tests {
         assert_eq!(parse_attempt("attempt 12"), Some(12));
         assert_eq!(parse_attempt("attempted murder"), None);
         assert_eq!(parse_attempt("something else"), None);
+        assert_eq!(
+            parse_backoff("attempt 3 failed: x; backing off 250 ticks"),
+            Some(250)
+        );
+        assert_eq!(parse_backoff("attempt 3 failed: x"), None);
     }
 }

@@ -369,6 +369,40 @@ fn self_check() -> Vec<String> {
         audit_watch_log(&truncated, AuditOptions::default()),
     );
 
+    // 5b. The auditor's time rule: a retry that announces a backoff of 8 at
+    // t=10 and claims it elapsed at t=12, and one stamped before it failed.
+    {
+        use qrio::{JobEvent, JobId, JobState};
+        let requeued_at = |at: u64| {
+            let event = |seq, at, from, to, reason: &str| JobEvent {
+                seq,
+                at,
+                job: JobId::new("timed-job"),
+                from: Some(from),
+                to,
+                node: None,
+                reason: Some(reason.to_string()),
+            };
+            let failed = "attempt 1 failed: boom; backing off 8 ticks";
+            let requeued = "backoff elapsed; re-queued for retry";
+            let log = [
+                event(0, 10, JobState::Running, JobState::Retrying, failed),
+                event(1, at, JobState::Retrying, JobState::Queued, requeued),
+            ];
+            audit_watch_log(&log, AuditOptions::default())
+        };
+        expect(
+            "watch log re-queueing mid-backoff",
+            LintCode::BackoffCutShort,
+            requeued_at(12),
+        );
+        expect(
+            "watch log stamped backwards",
+            LintCode::TimeRanBackwards,
+            requeued_at(9),
+        );
+    }
+
     // 6-9. The durability-journal family, over hand-built byte fixtures.
     {
         use qrio::durability::{encode_events_record, RECORD_COMMAND};

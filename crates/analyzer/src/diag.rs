@@ -120,6 +120,10 @@ lint_codes! {
      "Retrying events' attempt counters do not increase by one per attempt"),
     (EventAfterTerminal, "QL0307", Error,
      "event recorded for a job after it reached a terminal state"),
+    (TimeRanBackwards, "QL0308", Error,
+     "watch-log timestamps decrease along the sequence, though the one clock only moves forward"),
+    (BackoffCutShort, "QL0309", Error,
+     "retry re-queued as \"backoff elapsed\" before the backoff its Retrying event announced had elapsed"),
     // Durability-journal lints (QL04xx).
     (TornTailRecord, "QL0401", Warning,
      "journal ends in a torn (truncated or corrupt) tail record that recovery will discard"),

@@ -117,7 +117,7 @@ pub fn lint_chaos_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
         }
     }
 
-    // QL0501: the engine paces tenant retries in virtual ms; if the
+    // QL0501: tenant backoffs and deadlines are in virtual ms; if the
     // worst-case cumulative backoff alone exceeds the tenant deadline, the
     // later retry slots exist only on paper.
     for tenant in &scenario.tenants {
@@ -133,22 +133,16 @@ pub fn lint_chaos_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
                 Location::at(&subject, format!("tenant '{}'", tenant.name)),
                 format!(
                     "worst-case cumulative backoff is {worst} ms against a deadline of \
-                     {deadline} ms: late retry attempts are cancelled before they can run"
+                     {deadline} ms: late retry attempts expire before they can run"
                 ),
             ));
         }
     }
 
-    // QL0503: breaker settings, mapped onto the core config they become.
+    // QL0503: breaker settings.
     if let Some(breakers) = &scenario.breakers {
         diagnostics.extend(lint_breaker_config(
-            &BreakerConfig {
-                consecutive_failures: breakers.consecutive_failures,
-                failure_rate: breakers.failure_rate,
-                window: breakers.window,
-                open_ticks: breakers.open_ms,
-                probe_jobs: breakers.probe_jobs,
-            },
+            breakers,
             &format!("{subject}: breakers"),
         ));
     }

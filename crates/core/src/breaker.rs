@@ -14,12 +14,14 @@
 //! A breaker trips either on `consecutive_failures` failures in a row or
 //! when the failure rate over the last `window` outcomes reaches
 //! `failure_rate`. While `Open` the device is cordoned — the scheduler will
-//! not bind new work to it. After `open_ticks` virtual-time ticks the
-//! breaker moves to `HalfOpen` and the device is uncordoned on probation:
-//! `probe_jobs` consecutive successes close it again, any failure re-trips
-//! it immediately.
+//! not bind new work to it. Once the clock has moved `open_ticks` on (in
+//! whatever unit the orchestrator's one clock is advanced in: one per
+//! [`crate::Qrio::tick`], virtual milliseconds under a simulator's
+//! [`crate::Qrio::advance_to`]) the breaker moves to `HalfOpen` and the
+//! device is uncordoned on probation: `probe_jobs` consecutive successes
+//! close it again, any failure re-trips it immediately.
 //!
-//! Everything here is integer- and tick-driven — no randomness — so breaker
+//! Everything here is integer- and clock-driven — no randomness — so breaker
 //! trips replay byte-identically from the journal after a crash. The board
 //! also contributes a *health penalty* to each device's
 //! [`qrio_meta::DeviceTelemetry`], letting ranking strategies steer work
@@ -28,7 +30,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use qrio_bytes::{codec_enum, codec_struct, Wide32};
+use qrio_bytes::{
+    codec_enum, codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode, Wide32,
+};
+
+use crate::lifecycle::{due_by, DueIndex};
 
 /// Thresholds shared by every device breaker on a board.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +47,8 @@ pub struct BreakerConfig {
     /// Number of recent outcomes the failure rate is computed over; the
     /// rate trigger only fires once the window is full.
     pub window: u32,
-    /// Virtual-time ticks an `Open` breaker waits before probing.
+    /// How far the clock must move before an `Open` breaker probes, in the
+    /// unit the clock is advanced in.
     pub open_ticks: u64,
     /// Consecutive successes required in `HalfOpen` to close the breaker.
     pub probe_jobs: u32,
@@ -72,9 +79,9 @@ impl Default for BreakerConfig {
 pub enum BreakerState {
     /// Healthy: work flows normally.
     Closed,
-    /// Tripped: the device is cordoned until the given virtual tick.
+    /// Tripped: the device is cordoned until the clock reads `until`.
     Open {
-        /// First tick at which the breaker may move to `HalfOpen`.
+        /// First clock reading at which the breaker may move to `HalfOpen`.
         until: u64,
     },
     /// Probation: the device takes work again; `successes` probes have
@@ -111,7 +118,7 @@ impl fmt::Display for BreakerState {
 /// One breaker transition, appended to the board's event log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BreakerEvent {
-    /// Virtual tick of the transition.
+    /// What the clock read at the transition.
     pub at: u64,
     /// The device whose breaker transitioned.
     pub device: String,
@@ -198,13 +205,31 @@ pub struct BreakerBoard {
     pub(crate) config: BreakerConfig,
     pub(crate) breakers: BTreeMap<String, DeviceBreaker>,
     pub(crate) events: Vec<BreakerEvent>,
+    /// When each `Open` breaker's interval elapses (its `until`).
+    pub(crate) open: DueIndex,
 }
 
-codec_struct!(BreakerBoard {
-    config,
-    breakers,
-    events,
-});
+impl Encode for BreakerBoard {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.config.encode(w);
+        self.breakers.encode(w);
+        self.events.encode(w);
+    }
+}
+
+impl Decode for BreakerBoard {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let mut board = BreakerBoard::new(Decode::decode(r)?);
+        board.breakers = Decode::decode(r)?;
+        board.events = Decode::decode(r)?;
+        for (device, breaker) in &board.breakers {
+            if let BreakerState::Open { until } = breaker.state {
+                board.open.insert((until, device.clone()));
+            }
+        }
+        Ok(board)
+    }
+}
 
 impl BreakerBoard {
     /// A board with the given thresholds and no devices yet (devices appear
@@ -214,6 +239,7 @@ impl BreakerBoard {
             config,
             breakers: BTreeMap::new(),
             events: Vec::new(),
+            open: DueIndex::default(),
         }
     }
 
@@ -266,8 +292,12 @@ impl BreakerBoard {
             .expect("transitioned breakers exist");
         let from = breaker.state;
         breaker.state = to;
-        if matches!(to, BreakerState::Open { .. }) {
+        if let BreakerState::Open { until } = from {
+            self.open.remove(&(until, device.to_string()));
+        }
+        if let BreakerState::Open { until } = to {
             breaker.trips += 1;
+            self.open.insert((until, device.to_string()));
         }
         self.events.push(BreakerEvent {
             at,
@@ -278,7 +308,7 @@ impl BreakerBoard {
         });
     }
 
-    /// Record one execution outcome for a device at the given tick.
+    /// Record one execution outcome for a device at the given clock reading.
     /// Returns the action (cordon / uncordon) the caller must apply, if any.
     pub fn record_outcome(&mut self, device: &str, failed: bool, at: u64) -> Option<BreakerAction> {
         let config = self.config;
@@ -346,18 +376,11 @@ impl BreakerBoard {
         }
     }
 
-    /// Advance the board to the given tick: every `Open` breaker whose
-    /// timer expired moves to `HalfOpen`. Returns the devices to uncordon
-    /// for probation, in name order.
+    /// Advance the board to the given clock reading: every `Open` breaker
+    /// whose interval elapsed moves to `HalfOpen`. Returns the devices to
+    /// uncordon for probation, in name order.
     pub fn tick(&mut self, now: u64) -> Vec<String> {
-        let due: Vec<String> = self
-            .breakers
-            .iter()
-            .filter_map(|(name, b)| match b.state {
-                BreakerState::Open { until } if now >= until => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
+        let due = due_by(&self.open, now);
         for device in &due {
             self.transition(
                 device,
@@ -369,9 +392,8 @@ impl BreakerBoard {
         due
     }
 
-    /// Force a device straight to probation (the explicit probe command of
-    /// virtual-time drivers that never call `tick`). Returns `true` when
-    /// the device was `Open` and is now probing.
+    /// Force a device straight to probation, whatever its `until`. Returns
+    /// `true` when the device was `Open` and is now probing.
     pub fn force_probe(&mut self, device: &str, at: u64) -> bool {
         match self.state(device) {
             BreakerState::Open { .. } => {

@@ -377,6 +377,11 @@ pub enum Command {
         /// The device to probe.
         device: String,
     },
+    /// [`crate::Qrio::advance_to`] — move the clock and fire what is due.
+    AdvanceTo {
+        /// The time the clock was moved to.
+        now: u64,
+    },
 }
 
 codec_enum!(Command {
@@ -398,6 +403,7 @@ codec_enum!(Command {
     15 => KickRetry { job },
     16 => Interrupt { job },
     17 => Probe { device },
+    18 => AdvanceTo { now },
 });
 
 /// The full orchestrator state captured by a snapshot record: the stores
@@ -800,6 +806,7 @@ mod tests {
             Command::Probe {
                 device: "dev".into(),
             },
+            Command::AdvanceTo { now: 1_500 },
         ];
         for cmd in commands {
             let record = encode_command_record(&cmd);

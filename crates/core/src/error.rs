@@ -37,6 +37,14 @@ pub enum QrioError {
     JobNotFinished(String),
     /// The job was cancelled before it ran, so it has no outcome.
     JobCancelled(String),
+    /// [`crate::Qrio::advance_to`] was given a time before the clock's: time
+    /// does not run backwards, and nothing changed.
+    ClockBehind {
+        /// The time asked for.
+        now: u64,
+        /// What the clock reads ([`crate::Qrio::now`]).
+        clock: u64,
+    },
     /// The durability layer (journal, snapshot codec or recovery replay)
     /// failed. Once a journal write fails the error is sticky: every
     /// subsequent journaled operation reports it until durability is
@@ -60,6 +68,9 @@ impl fmt::Display for QrioError {
                 write!(f, "job '{id}' has not reached a terminal state yet")
             }
             QrioError::JobCancelled(id) => write!(f, "job '{id}' was cancelled"),
+            QrioError::ClockBehind { now, clock } => {
+                write!(f, "cannot move the clock back from {clock} to {now}")
+            }
             QrioError::Durability(err) => write!(f, "durability error: {err}"),
         }
     }

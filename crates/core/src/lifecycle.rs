@@ -20,7 +20,7 @@
 //! transition reason. [`crate::Qrio`] owns the store; this module owns the
 //! types and the bookkeeping invariants.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use qrio_bytes::{
@@ -188,8 +188,8 @@ impl fmt::Display for JobState {
 pub struct JobEvent {
     /// Position of the event in the log (0-based, dense).
     pub seq: u64,
-    /// Virtual timestamp: the service-loop tick the transition happened on
-    /// (`0` for transitions before the first tick).
+    /// Virtual timestamp: what [`crate::Qrio::now`] read when the transition
+    /// happened (`0` before the clock first moved).
     pub at: u64,
     /// The job that transitioned.
     pub job: JobId,
@@ -237,11 +237,18 @@ codec_struct!(JobStatus {
     history,
 });
 
-/// What one [`crate::Qrio::tick`] service cycle did.
+/// What one [`crate::Qrio::tick`] service cycle did, or — the timer fields
+/// alone — what one [`crate::Qrio::advance_to`] fired.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickReport {
-    /// The virtual timestamp of this cycle (1-based).
+    /// The clock after the call.
     pub tick: u64,
+    /// Devices whose `Open` breaker's interval elapsed: now `HalfOpen` and
+    /// uncordoned for probation.
+    pub probing: Vec<String>,
+    /// Jobs whose retry backoff elapsed: `Retrying` → `Queued`, back in the
+    /// admission queue.
+    pub requeued: Vec<JobId>,
     /// Jobs admitted and bound to a device this cycle.
     pub scheduled: Vec<JobId>,
     /// Jobs left in the admission queue because no device can host them
@@ -264,7 +271,8 @@ impl TickReport {
     /// Whether the cycle changed any job's state. A report of only deferred
     /// jobs means the loop is at a fixed point: without external changes
     /// (completions freeing resources happen *within* a tick) another tick
-    /// would do exactly the same.
+    /// would do exactly the same. `probing` and `requeued` do not count: a
+    /// re-queued job is this same cycle's `scheduled`, `deferred` or `failed`.
     pub fn made_progress(&self) -> bool {
         !(self.scheduled.is_empty()
             && self.failed.is_empty()
@@ -288,12 +296,24 @@ pub(crate) struct Tracked {
     pub(crate) failure: Option<QrioError>,
     /// Execution attempts already consumed (0 before the first run).
     pub(crate) attempt: u32,
-    /// Earliest tick a `Retrying` job may re-queue (its backoff horizon);
+    /// Earliest clock reading at which a `Retrying` job may re-queue (its
+    /// backoff horizon, in the unit the caller advances the clock in);
     /// meaningless outside `Retrying`.
     pub(crate) not_before: u64,
     /// Absolute virtual-time deadline (`admission clock + spec.deadline`),
     /// when the request carried one.
     pub(crate) deadline_at: Option<u64>,
+}
+
+impl Tracked {
+    /// When the job expires if it stays in `state`: the first clock reading
+    /// past its deadline, for a job that has one and waits (for the scheduler
+    /// or for its backoff).
+    fn expiry(&self, state: JobState) -> Option<u64> {
+        let waits = matches!(state, JobState::Queued | JobState::Retrying);
+        let deadline = self.deadline_at.filter(|_| waits);
+        deadline.and_then(|at| at.checked_add(1))
+    }
 }
 
 /// Project a lifecycle failure onto the persistable [`ClusterError`] space.
@@ -322,11 +342,27 @@ impl Decode for Tracked {
     }
 }
 
+/// The armed timers of one kind as sorted `(firing time, name)` pairs: the
+/// earliest is the first entry and what is due is a prefix, so neither firing
+/// timers nor [`crate::Qrio::next_due`] walks the jobs or the fleet. Derived
+/// state — never encoded, rebuilt on decode from the records it indexes.
+pub(crate) type DueIndex = BTreeSet<(u64, String)>;
+
+/// Whose timer fires at or before `now`, in name order (the order the scans
+/// this index replaced produced, which every journal holds).
+pub(crate) fn due_by(index: &DueIndex, now: u64) -> Vec<String> {
+    let due = index.iter().take_while(|(at, _)| *at <= now);
+    let mut names: Vec<String> = due.map(|(_, name)| name.clone()).collect();
+    names.sort_unstable();
+    names
+}
+
 /// The lifecycle store owned by [`crate::Qrio`]: job records, the watch log,
 /// the admission queue and the per-device execution queues.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LifecycleStore {
-    /// Virtual clock, incremented once per service-loop tick.
+    /// The one virtual clock: [`crate::Qrio::tick`] moves it by one,
+    /// [`crate::Qrio::advance_to`] to wherever its caller's time stands.
     pub(crate) clock: u64,
     /// The watch log, append-only; `seq` equals the index.
     pub(crate) events: Vec<JobEvent>,
@@ -349,6 +385,12 @@ pub(crate) struct LifecycleStore {
     /// in the order they were routed here. `pub(crate)` for durability
     /// snapshots.
     pub(crate) dead_letters: Vec<String>,
+    /// When each `Retrying` job's backoff elapses (its `not_before`): armed
+    /// by the retry decision, disarmed by [`LifecycleStore::record`].
+    pub(crate) backoffs: DueIndex,
+    /// When each `Queued` / `Retrying` job under a deadline expires
+    /// (`deadline_at + 1`: the first reading past it).
+    pub(crate) deadlines: DueIndex,
 }
 
 impl Encode for LifecycleStore {
@@ -377,7 +419,7 @@ impl Encode for LifecycleStore {
 
 impl Decode for LifecycleStore {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(LifecycleStore {
+        let mut store = LifecycleStore {
             clock: Decode::decode(r)?,
             events: Decode::decode(r)?,
             jobs: Decode::decode(r)?,
@@ -385,7 +427,18 @@ impl Decode for LifecycleStore {
             pending: Decode::decode(r)?,
             device_queues: Decode::decode(r)?,
             dead_letters: Decode::decode(r)?,
-        })
+            backoffs: DueIndex::default(),
+            deadlines: DueIndex::default(),
+        };
+        for (name, tracked) in &store.jobs {
+            if tracked.status.state == JobState::Retrying {
+                store.backoffs.insert((tracked.not_before, name.clone()));
+            }
+            if let Some(expiry) = tracked.expiry(tracked.status.state) {
+                store.deadlines.insert((expiry, name.clone()));
+            }
+        }
+        Ok(store)
     }
 }
 
@@ -449,6 +502,19 @@ impl LifecycleStore {
             from.map_or(true, |from| from.can_transition_to(to)),
             "illegal transition {from:?} -> {to:?} for job '{name}'"
         );
+        // The due-indexes follow the job in and out of the states they index.
+        if from == Some(JobState::Retrying) {
+            self.backoffs
+                .remove(&(tracked.not_before, name.to_string()));
+        }
+        match (
+            from.and_then(|from| tracked.expiry(from)),
+            tracked.expiry(to),
+        ) {
+            (None, Some(expiry)) => self.deadlines.insert((expiry, name.to_string())),
+            (Some(expiry), None) => self.deadlines.remove(&(expiry, name.to_string())),
+            _ => false,
+        };
         tracked.status.state = to;
         if node.is_some() {
             tracked.status.node.clone_from(&node);
@@ -531,9 +597,7 @@ impl LifecycleStore {
 
     /// Whether any job is sitting in `Retrying`, waiting out its backoff.
     pub(crate) fn has_waiting_retries(&self) -> bool {
-        self.jobs
-            .values()
-            .any(|tracked| tracked.status.state == JobState::Retrying)
+        !self.backoffs.is_empty()
     }
 }
 

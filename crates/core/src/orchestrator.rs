@@ -19,10 +19,22 @@
 //! `outcome` — other queued work advances alongside, but only the submitted
 //! job is ever force-failed on its account.
 //!
+//! # One clock
+//!
+//! There is one virtual clock ([`Qrio::now`]) and one set of timers on it:
+//! retry backoffs, deadlines and the open intervals of circuit breakers.
+//! [`Qrio::tick`] moves the clock by one; a caller that keeps time itself
+//! moves it with [`Qrio::advance_to`] and asks [`Qrio::next_due`] when it
+//! next has to. Either way the timers that are due fire, from one body. The
+//! clock has no unit: delays, deadlines and `open_ticks` are in whatever unit
+//! it is advanced in — ticks under the service loop, virtual milliseconds
+//! under `qrio-loadgen`.
+//!
 //! # Simulator primitives
 //!
 //! Virtual-time simulators (e.g. `qrio-loadgen`) need to decide *when* each
-//! lifecycle step happens instead of delegating to `tick()`. For them the
+//! lifecycle step happens instead of delegating to `tick()`. They move the
+//! clock with [`Qrio::advance_to`], and for them the
 //! individual steps are public: [`Qrio::schedule`] binds one queued job
 //! against the most recently reported telemetry ([`Qrio::report_telemetry`]),
 //! [`Qrio::execute`] runs one bound job, [`Qrio::rank_ready`] re-ranks a job
@@ -49,6 +61,7 @@
 //!   `enqueue_all`, `cancel`, `status`, `job_status`, `outcome`, `watch`, and
 //!   the admission verdicts of the service loop (regular and forced);
 //! * `reconcile` — everything that moves a job afterwards: `tick`,
+//!   `advance_to` and the timers under both, `next_due`,
 //!   `run_until_idle`, `submit`, the step calls (`schedule`, `execute`,
 //!   `interrupt`, `kick_retry`, `rebind`, `rank_ready`), the execution
 //!   attempt over the control plane, its settlement, retry and deadline;
@@ -67,7 +80,7 @@
 //! |------|-------|
 //! | on success — a failure changed nothing | `add_device*`, `recalibrate_device`, `cordon_device`, `uncordon_device`, `enqueue`, `cancel`, `kick_retry` |
 //! | on attempt, unless the id is unknown — a failed attempt still moves the job or logs cluster events | `schedule`, `execute`, `interrupt`, `rebind` |
-//! | always | `tick`, `report_telemetry`, `heal_devices`, `configure_faults`, `configure_breakers` |
+//! | always | `tick`, `report_telemetry`, `heal_devices`, `configure_faults`, `configure_breakers`; `advance_to` unless refused — it moves the clock even when nothing is due |
 //! | when it did something | the forced admission of `run_until_idle` / `submit` (`Queued` stragglers only), `probe_device` (an `Open` breaker only) |
 //!
 //! `tick`, `report_telemetry` and the forced admission cannot return a
@@ -241,8 +254,11 @@ impl Qrio {
         names.map(String::as_str)
     }
 
-    /// The virtual timestamp of the service loop: how many [`Qrio::tick`]
-    /// cycles have run.
+    /// What the one virtual clock reads: every watch-log and breaker event is
+    /// stamped with it and every timer is armed from it. [`Qrio::tick`] moves
+    /// it by one and [`Qrio::advance_to`] to the time it is given, so it
+    /// counts tick cycles under the service loop and virtual milliseconds
+    /// under a simulator that advances in them.
     pub fn now(&self) -> u64 {
         self.lifecycle.clock
     }

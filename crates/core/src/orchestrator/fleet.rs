@@ -249,7 +249,8 @@ impl Qrio {
     /// Install (or, with `None`, remove) per-device circuit breakers. A
     /// fresh board starts with every breaker closed; from then on every
     /// execution outcome feeds it, a trip cordons the device, and probation
-    /// uncordons it. Journaled, so recovery replays every trip.
+    /// — `open_ticks` later on the clock, in the unit the clock is advanced
+    /// in — uncordons it. Journaled, so recovery replays every trip.
     ///
     /// # Errors
     ///
@@ -260,10 +261,11 @@ impl Qrio {
     }
 
     /// Force a device's `Open` circuit breaker into probation now,
-    /// uncordoning the device — the breaker primitive of virtual-time
-    /// simulators, which never call [`Qrio::tick`] (whose timer would
-    /// otherwise probe automatically). Returns whether probation began
-    /// (`false` when breakers are off or the breaker was not `Open`).
+    /// uncordoning the device, without waiting for its open interval to
+    /// elapse on the clock ([`Qrio::tick`] and [`Qrio::advance_to`] begin
+    /// probation on time by themselves; nothing but tests calls this any
+    /// more). Returns whether probation began (`false` when breakers are off
+    /// or the breaker was not `Open`).
     ///
     /// # Errors
     ///

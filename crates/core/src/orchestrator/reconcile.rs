@@ -1,5 +1,6 @@
 //! Everything that moves an admitted job: the `tick()` service cycle and its
-//! fixed-point drivers, the step calls virtual-time simulators make instead,
+//! fixed-point drivers, the one clock's timers under `tick()` and
+//! `advance_to`, the step calls virtual-time simulators make instead,
 //! the execution attempt over the control plane, and how its outcome settles
 //! into success, a retry, or a terminal failure.
 
@@ -11,13 +12,15 @@ use super::{JobOutcome, Qrio};
 use crate::breaker::BreakerAction;
 use crate::durability::Command;
 use crate::error::QrioError;
-use crate::lifecycle::{JobId, JobState, TickReport};
+use crate::lifecycle::{due_by, JobId, JobState, TickReport};
 use crate::visualizer::JobRequest;
 
 impl Qrio {
     // --- Service loop --------------------------------------------------------------------
 
-    /// Run one deterministic service cycle.
+    /// Run one deterministic service cycle: the clock moves by one, every
+    /// timer due at the new reading fires (as under [`Qrio::advance_to`]),
+    /// then
     ///
     /// 1. **Admission**: the queue drains in priority order (FIFO within a
     ///    priority; ties never depend on map iteration order). Each job is
@@ -27,30 +30,9 @@ impl Qrio {
     /// 2. **Execution**: each device (in name order) runs the head of its
     ///    queue to completion.
     pub fn tick(&mut self) -> TickReport {
+        let mut report = TickReport::default();
         self.lifecycle.clock += 1;
-        let now = self.lifecycle.clock;
-        let mut report = TickReport {
-            tick: now,
-            ..TickReport::default()
-        };
-        // Circuit breakers: every Open breaker whose timer expired moves to
-        // HalfOpen and its device is uncordoned for probation.
-        let probing = self.breakers.as_mut().map(|board| board.tick(now));
-        for device in probing.unwrap_or_default() {
-            self.mark_cordon(&device, false);
-        }
-        // Deadline expiry: Queued / Retrying jobs past their deadline fail
-        // with DeadlineExceeded before anything else happens this cycle —
-        // the deadline dominates an elapsed backoff.
-        for (name, deadline) in self.expired_deadline_jobs() {
-            self.expire_deadline(&name, deadline);
-            report.expired.push(JobId::new(name));
-        }
-        // Retry promotion: Retrying jobs whose backoff elapsed re-enter the
-        // admission queue with a fresh admission sequence.
-        for name in self.due_retry_jobs() {
-            self.requeue_retry(&name, "backoff elapsed; re-queued for retry");
-        }
+        self.fire_timers(self.lifecycle.clock, &mut report);
         // Admission.
         for name in self.lifecycle.pending_in_order() {
             let bucket = match self.admit_and_bind(&name, false) {
@@ -91,44 +73,87 @@ impl Qrio {
         queues.filter_map(|queue| queue.front().cloned()).collect()
     }
 
-    /// Queued / Retrying jobs whose absolute deadline has passed, each with
-    /// that deadline, in name order (deterministic: `lifecycle.jobs` is a
-    /// sorted map).
-    fn expired_deadline_jobs(&self) -> Vec<(String, u64)> {
-        let now = self.lifecycle.clock;
-        self.lifecycle
-            .jobs
-            .iter()
-            .filter(|(_, tracked)| {
-                matches!(tracked.status.state, JobState::Queued | JobState::Retrying)
-            })
-            .filter_map(|(name, tracked)| {
-                let deadline = tracked.deadline_at.filter(|at| now > *at)?;
-                Some((name.clone(), deadline))
-            })
-            .collect()
+    /// Move the clock to `now` and fire every timer due by then — the whole of
+    /// time for a caller that keeps its own (a simulator advancing in virtual
+    /// milliseconds), where [`Qrio::tick`] moves the clock by one and then
+    /// admits and executes as well. The clock has no unit of its own: backoff
+    /// delays, deadlines and [`BreakerConfig::open_ticks`](crate::BreakerConfig)
+    /// are in whatever unit the caller advances in. Timers fire in the order
+    /// of their due time, each at that time, and within one time in the
+    /// order of [`Qrio::tick`]: breakers `Open` → `HalfOpen` (device
+    /// uncordoned), deadlines of `Queued` / `Retrying` jobs, elapsed
+    /// backoffs re-queued. What fired comes back in the report's `probing`,
+    /// `expired` and `requeued`; a re-queued job waits in the admission queue
+    /// for [`Qrio::schedule`] or the next [`Qrio::tick`].
+    ///
+    /// # Errors
+    ///
+    /// [`QrioError::ClockBehind`] for a `now` before [`Qrio::now`] — nothing
+    /// changed — or the journal failure.
+    pub fn advance_to(&mut self, now: u64) -> Result<TickReport, QrioError> {
+        let clock = self.lifecycle.clock;
+        if now < clock {
+            return Err(QrioError::ClockBehind { now, clock });
+        }
+        let mut report = TickReport::default();
+        self.fire_timers(now, &mut report);
+        self.journal(|| Command::AdvanceTo { now })?;
+        Ok(report)
     }
 
-    /// Retrying jobs whose backoff horizon has been reached, in name order.
-    fn due_retry_jobs(&self) -> Vec<String> {
-        let now = self.lifecycle.clock;
-        self.lifecycle
-            .jobs
-            .iter()
-            .filter(|(_, tracked)| {
-                tracked.status.state == JobState::Retrying && tracked.not_before <= now
-            })
-            .map(|(name, _)| name.clone())
-            .collect()
+    /// When the earliest armed timer fires: a backoff horizon, the first
+    /// reading past a deadline, or an `Open` breaker's `until`. `None` when
+    /// nothing is armed. A time at or before [`Qrio::now`] fires on the next
+    /// [`Qrio::advance_to`], whatever it is given.
+    pub fn next_due(&self) -> Option<u64> {
+        let timers = [
+            self.breakers.as_ref().and_then(|board| board.open.first()),
+            self.lifecycle.deadlines.first(),
+            self.lifecycle.backoffs.first(),
+        ];
+        timers.into_iter().flatten().map(|(at, _)| *at).min()
+    }
+
+    /// The one timer body, under [`Qrio::tick`] (which has already moved the
+    /// clock to `now`, so everything due fires there) and
+    /// [`Qrio::advance_to`] (which has not: the clock steps through the due
+    /// times on its way to `now`).
+    fn fire_timers(&mut self, now: u64, report: &mut TickReport) {
+        while let Some(due) = self.next_due().filter(|due| *due <= now) {
+            let at = self.lifecycle.clock.max(due);
+            self.lifecycle.clock = at;
+            // Circuit breakers: every Open breaker whose interval elapsed
+            // moves to HalfOpen and its device is uncordoned for probation.
+            let probing = self.breakers.as_mut().map(|board| board.tick(at));
+            for device in probing.unwrap_or_default() {
+                self.mark_cordon(&device, false);
+                report.probing.push(device);
+            }
+            // Deadline expiry: Queued / Retrying jobs past their deadline
+            // fail with DeadlineExceeded before anything else happens — the
+            // deadline dominates an elapsed backoff.
+            for name in due_by(&self.lifecycle.deadlines, at) {
+                self.expire_deadline(&name);
+                report.expired.push(JobId::new(name));
+            }
+            // Retry promotion: Retrying jobs whose backoff elapsed re-enter
+            // the admission queue with a fresh admission sequence.
+            for name in due_by(&self.lifecycle.backoffs, at) {
+                self.requeue_retry(&name, "backoff elapsed; re-queued for retry");
+                report.requeued.push(JobId::new(name));
+            }
+        }
+        self.lifecycle.clock = now;
+        report.tick = now;
     }
 
     /// Terminally fail a Queued / Retrying job whose deadline passed.
-    fn expire_deadline(&mut self, name: &str, deadline: u64) {
-        let node = self
-            .lifecycle
-            .jobs
-            .get(name)
-            .and_then(|tracked| tracked.status.node.clone());
+    fn expire_deadline(&mut self, name: &str) {
+        let tracked = self.lifecycle.jobs.get(name);
+        let Some(deadline) = tracked.and_then(|tracked| tracked.deadline_at) else {
+            return;
+        };
+        let node = tracked.and_then(|tracked| tracked.status.node.clone());
         // The cluster job is `Pending` in both source states (Queued before
         // scheduling; Retrying jobs were requeued at the retry decision) —
         // withdraw it so the cluster queue and logs agree.
@@ -156,8 +181,8 @@ impl Qrio {
     }
 
     /// Promote a `Retrying` job to `Queued` with a fresh admission sequence:
-    /// its backoff elapsed ([`Qrio::tick`]) or was skipped
-    /// ([`Qrio::kick_retry`]).
+    /// its backoff elapsed ([`Qrio::tick`], [`Qrio::advance_to`]) or was
+    /// skipped ([`Qrio::kick_retry`]).
     fn requeue_retry(&mut self, name: &str, reason: &str) {
         let reason = Some(reason.to_string());
         let tracked = self.lifecycle.record(name, JobState::Queued, None, reason);
@@ -329,9 +354,8 @@ impl Qrio {
     }
 
     /// Promote a `Retrying` job straight to `Queued`, ignoring its backoff
-    /// horizon — the retry primitive of virtual-time simulators, which own
-    /// the backoff timing themselves (they model it in wall-clock
-    /// milliseconds, not service-loop ticks) and never call [`Qrio::tick`].
+    /// horizon ([`Qrio::tick`] and [`Qrio::advance_to`] re-queue it on time
+    /// by themselves; nothing but tests calls this any more).
     ///
     /// # Errors
     ///
@@ -562,6 +586,9 @@ impl Qrio {
             self.lifecycle
                 .record(name, JobState::Retrying, node, Some(reason))
                 .not_before = now + delay;
+            self.lifecycle
+                .backoffs
+                .insert((now + delay, name.to_string()));
             // The cluster job goes back to Pending now; the
             // lifecycle gate (Retrying until not_before) decides
             // when it may actually re-bind.

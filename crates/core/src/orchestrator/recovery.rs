@@ -258,6 +258,7 @@ impl Qrio {
             Command::KickRetry { job } => self.kick_retry(&JobId::new(job)).err(),
             Command::Interrupt { job } => self.interrupt(&JobId::new(job)).err(),
             Command::Probe { device } => self.probe_device(&device).err(),
+            Command::AdvanceTo { now } => self.advance_to(now).err(),
         };
         Ok(())
     }

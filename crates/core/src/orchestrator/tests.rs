@@ -747,3 +747,164 @@ fn no_command_is_built_without_a_journal() {
     assert_eq!(built() - before, commands);
     let _ = std::fs::remove_file(&path);
 }
+
+// --- The one clock ------------------------------------------------------------------
+
+/// What [`Qrio::next_due`] must equal: the earliest timer found by walking
+/// every job and every breaker, which the due-indexes exist not to do.
+fn scanned_next_due(qrio: &Qrio) -> Option<u64> {
+    let jobs = qrio.lifecycle.jobs.values().flat_map(|tracked| {
+        let state = tracked.status.state;
+        let backoff = (state == JobState::Retrying).then_some(tracked.not_before);
+        let waits = matches!(state, JobState::Queued | JobState::Retrying);
+        let deadline = tracked.deadline_at.filter(|_| waits);
+        [backoff, deadline.map(|at| at + 1)]
+    });
+    let breakers = qrio.breakers.iter().flat_map(|board| {
+        board.breakers.values().map(|breaker| match breaker.state {
+            BreakerState::Open { until } => Some(until),
+            _ => None,
+        })
+    });
+    jobs.chain(breakers).flatten().min()
+}
+
+/// Three jobs flapped off three devices at t=0, every flap tripping its
+/// device's breaker (open until 4): `short` backs off until 2, `long` until
+/// 6, and `doomed` until 9 under a deadline of 4 — it expires at 5.
+fn timer_fixture() -> Qrio {
+    let mut qrio = small_qrio();
+    qrio.configure_breakers(Some(BreakerConfig {
+        consecutive_failures: 1,
+        failure_rate: 2.0,
+        window: 4,
+        open_ticks: 4,
+        probe_jobs: 1,
+    }))
+    .unwrap();
+    assert_eq!(qrio.next_due(), None, "nothing armed yet");
+    for (name, delay, deadline) in [
+        ("short", 2, None),
+        ("long", 6, None),
+        ("doomed", 9, Some(4)),
+    ] {
+        let policy = Some(RetryPolicy::fixed(3, delay));
+        let id = qrio
+            .enqueue(&faulty_request(name, policy, deadline))
+            .unwrap();
+        qrio.schedule(&id).unwrap();
+        qrio.interrupt(&id).unwrap_err();
+        assert_eq!(qrio.status(&id).unwrap(), JobState::Retrying);
+        assert_eq!(qrio.next_due(), scanned_next_due(&qrio), "after {name}");
+    }
+    assert_eq!(qrio.breakers().unwrap().total_trips(), 3);
+    qrio
+}
+
+/// The timer events of a run, in order: `(at, who, what)` for every breaker
+/// that began probing, every deadline expiry and every elapsed backoff.
+fn timer_events(qrio: &Qrio) -> Vec<(u64, String, &'static str)> {
+    let probing = qrio
+        .breakers()
+        .unwrap()
+        .events()
+        .iter()
+        .filter_map(|event| {
+            let timer = event.reason.starts_with("open interval elapsed");
+            timer.then(|| (event.at, event.device.clone(), "probing"))
+        });
+    let jobs = qrio.watch(0).iter().filter_map(|event| {
+        let reason = event.reason.as_deref().unwrap_or_default();
+        let what = if reason.starts_with("backoff elapsed") {
+            "requeued"
+        } else if reason.contains("deadline") {
+            "expired"
+        } else {
+            return None;
+        };
+        Some((event.at, event.job.to_string(), what))
+    });
+    probing.chain(jobs).collect()
+}
+
+#[test]
+fn ticking_and_advancing_fire_the_same_timers_in_the_same_order() {
+    let (mut ticked, mut advanced) = (timer_fixture(), timer_fixture());
+    let mut by_tick = crate::TickReport::default();
+    for _ in 0..6 {
+        let report = ticked.tick();
+        by_tick.probing.extend(report.probing);
+        by_tick.expired.extend(report.expired);
+        by_tick.requeued.extend(report.requeued);
+        assert_eq!(ticked.next_due(), scanned_next_due(&ticked));
+    }
+    let at_once = advanced.advance_to(6).unwrap();
+    assert_eq!(at_once.tick, 6);
+    assert_eq!(advanced.now(), 6);
+    assert_eq!(at_once.probing, ["clean", "mid", "noisy"]);
+    assert_eq!(at_once.expired, [JobId::new("doomed")]);
+    assert_eq!(at_once.requeued, [JobId::new("short"), JobId::new("long")]);
+    assert_eq!(
+        (by_tick.probing, by_tick.expired, by_tick.requeued),
+        (at_once.probing, at_once.expired, at_once.requeued)
+    );
+    // Each timer fired at its own time, whichever way the clock got there.
+    let fired = timer_events(&advanced);
+    assert_eq!(fired, timer_events(&ticked));
+    let times: Vec<u64> = fired.iter().map(|(at, _, _)| *at).collect();
+    assert_eq!(times, [4, 4, 4, 2, 5, 6], "three breakers, then the jobs");
+    // Only `tick()` admits what a timer re-queued.
+    assert_eq!(
+        ticked.status(&JobId::new("short")).unwrap(),
+        JobState::Succeeded
+    );
+    assert_eq!(
+        advanced.status(&JobId::new("short")).unwrap(),
+        JobState::Queued
+    );
+
+    // Nothing is due twice.
+    let again = advanced.advance_to(6).unwrap();
+    let nothing = crate::TickReport {
+        tick: 6,
+        ..crate::TickReport::default()
+    };
+    assert_eq!(again, nothing);
+}
+
+#[test]
+fn next_due_names_the_earliest_timer_of_any_kind() {
+    let mut qrio = timer_fixture();
+    // A backoff, the breakers, the deadline, the other backoff, nothing.
+    for due in [2, 4, 5, 6] {
+        assert_eq!(qrio.next_due(), Some(due));
+        assert_eq!(qrio.next_due(), scanned_next_due(&qrio));
+        // One short of it fires nothing.
+        let early = qrio.advance_to(due - 1).unwrap();
+        assert!(early.probing.is_empty() && early.expired.is_empty() && early.requeued.is_empty());
+        qrio.advance_to(due).unwrap();
+    }
+    assert_eq!(qrio.next_due(), None);
+    assert_eq!(scanned_next_due(&qrio), None);
+    // A cancelled backoff is disarmed with its job.
+    let mut qrio = timer_fixture();
+    qrio.cancel(&JobId::new("short")).unwrap();
+    assert_eq!(qrio.next_due(), Some(4));
+    assert_eq!(qrio.next_due(), scanned_next_due(&qrio));
+}
+
+#[test]
+fn the_clock_does_not_run_backwards() {
+    let mut qrio = timer_fixture();
+    qrio.advance_to(3).unwrap();
+    let before = qrio.snapshot_record();
+    assert_eq!(
+        qrio.advance_to(2),
+        Err(QrioError::ClockBehind { now: 2, clock: 3 })
+    );
+    assert!(
+        qrio.snapshot_record() == before,
+        "a refused move changed state"
+    );
+    assert_eq!(qrio.now(), 3);
+}

@@ -122,8 +122,9 @@ pub struct JobRequest {
     /// backoff between them and which failure classes are retryable.
     /// `None` means every failure is terminal on the first attempt.
     pub retry: Option<RetryPolicy>,
-    /// Optional virtual-time deadline in ticks after admission. A job still
-    /// non-terminal when it passes fails with `DeadlineExceeded`.
+    /// Optional deadline on the orchestrator's clock, counted from admission
+    /// in the unit the clock is advanced in. A job still waiting (`Queued` or
+    /// backing off) when it passes fails with `DeadlineExceeded`.
     pub deadline: Option<u64>,
 }
 
@@ -289,9 +290,11 @@ impl JobRequestBuilder {
         self
     }
 
-    /// Step 1 (optional): virtual-time deadline, in service-loop ticks after
-    /// admission. A job still non-terminal when the deadline passes fails
-    /// with `DeadlineExceeded` — even mid-backoff between retries.
+    /// Step 1 (optional): a deadline on the orchestrator's clock, counted
+    /// from admission in the unit the clock is advanced in (ticks under
+    /// `Qrio::tick`, virtual ms under a simulator's `Qrio::advance_to`). A
+    /// job still waiting when the deadline passes fails with
+    /// `DeadlineExceeded` — even mid-backoff between retries.
     #[must_use]
     pub fn deadline(mut self, ticks: u64) -> Self {
         self.deadline = Some(ticks);

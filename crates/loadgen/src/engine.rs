@@ -11,6 +11,19 @@
 //! start/end) live in a binary heap ordered by `(time, sequence)`, so the
 //! processing order is a pure function of the scenario and its seed.
 //!
+//! There is **one clock**, the orchestrator's: every popped event first
+//! moves it to the event's time with [`Qrio::advance_to`], so every watch-log
+//! and breaker event is stamped in virtual ms, and the tenants' retry
+//! backoffs, their deadlines and the breakers' open intervals are the
+//! orchestrator's own timers, in ms because that is the unit the clock is
+//! advanced in. The engine keeps none of them: it acts on what `advance_to`
+//! reports fired (a probing device starts its next job, an expired job is
+//! counted, a re-queued job is bound again) and keeps one `Wake` event at
+//! [`Qrio::next_due`] so the clock reaches each timer on time. The tie rule
+//! follows: **timers due at a millisecond fire before any other event of
+//! that millisecond**, whatever the events' sequence numbers — a retry whose
+//! backoff ends at `t` binds before a job arriving at `t`.
+//!
 //! Each arrival runs the *real* submission path, via [`Qrio::enqueue`]:
 //! metadata upload to the meta server (strategy validation included),
 //! containerization through the master server, image push and job
@@ -34,17 +47,20 @@
 //! invalidates memoized scores), then re-rank every *waiting* job with
 //! [`Qrio::rank_ready`]; jobs whose best device changed migrate via
 //! [`Qrio::rebind`] (to the tail of the target's queue). Outages interrupt
-//! the in-flight job, cordon the node and force-migrate its waiting queue.
+//! the in-flight job, cordon the node and force-migrate its waiting queue; a
+//! tripped breaker cordons the node itself and its queue flees the same way.
+//! Whether a device serves is the node's one cordon bit, which outages and
+//! breakers both write (the last writer wins, as under [`Qrio::tick`]).
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use qrio::{
-    BreakerConfig, BreakerState, DeviceTelemetry, FidelityRankingConfig, JobId, JobRequestBuilder,
-    JobState, Qrio, QrioError,
+    DeviceTelemetry, FidelityRankingConfig, JobId, JobRequestBuilder, JobState, Qrio, QrioError,
+    TickReport,
 };
 use qrio_backend::Backend;
-use qrio_cluster::{ClusterError, FaultInjector, FaultKind, Resources, RetryPolicy};
+use qrio_cluster::{ClusterError, FaultInjector, FaultKind, NodeStatus, Resources};
 use qrio_journal::fnv1a;
 
 use crate::arrival::ArrivalSampler;
@@ -81,10 +97,10 @@ enum EventKind {
     Timeline { index: usize },
     /// An outage ends.
     OutageEnd { device: String },
-    /// `job`'s backoff elapsed: kick the retry and re-bind it.
-    Retry { job: String },
-    /// A tripped breaker's open window elapsed: probe `device`.
-    Probe { device: String },
+    /// The orchestrator's earliest timer is due: nothing to do but move the
+    /// clock there, which every event does. Stale (skipped) once
+    /// [`Qrio::next_due`] moved away from its time.
+    Wake,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,21 +143,14 @@ struct DeviceSim {
     completed: u64,
     /// Service-speed divisor from the scenario.
     speed: f64,
-    /// Whether the device is inside an outage window.
-    cordoned: bool,
 }
 
 /// Engine-side bookkeeping for one job.
 #[derive(Debug, Clone)]
 struct JobTrack {
     tenant: String,
-    /// Index into `Scenario::tenants`, for the retry/deadline spec.
-    tenant_idx: usize,
-    arrival_ms: u64,
     queue_depth_at_bind: usize,
     migrated: bool,
-    /// Failed execution attempts so far (drives the backoff schedule).
-    attempts: u32,
 }
 
 /// Run `scenario` to completion and produce its [`CloudReport`].
@@ -172,7 +181,10 @@ pub fn run_scenario_with_log(
     scenario: &Scenario,
 ) -> Result<(CloudReport, Vec<qrio::JobEvent>), LoadgenError> {
     scenario.validate()?;
-    Engine::new(scenario)?.run()
+    let mut engine = Engine::new(scenario)?;
+    engine.run()?;
+    let log = engine.qrio.watch(0).to_vec();
+    Ok((engine.into_report(), log))
 }
 
 /// Like [`run_scenario`], but with an explicit control-plane transport:
@@ -191,7 +203,8 @@ pub fn run_scenario_with_transport(
     scenario.validate()?;
     let mut engine = Engine::new(scenario)?;
     engine.qrio.set_transport(mode);
-    engine.run().map(|(report, _)| report)
+    engine.run()?;
+    Ok(engine.into_report())
 }
 
 struct Engine<'s> {
@@ -204,8 +217,9 @@ struct Engine<'s> {
     devices: BTreeMap<String, DeviceSim>,
     heap: BinaryHeap<Event>,
     next_seq: u64,
-    now: u64,
-    makespan: u64,
+    /// The time of the one live `Wake` on the heap: [`Qrio::next_due`] as of
+    /// the last event.
+    wake: Option<u64>,
     submitted: u64,
     submitted_by_tenant: BTreeMap<String, u64>,
     rejected_by_tenant: BTreeMap<String, u64>,
@@ -217,9 +231,6 @@ struct Engine<'s> {
     drift_events: u64,
     outage_events: u64,
     chaos: ChaosStats,
-    /// Devices with a breaker probe already on the heap (dedupes probes
-    /// across the failures that accumulate while a breaker is open).
-    probe_pending: BTreeSet<String>,
 }
 
 impl<'s> Engine<'s> {
@@ -252,19 +263,8 @@ impl<'s> Engine<'s> {
             .iter()
             .map(|t| ArrivalSampler::new(t.arrival, scenario.seed ^ fnv1a(&t.name)))
             .collect();
-        if let Some(breakers) = &scenario.breakers {
-            qrio.configure_breakers(Some(BreakerConfig {
-                consecutive_failures: breakers.consecutive_failures,
-                failure_rate: breakers.failure_rate,
-                window: breakers.window,
-                // The orchestrator's tick clock never advances here — the
-                // engine paces probes itself, in virtual ms, via
-                // `Qrio::probe_device`.
-                open_ticks: breakers.open_ms,
-                probe_jobs: breakers.probe_jobs,
-            }))
+        qrio.configure_breakers(scenario.breakers)
             .map_err(|e| LoadgenError::Engine(format!("cannot configure breakers: {e}")))?;
-        }
         Ok(Engine {
             scenario,
             qrio,
@@ -273,8 +273,7 @@ impl<'s> Engine<'s> {
             devices,
             heap: BinaryHeap::new(),
             next_seq: 0,
-            now: 0,
-            makespan: 0,
+            wake: None,
             submitted: 0,
             submitted_by_tenant: BTreeMap::new(),
             rejected_by_tenant: BTreeMap::new(),
@@ -286,7 +285,6 @@ impl<'s> Engine<'s> {
             drift_events: 0,
             outage_events: 0,
             chaos: ChaosStats::default(),
-            probe_pending: BTreeSet::new(),
         })
     }
 
@@ -296,7 +294,9 @@ impl<'s> Engine<'s> {
         self.heap.push(Event { time, seq, kind });
     }
 
-    fn run(mut self) -> Result<(CloudReport, Vec<qrio::JobEvent>), LoadgenError> {
+    /// Play the scenario out: every event of the timeline, in order, until
+    /// the heap is empty.
+    fn run(&mut self) -> Result<(), LoadgenError> {
         // Seed the timeline: one first arrival per tenant, plus the scenario's
         // drift / outage / fault-rate events.
         for tenant in 0..self.scenario.tenants.len() {
@@ -311,8 +311,14 @@ impl<'s> Engine<'s> {
         }
 
         while let Some(event) = self.heap.pop() {
-            self.now = event.time;
-            self.makespan = self.makespan.max(event.time);
+            if event.kind == EventKind::Wake && self.wake != Some(event.time) {
+                continue;
+            }
+            let fired = self
+                .qrio
+                .advance_to(event.time)
+                .map_err(|e| LoadgenError::Engine(format!("cannot advance the clock: {e}")))?;
+            self.on_timers(fired);
             match event.kind {
                 EventKind::Arrival { tenant } => self.on_arrival(tenant)?,
                 EventKind::Completion { device, job } => self.on_completion(&device, &job),
@@ -339,26 +345,32 @@ impl<'s> Engine<'s> {
                     ),
                 },
                 EventKind::OutageEnd { device } => self.on_outage_end(&device),
-                EventKind::Retry { job } => self.on_retry(&job),
-                EventKind::Probe { device } => self.on_probe(&device),
+                EventKind::Wake => {}
+            }
+            // A timer armed for a time already reached (an open interval of
+            // zero) fires at the present.
+            let due = self.qrio.next_due().map(|due| due.max(event.time));
+            if due != self.wake {
+                self.wake = due;
+                if let Some(due) = due {
+                    self.push_event(due, EventKind::Wake);
+                }
             }
         }
-
-        let log = self.qrio.watch(0).to_vec();
-        Ok((self.into_report(), log))
+        Ok(())
     }
 
     // --- Arrivals ------------------------------------------------------------------------
 
     fn on_arrival(&mut self, tenant_idx: usize) -> Result<(), LoadgenError> {
         let under_cap = self.scenario.max_jobs == 0 || self.submitted < self.scenario.max_jobs;
-        if self.now >= self.scenario.duration_ms || !under_cap {
+        let now = self.qrio.now();
+        if now >= self.scenario.duration_ms || !under_cap {
             return Ok(()); // The stream ends; no follow-up arrival.
         }
         // Schedule the tenant's next arrival first, so a submission error
         // cannot silence the stream.
-        let gap = self.samplers[tenant_idx].next_gap_ms(self.now);
-        let next = self.now + gap;
+        let next = now + self.samplers[tenant_idx].next_gap_ms(now);
         if next < self.scenario.duration_ms {
             self.push_event(next, EventKind::Arrival { tenant: tenant_idx });
         }
@@ -383,13 +395,11 @@ impl<'s> Engine<'s> {
             .strategy(strategy.clone())
             .shots(tenant.shots)
             .resources(JOB_RESOURCES.0, JOB_RESOURCES.1);
-        if let Some(retry) = &tenant.retry {
-            // The orchestrator only needs to know *how many* attempts are
-            // allowed (so failures land in `Retrying`, not `Failed`); the
-            // engine paces the backoff itself, in virtual ms, via `Retry`
-            // events — the orchestrator's tick-based delay never elapses
-            // because the engine never ticks.
-            builder = builder.retry_policy(RetryPolicy::fixed(retry.max_attempts, 1));
+        if let Some(retry) = tenant.retry {
+            builder = builder.retry_policy(retry);
+        }
+        if let Some(deadline_ms) = tenant.deadline_ms {
+            builder = builder.deadline(deadline_ms);
         }
         let request = builder
             .build()
@@ -414,11 +424,8 @@ impl<'s> Engine<'s> {
         //    ...) ends `Failed`.
         let track = JobTrack {
             tenant: tenant.name.clone(),
-            tenant_idx,
-            arrival_ms: self.now,
             queue_depth_at_bind: 0,
             migrated: false,
-            attempts: 0,
         };
         if !self.bind(&job_id, Some(track)) {
             self.rejected += 1;
@@ -461,6 +468,13 @@ impl<'s> Engine<'s> {
             .expect("bindings and validated scenario events name fleet devices only")
     }
 
+    /// Whether `device` is out of service: in an outage window or behind an
+    /// `Open` breaker — the node's cordon bit, which both of them write.
+    fn cordoned(&self, device: &str) -> bool {
+        let node = self.qrio.cluster().node(device);
+        node.is_some_and(|node| node.status() == NodeStatus::Cordoned)
+    }
+
     /// A job joined the tail of `device`'s queue (bound or migrated there):
     /// note the occupancy and start the job when the device is idle.
     fn joined(&mut self, device: &str) {
@@ -474,10 +488,10 @@ impl<'s> Engine<'s> {
     /// serving and has one.
     fn start_next(&mut self, device: &str) {
         let sim = self.sim(device);
-        if sim.cordoned || sim.busy_since.is_some() {
+        if sim.busy_since.is_some() || self.cordoned(device) {
             return;
         }
-        let speed = sim.speed;
+        let speed = self.sim(device).speed;
         let Some(job) = self.qrio.device_queue(device).next() else {
             return;
         };
@@ -491,8 +505,9 @@ impl<'s> Engine<'s> {
         };
         // Busy time is charged as it elapses (at completion, and pro rata in
         // telemetry), not up front.
-        self.push_event(self.now + service_ms, completion);
-        self.sim(device).busy_since = Some(self.now);
+        let now = self.qrio.now();
+        self.push_event(now + service_ms, completion);
+        self.sim(device).busy_since = Some(now);
     }
 
     // --- Completions ---------------------------------------------------------------------
@@ -503,7 +518,7 @@ impl<'s> Engine<'s> {
         if self.qrio.device_queue(device).next() != Some(job) {
             return;
         }
-        let now = self.now;
+        let now = self.qrio.now();
         let sim = self.sim(device);
         let Some(start_ms) = sim.busy_since.take() else {
             return;
@@ -520,12 +535,14 @@ impl<'s> Engine<'s> {
                     .get(job)
                     .expect("a job is tracked from its first bind on");
                 let ran = self.qrio.cluster().job(job);
+                let status = self.qrio.job_status(&JobId::new(job)).ok();
+                let submitted = status.and_then(|status| status.history.first());
                 self.samples.push(JobSample {
                     tenant: track.tenant.clone(),
                     device: device.to_string(),
-                    arrival_ms: track.arrival_ms,
+                    arrival_ms: submitted.map_or(0, |(at, _)| *at),
                     start_ms,
-                    completion_ms: self.now,
+                    completion_ms: now,
                     queue_depth_at_bind: track.queue_depth_at_bind,
                     fidelity: ran.and_then(|j| j.achieved_fidelity()),
                     migrated: track.migrated,
@@ -533,16 +550,21 @@ impl<'s> Engine<'s> {
             }
             Err(error) => self.handle_failed_attempt(job, &error),
         }
-        self.note_breaker_state(device);
+        // Cordoned by its own job's outcome: that tripped the device's
+        // breaker. The waiting queue flees to the healthy fleet; the
+        // orchestrator's timer ends the open interval.
+        if self.cordoned(device) {
+            self.rerank_waiting(Some(device));
+        }
         self.start_next(device);
     }
 
     // --- Fault handling ------------------------------------------------------------------
 
-    /// Account for one failed execution attempt of `job_name`. When the
-    /// orchestrator parked the job in `Retrying`, schedule the engine-paced
-    /// retry (or cancel it when the backoff would blow the tenant deadline);
-    /// otherwise the failure is terminal.
+    /// Account for one failed execution attempt of `job_name`: the injected
+    /// fault it drew, and — unless the orchestrator parked the job in
+    /// `Retrying`, to re-queue it when its backoff elapses — the terminal
+    /// failure.
     fn handle_failed_attempt(&mut self, job_name: &str, error: &QrioError) {
         if let QrioError::Cluster(ClusterError::InjectedFault { kind, .. }) = error {
             let injected = match kind {
@@ -553,59 +575,27 @@ impl<'s> Engine<'s> {
             };
             *injected += 1;
         }
-        let job_id = JobId::new(job_name);
-        let retrying = self
-            .qrio
-            .job_status(&job_id)
-            .map(|status| status.state == JobState::Retrying)
-            .unwrap_or(false);
-        if !retrying {
+        if self.qrio.status(&JobId::new(job_name)).ok() != Some(JobState::Retrying) {
             self.execution_failures += 1;
-            return;
         }
-        let track = self
-            .jobs
-            .get_mut(job_name)
-            .expect("a job is tracked from its first bind on");
-        track.attempts += 1;
-        let tenant = &self.scenario.tenants[track.tenant_idx];
-        let backoff = tenant
-            .retry
-            .as_ref()
-            .expect("jobs only enter Retrying when the tenant set a retry policy")
-            .backoff
-            .delay(0, "", track.attempts)
-            .max(1);
-        let arrival = track.arrival_ms;
-        let misses_deadline = tenant
-            .deadline_ms
-            .is_some_and(|deadline| self.now + backoff > arrival.saturating_add(deadline));
-        if misses_deadline {
-            // Retrying would land past the tenant's deadline: give up now
-            // rather than burn a doomed attempt.
-            let _ = self.qrio.cancel(&job_id);
-            self.chaos.deadline_cancelled += 1;
-            return;
-        }
-        self.push_event(
-            self.now + backoff,
-            EventKind::Retry {
-                job: job_name.to_string(),
-            },
-        );
     }
 
-    /// A retry backoff elapsed: move the job back to `Queued` and re-run the
-    /// scheduling cycle (the original device may be cordoned by now).
-    fn on_retry(&mut self, job: &str) {
-        let job_id = JobId::new(job);
-        if self.qrio.kick_retry(&job_id).is_err() {
-            // Cancelled (deadline) or otherwise settled in the meantime.
-            return;
+    /// What the orchestrator's timers did on the way to this event's time: a
+    /// breaker's open interval ended (the device, uncordoned on probation,
+    /// serves again), a job waiting out a backoff ran past its deadline, a
+    /// backoff elapsed (the job is `Queued` again: re-run the scheduling
+    /// cycle — the original device may be cordoned by now).
+    fn on_timers(&mut self, fired: TickReport) {
+        for device in &fired.probing {
+            self.chaos.breaker_probes += 1;
+            self.start_next(device);
         }
-        self.chaos.retries += 1;
-        if !self.bind(&job_id, None) {
-            self.execution_failures += 1;
+        self.chaos.deadline_cancelled += fired.expired.len() as u64;
+        for job_id in &fired.requeued {
+            self.chaos.retries += 1;
+            if !self.bind(job_id, None) {
+                self.execution_failures += 1;
+            }
         }
     }
 
@@ -628,46 +618,6 @@ impl<'s> Engine<'s> {
             .expect("fault injector reconfiguration is infallible on a live cluster");
     }
 
-    /// A breaker's open window elapsed: probe the device. A successful probe
-    /// transition (open → half-open) lifts the engine-side pause so queued
-    /// work flows again while the breaker counts its probe jobs.
-    fn on_probe(&mut self, device: &str) {
-        self.probe_pending.remove(device);
-        self.chaos.breaker_probes += 1;
-        if self.qrio.probe_device(device).unwrap_or(false) {
-            self.sim(device).cordoned = false;
-            self.start_next(device);
-        }
-    }
-
-    /// After an execution outcome, mirror the breaker's verdict into the
-    /// engine's service model: an `Open` breaker pauses the device (its
-    /// waiting queue flees to the healthy fleet) and schedules exactly one
-    /// probe for when the open window elapses.
-    fn note_breaker_state(&mut self, device: &str) {
-        let open = matches!(
-            self.qrio.breakers().map(|board| board.state(device)),
-            Some(BreakerState::Open { .. })
-        );
-        if !open || self.probe_pending.contains(device) {
-            return;
-        }
-        let open_ms = self
-            .scenario
-            .breakers
-            .as_ref()
-            .map_or(1, |b| b.open_ms.max(1));
-        self.probe_pending.insert(device.to_string());
-        self.push_event(
-            self.now + open_ms,
-            EventKind::Probe {
-                device: device.to_string(),
-            },
-        );
-        self.sim(device).cordoned = true;
-        self.rerank_waiting(Some(device));
-    }
-
     // --- Telemetry -----------------------------------------------------------------------
 
     /// Snapshot the current queue depth and utilization of every device —
@@ -678,15 +628,16 @@ impl<'s> Engine<'s> {
     /// with the in-flight job charged only for the portion that has
     /// actually elapsed.
     fn telemetry_snapshot(&self) -> Vec<(String, DeviceTelemetry)> {
+        let now = self.qrio.now();
         self.devices
             .iter()
             .map(|(name, sim)| {
                 let queue_depth = self.qrio.device_queue(name).len();
-                let in_flight_ms = sim.busy_since.map_or(0, |start| self.now - start);
-                let utilization = if self.now == 0 {
+                let in_flight_ms = sim.busy_since.map_or(0, |start| now - start);
+                let utilization = if now == 0 {
                     0.0
                 } else {
-                    ((sim.busy_ms + in_flight_ms) as f64 / self.now as f64).min(1.0)
+                    ((sim.busy_ms + in_flight_ms) as f64 / now as f64).min(1.0)
                 };
                 (
                     name.clone(),
@@ -728,9 +679,8 @@ impl<'s> Engine<'s> {
         // silently succeed later. Interrupt *before* cordoning so the
         // outage-end uncordon restores the node cleanly.
         let head = self.qrio.device_queue(device).next().map(str::to_string);
-        let now = self.now;
+        let now = self.qrio.now();
         let sim = self.sim(device);
-        sim.cordoned = true;
         if let (Some(start_ms), Some(job_name)) = (sim.busy_since.take(), head) {
             sim.busy_ms += now - start_ms;
             self.chaos.interrupted += 1;
@@ -742,7 +692,7 @@ impl<'s> Engine<'s> {
         // Journaled and told to the node's agent, like any vendor's cordon.
         let _ = self.qrio.cordon_device(device);
         self.push_event(
-            self.now + down_ms.max(1),
+            now + down_ms.max(1),
             EventKind::OutageEnd {
                 device: device.to_string(),
             },
@@ -753,7 +703,6 @@ impl<'s> Engine<'s> {
 
     fn on_outage_end(&mut self, device: &str) {
         let _ = self.qrio.uncordon_device(device);
-        self.sim(device).cordoned = false;
         self.start_next(device);
     }
 
@@ -784,7 +733,8 @@ impl<'s> Engine<'s> {
             .flat_map(|(device, sim)| {
                 let in_flight = usize::from(sim.busy_since.is_some());
                 let waiting = self.qrio.device_queue(device).skip(in_flight);
-                waiting.map(|job| (device.clone(), job.to_string(), sim.cordoned))
+                let fleeing = self.cordoned(device);
+                waiting.map(move |job| (device.clone(), job.to_string(), fleeing))
             })
             .collect();
         for (device, job_name, fleeing) in candidates {
@@ -828,7 +778,7 @@ impl<'s> Engine<'s> {
     // --- Report --------------------------------------------------------------------------
 
     fn into_report(self) -> CloudReport {
-        let makespan = self.makespan;
+        let makespan = self.qrio.now();
         let tenants = tenant_stats(
             &self.samples,
             &self.submitted_by_tenant,
@@ -1056,6 +1006,102 @@ mod tests {
         let solo = &report.devices["solo"];
         assert_eq!(solo.completed, 1);
         assert_eq!(solo.peak_queue_depth, 2, "in-flight head + one waiter");
+    }
+
+    #[test]
+    fn a_breaker_tripped_by_an_outage_probes_on_time_and_every_stamp_is_virtual_ms() {
+        // Two 600 ms jobs on one device whose breaker trips on a single
+        // failure. The outage at 100 ms interrupts the head: that failure
+        // trips the breaker, open for 500 ms — as long as the outage lasts.
+        let scenario = Scenario::from_yaml(
+            "scenario: trip\n\
+             seed: 5\n\
+             durationMs: 1000\n\
+             maxJobs: 2\n\
+             serviceBaseUs: 600000\n\
+             servicePerShotUs: 0\n\
+             breakers: on\n\
+             breakerConsecutiveFailures: 1\n\
+             breakerOpenMs: 500\n\
+             breakerProbeJobs: 1\n\
+             fleet:\n\
+               - device: solo\n\
+                 qubits: 6\n\
+             tenants:\n\
+               - tenant: alice\n\
+                 strategy: min_queue\n\
+                 circuit: ghz\n\
+                 qubits: 4\n\
+                 shots: 16\n\
+                 ratePerSec: 1000.0\n\
+             events:\n\
+               - kind: outage\n\
+                 atMs: 100\n\
+                 device: solo\n\
+                 downMs: 500\n",
+        )
+        .unwrap();
+        let mut engine = Engine::new(&scenario).unwrap();
+        engine.run().unwrap();
+
+        // The trip is noticed when it happens, not at the device's next
+        // completion: probation begins exactly `breakerOpenMs` after it.
+        let transitions: Vec<(u64, &str, &str)> = engine
+            .qrio
+            .breakers()
+            .unwrap()
+            .events()
+            .iter()
+            .map(|event| (event.at, event.from.name(), event.to.name()))
+            .collect();
+        assert_eq!(
+            transitions,
+            [
+                (100, "closed", "open"),
+                (600, "open", "half-open"),
+                (1200, "half-open", "closed"),
+            ]
+        );
+        assert_eq!(engine.chaos.breaker_probes, 1);
+        // Nothing started on the device while its breaker was open: the
+        // waiter's 600 ms window runs from the probe at 600 to 1200, and the
+        // watch log is stamped with the virtual ms of each transition.
+        let log = engine.qrio.watch(0);
+        let stamps = |job: &str| -> Vec<(u64, JobState)> {
+            let of_job = log.iter().filter(|event| event.job.as_str() == job);
+            of_job.map(|event| (event.at, event.to)).collect()
+        };
+        let arrived = |job: &str| stamps(job)[0].0;
+        assert!(0 < arrived("alice-0") && arrived("alice-0") <= arrived("alice-1"));
+        assert!(arrived("alice-1") < 100);
+        use JobState::*;
+        let t = arrived("alice-0");
+        assert_eq!(
+            stamps("alice-0"),
+            [
+                (t, Submitted),
+                (t, Queued),
+                (t, Scheduled),
+                (100, Running),
+                (100, Failed)
+            ]
+        );
+        let t = arrived("alice-1");
+        assert_eq!(
+            stamps("alice-1"),
+            [
+                (t, Submitted),
+                (t, Queued),
+                (t, Scheduled),
+                (1200, Running),
+                (1200, Succeeded)
+            ]
+        );
+        assert!(log.windows(2).all(|pair| pair[0].at <= pair[1].at));
+        assert_eq!(engine.qrio.now(), 1200);
+        let report = engine.into_report();
+        assert_eq!(report.makespan_ms, 1200);
+        assert_eq!((report.completed, report.execution_failures), (1, 1));
     }
 
     #[test]

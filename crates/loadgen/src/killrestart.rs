@@ -311,7 +311,7 @@ pub fn run_kill_restart_with_log(
     let mut acknowledged: Vec<JobId> = Vec::new();
 
     // --- Phase one: the doomed instance ------------------------------------
-    {
+    let armed_at_crash = {
         let mut qrio = Qrio::with_config(
             FidelityRankingConfig {
                 shots: 16,
@@ -360,12 +360,21 @@ pub fn run_kill_restart_with_log(
             )));
         }
         // kill -9: drop with queued, running and finished jobs in flight.
-        drop(qrio);
-    }
+        qrio.next_due()
+    };
 
     // --- Phase two: recover and resume -------------------------------------
     let (mut qrio, recovery) = Qrio::recover(journal_path)
         .map_err(|e| LoadgenError::Engine(format!("recovery failed: {e}")))?;
+
+    // The due-indexes are in no snapshot: recovery rebuilds them, and only
+    // this says it rebuilt the ones the crashed instance had.
+    if qrio.next_due() != armed_at_crash {
+        return Err(LoadgenError::Engine(format!(
+            "recovered with the next timer due at {:?}, the crashed instance had {armed_at_crash:?}",
+            qrio.next_due()
+        )));
+    }
 
     let jobs_lost = acknowledged
         .iter()

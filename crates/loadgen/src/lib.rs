@@ -67,6 +67,5 @@ pub use killrestart::{
 };
 pub use metrics::{ChaosStats, CloudReport, DeviceStats, JobSample, LoadBucket, TenantStats};
 pub use scenario::{
-    BreakerSettings, DeviceSpec, Scenario, ScenarioEvent, TenantRetrySpec, TenantSpec,
-    TenantStrategy, TopologyKind, WorkloadCircuit,
+    DeviceSpec, Scenario, ScenarioEvent, TenantSpec, TenantStrategy, TopologyKind, WorkloadCircuit,
 };

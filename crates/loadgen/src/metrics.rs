@@ -124,7 +124,8 @@ pub struct ChaosStats {
     pub retries: u64,
     /// Jobs interrupted mid-execution by a device outage.
     pub interrupted: u64,
-    /// Retries cancelled because their backoff would blow the deadline.
+    /// Jobs that expired: still waiting out a backoff when the orchestrator's
+    /// clock passed their deadline (the field name is the report's key).
     pub deadline_cancelled: u64,
     /// Jobs that exhausted their retry budget and were dead-lettered.
     pub dead_lettered: u64,

@@ -72,10 +72,11 @@
 //! again. `faultSeed` decouples the fault stream from the arrival streams so
 //! the same workload can replay under different fault schedules.
 
+use qrio::BreakerConfig;
 use qrio_backend::reader::{self, Fields, SpecError};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, Circuit};
-use qrio_cluster::{BackoffPolicy, StrategySpec};
+use qrio_cluster::{BackoffPolicy, RetryOn, RetryPolicy, StrategySpec};
 
 use crate::arrival::ArrivalProcess;
 use crate::error::LoadgenError;
@@ -208,48 +209,6 @@ impl TenantStrategy {
     }
 }
 
-/// A tenant's retry policy, in virtual milliseconds. The engine paces
-/// re-submissions on its own event heap (virtual-time drivers never call
-/// `Qrio::tick`), so delays here are wall-clock-free simulation time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantRetrySpec {
-    /// Total execution attempts allowed, the first included.
-    pub max_attempts: u32,
-    /// The backoff before each retry in virtual ms, never jittered:
-    /// `backoff.delay(_, _, attempt)` is deterministic in `(spec, attempt)`
-    /// so chaos runs replay byte-for-byte.
-    pub backoff: BackoffPolicy,
-}
-
-/// Circuit-breaker thresholds for the whole fleet, as configured by the
-/// scenario's top-level `breakers:`/`breaker*` scalars.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerSettings {
-    /// Trip after this many consecutive failures (0 disables the trigger).
-    pub consecutive_failures: u32,
-    /// Trip when the failure rate over the last `window` outcomes reaches
-    /// this fraction (values above 1 disable the trigger).
-    pub failure_rate: f64,
-    /// Number of recent outcomes the failure rate is computed over.
-    pub window: u32,
-    /// Virtual ms an open breaker waits before probing the device.
-    pub open_ms: u64,
-    /// Consecutive probe successes required to close the breaker again.
-    pub probe_jobs: u32,
-}
-
-impl Default for BreakerSettings {
-    fn default() -> Self {
-        BreakerSettings {
-            consecutive_failures: 3,
-            failure_rate: 0.6,
-            window: 8,
-            open_ms: 5000,
-            probe_jobs: 2,
-        }
-    }
-}
-
 /// One tenant: a stream of jobs sharing a circuit family, a strategy and an
 /// arrival process.
 #[derive(Debug, Clone, PartialEq)]
@@ -266,10 +225,13 @@ pub struct TenantSpec {
     pub shots: u64,
     /// Arrival process of the tenant's stream.
     pub arrival: ArrivalProcess,
-    /// Retry policy for failed attempts (`None` = fail fast).
-    pub retry: Option<TenantRetrySpec>,
-    /// End-to-end budget per job in virtual ms, measured from arrival; a
-    /// retry that cannot start inside the budget is cancelled instead.
+    /// The retry policy every job of the tenant carries (`None` = fail
+    /// fast): delays in virtual ms, never jittered — a pure function of the
+    /// attempt number, so chaos runs replay byte for byte — and every failure
+    /// class retried.
+    pub retry: Option<RetryPolicy>,
+    /// The deadline every job of the tenant carries, in virtual ms from its
+    /// arrival: a job still waiting out a backoff past it expires.
     pub deadline_ms: Option<u64>,
 }
 
@@ -382,8 +344,9 @@ pub struct Scenario {
     pub canary_shots: u64,
     /// Seed of the fault injector's decision stream (defaults to `seed`).
     pub fault_seed: u64,
-    /// Circuit-breaker thresholds (`None` = breakers off).
-    pub breakers: Option<BreakerSettings>,
+    /// Circuit-breaker thresholds (`None` = breakers off), `open_ticks` in
+    /// virtual ms (`breakerOpenMs`, 5000 unless given).
+    pub breakers: Option<BreakerConfig>,
     /// The device fleet.
     pub fleet: Vec<DeviceSpec>,
     /// The tenants.
@@ -619,13 +582,13 @@ impl Scenario {
         let seed = top.or("seed", 0)?;
         let breakers_on = top.choice("breakers", "breakers", &[("on", true), ("off", false)])?;
         let breakers = if breakers_on == Some(true) {
-            let defaults = BreakerSettings::default();
-            Some(BreakerSettings {
+            let defaults = BreakerConfig::default();
+            Some(BreakerConfig {
                 consecutive_failures: top
                     .or("breakerConsecutiveFailures", defaults.consecutive_failures)?,
                 failure_rate: top.or("breakerFailureRate", defaults.failure_rate)?,
                 window: top.or("breakerWindow", defaults.window)?,
-                open_ms: top.or("breakerOpenMs", defaults.open_ms)?,
+                open_ticks: top.or("breakerOpenMs", 5000)?,
                 probe_jobs: top.or("breakerProbeJobs", defaults.probe_jobs)?,
             })
         } else {
@@ -780,9 +743,10 @@ fn read_tenant(mut item: Fields<'_>) -> Result<TenantSpec, LoadgenError> {
             } else {
                 BackoffPolicy::Fixed { delay }
             };
-            Some(TenantRetrySpec {
+            Some(RetryPolicy {
                 max_attempts,
                 backoff,
+                retry_on: RetryOn::all(),
             })
         }
         None => {
@@ -1030,8 +994,8 @@ events:
         assert_eq!(scenario.fault_seed, 77);
         let breakers = scenario.breakers.expect("breakers: on");
         assert_eq!(breakers.consecutive_failures, 2);
-        assert_eq!(breakers.open_ms, 1500);
-        assert_eq!(breakers.probe_jobs, BreakerSettings::default().probe_jobs);
+        assert_eq!(breakers.open_ticks, 1500);
+        assert_eq!(breakers.probe_jobs, BreakerConfig::default().probe_jobs);
         let tenant = &scenario.tenants[0];
         let retry = tenant.retry.expect("retry policy");
         assert_eq!(retry.max_attempts, 4);
@@ -1077,7 +1041,7 @@ events:
                 .retry
                 .expect("retry policy")
         };
-        let backoff_ms = |spec: TenantRetrySpec, attempt| spec.backoff.delay(0, "", attempt);
+        let backoff_ms = |spec: RetryPolicy, attempt| spec.backoff.delay(0, "", attempt);
         let fixed = retry("    retryDelayMs: 250\n    retryMaxDelayMs: 2000\n");
         assert_eq!(fixed.backoff, BackoffPolicy::Fixed { delay: 250 });
         assert_eq!(backoff_ms(fixed, 1), 250);

@@ -129,7 +129,7 @@ fn arb_snapshot(state: &mut u64) -> Record {
 }
 
 fn arb_command(state: &mut u64) -> Command {
-    match next(state) % 13 {
+    match next(state) % 14 {
         0 => Command::AddDevice {
             spec_text: arb_string(state, "spec body "),
             resources: Resources {
@@ -183,7 +183,8 @@ fn arb_command(state: &mut u64) -> Command {
         11 => Command::Uncordon {
             node: arb_string(state, "node-"),
         },
-        _ => Command::Heal,
+        12 => Command::Heal,
+        _ => Command::AdvanceTo { now: next(state) },
     }
 }
 
@@ -678,10 +679,45 @@ fn busy_snapshot_digest_pins_the_snapshot_format() {
 
 const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (100252, 17965864324552244613);
 
+/// When the earliest timer of the busy workload fires, read off what a user
+/// can see of every job and every breaker: a `Retrying` job's status says
+/// since when and for how long it backs off, every fifth job ([`busy_request`])
+/// expires 6 after its admission while it waits, an `Open` breaker says until
+/// when.
+fn earliest_timer_in_sight(qrio: &qrio::Qrio) -> Option<u64> {
+    let jobs = qrio.cluster().jobs().filter_map(|job| {
+        let status = qrio.job_status(&JobId::new(job.name())).ok()?;
+        let waits = matches!(status.state, JobState::Queued | JobState::Retrying);
+        let deadline = job.spec().deadline.filter(|_| waits);
+        let expiry = deadline.map(|deadline| status.history[0].0 + deadline + 1);
+        let backoff = (status.state == JobState::Retrying).then(|| {
+            let (since, _) = status.history.last().expect("a Retrying job has a history");
+            let reason = status.reason.as_deref().expect("a backoff is announced");
+            let (_, delay) = reason
+                .rsplit_once("backing off ")
+                .expect("...with its delay");
+            since
+                + delay
+                    .trim_end_matches(" ticks")
+                    .parse::<u64>()
+                    .expect("a number")
+        });
+        [expiry, backoff].into_iter().flatten().min()
+    });
+    let board = qrio.breakers().expect("the busy fleet has breakers");
+    let open = DEVICES
+        .iter()
+        .filter_map(|device| match board.state(device) {
+            qrio::BreakerState::Open { until } => Some(until),
+            _ => None,
+        });
+    jobs.chain(open).min()
+}
+
 /// Every node's allocation is exactly what the cluster jobs bound to it
 /// claim, every `Scheduled` job waits in the queue of its device and nowhere
-/// else, and the snapshot of this state decodes to a value that re-encodes
-/// to the same bytes.
+/// else, the earliest armed timer is the earliest in sight, and the snapshot
+/// of this state decodes to a value that re-encodes to the same bytes.
 fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
     use qrio_cluster::JobPhase;
     for node in qrio.cluster().nodes() {
@@ -730,6 +766,7 @@ fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
         qrio.describe_state().contains(&printed),
         "{step}: {printed}"
     );
+    assert_eq!(qrio.next_due(), earliest_timer_in_sight(qrio), "{step}");
     let record = qrio.snapshot_record();
     let JournalEntry::Snapshot(snapshot) = decode_record(&record).expect("snapshot decodes") else {
         panic!("{step}: not a snapshot record");
@@ -771,9 +808,14 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
                     enqueued += 1;
                     "enqueue"
                 }
-                3..=5 => {
+                3 | 4 => {
                     qrio.tick();
                     "tick"
+                }
+                // Time alone: whatever is due fires, nothing is admitted.
+                5 => {
+                    qrio.advance_to(qrio.now() + any % 4).unwrap();
+                    "advance_to"
                 }
                 // Refused unless the job is still cancellable / bound.
                 6 => {

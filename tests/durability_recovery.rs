@@ -826,11 +826,12 @@ fn variant_index(command: &Command) -> usize {
         Command::KickRetry { .. } => 15,
         Command::Interrupt { .. } => 16,
         Command::Probe { .. } => 17,
+        Command::AdvanceTo { .. } => 18,
     }
 }
 
 /// How many variants [`variant_index`] lists.
-const COMMAND_VARIANTS: usize = 18;
+const COMMAND_VARIANTS: usize = 19;
 
 /// One step of [`every_command_script`]: a public call on the orchestrator.
 type Step = Box<dyn Fn(&mut Qrio)>;
@@ -838,7 +839,8 @@ type Step = Box<dyn Fn(&mut Qrio)>;
 /// One public call per step, between them every journaled command: a job is
 /// bound, flapped, kicked, rebound and run by hand; one is cancelled; one is
 /// force-failed against a cordoned fleet; one retries into the dead-letter
-/// queue under an injected storm. Results are ignored where the call errs by
+/// queue under an injected storm; one waits past its deadline while only the
+/// clock moves. Results are ignored where the call errs by
 /// design (`interrupt`) — the states are compared, not the returns.
 fn every_command_script() -> Vec<Step> {
     use qrio::BreakerConfig;
@@ -927,6 +929,21 @@ fn every_command_script() -> Vec<Step> {
         }),
         Box::new(|q| drop(q.run_until_idle())),
         Box::new(|q| q.configure_faults(None).unwrap()),
+        Box::new(|q| {
+            let request = JobRequestBuilder::new()
+                .with_circuit(&library::bernstein_vazirani(4, 0b1011).unwrap())
+                .job_name("overdue")
+                .fidelity_target(0.8)
+                .deadline(5)
+                .build()
+                .unwrap();
+            drop(q.enqueue(&request).unwrap());
+        }),
+        // Nobody schedules it: the deadline timer fires on the way.
+        Box::new(move |q| {
+            let fired = q.advance_to(q.now() + 10).unwrap();
+            assert_eq!(fired.expired, [id("overdue")]);
+        }),
     ]
 }
 
@@ -977,6 +994,7 @@ fn every_command_variant_is_recovered() {
         ("withdrawn", JobState::Cancelled),
         ("stranded", JobState::Failed),
         ("doomed", JobState::Failed),
+        ("overdue", JobState::Failed),
     ] {
         assert!(
             steady_state.contains(&format!("  {job}: {state:?} ")),
