@@ -94,6 +94,35 @@ impl Circuit {
         }
     }
 
+    /// Build a circuit around an instruction list a pass already produced,
+    /// validating every operand once (what [`Circuit::push`] checks per
+    /// instruction) instead of re-appending gate by gate.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if any operand is out of range or a qubit is repeated
+    /// within one instruction.
+    pub fn from_instructions(
+        name: impl Into<String>,
+        num_qubits: usize,
+        num_clbits: usize,
+        instructions: Vec<Instruction>,
+    ) -> Result<Self, CircuitError> {
+        let mut circuit = Circuit::with_name(name, num_qubits, num_clbits);
+        for instruction in &instructions {
+            circuit.check_qubits(&instruction.qubits)?;
+            circuit.check_clbits(&instruction.clbits)?;
+        }
+        circuit.instructions = instructions;
+        Ok(circuit)
+    }
+
+    /// Give up the instruction list, in program order — the inverse of
+    /// [`Circuit::from_instructions`], for passes that rewrite it in place.
+    pub fn into_instructions(self) -> Vec<Instruction> {
+        self.instructions
+    }
+
     /// The circuit's name (used as the default job name in QRIO).
     pub fn name(&self) -> &str {
         &self.name
@@ -649,6 +678,28 @@ mod tests {
         assert!(c.cx(0, 5).is_err());
         assert!(c.measure(0, 3).is_err());
         assert!(c.cx(1, 1).is_err());
+    }
+
+    #[test]
+    fn from_instructions_round_trips_and_validates() {
+        let c = bell();
+        let rebuilt =
+            Circuit::from_instructions(c.name(), 2, 2, c.clone().into_instructions()).unwrap();
+        assert_eq!(rebuilt, c);
+        let gate = |qubits: Vec<usize>| vec![Instruction::new(Gate::CX, qubits)];
+        assert!(matches!(
+            Circuit::from_instructions("c", 2, 0, gate(vec![0, 2])),
+            Err(CircuitError::QubitOutOfRange { qubit: 2, .. })
+        ));
+        assert!(matches!(
+            Circuit::from_instructions("c", 2, 0, gate(vec![1, 1])),
+            Err(CircuitError::DuplicateQubit { qubit: 1 })
+        ));
+        // The measurements of `bell` write classical bits 0 and 1.
+        assert!(matches!(
+            Circuit::from_instructions("c", 2, 1, c.into_instructions()),
+            Err(CircuitError::ClbitOutOfRange { clbit: 1, .. })
+        ));
     }
 
     #[test]

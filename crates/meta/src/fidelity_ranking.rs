@@ -11,6 +11,8 @@
 //! the device would serve the original circuit, and the score returned to the
 //! scheduler penalises the shortfall against the user's target.
 
+use std::borrow::Cow;
+
 use qrio_backend::Backend;
 use qrio_bytes::codec_struct;
 use qrio_circuit::Circuit;
@@ -146,13 +148,13 @@ fn run_canary(
 
 /// Add terminal measurements when the user circuit has none, so that there is
 /// a distribution to compare.
-fn ensure_measured(circuit: &Circuit) -> Circuit {
-    if circuit.measurement_count() > 0 {
-        circuit.clone()
+fn ensure_measured(circuit: &Circuit) -> Cow<'_, Circuit> {
+    if circuit.has_measurements() {
+        Cow::Borrowed(circuit)
     } else {
         let mut measured = circuit.clone();
         let _ = measured.measure_all();
-        measured
+        Cow::Owned(measured)
     }
 }
 

@@ -11,9 +11,10 @@ use qrio_circuit::Circuit;
 
 use crate::error::TranspilerError;
 use crate::layout::{select_layout, Layout, LayoutStrategy};
-use crate::optimization::optimize;
+use crate::optimization::optimize_instructions;
+use crate::rebuild;
 use crate::routing::{route, RoutingStrategy};
-use crate::translation::{translate_to_basis, unroll_multi_qubit_gates};
+use crate::translation::{translate_instructions, unroll};
 
 /// Options controlling the transpilation pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,17 +122,18 @@ pub fn transpile_with_options(
 ) -> Result<TranspileResult, TranspilerError> {
     // Reduce >2-qubit gates first: the router only guarantees adjacency for
     // two-qubit gates, and layout should see the true interaction graph.
-    let unrolled = unroll_multi_qubit_gates(circuit)?;
+    let unrolled = unroll(circuit)?;
     let initial_layout = select_layout(&unrolled, backend, options.layout)?;
     let routed = route(&unrolled, backend, &initial_layout, options.routing)?;
-    let translated = translate_to_basis(&routed.circuit, backend.basis_gates())?;
-    let final_circuit = if options.skip_optimization {
-        translated
-    } else {
-        optimize(&translated)?
-    };
+    // From here on one instruction buffer moves through the passes; it becomes
+    // a circuit again once, at the end.
+    let mut instructions =
+        translate_instructions(routed.circuit.into_instructions(), backend.basis_gates())?;
+    if !options.skip_optimization {
+        instructions = optimize_instructions(instructions, backend.num_qubits());
+    }
     Ok(TranspileResult {
-        circuit: final_circuit,
+        circuit: rebuild(circuit, backend.num_qubits(), instructions)?,
         initial_layout,
         final_mapping: routed.final_mapping,
         swaps_inserted: routed.swaps_inserted,

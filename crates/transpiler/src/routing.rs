@@ -17,6 +17,7 @@ use qrio_circuit::{Circuit, Gate, Instruction};
 
 use crate::error::TranspilerError;
 use crate::layout::Layout;
+use crate::rebuild;
 
 /// Which routing algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,32 +90,23 @@ impl LiveMapping {
     }
 }
 
-fn emit_swap(out: &mut Circuit, p1: usize, p2: usize) -> Result<(), TranspilerError> {
-    out.swap(p1, p2)?;
-    Ok(())
+fn emit_swap(out: &mut Vec<Instruction>, p1: usize, p2: usize) {
+    out.push(Instruction::new(Gate::Swap, vec![p1, p2]));
 }
 
-fn emit_instruction(
-    out: &mut Circuit,
-    inst: &Instruction,
-    mapping: &LiveMapping,
-) -> Result<(), TranspilerError> {
-    let qubits: Vec<usize> = inst.qubits.iter().map(|&v| mapping.phys(v)).collect();
-    if inst.gate == Gate::Measure {
-        out.measure(qubits[0], inst.clbits[0])?;
-    } else if inst.gate == Gate::Barrier {
-        out.barrier(&qubits)?;
-    } else {
-        out.append(inst.gate, &qubits)?;
-    }
-    Ok(())
+fn emit_instruction(out: &mut Vec<Instruction>, inst: &Instruction, mapping: &LiveMapping) {
+    out.push(Instruction {
+        gate: inst.gate,
+        qubits: inst.qubits.iter().map(|&v| mapping.phys(v)).collect(),
+        clbits: inst.clbits.clone(),
+    });
 }
 
 /// Walk a blocked gate's operands together: SWAP the first operand along a
 /// BFS shortest path until it is adjacent to the second. Returns the number
 /// of SWAPs inserted.
 fn walk_together(
-    out: &mut Circuit,
+    out: &mut Vec<Instruction>,
     mapping: &mut LiveMapping,
     backend: &Backend,
     inst: &Instruction,
@@ -129,7 +121,7 @@ fn walk_together(
     // Walk the first operand along the path until adjacent to b.
     let hops = path.len().saturating_sub(2);
     for window in path.windows(2).take(hops) {
-        emit_swap(out, window[0], window[1])?;
+        emit_swap(out, window[0], window[1]);
         mapping.swap_physical(window[0], window[1]);
     }
     Ok(hops)
@@ -142,11 +134,7 @@ fn route_shortest_path(
 ) -> Result<RoutedCircuit, TranspilerError> {
     let map = backend.coupling_map();
     let mut mapping = LiveMapping::new(layout);
-    let mut out = Circuit::with_name(
-        circuit.name().to_string(),
-        backend.num_qubits(),
-        circuit.num_clbits(),
-    );
+    let mut out = Vec::with_capacity(circuit.len());
     let mut swaps = 0usize;
 
     for inst in circuit.instructions() {
@@ -156,10 +144,10 @@ fn route_shortest_path(
                 swaps += walk_together(&mut out, &mut mapping, backend, inst)?;
             }
         }
-        emit_instruction(&mut out, inst, &mapping)?;
+        emit_instruction(&mut out, inst, &mapping);
     }
     Ok(RoutedCircuit {
-        circuit: out,
+        circuit: rebuild(circuit, backend.num_qubits(), out)?,
         swaps_inserted: swaps,
         final_mapping: mapping.virt_to_phys,
     })
@@ -181,11 +169,7 @@ fn route_sabre(
     let map = backend.coupling_map();
     let dist = map.distance_matrix();
     let mut mapping = LiveMapping::new(layout);
-    let mut out = Circuit::with_name(
-        circuit.name().to_string(),
-        backend.num_qubits(),
-        circuit.num_clbits(),
-    );
+    let mut out = Vec::with_capacity(circuit.len());
     let mut swaps = 0usize;
 
     // Remaining instructions in program order; we schedule greedily from the
@@ -204,7 +188,7 @@ fn route_sabre(
         };
         if executable {
             queue.pop_front();
-            emit_instruction(&mut out, inst, &mapping)?;
+            emit_instruction(&mut out, inst, &mapping);
             stall = 0;
             continue;
         }
@@ -249,7 +233,7 @@ fn route_sabre(
         // otherwise fall through to the deterministic path on the next stall.
         let improves = chosen_score <= current_front_cost + f64::EPSILON;
         if improves {
-            emit_swap(&mut out, chosen.0, chosen.1)?;
+            emit_swap(&mut out, chosen.0, chosen.1);
             mapping.swap_physical(chosen.0, chosen.1);
             swaps += 1;
         } else {
@@ -258,7 +242,7 @@ fn route_sabre(
     }
 
     Ok(RoutedCircuit {
-        circuit: out,
+        circuit: rebuild(circuit, backend.num_qubits(), out)?,
         swaps_inserted: swaps,
         final_mapping: mapping.virt_to_phys,
     })
