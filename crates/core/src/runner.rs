@@ -77,32 +77,27 @@ impl JobRunner for SimJobRunner {
             transpiled.circuit.depth()
         ));
 
-        // 3. Execute under the backend noise model (deflated to active qubits).
+        // 3. Execute under the backend noise model (deflated to active qubits)
+        //    and, from the same preparation, the noise-free reference for the
+        //    achieved fidelity, a full seed stride away so it never shares a
+        //    shard RNG stream with the noisy run.
         let deflated =
             deflate(&transpiled.circuit, backend).map_err(|e| format!("deflation failed: {e}"))?;
         let noise = NoiseModel::from_backend(&deflated.backend);
         let seed = self.seed ^ fnv1a(&run.job) ^ fnv1a(backend.name());
         let threads = usize::try_from(run.threads).unwrap_or(usize::MAX);
         let parallel = ParallelConfig::with_threads(threads);
-        let noisy = executor::run_with_noise_parallel(
+        let (ideal, noisy) = executor::run_paired(
             &deflated.circuit,
             &noise,
             run.shots,
+            seed.wrapping_add(SEED_STREAM_STRIDE),
             seed,
             &parallel,
         )
         .map_err(|e| format!("execution failed: {e}"))?;
-        // 4. Noise-free reference for the achieved fidelity, when tractable.
-        // Runs a full seed stride away so it never shares a shard RNG stream
-        // with the noisy run.
-        let fidelity = executor::run_ideal_parallel(
-            &deflated.circuit,
-            run.shots,
-            seed.wrapping_add(SEED_STREAM_STRIDE),
-            &parallel,
-        )
-        .ok()
-        .map(|ideal| ideal.hellinger_fidelity(&noisy));
+        // 4. Always known: the ideal half can fail only where the noisy half does.
+        let fidelity = Some(ideal.hellinger_fidelity(&noisy));
         logs.push(format!(
             "executed {} shots on '{}'",
             run.shots,

@@ -358,3 +358,63 @@ fn every_flagship_circuit_is_frame_eligible_on_every_device() {
     }
     assert_eq!(checked, 4 * 4 * 6 * 2);
 }
+
+/// The canary scorer, the baselines and the runner get their ideal and noisy
+/// halves from one `run_paired` instead of two runs. On every tenant circuit
+/// × device, route as above, and in both seed orders the system uses — the
+/// canary's (ideal at `seed`, noisy a stride up) and the runner's (noisy at
+/// `seed`, ideal a stride up) — the pair must be the two runs: both
+/// histograms, and the fidelity to the last bit.
+#[test]
+fn paired_run_equals_two_runs() {
+    use qrio_circuit::qasm;
+    use qrio_sim::{
+        run_ideal_parallel, run_paired, run_with_noise_parallel, NoiseModel, ParallelConfig,
+        SEED_STREAM_STRIDE,
+    };
+    use qrio_transpiler::{deflate, transpile};
+
+    let scenario = Scenario::from_yaml(include_str!("../../../scenarios/cloud.yaml")).unwrap();
+    let serial = ParallelConfig::serial();
+    let mut checked = 0;
+    for tenant in &scenario.tenants {
+        for index in [0, 1, 7, 450] {
+            let circuit = tenant.circuit_for(index).unwrap();
+            let sent = qasm::parse_qasm(&qasm::to_qasm(&circuit)).unwrap();
+            for (position, device) in (0u64..).zip(&scenario.fleet) {
+                let backend = device.backend();
+                let canary = transpile(&circuit.to_clifford(), &backend).unwrap();
+                let execution = transpile(&sent, &backend).unwrap();
+                for (routed, shots) in [
+                    (canary.circuit.to_clifford(), scenario.canary_shots),
+                    (execution.circuit, tenant.shots),
+                ] {
+                    let deflated = deflate(&routed, &backend).unwrap();
+                    let circuit = &deflated.circuit;
+                    let noise = NoiseModel::from_backend(&deflated.backend);
+                    let seed = index * 1000 + position;
+                    let (up, down) = (seed.wrapping_add(SEED_STREAM_STRIDE), seed);
+                    for (ideal_seed, noisy_seed) in [(down, up), (up, down)] {
+                        let (ideal, noisy) =
+                            run_paired(circuit, &noise, shots, ideal_seed, noisy_seed, &serial)
+                                .unwrap();
+                        let alone = (
+                            run_ideal_parallel(circuit, shots, ideal_seed, &serial).unwrap(),
+                            run_with_noise_parallel(circuit, &noise, shots, noisy_seed, &serial)
+                                .unwrap(),
+                        );
+                        let what = format!("{}'s job {index} on {}", tenant.name, device.name);
+                        assert_eq!((&ideal, &noisy), (&alone.0, &alone.1), "{what}");
+                        assert_eq!(
+                            ideal.hellinger_fidelity(&noisy).to_bits(),
+                            alone.0.hellinger_fidelity(&alone.1).to_bits(),
+                            "{what}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 4 * 4 * 6 * 2 * 2);
+}

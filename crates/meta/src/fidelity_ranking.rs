@@ -16,7 +16,7 @@ use std::borrow::Cow;
 use qrio_backend::Backend;
 use qrio_bytes::codec_struct;
 use qrio_circuit::Circuit;
-use qrio_sim::{executor, NoiseModel};
+use qrio_sim::{executor, NoiseModel, ParallelConfig};
 use qrio_transpiler::{deflate, transpile};
 
 use crate::error::MetaError;
@@ -133,15 +133,16 @@ fn run_canary(
     let deflated = deflate(&physical_canary, backend)?;
 
     let seed = config.seed ^ stable_hash(backend.name());
-    let ideal = executor::run_ideal(&deflated.circuit, config.shots, seed)?;
     let noise = NoiseModel::from_backend(&deflated.backend);
-    // Offset by a full seed stride so the ideal and noisy sharded executions
-    // never share an RNG stream.
-    let noisy = executor::run_with_noise(
+    // One preparation, two halves; the noisy half runs a full seed stride
+    // away so the two sharded executions never share an RNG stream.
+    let (ideal, noisy) = executor::run_paired(
         &deflated.circuit,
         &noise,
         config.shots,
+        seed,
         seed.wrapping_add(qrio_sim::SEED_STREAM_STRIDE),
+        &ParallelConfig::default(),
     )?;
     Ok((ideal.hellinger_fidelity(&noisy), canary_swaps))
 }

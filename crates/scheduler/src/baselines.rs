@@ -2,12 +2,14 @@
 //! random scheduler and the oracle scheduler, plus the achieved-fidelity
 //! measurement shared by Fig. 7.
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qrio_backend::Backend;
 use qrio_circuit::Circuit;
-use qrio_sim::{executor, NoiseModel};
+use qrio_sim::{executor, NoiseModel, ParallelConfig};
 use qrio_transpiler::{deflate, transpile};
 
 use crate::error::SchedulerError;
@@ -57,23 +59,24 @@ pub fn achieved_fidelity(
     seed: u64,
 ) -> Result<f64, SchedulerError> {
     let prepared = if circuit.measurement_count() > 0 {
-        circuit.clone()
+        Cow::Borrowed(circuit)
     } else {
         let mut measured = circuit.clone();
         let _ = measured.measure_all();
-        measured
+        Cow::Owned(measured)
     };
     let transpiled = transpile(&prepared, backend)?;
     let deflated = deflate(&transpiled.circuit, backend)?;
-    let ideal = executor::run_ideal(&deflated.circuit, shots, seed)?;
     let noise = NoiseModel::from_backend(&deflated.backend);
-    // The noisy half runs a full seed stride away from the ideal half so the
-    // two sharded executions never share an RNG stream.
-    let noisy = executor::run_with_noise(
+    // One preparation, two halves; the noisy half runs a full seed stride
+    // away so the two sharded executions never share an RNG stream.
+    let (ideal, noisy) = executor::run_paired(
         &deflated.circuit,
         &noise,
         shots,
+        seed,
         seed.wrapping_add(qrio_sim::SEED_STREAM_STRIDE),
+        &ParallelConfig::default(),
     )?;
     Ok(ideal.hellinger_fidelity(&noisy))
 }

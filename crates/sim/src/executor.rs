@@ -10,19 +10,17 @@
 //!
 //! Three layers of optimisation keep the shot loop fast:
 //!
-//! * **Ideal terminal-measurement fast paths.** When the noise model is ideal
-//!   and every measurement is terminal, the circuit is applied **once**: the
-//!   stabilizer engine snapshots the tableau and clones it per shot (a few
-//!   hundred bytes of `memcpy` instead of a full circuit replay), and the
-//!   statevector engine samples a precomputed [`CumulativeDistribution`] by
-//!   binary search (O(n) per shot instead of O(2^n)).
-//! * **Pauli-frame batched shots for noisy Clifford circuits.** When the
-//!   circuit is Clifford with terminal measurements but the noise model is
-//!   *not* ideal, a [`FramePlan`] compiles the ideal
-//!   tableau and the noise sites once; each shot then propagates only an
-//!   n-qubit Pauli frame (two `u64` masks per 64 qubits) and draws from the
-//!   RNG in the exact order of the replay path — byte-identical histograms,
-//!   orders of magnitude less work.
+//! * **Pauli-frame batched shots for Clifford circuits.** The stabilizer
+//!   engine has two paths, the plan and replay. When the circuit is Clifford
+//!   with terminal measurements, noisy or ideal, a [`FramePlan`] compiles the
+//!   ideal tableau, the symbolic collapse of every measurement and the noise
+//!   sites once; each shot then propagates only an n-qubit Pauli frame (two
+//!   `u64` masks per 64 qubits) and draws from the RNG in the exact order of
+//!   the replay path — byte-identical histograms, orders of magnitude less
+//!   work. Under an ideal model a shot draws one coin per random outcome and
+//!   nothing else, as a tableau collapsed afresh per shot would. A circuit
+//!   the plan cannot take (below, or more than 64 random outcomes) is
+//!   replayed.
 //!
 //!   "Terminal" is a property of the qubit, not of the program text: for the
 //!   stabilizer engine a measurement is terminal when nothing but a barrier
@@ -31,10 +29,14 @@
 //!   as lint QL0008). A transpiled circuit routinely ends with a fused `u3`
 //!   on an idle qubit *after* the measurement block; that measurement
 //!   commutes with the gate, so the circuit stays on the one-pass paths. A
-//!   `Reset`, or work on a measured qubit, falls back to per-shot replay. The
-//!   statevector engine's ideal fast path keeps the stricter program-order
-//!   rule (`measurements_end_the_program`), because there the rule decides
-//!   how many numbers a shot draws.
+//!   `Reset`, or work on a measured qubit, falls back to per-shot replay.
+//! * **The statevector engine's ideal fast path.** When the noise model is
+//!   ideal and nothing but measurements and barriers follows the first
+//!   measurement, the circuit is applied **once** and each shot samples a
+//!   precomputed [`CumulativeDistribution`] by binary search (O(n) per shot
+//!   instead of O(2^n)). It keeps this stricter program-order rule
+//!   (`measurements_end_the_program`), because there the rule decides how
+//!   many numbers a shot draws.
 //! * **Deterministic parallel shards.** Shots are split into fixed-size
 //!   shards; shard `s` runs on its own `StdRng` seeded with
 //!   `seed + s`, and shard histograms merge commutatively. The shard
@@ -51,10 +53,14 @@
 //! circuit without measurements is measured exactly as if `measure_all` had
 //! been appended: qubit `q` into bit `q`, readout noise included.
 //!
-//! Because consecutive seeds own consecutive shard streams, callers that
-//! execute *paired* runs (ideal vs. noisy) should separate the two seeds by
-//! [`SEED_STREAM_STRIDE`] rather than by 1, so the pair never shares a shard
-//! stream.
+//! A run is two steps: a private *prepare* (the checks, the engine, the mode
+//! above, built once) and a private *sample* (the sharded shot loop, the one
+//! loop every mode runs in). A fidelity estimate needs a circuit twice,
+//! noise-free and noisy; [`run_paired`] prepares it once and samples both
+//! halves, the ideal one from the noisy plan with its noise taken out. Because
+//! consecutive seeds own consecutive shard streams, the two seeds of a pair
+//! should be [`SEED_STREAM_STRIDE`] apart rather than 1, so the pair never
+//! shares a shard stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -275,8 +281,9 @@ pub fn run_with_noise(
 /// differential testing and benchmarking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionPath {
-    /// Pick automatically: ideal fast path, then the Pauli-frame path when
-    /// eligible, then per-shot replay.
+    /// Pick automatically: the Pauli-frame path when eligible (noisy or
+    /// ideal), the statevector engine's ideal fast path, else per-shot
+    /// replay.
     #[default]
     Auto,
     /// Force per-shot replay (full tableau / statevector rebuild per shot).
@@ -287,17 +294,11 @@ pub enum ExecutionPath {
     Frame,
 }
 
-/// The prepared per-run execution mode, built once and shared by every shard.
+/// The per-run execution mode, prepared once and shared by every shard.
 enum Prepared {
-    /// Ideal terminal-measurement Clifford circuit: the tableau after all
-    /// unitaries, cloned per shot for measurement sampling.
-    StabilizerFast {
-        tableau: StabilizerSimulator,
-        mapping: Vec<(usize, usize)>,
-    },
-    /// Noisy terminal-measurement Clifford circuit: propagate an n-qubit
-    /// Pauli frame per shot through a precompiled [`FramePlan`]
-    /// (byte-identical to replay, orders of magnitude faster).
+    /// Clifford circuit whose measurements are terminal, noisy or ideal:
+    /// propagate an n-qubit Pauli frame per shot through a precompiled
+    /// [`FramePlan`] (byte-identical to replay, orders of magnitude faster).
     StabilizerFrame(FramePlan),
     /// General stabilizer path: replay the circuit per shot (what
     /// [`forces_replay`] names, or >64 random-outcome measurements).
@@ -348,24 +349,60 @@ pub fn run_with_noise_path(
     parallel: &ParallelConfig,
     path: ExecutionPath,
 ) -> Result<Counts, SimulatorError> {
+    let prepared = prepare(circuit, noise, shots, path)?;
+    sample(circuit, noise, &prepared, shots, seed, parallel)
+}
+
+/// Run a circuit twice from one preparation: noise-free at `ideal_seed` and
+/// under `noise` at `noisy_seed`, returning `(ideal, noisy)` — the pair a
+/// fidelity estimate compares. Each half is byte-identical to its own run
+/// ([`run_with_noise_parallel`] under [`NoiseModel::ideal`] at `ideal_seed`,
+/// under `noise` at `noisy_seed`); a frame-eligible circuit builds its
+/// [`FramePlan`] once and samples the ideal half from the same plan with the
+/// noise taken out. Separate the seeds by [`SEED_STREAM_STRIDE`].
+///
+/// # Errors
+///
+/// Returns an error for unsupported circuits or zero shots. The two halves
+/// refuse the same circuits; the error returned is the noisy half's.
+pub fn run_paired(
+    circuit: &Circuit,
+    noise: &NoiseModel,
+    shots: u64,
+    ideal_seed: u64,
+    noisy_seed: u64,
+    parallel: &ParallelConfig,
+) -> Result<(Counts, Counts), SimulatorError> {
+    let ideal_model = NoiseModel::ideal(circuit.num_qubits());
+    let noisy = prepare(circuit, noise, shots, ExecutionPath::Auto)?;
+    let ideal = match &noisy {
+        Prepared::StabilizerFrame(plan) => Prepared::StabilizerFrame(plan.without_noise()),
+        // Frame eligibility does not depend on the noise model.
+        Prepared::StabilizerReplay => Prepared::StabilizerReplay,
+        Prepared::StatevectorFast { .. } | Prepared::StatevectorReplay => {
+            prepare(circuit, &ideal_model, shots, ExecutionPath::Auto)?
+        }
+    };
+    let noisy = sample(circuit, noise, &noisy, shots, noisy_seed, parallel)?;
+    let ideal = sample(circuit, &ideal_model, &ideal, shots, ideal_seed, parallel)?;
+    Ok((ideal, noisy))
+}
+
+/// The checks and the per-run work of a run: shot count and outcome
+/// register, engine, then the mode `path` and `noise` call for.
+fn prepare(
+    circuit: &Circuit,
+    noise: &NoiseModel,
+    shots: u64,
+    path: ExecutionPath,
+) -> Result<Prepared, SimulatorError> {
     if shots == 0 {
         return Err(SimulatorError::InvalidParameter(
             "shots must be >= 1".into(),
         ));
     }
     validate_outcome_register(circuit)?;
-    let engine = select_engine(circuit)?;
-    let num_bits = effective_num_bits(circuit);
-    let ideal_auto = path == ExecutionPath::Auto && noise.is_ideal();
-    let prepared = match engine {
-        Engine::Stabilizer if ideal_auto && forces_replay(circuit).is_none() => {
-            let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
-            tableau.apply_circuit(circuit)?;
-            Prepared::StabilizerFast {
-                tableau,
-                mapping: measurement_mapping(circuit),
-            }
-        }
+    Ok(match select_engine(circuit)? {
         Engine::Stabilizer => match path {
             ExecutionPath::Replay => Prepared::StabilizerReplay,
             ExecutionPath::Auto | ExecutionPath::Frame => match FramePlan::build(circuit, noise)? {
@@ -380,7 +417,11 @@ pub fn run_with_noise_path(
                 None => Prepared::StabilizerReplay,
             },
         },
-        Engine::Statevector if ideal_auto && measurements_end_the_program(circuit) => {
+        Engine::Statevector
+            if path == ExecutionPath::Auto
+                && noise.is_ideal()
+                && measurements_end_the_program(circuit) =>
+        {
             let mut state = StateVector::new(circuit.num_qubits())?;
             state.apply_circuit(circuit)?;
             Prepared::StatevectorFast {
@@ -394,32 +435,33 @@ pub fn run_with_noise_path(
             ));
         }
         Engine::Statevector => Prepared::StatevectorReplay,
-    };
+    })
+}
 
+/// The one shot loop: `shots` shots of a prepared run, sharded and seeded
+/// from `seed` (see [`run_with_noise_parallel`]).
+fn sample(
+    circuit: &Circuit,
+    noise: &NoiseModel,
+    prepared: &Prepared,
+    shots: u64,
+    seed: u64,
+    parallel: &ParallelConfig,
+) -> Result<Counts, SimulatorError> {
+    let num_bits = effective_num_bits(circuit);
     let shard_count = shots.div_ceil(SHARD_SHOTS);
     let run_shard = |shard: u64| -> Result<Counts, SimulatorError> {
         let first = shard * SHARD_SHOTS;
         let shard_shots = SHARD_SHOTS.min(shots - first);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(shard));
         let mut counts = Counts::new(num_bits);
-        let mut frame_scratch = match &prepared {
-            Prepared::StabilizerFrame(plan) => Some(plan.scratch()),
-            _ => None,
+        let mut frame_scratch = match prepared {
+            Prepared::StabilizerFrame(plan) => plan.scratch(),
+            _ => Vec::new(),
         };
         for _ in 0..shard_shots {
-            let outcome = match &prepared {
-                Prepared::StabilizerFast { tableau, mapping } => {
-                    let mut sim = tableau.clone();
-                    let mut outcome = 0u64;
-                    for &(qubit, clbit) in mapping {
-                        record_bit(&mut outcome, clbit, sim.measure(qubit, &mut rng));
-                    }
-                    outcome
-                }
-                Prepared::StabilizerFrame(plan) => plan.run_shot(
-                    &mut rng,
-                    frame_scratch.as_mut().expect("scratch built with the plan"),
-                ),
+            let outcome = match prepared {
+                Prepared::StabilizerFrame(plan) => plan.run_shot(&mut rng, &mut frame_scratch),
                 Prepared::StabilizerReplay => replay_shot(
                     StabilizerSimulator::new(circuit.num_qubits()),
                     circuit,
@@ -444,7 +486,7 @@ pub fn run_with_noise_path(
     // The statevector replay path allocates one full 2^n state per worker;
     // bound the aggregate footprint so eight 24-qubit replays cannot pile up
     // 2 GiB where the serial loop used 256 MiB.
-    let memory_cap = match &prepared {
+    let memory_cap = match prepared {
         Prepared::StatevectorReplay => (MAX_REPLAY_AMPLITUDES >> circuit.num_qubits()).max(1),
         _ => usize::MAX,
     };
@@ -575,17 +617,16 @@ fn validate_outcome_register(circuit: &Circuit) -> Result<(), SimulatorError> {
 }
 
 /// The first instruction that forces a Clifford circuit off the one-pass
-/// paths (the stabilizer engine's ideal fast path and the Pauli-frame path)
-/// onto per-shot replay: a `Reset` anywhere, or any operation other than a
-/// barrier or another measurement on a qubit that has already been measured,
-/// which makes that measurement mid-circuit. `None` means every measurement
-/// is terminal: a measurement commutes with every later gate that does not
-/// touch its qubit, so work on *other* qubits after it — the idle-qubit `u3`
-/// a transpiled circuit ends with — forces nothing. This is the structural
-/// half of frame eligibility, written once — the executor's stabilizer arms
-/// and [`FramePlan::build`] branch on it, the analyzer's `QL0008` names what
-/// it returns; the other half is that the circuit is Clifford with at most
-/// 64 random-outcome measurements.
+/// Pauli-frame path onto per-shot replay: a `Reset` anywhere, or any
+/// operation other than a barrier or another measurement on a qubit that has
+/// already been measured, which makes that measurement mid-circuit. `None`
+/// means every measurement is terminal: a measurement commutes with every
+/// later gate that does not touch its qubit, so work on *other* qubits after
+/// it — the idle-qubit `u3` a transpiled circuit ends with — forces nothing.
+/// This is the structural half of frame eligibility, written once — only
+/// [`FramePlan::build`] branches on it, the analyzer's `QL0008` names what it
+/// returns; the other half is that the circuit is Clifford with at most 64
+/// random-outcome measurements.
 pub fn forces_replay(circuit: &Circuit) -> Option<(usize, &Instruction)> {
     let mut measured = vec![false; circuit.num_qubits()];
     for (index, inst) in circuit.instructions().iter().enumerate() {
@@ -693,8 +734,9 @@ fn replay_shot<E: ShotEngine>(
 
 /// Convenience wrapper: fidelity of a circuit on a noisy backend relative to
 /// its own noise-free execution, measured as Hellinger fidelity between the
-/// two output distributions. The noisy half runs [`SEED_STREAM_STRIDE`] away
-/// from the ideal half so the two runs never share a shard RNG stream.
+/// two output distributions, from one [`run_paired`]. The noisy half runs
+/// [`SEED_STREAM_STRIDE`] away from the ideal half so the two runs never
+/// share a shard RNG stream.
 ///
 /// # Errors
 ///
@@ -705,12 +747,13 @@ pub fn fidelity_on_backend(
     shots: u64,
     seed: u64,
 ) -> Result<f64, SimulatorError> {
-    let ideal = run_ideal(circuit, shots, seed)?;
-    let noisy = run_on_backend(
+    let (ideal, noisy) = run_paired(
         circuit,
-        backend,
+        &NoiseModel::from_backend(backend),
         shots,
+        seed,
         seed.wrapping_add(SEED_STREAM_STRIDE),
+        &ParallelConfig::default(),
     )?;
     Ok(ideal.hellinger_fidelity(&noisy))
 }
@@ -1086,6 +1129,67 @@ mod tests {
         reset.measure_all().unwrap();
         assert_eq!(forces_replay(&reset).map(|(index, _)| index), Some(0));
         assert!(!measurements_end_the_program(&reset));
+    }
+
+    /// The stabilizer engine's ideal fast path before the plan took ideal
+    /// circuits too, in the executor's shards: apply the circuit once, then
+    /// per shot clone the tableau and measure it in `measurement_mapping`
+    /// order.
+    fn tableau_clone_reference(circuit: &Circuit, shots: u64, seed: u64) -> Counts {
+        use rand::SeedableRng;
+        let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
+        tableau.apply_circuit(circuit).unwrap();
+        let mapping = measurement_mapping(circuit);
+        let mut counts = Counts::new(effective_num_bits(circuit));
+        for shard in 0..shots.div_ceil(SHARD_SHOTS) {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(shard));
+            for _ in 0..SHARD_SHOTS.min(shots - shard * SHARD_SHOTS) {
+                let mut sim = tableau.clone();
+                let mut outcome = 0u64;
+                for &(qubit, clbit) in &mapping {
+                    record_bit(&mut outcome, clbit, sim.measure(qubit, &mut rng));
+                }
+                counts.record(outcome);
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn ideal_clifford_runs_match_the_tableau_clone() {
+        let mut circuits = Vec::new();
+        for n in 1..=20 {
+            let circuit = library::random_clifford_circuit(n, 4, n as u64).unwrap();
+            // Measured twice: the second round is determined by the first.
+            let mut twice = circuit.clone();
+            twice.measure_all().unwrap();
+            let implicit = circuit.without_measurements();
+            circuits.extend([circuit, twice, implicit]);
+        }
+        // Seventy random outcomes into eight reused bits: over the plan's
+        // 64 coins, so Auto replays, which draws what the clone drew.
+        let mut wide = Circuit::new(70, 8);
+        for q in 0..70 {
+            wide.h(q).unwrap();
+        }
+        wide.cx(0, 69).unwrap();
+        for q in 0..70 {
+            wide.measure(q, q % 8).unwrap();
+        }
+        assert!(FramePlan::build(&wide, &NoiseModel::ideal(70))
+            .unwrap()
+            .is_none());
+        circuits.push(wide);
+
+        for (index, circuit) in circuits.iter().enumerate() {
+            let (shots, seed) = (150 + index as u64, 40 + index as u64);
+            let reference = tableau_clone_reference(circuit, shots, seed);
+            for threads in [1, 2, 8] {
+                let parallel = ParallelConfig::with_threads(threads);
+                let auto = run_ideal_parallel(circuit, shots, seed, &parallel).unwrap();
+                assert_eq!(auto, reference, "{} at {threads} threads", circuit.name());
+            }
+        }
     }
 
     #[test]

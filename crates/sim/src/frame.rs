@@ -1,4 +1,4 @@
-//! Pauli-frame batched-shot simulation for noisy Clifford circuits.
+//! Pauli-frame batched-shot simulation for Clifford circuits, noisy or ideal.
 //!
 //! The per-shot replay path rebuilds and replays the full `(2n+1) × (2n+1)`
 //! stabilizer tableau for every shot — O(shots · n² · depth) word operations —
@@ -33,12 +33,12 @@
 //!    perturbation `δ` of the phase bits propagates as `δ[h] ^= δ[i]` —
 //!    plain XOR.
 //!
-//! [`FramePlan::build`] therefore (a) finds, for every noise site, the images
-//! at the end of the circuit of a unit X and a unit Z error injected there,
-//! and (b) collapses the measurements *symbolically* on the final tableau, in
-//! measurement order, tracking for every phase bit its dependence on the
-//! coins and on the terminal frame. A shot then draws from the RNG **in
-//! exactly the order the replay path would** — the plan's ops are in
+//! [`FramePlan::build`] therefore (a) collapses the measurements
+//! *symbolically* on the final tableau, in measurement order, tracking for
+//! every phase bit its dependence on the coins and on the terminal frame, and
+//! (b) finds, for every noise site, the images at the end of the circuit of a
+//! unit X and a unit Z error injected there. A shot then draws from the RNG
+//! **in exactly the order the replay path would** — the plan's ops are in
 //! instruction order, a noise site drawing its hit, a measurement its coin
 //! and its readout flip — so the frame path is byte-identical to per-shot
 //! replay — with or without noise — and slots into the sharded executor
@@ -69,9 +69,31 @@
 //! `apply_clifford` emits them, are recorded and taken last-first — H swaps
 //! the qubit's pair, S multiplies its Z image into its X image, CX(a, b)
 //! multiplies X_b's image into X_a's and Z_a's into Z_b's. A noise site
-//! clones the images of its operands as the walk passes it. One step per
+//! copies the images of its operands as the walk passes it. One step per
 //! generator, so O(gates) for the circuit where conjugating two fresh frames
 //! through the rest of the circuit for every site was O(gates²).
+//!
+//! # One arena
+//!
+//! Every mask a shot reads lives in one `Vec<u64>` per plan, sized before the
+//! first word is written (a dependency mask per measurement at most, four
+//! masks per struck site operand): first the dependency masks of the
+//! determined measurements, in measurement order, then the terminal images
+//! of the noise sites. A shot op is `Copy` and holds offsets into it. A mask
+//! has the shot frame's layout — its X words, then its Z words — so a site
+//! strike is one XOR over the frame and a determined outcome one masked
+//! parity.
+//!
+//! # One plan, two halves
+//!
+//! A fidelity estimate samples a circuit twice, noise-free and under a
+//! device's noise. The collapse and the dependency masks do not look at the
+//! noise model — they come before the noise walk — so
+//! `FramePlan::without_noise` turns the noisy plan into the ideal one by
+//! dropping its noise ops and setting every readout flip to `p = 0`: op for
+//! op, and word for word of the arena, the plan `build` makes under
+//! [`NoiseModel::ideal`]. The executor's paired run builds one plan and
+//! samples both halves from it.
 //!
 //! # What is shared with replay, not restated
 //!
@@ -95,8 +117,11 @@
 //! A plan is built only for circuits that are Clifford with all measurements
 //! terminal ([`forces_replay`] finds no `Reset` and no work on a measured
 //! qubit) and at most 64 random-outcome measurements; anything else returns
-//! `None` and the executor falls back to per-shot replay. The analyzer
-//! reports what `forces_replay` returns as lint `QL0008`.
+//! `None` and the executor falls back to per-shot replay. The rule does not
+//! depend on the noise model: an ideal circuit takes the plan too, where a
+//! shot draws one coin per random outcome and no readout flip — what a
+//! tableau collapsed afresh per shot draws. The analyzer reports what
+//! `forces_replay` returns as lint `QL0008`.
 //!
 //! [`SEED_STREAM_STRIDE`]: crate::executor::SEED_STREAM_STRIDE
 
@@ -111,79 +136,31 @@ use crate::stabilizer::{
     apply_clifford, CliffordTarget, Collapse, PhaseRider, StabilizerSimulator,
 };
 
-/// A bit-packed n-qubit Pauli operator, sign-free: `fx` holds the X
-/// components, `fz` the Z components. Used both as the per-shot error frame
-/// and, at plan time, as the terminal image of a unit error.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Frame {
-    fx: Vec<u64>,
-    fz: Vec<u64>,
-}
-
-impl Frame {
-    fn zero(wpr: usize) -> Self {
-        Frame {
-            fx: vec![0; wpr],
-            fz: vec![0; wpr],
-        }
-    }
-
-    fn unit_x(q: usize, wpr: usize) -> Self {
-        let mut f = Frame::zero(wpr);
-        f.fx[q >> 6] |= 1 << (q & 63);
-        f
-    }
-
-    fn unit_z(q: usize, wpr: usize) -> Self {
-        let mut f = Frame::zero(wpr);
-        f.fz[q >> 6] |= 1 << (q & 63);
-        f
-    }
-
-    /// Multiply by `other`, sign-free.
-    fn xor(&mut self, other: &Frame) {
-        for (d, s) in self.fx.iter_mut().zip(&other.fx) {
-            *d ^= *s;
-        }
-        for (d, s) in self.fz.iter_mut().zip(&other.fz) {
-            *d ^= *s;
-        }
+/// `dst ^= src`, word by word: a sign-free Pauli product.
+#[inline]
+fn xor_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= *s;
     }
 }
 
-/// The terminal images of a unit X and a unit Z error on one qubit, injected
-/// at one place in the circuit: XORing the matching image into the shot frame
-/// accounts for the error exactly (Y uses both, since Y ∝ X·Z and propagation
-/// is linear).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Propagated {
-    x: Frame,
-    z: Frame,
-}
-
-impl Propagated {
-    /// The unit errors on `q` themselves: their images at the end of the circuit.
-    fn unit(q: usize, wpr: usize) -> Self {
-        Propagated {
-            x: Frame::unit_x(q, wpr),
-            z: Frame::unit_z(q, wpr),
-        }
+/// XOR the terminal image of `pauli`, struck at one operand of a site, into
+/// the shot frame. `image` is the operand's X image then its Z image, each
+/// laid out like the frame; Y uses both, since Y ∝ X·Z and propagation is
+/// linear.
+#[inline]
+fn strike(image: &[u64], pauli: PauliError, frame: &mut [u64]) {
+    let (x, z) = image.split_at(frame.len());
+    if pauli != PauliError::Z {
+        xor_into(frame, x);
     }
-
-    /// XOR the terminal image of `pauli` at this site into the shot frame.
-    #[inline]
-    fn strike(&self, pauli: PauliError, frame: &mut Frame) {
-        if pauli != PauliError::Z {
-            frame.xor(&self.x);
-        }
-        if pauli != PauliError::X {
-            frame.xor(&self.z);
-        }
+    if pauli != PauliError::X {
+        xor_into(frame, z);
     }
 }
 
 /// A generator [`apply_clifford`] emitted, recorded so that the walk can take
-/// a gate's generators last-first. Sign-free like [`Frame`]: S† is S and a
+/// a gate's generators last-first. Sign-free like the frame: S† is S and a
 /// Pauli is nothing, the defaults of [`CliffordTarget`].
 #[derive(Debug, Clone, Copy)]
 enum Generator {
@@ -207,37 +184,40 @@ impl CliffordTarget for Vec<Generator> {
     }
 }
 
-/// One step of the backward walk of [`FramePlan::build`]: `images[q]` holds
-/// the terminal images of unit X / unit Z errors on `q` injected just after
-/// `gate`, and is moved to just before it. An error `P` before a generator
-/// `g` is the error `g P g†` after it, and the image of a product is the
-/// product of the images. `generators` is the walk's reused buffer.
+/// One step of the backward walk of [`FramePlan::build`]: the `4 · wpr`
+/// words of qubit `q` in `images` hold the terminal images of unit X / unit
+/// Z errors on `q` injected just after `gate`, and are moved to just before
+/// it. An error `P` before a generator `g` is the error `g P g†` after it,
+/// and the image of a product is the product of the images. `generators` is
+/// the walk's reused buffer.
 fn step_back(
-    images: &mut [Propagated],
+    images: &mut [u64],
+    wpr: usize,
     generators: &mut Vec<Generator>,
     gate: &Gate,
     qubits: &[usize],
 ) -> Result<(), SimulatorError> {
+    let (mask, image) = (2 * wpr, 4 * wpr);
     generators.clear();
     apply_clifford(generators, gate, qubits)?;
     for generator in generators.iter().rev() {
         match *generator {
             // H: X ↔ Z.
             Generator::H(q) => {
-                let image = &mut images[q];
-                std::mem::swap(&mut image.x, &mut image.z);
+                let (x, z) = images[q * image..][..image].split_at_mut(mask);
+                x.swap_with_slice(z);
             }
             // S: X → XZ.
             Generator::S(q) => {
-                let image = &mut images[q];
-                image.x.xor(&image.z);
+                let (x, z) = images[q * image..][..image].split_at_mut(mask);
+                xor_into(x, z);
             }
             // CX: X_a → X_a X_b, Z_b → Z_a Z_b.
             Generator::Cx(a, b) => {
-                let mut control = std::mem::take(&mut images[a]);
-                control.x.xor(&images[b].x);
-                images[b].z.xor(&control.z);
-                images[a] = control;
+                for j in 0..mask {
+                    images[a * image + j] ^= images[b * image + j];
+                    images[b * image + mask + j] ^= images[a * image + mask + j];
+                }
             }
         }
     }
@@ -245,16 +225,13 @@ fn step_back(
 }
 
 /// One step of the per-shot loop, in the exact order (and with the exact RNG
-/// draw pattern) of the replay path.
-#[derive(Debug, Clone)]
+/// draw pattern) of the replay path. Offsets point into the plan's arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ShotOp {
     /// A depolarizing site with `p > 0`, drawn by [`FaultSite::sample`]
-    /// exactly as the replay path draws it; `props` holds the terminal images
-    /// of one unit error per operand the site can strike.
-    Noise {
-        site: FaultSite,
-        props: Vec<Propagated>,
-    },
+    /// exactly as the replay path draws it; `images` is where the terminal
+    /// images of its operands start, one X and one Z mask per operand.
+    Noise { site: FaultSite, images: usize },
     /// Measurement with a random ideal outcome: the outcome *is* coin `coin`
     /// (errors flip phase bits, never the freshly drawn sign), followed by
     /// the readout-flip draw.
@@ -264,14 +241,13 @@ enum ShotOp {
         readout_p: f64,
     },
     /// Measurement with a deterministic ideal outcome: `base` XOR the parity
-    /// of the recorded coin/frame dependencies, followed by the readout-flip
-    /// draw.
+    /// of the recorded coin dependencies `dep_u` and of the frame under the
+    /// dependency mask at `deps`, followed by the readout-flip draw.
     MeasureDet {
         clbit: usize,
         base: bool,
         dep_u: u64,
-        dep_fx: Vec<u64>,
-        dep_fz: Vec<u64>,
+        deps: usize,
         readout_p: f64,
     },
 }
@@ -289,6 +265,11 @@ enum ShotOp {
 pub struct FramePlan {
     wpr: usize,
     ops: Vec<ShotOp>,
+    /// Every mask the ops point into: the dependency masks of the determined
+    /// measurements, then the noise sites' terminal images.
+    arena: Vec<u64>,
+    /// How many words at the front of `arena` are dependency masks.
+    dep_words: usize,
 }
 
 impl FramePlan {
@@ -312,28 +293,47 @@ impl FramePlan {
         let mut tableau = StabilizerSimulator::new(circuit.num_qubits());
         tableau.apply_circuit(circuit)?;
         let wpr = tableau.words_per_row();
+        let (mask, image) = (2 * wpr, 4 * wpr);
+        let mapping = measurement_mapping(circuit);
+
+        // Size the arena before the first write: a dependency mask per
+        // measurement at most, an image per operand a site can strike.
+        let (sites, operands) = circuit
+            .instructions()
+            .iter()
+            .flat_map(|inst| noise.fault_sites(&inst.gate, &inst.qubits))
+            .fold((0, 0), |(sites, operands), site| {
+                (sites + 1, operands + site.operands().len())
+            });
+        let mut arena = Vec::with_capacity(mapping.len() * mask + operands * image);
 
         // Every measurement collapses the final tableau, in measurement order.
         let mut sym = SymbolicTableau::new(tableau);
-        let mut measures = Vec::new();
-        for (qubit, clbit) in measurement_mapping(circuit) {
-            match sym.measure_op(qubit, clbit, noise.readout_error(qubit)) {
+        let mut measures = Vec::with_capacity(mapping.len());
+        for (qubit, clbit) in mapping {
+            match sym.measure_op(qubit, clbit, noise.readout_error(qubit), &mut arena) {
                 Some(op) => measures.push(op),
                 None => return Ok(None),
             }
         }
+        let dep_words = arena.len();
 
         // One walk back from the end emits the ops last-first: a `Measure`
-        // takes its compiled op, a gate's sites clone their operands' images
+        // takes its compiled op, a gate's sites copy their operands' images
         // before the walk steps over the gate (a site fires after its gate).
-        let mut ops = Vec::new();
+        let mut ops = Vec::with_capacity(measures.len() + sites);
         if circuit.measurement_count() == 0 {
             // Implicit measurement: as if `measure_all` ended the circuit.
             ops.extend(measures.drain(..).rev());
         }
-        let mut images: Vec<Propagated> = (0..circuit.num_qubits())
-            .map(|q| Propagated::unit(q, wpr))
-            .collect();
+        // Per qubit, at the walk's place: the terminal image of a unit X (X
+        // words, Z words), then of a unit Z.
+        let mut walk = vec![0u64; circuit.num_qubits() * image];
+        for q in 0..circuit.num_qubits() {
+            let (word, bit) = (q >> 6, 1u64 << (q & 63));
+            walk[q * image + word] |= bit;
+            walk[q * image + mask + wpr + word] |= bit;
+        }
         let mut generators = Vec::new();
         for inst in circuit.instructions().iter().rev() {
             if inst.gate == Gate::Measure {
@@ -342,33 +342,75 @@ impl FramePlan {
             }
             let first = ops.len();
             for site in noise.fault_sites(&inst.gate, &inst.qubits) {
-                let props = site.operands().iter().map(|&q| images[q].clone()).collect();
-                ops.push(ShotOp::Noise { site, props });
+                let images = arena.len();
+                ops.push(ShotOp::Noise { site, images });
+                for &q in site.operands() {
+                    arena.extend_from_slice(&walk[q * image..][..image]);
+                }
             }
             ops[first..].reverse(); // a gate's sites stay in draw order
-            step_back(&mut images, &mut generators, &inst.gate, &inst.qubits)?;
+            step_back(&mut walk, wpr, &mut generators, &inst.gate, &inst.qubits)?;
         }
         ops.reverse();
-        Ok(Some(FramePlan { wpr, ops }))
+        Ok(Some(FramePlan {
+            wpr,
+            ops,
+            arena,
+            dep_words,
+        }))
     }
 
-    /// A fresh shot frame sized for this plan, reused across shots so the hot
-    /// loop allocates nothing.
-    pub(crate) fn scratch(&self) -> Frame {
-        Frame::zero(self.wpr)
+    /// This plan with the noise taken out — its noise ops dropped, every
+    /// readout flip at `p = 0` — which is op for op the plan [`build`] makes
+    /// under [`NoiseModel::ideal`]: the measurement ops and their dependency
+    /// masks come from the collapse, before the noise walk, and the masks are
+    /// the arena's prefix.
+    ///
+    /// [`build`]: FramePlan::build
+    pub(crate) fn without_noise(&self) -> FramePlan {
+        let mut arena = Vec::with_capacity(self.dep_words);
+        arena.extend_from_slice(&self.arena[..self.dep_words]);
+        let measurements = self
+            .ops
+            .iter()
+            .filter(|op| !matches!(op, ShotOp::Noise { .. }));
+        let mut ops = Vec::with_capacity(measurements.clone().count());
+        ops.extend(measurements);
+        for op in &mut ops {
+            match op {
+                ShotOp::MeasureRandom { readout_p, .. } => *readout_p = 0.0,
+                ShotOp::MeasureDet { readout_p, .. } => *readout_p = 0.0,
+                ShotOp::Noise { .. } => {}
+            }
+        }
+        FramePlan {
+            wpr: self.wpr,
+            ops,
+            arena,
+            dep_words: self.dep_words,
+        }
+    }
+
+    /// A fresh shot frame sized for this plan — its X words, then its Z
+    /// words — reused across shots so the hot loop allocates nothing.
+    pub(crate) fn scratch(&self) -> Vec<u64> {
+        vec![0; 2 * self.wpr]
     }
 
     /// Execute one shot: walk the plan, drawing noise hits, measurement coins
     /// and readout flips in replay order, and return the packed outcome.
-    pub(crate) fn run_shot<R: Rng + ?Sized>(&self, rng: &mut R, frame: &mut Frame) -> u64 {
-        frame.fx.fill(0);
-        frame.fz.fill(0);
+    pub(crate) fn run_shot<R: Rng + ?Sized>(&self, rng: &mut R, frame: &mut [u64]) -> u64 {
+        frame.fill(0);
+        let mask = frame.len();
         let mut coins = 0u64;
         let mut outcome = 0u64;
         for op in &self.ops {
-            match op {
-                ShotOp::Noise { site, props } => {
-                    site.sample(rng, |operand, pauli| props[operand].strike(pauli, frame));
+            match *op {
+                ShotOp::Noise { ref site, images } => {
+                    site.sample(rng, |operand, pauli| {
+                        let image = &self.arena[images + operand * 2 * mask..][..2 * mask];
+                        strike(image, pauli, frame);
+                    });
                 }
                 ShotOp::MeasureRandom {
                     clbit,
@@ -377,24 +419,23 @@ impl FramePlan {
                 } => {
                     let raw = rng.gen_bool(0.5);
                     coins |= u64::from(raw) << coin;
-                    record_bit(&mut outcome, *clbit, flip_bit(*readout_p, raw, rng));
+                    record_bit(&mut outcome, clbit, flip_bit(readout_p, raw, rng));
                 }
                 ShotOp::MeasureDet {
                     clbit,
                     base,
                     dep_u,
-                    dep_fx,
-                    dep_fz,
+                    deps,
                     readout_p,
                 } => {
-                    let mut acc = dep_u & coins;
-                    let mut word_acc = 0u64;
-                    for j in 0..self.wpr {
-                        word_acc ^= (dep_fx[j] & frame.fx[j]) ^ (dep_fz[j] & frame.fz[j]);
-                    }
-                    acc ^= word_acc; // parities add mod 2, so XOR then popcount once
-                    let raw = *base ^ (acc.count_ones() & 1 == 1);
-                    record_bit(&mut outcome, *clbit, flip_bit(*readout_p, raw, rng));
+                    let dependencies = &self.arena[deps..][..mask];
+                    // Parities add mod 2, so XOR the words, then popcount once.
+                    let acc = dependencies
+                        .iter()
+                        .zip(&*frame)
+                        .fold(dep_u & coins, |acc, (d, f)| acc ^ (d & f));
+                    let raw = base ^ (acc.count_ones() & 1 == 1);
+                    record_bit(&mut outcome, clbit, flip_bit(readout_p, raw, rng));
                 }
             }
         }
@@ -404,15 +445,16 @@ impl FramePlan {
 
 /// The plan-time tableau plus, per row, the GF(2) dependence of its phase
 /// bit on the measurement coins (`dep_u`, one bit per coin) and on the
-/// terminal error frame (`dep_fx`/`dep_fz`, one bit per qubit).
+/// terminal error frame (`masks`, one bit per qubit and frame half).
 ///
 /// Row `i`'s phase flips iff the terminal frame anticommutes with row `i`:
-/// `parity(fx & z_i) ^ parity(fz & x_i)` — hence the initial dependence of
-/// row `i` is `dep_fx = z_i`, `dep_fz = x_i`, a plain copy of the tableau's
-/// words. The rows then ride through [`StabilizerSimulator::collapse`] as its
-/// [`PhaseRider`]: `rowsum` propagates dependencies by XOR (phase updates are
-/// linear in `r`, see module docs), and a random measurement's fresh row
-/// depends on its coin alone.
+/// `parity(fx & z_i) ^ parity(fz & x_i)` — hence the initial mask of row `i`
+/// is its Z words then its X words, a plain copy of the tableau's, laid out
+/// like the frame (X words, then Z words). The rows then ride through
+/// [`StabilizerSimulator::collapse`] as its [`PhaseRider`]: `rowsum`
+/// propagates dependencies by XOR (phase updates are linear in `r`, see
+/// module docs), and a random measurement's fresh row depends on its coin
+/// alone.
 struct SymbolicTableau {
     tableau: StabilizerSimulator,
     deps: DepRows,
@@ -421,46 +463,45 @@ struct SymbolicTableau {
 }
 
 struct DepRows {
-    wpr: usize,
+    /// Words per mask: twice the tableau's words per row.
+    mask: usize,
     dep_u: Vec<u64>,
-    dep_fx: Vec<u64>,
-    dep_fz: Vec<u64>,
+    masks: Vec<u64>,
 }
 
 impl PhaseRider for DepRows {
     fn add(&mut self, h: usize, i: usize) {
         self.dep_u[h] ^= self.dep_u[i];
-        for j in 0..self.wpr {
-            self.dep_fx[h * self.wpr + j] ^= self.dep_fx[i * self.wpr + j];
-            self.dep_fz[h * self.wpr + j] ^= self.dep_fz[i * self.wpr + j];
+        for j in 0..self.mask {
+            self.masks[h * self.mask + j] ^= self.masks[i * self.mask + j];
         }
     }
 
     fn copy(&mut self, dst: usize, src: usize) {
-        let wpr = self.wpr;
         self.dep_u[dst] = self.dep_u[src];
-        self.dep_fx
-            .copy_within(src * wpr..(src + 1) * wpr, dst * wpr);
-        self.dep_fz
-            .copy_within(src * wpr..(src + 1) * wpr, dst * wpr);
+        self.masks
+            .copy_within(src * self.mask..(src + 1) * self.mask, dst * self.mask);
     }
 
     fn clear(&mut self, row: usize) {
-        let wpr = self.wpr;
         self.dep_u[row] = 0;
-        self.dep_fx[row * wpr..(row + 1) * wpr].fill(0);
-        self.dep_fz[row * wpr..(row + 1) * wpr].fill(0);
+        self.masks[row * self.mask..(row + 1) * self.mask].fill(0);
     }
 }
 
 impl SymbolicTableau {
     fn new(tableau: StabilizerSimulator) -> Self {
+        let wpr = tableau.words_per_row();
         let (x, z) = tableau.xz_words();
+        let mut masks = Vec::with_capacity(x.len() + z.len());
+        for (z_row, x_row) in z.chunks_exact(wpr).zip(x.chunks_exact(wpr)) {
+            masks.extend_from_slice(z_row);
+            masks.extend_from_slice(x_row);
+        }
         let deps = DepRows {
-            wpr: tableau.words_per_row(),
+            mask: 2 * wpr,
             dep_u: vec![0; 2 * tableau.num_qubits() + 1],
-            dep_fx: z.to_vec(),
-            dep_fz: x.to_vec(),
+            masks,
         };
         SymbolicTableau {
             tableau,
@@ -472,9 +513,16 @@ impl SymbolicTableau {
     /// Collapse `qubit` on the plan-time tableau — the same
     /// [`StabilizerSimulator::collapse`] a concrete measurement runs — and
     /// compile the measurement into `clbit` as a shot op whose outcome is a
-    /// dependency set instead of an RNG draw. Returns `None` when the plan
+    /// dependency set instead of an RNG draw; a determined outcome's
+    /// dependency mask is appended to `arena`. Returns `None` when the plan
     /// would need more than 64 coins.
-    fn measure_op(&mut self, qubit: usize, clbit: usize, readout_p: f64) -> Option<ShotOp> {
+    fn measure_op(
+        &mut self,
+        qubit: usize,
+        clbit: usize,
+        readout_p: f64,
+        arena: &mut Vec<u64>,
+    ) -> Option<ShotOp> {
         let deps = &mut self.deps;
         Some(match self.tableau.collapse(qubit, deps) {
             Collapse::Random(row) => {
@@ -494,15 +542,15 @@ impl SymbolicTableau {
             }
             Collapse::Determined(base) => {
                 let scratch = deps.dep_u.len() - 1;
-                let words = scratch * deps.wpr..(scratch + 1) * deps.wpr;
-                ShotOp::MeasureDet {
+                let op = ShotOp::MeasureDet {
                     clbit,
                     base,
                     dep_u: deps.dep_u[scratch],
-                    dep_fx: deps.dep_fx[words.clone()].to_vec(),
-                    dep_fz: deps.dep_fz[words].to_vec(),
+                    deps: arena.len(),
                     readout_p,
-                }
+                };
+                arena.extend_from_slice(&deps.masks[scratch * deps.mask..][..deps.mask]);
+                op
             }
         })
     }
@@ -514,6 +562,34 @@ mod tests {
     use qrio_circuit::library;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A sign-free Pauli operator as two masks, `fx` the X components and
+    /// `fz` the Z components: the forward reference's view of a frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Frame {
+        fx: Vec<u64>,
+        fz: Vec<u64>,
+    }
+
+    impl Frame {
+        fn unit(q: usize, wpr: usize, z: bool) -> Self {
+            let mut frame = Frame {
+                fx: vec![0; wpr],
+                fz: vec![0; wpr],
+            };
+            let half = if z { &mut frame.fz } else { &mut frame.fx };
+            half[q >> 6] |= 1 << (q & 63);
+            frame
+        }
+
+        fn unit_x(q: usize, wpr: usize) -> Self {
+            Frame::unit(q, wpr, false)
+        }
+
+        fn unit_z(q: usize, wpr: usize) -> Self {
+            Frame::unit(q, wpr, true)
+        }
+    }
 
     /// The forward reference: a frame conjugated gate by gate through the one
     /// Clifford table (S† is S and Paulis do nothing, sign-free), as the
@@ -601,16 +677,17 @@ mod tests {
     }
 
     /// The forward walk the planner used to make per site: conjugate a unit
-    /// X and a unit Z on `q` through `rest` of the circuit.
-    fn forward_images(q: usize, rest: &[qrio_circuit::Instruction], wpr: usize) -> Propagated {
-        let mut prop = Propagated::unit(q, wpr);
+    /// X and a unit Z on `q` through `rest` of the circuit, laid out as the
+    /// arena holds an operand's images (X image, Z image; X words, Z words).
+    fn forward_images(q: usize, rest: &[qrio_circuit::Instruction], wpr: usize) -> Vec<u64> {
+        let (mut x, mut z) = (Frame::unit_x(q, wpr), Frame::unit_z(q, wpr));
         for inst in rest {
             if !inst.gate.is_directive() {
-                apply_clifford(&mut prop.x, &inst.gate, &inst.qubits).unwrap();
-                apply_clifford(&mut prop.z, &inst.gate, &inst.qubits).unwrap();
+                apply_clifford(&mut x, &inst.gate, &inst.qubits).unwrap();
+                apply_clifford(&mut z, &inst.gate, &inst.qubits).unwrap();
             }
         }
-        prop
+        [x.fx, x.fz, z.fx, z.fz].concat()
     }
 
     #[test]
@@ -658,18 +735,19 @@ mod tests {
             let noise = NoiseModel::uniform(n, 0.1, 0.1, 0.0);
             let plan = FramePlan::build(&circuit, &noise).unwrap().unwrap();
             let wpr = plan.wpr;
-            let mut planned = plan.ops.iter().filter_map(|op| match op {
-                ShotOp::Noise { site, props } => Some((site, props)),
+            let mut planned = plan.ops.iter().filter_map(|op| match *op {
+                ShotOp::Noise { site, images } => Some((site, images)),
                 _ => None,
             });
             let instructions = circuit.instructions();
             for (index, inst) in instructions.iter().enumerate() {
                 for site in noise.fault_sites(&inst.gate, &inst.qubits) {
-                    let (planned_site, props) = planned.next().expect("a planned op per site");
-                    assert_eq!(*planned_site, site, "n {n}, instruction {index}");
-                    for (prop, &q) in props.iter().zip(site.operands()) {
+                    let (planned_site, images) = planned.next().expect("a planned op per site");
+                    assert_eq!(planned_site, site, "n {n}, instruction {index}");
+                    for (operand, &q) in site.operands().iter().enumerate() {
+                        let walked = &plan.arena[images + operand * 4 * wpr..][..4 * wpr];
                         let forward = forward_images(q, &instructions[index + 1..], wpr);
-                        assert_eq!(*prop, forward, "n {n}, instruction {index}, qubit {q}");
+                        assert_eq!(walked, forward, "n {n}, instruction {index}, qubit {q}");
                         compared += 1;
                     }
                 }
@@ -834,5 +912,96 @@ mod tests {
             .map(|_| plan.run_shot(&mut rng, &mut scratch) as u32)
             .sum();
         assert!((300..500).contains(&ones), "{ones} ones of 600");
+    }
+
+    /// The corpus of `tests/transpiled_circuits.rs` — canaries of random
+    /// Clifford and BV-5 circuits routed onto one device per topology family
+    /// of `scenarios/cloud.yaml`, as transpiled and as deflated — each under
+    /// a noise model with every kind of error, readout included.
+    fn transpiled_corpus() -> Vec<(Circuit, NoiseModel)> {
+        use qrio_backend::{topology, Backend, CouplingMap};
+        use qrio_transpiler::{deflate, transpile};
+        let device = |name: &str, map: CouplingMap| Backend::uniform(name, map, 0.004, 0.03);
+        let fleet = [
+            device("grid", topology::grid(3, 4)),
+            device("tree", topology::binary_tree(15)),
+            device("line", topology::line(12)),
+            device("ring", topology::ring(12)),
+            device("star", topology::star(10)),
+        ];
+        let mut logical = Vec::new();
+        for seed in 0..6 {
+            logical.push(library::random_clifford_circuit(6, 6, seed).unwrap());
+            logical.push(library::random_clifford_circuit(8, 3, 100 + seed).unwrap());
+        }
+        for secret in 1..32 {
+            logical.push(library::bernstein_vazirani(5, secret).unwrap());
+        }
+        let mut corpus = Vec::new();
+        for backend in &fleet {
+            for circuit in &logical {
+                let physical = transpile(&circuit.to_clifford(), backend)
+                    .unwrap()
+                    .circuit
+                    .to_clifford();
+                let deflated = deflate(&physical, backend).unwrap();
+                for circuit in [physical, deflated.circuit] {
+                    let noise = NoiseModel::uniform(circuit.num_qubits(), 0.004, 0.03, 0.02);
+                    corpus.push((circuit, noise));
+                }
+            }
+        }
+        corpus
+    }
+
+    #[test]
+    fn without_noise_is_the_plan_built_under_the_ideal_model() {
+        use crate::executor::SEED_STREAM_STRIDE as STRIDE;
+        use crate::executor::{run_paired, run_with_noise_parallel, ParallelConfig};
+        let serial = ParallelConfig::serial();
+        let mut compared = 0;
+        for (circuit, noise) in transpiled_corpus() {
+            let ideal_model = NoiseModel::ideal(circuit.num_qubits());
+            let noisy = FramePlan::build(&circuit, &noise).unwrap().unwrap();
+            let ideal = FramePlan::build(&circuit, &ideal_model).unwrap().unwrap();
+            let stripped = noisy.without_noise();
+            assert!(noisy.ops.len() > ideal.ops.len(), "{}", circuit.name());
+            assert_eq!(stripped.ops, ideal.ops, "{}", circuit.name());
+            assert_eq!(stripped.arena, ideal.arena, "{}", circuit.name());
+            assert_eq!(
+                (stripped.wpr, stripped.dep_words),
+                (ideal.wpr, ideal.dep_words)
+            );
+            for shots in [1, 33, 130] {
+                let seed = 7 + compared;
+                let paired = run_paired(&circuit, &noise, shots, seed, seed + STRIDE, &serial);
+                let alone = run_with_noise_parallel(&circuit, &ideal_model, shots, seed, &serial);
+                let what = format!("{}, {shots} shots", circuit.name());
+                assert_eq!(paired.unwrap().0, alone.unwrap(), "{what}");
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, 5 * 43 * 2 * 3);
+    }
+
+    #[test]
+    fn the_arena_is_sized_before_it_is_written() {
+        // Growing the arena by doubling moved a benchmark's peak RSS by a
+        // constant; it is reserved once: a mask per measurement (random ones
+        // leave theirs unused), an image per struck operand.
+        let mut random = 0;
+        for (circuit, noise) in transpiled_corpus().into_iter().step_by(7) {
+            let plan = FramePlan::build(&circuit, &noise).unwrap().unwrap();
+            let unused = plan
+                .ops
+                .iter()
+                .filter(|op| matches!(op, ShotOp::MeasureRandom { .. }))
+                .count()
+                * 2
+                * plan.wpr;
+            assert_eq!(plan.arena.capacity(), plan.arena.len() + unused);
+            random += usize::from(unused > 0);
+        }
+        assert!(random > 0);
     }
 }

@@ -21,12 +21,13 @@
 //!   where a gate can fault and one function draws each site and each
 //!   readout flip, for replay and for the Pauli-frame path alike.
 //! * [`executor`] — shot execution with automatic engine selection,
-//!   ideal-terminal-measurement fast paths, Pauli-frame batched shots for
-//!   noisy Clifford circuits ([`FramePlan`]), one per-shot replay walker over
-//!   both engines for everything else, deterministic sharded parallel
-//!   execution ([`ParallelConfig`]), and the [`executor::fidelity_on_backend`]
-//!   helper that compares noisy output to the noise-free reference with
-//!   Hellinger fidelity. A circuit without measurements is measured as if
+//!   Pauli-frame batched shots for Clifford circuits, noisy or ideal
+//!   ([`FramePlan`]), the statevector engine's ideal sampling fast path, one
+//!   per-shot replay walker over both engines for everything else,
+//!   deterministic sharded parallel execution ([`ParallelConfig`]), the
+//!   paired ideal + noisy run a fidelity estimate needs, prepared once
+//!   ([`run_paired`]), and the [`executor::fidelity_on_backend`] helper that
+//!   compares the two halves with Hellinger fidelity. A circuit without measurements is measured as if
 //!   `measure_all` had been appended, on every path.
 //! * [`Counts`] — outcome histograms and distribution metrics.
 //!
@@ -62,9 +63,9 @@ pub use complex::Complex64;
 pub use counts::Counts;
 pub use error::SimulatorError;
 pub use executor::{
-    run_ideal, run_ideal_parallel, run_on_backend, run_on_backend_parallel, run_with_noise,
-    run_with_noise_parallel, run_with_noise_path, Engine, ExecutionPath, ParallelConfig,
-    DEFAULT_SHOTS, SEED_STREAM_STRIDE,
+    run_ideal, run_ideal_parallel, run_on_backend, run_on_backend_parallel, run_paired,
+    run_with_noise, run_with_noise_parallel, run_with_noise_path, Engine, ExecutionPath,
+    ParallelConfig, DEFAULT_SHOTS, SEED_STREAM_STRIDE,
 };
 pub use frame::FramePlan;
 pub use noise::{NoiseModel, PauliError};

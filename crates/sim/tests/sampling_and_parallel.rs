@@ -121,7 +121,7 @@ fn assert_thread_invariant(
 }
 
 /// Identical `Counts` for 1, 2 and 8 threads at a fixed seed — stabilizer
-/// engine, ideal fast path.
+/// engine, ideal Pauli-frame plan.
 #[test]
 fn parallel_execution_is_deterministic_stabilizer_ideal() {
     let circuit = library::random_clifford_circuit(14, 6, 5).unwrap();
