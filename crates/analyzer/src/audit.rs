@@ -164,8 +164,8 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
         }
 
         // QL0309: "backoff elapsed" must be true of the announced backoff.
-        // (A cancel, a deadline or an operator's kick may end a backoff
-        // early; none of them says it elapsed.)
+        // (A cancel or a deadline may end a backoff early; neither says it
+        // elapsed.)
         let reason = event.reason.as_deref().unwrap_or_default();
         if event.from == Some(JobState::Retrying) && reason.starts_with("backoff elapsed") {
             let due = not_before.get(job).copied().unwrap_or(0);

@@ -120,22 +120,18 @@ pub struct Cluster {
     jobs: BTreeMap<String, Job>,
     registry: ImageRegistry,
     events: Vec<ClusterEvent>,
-    /// Pending job names in submission order (FIFO queue).
-    queue: Vec<String>,
     /// Deterministic fault injector consulted by every execution attempt.
     fault_injector: Option<FaultInjector>,
 }
 
-// Nodes, jobs, the registry (with its counters), the event log, the FIFO
-// submission queue and the fault injector, verbatim: decoding re-records no
-// event and resets no counter.
+// Nodes, jobs, the registry (with its counters), the event log and the fault
+// injector, verbatim: decoding re-records no event and resets no counter.
 impl Encode for Cluster {
     fn encode(&self, w: &mut ByteWriter) {
         encode_values(&self.nodes, w);
         encode_values(&self.jobs, w);
         self.registry.encode(w);
         self.events.encode(w);
-        self.queue.encode(w);
         self.fault_injector.encode(w);
     }
 }
@@ -147,7 +143,6 @@ impl Decode for Cluster {
             jobs: decode_keyed(r, Job::name)?,
             registry: Decode::decode(r)?,
             events: Decode::decode(r)?,
-            queue: Decode::decode(r)?,
             fault_injector: Decode::decode(r)?,
         })
     }
@@ -281,7 +276,8 @@ impl Cluster {
 
     // --- Jobs ----------------------------------------------------------------------------
 
-    /// Submit a job for scheduling. The job is queued in FIFO order.
+    /// Submit a job for scheduling: it waits `Pending` until a scheduling
+    /// cycle binds it.
     ///
     /// # Errors
     ///
@@ -291,7 +287,6 @@ impl Cluster {
             return Err(ClusterError::DuplicateJob(spec.name.clone()));
         }
         self.record("JobSubmitted", format!("job '{}' submitted", spec.name));
-        self.queue.push(spec.name.clone());
         self.jobs.insert(spec.name.clone(), Job::new(spec));
         Ok(())
     }
@@ -304,20 +299,6 @@ impl Cluster {
     /// All jobs, in name order.
     pub fn jobs(&self) -> impl Iterator<Item = &Job> {
         self.jobs.values()
-    }
-
-    /// Names of jobs still waiting to be scheduled, in submission order.
-    pub fn pending_jobs(&self) -> Vec<String> {
-        self.queue
-            .iter()
-            .filter(|name| {
-                self.jobs
-                    .get(*name)
-                    .map(|j| matches!(j.phase(), JobPhase::Pending))
-                    .unwrap_or(false)
-            })
-            .cloned()
-            .collect()
     }
 
     /// Logs of a job (what the visualizer's "check logs" button returns).
@@ -570,9 +551,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// Cancel a job that has not started running: `Pending` jobs leave the
-    /// submission queue, `Scheduled` jobs release their reserved node
-    /// resources. The job's phase becomes [`JobPhase::Cancelled`].
+    /// Cancel a job that has not started running: a `Scheduled` job releases
+    /// its reserved node resources. The job's phase becomes [`JobPhase::Cancelled`].
     ///
     /// # Errors
     ///
@@ -589,9 +569,7 @@ impl Cluster {
             .get(job_name)
             .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
         match job.phase().clone() {
-            JobPhase::Pending => {
-                self.queue.retain(|name| name != job_name);
-            }
+            JobPhase::Pending => {}
             JobPhase::Scheduled { node } => {
                 let resources = job.spec().resources;
                 if let Some(node) = self.nodes.get_mut(&node) {
@@ -619,14 +597,15 @@ impl Cluster {
     }
 
     /// The orchestrator half of starting an execution attempt: verify the job
-    /// is `Scheduled`, pull its image from the registry, verify the bound
-    /// node exists, move the job to `Running` and record `JobStarted`.
+    /// is `Scheduled`, pull its image from the registry, verify the bound node
+    /// exists, move the job to `Running` and record `JobStarted`.
     ///
     /// Returns the [`WorkOrder`] to settle later, with the job's spec and the
-    /// pulled image on loan — what the caller describes the attempt from. The
-    /// device half — cancellation and binding checks, the fault decision, the
-    /// runner — happens on the node's agent, and its verdict is applied with
-    /// [`Cluster::settle_run`].
+    /// pulled image on loan — what the caller describes the attempt from, at
+    /// once or, for a device that serves a while, later with
+    /// [`Cluster::lend_run`]. The device half — cancellation and binding
+    /// checks, the fault decision, the runner — happens on the node's agent,
+    /// and its verdict is applied with [`Cluster::settle_run`].
     ///
     /// # Errors
     ///
@@ -638,15 +617,43 @@ impl Cluster {
         job_name: &str,
         attempt: u32,
     ) -> Result<(WorkOrder, &JobSpec, &ImageBundle), ClusterError> {
-        let order = self.start_run(job_name, attempt, true)?;
-        // `start_run` has just seen both; neither lookup can miss.
-        let spec = self
+        self.start_run(job_name, attempt, true)?;
+        self.lend_run(job_name, attempt)
+    }
+
+    /// What a started attempt of a `Running` job describes itself from: its
+    /// [`WorkOrder`] again, with the job's spec and its image on loan.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the job is unknown or not `Running`, or its image
+    /// is gone from the registry.
+    pub fn lend_run(
+        &self,
+        job_name: &str,
+        attempt: u32,
+    ) -> Result<(WorkOrder, &JobSpec, &ImageBundle), ClusterError> {
+        let job = self
             .jobs
             .get(job_name)
-            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?
-            .spec();
-        let image = self.registry.image(&spec.image)?;
-        Ok((order, spec, image))
+            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
+        let JobPhase::Running { node } = job.phase() else {
+            return Err(ClusterError::ExecutionFailed {
+                job: job_name.to_string(),
+                reason: format!(
+                    "job is not in the Running phase (currently {:?})",
+                    job.phase()
+                ),
+            });
+        };
+        let (spec, node) = (job.spec(), node.clone());
+        let order = WorkOrder {
+            job: job_name.to_string(),
+            node,
+            attempt,
+            resources: spec.resources,
+        };
+        Ok((order, spec, self.registry.image(&spec.image)?))
     }
 
     /// Move a `Scheduled` job to `Running` on its bound node and record
@@ -784,8 +791,8 @@ impl Cluster {
         }
     }
 
-    /// Return a `Failed` job to `Pending` and the tail of the FIFO queue —
-    /// the re-admission step of a retry. The job keeps its logs and history;
+    /// Return a `Failed` job to `Pending` — the re-admission step of a
+    /// retry. The job keeps its logs and history;
     /// a fresh scheduling cycle will bind it again.
     ///
     /// # Errors
@@ -809,18 +816,13 @@ impl Cluster {
             }
         }
         job.set_phase(JobPhase::Pending);
-        // The queue may still hold a stale entry from the original
-        // submission (scheduling filters by phase rather than draining), so
-        // only push when absent to keep `pending_jobs` duplicate-free.
-        if !self.queue.iter().any(|name| name == job_name) {
-            self.queue.push(job_name.to_string());
-        }
         self.record("JobRequeued", format!("job '{job_name}' requeued"));
         Ok(())
     }
 
-    /// Interrupt a `Scheduled` job whose device died under it: the job passes
-    /// through `Running` straight into a [`FaultKind::DeviceFlap`] failure
+    /// Interrupt a job whose device died under it: a `Scheduled` job passes
+    /// through `Running`, a `Running` one (in service on its device) goes on
+    /// from there, straight into a [`FaultKind::DeviceFlap`] failure
     /// (resources released, node marked `NotReady`) without the runner ever
     /// being invoked. Virtual-time drivers use this when an outage lands on
     /// a device with a job mid-execution.
@@ -830,9 +832,12 @@ impl Cluster {
     /// Always errs on success: the applied interrupt surfaces as
     /// [`ClusterError::InjectedFault`] with [`FaultKind::DeviceFlap`], like
     /// any other injected fault. `UnknownJob` / `ExecutionFailed` report a
-    /// missing job or one that is not `Scheduled`.
+    /// missing job or one that is neither `Scheduled` nor `Running`.
     pub fn interrupt_job(&mut self, job_name: &str, attempt: u32) -> Result<(), ClusterError> {
-        let order = self.start_run(job_name, attempt, false)?;
+        let order = match self.lend_run(job_name, attempt) {
+            Ok((order, _, _)) => order,
+            Err(_) => self.start_run(job_name, attempt, false)?,
+        };
         self.settle_run(&order, AttemptVerdict::Faulted(FaultKind::DeviceFlap))
     }
 }
@@ -1055,30 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_processes_jobs_in_fifo_order() {
-        let mut cluster = cluster_with_nodes();
-        for name in ["q-1", "q-2", "q-3"] {
-            let spec = make_spec(name, 4);
-            push_image_for(&mut cluster, &spec);
-            cluster.submit_job(spec).unwrap();
-        }
-        assert_eq!(cluster.pending_jobs(), vec!["q-1", "q-2", "q-3"]);
-        // Draining the head leaves the rest pending, still in order.
-        for name in ["q-1", "q-2", "q-3"] {
-            assert_eq!(cluster.pending_jobs()[0], name);
-            bind(&mut cluster, name, "quiet");
-            run(&mut cluster, name).unwrap();
-        }
-        assert!(cluster.pending_jobs().is_empty());
-        for name in ["q-1", "q-2", "q-3"] {
-            assert!(matches!(
-                cluster.job(name).unwrap().phase(),
-                JobPhase::Succeeded { .. }
-            ));
-        }
-    }
-
-    #[test]
     fn node_load_tracks_bound_jobs_and_utilization() {
         let mut cluster = cluster_with_nodes();
         assert_eq!(cluster.node_load("missing"), None);
@@ -1199,15 +1180,13 @@ mod tests {
     #[test]
     fn cancel_dequeues_pending_and_releases_scheduled_resources() {
         let mut cluster = cluster_with_nodes();
-        // Pending: cancellation removes the job from the submission queue.
+        // Pending: the job is withdrawn before any binding.
         let pending = make_spec("cancel-pending", 4);
         push_image_for(&mut cluster, &pending);
         cluster.submit_job(pending).unwrap();
-        assert_eq!(cluster.pending_jobs(), vec!["cancel-pending"]);
         cluster
             .cancel_job("cancel-pending", "user request")
             .unwrap();
-        assert!(cluster.pending_jobs().is_empty());
         assert!(matches!(
             cluster.job("cancel-pending").unwrap().phase(),
             JobPhase::Cancelled { .. }
@@ -1309,9 +1288,9 @@ mod tests {
         // same bytes — no job grew a `phase:` log line on the way.
         assert_eq!(to_bytes(&restored), bytes);
         assert_eq!(restored.job_logs("done"), cluster.job_logs("done"));
-        // Live behaviour survives: the pending queue, bound resources and
+        // Live behaviour survives: the pending job, bound resources and
         // counters are intact.
-        assert_eq!(restored.pending_jobs(), vec!["waiting"]);
+        assert_eq!(restored.job("waiting").unwrap().phase(), &JobPhase::Pending);
         assert_eq!(
             restored.node("quiet").unwrap().allocated(),
             Resources::new(1000, 1024)
@@ -1439,7 +1418,6 @@ mod tests {
             cluster.job("retry-me").unwrap().phase(),
             JobPhase::Pending
         ));
-        assert_eq!(cluster.pending_jobs(), vec!["retry-me"]);
         assert!(cluster.events().iter().any(|e| e.kind == "JobRequeued"));
         // A pending job cannot be requeued again; unknown jobs error.
         assert!(matches!(

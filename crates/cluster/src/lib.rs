@@ -23,7 +23,7 @@
 //!   execution attempt ([`Cluster::prepare_run`] starts it and lends out what
 //!   describes it, [`Cluster::settle_run`] applies the device's
 //!   [`AttemptVerdict`]; the device in between belongs to `qrio-agent`), an
-//!   event log, and the FIFO submission queue.
+//!   event log.
 //! * [`FaultInjector`], [`FaultKind`], [`RetryPolicy`] — the deterministic
 //!   typed fault plan node agents consult before every execution attempt,
 //!   plus the per-job retry/backoff policies the orchestrator's

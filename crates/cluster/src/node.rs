@@ -17,7 +17,8 @@ pub enum NodeStatus {
     Ready,
     /// The node is down; QRIO (like Kubernetes) will restart it.
     NotReady,
-    /// The node has been cordoned by the vendor and accepts no new jobs.
+    /// The node has been cordoned — by the vendor, or held by its circuit
+    /// breaker — and accepts no new jobs.
     Cordoned,
 }
 
@@ -31,19 +32,25 @@ pub struct Node {
     labels: BTreeMap<String, String>,
     capacity: Resources,
     allocated: Resources,
+    /// Health and the vendor's cordon (an outage is one).
     status: NodeStatus,
+    /// Whether the node's circuit breaker holds it out of service: a second
+    /// reason beside `status`, so neither lifts the other's cordon.
+    breaker_hold: bool,
     restart_count: u64,
 }
 
 // Decoding restores the label map (custom labels included), the live
-// allocations, the health status and the restart counter verbatim: no label
-// is rederived and no counter reset, unlike `Node::from_backend`.
+// allocations, the health status, the breaker hold and the restart counter
+// verbatim: no label is rederived and no counter reset, unlike
+// `Node::from_backend`.
 codec_struct!(Node {
     backend,
     labels,
     capacity,
     allocated,
     status,
+    breaker_hold,
     restart_count,
 });
 
@@ -61,6 +68,7 @@ impl Node {
             capacity,
             allocated: Resources::default(),
             status: NodeStatus::Ready,
+            breaker_hold: false,
             restart_count: 0,
         }
     }
@@ -105,14 +113,25 @@ impl Node {
         self.capacity.remaining(&self.allocated)
     }
 
-    /// Current health status.
+    /// Current health status: `Cordoned` for a healthy node that its vendor
+    /// cordoned or its breaker holds.
     pub fn status(&self) -> NodeStatus {
-        self.status
+        match self.status {
+            NodeStatus::Ready if self.breaker_hold => NodeStatus::Cordoned,
+            status => status,
+        }
+    }
+
+    /// Whether the node is out of service: cordoned by its vendor or held by
+    /// its breaker, whatever its health. It takes no new job, and starts
+    /// none of the ones bound to it.
+    pub fn is_cordoned(&self) -> bool {
+        self.status == NodeStatus::Cordoned || self.breaker_hold
     }
 
     /// Whether the node can accept a job with the given resource request.
     pub fn can_accept(&self, request: &Resources) -> bool {
-        self.status == NodeStatus::Ready && self.available().can_fit(request)
+        self.status() == NodeStatus::Ready && self.available().can_fit(request)
     }
 
     /// Why this node cannot host `job` right now, or `None` when it can:
@@ -123,7 +142,7 @@ impl Node {
     /// already holds on this node count as free, so a bound job's own node
     /// stays a candidate for it.
     pub fn rejection(&self, job: &Job) -> Option<String> {
-        if self.status != NodeStatus::Ready {
+        if self.status() != NodeStatus::Ready {
             return Some("node not ready".to_string());
         }
         let spec = job.spec();
@@ -204,11 +223,21 @@ impl Node {
         self.status = NodeStatus::Cordoned;
     }
 
-    /// Uncordon the node.
+    /// Lift the vendor's cordon. A breaker hold stays.
     pub fn uncordon(&mut self) {
         if self.status == NodeStatus::Cordoned {
             self.status = NodeStatus::Ready;
         }
+    }
+
+    /// Set or lift the breaker's hold. The vendor's cordon stays. A node
+    /// that went down is the breaker's once it trips: probation, not a
+    /// restart, returns it to service.
+    pub fn hold_for_breaker(&mut self, held: bool) {
+        if held && self.status == NodeStatus::NotReady {
+            self.status = NodeStatus::Ready;
+        }
+        self.breaker_hold = held;
     }
 
     /// How many times the node has been restarted.
@@ -223,7 +252,7 @@ impl fmt::Display for Node {
             f,
             "Node '{}' [{:?}]: {} qubits, {} available",
             self.name(),
-            self.status,
+            self.status(),
             self.backend.num_qubits(),
             self.available()
         )
@@ -354,6 +383,44 @@ mod tests {
         assert!(!n.can_accept(&Resources::new(1, 1)));
         n.uncordon();
         assert!(n.can_accept(&Resources::new(1, 1)));
+    }
+
+    #[test]
+    fn a_vendor_cordon_and_a_breaker_hold_lift_separately() {
+        let mut n = node();
+        let free = |n: &Node| {
+            (
+                n.status(),
+                n.is_cordoned(),
+                n.can_accept(&Resources::new(1, 1)),
+            )
+        };
+        n.hold_for_breaker(true);
+        n.cordon();
+        n.uncordon();
+        assert_eq!(free(&n), (NodeStatus::Cordoned, true, false), "still held");
+        n.cordon();
+        n.hold_for_breaker(false);
+        assert_eq!(
+            free(&n),
+            (NodeStatus::Cordoned, true, false),
+            "still cordoned"
+        );
+        n.uncordon();
+        assert_eq!(free(&n), (NodeStatus::Ready, false, true));
+        // A held node that went down reports its health; it is held all the
+        // same, and stays down when the hold lifts.
+        n.hold_for_breaker(true);
+        n.mark_not_ready();
+        assert_eq!(free(&n), (NodeStatus::NotReady, true, false));
+        n.hold_for_breaker(false);
+        assert_eq!(free(&n), (NodeStatus::NotReady, false, false));
+        // A trip takes a node that is down into the hold: when it lifts,
+        // the node serves again.
+        n.hold_for_breaker(true);
+        assert_eq!(free(&n), (NodeStatus::Cordoned, true, false));
+        n.hold_for_breaker(false);
+        assert_eq!(free(&n), (NodeStatus::Ready, false, true));
     }
 
     #[test]

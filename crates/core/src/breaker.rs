@@ -391,23 +391,6 @@ impl BreakerBoard {
         }
         due
     }
-
-    /// Force a device straight to probation, whatever its `until`. Returns
-    /// `true` when the device was `Open` and is now probing.
-    pub fn force_probe(&mut self, device: &str, at: u64) -> bool {
-        match self.state(device) {
-            BreakerState::Open { .. } => {
-                self.transition(
-                    device,
-                    at,
-                    BreakerState::HalfOpen { successes: 0 },
-                    "probe forced".to_string(),
-                );
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -512,18 +495,6 @@ mod tests {
         assert_eq!(board.health_penalty("dev"), 1.0, "open");
         board.tick(10);
         assert_eq!(board.health_penalty("dev"), 0.5, "probing");
-    }
-
-    #[test]
-    fn force_probe_only_acts_on_open_breakers() {
-        let mut board = board();
-        assert!(!board.force_probe("dev", 1), "closed: no-op");
-        for t in 1..=3 {
-            board.record_outcome("dev", true, t);
-        }
-        assert!(board.force_probe("dev", 4));
-        assert_eq!(board.state("dev"), BreakerState::HalfOpen { successes: 0 });
-        assert!(!board.force_probe("dev", 5), "already probing");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   with a `u64` event cursor (the length of the watch log at snapshot
 //!   time) and goes on with the stores themselves, in [`SnapshotState`]
 //!   field order: lifecycle store, cluster, meta server, runner seed,
-//!   configuration, breaker board. Each store is its own stored form:
+//!   configuration, breaker board, service model. Each store is its own stored form:
 //!   [`crate::Qrio::snapshot_record`] encodes the live ones from borrows,
 //!   and recovery — which starts from the last snapshot in the log — moves
 //!   the decoded ones into the new orchestrator.
@@ -71,7 +71,7 @@ use qrio_journal::{Journal, JournalError, Record};
 use qrio_meta::{DeviceTelemetry, MetaServer};
 
 use crate::breaker::{BreakerBoard, BreakerConfig};
-use crate::lifecycle::{JobEvent, LifecycleStore};
+use crate::lifecycle::{JobEvent, LifecycleStore, ServiceModel};
 use crate::visualizer::JobRequest;
 
 /// Record kind: one journaled orchestrator mutation ([`Command`]).
@@ -85,7 +85,12 @@ pub const RECORD_SNAPSHOT: u8 = 3;
 /// job specs and requests, the `Retrying` lifecycle state, per-job attempt
 /// counters, the dead-letter queue, circuit-breaker boards, telemetry
 /// health penalties, and the fault-injection / breaker / retry commands.
-pub const RECORD_VERSION: u16 = 2;
+/// Version 3 added service time — the service model in snapshots and its
+/// `ConfigureService` command, what each device is serving and has served —
+/// and a node's breaker hold beside its cordon; it dropped the cluster's
+/// submission queue and the `KickRetry` / `Probe` commands (tags 15 and 17
+/// stay unused).
+pub const RECORD_VERSION: u16 = 3;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -359,28 +364,22 @@ pub enum Command {
         /// The breaker thresholds, or `None` to remove the board.
         config: Option<BreakerConfig>,
     },
-    /// [`crate::Qrio::kick_retry`] — promote a `Retrying` job back to
-    /// `Queued` without waiting out its backoff.
-    KickRetry {
-        /// The job to re-queue.
-        job: String,
-    },
-    /// [`crate::Qrio::interrupt`] — fail a `Scheduled` job with a device
-    /// flap, as a mid-run outage would.
+    /// [`crate::Qrio::interrupt`] — fail a `Scheduled` job, or the one a
+    /// device is serving, with a device flap, as a mid-run outage would.
     Interrupt {
         /// The job to interrupt.
         job: String,
-    },
-    /// [`crate::Qrio::probe_device`] — force an `Open` breaker straight to
-    /// probation.
-    Probe {
-        /// The device to probe.
-        device: String,
     },
     /// [`crate::Qrio::advance_to`] — move the clock and fire what is due.
     AdvanceTo {
         /// The time the clock was moved to.
         now: u64,
+    },
+    /// [`crate::Qrio::configure_service`] — install or clear the service
+    /// model.
+    ConfigureService {
+        /// How long each device serves a job, or `None` to run jobs at once.
+        model: Option<ServiceModel>,
     },
 }
 
@@ -400,10 +399,9 @@ codec_enum!(Command {
     12 => Heal,
     13 => ConfigureFaults { injector },
     14 => ConfigureBreakers { config },
-    15 => KickRetry { job },
     16 => Interrupt { job },
-    17 => Probe { device },
     18 => AdvanceTo { now },
+    19 => ConfigureService { model },
 });
 
 /// The full orchestrator state captured by a snapshot record: the stores
@@ -422,6 +420,7 @@ pub struct SnapshotState {
     pub(crate) sync_every: u64,
     pub(crate) compact_above: u64,
     pub(crate) breakers: Option<BreakerBoard>,
+    pub(crate) service: Option<ServiceModel>,
 }
 
 codec_struct!(SnapshotState {
@@ -435,6 +434,7 @@ codec_struct!(SnapshotState {
     sync_every,
     compact_above,
     breakers,
+    service,
 });
 
 impl SnapshotState {
@@ -801,12 +801,16 @@ mod tests {
                 config: Some(BreakerConfig::default()),
             },
             Command::ConfigureBreakers { config: None },
-            Command::KickRetry { job: "bv".into() },
             Command::Interrupt { job: "bv".into() },
-            Command::Probe {
-                device: "dev".into(),
-            },
             Command::AdvanceTo { now: 1_500 },
+            Command::ConfigureService {
+                model: Some(ServiceModel {
+                    base_us: 20_000,
+                    per_shot_us: 400,
+                    speeds: [("dev".to_string(), 1.5)].into(),
+                }),
+            },
+            Command::ConfigureService { model: None },
         ];
         for cmd in commands {
             let record = encode_command_record(&cmd);
@@ -834,10 +838,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_typed_errors() {
-        assert!(matches!(
-            decode_command(&[200]),
-            Err(DurabilityError::Codec(CodecError::InvalidTag { .. }))
-        ));
+        // 15 and 17 were `KickRetry` and `Probe`: retired, never reused.
+        for tag in [15, 17, 200] {
+            assert!(matches!(
+                decode_command(&[tag]),
+                Err(DurabilityError::Codec(CodecError::InvalidTag { .. }))
+            ));
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use qrio_bytes::{
     codec_enum, codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode, Wide32,
 };
 use qrio_cluster::{ClusterError, ScheduleDecision};
+use qrio_meta::DeviceTelemetry;
 
 use crate::error::QrioError;
 
@@ -342,6 +343,39 @@ impl Decode for Tracked {
     }
 }
 
+/// How long a device serves a job, in the unit the clock is advanced in
+/// (virtual milliseconds under a simulator): `base_us + shots × per_shot_us`
+/// virtual microseconds at speed 1.0, divided by the device's speed, rounded
+/// up to whole milliseconds and never under one. Installed with
+/// [`crate::Qrio::configure_service`]; without one a job runs the instant it
+/// is executed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceModel {
+    /// Fixed per-job overhead, in virtual µs at speed 1.0.
+    pub base_us: u64,
+    /// Additional time per shot, in virtual µs at speed 1.0.
+    pub per_shot_us: u64,
+    /// Each device's speed divisor, positive; a device without an entry runs
+    /// at 1.0.
+    pub speeds: BTreeMap<String, f64>,
+}
+
+codec_struct!(ServiceModel {
+    base_us,
+    per_shot_us,
+    speeds
+});
+
+impl ServiceModel {
+    /// How long `device` serves a job of `shots` shots.
+    pub fn window(&self, device: &str, shots: u64) -> u64 {
+        let speed = self.speeds.get(device).copied().unwrap_or(1.0);
+        let per_shot = shots.saturating_mul(self.per_shot_us);
+        let service_us = self.base_us.saturating_add(per_shot);
+        ((service_us as f64 / speed / 1000.0).ceil() as u64).max(1)
+    }
+}
+
 /// The armed timers of one kind as sorted `(firing time, name)` pairs: the
 /// earliest is the first entry and what is due is a prefix, so neither firing
 /// timers nor [`crate::Qrio::next_due`] walks the jobs or the fleet. Derived
@@ -358,7 +392,8 @@ pub(crate) fn due_by(index: &DueIndex, now: u64) -> Vec<String> {
 }
 
 /// The lifecycle store owned by [`crate::Qrio`]: job records, the watch log,
-/// the admission queue and the per-device execution queues.
+/// the admission queue, the per-device execution queues and what each device
+/// is serving.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LifecycleStore {
     /// The one virtual clock: [`crate::Qrio::tick`] moves it by one,
@@ -379,7 +414,9 @@ pub(crate) struct LifecycleStore {
     pub(crate) pending: Vec<(u8, u64, String)>,
     /// Bound jobs waiting for their device, FIFO per device: a job is
     /// `Scheduled` if and only if its name is exactly once in here, in the
-    /// queue of its `status.node`. A queue that empties is removed.
+    /// queue of its `status.node`, and a job in service stays at the head of
+    /// its device's queue until its attempt settles. A queue that empties is
+    /// removed.
     pub(crate) device_queues: BTreeMap<String, VecDeque<String>>,
     /// Dead-letter queue: names of jobs whose retry policy was exhausted,
     /// in the order they were routed here. `pub(crate)` for durability
@@ -391,6 +428,14 @@ pub(crate) struct LifecycleStore {
     /// When each `Queued` / `Retrying` job under a deadline expires
     /// (`deadline_at + 1`: the first reading past it).
     pub(crate) deadlines: DueIndex,
+    /// The devices serving the head of their queue (it is `Running`), with
+    /// its window: `(since, until)`.
+    pub(crate) serving: BTreeMap<String, (u64, u64)>,
+    /// What each device has served so far: the windows that closed, in
+    /// full, and the interrupted ones up to the interrupt.
+    pub(crate) busy: BTreeMap<String, u64>,
+    /// When each device's job in service completes (its `until`).
+    pub(crate) completions: DueIndex,
 }
 
 impl Encode for LifecycleStore {
@@ -414,6 +459,8 @@ impl Encode for LifecycleStore {
         self.pending.encode(w);
         self.device_queues.encode(w);
         self.dead_letters.encode(w);
+        self.serving.encode(w);
+        self.busy.encode(w);
     }
 }
 
@@ -429,7 +476,13 @@ impl Decode for LifecycleStore {
             dead_letters: Decode::decode(r)?,
             backoffs: DueIndex::default(),
             deadlines: DueIndex::default(),
+            serving: Decode::decode(r)?,
+            busy: Decode::decode(r)?,
+            completions: DueIndex::default(),
         };
+        for (device, (_, until)) in &store.serving {
+            store.completions.insert((*until, device.clone()));
+        }
         for (name, tracked) in &store.jobs {
             if tracked.status.state == JobState::Retrying {
                 store.backoffs.insert((tracked.not_before, name.clone()));
@@ -586,6 +639,39 @@ impl LifecycleStore {
         }
         if queue.is_empty() {
             self.device_queues.remove(device);
+        }
+    }
+
+    /// The head of `device`'s queue goes into service until `until`.
+    pub(crate) fn begin_service(&mut self, device: &str, until: u64) {
+        self.serving.insert(device.to_string(), (self.clock, until));
+        self.completions.insert((until, device.to_string()));
+    }
+
+    /// `device`'s window closes now, whether it elapsed or was cut short:
+    /// what it served is added to the device's busy time. Returns the job in
+    /// service, which is still the head of the device's queue.
+    pub(crate) fn end_service(&mut self, device: &str) -> Option<String> {
+        let (since, until) = self.serving.remove(device)?;
+        self.completions.remove(&(until, device.to_string()));
+        *self.busy.entry(device.to_string()).or_insert(0) += self.clock - since;
+        self.device_queues.get(device)?.front().cloned()
+    }
+
+    /// The load `device` carries under a service model — depth: its queue,
+    /// the job in service included; utilization: the fraction of the clock it
+    /// spent serving, the elapsed part of the window in service included.
+    pub(crate) fn load(&self, device: &str) -> DeviceTelemetry {
+        let served = self.busy.get(device).copied().unwrap_or(0);
+        let elapsed = self
+            .serving
+            .get(device)
+            .map_or(0, |(since, _)| self.clock - since);
+        let utilization = (served + elapsed) as f64 / self.clock.max(1) as f64;
+        DeviceTelemetry {
+            queue_depth: self.device_queues.get(device).map_or(0, VecDeque::len),
+            utilization: utilization.min(1.0),
+            health_penalty: 0.0,
         }
     }
 

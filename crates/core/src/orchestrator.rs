@@ -22,28 +22,37 @@
 //! # One clock
 //!
 //! There is one virtual clock ([`Qrio::now`]) and one set of timers on it:
-//! retry backoffs, deadlines and the open intervals of circuit breakers.
-//! [`Qrio::tick`] moves the clock by one; a caller that keeps time itself
-//! moves it with [`Qrio::advance_to`] and asks [`Qrio::next_due`] when it
-//! next has to. Either way the timers that are due fire, from one body. The
-//! clock has no unit: delays, deadlines and `open_ticks` are in whatever unit
-//! it is advanced in — ticks under the service loop, virtual milliseconds
-//! under `qrio-loadgen`.
+//! retry backoffs, deadlines, the open intervals of circuit breakers and,
+//! under a service model, the service windows of devices. [`Qrio::tick`]
+//! moves the clock by one; a caller that keeps time itself moves it with
+//! [`Qrio::advance_to`] and asks [`Qrio::next_due`] when it next has to.
+//! Either way the timers that are due fire, from one body. The clock has no
+//! unit: delays, deadlines and `open_ticks` are in whatever unit it is
+//! advanced in — ticks under the service loop, virtual milliseconds under
+//! `qrio-loadgen`.
 //!
-//! # Simulator primitives
+//! # Service time
 //!
-//! Virtual-time simulators (e.g. `qrio-loadgen`) need to decide *when* each
-//! lifecycle step happens instead of delegating to `tick()`. They move the
-//! clock with [`Qrio::advance_to`], and for them the
-//! individual steps are public: [`Qrio::schedule`] binds one queued job
-//! against the most recently reported telemetry ([`Qrio::report_telemetry`]),
-//! [`Qrio::execute`] runs one bound job, [`Qrio::rank_ready`] re-ranks a job
-//! over the currently-ready fleet, [`Qrio::rebind`] migrates a waiting job,
-//! and [`Qrio::recalibrate_device`] applies a calibration refresh to the
-//! meta server and the cluster in one step. They and `tick()` work on the
-//! same per-device FIFOs ([`Qrio::device_queue`]): a job is `Scheduled`
-//! exactly while it waits in the queue of the device it is bound to, whoever
-//! bound it, so a simulator keeps no queue of its own.
+//! Without a service model a bound job runs the instant [`Qrio::tick`] or
+//! [`Qrio::execute`] reaches it. [`Qrio::configure_service`] installs one
+//! ([`ServiceModel`](crate::ServiceModel): a per-job base, a per-shot time
+//! and each device's speed), and from then on `Qrio` decides *when* each
+//! device serves: an idle device in service starts the head of its queue
+//! ([`Qrio::device_queue`]) — the job enters `Running` and stays at the head
+//! — and the job is dispatched and settled when its window closes, on the
+//! way of [`Qrio::advance_to`], after the breakers, deadlines and backoffs
+//! due at that time, in device-name order; a retry re-queued there is bound
+//! at once. Under the model, telemetry is what the model says each device
+//! carries, [`Qrio::recalibrate_device`] moves every waiting job whose best
+//! device changed, and a device that is cordoned or whose breaker trips
+//! sheds its waiting jobs to the rest of the fleet. A load generator is then
+//! an adapter: it enqueues and schedules arrivals, recalibrates, interrupts
+//! and cordons, and moves the clock. The step calls — [`Qrio::schedule`],
+//! [`Qrio::execute`], [`Qrio::rank_ready`], [`Qrio::rebind`],
+//! [`Qrio::report_telemetry`] — stay public for callers that take the steps
+//! themselves; they and `tick()` work on the same per-device FIFOs: a job is
+//! `Scheduled` exactly while it waits in the queue of the device it is bound
+//! to, whoever bound it.
 //!
 //! # Map
 //!
@@ -55,16 +64,19 @@
 //! * `fleet` — devices and what is done to them: `add_device*`, `add_fleet`,
 //!   `recalibrate_device`, `cordon_device` / `uncordon_device`,
 //!   `heal_devices`, `configure_faults`, `configure_breakers`,
-//!   `probe_device`, `report_telemetry`, the transport (`set_transport`,
-//!   `observed_nodes`, the control trace) and the node agents behind it;
+//!   `configure_service` and the migration of waiting jobs it enables,
+//!   `report_telemetry` and the telemetry refresh, the transport
+//!   (`set_transport`, `observed_nodes`, the control trace) and the node
+//!   agents behind it;
 //! * `admission` — a job's way in and the user's view of it: `enqueue`,
 //!   `enqueue_all`, `cancel`, `status`, `job_status`, `outcome`, `watch`, and
 //!   the admission verdicts of the service loop (regular and forced);
 //! * `reconcile` — everything that moves a job afterwards: `tick`,
 //!   `advance_to` and the timers under both, `next_due`,
 //!   `run_until_idle`, `submit`, the step calls (`schedule`, `execute`,
-//!   `interrupt`, `kick_retry`, `rebind`, `rank_ready`), the execution
-//!   attempt over the control plane, its settlement, retry and deadline;
+//!   `interrupt`, `rebind`, `rank_ready`), a device's service (start,
+//!   completion), the execution attempt over the control plane, its
+//!   settlement, retry and deadline;
 //! * `recovery` — the journal: `enable_durability` … `snapshot_record`, the
 //!   one place a [`Command`](crate::Command) is written, `recover*`,
 //!   `replay_to` and `describe_state`.
@@ -78,10 +90,14 @@
 //!
 //! | rule | calls |
 //! |------|-------|
-//! | on success — a failure changed nothing | `add_device*`, `recalibrate_device`, `cordon_device`, `uncordon_device`, `enqueue`, `cancel`, `kick_retry` |
+//! | on success — a failure changed nothing | `add_device*`, `recalibrate_device`, `cordon_device`, `uncordon_device`, `enqueue`, `cancel` |
 //! | on attempt, unless the id is unknown — a failed attempt still moves the job or logs cluster events | `schedule`, `execute`, `interrupt`, `rebind` |
-//! | always | `tick`, `report_telemetry`, `heal_devices`, `configure_faults`, `configure_breakers`; `advance_to` unless refused — it moves the clock even when nothing is due |
-//! | when it did something | the forced admission of `run_until_idle` / `submit` (`Queued` stragglers only), `probe_device` (an `Open` breaker only) |
+//! | always | `tick`, `report_telemetry`, `heal_devices`, `configure_faults`, `configure_breakers`, `configure_service`; `advance_to` unless refused — it moves the clock even when nothing is due |
+//! | when it did something | the forced admission of `run_until_idle` / `submit` (`Queued` stragglers only) |
+//!
+//! What a service model does inside these calls — a service started, a
+//! window closed, a waiting job moved, telemetry refreshed — belongs to the
+//! call and is replayed with it; nothing happens outside a journaled call.
 //!
 //! `tick`, `report_telemetry` and the forced admission cannot return a
 //! journal failure; it poisons durability instead
@@ -98,7 +114,7 @@ use crate::breaker::BreakerBoard;
 use crate::control::ControlPlane;
 use crate::durability::Durability;
 use crate::error::QrioError;
-use crate::lifecycle::{JobId, LifecycleStore};
+use crate::lifecycle::{JobId, LifecycleStore, ServiceModel};
 use crate::runner::SimJobRunner;
 use crate::visualizer::JobRequest;
 
@@ -152,6 +168,7 @@ pub struct Qrio {
     admission_gate: Option<Box<dyn AdmissionGate>>,
     durability: Option<Durability>,
     breakers: Option<BreakerBoard>,
+    service: Option<ServiceModel>,
     control: ControlPlane,
 }
 
@@ -172,6 +189,7 @@ impl Qrio {
             admission_gate: None,
             durability: None,
             breakers: None,
+            service: None,
             control: ControlPlane::new_in_proc(),
         }
     }
@@ -247,7 +265,9 @@ impl Qrio {
     /// job is `Scheduled` exactly while it is in here, in the queue of the
     /// device it is bound to, whoever bound it ([`Qrio::tick`] admission or
     /// [`Qrio::schedule`]); [`Qrio::rebind`] moves it to the tail of the
-    /// target's queue. Empty for an idle or unknown device.
+    /// target's queue. Under a service model the head may be the job the
+    /// device is serving, `Running` until its attempt settles. Empty for an
+    /// idle or unknown device.
     pub fn device_queue(&self, device: &str) -> impl ExactSizeIterator<Item = &str> {
         let queue = self.lifecycle.device_queues.get(device);
         let names = queue.map(|queue| queue.iter()).unwrap_or_default();

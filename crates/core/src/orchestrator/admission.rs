@@ -8,7 +8,7 @@ use qrio_cluster::{ClusterError, Node};
 use super::{JobOutcome, Qrio};
 use crate::durability::Command;
 use crate::error::QrioError;
-use crate::lifecycle::{JobEvent, JobId, JobState, JobStatus, Tracked};
+use crate::lifecycle::{JobEvent, JobId, JobState, JobStatus, TickReport, Tracked};
 use crate::master_server::containerize;
 use crate::visualizer::JobRequest;
 
@@ -20,6 +20,17 @@ pub(super) enum Admitted {
     Deferred,
     /// Terminal failure (unschedulable, or every candidate failed scoring).
     Failed,
+}
+
+impl Admitted {
+    /// The list of a cycle's report this verdict goes in.
+    pub(super) fn file(self, report: &mut TickReport) -> &mut Vec<JobId> {
+        match self {
+            Admitted::Scheduled => &mut report.scheduled,
+            Admitted::Deferred => &mut report.deferred,
+            Admitted::Failed => &mut report.failed,
+        }
+    }
 }
 
 /// The error of an `action` that does not apply to a job in `state`.
@@ -283,10 +294,11 @@ impl Qrio {
     }
 
     /// Decide admission for one queued job — the single path every
-    /// service-loop admission (regular or forced) goes through; a job that
-    /// schedules joins its device's queue in [`Qrio::schedule_queued`]. With
-    /// `force`, a job that would be deferred is pushed through the scheduler
-    /// anyway so it reaches a recorded verdict.
+    /// service-loop admission (regular or forced, and a retry re-queued under
+    /// a service model) goes through; a job that schedules joins its device's
+    /// queue in [`Qrio::schedule_queued`]. With `force`, a job that would be
+    /// deferred is pushed through the scheduler anyway so it reaches a
+    /// recorded verdict.
     pub(super) fn admit_and_bind(&mut self, name: &str, force: bool) -> Admitted {
         let job = self
             .cluster
@@ -309,7 +321,7 @@ impl Qrio {
                 return Admitted::Deferred;
             }
         }
-        self.sync_telemetry();
+        self.refresh_telemetry(true);
         match self.schedule_queued(name) {
             Ok(_) => Admitted::Scheduled,
             // A rejected binding is transient (schedule_queued left the job

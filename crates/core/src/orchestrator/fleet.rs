@@ -1,12 +1,13 @@
 //! The fleet side of [`Qrio`]: devices and what vendors and breakers do to
-//! them, the telemetry reported about them, and the transport and node
+//! them, how long they serve and where their waiting jobs go when that
+//! changes, the telemetry reported about them, and the transport and node
 //! agents that stand for them on the control plane.
 
 use std::collections::BTreeMap;
 
 use qrio_agent::{fault_spec_to_wire, ChannelTransport, InProcTransport, NodeAgent, Transport};
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_cluster::{ClusterError, FaultInjector, Node, NodeStatus, Resources};
+use qrio_cluster::{ClusterError, FaultInjector, Node, NodeLoad, NodeStatus, Resources};
 use qrio_meta::DeviceTelemetry;
 use qrio_proto::NodeCommand;
 
@@ -15,6 +16,12 @@ use crate::breaker::{BreakerBoard, BreakerConfig};
 use crate::control::{ObservedNode, TransportMode};
 use crate::durability::Command;
 use crate::error::QrioError;
+use crate::lifecycle::{JobId, ServiceModel};
+
+/// How much better (lower) a waiting job's best score must be than its
+/// current device's before a recalibration moves it: hysteresis against
+/// churn on near-ties.
+const MIGRATION_EPSILON: f64 = 1e-9;
 
 impl Qrio {
     /// Register a quantum device: adds a labelled node to the cluster and a
@@ -118,6 +125,8 @@ impl Qrio {
     /// meta server gets the new backend under a bumped calibration revision
     /// (invalidating memoized scores), the cluster node's labels are
     /// recomputed from it and the node's agent is sent the new calibration.
+    /// Under a service model every waiting job is then re-ranked, and moves
+    /// where it now scores better ([`Qrio::configure_service`]).
     ///
     /// The node is looked up before the meta server is touched, so an unknown
     /// device leaves no state behind.
@@ -135,11 +144,14 @@ impl Qrio {
         self.cluster.update_node_backend(backend)?;
         let backend_spec = spec_text.clone();
         self.tell_agent(&name, NodeCommand::Recalibrate { backend_spec });
+        self.migrate_waiting(None);
         self.journal(|| Command::Recalibrate { spec_text })
     }
 
     /// Cordon a device's node: it stops accepting new bindings until
-    /// uncordoned. Journaled when durability is enabled.
+    /// uncordoned, and under a service model it starts no job and its
+    /// waiting jobs flee to any device that takes them. Journaled when
+    /// durability is enabled.
     ///
     /// # Errors
     ///
@@ -149,8 +161,9 @@ impl Qrio {
         self.set_cordon(name, true)
     }
 
-    /// Lift a device's cordon, making its node schedulable again. Journaled
-    /// when durability is enabled.
+    /// Lift a device's cordon, making its node schedulable again; under a
+    /// service model it starts the head of its queue. Journaled when
+    /// durability is enabled.
     ///
     /// # Errors
     ///
@@ -165,23 +178,21 @@ impl Qrio {
     /// replayed, so a recovered agent's cordon flag matches the crashed
     /// instance's.
     fn set_cordon(&mut self, name: &str, cordoned: bool) -> Result<(), QrioError> {
-        if !self.mark_cordon(name, cordoned) {
+        let Some(node) = self.cluster.node_mut(name) else {
             return Err(ClusterError::UnknownNode(name.to_string()).into());
-        }
-        let command = if cordoned {
-            NodeCommand::Cordon
-        } else {
-            NodeCommand::Uncordon
         };
-        self.tell_agent(name, command);
-        self.journal(|| {
-            let node = name.to_string();
-            if cordoned {
-                Command::Cordon { node }
-            } else {
-                Command::Uncordon { node }
-            }
-        })
+        let node_name = || name.to_string();
+        if cordoned {
+            node.cordon();
+            self.tell_agent(name, NodeCommand::Cordon);
+            self.migrate_waiting(Some(name));
+            self.journal(|| Command::Cordon { node: node_name() })
+        } else {
+            node.uncordon();
+            self.tell_agent(name, NodeCommand::Uncordon);
+            self.serve(name);
+            self.journal(|| Command::Uncordon { node: node_name() })
+        }
     }
 
     /// Send one command to a node's agent and fold its acknowledgement into
@@ -195,20 +206,15 @@ impl Qrio {
         self.control.drain();
     }
 
-    /// Set or lift the cordon in the cluster's node table, returning whether
-    /// there is such a node. This is all a circuit breaker's verdict does:
-    /// the agent is not told, the orchestrator alone steers work around a
-    /// breaker-cordoned device.
-    pub(super) fn mark_cordon(&mut self, name: &str, cordoned: bool) -> bool {
-        let Some(node) = self.cluster.node_mut(name) else {
-            return false;
-        };
-        if cordoned {
-            node.cordon();
-        } else {
-            node.uncordon();
+    /// Set or lift a circuit breaker's hold on its device — all a breaker's
+    /// verdict does: the agent is not told, the orchestrator alone steers
+    /// work around a held device. The hold is a reason of its own beside the
+    /// vendor's cordon, so a probe does not end an outage and an outage's end
+    /// does not end an open interval.
+    pub(super) fn hold_for_breaker(&mut self, name: &str, held: bool) {
+        if let Some(node) = self.cluster.node_mut(name) {
+            node.hold_for_breaker(held);
         }
-        true
     }
 
     /// Restart every `NotReady` node (the cluster's self-healing sweep),
@@ -260,32 +266,84 @@ impl Qrio {
         self.journal(|| Command::ConfigureBreakers { config })
     }
 
-    /// Force a device's `Open` circuit breaker into probation now,
-    /// uncordoning the device, without waiting for its open interval to
-    /// elapse on the clock ([`Qrio::tick`] and [`Qrio::advance_to`] begin
-    /// probation on time by themselves; nothing but tests calls this any
-    /// more). Returns whether probation began (`false` when breakers are off
-    /// or the breaker was not `Open`).
+    /// Install (or, with `None`, remove) the service model: how long each
+    /// device takes over a job. Under one, a device serves its queue on the
+    /// clock — the head enters `Running` when the device is idle and in
+    /// service, stays at the head of the queue, and is dispatched, settled
+    /// and followed by the next when its window closes on the way of
+    /// [`Qrio::advance_to`] — and telemetry is the model's: depth, each
+    /// queue with its job in service, and utilization, the fraction of the
+    /// clock spent serving. A recalibration re-ranks every waiting job, and a
+    /// device that is cordoned or whose breaker trips sheds its waiting jobs
+    /// to the rest of the fleet. Without one, jobs run the instant
+    /// [`Qrio::tick`] or [`Qrio::execute`] reaches them. A window already
+    /// open keeps its end either way. Journaled.
     ///
     /// # Errors
     ///
     /// Returns an error only when the journal append fails.
-    pub fn probe_device(&mut self, device: &str) -> Result<bool, QrioError> {
-        let clock = self.lifecycle.clock;
-        let probing = self
-            .breakers
-            .as_mut()
-            .is_some_and(|board| board.force_probe(device, clock));
-        if probing {
-            self.mark_cordon(device, false);
-            // Ask the agent for a fresh status frame so the observed table
-            // reflects the probed node.
-            self.tell_agent(device, NodeCommand::Probe);
-            self.journal(|| Command::Probe {
-                device: device.to_string(),
-            })?;
+    pub fn configure_service(&mut self, model: Option<ServiceModel>) -> Result<(), QrioError> {
+        self.service.clone_from(&model);
+        self.serve_all();
+        self.journal(|| Command::ConfigureService { model })
+    }
+
+    /// Whether `device` is out of service: cordoned by its vendor (or an
+    /// outage) or held by its breaker. It takes no new binding, and under a
+    /// service model starts no job.
+    pub(super) fn out_of_service(&self, device: &str) -> bool {
+        self.cluster.node(device).is_some_and(Node::is_cordoned)
+    }
+
+    /// Under a service model, the waiting jobs of `device` flee when it is
+    /// out of service — its breaker tripped, or it was cordoned while it
+    /// served.
+    pub(super) fn flee(&mut self, device: Option<String>) {
+        if let Some(device) = device.filter(|device| self.out_of_service(device)) {
+            self.migrate_waiting(Some(&device));
         }
-        Ok(probing)
+    }
+
+    /// Under a service model, move waiting jobs — those of `only`'s queue,
+    /// or of every queue — whose best device is another one now. The head a
+    /// device is serving stays. A job on a device out of service leaves for
+    /// any device that takes it; elsewhere a score better by more than
+    /// [`MIGRATION_EPSILON`] is required. Each job is decided against
+    /// telemetry refreshed after the previous move, so a fleeing queue
+    /// spreads over the fleet instead of herding onto whichever device
+    /// looked emptiest before the sweep.
+    pub(super) fn migrate_waiting(&mut self, only: Option<&str>) {
+        // Moves change no node's status: with none ready, nowhere to go.
+        if self.service.is_none() || self.cluster.ready_nodes().next().is_none() {
+            return;
+        }
+        let queues = self.lifecycle.device_queues.iter();
+        let swept = queues.filter(|(device, _)| only.map_or(true, |only| only == *device));
+        let candidates: Vec<(String, String, bool)> = swept
+            .flat_map(|(device, queue)| {
+                let in_service = usize::from(self.lifecycle.serving.contains_key(device));
+                let fleeing = self.out_of_service(device);
+                let waiting = queue.iter().skip(in_service);
+                waiting.map(move |job| (device.clone(), job.clone(), fleeing))
+            })
+            .collect();
+        for (device, job, fleeing) in candidates {
+            self.refresh_telemetry(false);
+            let id = JobId::new(job);
+            let ranked = self.rank_ready(&id).unwrap_or_default();
+            let Some((best, best_score)) = ranked.first().cloned() else {
+                continue;
+            };
+            let current = ranked.iter().find(|(name, _)| *name == device);
+            // A current device that no longer ranks at all (cordoned, or
+            // un-scoreable after drift) is left only when fleeing.
+            let improves = current.map_or(fleeing, |(_, score)| {
+                best_score + MIGRATION_EPSILON < *score
+            });
+            if best != device && (fleeing || improves) {
+                let _ = self.move_binding(&id, &best);
+            }
+        }
     }
 
     // --- Telemetry -----------------------------------------------------------------------
@@ -313,19 +371,31 @@ impl Qrio {
         let _ = self.journal(|| Command::Telemetry { reports });
     }
 
-    /// Report the current per-node load (queue depth, classical utilization)
-    /// from the cluster registry to the meta server. Runs automatically
-    /// before every `tick()` admission decision.
-    pub(super) fn sync_telemetry(&mut self) {
-        let loads = self.cluster.node_loads();
-        self.store_telemetry(loads.into_iter().map(|(device, load)| {
-            let telemetry = DeviceTelemetry {
+    /// Refresh the meta server's telemetry before a scheduling decision:
+    /// under a service model, the load the model says each device carries;
+    /// without one, with `from_cluster`, the cluster registry's per-node load
+    /// (queue depth, classical utilization) that `tick()` admission scores
+    /// against, and otherwise nothing — what [`Qrio::report_telemetry`] last
+    /// reported stands. Only journaled calls refresh it, so replay does too.
+    pub(super) fn refresh_telemetry(&mut self, from_cluster: bool) {
+        let loads: Vec<(String, DeviceTelemetry)> = if self.service.is_some() {
+            let nodes = self.cluster.nodes();
+            let load = |name: &str| (name.to_string(), self.lifecycle.load(name));
+            nodes.map(|node| load(node.name())).collect()
+        } else if from_cluster {
+            let loads = self.cluster.node_loads().into_iter();
+            let telemetry = |load: NodeLoad| DeviceTelemetry {
                 queue_depth: load.active_jobs,
                 utilization: load.utilization(),
                 health_penalty: 0.0,
             };
-            (device, telemetry)
-        }));
+            loads
+                .map(|(device, load)| (device, telemetry(load)))
+                .collect()
+        } else {
+            return;
+        };
+        self.store_telemetry(loads);
     }
 
     /// Hand telemetry to the meta server under the breaker overlay: with

@@ -1,13 +1,13 @@
 //! Everything that moves an admitted job: the `tick()` service cycle and its
 //! fixed-point drivers, the one clock's timers under `tick()` and
-//! `advance_to`, the step calls virtual-time simulators make instead,
-//! the execution attempt over the control plane, and how its outcome settles
+//! `advance_to` — service completions among them —, the step calls, the
+//! execution attempt over the control plane, and how its outcome settles
 //! into success, a retry, or a terminal failure.
 
 use qrio_cluster::{ClusterError, ScheduleDecision};
 use qrio_scheduler::QrioScheduler;
 
-use super::admission::Admitted;
+use super::admission::phase_conflict;
 use super::{JobOutcome, Qrio};
 use crate::breaker::BreakerAction;
 use crate::durability::Command;
@@ -24,34 +24,36 @@ impl Qrio {
     ///
     /// 1. **Admission**: the queue drains in priority order (FIFO within a
     ///    priority; ties never depend on map iteration order). Each job is
-    ///    bound via filter + meta-server ranking against fresh cluster
-    ///    telemetry. Jobs no device can host *right now* stay `Queued`; jobs
-    ///    no device could *ever* host end `Failed`.
+    ///    bound via filter + meta-server ranking against fresh telemetry.
+    ///    Jobs no device can host *right now* stay `Queued`; jobs no device
+    ///    could *ever* host end `Failed`.
     /// 2. **Execution**: each device (in name order) runs the head of its
     ///    queue to completion.
+    ///
+    /// Under a service model ([`Qrio::configure_service`]) the cycle is
+    /// admission on top of `advance_to(now + 1)`: each timer fires at its own
+    /// time, devices serve their queues over the model's windows instead of
+    /// step 2, and one left idle by an interrupt starts its head.
     pub fn tick(&mut self) -> TickReport {
         let mut report = TickReport::default();
-        self.lifecycle.clock += 1;
-        self.fire_timers(self.lifecycle.clock, &mut report);
+        let now = self.lifecycle.clock + 1;
+        if self.service.is_none() {
+            self.lifecycle.clock = now;
+        }
+        self.fire_timers(now, &mut report);
         // Admission.
         for name in self.lifecycle.pending_in_order() {
-            let bucket = match self.admit_and_bind(&name, false) {
-                Admitted::Scheduled => &mut report.scheduled,
-                Admitted::Deferred => &mut report.deferred,
-                Admitted::Failed => &mut report.failed,
-            };
-            bucket.push(JobId::new(name));
+            let admitted = self.admit_and_bind(&name, false);
+            admitted.file(&mut report).push(JobId::new(name));
         }
+        self.serve_all();
         // Execution: the head of every device queue is the binding that
         // *should* run now; emit one `Run` command per planned pair — one
-        // job per device per tick, device-name order.
+        // job per device per tick, device-name order. (Under a service model
+        // nothing is planned: the devices serve by themselves.)
         for name in self.plan_executions() {
             let _ = self.run_bound(&name, false);
-            let bucket = match self.lifecycle.state(&name) {
-                Some(JobState::Retrying) => &mut report.retried,
-                _ => &mut report.completed,
-            };
-            bucket.push(JobId::new(name));
+            self.file_settled(&mut report, name);
         }
         // Fold any still-unread reports (fire-and-forget acknowledgements,
         // telemetry) into the observed table. With real worker threads these
@@ -70,7 +72,8 @@ impl Qrio {
     /// unfinished run when a tick plans.
     fn plan_executions(&self) -> Vec<String> {
         let queues = self.lifecycle.device_queues.values();
-        queues.filter_map(|queue| queue.front().cloned()).collect()
+        let heads = queues.filter_map(|queue| queue.front().cloned());
+        heads.filter(|_| self.service.is_none()).collect()
     }
 
     /// Move the clock to `now` and fire every timer due by then — the whole of
@@ -82,9 +85,16 @@ impl Qrio {
     /// of their due time, each at that time, and within one time in the
     /// order of [`Qrio::tick`]: breakers `Open` → `HalfOpen` (device
     /// uncordoned), deadlines of `Queued` / `Retrying` jobs, elapsed
-    /// backoffs re-queued. What fired comes back in the report's `probing`,
-    /// `expired` and `requeued`; a re-queued job waits in the admission queue
-    /// for [`Qrio::schedule`] or the next [`Qrio::tick`].
+    /// backoffs re-queued, and — under a service model — the windows that
+    /// closed, in device-name order. What fired comes back in the report's
+    /// `probing`, `expired` and `requeued`; a re-queued job waits in the
+    /// admission queue for [`Qrio::schedule`] or the next [`Qrio::tick`].
+    ///
+    /// Under a service model ([`Qrio::configure_service`]) a re-queued job
+    /// is bound right there (`scheduled`, or `failed` when no device will
+    /// take it), a device whose breaker began probing starts its head, and
+    /// each closed window settles its job's attempt (`completed`, or
+    /// `retried`) before the device starts the next.
     ///
     /// # Errors
     ///
@@ -102,14 +112,16 @@ impl Qrio {
     }
 
     /// When the earliest armed timer fires: a backoff horizon, the first
-    /// reading past a deadline, or an `Open` breaker's `until`. `None` when
-    /// nothing is armed. A time at or before [`Qrio::now`] fires on the next
-    /// [`Qrio::advance_to`], whatever it is given.
+    /// reading past a deadline, an `Open` breaker's `until`, or the end of a
+    /// job's service window. `None` when nothing is armed. A time at or
+    /// before [`Qrio::now`] fires on the next [`Qrio::advance_to`], whatever
+    /// it is given.
     pub fn next_due(&self) -> Option<u64> {
         let timers = [
             self.breakers.as_ref().and_then(|board| board.open.first()),
             self.lifecycle.deadlines.first(),
             self.lifecycle.backoffs.first(),
+            self.lifecycle.completions.first(),
         ];
         timers.into_iter().flatten().map(|(at, _)| *at).min()
     }
@@ -123,10 +135,12 @@ impl Qrio {
             let at = self.lifecycle.clock.max(due);
             self.lifecycle.clock = at;
             // Circuit breakers: every Open breaker whose interval elapsed
-            // moves to HalfOpen and its device is uncordoned for probation.
+            // moves to HalfOpen and lifts its hold on its device, for
+            // probation.
             let probing = self.breakers.as_mut().map(|board| board.tick(at));
             for device in probing.unwrap_or_default() {
-                self.mark_cordon(&device, false);
+                self.hold_for_breaker(&device, false);
+                self.serve(&device);
                 report.probing.push(device);
             }
             // Deadline expiry: Queued / Retrying jobs past their deadline
@@ -137,10 +151,25 @@ impl Qrio {
                 report.expired.push(JobId::new(name));
             }
             // Retry promotion: Retrying jobs whose backoff elapsed re-enter
-            // the admission queue with a fresh admission sequence.
-            for name in due_by(&self.lifecycle.backoffs, at) {
-                self.requeue_retry(&name, "backoff elapsed; re-queued for retry");
+            // the admission queue with a fresh admission sequence — and,
+            // under a service model, are bound again at once.
+            let requeued = due_by(&self.lifecycle.backoffs, at);
+            for name in &requeued {
+                let reason = Some("backoff elapsed; re-queued for retry".to_string());
+                let tracked = self.lifecycle.record(name, JobState::Queued, None, reason);
+                let priority = tracked.status.priority;
+                self.lifecycle.enqueue_pending(name, priority);
                 report.requeued.push(JobId::new(name));
+            }
+            for name in requeued {
+                if self.service.is_some() {
+                    let admitted = self.admit_and_bind(&name, true);
+                    admitted.file(report).push(JobId::new(name));
+                }
+            }
+            // Service windows that closed, in device-name order.
+            for device in due_by(&self.lifecycle.completions, at) {
+                self.complete_service(&device, report);
             }
         }
         self.lifecycle.clock = now;
@@ -156,7 +185,7 @@ impl Qrio {
         let node = tracked.and_then(|tracked| tracked.status.node.clone());
         // The cluster job is `Pending` in both source states (Queued before
         // scheduling; Retrying jobs were requeued at the retry decision) —
-        // withdraw it so the cluster queue and logs agree.
+        // withdraw it so the cluster's job table and logs agree.
         let _ = self
             .cluster
             .cancel_job(name, format!("deadline exceeded at t={deadline}"));
@@ -178,16 +207,6 @@ impl Qrio {
             .record(name, JobState::Failed, node, reason)
             .failure = Some(err);
         self.cleanup_terminal(name);
-    }
-
-    /// Promote a `Retrying` job to `Queued` with a fresh admission sequence:
-    /// its backoff elapsed ([`Qrio::tick`], [`Qrio::advance_to`]) or was
-    /// skipped ([`Qrio::kick_retry`]).
-    fn requeue_retry(&mut self, name: &str, reason: &str) {
-        let reason = Some(reason.to_string());
-        let tracked = self.lifecycle.record(name, JobState::Queued, None, reason);
-        let priority = tracked.status.priority;
-        self.lifecycle.enqueue_pending(name, priority);
     }
 
     /// Tick until every enqueued job reached a terminal state. When a cycle
@@ -243,12 +262,18 @@ impl Qrio {
                         self.force_admit(&name);
                     }
                 }
-                let stuck = self.lifecycle.has_pending()
-                    && !self.lifecycle.has_bound_work()
-                    && !self.lifecycle.has_waiting_retries();
-                // Defensive (nothing more can change), or the forced verdict
-                // settled the one job this call is about.
-                if stuck || (own.is_some() && !self.unsettled(own)) {
+                // Nothing more can change: without a service model, what is
+                // left is pending with nothing bound or backing off; with
+                // one, no timer is armed — nothing is in service, so what is
+                // left waits on devices that do not serve.
+                let idle =
+                    !self.lifecycle.has_bound_work() && !self.lifecycle.has_waiting_retries();
+                let stuck = match self.service {
+                    Some(_) => self.next_due().is_none(),
+                    None => self.lifecycle.has_pending() && idle,
+                };
+                // Or the forced verdicts settled the scope: no tick is owed.
+                if stuck || !self.unsettled(own) {
                     break;
                 }
             }
@@ -296,10 +321,11 @@ impl Qrio {
     ///
     /// Unlike [`Qrio::tick`], this primitive does **not** refresh telemetry
     /// from the cluster registry first — it scores against whatever
-    /// [`Qrio::report_telemetry`] last reported, which is exactly what
-    /// virtual-time simulators need. A bound job joins the tail of its
-    /// device's queue ([`Qrio::device_queue`]); [`Qrio::execute`] it yourself
-    /// or let [`Qrio::tick`] reach it.
+    /// [`Qrio::report_telemetry`] last reported, or, under a service model,
+    /// against the load the model says each device carries. A bound job joins
+    /// the tail of its device's queue ([`Qrio::device_queue`]); under a
+    /// service model an idle device starts it at once, otherwise
+    /// [`Qrio::execute`] it yourself or let [`Qrio::tick`] reach it.
     ///
     /// # Errors
     ///
@@ -309,7 +335,10 @@ impl Qrio {
     pub fn schedule(&mut self, id: &JobId) -> Result<ScheduleDecision, QrioError> {
         let result = self
             .require_state(id, "schedule", JobState::Queued)
-            .and_then(|()| self.schedule_queued(id.as_str()));
+            .and_then(|()| {
+                self.refresh_telemetry(false);
+                self.schedule_queued(id.as_str())
+            });
         self.journal_attempt(result, || Command::Schedule {
             job: id.to_string(),
         })
@@ -331,40 +360,29 @@ impl Qrio {
         })
     }
 
-    /// Interrupt a `Scheduled` job whose device died under it: the job
-    /// passes through `Running` straight into a device-flap fault without
-    /// the runner being invoked, then flows through its retry policy like
-    /// any other failure. Virtual-time simulators call this when an outage
-    /// lands on a device with a job mid-execution, so the work is visibly
-    /// lost (and retried) instead of silently completing.
+    /// Interrupt a job whose device died under it: a `Scheduled` job passes
+    /// through `Running`, the job a device is serving (`Running`) has its
+    /// window cut short, and either goes straight into a device-flap fault
+    /// without the runner being invoked, then flows through its retry policy
+    /// like any other failure. Virtual-time simulators call this when an
+    /// outage lands on a device with a job mid-execution, so the work is
+    /// visibly lost (and retried) instead of silently completing. The device
+    /// does not start its next job here: cordon it, or it starts when a job
+    /// next joins it, it is uncordoned or the next [`Qrio::tick`].
     ///
     /// # Errors
     ///
     /// Always errs on success: the interrupt surfaces as
-    /// [`ClusterError::InjectedFault`] (wrapped). A job that is not
-    /// `Scheduled` reports a phase conflict instead, and an id never
-    /// enqueued [`QrioError::UnknownJob`].
+    /// [`ClusterError::InjectedFault`] (wrapped). A job in any other state
+    /// reports a phase conflict instead, and an id never enqueued
+    /// [`QrioError::UnknownJob`].
     pub fn interrupt(&mut self, id: &JobId) -> Result<(), QrioError> {
-        let result = self
-            .require_state(id, "interrupt", JobState::Scheduled)
-            .and_then(|()| self.run_bound(id.as_str(), true));
+        let result = match self.status(id) {
+            Ok(JobState::Scheduled | JobState::Running) => self.run_bound(id.as_str(), true),
+            Ok(state) => Err(phase_conflict(id, "interrupt", state)),
+            Err(err) => Err(err),
+        };
         self.journal_attempt(result, || Command::Interrupt {
-            job: id.to_string(),
-        })
-    }
-
-    /// Promote a `Retrying` job straight to `Queued`, ignoring its backoff
-    /// horizon ([`Qrio::tick`] and [`Qrio::advance_to`] re-queue it on time
-    /// by themselves; nothing but tests calls this any more).
-    ///
-    /// # Errors
-    ///
-    /// Returns a phase conflict for jobs not in `Retrying`, an unknown-job
-    /// error for ids never enqueued, or the journal failure.
-    pub fn kick_retry(&mut self, id: &JobId) -> Result<(), QrioError> {
-        self.require_state(id, "kick_retry", JobState::Retrying)?;
-        self.requeue_retry(id.as_str(), "retry kicked; re-queued");
-        self.journal(|| Command::KickRetry {
             job: id.to_string(),
         })
     }
@@ -410,7 +428,7 @@ impl Qrio {
 
     /// The move itself; [`Qrio::rebind`] journals the attempt whatever this
     /// returned.
-    fn move_binding(&mut self, id: &JobId, target: &str) -> Result<(), QrioError> {
+    pub(super) fn move_binding(&mut self, id: &JobId, target: &str) -> Result<(), QrioError> {
         let status = self.job_status(id)?;
         let from = status
             .node
@@ -453,14 +471,16 @@ impl Qrio {
             Some(target.to_string()),
             Some(format!("rebound from '{from}' to '{target}'")),
         );
+        self.serve(target);
         Ok(())
     }
 
     /// Schedule a job known to be `Queued`: run the scheduling cycle, hand
     /// what it found to the cluster to bind, and update lifecycle state — the
     /// one place a binding is recorded, so the one place a job joins its
-    /// device's queue ([`Qrio::tick`] admission, the forced verdict and
-    /// [`Qrio::schedule`] all bind here).
+    /// device's queue ([`Qrio::tick`] admission, the forced verdict, a retry
+    /// re-queued under a service model and [`Qrio::schedule`] all bind
+    /// here).
     pub(super) fn schedule_queued(&mut self, name: &str) -> Result<ScheduleDecision, QrioError> {
         let job = self
             .cluster
@@ -487,6 +507,7 @@ impl Qrio {
                 self.lifecycle
                     .record(name, JobState::Scheduled, node, None)
                     .decision = Some(decision.clone());
+                self.serve(&decision.node);
                 Ok(decision)
             }
             Err(err @ ClusterError::BindingRejected { .. }) => {
@@ -505,62 +526,142 @@ impl Qrio {
 
     // --- Execution -----------------------------------------------------------------------
 
-    /// One attempt of a job known to be `Scheduled`: leave its device's
-    /// queue, enter `Running`, make the attempt, settle what it returned.
-    /// The attempt is an execution on the node's agent or, when
-    /// `interrupted`, the device flap that kept it from happening. The
-    /// attempt number passed to the cluster makes injected-fault decisions
-    /// attempt-aware, so a retried job can draw a different verdict than its
-    /// first run.
+    /// One attempt of a job known to be `Scheduled`, made at once: enter
+    /// `Running`, make the attempt, settle what it returned. The attempt is
+    /// an execution on the node's agent or, when `interrupted`, the device
+    /// flap that kept it from happening — or cut it short, for the job a
+    /// device is serving, whose window closes now. The attempt number passed
+    /// to the cluster makes injected-fault decisions attempt-aware, so a
+    /// retried job can draw a different verdict than its first run.
     fn run_bound(&mut self, name: &str, interrupted: bool) -> Result<(), QrioError> {
-        let tracked = self.lifecycle.jobs.get(name);
-        let node = tracked.and_then(|tracked| tracked.status.node.clone());
-        let attempt = tracked.map_or(0, |tracked| tracked.attempt);
-        self.lifecycle.leave_device_queue(name);
-        self.lifecycle
-            .record(name, JobState::Running, node.clone(), None);
+        let (node, attempt) = self.binding(name);
+        if self.lifecycle.state(name) == Some(JobState::Running) {
+            self.lifecycle
+                .end_service(node.as_deref().unwrap_or_default());
+        } else {
+            self.lifecycle
+                .record(name, JobState::Running, node.clone(), None);
+        }
         let result = if interrupted {
             self.cluster.interrupt_job(name, attempt)
         } else {
-            self.dispatch_attempt(name, attempt)
+            self.dispatch(name, attempt, true)
         };
-        self.settle_execution(name, node, attempt + 1, result)
+        self.settle_execution(name, node, attempt, result)
     }
 
-    /// One execution attempt over the control plane: start it in the cluster
-    /// (phase check, image pull, `JobStarted`), describe it to the node's
-    /// agent from the spec and image the cluster lends out, block for the
-    /// matching `Phase` report, and settle the verdict back into the cluster.
-    /// The agent holds the fault-plan replica, so injected-fault verdicts are
-    /// drawn device-side from the same pure decision function.
+    /// Where a job is bound and how many attempts it has consumed.
+    fn binding(&self, name: &str) -> (Option<String>, u32) {
+        let tracked = self.lifecycle.jobs.get(name);
+        let node = tracked.and_then(|tracked| tracked.status.node.clone());
+        (node, tracked.map_or(0, |tracked| tracked.attempt))
+    }
+
+    /// Under a service model, start the head of `device`'s queue when the
+    /// device is idle and in service: the job enters `Running` now, in the
+    /// lifecycle and in the cluster, and stays at the head of the queue until
+    /// its window closes ([`Qrio::advance_to`]) or it is interrupted.
+    pub(super) fn serve(&mut self, device: &str) {
+        let Some(model) = &self.service else {
+            return;
+        };
+        if self.lifecycle.serving.contains_key(device) || self.out_of_service(device) {
+            return;
+        }
+        let queue = self.lifecycle.device_queues.get(device);
+        let Some(name) = queue.and_then(|queue| queue.front()).cloned() else {
+            return;
+        };
+        let shots = self.cluster.job(&name).map_or(1, |job| job.spec().shots);
+        let window = model.window(device, shots);
+        let until = self.lifecycle.clock.saturating_add(window);
+        let (node, attempt) = self.binding(&name);
+        self.lifecycle
+            .record(&name, JobState::Running, node.clone(), None);
+        match self.cluster.prepare_run(&name, attempt).map(|_| ()) {
+            Ok(()) => self.lifecycle.begin_service(device, until),
+            // The image or the node is gone: the attempt fails now, and the
+            // next head gets its turn.
+            Err(err) => {
+                let _ = self.settle_execution(&name, node, attempt, Err(err));
+                self.serve(device);
+            }
+        }
+    }
+
+    /// `device`'s service window closed: its job is dispatched to the node's
+    /// agent and settled now — so a drift during the window still degrades
+    /// it — and the device serves its next head.
+    fn complete_service(&mut self, device: &str, report: &mut TickReport) {
+        let Some(name) = self.lifecycle.end_service(device) else {
+            return;
+        };
+        let (node, attempt) = self.binding(&name);
+        let result = self.dispatch(&name, attempt, false);
+        let _ = self.settle_execution(&name, node, attempt, result);
+        self.file_settled(report, name);
+        self.serve(device);
+    }
+
+    /// Put a job whose attempt just settled in the report: `retried` when it
+    /// backs off, `completed` otherwise.
+    fn file_settled(&self, report: &mut TickReport, name: String) {
+        let bucket = match self.lifecycle.state(&name) {
+            Some(JobState::Retrying) => &mut report.retried,
+            _ => &mut report.completed,
+        };
+        bucket.push(JobId::new(name));
+    }
+
+    /// [`Qrio::serve`] every device with a queue.
+    pub(super) fn serve_all(&mut self) {
+        let devices: Vec<String> = self.lifecycle.device_queues.keys().cloned().collect();
+        devices.iter().for_each(|device| self.serve(device));
+    }
+
+    /// One execution attempt over the control plane: `start` it in the
+    /// cluster (phase check, image pull, `JobStarted`) unless that happened
+    /// when its service began, describe it to the node's agent from the spec
+    /// and image the cluster lends out, block for the matching `Phase`
+    /// report, and settle the verdict back into the cluster. The agent holds
+    /// the fault-plan replica, so injected-fault verdicts are drawn
+    /// device-side from the same pure decision function.
     ///
     /// A transport failure comes back as a failed verdict and is settled like
     /// any other — the job is `Running` in the cluster by then, and only
     /// settling releases the node and keeps the cluster phase in step with
     /// the lifecycle state.
-    fn dispatch_attempt(&mut self, name: &str, attempt: u32) -> Result<(), ClusterError> {
-        let (order, spec, image) = self.cluster.prepare_run(name, attempt)?;
+    fn dispatch(&mut self, name: &str, attempt: u32, start: bool) -> Result<(), ClusterError> {
+        let (order, spec, image) = if start {
+            self.cluster.prepare_run(name, attempt)?
+        } else {
+            self.cluster.lend_run(name, attempt)?
+        };
         let verdict = self.control.run(&order, spec, image, self.lifecycle.clock);
         self.cluster.settle_run(&order, verdict)
     }
 
-    /// Fold the outcome of a job's `consumed`-th attempt into the lifecycle:
-    /// feed the device's circuit breaker, then either record success, enter
-    /// `Retrying` with a backoff horizon, or fail terminally (routing
-    /// exhausted retry policies to the dead-letter queue).
+    /// The end of an attempt, however it was made: the job leaves its
+    /// device's queue, and the outcome of its `attempt` feeds the device's
+    /// circuit breaker, then either records success, enters `Retrying` with
+    /// a backoff horizon, or fails terminally (routing exhausted retry
+    /// policies to the dead-letter queue). Under a service model, a device
+    /// out of service now — its breaker tripped on this very attempt — has
+    /// its waiting jobs flee.
     fn settle_execution(
         &mut self,
         name: &str,
         node: Option<String>,
-        consumed: u32,
+        attempt: u32,
         result: Result<(), ClusterError>,
     ) -> Result<(), QrioError> {
-        let now = self.lifecycle.clock;
-        // Every outcome on a device feeds its breaker; a trip cordons the
-        // device so the scheduler steers around it.
+        self.lifecycle.leave_device_queue(name);
+        let (now, consumed, device) = (self.lifecycle.clock, attempt + 1, node.clone());
+        // Every outcome on a device feeds its breaker; a trip holds the
+        // device out of service so the scheduler steers around it.
         if let (Some(board), Some(device)) = (self.breakers.as_mut(), node.as_deref()) {
             if let Some(action) = board.record_outcome(device, result.is_err(), now) {
-                self.mark_cordon(device, action == BreakerAction::Cordon);
+                self.hold_for_breaker(device, action == BreakerAction::Cordon);
             }
         }
         if let Some(tracked) = self.lifecycle.jobs.get_mut(name) {
@@ -568,6 +669,7 @@ impl Qrio {
         }
         let Err(err) = result else {
             self.lifecycle.record(name, JobState::Succeeded, node, None);
+            self.flee(device);
             return Ok(());
         };
         let policy = self.cluster.job(name).and_then(|job| job.spec().retry);
@@ -602,6 +704,7 @@ impl Qrio {
             }
             self.fail_job(name, node, err.clone());
         }
+        self.flee(device);
         Err(err)
     }
 

@@ -157,6 +157,7 @@ impl Qrio {
         config.map_or(0, |c| c.sync_every_n_commands).encode(&mut w);
         config.map_or(0, |c| c.compact_above_bytes).encode(&mut w);
         self.breakers.encode(&mut w);
+        self.service.encode(&mut w);
         Record::new(RECORD_SNAPSHOT, RECORD_VERSION, w.into_bytes())
     }
 
@@ -201,6 +202,7 @@ impl Qrio {
             admission_gate: None,
             durability: None,
             breakers: snapshot.breakers,
+            service: snapshot.service,
             control: ControlPlane::new_in_proc(),
         };
         // Snapshots carry no agent state: agents are pure functions of their
@@ -255,10 +257,9 @@ impl Qrio {
             Command::Heal => self.heal_devices().err(),
             Command::ConfigureFaults { injector } => self.configure_faults(injector).err(),
             Command::ConfigureBreakers { config } => self.configure_breakers(config).err(),
-            Command::KickRetry { job } => self.kick_retry(&JobId::new(job)).err(),
             Command::Interrupt { job } => self.interrupt(&JobId::new(job)).err(),
-            Command::Probe { device } => self.probe_device(&device).err(),
             Command::AdvanceTo { now } => self.advance_to(now).err(),
+            Command::ConfigureService { model } => self.configure_service(model).err(),
         };
         Ok(())
     }

@@ -550,41 +550,7 @@ fn breaker_trips_cordon_and_the_tick_timer_probes_and_heals() {
 }
 
 #[test]
-fn probe_device_forces_probation_without_ticking() {
-    let mut qrio = small_qrio();
-    qrio.configure_breakers(Some(BreakerConfig {
-        consecutive_failures: 1,
-        failure_rate: 2.0,
-        window: 4,
-        open_ticks: 1_000_000,
-        probe_jobs: 1,
-    }))
-    .unwrap();
-    qrio.configure_faults(Some(always(FaultKind::TransientExecution)))
-        .unwrap();
-    let id = qrio
-        .enqueue(&faulty_request("one-shot", None, None))
-        .unwrap();
-    qrio.tick();
-    assert_eq!(qrio.status(&id).unwrap(), JobState::Failed);
-    let device = qrio.job_status(&id).unwrap().node.clone().unwrap();
-    assert!(matches!(
-        qrio.breakers().unwrap().state(&device),
-        BreakerState::Open { .. }
-    ));
-    assert!(qrio.probe_device(&device).unwrap());
-    assert_eq!(
-        qrio.breakers().unwrap().state(&device),
-        BreakerState::HalfOpen { successes: 0 }
-    );
-    assert!(qrio.cluster().node(&device).unwrap().status() == NodeStatus::Ready);
-    // Probing a breaker that is not open reports false.
-    assert!(!qrio.probe_device(&device).unwrap());
-    assert!(!qrio.probe_device("no-such-device").unwrap());
-}
-
-#[test]
-fn interrupt_flaps_a_scheduled_job_and_kick_retry_requeues_it() {
+fn interrupt_flaps_a_scheduled_job_and_its_backoff_requeues_it() {
     let mut qrio = small_qrio();
     let id = qrio
         .enqueue(&faulty_request(
@@ -608,14 +574,18 @@ fn interrupt_flaps_a_scheduled_job_and_kick_retry_requeues_it() {
         })
     ));
     assert_eq!(qrio.status(&id).unwrap(), JobState::Retrying);
-
-    // The backoff horizon is 1000 ticks away; kick_retry skips it.
-    qrio.kick_retry(&id).unwrap();
-    assert_eq!(qrio.status(&id).unwrap(), JobState::Queued);
+    // Only a bound or running job can be interrupted.
     assert!(matches!(
-        qrio.kick_retry(&id),
+        qrio.interrupt(&id),
         Err(QrioError::Cluster(ClusterError::PhaseConflict { .. }))
     ));
+
+    // The backoff horizon is 1000 ticks away; the clock gets there.
+    let fired = qrio.advance_to(999).unwrap();
+    assert!(fired.requeued.is_empty());
+    let fired = qrio.advance_to(1000).unwrap();
+    assert_eq!(fired.requeued, std::slice::from_ref(&id));
+    assert_eq!(qrio.status(&id).unwrap(), JobState::Queued);
 
     // The flap marked the device not-ready; heal and finish the retry.
     qrio.heal_devices().unwrap();
@@ -694,6 +664,23 @@ fn submit_waits_out_a_retry_backoff_instead_of_forcing_the_job() {
     assert_eq!(entered(JobState::Queued), vec![0, 4, 7]);
     assert_eq!(entered(JobState::Running), vec![1, 4, 7]);
     assert_eq!(qrio.now(), 7);
+}
+
+#[test]
+fn a_fixed_point_of_forced_failures_owes_no_tick() {
+    // Every device is cordoned: the first tick defers both jobs, the forced
+    // verdicts fail them, and with nothing left the driver stops there.
+    let mut qrio = small_qrio();
+    for device in ["clean", "mid", "noisy"] {
+        qrio.cordon_device(device).unwrap();
+    }
+    let ids: Vec<JobId> = ["stuck-a", "stuck-b"]
+        .map(|name| qrio.enqueue(&faulty_request(name, None, None)).unwrap())
+        .into();
+    let ended = qrio.run_until_idle();
+    assert_eq!(ended, ids);
+    assert_eq!(qrio.status(&ids[0]).unwrap(), JobState::Failed);
+    assert_eq!(qrio.now(), 1, "one tick, then the forced verdicts");
 }
 
 #[test]

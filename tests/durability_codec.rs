@@ -10,6 +10,7 @@ use qrio::durability::{
 };
 use qrio::{
     BreakerConfig, DeviceTelemetry, DurabilityConfig, JobEvent, JobId, JobRequestBuilder, JobState,
+    ServiceModel,
 };
 use qrio_backend::{topology, Backend};
 use qrio_bytes::{from_bytes, to_bytes};
@@ -276,7 +277,11 @@ fn empty_event_batch_round_trips() {
 // ---------------------------------------------------------------------------
 // Golden bytes: the round trips above would all survive a self-consistent
 // format change. These fixtures were captured from the build that introduced
-// `RECORD_VERSION = 2`; a journal written then must decode now.
+// `RECORD_VERSION = 3`; a journal written then must decode now. Moving from 2
+// changed the version field of every record (and its CRC), and, in the
+// snapshot, dropped the cluster's submission queue (the job's name), added
+// each node's breaker hold, the lifecycle's service state (what each device
+// serves and has served, both empty here) and the service model (none).
 // ---------------------------------------------------------------------------
 
 fn hex(bytes: &[u8]) -> String {
@@ -464,97 +469,102 @@ fn golden_records_pin_the_journal_format() {
 }
 
 const GOLDEN_ENQUEUE_RECORD: &str = "\
-    01020036010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
+    01030036010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
     3a3119000000000000004f50454e5141534d20322e303b0a7172656720715b325d3b0a0200000000000000ee \
     020000000000008001000000000000010200000000000000019a9999999999a93f0001000000000000544000 \
     0600000000000000637573746f6d040000000000000005000000000000006564676573030100000000000000 \
     0000000000000000010000000000000004000000000000006e6f746502010000000000000074060000000000 \
     000074617267657400cdccccccccccec3f050000000000000077696474680107000000000000000300010000 \
     0000000002000000000000000103000000000000000102000000000000002000000000000000010101010100 \
-    01780000000000000018869182";
+    01780000000000000002aa437a";
 
 const GOLDEN_EVENTS_RECORD: &str = "\
-    020200760000000200000000000000000000000000000000000000000000000900000000000000676f6c6465 \
+    020300760000000200000000000000000000000000000000000000000000000900000000000000676f6c6465 \
     6e2dc3a900000000010000000000000004000000000000000900000000000000676f6c64656e2dc3a9010307 \
-    010300000000000000646576011000000000000000617474656d70742031206661696c656456a5fafd";
+    010300000000000000646576011000000000000000617474656d70742031206661696c6564c35ffc89";
 
 const GOLDEN_SNAPSHOT_RECORD: &str = "\
-    030200e30b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
+    030300df0b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
     0000000600000000000000676f6c64656e000000000100000000000000000000000000000006000000000000 \
     00676f6c64656e010001000001000000000000000600000000000000676f6c64656e01000000020000000000 \
     0000000000000000000000000000000000000001000000000000000000000000000000000000013200000000 \
     000000010000000000000001000000000000000000000000000000000600000000000000676f6c64656e0000 \
-    00000000000000000000000000000100000000000000080100000000000023205152494f206261636b656e64 \
-    2073706563696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f67 \
-    61746573203d2075312c75322c75332c63780a717562697420302074313d3130303030302074323d31303030 \
-    303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31 \
-    713d302e3030320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f \
-    6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a656467 \
-    6520302031206572726f723d302e3031206475726174696f6e3d3330300a0800000000000000140000000000 \
-    00007172696f2e696f2f6176672d31712d6572726f720800000000000000302e303032303030140000000000 \
-    00007172696f2e696f2f6176672d32712d6572726f720800000000000000302e303130303030190000000000 \
-    00007172696f2e696f2f6176672d726561646f75742d6572726f720800000000000000302e30303030303011 \
-    000000000000007172696f2e696f2f6176672d74312d757308000000000000003130303030302e3011000000 \
-    000000007172696f2e696f2f6176672d74322d757308000000000000003130303030302e3012000000000000 \
-    007172696f2e696f2f6370752d6d696c6c697304000000000000003430303012000000000000007172696f2e \
-    696f2f6d656d6f72792d6d69620400000000000000383139320e000000000000007172696f2e696f2f717562 \
-    697473010000000000000032a00f000000000000002000000000000000000000000000000000000000000000 \
-    00000000000000000001000000000000000600000000000000676f6c64656e12000000000000007172696f2f \
-    676f6c64656e3a6c61746573747c000000000000004f50454e5141534d20322e303b0a696e636c7564652022 \
-    71656c6962312e696e63223b0a7172656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a63 \
-    7820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b0a6d6561737572652071 \
-    5b315d202d3e20635b315d3b0a0200000000000000f401000000000000000200000000000000000000000900 \
-    0000000000006d696e5f71756575650000000000000000001000000000000000000000000000000001020000 \
-    0000000000000100000000000000010101010101320000000000000000000000000000000000000000000000 \
-    0000010000000000000012000000000000007172696f2f676f6c64656e3a6c61746573740400000000000000 \
-    0a00000000000000446f636b657266696c65880000000000000046524f4d20707974686f6e3a332e31312d73 \
-    6c696d0a2320696d6167653a207172696f2f676f6c64656e3a6c61746573740a574f524b444952202f6a6f62 \
-    0a434f5059202e202f6a6f620a52554e2070697020696e7374616c6c202d7220726571756972656d656e7473 \
-    2e7478740a434d44205b22707974686f6e222c202272756e2e7079225d0a0c00000000000000636972637569 \
-    742e7161736d7c000000000000004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e \
-    696e63223b0a7172656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c \
-    715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20 \
-    635b315d3b0a1000000000000000726571756972656d656e74732e74787444000000000000007169736b6974 \
-    0a7169736b69742d6165720a6d6174706c6f746c69620a7169736b69745f69626d715f70726f76696465720a \
-    7169736b69745f69626d5f72756e74696d65060000000000000072756e2e7079eb0100000000000023204175 \
-    746f2d67656e65726174656420627920746865205152494f206d61737465722073657276657220666f72206a \
-    6f622027676f6c64656e272e0a2320537465707320706572666f726d6564206f6e207468652061737369676e \
-    6564206e6f64653a0a23202020312e206c6f616420746865206e6f646527732076656e646f72206261636b65 \
-    6e64206465736372697074696f6e20286261636b656e642e73706563290a23202020322e2070617273652063 \
-    6972637569742e7161736d207368697070656420696e207468697320636f6e7461696e65720a23202020332e \
-    207472616e7370696c6520746865206369726375697420746f20746865206261636b656e6420286c61796f75 \
-    742c20726f7574696e672c2062617369732c206f7074696d697a65290a23202020342e206578656375746520 \
-    31362073686f747320756e64657220746865206261636b656e64206e6f697365206d6f64656c0a2320202035 \
-    2e2077726974652074686520686973746f6772616d20616e64206c6f6773206261636b20746f207468652051 \
-    52494f206d6173746572207365727665720a66726f6d207172696f20696d706f72742072756e5f6a6f620a0a \
-    72756e5f6a6f6228636972637569745f66696c653d22636972637569742e7161736d222c2073686f74733d31 \
-    36290a01000000000000000000000000000000030000000000000009000000000000004e6f64654164646564 \
-    1d000000000000006e6f6465202764657627206a6f696e65642074686520636c75737465720b000000000000 \
-    00496d6167655075736865642100000000000000696d61676520277172696f2f676f6c64656e3a6c61746573 \
-    7427207075736865640c000000000000004a6f625375626d697474656416000000000000006a6f622027676f \
-    6c64656e27207375626d697474656401000000000000000600000000000000676f6c64656e01070000000000 \
-    0000000000000000d03f000000000000c03f000000000000b03f000000000000a03f60000000000000001700 \
-    00000000000000000000000059400100000000000000080100000000000023205152494f206261636b656e64 \
-    2073706563696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f67 \
-    61746573203d2075312c75322c75332c63780a717562697420302074313d3130303030302074323d31303030 \
-    303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31 \
-    713d302e3030320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f \
-    6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a656467 \
-    6520302031206572726f723d302e3031206475726174696f6e3d3330300a0100000000000000010000000000 \
-    00000600000000000000676f6c64656e09000000000000006d696e5f71756575650000000000000000017c00 \
-    0000000000004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172 \
-    656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65 \
-    617375726520715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0100 \
-    00000000000003000000000000006465760300000000000000000000000000e03f000000000000d03f170000 \
-    0000000000a00f00000000000000200000000000004000000000000000000000000000000000000000000000 \
-    00010300000000000000333333333333e33f08000000000000000a0000000000000002000000000000000000 \
-    00000000000000000000000000001a4c9bc7";
+    0000000000000000000000000000000000000000000000000000000000000100000000000000080100000000 \
+    000023205152494f206261636b656e642073706563696669636174696f6e0a6e616d65203d206465760a7175 \
+    62697473203d20320a62617369735f6761746573203d2075312c75322c75332c63780a717562697420302074 \
+    313d3130303030302074323d31303030303020726561646f75745f6572726f723d3020726561646f75745f6c \
+    656e6774683d3330206572726f725f31713d302e3030320a717562697420312074313d313030303030207432 \
+    3d31303030303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572 \
+    726f725f31713d302e3030320a6564676520302031206572726f723d302e3031206475726174696f6e3d3330 \
+    300a080000000000000014000000000000007172696f2e696f2f6176672d31712d6572726f72080000000000 \
+    0000302e30303230303014000000000000007172696f2e696f2f6176672d32712d6572726f72080000000000 \
+    0000302e30313030303019000000000000007172696f2e696f2f6176672d726561646f75742d6572726f7208 \
+    00000000000000302e30303030303011000000000000007172696f2e696f2f6176672d74312d757308000000 \
+    000000003130303030302e3011000000000000007172696f2e696f2f6176672d74322d757308000000000000 \
+    003130303030302e3012000000000000007172696f2e696f2f6370752d6d696c6c6973040000000000000034 \
+    30303012000000000000007172696f2e696f2f6d656d6f72792d6d69620400000000000000383139320e0000 \
+    00000000007172696f2e696f2f717562697473010000000000000032a00f0000000000000020000000000000 \
+    000000000000000000000000000000000000000000000000000001000000000000000600000000000000676f \
+    6c64656e12000000000000007172696f2f676f6c64656e3a6c61746573747c000000000000004f50454e5141 \
+    534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a637265 \
+    6720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d \
+    3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0200000000000000f40100000000 \
+    00000002000000000000000000000009000000000000006d696e5f7175657565000000000000000000100000 \
+    0000000000000000000000000001020000000000000000010000000000000001010101010132000000000000 \
+    00000000000000000000000000000000000000010000000000000012000000000000007172696f2f676f6c64 \
+    656e3a6c617465737404000000000000000a00000000000000446f636b657266696c65880000000000000046 \
+    524f4d20707974686f6e3a332e31312d736c696d0a2320696d6167653a207172696f2f676f6c64656e3a6c61 \
+    746573740a574f524b444952202f6a6f620a434f5059202e202f6a6f620a52554e2070697020696e7374616c \
+    6c202d7220726571756972656d656e74732e7478740a434d44205b22707974686f6e222c202272756e2e7079 \
+    225d0a0c00000000000000636972637569742e7161736d7c000000000000004f50454e5141534d20322e303b \
+    0a696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a6372656720635b325d3b \
+    0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b \
+    0a6d65617375726520715b315d202d3e20635b315d3b0a1000000000000000726571756972656d656e74732e \
+    74787444000000000000007169736b69740a7169736b69742d6165720a6d6174706c6f746c69620a7169736b \
+    69745f69626d715f70726f76696465720a7169736b69745f69626d5f72756e74696d65060000000000000072 \
+    756e2e7079eb0100000000000023204175746f2d67656e65726174656420627920746865205152494f206d61 \
+    737465722073657276657220666f72206a6f622027676f6c64656e272e0a2320537465707320706572666f72 \
+    6d6564206f6e207468652061737369676e6564206e6f64653a0a23202020312e206c6f616420746865206e6f \
+    646527732076656e646f72206261636b656e64206465736372697074696f6e20286261636b656e642e737065 \
+    63290a23202020322e20706172736520636972637569742e7161736d207368697070656420696e2074686973 \
+    20636f6e7461696e65720a23202020332e207472616e7370696c6520746865206369726375697420746f2074 \
+    6865206261636b656e6420286c61796f75742c20726f7574696e672c2062617369732c206f7074696d697a65 \
+    290a23202020342e20657865637574652031362073686f747320756e64657220746865206261636b656e6420 \
+    6e6f697365206d6f64656c0a23202020352e2077726974652074686520686973746f6772616d20616e64206c \
+    6f6773206261636b20746f20746865205152494f206d6173746572207365727665720a66726f6d207172696f \
+    20696d706f72742072756e5f6a6f620a0a72756e5f6a6f6228636972637569745f66696c653d226369726375 \
+    69742e7161736d222c2073686f74733d3136290a010000000000000000000000000000000300000000000000 \
+    09000000000000004e6f646541646465641d000000000000006e6f6465202764657627206a6f696e65642074 \
+    686520636c75737465720b00000000000000496d6167655075736865642100000000000000696d6167652027 \
+    7172696f2f676f6c64656e3a6c617465737427207075736865640c000000000000004a6f625375626d697474 \
+    656416000000000000006a6f622027676f6c64656e27207375626d6974746564010700000000000000000000 \
+    000000d03f000000000000c03f000000000000b03f000000000000a03f600000000000000017000000000000 \
+    0000000000000059400100000000000000080100000000000023205152494f206261636b656e642073706563 \
+    696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f676174657320 \
+    3d2075312c75322c75332c63780a717562697420302074313d3130303030302074323d313030303030207265 \
+    61646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e30 \
+    30320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f6572726f72 \
+    3d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a6564676520302031 \
+    206572726f723d302e3031206475726174696f6e3d3330300a01000000000000000100000000000000060000 \
+    0000000000676f6c64656e09000000000000006d696e5f71756575650000000000000000017c000000000000 \
+    004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b \
+    325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d656173757265 \
+    20715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a01000000000000 \
+    0003000000000000006465760300000000000000000000000000e03f000000000000d03f1700000000000000 \
+    a00f000000000000002000000000000040000000000000000000000000000000000000000000000001030000 \
+    0000000000333333333333e33f08000000000000000a00000000000000020000000000000000000000000000 \
+    00000000000000000000d185d6d0";
 
 // ---------------------------------------------------------------------------
 // A busy snapshot: the genesis golden above holds one queued job. This one
-// holds every store mid-flight; its length and digest were captured from the
-// last build that wrote snapshots through separate `*State` copies of the
-// stores (PR 15), so the stores' own codecs must lay out the same bytes.
+// holds every store mid-flight. Its length and digest were first captured
+// from the last build that wrote snapshots through separate `*State` copies
+// of the stores, so the stores' own codecs lay out the same bytes; they
+// moved once since, with `RECORD_VERSION = 3` (100252 → 99694 bytes): the
+// cluster no longer writes its submission queue — every job name ever
+// submitted — and a node its breaker hold beside its status, the lifecycle
+// store adds what each device serves and has served, and the snapshot ends
+// with the service model (none here).
 // ---------------------------------------------------------------------------
 
 /// The busy fleet's devices, in name order.
@@ -677,14 +687,15 @@ fn busy_snapshot_digest_pins_the_snapshot_format() {
     );
 }
 
-const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (100252, 17965864324552244613);
+const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (99694, 7614557699249117648);
 
 /// When the earliest timer of the busy workload fires, read off what a user
 /// can see of every job and every breaker: a `Retrying` job's status says
 /// since when and for how long it backs off, every fifth job ([`busy_request`])
 /// expires 6 after its admission while it waits, an `Open` breaker says until
-/// when.
-fn earliest_timer_in_sight(qrio: &qrio::Qrio) -> Option<u64> {
+/// when, and under a service `model` a `Running` job is in service since it
+/// entered `Running`, for its device's window.
+fn earliest_timer_in_sight(qrio: &qrio::Qrio, model: Option<&ServiceModel>) -> Option<u64> {
     let jobs = qrio.cluster().jobs().filter_map(|job| {
         let status = qrio.job_status(&JobId::new(job.name())).ok()?;
         let waits = matches!(status.state, JobState::Queued | JobState::Retrying);
@@ -702,7 +713,13 @@ fn earliest_timer_in_sight(qrio: &qrio::Qrio) -> Option<u64> {
                     .parse::<u64>()
                     .expect("a number")
         });
-        [expiry, backoff].into_iter().flatten().min()
+        let in_service = model.filter(|_| status.state == JobState::Running);
+        let completion = in_service.map(|model| {
+            let (since, _) = status.history.last().expect("a Running job has a history");
+            let device = status.node.as_deref().expect("a Running job is bound");
+            since + model.window(device, job.spec().shots)
+        });
+        [expiry, backoff, completion].into_iter().flatten().min()
     });
     let board = qrio.breakers().expect("the busy fleet has breakers");
     let open = DEVICES
@@ -714,11 +731,28 @@ fn earliest_timer_in_sight(qrio: &qrio::Qrio) -> Option<u64> {
     jobs.chain(open).min()
 }
 
+/// The job names a section of [`qrio::Qrio::describe_state`] lists: the
+/// lines under `{title} (n):`.
+fn described<'s>(state: &'s str, title: &str) -> Vec<&'s str> {
+    let lines = state
+        .lines()
+        .skip_while(|line| !line.starts_with(&format!("{title} (")));
+    let listed = lines.skip(1).take_while(|line| line.starts_with("  "));
+    listed.map(str::trim).collect()
+}
+
 /// Every node's allocation is exactly what the cluster jobs bound to it
 /// claim, every `Scheduled` job waits in the queue of its device and nowhere
-/// else, the earliest armed timer is the earliest in sight, and the snapshot
-/// of this state decodes to a value that re-encodes to the same bytes.
-fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
+/// else, a `Running` one is the head of its device's queue, in service, every
+/// job short of a terminal state is in exactly one of the admission queue, a
+/// device queue or a backoff, the earliest armed timer is the earliest in
+/// sight, and the snapshot of this state decodes to a value that re-encodes
+/// to the same bytes.
+fn assert_allocations_and_snapshot_fixed_point(
+    qrio: &qrio::Qrio,
+    model: Option<&ServiceModel>,
+    step: &str,
+) {
     use qrio_cluster::JobPhase;
     for node in qrio.cluster().nodes() {
         let bound = qrio
@@ -735,38 +769,68 @@ fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
             });
         assert_eq!(node.allocated(), bound, "{step}: node {}", node.name());
     }
-    // Placement: a job is `Scheduled` if and only if it is exactly once in a
-    // device queue, the queue of its `status.node`.
+    // Placement: a job is `Scheduled` — or `Running`, in service at the
+    // head — if and only if it is exactly once in a device queue, the queue
+    // of its `status.node`.
     let nodes = || qrio.cluster().nodes().map(|node| node.name());
     let mut queued: Vec<(&str, &str)> = nodes()
         .flat_map(|device| qrio.device_queue(device).map(move |job| (job, device)))
         .collect();
     queued.sort_unstable();
-    let mut scheduled: Vec<(&str, &str)> = qrio
+    let state = |job: &str| qrio.status(&JobId::new(job)).unwrap();
+    let mut bound: Vec<(&str, &str)> = qrio
         .cluster()
         .jobs()
         .filter_map(|job| {
             let status = qrio.job_status(&JobId::new(job.name())).ok()?;
             let node = status.node.as_deref().unwrap_or("<unbound>");
-            (status.state == JobState::Scheduled).then_some((job.name(), node))
+            let waits = matches!(status.state, JobState::Scheduled | JobState::Running);
+            waits.then_some((job.name(), node))
         })
         .collect();
-    scheduled.sort_unstable();
-    assert_eq!(
-        queued, scheduled,
-        "{step}: queued vs Scheduled (job, device)"
-    );
+    bound.sort_unstable();
+    assert_eq!(queued, bound, "{step}: queued vs bound (job, device)");
+    for device in nodes() {
+        let mut queue = qrio.device_queue(device);
+        queue.next();
+        assert!(
+            queue.all(|job| state(job) == JobState::Scheduled),
+            "{step}: only the head of {device}'s queue may be in service"
+        );
+    }
+    // Every job short of a terminal state waits in exactly one place: the
+    // admission queue, a device queue, or a backoff.
+    let described_state = qrio.describe_state();
+    let pending = described(&described_state, "pending");
+    for job in qrio.cluster().jobs().map(|job| job.name()) {
+        if state(job).is_terminal() {
+            continue;
+        }
+        let places = [
+            pending.contains(&job),
+            queued.iter().any(|(queued, _)| *queued == job),
+            state(job) == JobState::Retrying,
+        ];
+        let count = places.iter().filter(|place| **place).count();
+        assert_eq!(
+            count,
+            1,
+            "{step}: {job} ({:?}) waits in {places:?}",
+            state(job)
+        );
+    }
     // The printed count is the length of the stored (and encoded) map: a
     // queue that emptied is gone from it, not kept empty.
     let waited_on = nodes()
         .filter(|device| qrio.device_queue(device).len() > 0)
         .count();
     let printed = format!("device queues ({waited_on}):\n");
-    assert!(
-        qrio.describe_state().contains(&printed),
-        "{step}: {printed}"
+    assert!(described_state.contains(&printed), "{step}: {printed}");
+    assert_eq!(
+        qrio.next_due(),
+        earliest_timer_in_sight(qrio, model),
+        "{step}"
     );
-    assert_eq!(qrio.next_due(), earliest_timer_in_sight(qrio), "{step}");
     let record = qrio.snapshot_record();
     let JournalEntry::Snapshot(snapshot) = decode_record(&record).expect("snapshot decodes") else {
         panic!("{step}: not a snapshot record");
@@ -774,15 +838,31 @@ fn assert_allocations_and_snapshot_fixed_point(qrio: &qrio::Qrio, step: &str) {
     assert!(to_bytes(&*snapshot) == record.payload, "{step}: re-encode");
 }
 
+/// A service model over the busy fleet: a 16-shot job takes 4 on `alpha`
+/// and `beta`, and 2 on `gamma`, which runs twice as fast.
+fn busy_service() -> ServiceModel {
+    ServiceModel {
+        base_us: 1_500,
+        per_shot_us: 100,
+        speeds: [("gamma".to_string(), 2.0)].into(),
+    }
+}
+
 #[test]
 fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
     use qrio::QrioError::Cluster as Refused;
     use qrio_cluster::ClusterError::InjectedFault;
-    let (mut cancelled, mut interrupted) = (0, 0);
+    let (mut cancelled, mut interrupted, mut cut_short) = (0, 0, 0);
     let (mut bound, mut executed, mut moved) = (0, 0, 0);
-    for seed in 0..4u64 {
+    for seed in 0..6u64 {
         let mut state = seed;
         let mut qrio = busy_fleet();
+        // Seeds 0-2 execute jobs the instant they are reached, 3-5 serve
+        // them on the clock.
+        let model = (seed >= 3).then(busy_service);
+        if let Some(model) = &model {
+            qrio.configure_service(Some(model.clone())).unwrap();
+        }
         let mut enqueued = 0u64;
         for step in 0..90 {
             let roll = next(&mut state) % 11;
@@ -824,9 +904,11 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
                 }
                 7 => {
                     // An applied interrupt surfaces as the fault it injects.
+                    let in_service = qrio.status(&pick).ok() == Some(JobState::Running);
                     let applied =
                         matches!(qrio.interrupt(&pick), Err(Refused(InjectedFault { .. })));
                     interrupted += usize::from(applied);
+                    cut_short += usize::from(applied && in_service);
                     "interrupt"
                 }
                 // The step calls, by hand beside the loop: refused unless the
@@ -851,6 +933,7 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
             };
             assert_allocations_and_snapshot_fixed_point(
                 &qrio,
+                model.as_ref(),
                 &format!("seed {seed} step {step} ({what} {pick})"),
             );
         }
@@ -861,7 +944,7 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
         "{bound} schedules, {executed} executes, {moved} rebinds applied"
     );
     assert!(
-        cancelled > 0 && interrupted > 0,
-        "{cancelled} cancels, {interrupted} interrupts applied"
+        cancelled > 0 && interrupted > 0 && cut_short > 0,
+        "{cancelled} cancels, {interrupted} interrupts ({cut_short} in service) applied"
     );
 }

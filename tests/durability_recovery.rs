@@ -803,10 +803,10 @@ fn replay_to_leaves_a_torn_journal_untouched() {
     assert!(fs::read(&path).unwrap().len() < torn.len());
 }
 
-/// The position of a command's variant in [`Command`]. Exhaustive on purpose:
-/// a new variant does not compile until it is listed here, and
+/// The tag of a command's variant in [`Command`]'s codec. Exhaustive on
+/// purpose: a new variant does not compile until it is listed here, and
 /// `every_command_variant_is_recovered` then fails until its script issues it.
-fn variant_index(command: &Command) -> usize {
+fn variant_tag(command: &Command) -> u8 {
     match command {
         Command::AddDevice { .. } => 0,
         Command::Recalibrate { .. } => 1,
@@ -823,25 +823,36 @@ fn variant_index(command: &Command) -> usize {
         Command::Heal => 12,
         Command::ConfigureFaults { .. } => 13,
         Command::ConfigureBreakers { .. } => 14,
-        Command::KickRetry { .. } => 15,
         Command::Interrupt { .. } => 16,
-        Command::Probe { .. } => 17,
         Command::AdvanceTo { .. } => 18,
+        Command::ConfigureService { .. } => 19,
     }
 }
 
-/// How many variants [`variant_index`] lists.
-const COMMAND_VARIANTS: usize = 19;
+/// The tags [`variant_tag`] lists: 15 and 17 are retired.
+const COMMAND_TAGS: [u8; 18] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18, 19];
+
+/// A service model over [`two_device_fleet`]: a 64-shot job takes 46 on
+/// `noisy` and 23 on `clean`, which runs twice as fast.
+fn two_device_service() -> qrio::ServiceModel {
+    qrio::ServiceModel {
+        base_us: 20_000,
+        per_shot_us: 400,
+        speeds: [("clean".to_string(), 2.0)].into(),
+    }
+}
 
 /// One step of [`every_command_script`]: a public call on the orchestrator.
 type Step = Box<dyn Fn(&mut Qrio)>;
 
 /// One public call per step, between them every journaled command: a job is
-/// bound, flapped, kicked, rebound and run by hand; one is cancelled; one is
-/// force-failed against a cordoned fleet; one retries into the dead-letter
-/// queue under an injected storm; one waits past its deadline while only the
-/// clock moves. Results are ignored where the call errs by
-/// design (`interrupt`) — the states are compared, not the returns.
+/// bound, flapped, backs off, rebound and run by hand; one is cancelled; one
+/// is force-failed against a cordoned fleet; one retries into the
+/// dead-letter queue under an injected storm; one waits past its deadline
+/// while only the clock moves; then, under a service model, one is cut short
+/// in service — its device's breaker trips and the job waiting behind it
+/// flees — and both finish on the clock. Results are ignored where the call
+/// errs by design (`interrupt`) — the states are compared, not the returns.
 fn every_command_script() -> Vec<Step> {
     use qrio::BreakerConfig;
     use qrio_cluster::{FaultInjector, RetryPolicy};
@@ -864,7 +875,7 @@ fn every_command_script() -> Vec<Step> {
                 consecutive_failures: 1,
                 failure_rate: 2.0,
                 window: 4,
-                open_ticks: 1_000_000,
+                open_ticks: 500,
                 probe_jobs: 1,
             }))
             .unwrap();
@@ -886,15 +897,12 @@ fn every_command_script() -> Vec<Step> {
         Box::new(move |q| drop(q.schedule(&id("by-hand")).unwrap())),
         // The flap trips the device's breaker (one failure suffices).
         Box::new(move |q| drop(q.interrupt(&id("by-hand")).unwrap_err())),
-        Box::new(move |q| q.kick_retry(&id("by-hand")).unwrap()),
         Box::new(|q| drop(q.heal_devices().unwrap())),
-        Box::new(|q| {
-            let tripped: Vec<String> = ["clean", "noisy"]
-                .into_iter()
-                .filter(|device| q.probe_device(device).unwrap())
-                .map(str::to_string)
-                .collect();
-            assert_eq!(tripped.len(), 1, "the flapped device was on probation");
+        // The breaker probes at +500, the backoff re-queues at +1000.
+        Box::new(move |q| {
+            let fired = q.advance_to(q.now() + 1_000).unwrap();
+            assert_eq!(fired.probing.len(), 1, "the flapped device probes");
+            assert_eq!(fired.requeued, [id("by-hand")]);
         }),
         Box::new(|q| {
             q.recalibrate_device(Backend::uniform("noisy", topology::line(8), 0.04, 0.3))
@@ -943,6 +951,34 @@ fn every_command_script() -> Vec<Step> {
         Box::new(move |q| {
             let fired = q.advance_to(q.now() + 10).unwrap();
             assert_eq!(fired.expired, [id("overdue")]);
+        }),
+        // The storm tripped `clean`'s breaker: wait out its open interval.
+        Box::new(|q| drop(q.advance_to(q.now() + 500).unwrap())),
+        Box::new(|q| q.uncordon_device("noisy").unwrap()),
+        Box::new(|q| q.configure_service(Some(two_device_service())).unwrap()),
+        Box::new(|q| {
+            let request = retrying_request("served", RetryPolicy::fixed(2, 5));
+            drop(q.enqueue(&request).unwrap());
+        }),
+        Box::new(move |q| drop(q.schedule(&id("served")).unwrap())),
+        Box::new(|q| drop(q.enqueue(&bv_request("behind")).unwrap())),
+        Box::new(move |q| drop(q.schedule(&id("behind")).unwrap())),
+        Box::new(move |q| {
+            let device = q.job_status(&id("served")).unwrap().node.clone().unwrap();
+            assert_eq!(
+                q.device_queue(&device).collect::<Vec<_>>(),
+                ["served", "behind"]
+            );
+            drop(q.interrupt(&id("served")).unwrap_err());
+            // The flap tripped the device's breaker: `behind` fled and runs.
+            let status = q.job_status(&id("behind")).unwrap();
+            assert_ne!(status.node.as_deref(), Some(device.as_str()));
+            assert_eq!(status.state, JobState::Running);
+        }),
+        Box::new(move |q| {
+            let fired = q.advance_to(q.now() + 100).unwrap();
+            assert_eq!(fired.requeued, [id("served")]);
+            assert_eq!(fired.completed, [id("behind"), id("served")]);
         }),
     ]
 }
@@ -995,6 +1031,8 @@ fn every_command_variant_is_recovered() {
         ("stranded", JobState::Failed),
         ("doomed", JobState::Failed),
         ("overdue", JobState::Failed),
+        ("served", JobState::Succeeded),
+        ("behind", JobState::Succeeded),
     ] {
         assert!(
             steady_state.contains(&format!("  {job}: {state:?} ")),
@@ -1006,18 +1044,19 @@ fn every_command_variant_is_recovered() {
     let scan = qrio_journal::scan_file(&path).unwrap();
     assert_eq!(scan.records[0].kind, RECORD_SNAPSHOT);
     assert_eq!(snapshot_count(&path), 1);
-    let journaled: BTreeSet<usize> = scan
+    let journaled: BTreeSet<u8> = scan
         .records
         .iter()
         .filter(|record| record.kind == RECORD_COMMAND)
-        .map(|record| variant_index(&decode_command(&record.payload).unwrap()))
+        .map(|record| variant_tag(&decode_command(&record.payload).unwrap()))
         .collect();
-    let missing: Vec<usize> = (0..COMMAND_VARIANTS)
-        .filter(|variant| !journaled.contains(variant))
+    let missing: Vec<u8> = COMMAND_TAGS
+        .into_iter()
+        .filter(|tag| !journaled.contains(tag))
         .collect();
     assert!(
         missing.is_empty(),
-        "the script never journals the command variants at {missing:?}"
+        "the script never journals the command tags {missing:?}"
     );
     let (recovered, report) = Qrio::recover(&path).unwrap();
     assert_eq!(
@@ -1054,4 +1093,83 @@ fn a_forced_admission_the_journal_made_up_replays_as_a_no_op() {
     assert_eq!(report.events_regenerated, 0);
     assert_eq!(recovered.describe_state(), state);
     assert_eq!(recovered.status(&done).unwrap(), JobState::Succeeded);
+}
+
+#[test]
+fn a_crash_mid_service_recovers_the_window_and_completes_the_job_once() {
+    // A job enters service on `clean` at t=0 for 23; the instance crashes at
+    // t=10, in the middle of the window. The recovered one has the same
+    // timer armed, and its window closes once, at 23, as it would have.
+    let path = journal_path("mid-service");
+    let script = |qrio: &mut Qrio| {
+        two_device_fleet(qrio);
+        qrio.configure_service(Some(two_device_service())).unwrap();
+        let id = qrio.enqueue(&bv_request("in-service")).unwrap();
+        qrio.schedule(&id).unwrap();
+        qrio.advance_to(10).unwrap();
+    };
+    let (crashed_due, crashed_state);
+    {
+        let mut qrio = seeded_qrio();
+        qrio.enable_durability(&path, DurabilityConfig::default())
+            .unwrap();
+        script(&mut qrio);
+        assert_eq!(
+            qrio.status(&"in-service".into()).unwrap(),
+            JobState::Running
+        );
+        crashed_due = qrio.next_due();
+        crashed_state = qrio.describe_state();
+    }
+    assert_eq!(crashed_due, Some(23));
+    let (mut recovered, _) = Qrio::recover(&path).unwrap();
+    assert_eq!(recovered.next_due(), crashed_due);
+    assert_eq!(recovered.describe_state(), crashed_state);
+
+    let mut uninterrupted = seeded_qrio();
+    let journal = journal_path("mid-service-uninterrupted");
+    uninterrupted
+        .enable_durability(&journal, DurabilityConfig::default())
+        .unwrap();
+    script(&mut uninterrupted);
+    for qrio in [&mut recovered, &mut uninterrupted] {
+        let fired = qrio.advance_to(40).unwrap();
+        assert_eq!(fired.completed, ["in-service".into()]);
+        assert_eq!(qrio.next_due(), None);
+    }
+    let history = |qrio: &Qrio| {
+        qrio.job_status(&"in-service".into())
+            .unwrap()
+            .history
+            .clone()
+    };
+    assert_eq!(history(&recovered), history(&uninterrupted));
+    let ran: Vec<(u64, JobState)> = history(&recovered).into_iter().skip(3).collect();
+    assert_eq!(ran, [(0, JobState::Running), (23, JobState::Succeeded)]);
+    assert_eq!(recovered.watch(0), uninterrupted.watch(0));
+    assert_eq!(recovered.describe_state(), uninterrupted.describe_state());
+    assert!(recovered.snapshot_record().payload == uninterrupted.snapshot_record().payload);
+}
+
+#[test]
+fn a_journal_of_an_older_record_version_is_refused() {
+    // A journal written before `RECORD_VERSION` 3: its snapshot is refused by
+    // kind and version, not misread.
+    let path = journal_path("version-2");
+    let mut qrio = seeded_qrio();
+    two_device_fleet(&mut qrio);
+    let current = qrio.snapshot_record();
+    let older = qrio_journal::Record::new(RECORD_SNAPSHOT, 2, current.payload);
+    let mut journal = qrio_journal::Journal::create(&path).unwrap();
+    journal.append(&older).unwrap();
+    journal.flush().unwrap();
+    drop(journal);
+    let refused = DurabilityError::UnsupportedRecord {
+        kind: RECORD_SNAPSHOT,
+        version: 2,
+    };
+    assert!(matches!(
+        Qrio::recover(&path),
+        Err(QrioError::Durability(err)) if err == refused
+    ));
 }
