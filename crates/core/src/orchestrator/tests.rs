@@ -446,6 +446,55 @@ fn faults_without_a_policy_fail_fast_and_skip_the_dead_letter_queue() {
 }
 
 #[test]
+fn an_attempts_reasons_name_its_fault_kind_and_a_real_failure_names_none() {
+    // The reasons of the events that end an attempt, `Running → Retrying`
+    // (`attempt N failed: {err}; backing off D ticks`) and `Running →
+    // Failed` (`err.to_string()`): a report counts injected faults from them.
+    fn attempt_reasons(qrio: &Qrio, id: &JobId) -> Vec<String> {
+        let ended = qrio
+            .watch(0)
+            .iter()
+            .filter(|event| event.job == *id && event.from == Some(JobState::Running));
+        ended.filter_map(|event| event.reason.clone()).collect()
+    }
+    let two_attempts = Some(RetryPolicy::fixed(2, 1));
+    for kind in FaultKind::ALL {
+        let mut qrio = small_qrio();
+        qrio.configure_faults(Some(always(kind))).unwrap();
+        let id = qrio
+            .enqueue(&faulty_request(kind.name(), two_attempts, None))
+            .unwrap();
+        qrio.run_until_idle();
+        let reasons = attempt_reasons(&qrio, &id);
+        assert_eq!(reasons.len(), 2, "{kind}: {reasons:?}");
+        assert!(reasons[0].contains("; backing off"), "{}", reasons[0]);
+        for reason in &reasons {
+            assert_eq!(FaultKind::from_reason(reason), Some(kind), "{reason}");
+        }
+    }
+    // A min_queue job without a circuit schedules, then fails in the runner.
+    let mut qrio = small_qrio();
+    let no_circuit = JobRequestBuilder::new()
+        .job_name("no-circuit")
+        .num_qubits(3)
+        .min_queue()
+        .retry_policy(RetryPolicy::fixed(2, 1))
+        .build()
+        .unwrap();
+    let id = qrio.enqueue(&no_circuit).unwrap();
+    qrio.run_until_idle();
+    assert!(matches!(
+        qrio.outcome(&id),
+        Err(QrioError::Cluster(ClusterError::ExecutionFailed { .. }))
+    ));
+    let reasons = attempt_reasons(&qrio, &id);
+    assert_eq!(reasons.len(), 2, "{reasons:?}");
+    for reason in &reasons {
+        assert_eq!(FaultKind::from_reason(reason), None, "{reason}");
+    }
+}
+
+#[test]
 fn a_deadline_expires_a_job_stuck_in_backoff() {
     let mut qrio = small_qrio();
     qrio.configure_faults(Some(always(FaultKind::SlowJob)))

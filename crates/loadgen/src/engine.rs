@@ -47,27 +47,23 @@
 //!   [`Qrio::uncordon_device`] ends it, and the device serves again;
 //! * a fault-rate change swaps the fault injector.
 //!
-//! The report is read off the orchestrator's watch log: the engine folds
-//! the events every call produced into per-job samples (bind depth, service
-//! start, completion, migration) and per-device totals (peak queue depth,
-//! busy time, completions).
+//! The engine keeps no record of the run beside the orchestrator's. The
+//! report is one fold over the finished run's record,
+//! [`CloudReport::from_log`]: its watch log, read once in order, and what
+//! the finished [`Qrio`] holds. The one thing the record cannot say — which
+//! device flaps were an outage's — is the engine's one counter.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
-use qrio::{
-    FidelityRankingConfig, JobId, JobRequestBuilder, JobState, Qrio, QrioError, ServiceModel,
-    TickReport,
-};
+use qrio::{FidelityRankingConfig, JobId, JobRequestBuilder, JobState, Qrio, ServiceModel};
 use qrio_backend::Backend;
-use qrio_cluster::{ClusterError, FaultInjector, FaultKind, Resources};
+use qrio_cluster::{FaultInjector, Resources};
 use qrio_journal::fnv1a;
 
 use crate::arrival::ArrivalSampler;
 use crate::error::LoadgenError;
-use crate::metrics::{
-    fidelity_vs_load, tenant_stats, ChaosStats, CloudReport, DeviceStats, JobSample,
-};
+use crate::metrics::{job_name, CloudReport};
 use crate::scenario::{Scenario, ScenarioEvent};
 
 /// Classical resources requested per simulated job (tiny, so queue depth —
@@ -100,27 +96,6 @@ enum EventKind {
 /// never decides.
 type Event = Reverse<(u64, u64, EventKind)>;
 
-/// One device's totals, folded from the watch log.
-#[derive(Debug, Default)]
-struct DeviceSim {
-    /// Jobs in its queue, the one in service included.
-    queued: usize,
-    /// Largest queue length observed.
-    peak_queue: usize,
-    /// Time spent serving (ms): every attempt from `Running` to its end.
-    busy_ms: u64,
-    /// Jobs completed.
-    completed: u64,
-}
-
-impl DeviceSim {
-    /// A job joined the tail of the queue (bound or migrated here).
-    fn join(&mut self) {
-        self.queued += 1;
-        self.peak_queue = self.peak_queue.max(self.queued);
-    }
-}
-
 /// Run `scenario` to completion and produce its [`CloudReport`].
 ///
 /// Arrivals stop at the scenario horizon (or job cap); queued work then
@@ -152,7 +127,7 @@ pub fn run_scenario_with_log(
     let mut engine = Engine::new(scenario)?;
     engine.run()?;
     let log = engine.qrio.watch(0).to_vec();
-    Ok((engine.into_report(), log))
+    Ok((engine.report(), log))
 }
 
 /// Like [`run_scenario`], but with an explicit control-plane transport:
@@ -172,7 +147,7 @@ pub fn run_scenario_with_transport(
     let mut engine = Engine::new(scenario)?;
     engine.qrio.set_transport(mode);
     engine.run()?;
-    Ok(engine.into_report())
+    Ok(engine.report())
 }
 
 struct Engine<'s> {
@@ -182,24 +157,13 @@ struct Engine<'s> {
     qrio: Qrio,
     samplers: Vec<ArrivalSampler>,
     tenant_job_counters: Vec<u64>,
-    devices: BTreeMap<String, DeviceSim>,
     heap: BinaryHeap<Event>,
     next_seq: u64,
     /// The time of the one live `Wake` on the heap: [`Qrio::next_due`] as of
     /// the last event.
     wake: Option<u64>,
-    /// How much of the watch log is folded in.
-    seen: usize,
-    /// Every job submitted, as the sample it becomes when it succeeds: its
-    /// device is the one it is bound to, none while it has not been.
-    jobs: BTreeMap<String, JobSample>,
-    /// The jobs that succeeded, in the order they did.
-    samples: Vec<JobSample>,
-    execution_failures: u64,
-    migrations: u64,
-    drift_events: u64,
-    outage_events: u64,
-    chaos: ChaosStats,
+    /// Jobs in service an outage interrupted.
+    interrupted: u64,
 }
 
 impl<'s> Engine<'s> {
@@ -237,25 +201,21 @@ impl<'s> Engine<'s> {
         };
         qrio.configure_service(Some(model))
             .map_err(|e| LoadgenError::Engine(format!("cannot configure service: {e}")))?;
-        let devices = scenario.fleet.iter().map(|spec| spec.name.clone());
         Ok(Engine {
             scenario,
             qrio,
             samplers,
             tenant_job_counters: vec![0; scenario.tenants.len()],
-            devices: devices.map(|name| (name, DeviceSim::default())).collect(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             wake: None,
-            seen: 0,
-            jobs: BTreeMap::new(),
-            samples: Vec::new(),
-            execution_failures: 0,
-            migrations: 0,
-            drift_events: 0,
-            outage_events: 0,
-            chaos: ChaosStats::default(),
+            interrupted: 0,
         })
+    }
+
+    /// The finished run's report: [`CloudReport::from_log`].
+    fn report(&self) -> CloudReport {
+        CloudReport::from_log(self.scenario, &self.qrio, self.interrupted)
     }
 
     fn push_event(&mut self, time: u64, kind: EventKind) {
@@ -284,11 +244,9 @@ impl<'s> Engine<'s> {
             if kind == EventKind::Wake && self.wake != Some(time) {
                 continue;
             }
-            let fired = self
-                .qrio
+            self.qrio
                 .advance_to(time)
                 .map_err(|e| LoadgenError::Engine(format!("cannot advance the clock: {e}")))?;
-            self.on_timers(&fired);
             match kind {
                 EventKind::Arrival { tenant } => self.on_arrival(tenant)?,
                 EventKind::Timeline { index } => match &scenario.events[index] {
@@ -311,14 +269,13 @@ impl<'s> Engine<'s> {
                         *calibration_rate,
                         *slow_rate,
                         *flap_rate,
-                    ),
+                    )?,
                 },
                 EventKind::OutageEnd { device } => {
                     let _ = self.qrio.uncordon_device(&device);
                 }
                 EventKind::Wake => {}
             }
-            self.observe();
             // A timer armed for a time already reached (an open interval of
             // zero) fires at the present.
             let due = self.qrio.next_due().map(|due| due.max(time));
@@ -335,7 +292,8 @@ impl<'s> Engine<'s> {
     // --- Arrivals ------------------------------------------------------------------------
 
     fn on_arrival(&mut self, tenant_idx: usize) -> Result<(), LoadgenError> {
-        let submitted = self.jobs.len() as u64;
+        // Every job numbered was enqueued: a failure in between ends the run.
+        let submitted: u64 = self.tenant_job_counters.iter().sum();
         let under_cap = self.scenario.max_jobs == 0 || submitted < self.scenario.max_jobs;
         let now = self.qrio.now();
         if now >= self.scenario.duration_ms || !under_cap {
@@ -357,7 +315,7 @@ impl<'s> Engine<'s> {
         let tenant = &scenario.tenants[tenant_idx];
         let index = self.tenant_job_counters[tenant_idx];
         self.tenant_job_counters[tenant_idx] += 1;
-        let job_name = format!("{}-{index}", tenant.name);
+        let job_name = job_name(&tenant.name, index);
         let circuit = tenant.circuit_for(index)?;
         let strategy = tenant.strategy.strategy_spec();
 
@@ -385,12 +343,6 @@ impl<'s> Engine<'s> {
             .qrio
             .enqueue(&request)
             .map_err(|e| LoadgenError::Engine(format!("enqueue failed: {e}")))?;
-        let sample = JobSample {
-            tenant: tenant.name.clone(),
-            arrival_ms: self.qrio.now(),
-            ..JobSample::default()
-        };
-        self.jobs.insert(job_name, sample);
 
         // 2. Scheduling cycle, then the chosen device's queue. A job no
         //    eligible device can host (outage window, oversized circuit,
@@ -399,50 +351,17 @@ impl<'s> Engine<'s> {
         Ok(())
     }
 
-    // --- Timers and faults ---------------------------------------------------------------
-
-    /// What the orchestrator did on the way to this event's time: breakers
-    /// began probing, jobs waiting out a backoff ran past their deadline,
-    /// backoffs elapsed (the re-queued job was bound again, or failed to
-    /// be), and service windows closed — for each attempt that settled
-    /// there, the fault the plan drew for it, if any.
-    fn on_timers(&mut self, fired: &TickReport) {
-        self.chaos.breaker_probes += fired.probing.len() as u64;
-        self.chaos.deadline_cancelled += fired.expired.len() as u64;
-        self.chaos.retries += fired.requeued.len() as u64;
-        self.execution_failures += fired.failed.len() as u64;
-        for job in fired.completed.iter().chain(&fired.retried) {
-            if let Some(kind) = self.drawn_fault(job) {
-                self.count_fault(kind);
-            }
-        }
-    }
-
-    /// The fault the injector drew for `job`'s latest attempt: the same pure
-    /// function of `(job, node, attempt)` the node's agent evaluates.
-    fn drawn_fault(&self, job: &JobId) -> Option<FaultKind> {
-        let status = self.qrio.job_status(job).ok()?;
-        let runs = status.history.iter();
-        let attempt =
-            (runs.filter(|(_, s)| *s == JobState::Running).count() as u32).checked_sub(1)?;
-        let node = status.node.as_deref()?;
-        let injector = self.qrio.fault_injector()?;
-        injector.decide(job.as_str(), node, attempt)
-    }
-
-    fn count_fault(&mut self, kind: FaultKind) {
-        let injected = match kind {
-            FaultKind::TransientExecution => &mut self.chaos.injected_transient,
-            FaultKind::CalibrationGlitch => &mut self.chaos.injected_calibration,
-            FaultKind::SlowJob => &mut self.chaos.injected_slow,
-            FaultKind::DeviceFlap => &mut self.chaos.injected_flap,
-        };
-        *injected += 1;
-    }
+    // --- Faults, drift and outages --------------------------------------------------------
 
     /// A `faults` timeline event: swap the cluster's fault injector for one
     /// with the new rates (or remove it entirely when all rates are zero).
-    fn on_fault_rates(&mut self, transient: f64, calibration: f64, slow: f64, flap: f64) {
+    fn on_fault_rates(
+        &mut self,
+        transient: f64,
+        calibration: f64,
+        slow: f64,
+        flap: f64,
+    ) -> Result<(), LoadgenError> {
         let injector = if transient + calibration + slow + flap == 0.0 {
             None
         } else {
@@ -456,13 +375,10 @@ impl<'s> Engine<'s> {
         };
         self.qrio
             .configure_faults(injector)
-            .expect("fault injector reconfiguration is infallible on a live cluster");
+            .map_err(|e| LoadgenError::Engine(format!("cannot configure faults: {e}")))
     }
 
-    // --- Drift and outages ---------------------------------------------------------------
-
     fn on_drift(&mut self, device: &str, factor: f64) -> Result<(), LoadgenError> {
-        self.drift_events += 1;
         let Some(backend) = self.qrio.meta().backend(device).cloned() else {
             return Ok(());
         };
@@ -477,7 +393,6 @@ impl<'s> Engine<'s> {
     }
 
     fn on_outage_start(&mut self, device: &str, down_ms: u64) {
-        self.outage_events += 1;
         // A device dying mid-shot kills the attempt in service: surface it
         // through the orchestrator as an injected device-flap fault (it may
         // retry, per its policy) instead of letting its window silently
@@ -486,12 +401,8 @@ impl<'s> Engine<'s> {
         let head = self.qrio.device_queue(device).next().map(JobId::new);
         if let Some(job) = head.filter(|job| self.qrio.status(job).ok() == Some(JobState::Running))
         {
-            self.chaos.interrupted += 1;
-            if let Err(QrioError::Cluster(ClusterError::InjectedFault { kind, .. })) =
-                self.qrio.interrupt(&job)
-            {
-                self.count_fault(kind);
-            }
+            self.interrupted += 1;
+            let _ = self.qrio.interrupt(&job);
         }
         // Journaled and told to the node's agent, like any vendor's cordon;
         // the waiting jobs flee to the healthy part of the fleet.
@@ -499,109 +410,6 @@ impl<'s> Engine<'s> {
         let end = self.qrio.now() + down_ms.max(1);
         let device = device.to_string();
         self.push_event(end, EventKind::OutageEnd { device });
-    }
-
-    // --- The watch log -------------------------------------------------------------------
-
-    /// Fold the watch events produced since the last look into the report's
-    /// bookkeeping: a bind notes the depth the job met and joins the queue, a
-    /// migration moves it, `Running` starts its attempt, and an attempt's end
-    /// leaves the queue, charges the device the time served and — for a
-    /// success — records the sample, for a terminal failure counts it.
-    fn observe(&mut self) {
-        let events = self.qrio.watch(self.seen as u64);
-        self.seen += events.len();
-        for event in events {
-            let Some(job) = self.jobs.get_mut(event.job.as_str()) else {
-                continue;
-            };
-            // Every event of a bound job names its fleet device, which the
-            // map holds from the start; the others change no device.
-            let Some(node) = event.node.clone() else {
-                continue;
-            };
-            let device = self.devices.entry(node.clone()).or_default();
-            match (event.from, event.to) {
-                (Some(JobState::Queued), JobState::Scheduled) => {
-                    job.queue_depth_at_bind = device.queued;
-                    device.join();
-                    job.device = node;
-                }
-                (Some(JobState::Scheduled), JobState::Scheduled) => {
-                    device.join();
-                    let from = std::mem::replace(&mut job.device, node);
-                    self.devices.entry(from).or_default().queued -= 1;
-                    job.migrated = true;
-                    self.migrations += 1;
-                }
-                (_, JobState::Running) => job.start_ms = event.at,
-                (Some(JobState::Running), to) => {
-                    device.queued -= 1;
-                    device.busy_ms += event.at - job.start_ms;
-                    if to == JobState::Succeeded {
-                        device.completed += 1;
-                        let ran = self.qrio.cluster().job(event.job.as_str());
-                        job.fidelity = ran.and_then(|ran| ran.achieved_fidelity());
-                        job.completion_ms = event.at;
-                        self.samples.push(job.clone());
-                    } else if to == JobState::Failed {
-                        self.execution_failures += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // --- Report --------------------------------------------------------------------------
-
-    fn into_report(self) -> CloudReport {
-        let makespan = self.qrio.now();
-        let (mut submitted, mut rejected) = (BTreeMap::new(), BTreeMap::new());
-        for job in self.jobs.values() {
-            *submitted.entry(job.tenant.clone()).or_insert(0) += 1;
-            if job.device.is_empty() {
-                *rejected.entry(job.tenant.clone()).or_insert(0) += 1;
-            }
-        }
-        let tenants = tenant_stats(&self.samples, &submitted, &rejected, makespan);
-        let devices = self.devices.iter().map(|(name, sim)| {
-            let stats = DeviceStats {
-                completed: sim.completed,
-                busy_ms: sim.busy_ms,
-                utilization: (sim.busy_ms as f64 / makespan.max(1) as f64).min(1.0),
-                peak_queue_depth: sim.peak_queue,
-            };
-            (name.clone(), stats)
-        });
-        let cache = self.qrio.meta().cache_stats();
-        let chaos = self.scenario.has_chaos().then(|| ChaosStats {
-            dead_lettered: self.qrio.dead_letters().len() as u64,
-            breaker_trips: self.qrio.breakers().map_or(0, |board| board.total_trips()),
-            goodput_per_sec: self.samples.len() as f64 / (makespan.max(1) as f64 / 1000.0),
-            ..self.chaos.clone()
-        });
-        CloudReport {
-            benchmark: "bench_cloud".to_string(),
-            scenario: self.scenario.name.clone(),
-            seed: self.scenario.seed,
-            duration_ms: self.scenario.duration_ms,
-            makespan_ms: makespan,
-            submitted: self.jobs.len() as u64,
-            completed: self.samples.len() as u64,
-            rejected: rejected.values().sum(),
-            execution_failures: self.execution_failures,
-            migrations: self.migrations,
-            drift_events: self.drift_events,
-            outage_events: self.outage_events,
-            tenants,
-            devices: devices.collect(),
-            fidelity_vs_load: fidelity_vs_load(&self.samples),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_hit_rate: cache.hit_rate(),
-            chaos,
-        }
     }
 }
 
@@ -818,7 +626,10 @@ mod tests {
                 (1200, "half-open", "closed"),
             ]
         );
-        assert_eq!(engine.chaos.breaker_probes, 1);
+        let report = engine.report();
+        let chaos = report.chaos.as_ref().expect("breakers imply chaos");
+        assert_eq!((chaos.breaker_probes, chaos.breaker_trips), (1, 1));
+        assert_eq!((chaos.interrupted, chaos.injected_flap), (1, 1));
         // Nothing started on the device while its breaker was open: the
         // waiter's 600 ms window runs from the probe (and the outage's end)
         // at 600 to 1200, and the watch log is stamped with the virtual ms of
@@ -857,7 +668,6 @@ mod tests {
         );
         assert!(log.windows(2).all(|pair| pair[0].at <= pair[1].at));
         assert_eq!(engine.qrio.now(), 1200);
-        let report = engine.into_report();
         assert_eq!(report.makespan_ms, 1200);
         assert_eq!((report.completed, report.execution_failures), (1, 1));
     }

@@ -65,7 +65,7 @@ pub use error::LoadgenError;
 pub use killrestart::{
     run_kill_restart, run_kill_restart_with_log, KillRestartReport, KillRestartScenario,
 };
-pub use metrics::{ChaosStats, CloudReport, DeviceStats, JobSample, LoadBucket, TenantStats};
+pub use metrics::{ChaosStats, CloudReport, DeviceStats, LoadBucket, TenantStats};
 pub use scenario::{
     DeviceSpec, Scenario, ScenarioEvent, TenantSpec, TenantStrategy, TopologyKind, WorkloadCircuit,
 };

@@ -1,5 +1,13 @@
-//! Workload metrics: per-tenant latency percentiles, per-device utilization,
-//! fidelity-vs-load curves and the deterministic `BENCH_cloud.json` report.
+//! Workload metrics: the [`CloudReport`] of a finished run — per-tenant
+//! latency percentiles, per-device utilization, the fidelity-vs-load curve —
+//! and its deterministic `BENCH_cloud.json` rendering.
+//!
+//! The report is one fold over the finished run's record:
+//! `CloudReport::from_log` makes one in-order pass over the orchestrator's
+//! watch log and reads the rest off the finished [`Qrio`] — each success's
+//! achieved fidelity, each failure's typed error, the dead letters, the
+//! breaker board, the strategy cache and the clock. Nothing else keeps a
+//! ledger of the run.
 //!
 //! Everything here is computed from virtual-time integers and seeded
 //! simulations, and rendered with fixed-precision formatting over ordered
@@ -10,37 +18,171 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One finished (or rejected) job as observed by the engine.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct JobSample {
-    /// Owning tenant.
-    pub tenant: String,
-    /// Device that executed the job (empty for rejected jobs).
-    pub device: String,
-    /// Virtual arrival instant (ms).
-    pub arrival_ms: u64,
-    /// Virtual execution start (ms).
-    pub start_ms: u64,
-    /// Virtual completion instant (ms).
-    pub completion_ms: u64,
-    /// Jobs already queued or running on the chosen device at bind time —
-    /// the load the job experienced.
-    pub queue_depth_at_bind: usize,
-    /// Fidelity achieved against the noise-free reference, when computed.
-    pub fidelity: Option<f64>,
-    /// Whether the job was migrated after its original binding.
-    pub migrated: bool,
+use qrio::{BreakerBoard, BreakerEvent, BreakerState, JobEvent, JobId, JobState, Qrio, QrioError};
+use qrio_cluster::{ClusterError, FaultKind};
+
+use crate::scenario::{Scenario, ScenarioEvent};
+
+/// The name of `tenant`'s `index`-th job, `{tenant}-{index}`: the report
+/// reads a job's tenant back from it with [`tenant_of`].
+pub(crate) fn job_name(tenant: &str, index: u64) -> String {
+    format!("{tenant}-{index}")
 }
 
-impl JobSample {
-    /// Queueing delay: bind-to-start wait (ms).
-    pub fn wait_ms(&self) -> u64 {
+/// The tenant that owns a job named by [`job_name`].
+fn tenant_of(job: &str) -> &str {
+    job.rsplit_once('-').map_or(job, |(tenant, _)| tenant)
+}
+
+/// One submitted job as the watch log shows it; a success becomes a sample.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct JobSample<'a> {
+    /// Owning tenant.
+    tenant: &'a str,
+    /// Device the job is bound to or ran on; empty while it never was bound.
+    device: &'a str,
+    /// Virtual arrival instant (ms).
+    arrival_ms: u64,
+    /// Virtual start of the job's last attempt (ms).
+    start_ms: u64,
+    /// Virtual completion instant (ms).
+    completion_ms: u64,
+    /// Jobs already queued or running on the chosen device at the job's last
+    /// bind — the load it experienced (a retry's re-bind overwrites it).
+    queue_depth_at_bind: usize,
+    /// Fidelity achieved against the noise-free reference, when computed.
+    fidelity: Option<f64>,
+}
+
+impl JobSample<'_> {
+    /// Queueing delay: arrival to the start of the last attempt (ms), so a
+    /// retried job's earlier attempts and backoffs count as waiting.
+    fn wait_ms(&self) -> u64 {
         self.start_ms.saturating_sub(self.arrival_ms)
     }
 
     /// End-to-end sojourn time: arrival to completion (ms).
-    pub fn latency_ms(&self) -> u64 {
+    fn latency_ms(&self) -> u64 {
         self.completion_ms.saturating_sub(self.arrival_ms)
+    }
+}
+
+/// One device as the fold goes: its queue and its totals so far (busy time
+/// is every attempt from `Running` to its end; utilization waits for the
+/// makespan).
+#[derive(Debug, Default)]
+struct DeviceSim {
+    /// Jobs in its queue, the one in service included.
+    queued: usize,
+    stats: DeviceStats,
+}
+
+impl DeviceSim {
+    /// A job joined the tail of the queue (bound or migrated here).
+    fn join(&mut self) {
+        self.queued += 1;
+        self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queued);
+    }
+}
+
+/// What one in-order pass over a watch log adds up to.
+#[derive(Debug, Default)]
+struct Tally<'a> {
+    /// Every submitted job, by name.
+    jobs: BTreeMap<&'a str, JobSample<'a>>,
+    /// Every device of the fleet, and any other a job was bound to.
+    devices: BTreeMap<&'a str, DeviceSim>,
+    /// The jobs that succeeded, in the order they did.
+    samples: Vec<JobSample<'a>>,
+    /// Jobs bound at some point that then failed, not by a deadline.
+    execution_failures: u64,
+    /// `Scheduled → Scheduled` events.
+    migrations: u64,
+    /// Injected faults, retries and blown deadlines; the rest stays zero.
+    chaos: ChaosStats,
+}
+
+impl<'a> Tally<'a> {
+    /// Fold `log`, event by event: a submission starts the job's sample; a
+    /// bind notes the depth the job met and joins the queue, a migration
+    /// moves it, a bound job's cancellation leaves it; `Running` starts an
+    /// attempt, and the attempt's end leaves the queue, charges the device
+    /// the time served, counts the injected fault its reason names and — for
+    /// a success — records the sample with the `fidelity` it achieved. A
+    /// retry's re-queue counts, and a failure is a blown deadline (`expired`)
+    /// or, for a job once bound, an execution failure; one never bound is a
+    /// rejection, which its sample's empty device says.
+    fn fold(
+        log: &'a [JobEvent],
+        fleet: impl IntoIterator<Item = &'a str>,
+        fidelity: impl Fn(&str) -> Option<f64>,
+        expired: impl Fn(&JobId) -> bool,
+    ) -> Self {
+        let mut tally = Tally::default();
+        let devices = fleet.into_iter().map(|name| (name, DeviceSim::default()));
+        tally.devices.extend(devices);
+        for event in log {
+            let name = event.job.as_str();
+            let Some(from) = event.from else {
+                let sample = JobSample {
+                    tenant: tenant_of(name),
+                    arrival_ms: event.at,
+                    ..JobSample::default()
+                };
+                tally.jobs.insert(name, sample);
+                continue;
+            };
+            let Some(job) = tally.jobs.get_mut(name) else {
+                continue;
+            };
+            if (from, event.to) == (JobState::Retrying, JobState::Queued) {
+                tally.chaos.retries += 1;
+            }
+            if event.to == JobState::Failed {
+                if expired(&event.job) {
+                    tally.chaos.deadline_cancelled += 1;
+                } else if !job.device.is_empty() {
+                    tally.execution_failures += 1;
+                }
+            }
+            // Every event of a bound job names its device; the others change
+            // no device.
+            let Some(node) = event.node.as_deref() else {
+                continue;
+            };
+            let device = tally.devices.entry(node).or_default();
+            match (from, event.to) {
+                (JobState::Queued, JobState::Scheduled) => {
+                    job.queue_depth_at_bind = device.queued;
+                    device.join();
+                    job.device = node;
+                }
+                (JobState::Scheduled, JobState::Scheduled) => {
+                    device.join();
+                    let from = std::mem::replace(&mut job.device, node);
+                    tally.devices.entry(from).or_default().queued -= 1;
+                    tally.migrations += 1;
+                }
+                (JobState::Scheduled, JobState::Cancelled) => device.queued -= 1,
+                (_, JobState::Running) => job.start_ms = event.at,
+                (JobState::Running, to) => {
+                    device.queued -= 1;
+                    device.stats.busy_ms += event.at - job.start_ms;
+                    let fault = event.reason.as_deref().and_then(FaultKind::from_reason);
+                    if let Some(kind) = fault {
+                        *tally.chaos.injected(kind) += 1;
+                    }
+                    if to == JobState::Succeeded {
+                        device.stats.completed += 1;
+                        job.fidelity = fidelity(name);
+                        job.completion_ms = event.at;
+                        tally.samples.push(job.clone());
+                    }
+                }
+                _ => {}
+            }
+        }
+        tally
     }
 }
 
@@ -138,6 +280,18 @@ pub struct ChaosStats {
     pub goodput_per_sec: f64,
 }
 
+impl ChaosStats {
+    /// The counter of injected faults of `kind`.
+    fn injected(&mut self, kind: FaultKind) -> &mut u64 {
+        match kind {
+            FaultKind::TransientExecution => &mut self.injected_transient,
+            FaultKind::CalibrationGlitch => &mut self.injected_calibration,
+            FaultKind::SlowJob => &mut self.injected_slow,
+            FaultKind::DeviceFlap => &mut self.injected_flap,
+        }
+    }
+}
+
 /// The full report of one scenario run — everything `BENCH_cloud.json`
 /// serializes.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +316,9 @@ pub struct CloudReport {
     pub rejected: u64,
     /// Total jobs whose execution failed on the node.
     pub execution_failures: u64,
-    /// Jobs migrated between devices by drift/outage re-ranking.
+    /// Migrations: `Scheduled → Scheduled` events, each a waiting job moved
+    /// to another device by drift or outage re-ranking. A job that moves
+    /// twice counts twice.
     pub migrations: u64,
     /// Calibration-drift events applied.
     pub drift_events: u64,
@@ -185,66 +341,54 @@ pub struct CloudReport {
     pub chaos: Option<ChaosStats>,
 }
 
-/// Build per-tenant stats from samples (completed jobs only) plus the
-/// submitted/rejected counters the engine tracked.
-pub fn tenant_stats(
-    samples: &[JobSample],
-    submitted: &BTreeMap<String, u64>,
-    rejected: &BTreeMap<String, u64>,
+/// Build per-tenant stats: every submitted job counts, as rejected when it
+/// was never bound, and the samples (completed jobs, in completion order)
+/// give the percentiles and the mean fidelity.
+fn tenant_stats<'a>(
+    jobs: impl IntoIterator<Item = &'a JobSample<'a>>,
+    samples: &[JobSample<'a>],
     makespan_ms: u64,
 ) -> BTreeMap<String, TenantStats> {
-    let mut stats: BTreeMap<String, TenantStats> = BTreeMap::new();
-    for (tenant, &count) in submitted {
-        stats.entry(tenant.clone()).or_default().submitted = count;
+    let mut stats: BTreeMap<&str, TenantStats> = BTreeMap::new();
+    for job in jobs {
+        let entry = stats.entry(job.tenant).or_default();
+        entry.submitted += 1;
+        entry.rejected += u64::from(job.device.is_empty());
     }
-    for (tenant, &count) in rejected {
-        stats.entry(tenant.clone()).or_default().rejected = count;
-    }
-    let mut waits: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    let mut latencies: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    let mut fidelity_sums: BTreeMap<&str, (f64, u64)> = BTreeMap::new();
+    let mut by_tenant: BTreeMap<&str, Vec<&JobSample<'_>>> = BTreeMap::new();
     for sample in samples {
-        let entry = stats.entry(sample.tenant.clone()).or_default();
-        entry.completed += 1;
-        waits
-            .entry(&sample.tenant)
-            .or_default()
-            .push(sample.wait_ms());
-        latencies
-            .entry(&sample.tenant)
-            .or_default()
-            .push(sample.latency_ms());
-        if let Some(f) = sample.fidelity {
-            let slot = fidelity_sums.entry(&sample.tenant).or_default();
-            slot.0 += f;
-            slot.1 += 1;
+        by_tenant.entry(sample.tenant).or_default().push(sample);
+    }
+    for (tenant, samples) in by_tenant {
+        let entry = stats.entry(tenant).or_default();
+        entry.completed = samples.len() as u64;
+        (entry.p50_wait_ms, entry.p95_wait_ms) = p50_p95(samples.iter().map(|s| s.wait_ms()));
+        let latencies = samples.iter().map(|s| s.latency_ms());
+        (entry.p50_latency_ms, entry.p95_latency_ms) = p50_p95(latencies);
+        let fidelities: Vec<f64> = samples.iter().filter_map(|s| s.fidelity).collect();
+        if !fidelities.is_empty() {
+            let sum = fidelities.iter().fold(0.0, |sum, f| sum + f);
+            entry.mean_fidelity = sum / fidelities.len() as f64;
         }
     }
-    let makespan_s = (makespan_ms.max(1)) as f64 / 1000.0;
-    for (tenant, entry) in &mut stats {
-        if let Some(w) = waits.get_mut(tenant.as_str()) {
-            w.sort_unstable();
-            entry.p50_wait_ms = percentile(w, 0.50);
-            entry.p95_wait_ms = percentile(w, 0.95);
-        }
-        if let Some(l) = latencies.get_mut(tenant.as_str()) {
-            l.sort_unstable();
-            entry.p50_latency_ms = percentile(l, 0.50);
-            entry.p95_latency_ms = percentile(l, 0.95);
-        }
-        if let Some(&(sum, n)) = fidelity_sums.get(tenant.as_str()) {
-            if n > 0 {
-                entry.mean_fidelity = sum / n as f64;
-            }
-        }
+    let makespan_s = makespan_ms.max(1) as f64 / 1000.0;
+    let stats = stats.into_iter().map(|(tenant, mut entry)| {
         entry.throughput_per_sec = entry.completed as f64 / makespan_s;
-    }
-    stats
+        (tenant.to_string(), entry)
+    });
+    stats.collect()
+}
+
+/// The median and 95th percentile of `values`.
+fn p50_p95(values: impl Iterator<Item = u64>) -> (u64, u64) {
+    let mut sorted: Vec<u64> = values.collect();
+    sorted.sort_unstable();
+    (percentile(&sorted, 0.50), percentile(&sorted, 0.95))
 }
 
 /// Build the fidelity-vs-load curve: bucket completed jobs by queue depth at
 /// bind time (pooling depths `>= POOLED_DEPTH`).
-pub fn fidelity_vs_load(samples: &[JobSample]) -> Vec<LoadBucket> {
+fn fidelity_vs_load(samples: &[JobSample<'_>]) -> Vec<LoadBucket> {
     let mut buckets: BTreeMap<usize, (u64, f64, u64, f64)> = BTreeMap::new();
     for sample in samples {
         let depth = sample.queue_depth_at_bind.min(POOLED_DEPTH);
@@ -295,6 +439,77 @@ fn escape_json(text: &str) -> String {
 }
 
 impl CloudReport {
+    /// The report of a finished run of `scenario`: one in-order pass over
+    /// `qrio`'s watch log, plus what the finished orchestrator holds — each
+    /// success's achieved fidelity, each failure's typed error (a blown
+    /// deadline is not an execution failure), the dead letters, the breaker
+    /// board's trips and its `Open → HalfOpen` probes, the strategy cache,
+    /// and the clock, which is the makespan. Drift and outage counts are the
+    /// scenario's own events, all of which a run applies. `interrupted`
+    /// counts the jobs in service an outage cut short: that device flap
+    /// leaves the log entries an injected one does, so only the caller that
+    /// caused it can tell them apart.
+    ///
+    /// Samples are taken in the order of their `Succeeded` events, so every
+    /// mean sums its floats in that order.
+    pub(crate) fn from_log(scenario: &Scenario, qrio: &Qrio, interrupted: u64) -> CloudReport {
+        let fleet = scenario.fleet.iter().map(|spec| spec.name.as_str());
+        let fidelity = |job: &str| qrio.cluster().job(job)?.achieved_fidelity();
+        let expired = |job: &JobId| {
+            let failure = qrio.outcome(job).err();
+            matches!(
+                failure,
+                Some(QrioError::Cluster(ClusterError::DeadlineExceeded { .. }))
+            )
+        };
+        let tally = Tally::fold(qrio.watch(0), fleet, fidelity, expired);
+        let makespan = qrio.now();
+        let tenants = tenant_stats(tally.jobs.values(), &tally.samples, makespan);
+        let mut devices = BTreeMap::new();
+        for (name, DeviceSim { mut stats, .. }) in tally.devices {
+            stats.utilization = (stats.busy_ms as f64 / makespan.max(1) as f64).min(1.0);
+            devices.insert(name.to_string(), stats);
+        }
+        let events = |kind: fn(&ScenarioEvent) -> bool| {
+            scenario.events.iter().filter(|event| kind(event)).count() as u64
+        };
+        let completed = tally.samples.len() as u64;
+        // A breaker only ever enters `HalfOpen` from `Open`: each is a probe.
+        let probing = |event: &&BreakerEvent| matches!(event.to, BreakerState::HalfOpen { .. });
+        let probes = |board: &BreakerBoard| board.events().iter().filter(probing).count() as u64;
+        let board = qrio.breakers();
+        let chaos = scenario.has_chaos().then(|| ChaosStats {
+            interrupted,
+            dead_lettered: qrio.dead_letters().len() as u64,
+            breaker_trips: board.map_or(0, BreakerBoard::total_trips),
+            breaker_probes: board.map_or(0, probes),
+            goodput_per_sec: completed as f64 / (makespan.max(1) as f64 / 1000.0),
+            ..tally.chaos.clone()
+        });
+        let cache = qrio.meta().cache_stats();
+        CloudReport {
+            benchmark: "bench_cloud".to_string(),
+            scenario: scenario.name.clone(),
+            seed: scenario.seed,
+            duration_ms: scenario.duration_ms,
+            makespan_ms: makespan,
+            submitted: tally.jobs.len() as u64,
+            completed,
+            rejected: tenants.values().map(|tenant| tenant.rejected).sum(),
+            execution_failures: tally.execution_failures,
+            migrations: tally.migrations,
+            drift_events: events(|event| matches!(event, ScenarioEvent::Drift { .. })),
+            outage_events: events(|event| matches!(event, ScenarioEvent::Outage { .. })),
+            tenants,
+            devices,
+            fidelity_vs_load: fidelity_vs_load(&tally.samples),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_hit_rate: cache.hit_rate(),
+            chaos,
+        }
+    }
+
     /// Render the report as the `BENCH_cloud.json` document. The rendering is
     /// deterministic: ordered maps, fixed float precision, no timestamps.
     pub fn to_json(&self) -> String {
@@ -427,16 +642,15 @@ impl CloudReport {
 mod tests {
     use super::*;
 
-    fn sample(tenant: &str, arrival: u64, start: u64, done: u64, depth: usize) -> JobSample {
+    fn sample(tenant: &str, arrival: u64, start: u64, done: u64, depth: usize) -> JobSample<'_> {
         JobSample {
-            tenant: tenant.into(),
-            device: "dev".into(),
+            tenant,
+            device: "dev",
             arrival_ms: arrival,
             start_ms: start,
             completion_ms: done,
             queue_depth_at_bind: depth,
             fidelity: Some(0.9),
-            migrated: false,
         }
     }
 
@@ -458,12 +672,12 @@ mod tests {
             sample("a", 0, 0, 50, 0),
             sample("b", 5, 5, 25, 0),
         ];
-        let mut submitted = BTreeMap::new();
-        submitted.insert("a".to_string(), 3u64);
-        submitted.insert("b".to_string(), 1u64);
-        let mut rejected = BTreeMap::new();
-        rejected.insert("a".to_string(), 1u64);
-        let stats = tenant_stats(&samples, &submitted, &rejected, 1000);
+        // Three jobs of `a`, one never bound; one of `b`.
+        let unbound = JobSample {
+            tenant: "a",
+            ..JobSample::default()
+        };
+        let stats = tenant_stats(samples.iter().chain([&unbound]), &samples, 1000);
         let a = &stats["a"];
         assert_eq!(a.submitted, 3);
         assert_eq!(a.completed, 2);
@@ -503,9 +717,7 @@ mod tests {
         // End to end: a report whose names need escaping still renders
         // balanced JSON with no raw quotes inside string literals.
         let mut samples = vec![sample("ten\"ant", 0, 0, 10, 0)];
-        samples[0].device = "dev\\ice".into();
-        let mut submitted = BTreeMap::new();
-        submitted.insert("ten\"ant".to_string(), 1u64);
+        samples[0].device = "dev\\ice";
         let report = CloudReport {
             benchmark: "bench_cloud".into(),
             scenario: "sce\"nario".into(),
@@ -519,7 +731,7 @@ mod tests {
             migrations: 0,
             drift_events: 0,
             outage_events: 0,
-            tenants: tenant_stats(&samples, &submitted, &BTreeMap::new(), 10),
+            tenants: tenant_stats(&samples, &samples, 10),
             devices: BTreeMap::from([("dev\\ice".to_string(), DeviceStats::default())]),
             fidelity_vs_load: vec![],
             cache_hits: 0,
@@ -536,8 +748,6 @@ mod tests {
     #[test]
     fn report_rendering_is_deterministic_and_json_shaped() {
         let samples = vec![sample("a", 0, 0, 10, 0)];
-        let mut submitted = BTreeMap::new();
-        submitted.insert("a".to_string(), 1u64);
         let report = CloudReport {
             benchmark: "bench_cloud".into(),
             scenario: "unit".into(),
@@ -551,7 +761,7 @@ mod tests {
             migrations: 0,
             drift_events: 1,
             outage_events: 0,
-            tenants: tenant_stats(&samples, &submitted, &BTreeMap::new(), 120),
+            tenants: tenant_stats(&samples, &samples, 120),
             devices: BTreeMap::from([(
                 "dev".to_string(),
                 DeviceStats {
@@ -583,8 +793,6 @@ mod tests {
     #[test]
     fn chaos_stats_render_as_their_own_block() {
         let samples = vec![sample("a", 0, 0, 10, 0)];
-        let mut submitted = BTreeMap::new();
-        submitted.insert("a".to_string(), 1u64);
         let report = CloudReport {
             benchmark: "bench_chaos".into(),
             scenario: "storm".into(),
@@ -598,7 +806,7 @@ mod tests {
             migrations: 0,
             drift_events: 0,
             outage_events: 1,
-            tenants: tenant_stats(&samples, &submitted, &BTreeMap::new(), 120),
+            tenants: tenant_stats(&samples, &samples, 120),
             devices: BTreeMap::new(),
             fidelity_vs_load: fidelity_vs_load(&samples),
             cache_hits: 0,
@@ -625,5 +833,146 @@ mod tests {
         assert!(json.contains("\"goodput_per_sec\": 8.333333"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json, report.clone().to_json());
+    }
+
+    // --- The fold, over hand-built logs --------------------------------------------------
+
+    use JobState::*;
+
+    /// A watch-log event; `from` `None` is a submission, `node` `""` none.
+    fn ev(at: u64, job: &str, from: Option<JobState>, to: JobState, node: &str) -> JobEvent {
+        JobEvent {
+            seq: 0,
+            at,
+            job: JobId::new(job),
+            from,
+            to,
+            node: (!node.is_empty()).then(|| node.to_string()),
+            reason: None,
+        }
+    }
+
+    /// `job` submitted at `at` and bound to `node` at once.
+    fn bound(at: u64, job: &str, node: &str) -> [JobEvent; 3] {
+        [
+            ev(at, job, None, Submitted, ""),
+            ev(at, job, Some(Submitted), Queued, ""),
+            ev(at, job, Some(Queued), Scheduled, node),
+        ]
+    }
+
+    /// Fold `log` over the fleet `x`, `y`: every success at fidelity 0.5,
+    /// no deadline blown.
+    fn fold(log: &[JobEvent]) -> Tally<'_> {
+        Tally::fold(log, ["x", "y"], |_| Some(0.5), |_| false)
+    }
+
+    #[test]
+    fn a_jobs_tenant_is_read_back_from_its_name() {
+        for tenant in ["alice", "fid-a", "a-1-b"] {
+            assert_eq!(tenant_of(&job_name(tenant, 17)), tenant);
+        }
+    }
+
+    #[test]
+    fn a_migration_moves_queue_membership_and_counts_once_per_rebind() {
+        let mut log = Vec::new();
+        log.extend(bound(0, "t-0", "x"));
+        log.extend(bound(0, "t-1", "x"));
+        log.push(ev(2, "t-1", Some(Scheduled), Scheduled, "y"));
+        log.push(ev(3, "t-1", Some(Scheduled), Scheduled, "x"));
+        log.extend(bound(4, "t-2", "y"));
+        let tally = fold(&log);
+        // One job, two moves: two migrations.
+        assert_eq!(tally.migrations, 2);
+        assert_eq!(tally.jobs["t-1"].device, "x");
+        let (x, y) = (&tally.devices["x"], &tally.devices["y"]);
+        assert_eq!((x.queued, x.stats.peak_queue_depth), (2, 2));
+        assert_eq!((y.queued, y.stats.peak_queue_depth), (1, 1));
+        // t-1 left y before t-2 was bound there.
+        assert_eq!(tally.jobs["t-2"].queue_depth_at_bind, 0);
+    }
+
+    #[test]
+    fn a_retrys_rebind_overwrites_the_depth_it_met() {
+        let mut log = Vec::new();
+        log.extend(bound(0, "t-0", "x"));
+        log.push(ev(0, "t-0", Some(Scheduled), Running, "x"));
+        log.extend(bound(0, "t-1", "y"));
+        log.push(ev(0, "t-1", Some(Scheduled), Running, "y"));
+        let mut failed = ev(10, "t-0", Some(Running), Retrying, "x");
+        let reason = FaultKind::TransientExecution.reason();
+        failed.reason = Some(format!("attempt 1 failed: {reason}; backing off 5 ticks"));
+        log.push(failed);
+        log.push(ev(15, "t-0", Some(Retrying), Queued, ""));
+        log.push(ev(15, "t-0", Some(Queued), Scheduled, "y"));
+        log.push(ev(30, "t-1", Some(Running), Succeeded, "y"));
+        log.push(ev(30, "t-0", Some(Scheduled), Running, "y"));
+        log.push(ev(40, "t-0", Some(Running), Succeeded, "y"));
+        let tally = fold(&log);
+        let order: Vec<usize> = tally
+            .samples
+            .iter()
+            .map(|s| s.queue_depth_at_bind)
+            .collect();
+        // Samples in the order of their `Succeeded` events; t-0 met t-1 in
+        // service on y, not the empty x of its first bind.
+        assert_eq!(order, [0, 1]);
+        let retried = &tally.samples[1];
+        assert_eq!(
+            (retried.device, retried.wait_ms(), retried.latency_ms()),
+            ("y", 30, 40)
+        );
+        assert_eq!(
+            (
+                tally.devices["x"].stats.busy_ms,
+                tally.devices["y"].stats.busy_ms
+            ),
+            (10, 40)
+        );
+        assert_eq!(
+            (tally.chaos.retries, tally.chaos.injected_transient),
+            (1, 1)
+        );
+        assert_eq!(tally.execution_failures, 0);
+    }
+
+    #[test]
+    fn an_interrupt_within_one_millisecond_charges_no_busy_time() {
+        let mut log = Vec::new();
+        log.extend(bound(0, "t-0", "x"));
+        log.push(ev(5, "t-0", Some(Scheduled), Running, "x"));
+        let mut flapped = ev(5, "t-0", Some(Running), Failed, "x");
+        flapped.reason = Some(FaultKind::DeviceFlap.reason().to_string());
+        log.push(flapped);
+        // Two jobs never bound: one blows its deadline, one is rejected.
+        for job in ["late-0", "none-0"] {
+            log.push(ev(6, job, None, Submitted, ""));
+            log.push(ev(6, job, Some(Submitted), Queued, ""));
+            log.push(ev(7, job, Some(Queued), Failed, ""));
+        }
+        let tally = Tally::fold(&log, ["x"], |_| None, |job| job.as_str() == "late-0");
+        let x = &tally.devices["x"];
+        assert_eq!((x.queued, x.stats.peak_queue_depth), (0, 1));
+        assert_eq!((x.stats.busy_ms, x.stats.completed), (0, 0));
+        assert_eq!(tally.execution_failures, 1);
+        assert_eq!(tally.chaos.injected_flap, 1);
+        assert_eq!(tally.chaos.deadline_cancelled, 1);
+        assert!(tally.samples.is_empty());
+        assert_eq!(tally.jobs["none-0"].device, "");
+    }
+
+    #[test]
+    fn a_cancelled_binding_leaves_its_devices_queue() {
+        let mut log = Vec::new();
+        log.extend(bound(0, "t-0", "x"));
+        log.extend(bound(0, "t-1", "x"));
+        log.push(ev(1, "t-0", Some(Scheduled), Cancelled, "x"));
+        log.extend(bound(2, "t-2", "x"));
+        let tally = fold(&log);
+        assert_eq!(tally.jobs["t-1"].queue_depth_at_bind, 1);
+        assert_eq!(tally.jobs["t-2"].queue_depth_at_bind, 1);
+        let x = &tally.devices["x"];
+        assert_eq!((x.queued, x.stats.peak_queue_depth), (2, 2));
     }
 }

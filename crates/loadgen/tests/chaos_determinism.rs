@@ -5,8 +5,11 @@
 //! byte-identical JSON reports — fault injection, retry schedules, breaker
 //! trips and deadline cancellations all replay exactly. Every sampled run is
 //! also held to the chaos drain invariant (submitted jobs end completed,
-//! rejected, terminally failed, or deadline-cancelled) and its watch log must
-//! pass the analyzer's retry-aware lifecycle audit.
+//! rejected, terminally failed, or deadline-cancelled), its report must agree
+//! with itself and with its watch log, and the log must pass the analyzer's
+//! retry-aware lifecycle audit.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -154,6 +157,7 @@ proptest! {
             + report.execution_failures
             + chaos.deadline_cancelled;
         prop_assert_eq!(drained, report.submitted, "run did not drain");
+        common::assert_consistent(&report, &log);
 
         let diagnostics = audit_watch_log(&log, AuditOptions::default());
         prop_assert!(

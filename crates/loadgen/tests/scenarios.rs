@@ -2,7 +2,9 @@
 //! scheduler fairness under load, drift-driven re-ranking and outage
 //! survival.
 
-use qrio_loadgen::{run_scenario, Scenario};
+mod common;
+
+use qrio_loadgen::{run_scenario, run_scenario_with_log, Scenario};
 
 /// A congested three-device fleet: identical arrival streams for every
 /// tenant, service times sized so the offered load exceeds fleet capacity
@@ -90,7 +92,7 @@ fn same_seed_runs_are_byte_identical_through_drift_and_outage() {
              errorFactor: 10.0\n",
     )
     .unwrap();
-    let first = run_scenario(&scenario).unwrap();
+    let (first, log) = run_scenario_with_log(&scenario).unwrap();
     let second = run_scenario(&scenario).unwrap();
     assert_eq!(
         first.to_json(),
@@ -100,6 +102,7 @@ fn same_seed_runs_are_byte_identical_through_drift_and_outage() {
     assert!(first.completed > 0);
     assert_eq!(first.drift_events, 1);
     assert_eq!(first.outage_events, 1);
+    common::assert_consistent(&first, &log);
     // A different seed changes the workload (and therefore the report).
     let mut reseeded = scenario;
     reseeded.seed = 78;
