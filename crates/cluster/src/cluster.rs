@@ -1,5 +1,5 @@
 //! The cluster control plane: node registry, job store, image registry,
-//! binding, job execution and the event log.
+//! reservations, job execution and the event log.
 //!
 //! This is the Kubernetes-shaped substrate QRIO is built on (§3.1): nodes are
 //! quantum devices labelled with their properties, jobs are containerized
@@ -7,6 +7,13 @@
 //! [`Cluster::bind_job`], and a bound job's attempt is started here
 //! ([`Cluster::prepare_run`]), executed by the node's agent, and settled
 //! here again ([`Cluster::settle_run`]).
+//!
+//! The cluster owns resources, not job state: a job holds a reservation on
+//! one node ([`Job::node`]) from its binding until its attempt settles or it
+//! is cancelled, so a node's `allocated()` is the sum of the reservations
+//! that name it. Which of its states a job is in — and so which call applies
+//! to it — is decided by the caller's job state machine (`qrio`'s
+//! lifecycle), and no call here checks it.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +22,7 @@ use qrio_bytes::{codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encod
 
 use crate::error::ClusterError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::job::{Job, JobPhase, JobSpec};
+use crate::job::{Job, JobSpec};
 use crate::node::{Node, NodeStatus};
 use crate::registry::{decode_keyed, encode_values, ImageBundle, ImageRegistry};
 use crate::resources::Resources;
@@ -68,26 +75,6 @@ pub enum AttemptVerdict {
     Failed(String),
     /// The fault injector fired before the runner started.
     Faulted(FaultKind),
-}
-
-/// A point-in-time load summary for one node: how busy its queue and its
-/// classical resources are. This is the raw material telemetry-aware ranking
-/// strategies (queue-depth / utilization scoring) consume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeLoad {
-    /// Jobs currently bound to the node (scheduled or running).
-    pub active_jobs: usize,
-    /// Fraction of the node's CPU capacity currently allocated, in `[0, 1]`.
-    pub cpu_utilization: f64,
-    /// Fraction of the node's memory capacity currently allocated, in `[0, 1]`.
-    pub memory_utilization: f64,
-}
-
-impl NodeLoad {
-    /// The dominant (maximum) classical utilization across CPU and memory.
-    pub fn utilization(&self) -> f64 {
-        self.cpu_utilization.max(self.memory_utilization)
-    }
 }
 
 /// The decision produced by one scheduling cycle.
@@ -301,6 +288,12 @@ impl Cluster {
         self.jobs.values()
     }
 
+    fn job_mut(&mut self, name: &str) -> Result<&mut Job, ClusterError> {
+        self.jobs
+            .get_mut(name)
+            .ok_or_else(|| ClusterError::UnknownJob(name.to_string()))
+    }
+
     /// Logs of a job (what the visualizer's "check logs" button returns).
     ///
     /// # Errors
@@ -318,79 +311,23 @@ impl Cluster {
         &self.events
     }
 
-    /// Point-in-time load of one node: bound jobs plus classical utilization.
-    ///
-    /// Returns `None` for unknown nodes.
-    pub fn node_load(&self, name: &str) -> Option<NodeLoad> {
-        let node = self.nodes.get(name)?;
-        let active_jobs = self
-            .jobs
-            .values()
-            .filter(|job| {
-                matches!(
-                    job.phase(),
-                    JobPhase::Scheduled { node } | JobPhase::Running { node }
-                        if node == name
-                )
-            })
-            .count();
-        Some(Self::load_of(node, active_jobs))
-    }
-
-    /// Load of every node, in name order — what the orchestrator reports to
-    /// the meta server before each scheduling cycle so telemetry-aware
-    /// strategies see current queue depths and utilization. One pass over the
-    /// job store, so the cost stays `O(nodes + jobs)` per scheduling cycle.
-    pub fn node_loads(&self) -> Vec<(String, NodeLoad)> {
-        let mut bound: BTreeMap<&str, usize> = BTreeMap::new();
-        for job in self.jobs.values() {
-            if let JobPhase::Scheduled { node } | JobPhase::Running { node } = job.phase() {
-                *bound.entry(node.as_str()).or_insert(0) += 1;
-            }
-        }
-        self.nodes
-            .iter()
-            .map(|(name, node)| {
-                let active = bound.get(name.as_str()).copied().unwrap_or(0);
-                (name.clone(), Self::load_of(node, active))
-            })
-            .collect()
-    }
-
-    fn load_of(node: &Node, active_jobs: usize) -> NodeLoad {
-        let capacity = node.capacity();
-        let allocated = node.allocated();
-        let ratio = |used: u64, total: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                used as f64 / total as f64
-            }
-        };
-        NodeLoad {
-            active_jobs,
-            cpu_utilization: ratio(allocated.cpu_millis, capacity.cpu_millis),
-            memory_utilization: ratio(allocated.memory_mib, capacity.memory_mib),
-        }
-    }
-
     // --- Scheduling ----------------------------------------------------------------------
 
     /// Bind `job_name` to the best-ranked node of a finished scheduling cycle
     /// — the "bind" stage of §3.5. The cycle itself runs outside the cluster
     /// (feasibility per [`Node::rejection`], scores from the meta server);
     /// this records what it found — `FilterRejected` per `rejected` node,
-    /// `ScoreFailed` per `skipped` one — reserves the job's resources on
-    /// `ranking[0]` (the ranking is best-first) and moves the job to
-    /// `Scheduled`.
+    /// `ScoreFailed` per `skipped` one — and reserves the job's resources on
+    /// `ranking[0]` (the ranking is best-first), which then holds its
+    /// reservation ([`Job::node`]).
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::Unschedulable`] when the ranking is empty (the
-    /// job is marked `Failed`), [`ClusterError::UnknownJob`] /
-    /// [`ClusterError::UnknownNode`] for names the cluster does not hold, and
-    /// [`ClusterError::BindingRejected`] when the winner can no longer take
-    /// the job's resources (the job stays as it was).
+    /// Returns [`ClusterError::Unschedulable`] when the ranking is empty,
+    /// [`ClusterError::UnknownJob`] / [`ClusterError::UnknownNode`] for names
+    /// the cluster does not hold, and [`ClusterError::BindingRejected`] when
+    /// the winner can no longer take the job's resources. No job is touched
+    /// in any error case.
     pub fn bind_job(
         &mut self,
         job_name: &str,
@@ -421,7 +358,10 @@ impl Cluster {
             } else {
                 "no feasible node could be scored by plugin 'QrioMetaRanking'"
             };
-            return Err(self.fail_unschedulable(job_name, reason.to_string()));
+            return Err(ClusterError::Unschedulable {
+                job: job_name.to_string(),
+                reason: reason.to_string(),
+            });
         };
         let node = self
             .nodes
@@ -434,10 +374,8 @@ impl Cluster {
                 reason: "resources were claimed by another job during scoring".into(),
             });
         }
-        let job = self.jobs.get_mut(job_name).expect("job exists");
-        job.set_phase(JobPhase::Scheduled {
-            node: winner.clone(),
-        });
+        let job = self.job_mut(job_name)?;
+        job.node = Some(winner.clone());
         job.log(format!(
             "scheduled on '{winner}' with score {score:.4} by plugin 'QrioMetaRanking'"
         ));
@@ -452,20 +390,6 @@ impl Cluster {
             candidates: ranking,
             filtered_out: rejected,
         })
-    }
-
-    /// End a job no scheduling cycle can place: mark it `Failed` with
-    /// `reason` and hand back the matching [`ClusterError::Unschedulable`].
-    pub fn fail_unschedulable(&mut self, job_name: &str, reason: String) -> ClusterError {
-        if let Some(job) = self.jobs.get_mut(job_name) {
-            job.set_phase(JobPhase::Failed {
-                reason: reason.clone(),
-            });
-        }
-        ClusterError::Unschedulable {
-            job: job_name.to_string(),
-            reason,
-        }
     }
 
     /// Replace the backend of an existing node after a calibration refresh or
@@ -490,59 +414,47 @@ impl Cluster {
         Ok(())
     }
 
-    /// Move a `Scheduled` (bound but not yet running) job to another node —
-    /// the migration primitive load-aware schedulers use when calibration
-    /// drift or an outage makes the original binding a bad idea. Resources
-    /// are released on the old node and reserved on the new one. Rebinding a
-    /// job onto the node it is already bound to is a no-op.
+    /// Move the reservation a job holds to another node — the migration
+    /// primitive load-aware schedulers use when calibration drift or an
+    /// outage makes the original binding a bad idea. Resources are released
+    /// on the old node and reserved on the new one. Moving a reservation
+    /// onto the node that holds it is a no-op.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown jobs or nodes, jobs not in the
-    /// `Scheduled` phase, or when the target node cannot accept the job's
-    /// resource request; in every error case the original binding is left
+    /// Returns an error for unknown jobs or nodes, a job that holds no
+    /// reservation, or when the target node cannot accept the job's resource
+    /// request; in every error case the original reservation is left
     /// untouched.
     pub fn rebind_job(&mut self, job_name: &str, target: &str) -> Result<(), ClusterError> {
-        let (spec, from) = {
-            let job = self
-                .jobs
-                .get(job_name)
-                .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-            let from = match job.phase() {
-                JobPhase::Scheduled { node } => node.clone(),
-                other => {
-                    return Err(ClusterError::BindingRejected {
-                        job: job_name.to_string(),
-                        node: target.to_string(),
-                        reason: format!("only Scheduled jobs can be rebound (currently {other:?})"),
-                    })
-                }
-            };
-            (job.spec().clone(), from)
+        let job = self.job_mut(job_name)?;
+        let resources = job.spec().resources;
+        let Some(from) = job.node.clone() else {
+            return Err(ClusterError::BindingRejected {
+                job: job_name.to_string(),
+                node: target.to_string(),
+                reason: "the job holds no reservation to move".into(),
+            });
         };
         if from == target {
             return Ok(());
         }
-        if !self.nodes.contains_key(target) {
-            return Err(ClusterError::UnknownNode(target.to_string()));
-        }
-        {
-            let target_node = self.nodes.get_mut(target).expect("target checked above");
-            if !target_node.allocate(&spec.resources) {
-                return Err(ClusterError::BindingRejected {
-                    job: job_name.to_string(),
-                    node: target.to_string(),
-                    reason: "target node cannot accept the job's resource request".into(),
-                });
-            }
+        let target_node = self
+            .nodes
+            .get_mut(target)
+            .ok_or_else(|| ClusterError::UnknownNode(target.to_string()))?;
+        if !target_node.allocate(&resources) {
+            return Err(ClusterError::BindingRejected {
+                job: job_name.to_string(),
+                node: target.to_string(),
+                reason: "target node cannot accept the job's resource request".into(),
+            });
         }
         if let Some(old) = self.nodes.get_mut(&from) {
-            old.release(&spec.resources);
+            old.release(&resources);
         }
-        let job = self.jobs.get_mut(job_name).expect("job checked above");
-        job.set_phase(JobPhase::Scheduled {
-            node: target.to_string(),
-        });
+        let job = self.job_mut(job_name)?;
+        job.node = Some(target.to_string());
         job.log(format!("rebound from '{from}' to '{target}'"));
         self.record(
             "JobRebound",
@@ -551,44 +463,23 @@ impl Cluster {
         Ok(())
     }
 
-    /// Cancel a job that has not started running: a `Scheduled` job releases
-    /// its reserved node resources. The job's phase becomes [`JobPhase::Cancelled`].
+    /// Cancel a job: the reservation it holds, if any, is released. Which
+    /// jobs may be cancelled is the caller's to decide.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::UnknownJob`] for unknown jobs and
-    /// [`ClusterError::PhaseConflict`] for jobs already running or terminal —
-    /// cancellation never rewrites history.
+    /// Returns [`ClusterError::UnknownJob`] for unknown jobs.
     pub fn cancel_job(
         &mut self,
         job_name: &str,
         reason: impl Into<String>,
     ) -> Result<(), ClusterError> {
-        let job = self
-            .jobs
-            .get(job_name)
-            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-        match job.phase().clone() {
-            JobPhase::Pending => {}
-            JobPhase::Scheduled { node } => {
-                let resources = job.spec().resources;
-                if let Some(node) = self.nodes.get_mut(&node) {
-                    node.release(&resources);
-                }
-            }
-            other => {
-                return Err(ClusterError::PhaseConflict {
-                    job: job_name.to_string(),
-                    action: "cancel".to_string(),
-                    phase: other.name().to_string(),
-                })
-            }
+        let job = self.job_mut(job_name)?;
+        let resources = job.spec().resources;
+        if let Some(node) = job.node.take().and_then(|node| self.nodes.get_mut(&node)) {
+            node.release(&resources);
         }
         let reason = reason.into();
-        let job = self.jobs.get_mut(job_name).expect("job checked above");
-        job.set_phase(JobPhase::Cancelled {
-            reason: reason.clone(),
-        });
         self.record(
             "JobCancelled",
             format!("job '{job_name}' cancelled: {reason}"),
@@ -596,9 +487,9 @@ impl Cluster {
         Ok(())
     }
 
-    /// The orchestrator half of starting an execution attempt: verify the job
-    /// is `Scheduled`, pull its image from the registry, verify the bound node
-    /// exists, move the job to `Running` and record `JobStarted`.
+    /// The orchestrator half of starting an execution attempt: pull the
+    /// job's image from the registry, verify the node holding its
+    /// reservation exists and record `JobStarted`.
     ///
     /// Returns the [`WorkOrder`] to settle later, with the job's spec and the
     /// pulled image on loan — what the caller describes the attempt from, at
@@ -609,25 +500,37 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if the job is unknown or not `Scheduled`, the image
-    /// is missing, or the bound node is gone; job state is untouched in every
-    /// error case.
+    /// Returns an error if the job is unknown or holds no reservation, the
+    /// image is missing, or the reserved node is gone. No event is recorded
+    /// then, though a failed pull still counts as a pull.
     pub fn prepare_run(
         &mut self,
         job_name: &str,
         attempt: u32,
     ) -> Result<(WorkOrder, &JobSpec, &ImageBundle), ClusterError> {
-        self.start_run(job_name, attempt, true)?;
+        let job = self
+            .jobs
+            .get(job_name)
+            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
+        let node = reserved_node(job)?;
+        self.registry.pull(&job.spec().image)?;
+        if !self.nodes.contains_key(&node) {
+            return Err(ClusterError::UnknownNode(node));
+        }
+        self.record(
+            "JobStarted",
+            format!("job '{job_name}' running on '{node}'"),
+        );
         self.lend_run(job_name, attempt)
     }
 
-    /// What a started attempt of a `Running` job describes itself from: its
-    /// [`WorkOrder`] again, with the job's spec and its image on loan.
+    /// What an attempt of a job that holds a reservation describes itself
+    /// from: its [`WorkOrder`], with the job's spec and its image on loan.
     ///
     /// # Errors
     ///
-    /// Returns an error if the job is unknown or not `Running`, or its image
-    /// is gone from the registry.
+    /// Returns an error if the job is unknown or holds no reservation, or its
+    /// image is gone from the registry.
     pub fn lend_run(
         &self,
         job_name: &str,
@@ -637,76 +540,26 @@ impl Cluster {
             .jobs
             .get(job_name)
             .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-        let JobPhase::Running { node } = job.phase() else {
-            return Err(ClusterError::ExecutionFailed {
-                job: job_name.to_string(),
-                reason: format!(
-                    "job is not in the Running phase (currently {:?})",
-                    job.phase()
-                ),
-            });
-        };
-        let (spec, node) = (job.spec(), node.clone());
+        let spec = job.spec();
         let order = WorkOrder {
             job: job_name.to_string(),
-            node,
+            node: reserved_node(job)?,
             attempt,
             resources: spec.resources,
         };
         Ok((order, spec, self.registry.image(&spec.image)?))
     }
 
-    /// Move a `Scheduled` job to `Running` on its bound node and record
-    /// `JobStarted`. A real attempt first `pull`s the job's image and makes
-    /// sure the node is still there; an interrupted one, whose device is the
-    /// very thing that went away, does neither.
-    fn start_run(
-        &mut self,
-        job_name: &str,
-        attempt: u32,
-        pull: bool,
-    ) -> Result<WorkOrder, ClusterError> {
-        let job = self
-            .jobs
-            .get_mut(job_name)
-            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-        let node = match job.phase() {
-            JobPhase::Scheduled { node } => node.clone(),
-            other => {
-                return Err(ClusterError::ExecutionFailed {
-                    job: job_name.to_string(),
-                    reason: format!("job is not in the Scheduled phase (currently {other:?})"),
-                })
-            }
-        };
-        if pull {
-            self.registry.pull(&job.spec().image)?;
-            if !self.nodes.contains_key(&node) {
-                return Err(ClusterError::UnknownNode(node));
-            }
-        }
-        job.set_phase(JobPhase::Running { node: node.clone() });
-        let resources = job.spec().resources;
-        self.record(
-            "JobStarted",
-            format!("job '{job_name}' running on '{node}'"),
-        );
-        Ok(WorkOrder {
-            job: job_name.to_string(),
-            node,
-            attempt,
-            resources,
-        })
-    }
-
     /// Apply the device-side verdict of a prepared attempt: release the
-    /// node's classical resources and move the job to its terminal phase.
-    /// An injected fault marks the job `Failed` with the fault's typed
-    /// reason; a [`FaultKind::DeviceFlap`] additionally marks the node
-    /// `NotReady` (self-healing restarts it later).
+    /// order's reservation, clear the job's, and record the result. An
+    /// injected fault is reported with its typed reason; a
+    /// [`FaultKind::DeviceFlap`] additionally marks the node `NotReady`
+    /// (self-healing restarts it later).
     ///
     /// # Errors
     ///
+    /// [`ClusterError::UnknownJob`] for an order naming a job the cluster
+    /// does not hold (nothing is released then),
     /// [`ClusterError::ExecutionFailed`] for failed runs and
     /// [`ClusterError::InjectedFault`] for faulted ones.
     pub fn settle_run(
@@ -714,132 +567,83 @@ impl Cluster {
         order: &WorkOrder,
         verdict: AttemptVerdict,
     ) -> Result<(), ClusterError> {
-        let job_name = &order.job;
-        let node_name = &order.node;
-        match verdict {
-            AttemptVerdict::Faulted(kind) => Err(self.fail_with_fault(order, kind)),
-            AttemptVerdict::Completed(result) => {
-                if let Some(node) = self.nodes.get_mut(node_name) {
-                    node.release(&order.resources);
+        let (job_name, node_name, attempt) = (&order.job, &order.node, order.attempt);
+        let flapped = verdict == AttemptVerdict::Faulted(FaultKind::DeviceFlap);
+        let job = self.job_mut(job_name)?;
+        job.node = None;
+        let (kind, message, result) = match verdict {
+            AttemptVerdict::Completed(outcome) => {
+                for line in outcome.logs {
+                    job.log(line);
                 }
-                let job = self.jobs.get_mut(job_name).expect("job exists");
-                for line in &result.logs {
-                    job.log(line.clone());
-                }
-                job.set_result(result.counts, result.fidelity);
-                job.set_phase(JobPhase::Succeeded {
-                    node: node_name.clone(),
-                });
-                self.record(
-                    "JobSucceeded",
-                    format!("job '{job_name}' finished on '{node_name}'"),
-                );
-                Ok(())
+                job.set_result(outcome.counts, outcome.fidelity);
+                let message = format!("job '{job_name}' finished on '{node_name}'");
+                ("JobSucceeded", message, Ok(()))
             }
             AttemptVerdict::Failed(reason) => {
-                if let Some(node) = self.nodes.get_mut(node_name) {
-                    node.release(&order.resources);
-                }
-                let job = self.jobs.get_mut(job_name).expect("job exists");
-                job.set_phase(JobPhase::Failed {
-                    reason: reason.clone(),
-                });
-                self.record(
-                    "JobFailed",
-                    format!("job '{job_name}' failed on '{node_name}': {reason}"),
-                );
-                Err(ClusterError::ExecutionFailed {
-                    job: job_name.to_string(),
+                let message = format!("job '{job_name}' failed on '{node_name}': {reason}");
+                let err = ClusterError::ExecutionFailed {
+                    job: job_name.clone(),
                     reason,
-                })
+                };
+                ("JobFailed", message, Err(err))
             }
-        }
-    }
-
-    /// Mark a `Running` job as faulted: release its node's resources, record
-    /// the typed failure, and (for device flaps) take the node down.
-    fn fail_with_fault(&mut self, order: &WorkOrder, kind: FaultKind) -> ClusterError {
-        let (job_name, node_name, attempt) = (&order.job, &order.node, order.attempt);
+            AttemptVerdict::Faulted(kind) => {
+                let message = format!(
+                    "job '{job_name}' attempt {attempt} on '{node_name}' hit {}",
+                    kind.reason()
+                );
+                let err = ClusterError::InjectedFault {
+                    job: job_name.clone(),
+                    node: node_name.clone(),
+                    kind,
+                    attempt,
+                };
+                ("JobFaultInjected", message, Err(err))
+            }
+        };
         if let Some(node) = self.nodes.get_mut(node_name) {
             node.release(&order.resources);
-            if kind == FaultKind::DeviceFlap {
+            if flapped {
                 node.mark_not_ready();
             }
         }
-        if kind == FaultKind::DeviceFlap {
+        if flapped {
             self.record(
                 "NodeFlapped",
                 format!("node '{node_name}' flapped while running job '{job_name}'"),
             );
         }
-        let job = self.jobs.get_mut(job_name).expect("job exists");
-        job.set_phase(JobPhase::Failed {
-            reason: kind.reason().to_string(),
-        });
-        self.record(
-            "JobFaultInjected",
-            format!(
-                "job '{job_name}' attempt {attempt} on '{node_name}' hit {}",
-                kind.reason()
-            ),
-        );
-        ClusterError::InjectedFault {
-            job: job_name.to_string(),
-            node: node_name.to_string(),
-            kind,
-            attempt,
-        }
+        self.record(kind, message);
+        result
     }
 
-    /// Return a `Failed` job to `Pending` — the re-admission step of a
-    /// retry. The job keeps its logs and history;
-    /// a fresh scheduling cycle will bind it again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownJob`] for unknown jobs and
-    /// [`ClusterError::PhaseConflict`] when the job is not `Failed`.
-    pub fn requeue_job(&mut self, job_name: &str) -> Result<(), ClusterError> {
-        let job = self
-            .jobs
-            .get_mut(job_name)
-            .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-        match job.phase() {
-            JobPhase::Failed { .. } => {}
-            other => {
-                let phase = other.name().to_string();
-                return Err(ClusterError::PhaseConflict {
-                    job: job_name.to_string(),
-                    action: "requeue".to_string(),
-                    phase,
-                });
-            }
-        }
-        job.set_phase(JobPhase::Pending);
-        self.record("JobRequeued", format!("job '{job_name}' requeued"));
-        Ok(())
-    }
-
-    /// Interrupt a job whose device died under it: a `Scheduled` job passes
-    /// through `Running`, a `Running` one (in service on its device) goes on
-    /// from there, straight into a [`FaultKind::DeviceFlap`] failure
-    /// (resources released, node marked `NotReady`) without the runner ever
-    /// being invoked. Virtual-time drivers use this when an outage lands on
-    /// a device with a job mid-execution.
+    /// Interrupt a job whose device died under it: its attempt settles
+    /// straight into a [`FaultKind::DeviceFlap`] failure (reservation
+    /// released, node marked `NotReady`) without the runner ever being
+    /// invoked. Virtual-time drivers use this when an outage lands on a
+    /// device with a job mid-execution.
     ///
     /// # Errors
     ///
     /// Always errs on success: the applied interrupt surfaces as
     /// [`ClusterError::InjectedFault`] with [`FaultKind::DeviceFlap`], like
-    /// any other injected fault. `UnknownJob` / `ExecutionFailed` report a
-    /// missing job or one that is neither `Scheduled` nor `Running`.
+    /// any other injected fault. Otherwise the errors of
+    /// [`Cluster::lend_run`].
     pub fn interrupt_job(&mut self, job_name: &str, attempt: u32) -> Result<(), ClusterError> {
-        let order = match self.lend_run(job_name, attempt) {
-            Ok((order, _, _)) => order,
-            Err(_) => self.start_run(job_name, attempt, false)?,
-        };
+        let order = self.lend_run(job_name, attempt)?.0;
         self.settle_run(&order, AttemptVerdict::Faulted(FaultKind::DeviceFlap))
     }
+}
+
+/// The node holding `job`'s reservation, which every attempt needs.
+fn reserved_node(job: &Job) -> Result<String, ClusterError> {
+    job.node
+        .clone()
+        .ok_or_else(|| ClusterError::ExecutionFailed {
+            job: job.name().to_string(),
+            reason: "the job holds no reservation on any node".into(),
+        })
 }
 
 impl std::fmt::Debug for Cluster {
@@ -975,7 +779,7 @@ mod tests {
         assert_eq!(decision.node, "quiet");
         assert_eq!(decision.candidates.len(), 2);
         assert!(decision.filtered_out.iter().any(|(node, _)| node == "tiny"));
-        assert_eq!(cluster.job("job-a").unwrap().phase().node(), Some("quiet"));
+        assert_eq!(cluster.job("job-a").unwrap().node(), Some("quiet"));
         // Resources were reserved on the chosen node.
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
@@ -984,18 +788,21 @@ mod tests {
     }
 
     #[test]
-    fn unschedulable_job_is_marked_failed() {
+    fn unschedulable_job_holds_no_reservation() {
         let mut cluster = cluster_with_nodes();
         let spec = make_spec("huge", 50);
         cluster.submit_job(spec).unwrap();
-        let err = schedule(&mut cluster, "huge");
-        assert!(matches!(err, Err(ClusterError::Unschedulable { .. })));
+        let err = schedule(&mut cluster, "huge").unwrap_err();
         assert_eq!(
-            cluster.job("huge").unwrap().phase(),
-            &JobPhase::Failed {
+            err,
+            ClusterError::Unschedulable {
+                job: "huge".into(),
                 reason: "no node passed the filtering stage".into()
             }
         );
+        // The job is left as it was: no reservation, no log line.
+        let job = cluster.job("huge").unwrap();
+        assert_eq!((job.node(), job.logs().len()), (None, 0));
         // One FilterRejected event per node, naming the stage that said no.
         let rejections: Vec<&ClusterEvent> = cluster
             .events()
@@ -1015,9 +822,11 @@ mod tests {
         bind(&mut cluster, "job-run", "quiet");
         run(&mut cluster, "job-run").unwrap();
         let job = cluster.job("job-run").unwrap();
-        assert!(matches!(job.phase(), JobPhase::Succeeded { .. }));
+        assert_eq!(job.node(), None, "settling clears the reservation");
         assert_eq!(job.result_counts()[0].1, 64);
-        assert!(job.logs().iter().any(|l| l.contains("ran job-run")));
+        // The bind line and the runner's lines, nothing else.
+        assert_eq!(job.logs().len(), 2);
+        assert!(job.logs()[1].contains("ran job-run"));
         // Resources released after completion.
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
@@ -1033,14 +842,39 @@ mod tests {
         cluster.submit_job(spec).unwrap();
         bind(&mut cluster, "job-fail", "quiet");
         assert!(crash(&mut cluster, "job-fail").is_err());
-        assert!(matches!(
-            cluster.job("job-fail").unwrap().phase(),
-            JobPhase::Failed { .. }
-        ));
+        assert_eq!(cluster.job("job-fail").unwrap().node(), None);
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
         );
+        // A settled attempt leaves nothing held: a retry binds afresh.
+        bind(&mut cluster, "job-fail", "quiet");
+        run(&mut cluster, "job-fail").unwrap();
+    }
+
+    #[test]
+    fn settling_an_unknown_job_releases_nothing() {
+        let mut cluster = cluster_with_nodes();
+        submit_and_schedule(&mut cluster, "held");
+        let order = WorkOrder {
+            job: "ghost".into(),
+            node: "quiet".into(),
+            attempt: 0,
+            resources: Resources::new(1000, 1024),
+        };
+        for verdict in [
+            AttemptVerdict::Failed("lost".into()),
+            AttemptVerdict::Faulted(FaultKind::DeviceFlap),
+        ] {
+            assert_eq!(
+                cluster.settle_run(&order, verdict),
+                Err(ClusterError::UnknownJob("ghost".into()))
+            );
+        }
+        let quiet = cluster.node("quiet").unwrap();
+        assert_eq!(quiet.allocated(), Resources::new(1000, 1024));
+        assert_eq!(quiet.status(), NodeStatus::Ready);
+        assert_eq!(cluster.job("held").unwrap().node(), Some("quiet"));
     }
 
     #[test]
@@ -1062,27 +896,24 @@ mod tests {
     #[test]
     fn node_load_tracks_bound_jobs_and_utilization() {
         let mut cluster = cluster_with_nodes();
-        assert_eq!(cluster.node_load("missing"), None);
-        let idle = cluster.node_load("quiet").unwrap();
-        assert_eq!(idle.active_jobs, 0);
-        assert_eq!(idle.utilization(), 0.0);
+        let holding = |cluster: &Cluster, node: &str| {
+            let on = |job: &&Job| job.node() == Some(node);
+            cluster.jobs().filter(on).count()
+        };
+        assert_eq!(holding(&cluster, "quiet"), 0);
+        assert_eq!(cluster.node("quiet").unwrap().utilization(), 0.0);
 
         let spec = make_spec("load-job", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
         bind(&mut cluster, "load-job", "quiet");
-        let busy = cluster.node_load("quiet").unwrap();
-        assert_eq!(busy.active_jobs, 1);
-        assert!((busy.cpu_utilization - 0.25).abs() < 1e-12);
-        assert!((busy.memory_utilization - 0.125).abs() < 1e-12);
-        assert!((busy.utilization() - 0.25).abs() < 1e-12);
-        // Every node is reported, in name order.
-        let loads = cluster.node_loads();
-        assert_eq!(loads.len(), 3);
-        assert!(loads.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(holding(&cluster, "quiet"), 1);
+        // CPU is the dominant resource: 1000 of 4000 millis, 1024 of 8192 MiB.
+        assert_eq!(cluster.node("quiet").unwrap().utilization(), 0.25);
 
         run(&mut cluster, "load-job").unwrap();
-        assert_eq!(cluster.node_load("quiet").unwrap().active_jobs, 0);
+        assert_eq!(holding(&cluster, "quiet"), 0);
+        assert_eq!(cluster.node("quiet").unwrap().utilization(), 0.0);
     }
 
     #[test]
@@ -1103,10 +934,10 @@ mod tests {
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
         bind(&mut cluster, "mover", "quiet");
-        assert_eq!(cluster.job("mover").unwrap().phase().node(), Some("quiet"));
+        assert_eq!(cluster.job("mover").unwrap().node(), Some("quiet"));
 
         cluster.rebind_job("mover", "noisy").unwrap();
-        assert_eq!(cluster.job("mover").unwrap().phase().node(), Some("noisy"));
+        assert_eq!(cluster.job("mover").unwrap().node(), Some("noisy"));
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
@@ -1120,7 +951,12 @@ mod tests {
         cluster.rebind_job("mover", "noisy").unwrap();
         // The migrated job still runs to completion on the new node.
         run(&mut cluster, "mover").unwrap();
-        assert_eq!(cluster.job("mover").unwrap().phase().node(), Some("noisy"));
+        let finished = cluster.events().last().unwrap();
+        assert!(finished.message.ends_with("finished on 'noisy'"));
+        assert_eq!(
+            cluster.node("noisy").unwrap().allocated(),
+            Resources::default()
+        );
     }
 
     #[test]
@@ -1129,7 +965,7 @@ mod tests {
         let spec = make_spec("stuck", 4);
         push_image_for(&mut cluster, &spec);
         cluster.submit_job(spec).unwrap();
-        // Pending jobs cannot be rebound.
+        // A job that holds no reservation has none to move.
         assert!(matches!(
             cluster.rebind_job("stuck", "noisy"),
             Err(ClusterError::BindingRejected { .. })
@@ -1156,7 +992,7 @@ mod tests {
         bind(&mut cluster, "hog", "noisy");
         let err = cluster.rebind_job("stuck", "noisy");
         assert!(matches!(err, Err(ClusterError::BindingRejected { .. })));
-        assert_eq!(cluster.job("stuck").unwrap().phase().node(), Some("quiet"));
+        assert_eq!(cluster.job("stuck").unwrap().node(), Some("quiet"));
     }
 
     #[test]
@@ -1180,20 +1016,16 @@ mod tests {
     #[test]
     fn cancel_dequeues_pending_and_releases_scheduled_resources() {
         let mut cluster = cluster_with_nodes();
-        // Pending: the job is withdrawn before any binding.
+        // Unbound: the job is withdrawn before any binding.
         let pending = make_spec("cancel-pending", 4);
         push_image_for(&mut cluster, &pending);
         cluster.submit_job(pending).unwrap();
         cluster
             .cancel_job("cancel-pending", "user request")
             .unwrap();
-        assert!(matches!(
-            cluster.job("cancel-pending").unwrap().phase(),
-            JobPhase::Cancelled { .. }
-        ));
         assert!(cluster.events().iter().any(|e| e.kind == "JobCancelled"));
 
-        // Scheduled: cancellation releases the node's reserved resources.
+        // Bound: cancellation releases the node's reserved resources.
         let scheduled = make_spec("cancel-scheduled", 4);
         push_image_for(&mut cluster, &scheduled);
         cluster.submit_job(scheduled).unwrap();
@@ -1203,37 +1035,22 @@ mod tests {
             Resources::new(1000, 1024)
         );
         cluster.cancel_job("cancel-scheduled", "obsolete").unwrap();
+        assert_eq!(cluster.job("cancel-scheduled").unwrap().node(), None);
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
         );
-        // A cancelled job cannot be run or cancelled again.
+        // A cancelled job holds nothing to run on, and a second cancel
+        // releases nothing.
         assert!(run(&mut cluster, "cancel-scheduled").is_err());
-        assert!(matches!(
-            cluster.cancel_job("cancel-scheduled", "again"),
-            Err(ClusterError::PhaseConflict { .. })
-        ));
+        cluster.cancel_job("cancel-scheduled", "again").unwrap();
+        assert_eq!(
+            cluster.node("quiet").unwrap().allocated(),
+            Resources::default()
+        );
         assert!(matches!(
             cluster.cancel_job("ghost", "missing"),
             Err(ClusterError::UnknownJob(_))
-        ));
-    }
-
-    #[test]
-    fn cancel_rejects_running_and_succeeded_jobs() {
-        let mut cluster = cluster_with_nodes();
-        let spec = make_spec("done-job", 4);
-        push_image_for(&mut cluster, &spec);
-        cluster.submit_job(spec).unwrap();
-        bind(&mut cluster, "done-job", "quiet");
-        run(&mut cluster, "done-job").unwrap();
-        assert!(matches!(
-            cluster.cancel_job("done-job", "too late"),
-            Err(ClusterError::PhaseConflict { .. })
-        ));
-        assert!(matches!(
-            cluster.job("done-job").unwrap().phase(),
-            JobPhase::Succeeded { .. }
         ));
     }
 
@@ -1285,12 +1102,13 @@ mod tests {
         let restored: Cluster = from_bytes(&bytes).unwrap();
 
         // Decoding is a fixed point: the restored cluster encodes to the
-        // same bytes — no job grew a `phase:` log line on the way.
+        // same bytes.
         assert_eq!(to_bytes(&restored), bytes);
         assert_eq!(restored.job_logs("done"), cluster.job_logs("done"));
-        // Live behaviour survives: the pending job, bound resources and
+        // Live behaviour survives: reservations, bound resources and
         // counters are intact.
-        assert_eq!(restored.job("waiting").unwrap().phase(), &JobPhase::Pending);
+        assert_eq!(restored.job("waiting").unwrap().node(), None);
+        assert_eq!(restored.job("bound").unwrap().node(), Some("quiet"));
         assert_eq!(
             restored.node("quiet").unwrap().allocated(),
             Resources::new(1000, 1024)
@@ -1348,10 +1166,7 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            cluster.job("doomed").unwrap().phase(),
-            JobPhase::Failed { .. }
-        ));
+        assert_eq!(cluster.job("doomed").unwrap().node(), None);
         // Resources released and the injection left an audit trail.
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
@@ -1408,32 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_returns_failed_job_to_pending() {
-        let mut cluster = cluster_with_nodes();
-        submit_and_schedule(&mut cluster, "retry-me");
-        assert!(crash(&mut cluster, "retry-me").is_err());
-        // Only Failed jobs may be requeued.
-        cluster.requeue_job("retry-me").unwrap();
-        assert!(matches!(
-            cluster.job("retry-me").unwrap().phase(),
-            JobPhase::Pending
-        ));
-        assert!(cluster.events().iter().any(|e| e.kind == "JobRequeued"));
-        // A pending job cannot be requeued again; unknown jobs error.
-        assert!(matches!(
-            cluster.requeue_job("retry-me"),
-            Err(ClusterError::PhaseConflict { .. })
-        ));
-        assert!(matches!(
-            cluster.requeue_job("ghost"),
-            Err(ClusterError::UnknownJob { .. })
-        ));
-        // The requeued job schedules and runs to completion again.
-        bind(&mut cluster, "retry-me", "quiet");
-        run(&mut cluster, "retry-me").unwrap();
-    }
-
-    #[test]
     fn interrupt_turns_scheduled_job_into_flap_fault() {
         let mut cluster = cluster_with_nodes();
         submit_and_schedule(&mut cluster, "cut-short");
@@ -1446,15 +1235,12 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            cluster.job("cut-short").unwrap().phase(),
-            JobPhase::Failed { .. }
-        ));
+        assert_eq!(cluster.job("cut-short").unwrap().node(), None);
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
         );
-        // Interrupting a non-scheduled job is an error.
+        // A job that holds no reservation cannot be interrupted.
         assert!(cluster.interrupt_job("cut-short", 3).is_err());
         assert!(cluster.interrupt_job("missing", 0).is_err());
     }

@@ -1,4 +1,4 @@
-//! Quantum jobs: specifications, device requirements, status and logs.
+//! Quantum jobs: specifications, device requirements, reservations and logs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -357,85 +357,16 @@ codec_struct!(JobSpec {
     deadline,
 });
 
-/// Lifecycle of a job inside the cluster.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobPhase {
-    /// Submitted, not yet scheduled.
-    Pending,
-    /// Bound to a node, awaiting execution.
-    Scheduled {
-        /// Node the job was bound to.
-        node: String,
-    },
-    /// Currently executing on its node.
-    Running {
-        /// Node executing the job.
-        node: String,
-    },
-    /// Finished successfully.
-    Succeeded {
-        /// Node that executed the job.
-        node: String,
-    },
-    /// Failed (scheduling or execution).
-    Failed {
-        /// Human-readable failure reason.
-        reason: String,
-    },
-    /// Cancelled by the user before it started running.
-    Cancelled {
-        /// Why the job was cancelled.
-        reason: String,
-    },
-}
-
-codec_enum!(JobPhase {
-    0 => Pending,
-    1 => Scheduled { node },
-    2 => Running { node },
-    3 => Succeeded { node },
-    4 => Failed { reason },
-    5 => Cancelled { reason },
-});
-
-impl JobPhase {
-    /// The bare variant name (no payload) — for user-facing messages where
-    /// Debug formatting would leak reasons and result payloads.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JobPhase::Pending => "Pending",
-            JobPhase::Scheduled { .. } => "Scheduled",
-            JobPhase::Running { .. } => "Running",
-            JobPhase::Succeeded { .. } => "Succeeded",
-            JobPhase::Failed { .. } => "Failed",
-            JobPhase::Cancelled { .. } => "Cancelled",
-        }
-    }
-
-    /// The node associated with the phase, if any.
-    pub fn node(&self) -> Option<&str> {
-        match self {
-            JobPhase::Scheduled { node }
-            | JobPhase::Running { node }
-            | JobPhase::Succeeded { node } => Some(node),
-            _ => None,
-        }
-    }
-
-    /// Whether the job has reached a terminal phase.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobPhase::Succeeded { .. } | JobPhase::Failed { .. } | JobPhase::Cancelled { .. }
-        )
-    }
-}
-
-/// A job tracked by the cluster: its spec, phase, logs and result summary.
+/// A job tracked by the cluster: its spec, the node holding its classical
+/// reservation, its logs and result summary. Where the job is in its
+/// lifecycle is not the cluster's to say: `qrio`'s job state machine owns
+/// that.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     spec: JobSpec,
-    phase: JobPhase,
+    /// The node holding the job's reservation, from its binding until its
+    /// attempt settles or it is cancelled.
+    pub(crate) node: Option<String>,
     logs: Vec<String>,
     /// Histogram of measurement outcomes (`bitstring -> count`) once finished.
     result_counts: Vec<(String, u64)>,
@@ -443,22 +374,20 @@ pub struct Job {
     achieved_fidelity: Option<f64>,
 }
 
-// Decoding sets every field verbatim: it does not route through
-// `Job::set_phase`, which would append a log line.
 codec_struct!(Job {
     spec,
-    phase,
+    node,
     logs,
     result_counts,
     achieved_fidelity,
 });
 
 impl Job {
-    /// Wrap a spec into a pending job.
+    /// Wrap a spec into a job that holds no reservation yet.
     pub fn new(spec: JobSpec) -> Self {
         Job {
             spec,
-            phase: JobPhase::Pending,
+            node: None,
             logs: Vec::new(),
             result_counts: Vec::new(),
             achieved_fidelity: None,
@@ -475,9 +404,12 @@ impl Job {
         &self.spec.name
     }
 
-    /// Current phase.
-    pub fn phase(&self) -> &JobPhase {
-        &self.phase
+    /// The node holding the job's classical reservation: set by
+    /// [`Cluster::bind_job`](crate::Cluster::bind_job) and
+    /// [`Cluster::rebind_job`](crate::Cluster::rebind_job), cleared when its
+    /// attempt settles or it is cancelled.
+    pub fn node(&self) -> Option<&str> {
+        self.node.as_deref()
     }
 
     /// Execution logs, in order (the logs the visualizer shows, §3.2).
@@ -500,12 +432,6 @@ impl Job {
         self.logs.push(line.into());
     }
 
-    /// Transition to a new phase (also logged).
-    pub fn set_phase(&mut self, phase: JobPhase) {
-        self.logs.push(format!("phase: {phase:?}"));
-        self.phase = phase;
-    }
-
     /// Record the execution result.
     pub fn set_result(&mut self, counts: Vec<(String, u64)>, fidelity: Option<f64>) {
         self.result_counts = counts;
@@ -515,7 +441,10 @@ impl Job {
 
 impl fmt::Display for Job {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Job '{}' [{:?}]", self.spec.name, self.phase)
+        match &self.node {
+            Some(node) => write!(f, "Job '{}' on '{node}'", self.spec.name),
+            None => write!(f, "Job '{}'", self.spec.name),
+        }
     }
 }
 
@@ -570,21 +499,12 @@ mod tests {
             deadline: None,
         };
         let mut job = Job::new(spec);
-        assert_eq!(job.phase(), &JobPhase::Pending);
-        assert!(!job.phase().is_terminal());
-        job.set_phase(JobPhase::Scheduled {
-            node: "dev-a".into(),
-        });
-        assert_eq!(job.phase().node(), Some("dev-a"));
-        job.set_phase(JobPhase::Running {
-            node: "dev-a".into(),
-        });
+        assert_eq!(job.node(), None);
+        job.node = Some("dev-a".into());
+        assert_eq!(job.node(), Some("dev-a"));
+        assert!(job.to_string().ends_with("on 'dev-a'"));
         job.log("transpiling circuit");
         job.set_result(vec![("1011".into(), 900), ("0000".into(), 124)], Some(0.88));
-        job.set_phase(JobPhase::Succeeded {
-            node: "dev-a".into(),
-        });
-        assert!(job.phase().is_terminal());
         assert_eq!(job.result_counts().len(), 2);
         assert_eq!(job.achieved_fidelity(), Some(0.88));
         assert!(job.logs().iter().any(|l| l.contains("transpiling")));
@@ -640,23 +560,5 @@ mod tests {
         );
 
         assert_eq!(StrategySpec::min_queue().name, strategy_names::MIN_QUEUE);
-    }
-
-    #[test]
-    fn failed_phase_has_no_node() {
-        let phase = JobPhase::Failed {
-            reason: "no devices matched".into(),
-        };
-        assert!(phase.is_terminal());
-        assert_eq!(phase.node(), None);
-    }
-
-    #[test]
-    fn cancelled_phase_is_terminal_and_nodeless() {
-        let phase = JobPhase::Cancelled {
-            reason: "user request".into(),
-        };
-        assert!(phase.is_terminal());
-        assert_eq!(phase.node(), None);
     }
 }

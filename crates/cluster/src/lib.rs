@@ -15,7 +15,7 @@
 //!   resource fit, qubit count, device-requirement bounds).
 //! * [`JobSpec`], [`Job`], [`yaml`] — job objects with device-requirement
 //!   bounds, an open [`StrategySpec`] (ranking strategy by name with typed
-//!   [`StrategyParams`]), lifecycle phases and logs.
+//!   [`StrategyParams`]), the node holding each job's reservation, and logs.
 //! * [`ImageRegistry`], [`ImageBundle`] — the simulated Docker Hub the master
 //!   server pushes job containers to.
 //! * [`Cluster`] — the control plane: node/job stores, the bind stage of
@@ -57,13 +57,12 @@ mod resources;
 pub mod yaml;
 
 pub use cluster::{
-    AttemptVerdict, Cluster, ClusterEvent, ExecutionOutcome, NodeLoad, ScheduleDecision, WorkOrder,
+    AttemptVerdict, Cluster, ClusterEvent, ExecutionOutcome, ScheduleDecision, WorkOrder,
 };
 pub use error::ClusterError;
 pub use fault::{BackoffPolicy, FaultInjector, FaultKind, RetryOn, RetryPolicy};
 pub use job::{
-    strategy_names, DeviceRequirements, Job, JobPhase, JobSpec, ParamValue, StrategyParams,
-    StrategySpec,
+    strategy_names, DeviceRequirements, Job, JobSpec, ParamValue, StrategyParams, StrategySpec,
 };
 pub use node::{Node, NodeStatus};
 pub use registry::{ImageBundle, ImageRegistry};

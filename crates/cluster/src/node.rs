@@ -6,7 +6,7 @@ use std::fmt;
 use qrio_backend::{Backend, NodeLabels};
 use qrio_bytes::{codec_enum, codec_struct};
 
-use crate::job::{Job, JobPhase};
+use crate::job::Job;
 use crate::resources::Resources;
 
 /// Health of a cluster node.
@@ -108,6 +108,21 @@ impl Node {
         self.allocated
     }
 
+    /// The dominant fraction of the node's classical capacity its
+    /// reservations hold — the larger of CPU and memory, in `[0, 1]`.
+    pub fn utilization(&self) -> f64 {
+        let ratio = |used: u64, total: u64| {
+            if total == 0 {
+                0.0
+            } else {
+                used as f64 / total as f64
+            }
+        };
+        let (used, total) = (self.allocated, self.capacity);
+        let cpu = ratio(used.cpu_millis, total.cpu_millis);
+        cpu.max(ratio(used.memory_mib, total.memory_mib))
+    }
+
     /// Classical resources still available.
     pub fn available(&self) -> Resources {
         self.capacity.remaining(&self.allocated)
@@ -147,11 +162,8 @@ impl Node {
         }
         let spec = job.spec();
         let mut available = self.available();
-        match job.phase() {
-            JobPhase::Scheduled { node } | JobPhase::Running { node } if node == self.name() => {
-                available = available.plus(&spec.resources);
-            }
-            _ => {}
+        if job.node() == Some(self.name()) {
+            available = available.plus(&spec.resources);
         }
         if !available.can_fit(&spec.resources) {
             return Some(format!(
@@ -303,13 +315,9 @@ mod tests {
         // elsewhere does not.
         n.release(&Resources::new(1000, 1024));
         n.allocate(&Resources::new(1000, 1024));
-        j.set_phase(JobPhase::Scheduled {
-            node: "dev-a".into(),
-        });
+        j.node = Some("dev-a".into());
         assert_eq!(n.rejection(&j), None);
-        j.set_phase(JobPhase::Scheduled {
-            node: "elsewhere".into(),
-        });
+        j.node = Some("elsewhere".into());
         assert!(n.rejection(&j).is_some());
         // Not-ready nodes are rejected before anything else is looked at.
         n.cordon();
@@ -354,8 +362,13 @@ mod tests {
         let mut n = node();
         let req = Resources::new(2000, 4096);
         assert!(n.can_accept(&req));
+        assert_eq!(n.utilization(), 0.0);
         assert!(n.allocate(&req));
         assert_eq!(n.available(), Resources::new(2000, 4096));
+        assert_eq!(n.utilization(), 0.5);
+        assert!(n.allocate(&Resources::new(1000, 0)));
+        assert_eq!(n.utilization(), 0.75, "the dominant resource counts");
+        n.release(&Resources::new(1000, 0));
         // A second identical job fits exactly; a third does not.
         assert!(n.allocate(&req));
         assert!(!n.allocate(&req));

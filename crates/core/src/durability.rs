@@ -89,8 +89,9 @@ pub const RECORD_SNAPSHOT: u8 = 3;
 /// `ConfigureService` command, what each device is serving and has served —
 /// and a node's breaker hold beside its cordon; it dropped the cluster's
 /// submission queue and the `KickRetry` / `Probe` commands (tags 15 and 17
-/// stay unused).
-pub const RECORD_VERSION: u16 = 3;
+/// stay unused). Version 4 replaced a cluster job's phase with the node
+/// holding its reservation, and its logs no longer carry a line per phase.
+pub const RECORD_VERSION: u16 = 4;
 
 // ---------------------------------------------------------------------------
 // Errors

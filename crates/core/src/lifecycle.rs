@@ -27,7 +27,6 @@ use qrio_bytes::{
     codec_enum, codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode, Wide32,
 };
 use qrio_cluster::{ClusterError, ScheduleDecision};
-use qrio_meta::DeviceTelemetry;
 
 use crate::error::QrioError;
 
@@ -658,21 +657,17 @@ impl LifecycleStore {
         self.device_queues.get(device)?.front().cloned()
     }
 
-    /// The load `device` carries under a service model — depth: its queue,
-    /// the job in service included; utilization: the fraction of the clock it
-    /// spent serving, the elapsed part of the window in service included.
-    pub(crate) fn load(&self, device: &str) -> DeviceTelemetry {
+    /// How busy `device` has been under a service model: the fraction of the
+    /// clock it spent serving, the elapsed part of the window in service
+    /// included.
+    pub(crate) fn busy_fraction(&self, device: &str) -> f64 {
         let served = self.busy.get(device).copied().unwrap_or(0);
         let elapsed = self
             .serving
             .get(device)
             .map_or(0, |(since, _)| self.clock - since);
         let utilization = (served + elapsed) as f64 / self.clock.max(1) as f64;
-        DeviceTelemetry {
-            queue_depth: self.device_queues.get(device).map_or(0, VecDeque::len),
-            utilization: utilization.min(1.0),
-            health_penalty: 0.0,
-        }
+        utilization.min(1.0)
     }
 
     /// Whether any device queue still holds work (an empty queue is pruned,

@@ -132,7 +132,10 @@ pub struct JobOutcome {
     pub counts: Vec<(String, u64)>,
     /// Fidelity achieved against the noise-free reference, when computed.
     pub achieved_fidelity: Option<f64>,
-    /// The job's execution logs.
+    /// The job's logs: the line of each binding (`scheduled on ...`) and
+    /// rebinding (`rebound from ...`), then the runner's lines of the
+    /// attempt that succeeded. Where the job went is the watch log's to say
+    /// ([`Qrio::watch`]); no line per state is kept here.
     pub logs: Vec<String>,
 }
 

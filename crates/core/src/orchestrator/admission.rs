@@ -139,9 +139,8 @@ impl Qrio {
     /// rewrites history — and an unknown-job error for ids never enqueued.
     pub fn cancel(&mut self, id: &JobId) -> Result<(), QrioError> {
         let status = self.job_status(id)?;
-        // A Retrying job is cancellable mid-backoff: its cluster record is
-        // back in `Pending` (requeued at the retry decision), so the
-        // cluster's Pending arm handles it.
+        // The lifecycle decides what may be cancelled; the cluster only
+        // releases the reservation a `Scheduled` job holds.
         if !matches!(
             status.state,
             JobState::Queued | JobState::Scheduled | JobState::Retrying

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use qrio_agent::{fault_spec_to_wire, ChannelTransport, InProcTransport, NodeAgent, Transport};
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_cluster::{ClusterError, FaultInjector, Node, NodeLoad, NodeStatus, Resources};
+use qrio_cluster::{ClusterError, FaultInjector, Node, NodeStatus, Resources};
 use qrio_meta::DeviceTelemetry;
 use qrio_proto::NodeCommand;
 
@@ -352,9 +352,10 @@ impl Qrio {
     /// telemetry-aware strategies (`weighted`, `min_queue`) score against
     /// these numbers on the next [`Qrio::schedule`] call.
     ///
-    /// [`Qrio::tick`] refreshes telemetry from the cluster registry itself;
-    /// this hook exists for virtual-time simulators whose queue model — not
-    /// the cluster's bound-job count — is the truth about device load.
+    /// [`Qrio::tick`] admission refreshes telemetry from the device queues
+    /// itself, and so does every decision under a service model; this hook
+    /// exists for callers that take the step calls themselves and whose own
+    /// model of the fleet is the truth about device load.
     pub fn report_telemetry(
         &mut self,
         reports: impl IntoIterator<Item = (String, DeviceTelemetry)>,
@@ -371,30 +372,36 @@ impl Qrio {
         let _ = self.journal(|| Command::Telemetry { reports });
     }
 
-    /// Refresh the meta server's telemetry before a scheduling decision:
-    /// under a service model, the load the model says each device carries;
-    /// without one, with `from_cluster`, the cluster registry's per-node load
-    /// (queue depth, classical utilization) that `tick()` admission scores
-    /// against, and otherwise nothing — what [`Qrio::report_telemetry`] last
-    /// reported stands. Only journaled calls refresh it, so replay does too.
-    pub(super) fn refresh_telemetry(&mut self, from_cluster: bool) {
-        let loads: Vec<(String, DeviceTelemetry)> = if self.service.is_some() {
-            let nodes = self.cluster.nodes();
-            let load = |name: &str| (name.to_string(), self.lifecycle.load(name));
-            nodes.map(|node| load(node.name())).collect()
-        } else if from_cluster {
-            let loads = self.cluster.node_loads().into_iter();
-            let telemetry = |load: NodeLoad| DeviceTelemetry {
-                queue_depth: load.active_jobs,
-                utilization: load.utilization(),
-                health_penalty: 0.0,
-            };
-            loads
-                .map(|(device, load)| (device, telemetry(load)))
-                .collect()
-        } else {
+    /// Refresh the meta server's telemetry before a scheduling decision —
+    /// under a service model always, without one only for a `tick()`
+    /// admission; otherwise what [`Qrio::report_telemetry`] last reported
+    /// stands. Depth is each device's queue ([`Qrio::device_queue`], a job
+    /// in service included); utilization is the model's busy fraction, or
+    /// without a model the share of the node's classical capacity its
+    /// reservations hold. Only journaled calls refresh it, so replay does
+    /// too.
+    pub(super) fn refresh_telemetry(&mut self, admission: bool) {
+        if self.service.is_none() && !admission {
             return;
-        };
+        }
+        let loads: Vec<(String, DeviceTelemetry)> = self
+            .cluster
+            .nodes()
+            .map(|node| {
+                let device = node.name();
+                let utilization = match self.service {
+                    Some(_) => self.lifecycle.busy_fraction(device),
+                    None => node.utilization(),
+                };
+                let queue_depth = self.device_queue(device).len();
+                let telemetry = DeviceTelemetry {
+                    queue_depth,
+                    utilization,
+                    health_penalty: 0.0,
+                };
+                (device.to_string(), telemetry)
+            })
+            .collect();
         self.store_telemetry(loads);
     }
 

@@ -183,12 +183,7 @@ impl Qrio {
             return;
         };
         let node = tracked.and_then(|tracked| tracked.status.node.clone());
-        // The cluster job is `Pending` in both source states (Queued before
-        // scheduling; Retrying jobs were requeued at the retry decision) —
-        // withdraw it so the cluster's job table and logs agree.
-        let _ = self
-            .cluster
-            .cancel_job(name, format!("deadline exceeded at t={deadline}"));
+        // Neither source state holds a reservation: nothing to release.
         self.lifecycle.remove_pending(name);
         let err = ClusterError::DeadlineExceeded {
             job: name.to_string(),
@@ -320,7 +315,7 @@ impl Qrio {
     /// survivors through the meta server, reserve resources on the winner.
     ///
     /// Unlike [`Qrio::tick`], this primitive does **not** refresh telemetry
-    /// from the cluster registry first — it scores against whatever
+    /// from the device queues first — it scores against whatever
     /// [`Qrio::report_telemetry`] last reported, or, under a service model,
     /// against the load the model says each device carries. A bound job joins
     /// the tail of its device's queue ([`Qrio::device_queue`]); under a
@@ -415,9 +410,12 @@ impl Qrio {
     ///
     /// # Errors
     ///
-    /// Propagates the cluster's rebind errors (unknown job or node, wrong
-    /// phase — including a same-device rebind of a job that is no longer
-    /// `Scheduled` — target full); the original binding survives an error.
+    /// [`ClusterError::PhaseConflict`] (wrapped) for a job that is not
+    /// `Scheduled`, whatever the target: the job a device is serving holds a
+    /// reservation like a waiting one, so its state is what refuses it.
+    /// [`QrioError::UnknownJob`] for an id never enqueued, and the cluster's
+    /// errors for an unknown or full target. The original binding survives
+    /// every error, and no watch event is recorded.
     pub fn rebind(&mut self, id: &JobId, target: &str) -> Result<(), QrioError> {
         let result = self.move_binding(id, target);
         self.journal_attempt(result, || Command::Rebind {
@@ -429,15 +427,9 @@ impl Qrio {
     /// The move itself; [`Qrio::rebind`] journals the attempt whatever this
     /// returned.
     pub(super) fn move_binding(&mut self, id: &JobId, target: &str) -> Result<(), QrioError> {
-        let status = self.job_status(id)?;
-        let from = status
-            .node
-            .clone()
-            .unwrap_or_else(|| "<unbound>".to_string());
-        // The no-op arc exists only for jobs that are actually rebindable;
-        // anything else falls through so the cluster reports the phase
-        // conflict instead of a silent Ok.
-        if status.state == JobState::Scheduled && from == target {
+        self.require_state(id, "rebind", JobState::Scheduled)?;
+        let from = self.job_status(id)?.node.clone().unwrap_or_default();
+        if from == target {
             return Ok(());
         }
         self.cluster.rebind_job(id.as_str(), target)?;
@@ -497,7 +489,10 @@ impl Qrio {
                     .bind_job(name, cycle.ranking, cycle.rejected, &skipped)
             }
             // Job-level: no device was at fault, so none is blamed.
-            Err(err) => Err(self.cluster.fail_unschedulable(name, err.to_string())),
+            Err(err) => Err(ClusterError::Unschedulable {
+                job: name.to_string(),
+                reason: err.to_string(),
+            }),
         };
         match bound {
             Ok(decision) => {
@@ -558,9 +553,10 @@ impl Qrio {
     }
 
     /// Under a service model, start the head of `device`'s queue when the
-    /// device is idle and in service: the job enters `Running` now, in the
-    /// lifecycle and in the cluster, and stays at the head of the queue until
-    /// its window closes ([`Qrio::advance_to`]) or it is interrupted.
+    /// device is idle and in service: the job enters `Running` now, its
+    /// image is pulled ([`Cluster::prepare_run`](qrio_cluster::Cluster::prepare_run)),
+    /// and it stays at the head of the queue until its window closes
+    /// ([`Qrio::advance_to`]) or it is interrupted.
     pub(super) fn serve(&mut self, device: &str) {
         let Some(model) = &self.service else {
             return;
@@ -620,17 +616,15 @@ impl Qrio {
     }
 
     /// One execution attempt over the control plane: `start` it in the
-    /// cluster (phase check, image pull, `JobStarted`) unless that happened
-    /// when its service began, describe it to the node's agent from the spec
-    /// and image the cluster lends out, block for the matching `Phase`
-    /// report, and settle the verdict back into the cluster. The agent holds
-    /// the fault-plan replica, so injected-fault verdicts are drawn
-    /// device-side from the same pure decision function.
+    /// cluster (image pull, `JobStarted`) unless that happened when its
+    /// service began, describe it to the node's agent from the spec and
+    /// image the cluster lends out, block for the matching `Phase` report,
+    /// and settle the verdict back into the cluster. The agent holds the
+    /// fault-plan replica, so injected-fault verdicts are drawn device-side
+    /// from the same pure decision function.
     ///
     /// A transport failure comes back as a failed verdict and is settled like
-    /// any other — the job is `Running` in the cluster by then, and only
-    /// settling releases the node and keeps the cluster phase in step with
-    /// the lifecycle state.
+    /// any other: settling is what releases the job's reservation.
     fn dispatch(&mut self, name: &str, attempt: u32, start: bool) -> Result<(), ClusterError> {
         let (order, spec, image) = if start {
             self.cluster.prepare_run(name, attempt)?
@@ -691,10 +685,6 @@ impl Qrio {
             self.lifecycle
                 .backoffs
                 .insert((now + delay, name.to_string()));
-            // The cluster job goes back to Pending now; the
-            // lifecycle gate (Retrying until not_before) decides
-            // when it may actually re-bind.
-            let _ = self.cluster.requeue_job(name);
         } else {
             // A job that consumed every allowed attempt is a dead
             // letter; one that failed on a non-retryable class (or
@@ -711,8 +701,8 @@ impl Qrio {
     /// Garbage-collect the artifacts of a job that reached a terminal
     /// failure or cancellation: its metadata leaves the meta server and its
     /// image leaves the registry (unless another live job still references
-    /// the same image). The cluster's job record — phase, logs — survives as
-    /// the queryable history.
+    /// the same image). The cluster's job record — spec, logs — survives for
+    /// [`Qrio::job_logs`], and the lifecycle's for [`Qrio::job_status`].
     pub(super) fn cleanup_terminal(&mut self, name: &str) {
         self.meta.remove_job_metadata(name);
         if let Some(image) = self.cluster.job(name).map(|job| job.spec().image.clone()) {
@@ -720,12 +710,14 @@ impl Qrio {
         }
     }
 
-    /// Remove `image` from the registry unless a different non-terminal job
-    /// still references it.
+    /// Remove `image` from the registry unless a different job short of a
+    /// terminal state still references it.
     pub(super) fn remove_image_if_unreferenced(&mut self, image: &str, except_job: &str) {
-        let referenced = self.cluster.jobs().any(|job| {
-            job.name() != except_job && !job.phase().is_terminal() && job.spec().image == image
-        });
+        let live = |name: &str| self.lifecycle.state(name).is_some_and(|s| !s.is_terminal());
+        let referenced = self
+            .cluster
+            .jobs()
+            .any(|job| job.name() != except_job && job.spec().image == image && live(job.name()));
         if !referenced {
             self.cluster.remove_image(image);
         }

@@ -7,9 +7,7 @@ use std::cell::Cell;
 use qrio_agent::{NodeAgent, Transport};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::{
-    ClusterError, DeviceRequirements, FaultInjector, JobPhase, NodeStatus, Resources,
-};
+use qrio_cluster::{ClusterError, DeviceRequirements, FaultInjector, NodeStatus, Resources};
 use qrio_meta::{DeviceTelemetry, FidelityRankingConfig};
 
 use super::Qrio;
@@ -58,11 +56,12 @@ fn fidelity_job_end_to_end() {
     assert_eq!(outcome.decision.node, "clean");
     assert!(outcome.achieved_fidelity.unwrap() > 0.8);
     assert!(!outcome.counts.is_empty());
-    assert!(matches!(
-        qrio.cluster().job("bv-e2e").unwrap().phase(),
-        JobPhase::Succeeded { .. }
-    ));
-    assert!(!qrio.job_logs("bv-e2e").unwrap().is_empty());
+    assert_eq!(qrio.cluster().job("bv-e2e").unwrap().node(), None);
+    // The bind line, then the runner's: no line per state.
+    let logs = qrio.job_logs("bv-e2e").unwrap();
+    assert!(logs[0].starts_with("scheduled on 'clean'"), "{logs:?}");
+    assert!(logs.len() > 1 && !logs.iter().any(|line| line.contains("phase")));
+    assert_eq!(outcome.logs, logs);
     assert!(qrio.job_logs("missing").is_err());
 }
 
@@ -117,12 +116,7 @@ fn requirements_can_make_a_job_unschedulable() {
         .build()
         .unwrap();
     assert!(qrio.submit(&request).is_err());
-    assert!(qrio
-        .cluster()
-        .job("impossible")
-        .unwrap()
-        .phase()
-        .is_terminal());
+    assert_eq!(qrio.cluster().job("impossible").unwrap().node(), None);
     // The async view agrees: enqueue succeeded, the job ended Failed.
     assert_eq!(
         qrio.status(&JobId::new("impossible")).unwrap(),
@@ -151,12 +145,9 @@ fn enqueue_is_non_blocking_and_tick_drives_the_lifecycle() {
         .unwrap();
     let id = qrio.enqueue(&request).unwrap();
     assert_eq!(id.as_str(), "async-job");
-    // Nothing has run yet: the job is Queued, the cluster job Pending.
+    // Nothing has run yet: the job is Queued and holds no reservation.
     assert_eq!(qrio.status(&id).unwrap(), JobState::Queued);
-    assert!(matches!(
-        qrio.cluster().job("async-job").unwrap().phase(),
-        JobPhase::Pending
-    ));
+    assert_eq!(qrio.cluster().job("async-job").unwrap().node(), None);
     assert!(qrio.outcome(&id).is_err(), "no outcome before it runs");
 
     // One tick schedules *and* runs it (admission then execution).
@@ -381,14 +372,12 @@ fn wire_failure_releases_the_node_and_is_retried_like_any_failed_attempt() {
         .unwrap();
     qrio.tick();
 
-    // The attempt failed on the wire, and both job tables say so.
+    // The attempt failed on the wire, and settling it released the job's
+    // reservation.
     assert_eq!(qrio.status(&id).unwrap(), JobState::Retrying);
     let reason = qrio.job_status(&id).unwrap().reason.clone().unwrap();
     assert!(reason.contains("control plane:"), "{reason}");
-    assert_eq!(
-        qrio.cluster().job("unplugged").unwrap().phase(),
-        &JobPhase::Pending
-    );
+    assert_eq!(qrio.cluster().job("unplugged").unwrap().node(), None);
     for node in qrio.cluster().nodes() {
         assert_eq!(node.allocated(), Resources::default(), "{}", node.name());
     }
@@ -659,6 +648,35 @@ fn retrying_jobs_can_be_cancelled() {
     qrio.cancel(&id).unwrap();
     assert_eq!(qrio.status(&id).unwrap(), JobState::Cancelled);
     assert!(qrio.dead_letters().is_empty());
+}
+
+#[test]
+fn tick_admission_scores_against_the_device_queues_and_reservations() {
+    // Without a service model, what a `tick()` admission scores against is
+    // each device's queue and the share of its node that reservations hold:
+    // here three jobs bound by hand, two waiting on `clean`, one on `mid`.
+    let mut qrio = small_qrio();
+    for (name, device) in [("held-0", "clean"), ("held-1", "clean"), ("held-2", "mid")] {
+        let id = qrio.enqueue(&faulty_request(name, None, None)).unwrap();
+        qrio.schedule(&id).unwrap();
+        qrio.rebind(&id, device).unwrap();
+    }
+    let _ = qrio
+        .enqueue(&faulty_request("newcomer", None, None))
+        .unwrap();
+    let devices = ["clean", "mid", "noisy"];
+    let at_admission = devices.map(|device| {
+        let node = qrio.cluster().node(device).unwrap();
+        (qrio.device_queue(device).count(), node.utilization())
+    });
+    assert_eq!(at_admission.map(|(depth, _)| depth), [2, 1, 0]);
+    assert!(at_admission[0].1 > at_admission[1].1 && at_admission[1].1 > 0.0);
+    qrio.tick();
+    for (device, (depth, utilization)) in devices.into_iter().zip(at_admission) {
+        let telemetry = qrio.meta().telemetry_for(device).unwrap();
+        let seen = (telemetry.queue_depth, telemetry.utilization);
+        assert_eq!(seen, (depth, utilization), "{device}");
+    }
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! Two reproduce the paper's policies as plugins — [`FidelityStrategy`]
 //! (§3.4.1) and [`TopologyStrategy`] (§3.4.2) — and two prove the interface is
 //! genuinely open: [`WeightedStrategy`], a multi-objective policy blending
-//! canary fidelity with live queue depth and classical utilization from the
-//! cluster registry, and [`MinQueueStrategy`], a queue-time-only baseline.
+//! canary fidelity with live queue depth and utilization reported by the
+//! orchestrator, and [`MinQueueStrategy`], a queue-time-only baseline.
 //! All four resolve through the same [`StrategyRegistry`] and score through
 //! the same `JobRequest` → scheduler → decision path.
 

@@ -275,8 +275,8 @@ impl MetaServer {
 
     // --- Telemetry -----------------------------------------------------------------------
 
-    /// Report the latest load telemetry for a device (queue depth and
-    /// classical utilization from the cluster registry). Telemetry-aware
+    /// Report the latest load telemetry for a device (the depth of its queue
+    /// and its utilization). Telemetry-aware
     /// strategies read these values when scoring.
     pub fn update_telemetry(&mut self, device: impl Into<String>, telemetry: DeviceTelemetry) {
         self.telemetry.insert(device.into(), telemetry);
@@ -288,8 +288,8 @@ impl MetaServer {
     }
 
     /// Refresh telemetry for a whole fleet in one call — the shape the
-    /// control plane's per-scheduling-cycle report arrives in (one entry per
-    /// node from `Cluster::node_loads`).
+    /// orchestrator's per-scheduling-cycle refresh arrives in (one entry per
+    /// node: its device queue's depth and its utilization).
     pub fn update_telemetry_bulk(
         &mut self,
         reports: impl IntoIterator<Item = (String, DeviceTelemetry)>,

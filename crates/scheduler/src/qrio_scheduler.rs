@@ -372,7 +372,7 @@ mod tests {
             .unwrap();
         assert_eq!(decision.node, "clean");
         let job = cluster.job("bv-plugin").unwrap();
-        assert_eq!(job.phase().node(), Some("clean"));
+        assert_eq!(job.node(), Some("clean"));
         let again = scheduler.cycle(job, cluster.nodes()).unwrap();
         assert_eq!(again.ranking, cycle.ranking);
     }

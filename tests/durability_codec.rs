@@ -277,11 +277,13 @@ fn empty_event_batch_round_trips() {
 // ---------------------------------------------------------------------------
 // Golden bytes: the round trips above would all survive a self-consistent
 // format change. These fixtures were captured from the build that introduced
-// `RECORD_VERSION = 3`; a journal written then must decode now. Moving from 2
+// `RECORD_VERSION = 4`; a journal written then must decode now. Moving from 3
 // changed the version field of every record (and its CRC), and, in the
-// snapshot, dropped the cluster's submission queue (the job's name), added
-// each node's breaker hold, the lifecycle's service state (what each device
-// serves and has served, both empty here) and the service model (none).
+// snapshot, replaced the cluster job's phase (`Pending`, one tag byte) with
+// the node holding its reservation (none, one tag byte): every record keeps
+// its length (321, 129 and 3050 bytes). Moving from 2 to 3 dropped the
+// cluster's submission queue, added each node's breaker hold, the
+// lifecycle's service state and the service model.
 // ---------------------------------------------------------------------------
 
 fn hex(bytes: &[u8]) -> String {
@@ -469,22 +471,22 @@ fn golden_records_pin_the_journal_format() {
 }
 
 const GOLDEN_ENQUEUE_RECORD: &str = "\
-    01030036010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
+    01040036010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
     3a3119000000000000004f50454e5141534d20322e303b0a7172656720715b325d3b0a0200000000000000ee \
     020000000000008001000000000000010200000000000000019a9999999999a93f0001000000000000544000 \
     0600000000000000637573746f6d040000000000000005000000000000006564676573030100000000000000 \
     0000000000000000010000000000000004000000000000006e6f746502010000000000000074060000000000 \
     000074617267657400cdccccccccccec3f050000000000000077696474680107000000000000000300010000 \
     0000000002000000000000000103000000000000000102000000000000002000000000000000010101010100 \
-    01780000000000000002aa437a";
+    0178000000000000008764eefd";
 
 const GOLDEN_EVENTS_RECORD: &str = "\
-    020300760000000200000000000000000000000000000000000000000000000900000000000000676f6c6465 \
+    020400760000000200000000000000000000000000000000000000000000000900000000000000676f6c6465 \
     6e2dc3a900000000010000000000000004000000000000000900000000000000676f6c64656e2dc3a9010307 \
-    010300000000000000646576011000000000000000617474656d70742031206661696c6564c35ffc89";
+    010300000000000000646576011000000000000000617474656d70742031206661696c656469bc9d1e";
 
 const GOLDEN_SNAPSHOT_RECORD: &str = "\
-    030300df0b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
+    030400df0b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
     0000000600000000000000676f6c64656e000000000100000000000000000000000000000006000000000000 \
     00676f6c64656e010001000001000000000000000600000000000000676f6c64656e01000000020000000000 \
     0000000000000000000000000000000000000001000000000000000000000000000000000000013200000000 \
@@ -553,18 +555,21 @@ const GOLDEN_SNAPSHOT_RECORD: &str = "\
     0003000000000000006465760300000000000000000000000000e03f000000000000d03f1700000000000000 \
     a00f000000000000002000000000000040000000000000000000000000000000000000000000000001030000 \
     0000000000333333333333e33f08000000000000000a00000000000000020000000000000000000000000000 \
-    00000000000000000000d185d6d0";
+    00000000000000000000488226cb";
 
 // ---------------------------------------------------------------------------
 // A busy snapshot: the genesis golden above holds one queued job. This one
 // holds every store mid-flight. Its length and digest were first captured
 // from the last build that wrote snapshots through separate `*State` copies
 // of the stores, so the stores' own codecs lay out the same bytes; they
-// moved once since, with `RECORD_VERSION = 3` (100252 → 99694 bytes): the
-// cluster no longer writes its submission queue — every job name ever
-// submitted — and a node its breaker hold beside its status, the lifecycle
-// store adds what each device serves and has served, and the snapshot ends
-// with the service model (none here).
+// moved twice since. With `RECORD_VERSION = 3` (100252 → 99694 bytes) the
+// cluster stopped writing its submission queue, a node gained its breaker
+// hold, the lifecycle store what each device serves and has served, and the
+// snapshot the service model. With `RECORD_VERSION = 4` (99694 → 94433
+// bytes) a cluster job holds the node of its reservation instead of a phase,
+// its logs lose the line each phase change wrote (80 here), and the
+// cluster's event log the `JobRequeued` of each retry (6) and the
+// `JobCancelled` of each blown deadline (5).
 // ---------------------------------------------------------------------------
 
 /// The busy fleet's devices, in name order.
@@ -687,7 +692,7 @@ fn busy_snapshot_digest_pins_the_snapshot_format() {
     );
 }
 
-const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (99694, 7614557699249117648);
+const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (94433, 11736040247469153943);
 
 /// When the earliest timer of the busy workload fires, read off what a user
 /// can see of every job and every breaker: a `Retrying` job's status says
@@ -741,9 +746,10 @@ fn described<'s>(state: &'s str, title: &str) -> Vec<&'s str> {
     listed.map(str::trim).collect()
 }
 
-/// Every node's allocation is exactly what the cluster jobs bound to it
-/// claim, every `Scheduled` job waits in the queue of its device and nowhere
-/// else, a `Running` one is the head of its device's queue, in service, every
+/// A job holds a reservation exactly while it is `Scheduled` or `Running`,
+/// on its `status.node`, and every node's allocation is the sum of the
+/// reservations that name it; every `Scheduled` job waits in the queue of
+/// its device and nowhere else, a `Running` one is the head of its device's queue, in service, every
 /// job short of a terminal state is in exactly one of the admission queue, a
 /// device queue or a backoff, the earliest armed timer is the earliest in
 /// sight, and the snapshot of this state decodes to a value that re-encodes
@@ -753,17 +759,25 @@ fn assert_allocations_and_snapshot_fixed_point(
     model: Option<&ServiceModel>,
     step: &str,
 ) {
-    use qrio_cluster::JobPhase;
+    // Reservations, against the one job state machine.
+    let holder = |job: &qrio_cluster::Job| {
+        let status = qrio.job_status(&JobId::new(job.name())).unwrap();
+        let bound = matches!(status.state, JobState::Scheduled | JobState::Running);
+        status.node.as_deref().filter(|_| bound)
+    };
+    for job in qrio.cluster().jobs() {
+        assert_eq!(
+            job.node(),
+            holder(job),
+            "{step}: {}'s reservation",
+            job.name()
+        );
+    }
     for node in qrio.cluster().nodes() {
         let bound = qrio
             .cluster()
             .jobs()
-            .filter(|job| match job.phase() {
-                JobPhase::Scheduled { node: on } | JobPhase::Running { node: on } => {
-                    on == node.name()
-                }
-                _ => false,
-            })
+            .filter(|job| holder(job) == Some(node.name()))
             .fold(Resources::default(), |sum, job| {
                 sum.plus(&job.spec().resources)
             });

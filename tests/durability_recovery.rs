@@ -1153,20 +1153,20 @@ fn a_crash_mid_service_recovers_the_window_and_completes_the_job_once() {
 
 #[test]
 fn a_journal_of_an_older_record_version_is_refused() {
-    // A journal written before `RECORD_VERSION` 3: its snapshot is refused by
+    // A journal written before `RECORD_VERSION` 4: its snapshot is refused by
     // kind and version, not misread.
-    let path = journal_path("version-2");
+    let path = journal_path("version-3");
     let mut qrio = seeded_qrio();
     two_device_fleet(&mut qrio);
     let current = qrio.snapshot_record();
-    let older = qrio_journal::Record::new(RECORD_SNAPSHOT, 2, current.payload);
+    let older = qrio_journal::Record::new(RECORD_SNAPSHOT, 3, current.payload);
     let mut journal = qrio_journal::Journal::create(&path).unwrap();
     journal.append(&older).unwrap();
     journal.flush().unwrap();
     drop(journal);
     let refused = DurabilityError::UnsupportedRecord {
         kind: RECORD_SNAPSHOT,
-        version: 2,
+        version: 3,
     };
     assert!(matches!(
         Qrio::recover(&path),

@@ -1,10 +1,10 @@
 //! End-to-end integration tests: the full QRIO pipeline from job request to
 //! executed result, spanning every crate in the workspace.
 
-use qrio::{JobRequestBuilder, Qrio, TopologyDesigner};
+use qrio::{JobId, JobRequestBuilder, JobState, Qrio, TopologyDesigner};
 use qrio_backend::{fleet::FleetConfig, topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::{DeviceRequirements, JobPhase};
+use qrio_cluster::DeviceRequirements;
 use qrio_meta::FidelityRankingConfig;
 
 fn fast_qrio() -> Qrio {
@@ -38,10 +38,10 @@ fn fidelity_job_runs_on_the_best_device_of_a_generated_fleet() {
 
     // The chosen device is the best-ranked candidate and the job succeeded.
     assert_eq!(outcome.decision.candidates[0].0, outcome.decision.node);
-    assert!(matches!(
-        qrio.cluster().job("e2e-bv").unwrap().phase(),
-        JobPhase::Succeeded { .. }
-    ));
+    assert_eq!(
+        qrio.status(&JobId::new("e2e-bv")).unwrap(),
+        JobState::Succeeded
+    );
     assert!(!outcome.counts.is_empty());
     assert!(outcome.achieved_fidelity.is_some());
     // Events were recorded for the full lifecycle.
@@ -136,8 +136,11 @@ fn failed_scheduling_leaves_a_terminal_job_and_no_allocation() {
         .build()
         .unwrap();
     assert!(qrio.submit(&request).is_err());
-    let job = qrio.cluster().job("too-big").unwrap();
-    assert!(job.phase().is_terminal());
+    assert_eq!(
+        qrio.status(&JobId::new("too-big")).unwrap(),
+        JobState::Failed
+    );
+    assert_eq!(qrio.cluster().job("too-big").unwrap().node(), None);
     assert_eq!(
         qrio.cluster().node("only").unwrap().allocated(),
         qrio_cluster::Resources::new(0, 0)
@@ -167,10 +170,8 @@ fn multiple_jobs_share_the_cluster_sequentially() {
             .build()
             .unwrap();
         let outcome = qrio.submit(&request).unwrap();
-        assert!(matches!(
-            qrio.cluster().job(&format!("multi-{i}")).unwrap().phase(),
-            JobPhase::Succeeded { .. }
-        ));
+        let id = JobId::new(format!("multi-{i}"));
+        assert_eq!(qrio.status(&id).unwrap(), JobState::Succeeded);
         assert!(!outcome.counts.is_empty());
     }
     assert_eq!(qrio.cluster().jobs().count(), 2);

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use qrio::{JobId, JobRequestBuilder, JobState, Qrio};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, Circuit};
-use qrio_cluster::{DeviceRequirements, JobPhase, Resources, StrategyParams, StrategySpec};
+use qrio_cluster::{DeviceRequirements, Resources, StrategyParams, StrategySpec};
 use qrio_meta::{DeviceTelemetry, JobContext, MetaError, RankingStrategy, Score};
 
 /// A strategy computed from the device's index (`dev-07` → 7).
@@ -121,13 +121,8 @@ fn job_level_score_errors_fail_the_job_once_with_the_cause() {
     let recorded = qrio.job_status(&id).unwrap().reason.clone().unwrap();
     assert!(recorded.contains(cause), "{recorded}");
     assert_eq!(qrio.outcome(&id).unwrap_err(), err);
-    // The cluster's record says the same, and no device is blamed for it.
-    assert_eq!(
-        qrio.cluster().job("doomed").unwrap().phase(),
-        &JobPhase::Failed {
-            reason: cause.to_string()
-        }
-    );
+    // The job holds no reservation, and no device is blamed for it.
+    assert_eq!(qrio.cluster().job("doomed").unwrap().node(), None);
     assert!(events_of(&qrio, "ScoreFailed").is_empty());
 }
 

@@ -5,11 +5,11 @@
 
 use qrio::{
     BreakerConfig, BreakerState, FidelityRankingConfig, JobId, JobRequest, JobRequestBuilder,
-    JobState, Qrio, ServiceModel,
+    JobState, Qrio, QrioError, ServiceModel,
 };
 use qrio_backend::{topology, Backend};
 use qrio_circuit::library;
-use qrio_cluster::NodeStatus;
+use qrio_cluster::{ClusterError, NodeStatus};
 
 /// Three ten-qubit devices, best to worst: `clean`, `mid`, `noisy`.
 fn three_devices() -> Qrio {
@@ -205,4 +205,35 @@ fn a_probe_during_an_outage_leaves_the_device_cordoned() {
     );
     qrio.uncordon_device(&device).unwrap();
     assert_eq!(status(&qrio, &device), NodeStatus::Ready);
+}
+
+#[test]
+fn a_rebind_of_the_job_in_service_is_refused_and_changes_nothing() {
+    let (mut qrio, _) = served();
+    let ids = bind_all(&mut qrio, &["in-service", "behind"]);
+    let (serving, waiting) = (&ids[0], &ids[1]);
+    assert_eq!(qrio.status(serving).unwrap(), JobState::Running);
+    assert_eq!(qrio.status(waiting).unwrap(), JobState::Scheduled);
+    let devices = ["clean", "mid", "noisy"];
+    let seen = |qrio: &Qrio| {
+        let queues = devices.map(|device| qrio.device_queue(device).collect::<Vec<_>>().join(","));
+        let allocated = devices.map(|device| qrio.cluster().node(device).unwrap().allocated());
+        (qrio.watch(0).len(), queues, allocated)
+    };
+    let before = seen(&qrio);
+    // Away, or onto the device serving it: the cluster cannot tell the job
+    // in service from one that waits, so `Qrio` refuses it by its state.
+    for target in ["mid", "clean"] {
+        let refused = ClusterError::PhaseConflict {
+            job: "in-service".into(),
+            action: "rebind".into(),
+            phase: "Running".into(),
+        };
+        let err = qrio.rebind(serving, target).unwrap_err();
+        assert_eq!(err, QrioError::Cluster(refused), "{target}");
+        assert_eq!(seen(&qrio), before, "{target}");
+    }
+    // The job waiting behind it still moves.
+    qrio.rebind(waiting, "mid").unwrap();
+    assert_eq!(qrio.device_queue("mid").collect::<Vec<_>>(), ["behind"]);
 }

@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use qrio::{JobRequestBuilder, Qrio, TopologyDesigner};
+use qrio::{JobId, JobRequestBuilder, JobState, Qrio, TopologyDesigner};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, Circuit};
-use qrio_cluster::{JobPhase, StrategyParams, StrategySpec};
+use qrio_cluster::{StrategyParams, StrategySpec};
 use qrio_meta::{
     DeviceTelemetry, FidelityRankingConfig, JobContext, MetaError, MetaServer, RankingStrategy,
     Score,
@@ -44,10 +44,10 @@ fn fidelity_strategy_end_to_end() {
     assert_eq!(request.strategy.name, "fidelity");
     let outcome = qrio.submit(&request).unwrap();
     assert_eq!(outcome.decision.node, "clean");
-    assert!(matches!(
-        qrio.cluster().job("fidelity-e2e").unwrap().phase(),
-        JobPhase::Succeeded { .. }
-    ));
+    assert_eq!(
+        qrio.status(&JobId::new("fidelity-e2e")).unwrap(),
+        JobState::Succeeded
+    );
 }
 
 #[test]
@@ -114,10 +114,10 @@ fn weighted_strategy_diverts_from_a_busy_device_end_to_end() {
         outcome.decision.node, "dev-b",
         "utilization must steer the weighted strategy away from the busy node"
     );
-    assert!(matches!(
-        qrio.cluster().job("weighted-e2e").unwrap().phase(),
-        JobPhase::Succeeded { .. }
-    ));
+    assert_eq!(
+        qrio.status(&JobId::new("weighted-e2e")).unwrap(),
+        JobState::Succeeded
+    );
 }
 
 #[test]
@@ -214,10 +214,10 @@ fn custom_strategy_runs_end_to_end_on_the_two_device_fleet() {
         .unwrap();
     let outcome = qrio.submit(&request).unwrap();
     assert_eq!(outcome.decision.node, "ring-dev");
-    assert!(matches!(
-        qrio.cluster().job("custom-e2e").unwrap().phase(),
-        JobPhase::Succeeded { .. }
-    ));
+    assert_eq!(
+        qrio.status(&JobId::new("custom-e2e")).unwrap(),
+        JobState::Succeeded
+    );
     // An unregistered strategy name is rejected at submission.
     let bad = JobRequestBuilder::new()
         .with_circuit(&ring_circuit)
