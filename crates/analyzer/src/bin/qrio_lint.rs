@@ -472,7 +472,7 @@ fn self_check() -> Vec<String> {
         );
     }
 
-    // 10-13. The control-plane envelope-trace family, over hand-built frame
+    // 10-14. The control-plane envelope-trace family, over hand-built frame
     // streams.
     {
         use qrio_proto::{Envelope, NodeCommand, NodeReport, Payload, RunVerdict};
@@ -528,6 +528,21 @@ fn self_check() -> Vec<String> {
             shots: 8,
             threads: 1,
         };
+        let resent = Payload::Command(NodeCommand::Run {
+            payload: run.clone(),
+        });
+        expect(
+            "run sent while another is in flight",
+            LintCode::RunAlreadyInFlight,
+            lint_envelope_trace_bytes(
+                "self-check run-in-flight",
+                &trace(&[
+                    envelope(0, "alpha", resent.clone()),
+                    envelope(1, "alpha", resent),
+                ]),
+            ),
+        );
+
         expect(
             "run command sent after cordon",
             LintCode::CommandAfterCordon,
@@ -560,7 +575,7 @@ fn self_check() -> Vec<String> {
         );
     }
 
-    // 14-17. The fault-tolerance configuration family.
+    // 15-18. The fault-tolerance configuration family.
     {
         use qrio::BreakerConfig;
 

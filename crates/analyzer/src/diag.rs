@@ -153,6 +153,8 @@ lint_codes! {
      "envelope frame carries a wire-format version this build does not speak"),
     (MalformedEnvelopeTrace, "QL0604", Error,
      "envelope trace is not a QRIOPROT frame stream or a frame is corrupt past repair"),
+    (RunAlreadyInFlight, "QL0605", Error,
+     "orchestrator sent a Run command to a node before the Phase report answering its previous Run"),
 }
 
 impl fmt::Display for LintCode {

@@ -26,6 +26,12 @@
 //!   or a frame is corrupt (bad magic, bad checksum, truncated, undecodable
 //!   payload). Scanning stops at the first such frame: byte lengths past it
 //!   are untrustworthy.
+//! * **QL0605** (error) — the orchestrator sent a `Run` command to a node
+//!   before the `Phase` report answering that node's previous `Run` (same
+//!   job, same attempt). A tick sends every device's `Run` before it waits
+//!   for any verdict, so the one thing keeping two runs off a device is that
+//!   each is collected before the next is sent: at most one run in flight
+//!   per device.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -98,6 +104,7 @@ pub fn lint_envelope_trace_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic>
     let mut next_seq: BTreeMap<(String, Direction), u64> = BTreeMap::new();
     let mut dispatched: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut cordoned: BTreeMap<String, bool> = BTreeMap::new();
+    let mut in_flight: BTreeMap<String, (String, u32)> = BTreeMap::new();
     for (index, envelope) in envelopes.iter().enumerate() {
         let direction = match &envelope.payload {
             Payload::Command(_) => Direction::Command,
@@ -147,6 +154,21 @@ pub fn lint_envelope_trace_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic>
                                 ),
                             ));
                         }
+                        // QL0605: the node's previous run must have been
+                        // answered.
+                        let run = (payload.job.clone(), payload.attempt);
+                        if let Some((job, attempt)) =
+                            in_flight.insert(envelope.node_id.clone(), run)
+                        {
+                            diagnostics.push(Diagnostic::new(
+                                LintCode::RunAlreadyInFlight,
+                                Location::at(subject, &context),
+                                format!(
+                                    "Run '{}' sent to node '{}' while Run '{job}' attempt {attempt} is unanswered",
+                                    payload.job, envelope.node_id
+                                ),
+                            ));
+                        }
                         dispatched
                             .entry(envelope.node_id.clone())
                             .or_default()
@@ -161,7 +183,11 @@ pub fn lint_envelope_trace_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic>
                     _ => {}
                 }
             }
-            Payload::Report(NodeReport::Phase { job, .. }) => {
+            Payload::Report(NodeReport::Phase { job, attempt, .. }) => {
+                let answered = in_flight.get(&envelope.node_id);
+                if answered.is_some_and(|(sent, tried)| sent == job && tried == attempt) {
+                    in_flight.remove(&envelope.node_id);
+                }
                 // QL0601: a phase verdict must answer a Run this trace saw.
                 let known = dispatched
                     .get(&envelope.node_id)
@@ -219,13 +245,17 @@ mod tests {
     }
 
     fn run_command(seq: u64, node: &str, job: &str) -> Envelope {
+        run_attempt(seq, node, job, 1)
+    }
+
+    fn run_attempt(seq: u64, node: &str, job: &str, attempt: u32) -> Envelope {
         envelope(
             seq,
             node,
             Payload::Command(NodeCommand::Run {
                 payload: RunPayload {
                     job: job.into(),
-                    attempt: 1,
+                    attempt,
                     image_name: "img".into(),
                     image_files: vec![],
                     qasm: String::new(),
@@ -315,14 +345,37 @@ mod tests {
         let bytes = trace(&[
             envelope(0, "alpha", Payload::Command(NodeCommand::Cordon)),
             run_command(1, "alpha", "job-a"),
+            phase_report(0, "alpha", "job-a"),
             envelope(2, "alpha", Payload::Command(NodeCommand::Uncordon)),
             run_command(3, "alpha", "job-b"),
-            phase_report(0, "alpha", "job-a"),
             phase_report(1, "alpha", "job-b"),
         ]);
         assert_eq!(
             codes(&lint_envelope_trace_bytes("cordon", &bytes)),
             vec![LintCode::CommandAfterCordon]
+        );
+    }
+
+    #[test]
+    fn a_second_run_before_the_first_is_answered_fires_per_node() {
+        // Pipelined: alpha and beta each have one run in flight, answered out
+        // of order — clean. Then alpha gets a second run before its first is
+        // answered — and a phase for another attempt of that job does not
+        // answer it.
+        let bytes = trace(&[
+            run_command(0, "alpha", "job-a"),
+            run_command(0, "beta", "job-b"),
+            phase_report(0, "beta", "job-b"),
+            phase_report(0, "alpha", "job-a"),
+            run_attempt(1, "alpha", "job-c", 0),
+            phase_report(1, "alpha", "job-c"),
+            run_command(2, "alpha", "job-d"),
+        ]);
+        let diagnostics = lint_envelope_trace_bytes("pipelined", &bytes);
+        assert_eq!(codes(&diagnostics), vec![LintCode::RunAlreadyInFlight]);
+        assert!(
+            diagnostics[0].message.contains("'job-c' attempt 0"),
+            "{diagnostics:?}"
         );
     }
 

@@ -1,8 +1,9 @@
 //! The QL06xx lints over traces the *real* control plane records: a healthy
-//! orchestrator run must produce a lint-clean envelope stream, and seeded
-//! damage to that stream must be caught.
+//! orchestrator run must produce a lint-clean envelope stream — also when its
+//! ticks run several devices at once over agent threads — and seeded damage
+//! to that stream must be caught.
 
-use qrio::{FidelityRankingConfig, JobRequestBuilder, Qrio};
+use qrio::{FidelityRankingConfig, JobRequestBuilder, Qrio, TransportMode};
 use qrio_analyzer::{lint_envelope_trace_bytes, LintCode};
 use qrio_backend::{topology, Backend};
 use qrio_circuit::library;
@@ -46,6 +47,51 @@ fn healthy_control_plane_trace_is_lint_clean() {
     assert!(
         diagnostics.is_empty(),
         "healthy trace raised: {diagnostics:?}"
+    );
+}
+
+#[test]
+fn threaded_ticks_over_several_devices_leave_a_lint_clean_trace() {
+    let mut qrio = Qrio::with_config(FidelityRankingConfig::default(), 29);
+    qrio.set_transport(TransportMode::Threaded { threads: 2 });
+    qrio.enable_control_trace();
+    for d in 0..4 {
+        let backend = Backend::uniform(format!("qpu-{d}"), topology::line(6), 0.01, 0.02);
+        qrio.add_device(backend).unwrap();
+    }
+    for i in 0..16 {
+        let request = JobRequestBuilder::new()
+            .with_circuit(&library::ghz(4).unwrap())
+            .job_name(format!("spread-{i:02}"))
+            .min_queue()
+            .shots(32)
+            .build()
+            .unwrap();
+        let _ = qrio.enqueue(&request).unwrap();
+    }
+    qrio.run_until_idle();
+    let trace = qrio.take_control_trace();
+
+    // The ticks did run several devices each: more `Run`s share a tick than
+    // there were ticks.
+    use qrio_proto::{Envelope, NodeCommand, Payload};
+    let mut runs_per_tick = std::collections::BTreeMap::<u64, usize>::new();
+    let mut cursor = 0;
+    while cursor < trace.len() {
+        let (envelope, consumed) = Envelope::decode(&trace[cursor..]).unwrap();
+        if matches!(envelope.payload, Payload::Command(NodeCommand::Run { .. })) {
+            *runs_per_tick.entry(envelope.virtual_ts).or_default() += 1;
+        }
+        cursor += consumed;
+    }
+    assert!(
+        runs_per_tick.values().filter(|runs| **runs > 1).count() >= 3,
+        "{runs_per_tick:?}"
+    );
+    let diagnostics = lint_envelope_trace_bytes("threaded trace", &trace);
+    assert!(
+        diagnostics.is_empty(),
+        "threaded trace raised: {diagnostics:?}"
     );
 }
 

@@ -474,16 +474,29 @@ impl Cluster {
         job_name: &str,
         reason: impl Into<String>,
     ) -> Result<(), ClusterError> {
-        let job = self.job_mut(job_name)?;
-        let resources = job.spec().resources;
-        if let Some(node) = job.node.take().and_then(|node| self.nodes.get_mut(&node)) {
-            node.release(&resources);
-        }
+        self.release_job(job_name)?;
         let reason = reason.into();
         self.record(
             "JobCancelled",
             format!("job '{job_name}' cancelled: {reason}"),
         );
+        Ok(())
+    }
+
+    /// Release the reservation a job holds, if any, and record nothing —
+    /// how an attempt that never reached its device (its image or its node
+    /// gone) ends; [`Cluster::settle_run`] releases the reservation of one
+    /// that did.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::UnknownJob`] for unknown jobs.
+    pub fn release_job(&mut self, job_name: &str) -> Result<(), ClusterError> {
+        let job = self.job_mut(job_name)?;
+        let resources = job.spec().resources;
+        if let Some(node) = job.node.take().and_then(|node| self.nodes.get_mut(&node)) {
+            node.release(&resources);
+        }
         Ok(())
     }
 

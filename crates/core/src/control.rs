@@ -4,7 +4,7 @@
 //! devices: every piece of device work is encoded as a versioned
 //! [`qrio_proto::Envelope`], crosses a [`qrio_agent::Transport`], and comes
 //! back as a [`qrio_proto::NodeReport`]. The orchestrator fills the one
-//! description of an attempt, the [`RunPayload`] ([`ControlPlane::run`]);
+//! description of an attempt, the [`RunPayload`] ([`ControlPlane::send_run`]);
 //! the node agent decodes it and hands it to its runner as it is. Two tables
 //! sit on either side of the wire:
 //!
@@ -13,14 +13,18 @@
 //!   every queue, and
 //! * the **observed state** lives here — the last decoded report per node,
 //!   folded in as report envelopes are drained off the transport. Nothing
-//!   plans from it yet: dispatch blocks for its `Phase` report, so no run is
-//!   ever unfinished when the next tick plans.
+//!   plans from it: a tick sends every device's `Run` before it waits for
+//!   any verdict, then collects each one ([`ControlPlane::await_phase`])
+//!   before the tick ends, so no run is unfinished when the next tick plans
+//!   and no device ever has two in flight.
 //!
-//! With [`InProcTransport`] every command is answered synchronously, so the
-//! observed table is always current. With
-//! [`qrio_agent::ChannelTransport`] fire-and-forget acknowledgements may lag
-//! behind real worker threads; they converge when the next blocking
-//! round-trip or end-of-tick [`ControlPlane::drain`] pulls them in.
+//! A `Phase` report that arrives while the orchestrator waits for another
+//! node's is kept in that node's slot, keyed by `(job, attempt)`, until its
+//! own turn comes. With [`InProcTransport`] every command is answered
+//! synchronously, so the observed table is always current. With
+//! [`qrio_agent::ChannelTransport`] the devices run side by side on worker
+//! threads and fire-and-forget acknowledgements may lag; they converge when
+//! the next wait or end-of-tick [`ControlPlane::drain`] pulls them in.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,6 +63,10 @@ pub struct ControlPlane {
     transport: Box<dyn Transport>,
     command_seq: BTreeMap<String, u64>,
     observed: BTreeMap<String, ObservedNode>,
+    /// Per node, the `(job, attempt)` of its last `Run` and that attempt's
+    /// verdict, from when it is read off the transport (or the send fails)
+    /// until [`ControlPlane::await_phase`] takes it.
+    verdicts: BTreeMap<String, (String, u32, AttemptVerdict)>,
     trace: Option<Vec<u8>>,
 }
 
@@ -79,6 +87,7 @@ impl ControlPlane {
             transport: Box::new(InProcTransport::new()),
             command_seq: BTreeMap::new(),
             observed: BTreeMap::new(),
+            verdicts: BTreeMap::new(),
             trace: None,
         }
     }
@@ -89,6 +98,7 @@ impl ControlPlane {
         self.transport = transport;
         self.command_seq.clear();
         self.observed.clear();
+        self.verdicts.clear();
     }
 
     /// Short name of the active transport (`"in-proc"` / `"threaded"`).
@@ -155,51 +165,54 @@ impl ControlPlane {
         self.transport.send(frame)
     }
 
-    /// Pull the next report off the transport, fold it into the observed
-    /// table, and return it. `wait` blocks only while a command is still
-    /// unanswered; an idle transport yields `Ok(None)` immediately.
+    /// Pull the next report off the transport and fold it into the observed
+    /// table; a `Phase` verdict is also kept in its node's slot until
+    /// [`ControlPlane::await_phase`] collects it. `wait` blocks only while a
+    /// command is still unanswered; an idle transport yields `Ok(false)`
+    /// immediately, and `Ok(true)` says a frame was read.
     ///
     /// # Errors
     ///
     /// Fails when the transport's workers are gone or a frame is corrupt.
-    pub fn pump(&mut self, wait: bool) -> Result<Option<Envelope>, AgentError> {
+    pub fn pump(&mut self, wait: bool) -> Result<bool, AgentError> {
         let Some(frame) = self.transport.recv(wait)? else {
-            return Ok(None);
+            return Ok(false);
         };
         if let Some(trace) = self.trace.as_mut() {
             trace.extend_from_slice(&frame);
         }
         let (envelope, _) = Envelope::decode(&frame)?;
-        if let Payload::Report(report) = &envelope.payload {
-            self.observed.insert(
-                envelope.node_id.clone(),
-                ObservedNode {
-                    seq: envelope.seq,
-                    virtual_ts: envelope.virtual_ts,
-                    report: report.clone(),
-                },
-            );
+        let Payload::Report(report) = envelope.payload else {
+            return Ok(true);
+        };
+        let observed = ObservedNode {
+            seq: envelope.seq,
+            virtual_ts: envelope.virtual_ts,
+            report: report.clone(),
+        };
+        self.observed.insert(envelope.node_id.clone(), observed);
+        if let NodeReport::Phase {
+            job,
+            attempt,
+            verdict,
+        } = report
+        {
+            let kept = (job, attempt, attempt_verdict(verdict));
+            self.verdicts.insert(envelope.node_id, kept);
         }
-        Ok(Some(envelope))
+        Ok(true)
     }
 
     /// Drain all immediately available reports into the observed table.
     /// In threaded mode acknowledgements lag the commands that caused them;
     /// this is the convergence point where stale observations catch up.
     pub fn drain(&mut self) {
-        while let Ok(Some(_)) = self.pump(false) {}
+        while let Ok(true) = self.pump(false) {}
     }
 
-    /// Execute one attempt over the wire: describe it in a `Run` command
-    /// (the [`RunPayload`] built here from the borrowed spec and image is the
-    /// one description of an attempt, and its strings the one copy made of
-    /// them before encoding), send it to the order's node, and block until the
-    /// matching `Phase` report comes back (draining unrelated
-    /// acknowledgements into the observed table along the way).
-    ///
-    /// The protocol itself cannot fail an attempt (rejections travel inside
-    /// the verdict); a transport failure is one — a failed attempt, settled
-    /// like any other.
+    /// Execute one attempt over the wire: [`ControlPlane::send_run`], then
+    /// [`ControlPlane::await_phase`] — a round trip, for callers that make
+    /// one attempt at a time.
     pub fn run(
         &mut self,
         order: &WorkOrder,
@@ -207,7 +220,20 @@ impl ControlPlane {
         image: &ImageBundle,
         now: u64,
     ) -> AttemptVerdict {
-        let wire_error = |err: AgentError| AttemptVerdict::Failed(format!("control plane: {err}"));
+        self.send_run(order, spec, image, now);
+        self.await_phase(order)
+    }
+
+    /// Describe one attempt in a `Run` command and send it to the order's
+    /// node, without waiting for its verdict. The [`RunPayload`] built here
+    /// from the borrowed spec and image is the one description of an
+    /// attempt, and its strings the one copy made of them before encoding.
+    ///
+    /// The protocol itself cannot fail an attempt (rejections travel inside
+    /// the verdict); a transport failure is one — `Failed("control plane:
+    /// …")`, kept in the node's slot like a report and settled like any
+    /// other verdict.
+    pub fn send_run(&mut self, order: &WorkOrder, spec: &JobSpec, image: &ImageBundle, now: u64) {
         let payload = RunPayload {
             job: order.job.clone(),
             attempt: order.attempt,
@@ -222,44 +248,58 @@ impl ControlPlane {
             threads: spec.threads as u64,
         };
         if let Err(err) = self.send_command(&order.node, now, NodeCommand::Run { payload }) {
-            return wire_error(err);
+            let failed = (order.job.clone(), order.attempt, wire_error(err));
+            self.verdicts.insert(order.node.clone(), failed);
         }
+    }
+
+    /// Wait for the verdict of the attempt `order` describes, whose `Run`
+    /// [`ControlPlane::send_run`] sent: it may already be in the node's slot
+    /// — read while another node's was awaited — or is pumped off the
+    /// transport now (acknowledgements and other nodes' verdicts are folded
+    /// in along the way). A `Phase` for another attempt is skipped; a
+    /// transport that fails or goes idle before the verdict arrives is a
+    /// `Failed("control plane: …")` verdict.
+    pub fn await_phase(&mut self, order: &WorkOrder) -> AttemptVerdict {
         loop {
-            let envelope = match self.pump(true) {
-                Ok(Some(envelope)) => envelope,
-                Ok(None) => return wire_error(AgentError::Disconnected),
-                Err(err) => return wire_error(err),
-            };
-            let Payload::Report(NodeReport::Phase {
-                job,
-                attempt,
-                verdict,
-            }) = envelope.payload
-            else {
-                continue; // an acknowledgement for an earlier command
-            };
-            if job != order.job {
+            if let Some((job, attempt, verdict)) = self.verdicts.remove(&order.node) {
+                if job == order.job && attempt == order.attempt {
+                    return verdict;
+                }
                 continue; // a stale phase report from a previous attempt
             }
-            debug_assert_eq!(attempt, order.attempt);
-            return match verdict {
-                RunVerdict::Succeeded {
-                    counts,
-                    fidelity,
-                    logs,
-                } => AttemptVerdict::Completed(ExecutionOutcome {
-                    counts,
-                    fidelity,
-                    logs,
-                }),
-                RunVerdict::Failed { reason } => AttemptVerdict::Failed(reason),
-                RunVerdict::Faulted { kind } => {
-                    AttemptVerdict::Faulted(qrio_agent::fault_kind_from_wire(kind))
-                }
-                RunVerdict::Rejected { reason } => {
-                    AttemptVerdict::Failed(format!("rejected by node agent: {reason}"))
-                }
-            };
+            match self.pump(true) {
+                Ok(true) => {}
+                Ok(false) => return wire_error(AgentError::Disconnected),
+                Err(err) => return wire_error(err),
+            }
+        }
+    }
+}
+
+/// A transport failure, as the verdict of the attempt it struck.
+fn wire_error(err: AgentError) -> AttemptVerdict {
+    AttemptVerdict::Failed(format!("control plane: {err}"))
+}
+
+/// The cluster's reading of an agent's verdict.
+fn attempt_verdict(verdict: RunVerdict) -> AttemptVerdict {
+    match verdict {
+        RunVerdict::Succeeded {
+            counts,
+            fidelity,
+            logs,
+        } => AttemptVerdict::Completed(ExecutionOutcome {
+            counts,
+            fidelity,
+            logs,
+        }),
+        RunVerdict::Failed { reason } => AttemptVerdict::Failed(reason),
+        RunVerdict::Faulted { kind } => {
+            AttemptVerdict::Faulted(qrio_agent::fault_kind_from_wire(kind))
+        }
+        RunVerdict::Rejected { reason } => {
+            AttemptVerdict::Failed(format!("rejected by node agent: {reason}"))
         }
     }
 }

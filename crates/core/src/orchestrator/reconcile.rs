@@ -15,6 +15,23 @@ use crate::error::QrioError;
 use crate::lifecycle::{due_by, JobId, JobState, TickReport};
 use crate::visualizer::JobRequest;
 
+/// How an attempt of a bound job reaches its device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// A round trip made now ([`Qrio::execute`]): the image is pulled, the
+    /// `Run` sent and its verdict awaited.
+    RoundTrip,
+    /// The `Run` went out in this tick's dispatch pass: the image is pulled
+    /// and the verdict collected.
+    Sent,
+    /// A service window closed: the image was pulled when service began; the
+    /// `Run` is sent and its verdict awaited.
+    Served,
+    /// The device flapped under the job: no `Run` at all
+    /// ([`Qrio::interrupt`]).
+    Interrupted,
+}
+
 impl Qrio {
     // --- Service loop --------------------------------------------------------------------
 
@@ -27,8 +44,13 @@ impl Qrio {
     ///    bound via filter + meta-server ranking against fresh telemetry.
     ///    Jobs no device can host *right now* stay `Queued`; jobs no device
     ///    could *ever* host end `Failed`.
-    /// 2. **Execution**: each device (in name order) runs the head of its
-    ///    queue to completion.
+    /// 2. **Execution**, in two passes over the head of every device queue
+    ///    (device-name order): the first sends each head's `Run` without
+    ///    waiting, so the devices work side by side; the second collects
+    ///    each verdict and settles it, in the same order, while the devices
+    ///    still at work finish. Every run sent is settled before the tick
+    ///    ends, and what each device runs is exactly what a run to
+    ///    completion, device by device, would have run.
     ///
     /// Under a service model ([`Qrio::configure_service`]) the cycle is
     /// admission on top of `advance_to(now + 1)`: each timer fires at its own
@@ -48,11 +70,18 @@ impl Qrio {
         }
         self.serve_all();
         // Execution: the head of every device queue is the binding that
-        // *should* run now; emit one `Run` command per planned pair — one
-        // job per device per tick, device-name order. (Under a service model
-        // nothing is planned: the devices serve by themselves.)
-        for name in self.plan_executions() {
-            let _ = self.run_bound(&name, false);
+        // *should* run now — one job per device per tick, device-name order.
+        // Every head's `Run` goes out first; then each verdict is collected
+        // and settled in the same order. No settle sends a command or touches
+        // another head's job, image or node, so the events and each agent's
+        // command stream are those of one round trip after another. (Under a
+        // service model nothing is planned: the devices serve by themselves.)
+        let heads = self.plan_executions();
+        for name in &heads {
+            self.send_attempt(name);
+        }
+        for name in heads {
+            let _ = self.make_attempt(&name, Reach::Sent);
             self.file_settled(&mut report, name);
         }
         // Fold any still-unread reports (fire-and-forget acknowledgements,
@@ -68,8 +97,8 @@ impl Qrio {
 
     /// The next job to dispatch for every device, in device-name order: the
     /// head of each device queue. The observed per-node reports are not
-    /// consulted — dispatch is a blocking round trip, so no device has an
-    /// unfinished run when a tick plans.
+    /// consulted — a tick collects every `Run` it sent before it ends, so no
+    /// device has an unfinished run when a tick plans.
     fn plan_executions(&self) -> Vec<String> {
         let queues = self.lifecycle.device_queues.values();
         let heads = queues.filter_map(|queue| queue.front().cloned());
@@ -349,7 +378,7 @@ impl Qrio {
     pub fn execute(&mut self, id: &JobId) -> Result<(), QrioError> {
         let result = self
             .require_state(id, "execute", JobState::Scheduled)
-            .and_then(|()| self.run_bound(id.as_str(), false));
+            .and_then(|()| self.make_attempt(id.as_str(), Reach::RoundTrip));
         self.journal_attempt(result, || Command::Execute {
             job: id.to_string(),
         })
@@ -373,7 +402,9 @@ impl Qrio {
     /// [`QrioError::UnknownJob`].
     pub fn interrupt(&mut self, id: &JobId) -> Result<(), QrioError> {
         let result = match self.status(id) {
-            Ok(JobState::Scheduled | JobState::Running) => self.run_bound(id.as_str(), true),
+            Ok(JobState::Scheduled | JobState::Running) => {
+                self.make_attempt(id.as_str(), Reach::Interrupted)
+            }
             Ok(state) => Err(phase_conflict(id, "interrupt", state)),
             Err(err) => Err(err),
         };
@@ -521,14 +552,15 @@ impl Qrio {
 
     // --- Execution -----------------------------------------------------------------------
 
-    /// One attempt of a job known to be `Scheduled`, made at once: enter
-    /// `Running`, make the attempt, settle what it returned. The attempt is
-    /// an execution on the node's agent or, when `interrupted`, the device
-    /// flap that kept it from happening — or cut it short, for the job a
-    /// device is serving, whose window closes now. The attempt number passed
-    /// to the cluster makes injected-fault decisions attempt-aware, so a
-    /// retried job can draw a different verdict than its first run.
-    fn run_bound(&mut self, name: &str, interrupted: bool) -> Result<(), QrioError> {
+    /// One attempt of a job known to be `Scheduled`: enter `Running`, make
+    /// the attempt, settle what it returned. The attempt is an execution on
+    /// the node's agent — a round trip now, or the collection of the `Run`
+    /// this tick's dispatch pass sent — or, when [`Reach::Interrupted`], the
+    /// device flap that kept it from happening, or cut it short for the job
+    /// a device is serving, whose window closes now. The attempt number
+    /// passed to the cluster makes injected-fault decisions attempt-aware, so
+    /// a retried job can draw a different verdict than its first run.
+    fn make_attempt(&mut self, name: &str, reach: Reach) -> Result<(), QrioError> {
         let (node, attempt) = self.binding(name);
         if self.lifecycle.state(name) == Some(JobState::Running) {
             self.lifecycle
@@ -537,12 +569,25 @@ impl Qrio {
             self.lifecycle
                 .record(name, JobState::Running, node.clone(), None);
         }
-        let result = if interrupted {
-            self.cluster.interrupt_job(name, attempt)
-        } else {
-            self.dispatch(name, attempt, true)
-        };
+        let result = self.dispatch(name, attempt, reach);
         self.settle_execution(name, node, attempt, result)
+    }
+
+    /// The dispatch pass of a tick's execution step: describe the attempt of
+    /// `name` from what the cluster lends out — no pull, no event — and send
+    /// its `Run` without waiting for the verdict. An attempt `prepare_run`
+    /// will refuse (the image or the node is gone) is not sent: it fails in
+    /// the collect pass before anything reaches a device, as it would in a
+    /// round trip.
+    fn send_attempt(&mut self, name: &str) {
+        let attempt = self.lifecycle.jobs.get(name).map_or(0, |job| job.attempt);
+        let Ok((order, spec, image)) = self.cluster.lend_run(name, attempt) else {
+            return;
+        };
+        if self.cluster.node(&order.node).is_some() {
+            let now = self.lifecycle.clock;
+            self.control.send_run(&order, spec, image, now);
+        }
     }
 
     /// Where a job is bound and how many attempts it has consumed.
@@ -593,7 +638,7 @@ impl Qrio {
             return;
         };
         let (node, attempt) = self.binding(&name);
-        let result = self.dispatch(&name, attempt, false);
+        let result = self.dispatch(&name, attempt, Reach::Served);
         let _ = self.settle_execution(&name, node, attempt, result);
         self.file_settled(report, name);
         self.serve(device);
@@ -615,33 +660,39 @@ impl Qrio {
         devices.iter().for_each(|device| self.serve(device));
     }
 
-    /// One execution attempt over the control plane: `start` it in the
+    /// One execution attempt over the control plane: start it in the
     /// cluster (image pull, `JobStarted`) unless that happened when its
-    /// service began, describe it to the node's agent from the spec and
-    /// image the cluster lends out, block for the matching `Phase` report,
-    /// and settle the verdict back into the cluster. The agent holds the
-    /// fault-plan replica, so injected-fault verdicts are drawn device-side
-    /// from the same pure decision function.
+    /// service began, get the verdict of the node's agent — sending the
+    /// `Run` now, described from the spec and image the cluster lends out,
+    /// unless the dispatch pass already did — and settle it back into the
+    /// cluster. The agent holds the fault-plan replica, so injected-fault
+    /// verdicts are drawn device-side from the same pure decision function.
+    /// An interrupt settles a device flap with no agent in between.
     ///
     /// A transport failure comes back as a failed verdict and is settled like
-    /// any other: settling is what releases the job's reservation.
-    fn dispatch(&mut self, name: &str, attempt: u32, start: bool) -> Result<(), ClusterError> {
-        let (order, spec, image) = if start {
-            self.cluster.prepare_run(name, attempt)?
-        } else {
-            self.cluster.lend_run(name, attempt)?
+    /// any other.
+    fn dispatch(&mut self, name: &str, attempt: u32, reach: Reach) -> Result<(), ClusterError> {
+        let (order, spec, image) = match reach {
+            Reach::Interrupted => return self.cluster.interrupt_job(name, attempt),
+            Reach::Served => self.cluster.lend_run(name, attempt)?,
+            Reach::RoundTrip | Reach::Sent => self.cluster.prepare_run(name, attempt)?,
         };
-        let verdict = self.control.run(&order, spec, image, self.lifecycle.clock);
+        let verdict = match reach {
+            Reach::Sent => self.control.await_phase(&order),
+            _ => self.control.run(&order, spec, image, self.lifecycle.clock),
+        };
         self.cluster.settle_run(&order, verdict)
     }
 
     /// The end of an attempt, however it was made: the job leaves its
-    /// device's queue, and the outcome of its `attempt` feeds the device's
-    /// circuit breaker, then either records success, enters `Retrying` with
-    /// a backoff horizon, or fails terminally (routing exhausted retry
-    /// policies to the dead-letter queue). Under a service model, a device
-    /// out of service now — its breaker tripped on this very attempt — has
-    /// its waiting jobs flee.
+    /// device's queue and gives up its reservation (`settle_run` released it
+    /// already, unless the attempt never reached the device because its
+    /// image or node was gone), and the outcome of its `attempt` feeds the
+    /// device's circuit breaker, then either records success, enters
+    /// `Retrying` with a backoff horizon, or fails terminally (routing
+    /// exhausted retry policies to the dead-letter queue). Under a service
+    /// model, a device out of service now — its breaker tripped on this very
+    /// attempt — has its waiting jobs flee.
     fn settle_execution(
         &mut self,
         name: &str,
@@ -650,6 +701,7 @@ impl Qrio {
         result: Result<(), ClusterError>,
     ) -> Result<(), QrioError> {
         self.lifecycle.leave_device_queue(name);
+        let _ = self.cluster.release_job(name);
         let (now, consumed, device) = (self.lifecycle.clock, attempt + 1, node.clone());
         // Every outcome on a device feeds its breaker; a trip holds the
         // device out of service so the scheduler steers around it.
@@ -721,5 +773,92 @@ impl Qrio {
         if !referenced {
             self.cluster.remove_image(image);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! An attempt that never reached its device — its image or its node gone
+    //! — still ends with the job's reservation released.
+
+    use qrio_backend::{topology, Backend};
+    use qrio_circuit::library;
+    use qrio_cluster::Resources;
+    use qrio_meta::FidelityRankingConfig;
+
+    use super::Qrio;
+    use crate::lifecycle::{JobId, JobState, ServiceModel};
+    use crate::visualizer::JobRequestBuilder;
+
+    /// Two devices and one job, bound by hand so it waits for the next tick
+    /// — or, under a service `model`, is in service at once.
+    fn bound(model: Option<ServiceModel>) -> (Qrio, JobId) {
+        let config = FidelityRankingConfig {
+            shots: 32,
+            seed: 3,
+            shortfall_weight: 100.0,
+        };
+        let mut qrio = Qrio::with_config(config, 3);
+        for (name, error) in [("clean", 0.01), ("noisy", 0.2)] {
+            let backend = Backend::uniform(name, topology::line(4), 0.001, error);
+            qrio.add_device(backend).unwrap();
+        }
+        qrio.configure_service(model).unwrap();
+        let request = JobRequestBuilder::new()
+            .with_circuit(&library::ghz(3).unwrap())
+            .job_name("stranded")
+            .min_queue()
+            .shots(16)
+            .build()
+            .unwrap();
+        let id = qrio.enqueue(&request).unwrap();
+        qrio.schedule(&id).unwrap();
+        (qrio, id)
+    }
+
+    fn remove_image(qrio: &mut Qrio, id: &JobId) {
+        let image = qrio.cluster.job(id.as_str()).unwrap().spec().image.clone();
+        assert!(qrio.cluster.remove_image(&image).is_some());
+    }
+
+    fn assert_released(qrio: &Qrio, id: &JobId) {
+        assert_eq!(qrio.status(id).unwrap(), JobState::Failed);
+        assert_eq!(qrio.cluster.job(id.as_str()).unwrap().node(), None);
+        for node in qrio.cluster.nodes() {
+            assert_eq!(node.allocated(), Resources::default(), "{}", node.name());
+        }
+    }
+
+    #[test]
+    fn a_tick_whose_head_lost_its_image_releases_the_reservation() {
+        let (mut qrio, id) = bound(None);
+        remove_image(&mut qrio, &id);
+        qrio.tick();
+        assert_released(&qrio, &id);
+    }
+
+    #[test]
+    fn a_tick_whose_head_lost_its_node_releases_the_reservation() {
+        let (mut qrio, id) = bound(None);
+        let node = qrio.job_status(&id).unwrap().node.clone().unwrap();
+        qrio.cluster.remove_node(&node).unwrap();
+        qrio.tick();
+        assert_released(&qrio, &id);
+        assert!(qrio.device_queue(&node).next().is_none());
+    }
+
+    #[test]
+    fn a_window_that_closes_on_a_lost_image_releases_the_reservation() {
+        let model = ServiceModel {
+            base_us: 1_000,
+            per_shot_us: 0,
+            speeds: Default::default(),
+        };
+        let (mut qrio, id) = bound(Some(model));
+        assert_eq!(qrio.status(&id).unwrap(), JobState::Running);
+        remove_image(&mut qrio, &id);
+        let due = qrio.next_due().unwrap();
+        qrio.advance_to(due).unwrap();
+        assert_released(&qrio, &id);
     }
 }
