@@ -293,6 +293,57 @@ fn custom_strategies_need_the_recover_with_hook() {
     assert_eq!(recovered.status(&id).unwrap(), JobState::Succeeded);
 }
 
+/// A hook that changes what the journal says the crashed instance ran with —
+/// here the fault rates — makes replay draw other verdicts than the journaled
+/// run did: a typed divergence, not a quietly different history.
+#[test]
+fn a_recovery_hook_that_changes_the_fault_rates_diverges() {
+    use qrio_cluster::{FaultInjector, RetryPolicy};
+
+    let path = journal_path("hook-fault-rates");
+    {
+        let mut qrio = seeded_qrio();
+        qrio.enable_durability(&path, DurabilityConfig::default())
+            .unwrap();
+        two_device_fleet(&mut qrio);
+        qrio.configure_faults(Some(FaultInjector {
+            seed: 5,
+            transient_rate: 1.0,
+            ..FaultInjector::default()
+        }))
+        .unwrap();
+        let request = JobRequestBuilder::new()
+            .with_circuit(&library::bernstein_vazirani(4, 0b1001).unwrap())
+            .job_name("faulted")
+            .fidelity_target(0.8)
+            .shots(64)
+            .retry_policy(RetryPolicy::fixed(3, 1))
+            .build()
+            .unwrap();
+        let _ = qrio.enqueue(&request).unwrap();
+        qrio.snapshot_now().unwrap();
+        for _ in 0..4 {
+            qrio.tick();
+        }
+        assert!(qrio.durability_error().is_none());
+    }
+
+    // The journaled run failed every attempt; the hook clears the faults, so
+    // the replayed first attempt succeeds.
+    let calm = |qrio: &mut Qrio| qrio.configure_faults(None);
+    match Qrio::recover_with(&path, calm) {
+        Err(QrioError::Durability(DurabilityError::ReplayDivergence(_))) => {}
+        other => panic!("expected replay divergence, got {other:?}"),
+    }
+    // The journal itself is sound: without the hook it recovers.
+    let (recovered, _) = Qrio::recover(&path).unwrap();
+    assert_eq!(
+        recovered.status(&qrio::JobId::new("faulted")).unwrap(),
+        JobState::Failed
+    );
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn journals_without_a_snapshot_or_with_garbage_are_typed_errors() {
     // Header-only journal: structurally valid, but nothing to recover from.
