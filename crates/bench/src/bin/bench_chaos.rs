@@ -19,14 +19,8 @@
 //! `--smoke` is accepted for CI symmetry with `bench_cloud`; the embedded
 //! chaos scenario is already CI-sized, so both modes run it.
 
-use qrio_bench::print_table;
+use qrio_bench::{print_table, CHAOS_SCENARIO};
 use qrio_loadgen::{run_scenario_with_log, ChaosStats, CloudReport, Scenario};
-
-/// The chaos scenario: 60 virtual seconds, 3 tenants (fixed backoff,
-/// exponential backoff under a deadline, fail-fast control), breaker board
-/// armed, faults ramping calm -> storm -> recovery with an outage inside
-/// the storm.
-const CHAOS_SCENARIO: &str = include_str!("../../../../scenarios/chaos.yaml");
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

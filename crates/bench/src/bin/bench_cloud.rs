@@ -23,13 +23,8 @@
 //! thread counts — CI compares them.
 
 use qrio::TransportMode;
-use qrio_bench::print_table;
+use qrio_bench::{print_table, CLOUD_SCENARIO, SMOKE_SCENARIO};
 use qrio_loadgen::{run_scenario_with_transport, CloudReport, Scenario};
-
-/// The flagship scenario (≥ 2000 jobs, 4 tenants, outage + two drifts).
-const CLOUD_SCENARIO: &str = include_str!("../../../../scenarios/cloud.yaml");
-/// The CI smoke scenario (30 virtual seconds, 3 tenants, outage + drift).
-const SMOKE_SCENARIO: &str = include_str!("../../../../scenarios/cloud_smoke.yaml");
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

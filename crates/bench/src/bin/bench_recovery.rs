@@ -27,15 +27,8 @@
 use std::path::PathBuf;
 
 use qrio_analyzer::{audit_watch_log, AuditOptions};
-use qrio_loadgen::{run_kill_restart_with_log, KillRestartScenario};
-
-fn flag_u64(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("bad {name}: {e}")))
-        .unwrap_or(default)
-}
+use qrio_bench::recovery_scenario;
+use qrio_loadgen::run_kill_restart_with_log;
 
 fn flag_path(args: &[String], name: &str, default: &str) -> PathBuf {
     args.iter()
@@ -47,18 +40,7 @@ fn flag_path(args: &[String], name: &str, default: &str) -> PathBuf {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fault_permille = flag_u64(&args, "--fault-permille", 250) as u32;
-    let retry_attempts = flag_u64(&args, "--retry-attempts", 4) as u32;
-    let scenario = KillRestartScenario {
-        name: "bench-recovery".into(),
-        seed: flag_u64(&args, "--seed", 20240),
-        jobs: flag_u64(&args, "--jobs", 120),
-        crash_after_jobs: flag_u64(&args, "--crash-after", 75),
-        fault_permille,
-        retry_max_attempts: retry_attempts,
-        breakers: retry_attempts > 0 || fault_permille > 0,
-        ..KillRestartScenario::default()
-    };
+    let scenario = recovery_scenario(&args);
     let journal_path = flag_path(&args, "--journal", "bench_recovery.qj");
     let out_path = flag_path(&args, "--out", "BENCH_recovery.txt");
 

@@ -286,13 +286,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// FNV-1a (64-bit) over `text` — the cheap, stable hash that folds names
-/// into seeds (fault decisions, per-job and per-tenant RNG streams). Every
-/// committed report depends on these exact values.
+/// FNV-1a (64-bit) over `bytes` — the cheap, stable hash that folds names
+/// into seeds (fault decisions, per-job and per-tenant RNG streams) and
+/// digests encoded values. Every committed report depends on these exact
+/// values.
 #[inline]
-pub fn fnv1a(text: &str) -> u64 {
+pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
+    for &byte in bytes.as_ref() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -309,6 +310,7 @@ mod tests {
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(b"foobar"), fnv1a("foobar"));
     }
 
     #[test]
