@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use qrio::{JobEvent, JobState};
+use qrio::{Cause, JobEvent, JobState};
 
 use crate::diag::{Diagnostic, LintCode, Location};
 
@@ -59,7 +59,7 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
     // Whether the job may (re-)enter Running: true initially, consumed by a
     // Running entry, restored by a Retrying decision.
     let mut may_run: BTreeMap<&str, bool> = BTreeMap::new();
-    let mut last_attempt: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut last_attempt: BTreeMap<&str, u32> = BTreeMap::new();
     // When the backoff a job's latest Retrying event announced elapses.
     let mut not_before: BTreeMap<&str, u64> = BTreeMap::new();
     let mut clock = 0;
@@ -143,31 +143,31 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
         if event.to == JobState::Retrying {
             may_run.insert(job, true);
 
-            // QL0306: the orchestrator stamps each Retrying reason with
-            // "attempt N failed: ..."; N must climb by exactly one per
+            // QL0306: the orchestrator's cause of each Retrying event names
+            // the attempt that failed; it must climb by exactly one per
             // retry decision (monotone, gapless), or the backoff schedule
             // and dead-letter accounting disagree with reality.
-            if let Some(attempt) = event.reason.as_deref().and_then(parse_attempt) {
+            if let Some(Cause::Attempt { n, backoff, .. }) = event.cause.as_deref() {
                 let expected = last_attempt.get(job).copied().unwrap_or(0) + 1;
-                if attempt != expected {
+                if *n != expected {
                     diagnostics.push(Diagnostic::new(
                         LintCode::NonMonotoneAttempts,
                         Location::at(&subject, format!("seq {} (job '{job}')", event.seq)),
-                        format!("expected attempt {expected}, but the Retrying reason says attempt {attempt}"),
+                        format!(
+                            "expected attempt {expected}, but the Retrying cause says attempt {n}"
+                        ),
                     ));
                 }
-                last_attempt.insert(job, attempt);
-            }
-            if let Some(delay) = event.reason.as_deref().and_then(parse_backoff) {
-                not_before.insert(job, event.at.saturating_add(delay));
+                last_attempt.insert(job, *n);
+                not_before.insert(job, event.at.saturating_add(*backoff));
             }
         }
 
         // QL0309: "backoff elapsed" must be true of the announced backoff.
         // (A cancel or a deadline may end a backoff early; neither says it
         // elapsed.)
-        let reason = event.reason.as_deref().unwrap_or_default();
-        if event.from == Some(JobState::Retrying) && reason.starts_with("backoff elapsed") {
+        let elapsed = matches!(event.cause.as_deref(), Some(Cause::BackoffElapsed));
+        if event.from == Some(JobState::Retrying) && elapsed {
             let due = not_before.get(job).copied().unwrap_or(0);
             if event.at < due {
                 diagnostics.push(Diagnostic::new(
@@ -200,27 +200,6 @@ pub fn audit_watch_log(events: &[JobEvent], options: AuditOptions) -> Vec<Diagno
     diagnostics
 }
 
-/// Parse the attempt counter out of a `Retrying` reason of the
-/// orchestrator's form `"attempt N failed: ..."`. Returns `None` for logs
-/// that carry no (or a foreign) reason — those simply skip the QL0306 check.
-fn parse_attempt(reason: &str) -> Option<u64> {
-    leading_number(reason.strip_prefix("attempt ")?)
-}
-
-/// Parse the delay out of the same reason's tail, `"...; backing off N
-/// ticks"` (the unit is the clock's, whatever the word says).
-fn parse_backoff(reason: &str) -> Option<u64> {
-    let marker = "backing off ";
-    leading_number(&reason[reason.find(marker)? + marker.len()..])
-}
-
-fn leading_number(text: &str) -> Option<u64> {
-    let end = text
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(text.len());
-    text[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +213,7 @@ mod tests {
             from,
             to,
             node: None,
-            reason: None,
+            cause: None,
         }
     }
 
@@ -338,33 +317,39 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == LintCode::DoubleRunning));
     }
 
-    fn retry_event(
-        seq: u64,
-        job: &str,
-        from: JobState,
-        to: JobState,
-        reason: Option<&str>,
-    ) -> JobEvent {
+    fn retry_event(seq: u64, job: &str, from: JobState, to: JobState, cause: Cause) -> JobEvent {
         JobEvent {
-            reason: reason.map(str::to_string),
+            cause: Some(Box::new(cause)),
             ..event(seq, job, Some(from), to)
+        }
+    }
+
+    /// Attempt `n` failed and backs off `backoff`.
+    fn attempt(n: u32, backoff: u64) -> Cause {
+        Cause::Attempt {
+            n,
+            error: qrio_cluster::ClusterError::ExecutionFailed {
+                job: "a".into(),
+                reason: "boom".into(),
+            },
+            backoff,
         }
     }
 
     /// A full, legal retry loop: run, fail into Retrying, requeue, run
     /// again, succeed.
-    fn retry_log(first_reason: &str, second_reason: &str) -> Vec<JobEvent> {
+    fn retry_log(first: Cause, second: Cause) -> Vec<JobEvent> {
         use JobState::*;
         vec![
             event(0, "a", None, Submitted),
             event(1, "a", Some(Submitted), Queued),
             event(2, "a", Some(Queued), Scheduled),
             event(3, "a", Some(Scheduled), Running),
-            retry_event(4, "a", Running, Retrying, Some(first_reason)),
+            retry_event(4, "a", Running, Retrying, first),
             event(5, "a", Some(Retrying), Queued),
             event(6, "a", Some(Queued), Scheduled),
             event(7, "a", Some(Scheduled), Running),
-            retry_event(8, "a", Running, Retrying, Some(second_reason)),
+            retry_event(8, "a", Running, Retrying, second),
             event(9, "a", Some(Retrying), Queued),
             event(10, "a", Some(Queued), Scheduled),
             event(11, "a", Some(Scheduled), Running),
@@ -374,10 +359,7 @@ mod tests {
 
     #[test]
     fn retried_jobs_may_rerun_and_audit_clean() {
-        let log = retry_log(
-            "attempt 1 failed: boom; backing off 4 ticks",
-            "attempt 2 failed: boom; backing off 8 ticks",
-        );
+        let log = retry_log(attempt(1, 4), attempt(2, 8));
         assert!(audit_watch_log(&log, AuditOptions::default()).is_empty());
     }
 
@@ -385,16 +367,13 @@ mod tests {
     fn non_monotone_attempt_counters_are_flagged() {
         // The second Retrying claims attempt 5; after attempt 1, only
         // attempt 2 is coherent.
-        let log = retry_log(
-            "attempt 1 failed: boom; backing off 4 ticks",
-            "attempt 5 failed: boom; backing off 8 ticks",
-        );
+        let log = retry_log(attempt(1, 4), attempt(5, 8));
         let diags = audit_watch_log(&log, AuditOptions::default());
         assert!(diags
             .iter()
             .any(|d| d.code == LintCode::NonMonotoneAttempts));
-        // Reasons without the counter skip the check rather than misfire.
-        let opaque = retry_log("node exploded", "node exploded again");
+        // Causes without the counter skip the check rather than misfire.
+        let opaque = retry_log(Cause::Cancelled, Cause::Cancelled);
         assert!(audit_watch_log(&opaque, AuditOptions::default()).is_empty());
     }
 
@@ -402,10 +381,7 @@ mod tests {
     fn stamps_running_backwards_and_backoffs_cut_short_are_flagged() {
         // Attempt 1 fails at t=10 and announces 4, attempt 2 at t=20 and
         // announces 8; both re-queue on the dot.
-        let mut log = retry_log(
-            "attempt 1 failed: boom; backing off 4 ticks",
-            "attempt 2 failed: boom; backing off 8 ticks",
-        );
+        let mut log = retry_log(attempt(1, 4), attempt(2, 8));
         for (seq, at) in [0, 0, 1, 10, 10, 14, 14, 20, 20, 28, 28, 30, 30]
             .into_iter()
             .enumerate()
@@ -413,7 +389,7 @@ mod tests {
             log[seq].at = at;
         }
         for requeue in [5, 9] {
-            log[requeue].reason = Some("backoff elapsed; re-queued for retry".to_string());
+            log[requeue].cause = Some(Box::new(Cause::BackoffElapsed));
         }
         assert!(audit_watch_log(&log, AuditOptions::default()).is_empty());
 
@@ -424,9 +400,9 @@ mod tests {
         let mut early = log.clone();
         early[9].at = 27;
         assert_eq!(codes(&early), [LintCode::BackoffCutShort]);
-        // The same early re-queue under any other reason is someone's
+        // The same early re-queue under any other cause is someone's
         // decision, not a timer's claim.
-        early[9].reason = Some("retry kicked; re-queued".to_string());
+        early[9].cause = None;
         assert!(codes(&early).is_empty());
         let mut rewound = log.clone();
         rewound[11].at = 27;
@@ -449,21 +425,5 @@ mod tests {
             },
         );
         assert!(diags.iter().any(|d| d.code == LintCode::EventAfterTerminal));
-    }
-
-    #[test]
-    fn attempt_counters_parse_from_orchestrator_reasons() {
-        assert_eq!(
-            parse_attempt("attempt 3 failed: x; backing off 2 ticks"),
-            Some(3)
-        );
-        assert_eq!(parse_attempt("attempt 12"), Some(12));
-        assert_eq!(parse_attempt("attempted murder"), None);
-        assert_eq!(parse_attempt("something else"), None);
-        assert_eq!(
-            parse_backoff("attempt 3 failed: x; backing off 250 ticks"),
-            Some(250)
-        );
-        assert_eq!(parse_backoff("attempt 3 failed: x"), None);
     }
 }

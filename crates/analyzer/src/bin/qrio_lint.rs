@@ -360,7 +360,7 @@ fn self_check() -> Vec<String> {
             from: None,
             to: JobState::Submitted,
             node: None,
-            reason: None,
+            cause: None,
         }]
     };
     expect(
@@ -372,19 +372,27 @@ fn self_check() -> Vec<String> {
     // 5b. The auditor's time rule: a retry that announces a backoff of 8 at
     // t=10 and claims it elapsed at t=12, and one stamped before it failed.
     {
-        use qrio::{JobEvent, JobId, JobState};
+        use qrio::{Cause, JobEvent, JobId, JobState};
+        use qrio_cluster::ClusterError;
         let requeued_at = |at: u64| {
-            let event = |seq, at, from, to, reason: &str| JobEvent {
+            let event = |seq, at, from, to, cause| JobEvent {
                 seq,
                 at,
                 job: JobId::new("timed-job"),
                 from: Some(from),
                 to,
                 node: None,
-                reason: Some(reason.to_string()),
+                cause: Some(Box::new(cause)),
             };
-            let failed = "attempt 1 failed: boom; backing off 8 ticks";
-            let requeued = "backoff elapsed; re-queued for retry";
+            let failed = Cause::Attempt {
+                n: 1,
+                error: ClusterError::ExecutionFailed {
+                    job: "timed-job".into(),
+                    reason: "boom".into(),
+                },
+                backoff: 8,
+            };
+            let requeued = Cause::BackoffElapsed;
             let log = [
                 event(0, 10, JobState::Running, JobState::Retrying, failed),
                 event(1, at, JobState::Retrying, JobState::Queued, requeued),
@@ -405,19 +413,17 @@ fn self_check() -> Vec<String> {
 
     // 6-9. The durability-journal family, over hand-built byte fixtures.
     {
-        use qrio::durability::{encode_events_record, RECORD_COMMAND};
-        use qrio::{JobEvent, JobId, JobState};
+        use qrio::durability::{CommandRecord, RECORD_COMMAND};
+        use qrio::Command;
         use qrio_journal::{encode_record, header_bytes, Record};
 
-        let event = JobEvent {
-            seq: 0,
-            at: 0,
-            job: JobId::new("fixture-job"),
-            from: None,
-            to: JobState::Submitted,
-            node: None,
-            reason: None,
-        };
+        // A tick that left one event in the watch log.
+        let tick = CommandRecord {
+            command: Command::Tick,
+            events_after: 1,
+            digest: 0,
+        }
+        .to_record();
         let journal = |records: &[Record]| {
             let mut bytes = header_bytes().to_vec();
             for record in records {
@@ -426,7 +432,7 @@ fn self_check() -> Vec<String> {
             bytes
         };
 
-        let mut torn = journal(&[encode_events_record(std::slice::from_ref(&event))]);
+        let mut torn = journal(std::slice::from_ref(&tick));
         torn.truncate(torn.len() - 2);
         expect(
             "journal with a torn tail record",
@@ -437,13 +443,12 @@ fn self_check() -> Vec<String> {
         // A well-formed snapshot whose cursor claims 999 events.
         let mut liar = qrio::Qrio::new().snapshot_record();
         liar.payload[..8].copy_from_slice(&999u64.to_le_bytes());
-        let events = encode_events_record(&[event]);
         expect(
             "snapshot ahead of the log head",
             LintCode::SnapshotBeyondLogHead,
             lint_journal_bytes(
                 "self-check liar-snapshot",
-                &journal(&[events.clone(), liar.clone()]),
+                &journal(&[tick.clone(), liar.clone()]),
             ),
         );
 
@@ -455,7 +460,7 @@ fn self_check() -> Vec<String> {
         expect(
             "snapshot whose body does not decode",
             LintCode::MalformedJournal,
-            lint_journal_bytes("self-check gutted-snapshot", &journal(&[events, gutted])),
+            lint_journal_bytes("self-check gutted-snapshot", &journal(&[tick, gutted])),
         );
 
         let future = Record::new(RECORD_COMMAND, 9, vec![0]);

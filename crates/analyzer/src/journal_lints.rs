@@ -22,7 +22,7 @@ use std::fs;
 use std::path::Path;
 
 use qrio::durability::{
-    decode_record, DurabilityError, JournalEntry, RECORD_COMMAND, RECORD_EVENTS, RECORD_VERSION,
+    decode_record, DurabilityError, JournalEntry, RECORD_COMMAND, RECORD_VERSION,
 };
 use qrio_journal::scan_bytes;
 
@@ -44,8 +44,8 @@ pub fn lint_journal_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic> {
         }
     };
 
-    // The next event sequence number the journal has accounted for. `None`
-    // until the first snapshot or events record: the genesis snapshot may
+    // The watch-log length the journal has accounted for. `None` until the
+    // first snapshot or command record: the genesis snapshot may
     // legitimately carry history from before durability was enabled.
     let mut head: Option<u64> = None;
     for (index, record) in scan.records.iter().enumerate() {
@@ -58,11 +58,8 @@ pub fn lint_journal_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic> {
             ));
         };
         match decode_record(record) {
-            Ok(JournalEntry::Command(_)) => {}
-            Ok(JournalEntry::Events(events)) => {
-                if let Some(last) = events.last() {
-                    head = Some(head.unwrap_or(0).max(last.seq + 1));
-                }
+            Ok(JournalEntry::Command(command)) => {
+                head = Some(head.unwrap_or(0).max(command.events_after));
             }
             Ok(JournalEntry::Snapshot(snapshot)) => {
                 let cursor = snapshot.cursor();
@@ -94,7 +91,6 @@ pub fn lint_journal_bytes(subject: &str, bytes: &[u8]) -> Vec<Diagnostic> {
             Err(err) => {
                 let what = match record.kind {
                     RECORD_COMMAND => "command",
-                    RECORD_EVENTS => "events",
                     _ => "snapshot",
                 };
                 report(
@@ -135,20 +131,18 @@ pub fn lint_journal_file(path: &Path) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrio::durability::{encode_events_record, RECORD_SNAPSHOT};
-    use qrio::{JobEvent, JobId, JobState, Qrio};
+    use qrio::durability::{CommandRecord, RECORD_SNAPSHOT};
+    use qrio::{Command, Qrio};
     use qrio_journal::{encode_record, header_bytes, Record};
 
-    fn event(seq: u64) -> JobEvent {
-        JobEvent {
-            seq,
-            at: 0,
-            job: JobId::new("j"),
-            from: None,
-            to: JobState::Submitted,
-            node: None,
-            reason: None,
-        }
+    /// A tick that left the watch log `events_after` long.
+    fn tick(events_after: u64) -> Record {
+        let record = CommandRecord {
+            command: Command::Tick,
+            events_after,
+            digest: 0,
+        };
+        record.to_record()
     }
 
     /// A well-formed snapshot of an empty orchestrator, re-stamped to claim
@@ -173,8 +167,7 @@ mod tests {
 
     #[test]
     fn a_clean_journal_is_clean() {
-        let events = encode_events_record(&[event(0), event(1)]);
-        let bytes = journal(&[events, snapshot(2)]);
+        let bytes = journal(&[tick(2), snapshot(2)]);
         assert!(lint_journal_bytes("test", &bytes).is_empty());
     }
 
@@ -186,8 +179,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_ql0401_warning() {
-        let events = encode_events_record(&[event(0)]);
-        let mut bytes = journal(&[events]);
+        let mut bytes = journal(&[tick(1)]);
         bytes.truncate(bytes.len() - 2);
         let diags = lint_journal_bytes("test", &bytes);
         assert_eq!(codes(&diags), ["QL0401"]);
@@ -200,8 +192,7 @@ mod tests {
 
     #[test]
     fn snapshot_beyond_head_is_ql0402() {
-        let events = encode_events_record(&[event(0)]);
-        let diags = lint_journal_bytes("test", &journal(&[events, snapshot(999)]));
+        let diags = lint_journal_bytes("test", &journal(&[tick(1), snapshot(999)]));
         assert_eq!(codes(&diags), ["QL0402"]);
     }
 
@@ -209,20 +200,18 @@ mod tests {
     fn genesis_snapshots_may_carry_prior_history() {
         // Durability can be enabled mid-run: the first snapshot's cursor is
         // unconstrained by (nonexistent) earlier records.
-        let later = encode_events_record(&[event(17)]);
-        assert!(lint_journal_bytes("test", &journal(&[snapshot(17), later])).is_empty());
+        assert!(lint_journal_bytes("test", &journal(&[snapshot(17), tick(18)])).is_empty());
     }
 
     #[test]
     fn snapshot_with_an_undecodable_body_is_ql0404() {
         // The cursor alone reads fine (and is consistent with the log head);
         // recovery would still fail on the body.
-        let events = encode_events_record(&[event(0), event(1)]);
         let mut truncated = snapshot(2);
         truncated.payload.truncate(truncated.payload.len() / 2);
         let cursor_only = Record::new(RECORD_SNAPSHOT, RECORD_VERSION, 2u64.to_le_bytes().to_vec());
         for bad in [truncated, cursor_only] {
-            let diags = lint_journal_bytes("test", &journal(&[events.clone(), bad]));
+            let diags = lint_journal_bytes("test", &journal(&[tick(2), bad]));
             assert_eq!(codes(&diags), ["QL0404"]);
             assert!(
                 diags[0].message.contains("snapshot payload"),
@@ -241,9 +230,9 @@ mod tests {
 
     #[test]
     fn undecodable_payloads_and_unknown_kinds_are_ql0404() {
-        let bad_events = Record::new(RECORD_EVENTS, RECORD_VERSION, vec![0xFF; 3]);
+        let bad_command = Record::new(RECORD_COMMAND, RECORD_VERSION, vec![0xFF; 3]);
         let unknown = Record::new(42, RECORD_VERSION, Vec::new());
-        let diags = lint_journal_bytes("test", &journal(&[bad_events, unknown]));
+        let diags = lint_journal_bytes("test", &journal(&[bad_command, unknown]));
         assert_eq!(codes(&diags), ["QL0404", "QL0404"]);
     }
 }

@@ -4,9 +4,9 @@
 //! as they are committed. A change that moves one of them shows here as a
 //! diff of a committed file.
 //!
-//! The text of every transition's reason in the chaos and recovery-storm
-//! watch logs is pinned by one digest: the reasons are what a cloud user
-//! reads to learn why a job waited, moved or failed.
+//! The text of every transition's cause in the chaos and recovery-storm
+//! watch logs is pinned by one digest: it is what a cloud user reads to
+//! learn why a job waited, moved or failed.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -26,7 +26,7 @@ const RECOVERY_JOURNAL: &str = include_str!("../../../baselines/bench_recovery_j
 const FIG7_TXT: &str = include_str!("../../../baselines/fig7_fidelity.txt");
 const FIG9_TXT: &str = include_str!("../../../baselines/fig9_topology_choice.txt");
 
-/// fnv1a over every rendered reason of the chaos watch log, then of the
+/// fnv1a over every rendered cause of the chaos watch log, then of the
 /// recovery storm's, each followed by a newline.
 const REASONS_DIGEST: u64 = 0xe898_1b7f_ec51_b8de;
 
@@ -90,8 +90,8 @@ fn the_recovery_journal_is_the_committed_length_and_digest() {
 fn every_rendered_reason_is_the_committed_text() {
     let mut text = String::new();
     for event in chaos().1.iter().chain(&recovery().1) {
-        if let Some(reason) = &event.reason {
-            text.push_str(reason);
+        if let Some(cause) = &event.cause {
+            text.push_str(&cause.to_string());
             text.push('\n');
         }
     }

@@ -86,15 +86,6 @@ impl FaultKind {
             FaultKind::DeviceFlap => "injected fault: device flapped mid-execution",
         }
     }
-
-    /// The kind whose [`FaultKind::reason`] `text` carries — a failed job's
-    /// recorded reason or a retry's, both of which embed the error's text —
-    /// or `None` for text that names no injected fault.
-    pub fn from_reason(text: &str) -> Option<FaultKind> {
-        FaultKind::ALL
-            .into_iter()
-            .find(|kind| text.contains(kind.reason()))
-    }
 }
 
 impl fmt::Display for FaultKind {

@@ -12,13 +12,14 @@
 //!
 //! # Record kinds
 //!
-//! The journal carries three record kinds, all at [`RECORD_VERSION`]:
+//! The journal carries two record kinds, both at [`RECORD_VERSION`]:
 //!
 //! * [`RECORD_COMMAND`] — one journaled mutation ([`Command`]), e.g. a tick,
-//!   an enqueue, a cancellation. Replayed verbatim during recovery.
-//! * [`RECORD_EVENTS`] — the watch-log [`JobEvent`]s the preceding command
-//!   produced. Never replayed (replay regenerates them); used to *verify*
-//!   that replay reproduced the pre-crash history bit-for-bit.
+//!   an enqueue, a cancellation, followed by what it left in the watch log:
+//!   the log's length after it and the [`events_digest`] of the events it
+//!   appended ([`CommandRecord`]). Replayed verbatim during recovery, which
+//!   checks both after every command — the watch log itself is derived
+//!   state, so it is written only inside snapshots.
 //! * [`RECORD_SNAPSHOT`] — the full orchestrator state. The payload begins
 //!   with a `u64` event cursor (the length of the watch log at snapshot
 //!   time) and goes on with the stores themselves, in [`SnapshotState`]
@@ -30,12 +31,11 @@
 //!
 //! # Snapshot cadence
 //!
-//! A command and the events it produced are appended with one write. After
-//! it, an automatic snapshot is due when at least
-//! [`DurabilityConfig::snapshot_every`] commands *and* at least the previous
-//! snapshot's framed size in command and events bytes have been journaled
-//! since that snapshot. A snapshot costs the whole retained state, so the
-//! byte condition is what amortises it: the snapshots that have been
+//! Each command is appended with one write. After it, an automatic snapshot
+//! is due when at least [`DurabilityConfig::snapshot_every`] commands *and*
+//! at least the previous snapshot's framed size in command bytes have been
+//! journaled since that snapshot. A snapshot costs the whole retained state,
+//! so the byte condition is what amortises it: the snapshots that have been
 //! superseded never outweigh the log they summarise (file ≤ 2 × log + one
 //! snapshot), total snapshot work is O(bytes journaled), and recovery
 //! replays at most one snapshot's worth of log. Recovery restores the three
@@ -57,15 +57,12 @@
 //! Custom ranking strategies and admission gates are live trait objects and
 //! cannot be serialized. Recovery accepts a setup hook
 //! ([`crate::Qrio::recover_with`]) that re-registers them before replay; a
-//! deployment that installs either must recover through that hook. The
-//! failure cause of a terminal job is persisted as a cluster-level error:
-//! non-cluster failures survive with their message intact but re-surface as
-//! [`qrio_cluster::ClusterError::ExecutionFailed`] after a snapshot restore.
+//! deployment that installs either must recover through that hook.
 
 use std::error::Error;
 use std::fmt;
 
-use qrio_bytes::{codec_enum, codec_struct, from_bytes, to_bytes, ByteReader, CodecError};
+use qrio_bytes::{codec_enum, codec_struct, fnv1a, from_bytes, to_bytes, ByteReader, CodecError};
 use qrio_cluster::{Cluster, FaultInjector, Resources};
 use qrio_journal::{Journal, JournalError, Record};
 use qrio_meta::{DeviceTelemetry, MetaServer};
@@ -74,10 +71,9 @@ use crate::breaker::{BreakerBoard, BreakerConfig};
 use crate::lifecycle::{JobEvent, LifecycleStore, ServiceModel};
 use crate::visualizer::JobRequest;
 
-/// Record kind: one journaled orchestrator mutation ([`Command`]).
+/// Record kind: one journaled orchestrator mutation ([`CommandRecord`]).
+/// Kind 2 held the watch-log events a command produced until version 5.
 pub const RECORD_COMMAND: u8 = 1;
-/// Record kind: the watch-log events a command produced.
-pub const RECORD_EVENTS: u8 = 2;
 /// Record kind: a full orchestrator state snapshot.
 pub const RECORD_SNAPSHOT: u8 = 3;
 /// The payload version this build reads and writes for all record kinds.
@@ -91,7 +87,10 @@ pub const RECORD_SNAPSHOT: u8 = 3;
 /// submission queue and the `KickRetry` / `Probe` commands (tags 15 and 17
 /// stay unused). Version 4 replaced a cluster job's phase with the node
 /// holding its reservation, and its logs no longer carry a line per phase.
-pub const RECORD_VERSION: u16 = 4;
+/// Version 5 typed a transition's cause (a job's failure is kept there
+/// alone), dropped the events record and ended each command record with the
+/// watch log's length and digest.
+pub const RECORD_VERSION: u16 = 5;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -117,8 +116,8 @@ pub enum DurabilityError {
         /// The record's payload version.
         version: u16,
     },
-    /// Replaying the command tail did not reproduce the journaled event
-    /// history — the journal and the code that wrote it disagree.
+    /// Replaying a command did not leave the watch log the journal says it
+    /// left — the journal and the code (or setup) replaying it disagree.
     ReplayDivergence(String),
 }
 
@@ -170,11 +169,11 @@ pub struct DurabilityConfig {
     /// The fewest journaled commands between two automatic snapshots
     /// (`0` = only the genesis snapshot, never again). A snapshot is written
     /// once this many commands have been journaled since the last one *and*
-    /// the command and events records appended since then weigh at least as
-    /// much as that snapshot did. The byte condition keeps the cost
-    /// amortised — superseded snapshots never outweigh the log they
-    /// summarise, so the file stays within 2 × log + one snapshot and
-    /// recovery replays at most one snapshot's worth of log; this floor
+    /// the command records appended since then weigh at least as much as
+    /// that snapshot did. The byte condition keeps the cost amortised —
+    /// superseded snapshots never outweigh the log they summarise, so the
+    /// file stays within 2 × log + one snapshot and recovery replays at
+    /// most one snapshot's worth of log; this floor
     /// keeps a near-empty deployment from snapshotting on every command.
     /// [`crate::Qrio::snapshot_now`] takes one regardless.
     pub snapshot_every: u64,
@@ -216,12 +215,15 @@ pub struct RecoveryReport {
     pub snapshot_cursor: u64,
     /// Commands replayed after the snapshot.
     pub commands_replayed: u64,
-    /// Post-snapshot events found journaled (in `RECORD_EVENTS` records).
+    /// Post-snapshot events the replayed command records account for: the
+    /// last one's watch-log length less the snapshot's cursor.
     pub events_journaled: u64,
     /// Post-snapshot events regenerated by replay.
     pub events_regenerated: u64,
-    /// Events regenerated by replay that the journal had not yet captured
-    /// (lost with a torn tail) and were re-journaled during recovery.
+    /// Events replay regenerated that no command record accounted for. Every
+    /// command record carries its own count, which replay must meet, so
+    /// this is 0 whenever recovery succeeds — a torn tail loses whole,
+    /// unacknowledged commands and nothing else.
     pub events_healed: u64,
     /// Torn tail truncated on open, as `(file offset, bytes discarded)`.
     pub torn_tail: Option<(u64, u64)>,
@@ -449,14 +451,43 @@ impl SnapshotState {
 // Record-level encode / decode (public: the analyzer lints over these)
 // ---------------------------------------------------------------------------
 
+/// What a [`RECORD_COMMAND`] record holds: the command, and what it left in
+/// the watch log, which replay must leave there too.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CommandRecord {
+    /// The journaled mutation.
+    pub command: Command,
+    /// The watch log's length after the command.
+    pub events_after: u64,
+    /// The [`events_digest`] of the events the command appended.
+    pub digest: u64,
+}
+
+codec_struct!(CommandRecord {
+    command,
+    events_after,
+    digest,
+});
+
+impl CommandRecord {
+    /// Frame the record for the journal.
+    pub fn to_record(&self) -> Record {
+        Record::new(RECORD_COMMAND, RECORD_VERSION, to_bytes(self))
+    }
+}
+
+/// fnv1a over the encoded `events`: how a command record names the events
+/// its command appended to the watch log.
+pub fn events_digest(events: &[JobEvent]) -> u64 {
+    fnv1a(to_bytes(events))
+}
+
 /// One decoded journal record.
 #[derive(Debug)]
 pub enum JournalEntry {
     /// A [`RECORD_COMMAND`] record.
-    Command(Command),
-    /// A [`RECORD_EVENTS`] record.
-    Events(Vec<JobEvent>),
-    /// A [`RECORD_SNAPSHOT`] record (boxed: it dwarfs the other variants).
+    Command(CommandRecord),
+    /// A [`RECORD_SNAPSHOT`] record (boxed: it dwarfs the other variant).
     Snapshot(Box<SnapshotState>),
 }
 
@@ -479,15 +510,23 @@ pub fn decode_record(record: &Record) -> Result<JournalEntry, DurabilityError> {
     }
     match record.kind {
         RECORD_COMMAND => decode_command(&record.payload).map(JournalEntry::Command),
-        RECORD_EVENTS => decode_events(&record.payload).map(JournalEntry::Events),
         RECORD_SNAPSHOT => Ok(JournalEntry::Snapshot(from_bytes(&record.payload)?)),
         _ => Err(unsupported),
     }
 }
 
-/// Encode a [`Command`] as a framed journal record.
+/// Encode a [`Command`] as the framed record of a command that leaves the
+/// watch log empty, as one issued before any job was enqueued does — a
+/// well-formed record for tools and benchmarks without an orchestrator. A
+/// durable [`crate::Qrio`] writes [`CommandRecord::to_record`] with the log
+/// its command really left.
 pub fn encode_command_record(cmd: &Command) -> Record {
-    Record::new(RECORD_COMMAND, RECORD_VERSION, to_bytes(cmd))
+    let record = CommandRecord {
+        command: cmd.clone(),
+        events_after: 0,
+        digest: events_digest(&[]),
+    };
+    record.to_record()
 }
 
 /// Decode the payload of a [`RECORD_COMMAND`] record.
@@ -496,21 +535,7 @@ pub fn encode_command_record(cmd: &Command) -> Record {
 ///
 /// Returns a codec error on truncated or trailing bytes and a
 /// [`DurabilityError::Codec`] invalid-tag error on unknown command tags.
-pub fn decode_command(payload: &[u8]) -> Result<Command, DurabilityError> {
-    Ok(from_bytes(payload)?)
-}
-
-/// Encode a slice of watch-log events as a framed journal record.
-pub fn encode_events_record(events: &[JobEvent]) -> Record {
-    Record::new(RECORD_EVENTS, RECORD_VERSION, to_bytes(events))
-}
-
-/// Decode the payload of a [`RECORD_EVENTS`] record.
-///
-/// # Errors
-///
-/// Returns a codec error on truncated payloads or unknown state tags.
-pub fn decode_events(payload: &[u8]) -> Result<Vec<JobEvent>, DurabilityError> {
+pub fn decode_command(payload: &[u8]) -> Result<CommandRecord, DurabilityError> {
     Ok(from_bytes(payload)?)
 }
 
@@ -529,20 +554,22 @@ pub fn snapshot_cursor(payload: &[u8]) -> Result<u64, DurabilityError> {
 // ---------------------------------------------------------------------------
 
 /// The journaling half of a durable [`crate::Qrio`]: owns the open journal,
-/// tracks which watch-log events are already on disk, counts commands and
-/// log bytes toward the next snapshot, and turns the first I/O failure into a
-/// sticky poison so the in-memory state can never silently outrun the log.
+/// tracks how much of the watch log the journal accounts for, counts
+/// commands and log bytes toward the next snapshot, and turns the first I/O
+/// failure into a sticky poison so the in-memory state can never silently
+/// outrun the log.
 #[derive(Debug)]
 pub(crate) struct Durability {
     journal: Journal,
     config: DurabilityConfig,
     commands_since_snapshot: u64,
-    /// Framed bytes of the command and events records appended since the
-    /// last snapshot.
+    /// Framed bytes of the command records appended since the last snapshot.
     log_bytes_since_snapshot: u64,
     /// Framed bytes of the last snapshot record.
     last_snapshot_bytes: u64,
     commands_since_sync: u64,
+    /// The watch log's length when the last command was journaled (or the
+    /// journal attached): the next command record digests what follows.
     journaled_events: u64,
     error: Option<DurabilityError>,
 }
@@ -596,21 +623,24 @@ impl Durability {
         result
     }
 
-    /// Append one command record plus the events it produced — one write —
-    /// then flush.
+    /// Append the record of one command — with the length of the watch log
+    /// it left and the digest of the events it appended — then flush.
     pub(crate) fn log_command(
         &mut self,
-        cmd: &Command,
+        command: Command,
         all_events: &[JobEvent],
     ) -> Result<(), DurabilityError> {
         self.guarded(|this| {
-            let command = encode_command_record(cmd);
-            let written = match this.unjournaled_events(all_events) {
-                Some(events) => this.journal.append_all(&[command, events])?,
-                None => this.journal.append_all(&[command])?,
+            let appended = all_events.get(this.journaled_events as usize..);
+            let record = CommandRecord {
+                command,
+                events_after: all_events.len() as u64,
+                digest: events_digest(appended.unwrap_or_default()),
             };
-            this.log_bytes_since_snapshot += written;
-            this.journaled_events = all_events.len() as u64;
+            let framed = record.to_record();
+            this.journal.append(&framed)?;
+            this.log_bytes_since_snapshot += framed.framed_len();
+            this.journaled_events = record.events_after;
             this.journal.flush()?;
             this.commands_since_snapshot += 1;
             // Batched fdatasync: every command is already write-through to the
@@ -625,28 +655,6 @@ impl Durability {
             }
             Ok(())
         })
-    }
-
-    /// The events record for the watch-log events not yet on disk, if any.
-    fn unjournaled_events(&self, all_events: &[JobEvent]) -> Option<Record> {
-        all_events
-            .get(self.journaled_events as usize..)
-            .filter(|tail| !tail.is_empty())
-            .map(encode_events_record)
-    }
-
-    /// Journal any watch-log events not yet on disk (recovery heals a torn
-    /// tail through here).
-    pub(crate) fn append_event_tail(
-        &mut self,
-        all_events: &[JobEvent],
-    ) -> Result<(), DurabilityError> {
-        if let Some(events) = self.unjournaled_events(all_events) {
-            self.journal.append(&events)?;
-            self.log_bytes_since_snapshot += events.framed_len();
-            self.journaled_events = all_events.len() as u64;
-        }
-        Ok(())
     }
 
     /// The amortised rule: a snapshot is due once at least `snapshot_every`
@@ -696,7 +704,7 @@ impl Durability {
 mod tests {
     use super::*;
     use crate::breaker::BreakerState;
-    use crate::lifecycle::{failure_as_cluster, JobId, JobState};
+    use crate::lifecycle::{JobId, JobState};
     use qrio_backend::spec as backend_spec;
     use qrio_cluster::{
         BackoffPolicy, ClusterError, DeviceRequirements, FaultKind, RetryOn, RetryPolicy,
@@ -747,7 +755,7 @@ mod tests {
             },
             to: JobState::Scheduled,
             node: Some("clean".into()),
-            reason: None,
+            cause: None,
         }
     }
 
@@ -818,18 +826,23 @@ mod tests {
             assert_eq!(record.kind, RECORD_COMMAND);
             assert_eq!(record.version, RECORD_VERSION);
             let decoded = decode_command(&record.payload).unwrap();
-            assert_eq!(decoded, cmd);
+            assert_eq!(decoded.command, cmd);
+            assert_eq!(
+                (decoded.events_after, decoded.digest),
+                (0, events_digest(&[]))
+            );
             // Byte-identical fixed point.
-            assert_eq!(encode_command_record(&decoded).payload, record.payload);
+            assert_eq!(decoded.to_record().payload, record.payload);
         }
     }
 
     #[test]
     fn events_round_trip_and_cursor_reads() {
         let events = vec![sample_event(0), sample_event(7)];
-        let record = encode_events_record(&events);
-        assert_eq!(record.kind, RECORD_EVENTS);
-        assert_eq!(decode_events(&record.payload).unwrap(), events);
+        let bytes = to_bytes(&events);
+        assert_eq!(from_bytes::<Vec<JobEvent>>(&bytes).unwrap(), events);
+        assert_eq!(events_digest(&events), fnv1a(bytes));
+        assert_ne!(events_digest(&events), events_digest(&events[..1]));
 
         // Trailing bytes are fine for cursor reads.
         let snap_payload = to_bytes(&(42u64, 0xFFu8));
@@ -923,21 +936,6 @@ mod tests {
         let bytes = to_bytes(&None::<BreakerBoard>);
         assert_eq!(bytes, [0]);
         assert_eq!(from_bytes::<Option<BreakerBoard>>(&bytes).unwrap(), None);
-    }
-
-    #[test]
-    fn non_cluster_failures_project_to_execution_failed() {
-        let err = crate::QrioError::UnknownJob("ghost".into());
-        let projected = failure_as_cluster("ghost", &err);
-        assert!(matches!(
-            projected,
-            ClusterError::ExecutionFailed { ref job, .. } if job == "ghost"
-        ));
-        let cluster = crate::QrioError::Cluster(ClusterError::UnknownNode("n".into()));
-        assert_eq!(
-            failure_as_cluster("x", &cluster),
-            ClusterError::UnknownNode("n".into())
-        );
     }
 
     #[test]

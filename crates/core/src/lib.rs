@@ -93,7 +93,7 @@ pub use durability::{
     Command, DurabilityConfig, DurabilityError, RecoveryReport, ReplayCheckpoint,
 };
 pub use error::QrioError;
-pub use lifecycle::{JobEvent, JobId, JobState, JobStatus, ServiceModel, TickReport};
+pub use lifecycle::{Cause, JobEvent, JobId, JobState, JobStatus, ServiceModel, TickReport};
 pub use master_server::{containerize, ContainerizedJob};
 pub use orchestrator::{AdmissionGate, JobOutcome, Qrio};
 pub use qrio_meta::{DeviceTelemetry, FidelityRankingConfig};

@@ -17,8 +17,8 @@
 //!
 //! and every transition is appended to a Kubernetes-style watch log of
 //! [`JobEvent`]s carrying the virtual timestamp, the node involved and the
-//! transition reason. [`crate::Qrio`] owns the store; this module owns the
-//! types and the bookkeeping invariants.
+//! transition's typed [`Cause`]. [`crate::Qrio`] owns the store; this module
+//! owns the types and the bookkeeping invariants.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -27,8 +27,6 @@ use qrio_bytes::{
     codec_enum, codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode, Wide32,
 };
 use qrio_cluster::{ClusterError, ScheduleDecision};
-
-use crate::error::QrioError;
 
 /// The identity of one enqueued job — returned by [`crate::Qrio::enqueue`]
 /// and accepted by every lifecycle query ([`crate::Qrio::status`],
@@ -87,7 +85,7 @@ impl From<String> for JobId {
 ///
 /// States are flat (no payload) so they can be compared, stored in
 /// transition histories and checked against the legality table
-/// ([`JobState::can_transition_to`]); the node and reason of the current
+/// ([`JobState::can_transition_to`]); the node and cause of the current
 /// state live in [`JobStatus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum JobState {
@@ -178,8 +176,71 @@ impl fmt::Display for JobState {
     }
 }
 
+/// Why a job transitioned: what a cloud user reads to learn why it waited,
+/// moved or failed. Its `Display` is the reason text the watch log shows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cause {
+    /// The job failed for good, with this error — the one
+    /// [`crate::Qrio::outcome`] returns.
+    Failed(ClusterError),
+    /// Attempt `n` failed with `error` and the job's retry policy backs it
+    /// off for `backoff` clock units before it re-queues.
+    Attempt {
+        /// The attempt that failed (1 for the first run).
+        n: u32,
+        /// What ended it.
+        error: ClusterError,
+        /// How long the job waits in `Retrying`.
+        backoff: u64,
+    },
+    /// The backoff elapsed: the job is back in the admission queue.
+    BackoffElapsed,
+    /// The user cancelled the job.
+    Cancelled,
+    /// The job moved from the device `from` to the device `to`.
+    Rebound {
+        /// The device the job was bound to.
+        from: String,
+        /// The device it is bound to now.
+        to: String,
+    },
+}
+
+codec_enum!(Cause {
+    0 => Failed(error),
+    1 => Attempt { n, error, backoff },
+    2 => BackoffElapsed,
+    3 => Cancelled,
+    4 => Rebound { from, to },
+});
+
+impl Cause {
+    /// The error a failure or a failed attempt carries.
+    pub fn error(&self) -> Option<&ClusterError> {
+        match self {
+            Cause::Failed(error) | Cause::Attempt { error, .. } => Some(error),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Cause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cause::Failed(error) => write!(f, "cluster error: {error}"),
+            Cause::Attempt { n, error, backoff } => write!(
+                f,
+                "attempt {n} failed: cluster error: {error}; backing off {backoff} ticks"
+            ),
+            Cause::BackoffElapsed => f.write_str("backoff elapsed; re-queued for retry"),
+            Cause::Cancelled => f.write_str("cancelled by user"),
+            Cause::Rebound { from, to } => write!(f, "rebound from '{from}' to '{to}'"),
+        }
+    }
+}
+
 /// One entry of the watch log: a job transitioned between states at a
-/// virtual timestamp, possibly bound to a node and carrying a reason.
+/// virtual timestamp, possibly bound to a node and carrying a cause.
 ///
 /// Events are totally ordered by `seq` (their index in the log), so
 /// [`crate::Qrio::watch`] resumes from any cursor without missing or
@@ -199,9 +260,10 @@ pub struct JobEvent {
     pub to: JobState,
     /// Node involved (bound, executing, or previously bound), when any.
     pub node: Option<String>,
-    /// Why the transition happened (failure reasons, cancellation causes,
-    /// rebind explanations); `None` for unremarkable progress.
-    pub reason: Option<String>,
+    /// Why the transition happened (a failure, a retry's backoff, a
+    /// cancellation, a move); `None` for unremarkable progress. Boxed, so an
+    /// event without one costs a pointer.
+    pub cause: Option<Box<Cause>>,
 }
 
 codec_struct!(JobEvent {
@@ -211,7 +273,7 @@ codec_struct!(JobEvent {
     from,
     to,
     node,
-    reason,
+    cause,
 });
 
 /// A point-in-time snapshot of one job's lifecycle.
@@ -221,8 +283,9 @@ pub struct JobStatus {
     pub state: JobState,
     /// Device the job is (or was last) bound to, when any.
     pub node: Option<String>,
-    /// Reason attached to the latest transition, when any.
-    pub reason: Option<String>,
+    /// Cause of the latest transition, when any: for a `Failed` job, the
+    /// error that failed it.
+    pub cause: Option<Box<Cause>>,
     /// Scheduling priority from the request (higher is more urgent).
     pub priority: u8,
     /// Every state the job has entered, with its virtual timestamp.
@@ -232,7 +295,7 @@ pub struct JobStatus {
 codec_struct!(JobStatus {
     state,
     node,
-    reason,
+    cause,
     priority,
     history,
 });
@@ -287,13 +350,12 @@ impl TickReport {
     }
 }
 
-/// Internal per-job record: the public status plus the artifacts `outcome()`
-/// needs (the scheduling decision and the original failure error).
+/// Internal per-job record: the public status (whose cause holds a failed
+/// job's error) plus the scheduling decision `outcome()` reports.
 #[derive(Debug, Clone)]
 pub(crate) struct Tracked {
     pub(crate) status: JobStatus,
     pub(crate) decision: Option<ScheduleDecision>,
-    pub(crate) failure: Option<QrioError>,
     /// Execution attempts already consumed (0 before the first run).
     pub(crate) attempt: u32,
     /// Earliest clock reading at which a `Retrying` job may re-queue (its
@@ -316,31 +378,13 @@ impl Tracked {
     }
 }
 
-/// Project a lifecycle failure onto the persistable [`ClusterError`] space.
-/// Cluster failures survive exactly; anything else (meta, scheduler, ...)
-/// keeps its rendered message under `ExecutionFailed`.
-pub(crate) fn failure_as_cluster(job: &str, err: &QrioError) -> ClusterError {
-    match err {
-        QrioError::Cluster(inner) => inner.clone(),
-        other => ClusterError::ExecutionFailed {
-            job: job.to_string(),
-            reason: other.to_string(),
-        },
-    }
-}
-
-impl Decode for Tracked {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(Tracked {
-            status: Decode::decode(r)?,
-            decision: Decode::decode(r)?,
-            failure: Option::<ClusterError>::decode(r)?.map(QrioError::Cluster),
-            attempt: Wide32::decode(r)?.into(),
-            not_before: Decode::decode(r)?,
-            deadline_at: Decode::decode(r)?,
-        })
-    }
-}
+codec_struct!(Tracked {
+    status,
+    decision,
+    attempt as Wide32,
+    not_before,
+    deadline_at,
+});
 
 /// How long a device serves a job, in the unit the clock is advanced in
 /// (virtual milliseconds under a simulator): `base_us + shots × per_shot_us`
@@ -441,19 +485,7 @@ impl Encode for LifecycleStore {
     fn encode(&self, w: &mut ByteWriter) {
         self.clock.encode(w);
         self.events.encode(w);
-        // `Tracked` cannot encode on its own: a non-cluster failure is
-        // projected under the job's name, which is the map key.
-        w.put_usize(self.jobs.len());
-        for (name, tracked) in &self.jobs {
-            name.encode(w);
-            tracked.status.encode(w);
-            tracked.decision.encode(w);
-            let failure = tracked.failure.as_ref();
-            failure.map(|err| failure_as_cluster(name, err)).encode(w);
-            Wide32(tracked.attempt).encode(w);
-            tracked.not_before.encode(w);
-            tracked.deadline_at.encode(w);
-        }
+        self.jobs.encode(w);
         self.admit_seq.encode(w);
         self.pending.encode(w);
         self.device_queues.encode(w);
@@ -505,12 +537,11 @@ impl LifecycleStore {
                 status: JobStatus {
                     state: JobState::Submitted,
                     node: None,
-                    reason: None,
+                    cause: None,
                     priority,
                     history: Vec::new(),
                 },
                 decision: None,
-                failure: None,
                 attempt: 0,
                 not_before: 0,
                 deadline_at: deadline.map(|d| self.clock.saturating_add(d)),
@@ -540,13 +571,13 @@ impl LifecycleStore {
     /// Append a transition to the watch log and fold it into the job's
     /// status. The caller guarantees legality (debug-asserted here) and gets
     /// the job's record back, to attach what the transition produced (the
-    /// decision, the failure, the backoff horizon).
+    /// decision, the backoff horizon).
     pub(crate) fn record(
         &mut self,
         name: &str,
         to: JobState,
         node: Option<String>,
-        reason: Option<String>,
+        cause: Option<Cause>,
     ) -> &mut Tracked {
         let tracked = self.jobs.get_mut(name).expect("recorded jobs are tracked");
         let from = tracked.status.history.last().map(|(_, state)| *state);
@@ -571,7 +602,8 @@ impl LifecycleStore {
         if node.is_some() {
             tracked.status.node.clone_from(&node);
         }
-        tracked.status.reason.clone_from(&reason);
+        let cause = cause.map(Box::new);
+        tracked.status.cause.clone_from(&cause);
         tracked.status.history.push((self.clock, to));
         let seq = self.events.len() as u64;
         self.events.push(JobEvent {
@@ -581,7 +613,7 @@ impl LifecycleStore {
             from,
             to,
             node,
-            reason,
+            cause,
         });
         tracked
     }
@@ -776,6 +808,20 @@ mod tests {
         assert_eq!(store.events[0].to, JobState::Submitted);
         assert_eq!(store.events[1].from, Some(JobState::Submitted));
         assert_eq!(store.events[1].to, JobState::Queued);
+    }
+
+    #[test]
+    fn an_event_without_a_cause_carries_a_pointer_for_it() {
+        // The watch log holds every transition, so its entry stays small:
+        // 96 bytes while the reason was an `Option<String>`.
+        assert_eq!(std::mem::size_of::<Option<Box<Cause>>>(), 8);
+        assert_eq!(std::mem::size_of::<JobEvent>(), 80);
+        let cause = Cause::Rebound {
+            from: "a".into(),
+            to: "b".into(),
+        };
+        assert_eq!(cause.to_string(), "rebound from 'a' to 'b'");
+        assert_eq!(cause.error(), None);
     }
 
     #[test]

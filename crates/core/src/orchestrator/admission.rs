@@ -8,7 +8,7 @@ use qrio_cluster::{ClusterError, Node};
 use super::{JobOutcome, Qrio};
 use crate::durability::Command;
 use crate::error::QrioError;
-use crate::lifecycle::{JobEvent, JobId, JobState, JobStatus, TickReport, Tracked};
+use crate::lifecycle::{Cause, JobEvent, JobId, JobState, JobStatus, TickReport, Tracked};
 use crate::master_server::containerize;
 use crate::visualizer::JobRequest;
 
@@ -161,7 +161,7 @@ impl Qrio {
             id.as_str(),
             JobState::Cancelled,
             node,
-            Some("cancelled by user".to_string()),
+            Some(Cause::Cancelled),
         );
         self.cleanup_terminal(id.as_str());
         // Failed cancellations mutate nothing, so only successes are
@@ -198,7 +198,7 @@ impl Qrio {
         }
     }
 
-    /// The full status snapshot of a job: state, node, reason, priority and
+    /// The full status snapshot of a job: state, node, cause, priority and
     /// the timestamped transition history.
     ///
     /// # Errors
@@ -220,14 +220,15 @@ impl Qrio {
     ///
     /// # Errors
     ///
-    /// For a `Failed` job this returns the original failure (the same error
-    /// the blocking `submit` would have surfaced); for a `Cancelled` job a
-    /// [`QrioError::JobCancelled`]; for a job still in flight a
-    /// [`QrioError::JobNotFinished`].
+    /// For a `Failed` job this returns the cluster error its cause holds
+    /// (the same error the blocking `submit` would have surfaced); for a
+    /// `Cancelled` job a [`QrioError::JobCancelled`]; for a job still in
+    /// flight a [`QrioError::JobNotFinished`].
     pub fn outcome(&self, id: &JobId) -> Result<JobOutcome, QrioError> {
         let tracked = self.tracked(id)?;
-        match tracked.status.state {
-            JobState::Succeeded => {
+        let status = &tracked.status;
+        match (status.state, status.cause.as_deref()) {
+            (JobState::Succeeded, _) => {
                 let job = self
                     .cluster
                     .job(id.as_str())
@@ -242,17 +243,9 @@ impl Qrio {
                     logs: job.logs().to_vec(),
                 })
             }
-            JobState::Cancelled => Err(QrioError::JobCancelled(id.to_string())),
-            JobState::Failed => Err(tracked.failure.clone().unwrap_or_else(|| {
-                QrioError::Cluster(ClusterError::ExecutionFailed {
-                    job: id.to_string(),
-                    reason: tracked
-                        .status
-                        .reason
-                        .clone()
-                        .unwrap_or_else(|| "job failed".to_string()),
-                })
-            })),
+            (JobState::Cancelled, _) => Err(QrioError::JobCancelled(id.to_string())),
+            // `fail_job` is the one way into `Failed`, and it records why.
+            (JobState::Failed, Some(Cause::Failed(err))) => Err(err.clone().into()),
             _ => Err(QrioError::JobNotFinished(id.to_string())),
         }
     }

@@ -12,7 +12,7 @@ use super::{JobOutcome, Qrio};
 use crate::breaker::BreakerAction;
 use crate::durability::Command;
 use crate::error::QrioError;
-use crate::lifecycle::{due_by, JobId, JobState, TickReport};
+use crate::lifecycle::{due_by, Cause, JobId, JobState, TickReport};
 use crate::visualizer::JobRequest;
 
 /// How an attempt of a bound job reaches its device.
@@ -184,8 +184,8 @@ impl Qrio {
             // under a service model, are bound again at once.
             let requeued = due_by(&self.lifecycle.backoffs, at);
             for name in &requeued {
-                let reason = Some("backoff elapsed; re-queued for retry".to_string());
-                let tracked = self.lifecycle.record(name, JobState::Queued, None, reason);
+                let cause = Some(Cause::BackoffElapsed);
+                let tracked = self.lifecycle.record(name, JobState::Queued, None, cause);
                 let priority = tracked.status.priority;
                 self.lifecycle.enqueue_pending(name, priority);
                 report.requeued.push(JobId::new(name));
@@ -218,18 +218,17 @@ impl Qrio {
             job: name.to_string(),
             deadline,
         };
-        self.fail_job(name, node, err.into());
+        self.fail_job(name, node, err);
     }
 
     /// The terminal failure of a job, whatever ended it (a blown deadline,
     /// an unschedulable request, an execution nobody will retry): `Failed`
-    /// is recorded under the error's text, the error itself is kept for
-    /// [`Qrio::outcome`], and the job's artifacts are garbage-collected.
-    fn fail_job(&mut self, name: &str, node: Option<String>, err: QrioError) {
-        let reason = Some(err.to_string());
-        self.lifecycle
-            .record(name, JobState::Failed, node, reason)
-            .failure = Some(err);
+    /// is recorded with the error as its cause — the one record of it, which
+    /// [`Qrio::outcome`] returns — and the job's artifacts are
+    /// garbage-collected.
+    fn fail_job(&mut self, name: &str, node: Option<String>, err: ClusterError) {
+        let cause = Some(Cause::Failed(err));
+        self.lifecycle.record(name, JobState::Failed, node, cause);
         self.cleanup_terminal(name);
     }
 
@@ -488,12 +487,13 @@ impl Qrio {
                 .find(|(name, _)| name == target)
                 .map_or(f64::INFINITY, |(_, score)| *score);
         }
-        self.lifecycle.record(
-            id.as_str(),
-            JobState::Scheduled,
-            Some(target.to_string()),
-            Some(format!("rebound from '{from}' to '{target}'")),
-        );
+        let to = target.to_string();
+        let cause = Cause::Rebound {
+            from,
+            to: to.clone(),
+        };
+        self.lifecycle
+            .record(id.as_str(), JobState::Scheduled, Some(to), Some(cause));
         self.serve(target);
         Ok(())
     }
@@ -542,10 +542,9 @@ impl Qrio {
                 Err(err.into())
             }
             Err(err) => {
-                let err = QrioError::from(err);
                 self.lifecycle.remove_pending(name);
                 self.fail_job(name, None, err.clone());
-                Err(err)
+                Err(err.into())
             }
         }
     }
@@ -721,7 +720,7 @@ impl Qrio {
         let policy = self.cluster.job(name).and_then(|job| job.spec().retry);
         let retry =
             policy.filter(|policy| consumed < policy.max_attempts && policy.retry_on.matches(&err));
-        let err = QrioError::from(err);
+        let outcome = QrioError::from(err.clone());
         if let Some(policy) = retry {
             // Backoff is a pure function of (seed, job, attempt) —
             // byte-identical on journal replay. At least one tick so
@@ -730,9 +729,13 @@ impl Qrio {
                 .backoff
                 .delay(self.runner.seed, name, consumed)
                 .max(1);
-            let reason = format!("attempt {consumed} failed: {err}; backing off {delay} ticks");
+            let cause = Cause::Attempt {
+                n: consumed,
+                error: err,
+                backoff: delay,
+            };
             self.lifecycle
-                .record(name, JobState::Retrying, node, Some(reason))
+                .record(name, JobState::Retrying, node, Some(cause))
                 .not_before = now + delay;
             self.lifecycle
                 .backoffs
@@ -744,10 +747,10 @@ impl Qrio {
             if policy.is_some_and(|policy| consumed >= policy.max_attempts) {
                 self.lifecycle.dead_letters.push(name.to_string());
             }
-            self.fail_job(name, node, err.clone());
+            self.fail_job(name, node, err);
         }
         self.flee(device);
-        Err(err)
+        Err(outcome)
     }
 
     /// Garbage-collect the artifacts of a job that reached a terminal

@@ -12,11 +12,11 @@ use qrio_journal::{scan_file, Journal, Record};
 use super::Qrio;
 use crate::control::ControlPlane;
 use crate::durability::{
-    self, Command, Durability, DurabilityConfig, DurabilityError, JournalEntry, RecoveryReport,
-    ReplayCheckpoint, SnapshotState, RECORD_SNAPSHOT, RECORD_VERSION,
+    self, events_digest, Command, CommandRecord, Durability, DurabilityConfig, DurabilityError,
+    JournalEntry, RecoveryReport, ReplayCheckpoint, SnapshotState, RECORD_SNAPSHOT, RECORD_VERSION,
 };
 use crate::error::QrioError;
-use crate::lifecycle::{JobEvent, JobId};
+use crate::lifecycle::JobId;
 use crate::runner::SimJobRunner;
 
 /// The latest snapshot whose cursor does not exceed `at_most`, with its
@@ -54,8 +54,6 @@ struct Replay {
     commands_replayed: u64,
     /// Framed bytes of the records read after the snapshot.
     tail_bytes: u64,
-    /// The journaled events read after the snapshot.
-    journaled_tail: Vec<JobEvent>,
 }
 
 impl Qrio {
@@ -161,9 +159,9 @@ impl Qrio {
         Record::new(RECORD_SNAPSHOT, RECORD_VERSION, w.into_bytes())
     }
 
-    /// Journal the command a public call just carried out, plus the
-    /// watch-log events it produced, then write a snapshot when the cadence
-    /// says one is due. Without durability this is a no-op and `command` is
+    /// Journal the command a public call just carried out, with what it left
+    /// in the watch log, then write a snapshot when the cadence says one is
+    /// due. Without durability this is a no-op and `command` is
     /// never run: a `Command` is built only for a journal to write it to —
     /// which is also why replay can re-issue the public calls themselves.
     pub(super) fn journal(&mut self, command: impl FnOnce() -> Command) -> Result<(), QrioError> {
@@ -172,7 +170,7 @@ impl Qrio {
         };
         #[cfg(test)]
         super::tests::COMMANDS_BUILT.with(|built| built.set(built.get() + 1));
-        durability.log_command(&command(), &self.lifecycle.events)?;
+        durability.log_command(command(), &self.lifecycle.events)?;
         if durability.snapshot_due() {
             self.write_snapshot()?;
         }
@@ -223,8 +221,8 @@ impl Qrio {
         };
         // What the call returned is deliberately ignored: the original run
         // journaled the command after observing the same deterministic
-        // outcome, and the event-history verification after replay catches
-        // any true divergence.
+        // outcome, and the watch-log check after each command catches any
+        // true divergence.
         let _: Option<QrioError> = match cmd {
             Command::AddDevice {
                 spec_text,
@@ -268,9 +266,9 @@ impl Qrio {
     /// run `setup` on the restored instance, and replay the records after
     /// the snapshot until the watch log reaches `target` — commands are
     /// atomic, so replay stops at the first command boundary `>=` it, or at
-    /// the journal's end. Event records and later snapshots carry no state
-    /// transitions of their own: replay regenerates the events, and the
-    /// journaled ones are handed back for the caller to compare.
+    /// the journal's end. Later snapshots carry no state transitions of
+    /// their own. Each replayed command must leave the watch log its record
+    /// names: as long, and with the same events appended.
     fn replay(
         records: &[Record],
         target: u64,
@@ -288,31 +286,45 @@ impl Qrio {
             qrio: Qrio::from_snapshot(snapshot),
             commands_replayed: 0,
             tail_bytes: 0,
-            journaled_tail: Vec::new(),
         };
         setup(&mut replay.qrio)?;
         for record in &records[snapshot_index + 1..] {
-            if replay.qrio.lifecycle.events.len() as u64 >= target {
+            let before = replay.qrio.lifecycle.events.len();
+            if before as u64 >= target {
                 break;
             }
             replay.tail_bytes += record.framed_len();
-            match durability::decode_record(record)? {
-                JournalEntry::Command(cmd) => {
-                    replay.qrio.apply_command(cmd)?;
-                    replay.commands_replayed += 1;
-                }
-                JournalEntry::Events(events) => replay.journaled_tail.extend(events),
-                JournalEntry::Snapshot(_) => {}
+            let JournalEntry::Command(CommandRecord {
+                command,
+                events_after,
+                digest,
+            }) = durability::decode_record(record)?
+            else {
+                continue;
+            };
+            replay.qrio.apply_command(command)?;
+            let events = &replay.qrio.lifecycle.events;
+            let (regenerated, replayed) = (events.len() as u64, events_digest(&events[before..]));
+            if (regenerated, replayed) != (events_after, digest) {
+                let detail = format!(
+                    "command {} after the snapshot: the journal holds {events_after} events \
+                     (digest {digest:#018x}) after it, replay regenerated {regenerated} \
+                     (digest {replayed:#018x})",
+                    replay.commands_replayed
+                );
+                return Err(DurabilityError::ReplayDivergence(detail).into());
             }
+            replay.commands_replayed += 1;
         }
         Ok(replay)
     }
 
     /// Recover an orchestrator from a journal written by
     /// [`Qrio::enable_durability`]: truncate any torn tail, restore the last
-    /// snapshot, replay the command tail, verify the replayed history
-    /// against the journaled events, and re-attach the journal so the
-    /// recovered instance keeps journaling where the crashed one stopped.
+    /// snapshot, replay the command tail — checking after each command that
+    /// the watch log is what the journal says it was — and re-attach the
+    /// journal so the recovered instance keeps journaling where the crashed
+    /// one stopped.
     ///
     /// The returned [`RecoveryReport`] is deterministic: recovering the same
     /// journal twice renders byte-identical reports.
@@ -320,8 +332,8 @@ impl Qrio {
     /// # Errors
     ///
     /// Returns an error when the file is not a journal, holds no snapshot,
-    /// contains records this build cannot decode, or when replay fails to
-    /// reproduce the journaled event history.
+    /// contains records this build cannot decode, or when a replayed command
+    /// leaves another watch log than the journaled one did.
     pub fn recover(path: impl AsRef<Path>) -> Result<(Qrio, RecoveryReport), QrioError> {
         Qrio::recover_with(path, |_| Ok(()))
     }
@@ -347,52 +359,24 @@ impl Qrio {
             config,
             commands_replayed,
             tail_bytes,
-            journaled_tail,
         } = Qrio::replay(&scan.records, u64::MAX, setup)?;
 
-        // Verify: replay must regenerate the journaled history exactly. The
-        // journal may run *short* (events lost with a torn tail before their
-        // command's acknowledgement was journaled never existed, and events
-        // regenerated past the journaled prefix are healed below) but never
-        // long or different.
-        let diverged = |detail| Err(DurabilityError::ReplayDivergence(detail).into());
-        let regenerated = &qrio.lifecycle.events[cursor as usize..];
-        if journaled_tail.len() > regenerated.len() {
-            return diverged(format!(
-                "journal holds {} post-snapshot events but replay regenerated only {}",
-                journaled_tail.len(),
-                regenerated.len()
-            ));
-        }
-        for (journaled, regenerated) in journaled_tail.iter().zip(regenerated.iter()) {
-            if journaled != regenerated {
-                return diverged(format!(
-                    "event seq {} replayed differently from the journal",
-                    journaled.seq
-                ));
-            }
-        }
-        let events_healed = (regenerated.len() - journaled_tail.len()) as u64;
-
-        // Re-attach the journal: it already holds everything up to the
-        // journaled prefix; heal the regenerated-but-unjournaled tail so the
-        // on-disk history is whole again.
-        let journaled_events = cursor + journaled_tail.len() as u64;
+        // Re-attach the journal: every replayed command met its record, so
+        // the journal accounts for the whole regenerated log.
+        let journaled_events = qrio.lifecycle.events.len() as u64;
+        let regenerated = journaled_events - cursor;
         let mut durability = Durability::new(journal, config, journaled_events);
         durability.resume_cadence(
             commands_replayed,
             tail_bytes,
             scan.records[snapshot_index].framed_len(),
         );
-        if events_healed > 0 {
-            durability.append_event_tail(&qrio.lifecycle.events)?;
-        }
         let report = RecoveryReport {
             snapshot_cursor: cursor,
             commands_replayed,
-            events_journaled: journaled_tail.len() as u64,
-            events_regenerated: regenerated.len() as u64,
-            events_healed,
+            events_journaled: regenerated,
+            events_regenerated: regenerated,
+            events_healed: 0,
             torn_tail: scan.torn.as_ref().map(|torn| (torn.offset, torn.trailing)),
             jobs: qrio.lifecycle.jobs.len() as u64,
             terminal_jobs: qrio

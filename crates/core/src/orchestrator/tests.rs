@@ -14,7 +14,7 @@ use super::Qrio;
 use crate::breaker::BreakerConfig;
 use crate::control::TransportMode;
 use crate::error::QrioError;
-use crate::lifecycle::{JobId, JobState};
+use crate::lifecycle::{Cause, JobId, JobState};
 use crate::visualizer::{JobRequest, JobRequestBuilder, TopologyDesigner};
 
 thread_local! {
@@ -302,9 +302,13 @@ fn injected_fault_retries_then_succeeds_once_faults_clear() {
     assert!(report.made_progress());
     let status = qrio.job_status(&id).unwrap();
     assert!(
-        status.reason.as_deref().unwrap().contains("transient"),
-        "reason names the fault: {:?}",
-        status.reason
+        matches!(
+            status.cause.as_deref(),
+            Some(Cause::Attempt { n: 1, error: ClusterError::InjectedFault { kind, .. }, .. })
+                if *kind == FaultKind::TransientExecution
+        ),
+        "the cause names the fault: {:?}",
+        status.cause
     );
 
     // The fault storm passes; the backoff elapses; the retry succeeds.
@@ -375,8 +379,8 @@ fn wire_failure_releases_the_node_and_is_retried_like_any_failed_attempt() {
     // The attempt failed on the wire, and settling it released the job's
     // reservation.
     assert_eq!(qrio.status(&id).unwrap(), JobState::Retrying);
-    let reason = qrio.job_status(&id).unwrap().reason.clone().unwrap();
-    assert!(reason.contains("control plane:"), "{reason}");
+    let cause = qrio.job_status(&id).unwrap().cause.clone().unwrap();
+    assert!(cause.to_string().contains("control plane:"), "{cause}");
     assert_eq!(qrio.cluster().job("unplugged").unwrap().node(), None);
     for node in qrio.cluster().nodes() {
         assert_eq!(node.allocated(), Resources::default(), "{}", node.name());
@@ -414,11 +418,8 @@ fn exhausted_retries_dead_letter_the_job() {
         .count();
     assert_eq!(retries, 2);
     let status = qrio.job_status(&id).unwrap();
-    assert!(status
-        .reason
-        .as_deref()
-        .unwrap()
-        .contains("calibration glitch"));
+    let cause = status.cause.as_deref().unwrap();
+    assert!(cause.to_string().contains("calibration glitch"), "{cause}");
 }
 
 #[test]
@@ -436,16 +437,22 @@ fn faults_without_a_policy_fail_fast_and_skip_the_dead_letter_queue() {
 
 #[test]
 fn an_attempts_reasons_name_its_fault_kind_and_a_real_failure_names_none() {
-    // The reasons of the events that end an attempt, `Running → Retrying`
-    // (`attempt N failed: {err}; backing off D ticks`) and `Running →
-    // Failed` (`err.to_string()`): a report counts injected faults from them.
-    fn attempt_reasons(qrio: &Qrio, id: &JobId) -> Vec<String> {
+    // The causes of the events that end an attempt, `Running → Retrying`
+    // (`Attempt`) and `Running → Failed` (`Failed`): a report counts
+    // injected faults from their errors, and their text names the fault.
+    fn attempt_causes(qrio: &Qrio, id: &JobId) -> Vec<Cause> {
         let ended = qrio
             .watch(0)
             .iter()
             .filter(|event| event.job == *id && event.from == Some(JobState::Running));
-        ended.filter_map(|event| event.reason.clone()).collect()
+        ended
+            .filter_map(|event| event.cause.as_deref().cloned())
+            .collect()
     }
+    let fault = |cause: &Cause| match cause.error() {
+        Some(ClusterError::InjectedFault { kind, .. }) => Some(*kind),
+        _ => None,
+    };
     let two_attempts = Some(RetryPolicy::fixed(2, 1));
     for kind in FaultKind::ALL {
         let mut qrio = small_qrio();
@@ -454,11 +461,17 @@ fn an_attempts_reasons_name_its_fault_kind_and_a_real_failure_names_none() {
             .enqueue(&faulty_request(kind.name(), two_attempts, None))
             .unwrap();
         qrio.run_until_idle();
-        let reasons = attempt_reasons(&qrio, &id);
-        assert_eq!(reasons.len(), 2, "{kind}: {reasons:?}");
-        assert!(reasons[0].contains("; backing off"), "{}", reasons[0]);
-        for reason in &reasons {
-            assert_eq!(FaultKind::from_reason(reason), Some(kind), "{reason}");
+        let causes = attempt_causes(&qrio, &id);
+        assert_eq!(causes.len(), 2, "{kind}: {causes:?}");
+        assert!(
+            matches!(causes[0], Cause::Attempt { n: 1, .. }),
+            "{}",
+            causes[0]
+        );
+        assert!(matches!(causes[1], Cause::Failed(_)), "{}", causes[1]);
+        for cause in &causes {
+            assert_eq!(fault(cause), Some(kind), "{cause}");
+            assert!(cause.to_string().contains(kind.reason()), "{cause}");
         }
     }
     // A min_queue job without a circuit schedules, then fails in the runner.
@@ -476,10 +489,10 @@ fn an_attempts_reasons_name_its_fault_kind_and_a_real_failure_names_none() {
         qrio.outcome(&id),
         Err(QrioError::Cluster(ClusterError::ExecutionFailed { .. }))
     ));
-    let reasons = attempt_reasons(&qrio, &id);
-    assert_eq!(reasons.len(), 2, "{reasons:?}");
-    for reason in &reasons {
-        assert_eq!(FaultKind::from_reason(reason), None, "{reason}");
+    let causes = attempt_causes(&qrio, &id);
+    assert_eq!(causes.len(), 2, "{causes:?}");
+    for cause in &causes {
+        assert_eq!(fault(cause), None, "{cause}");
     }
 }
 
@@ -499,9 +512,12 @@ fn a_deadline_expires_a_job_stuck_in_backoff() {
     assert_eq!(qrio.status(&id).unwrap(), JobState::Failed);
     let status = qrio.job_status(&id).unwrap();
     assert!(
-        status.reason.as_deref().unwrap().contains("deadline"),
-        "reason: {:?}",
-        status.reason
+        matches!(
+            status.cause.as_deref(),
+            Some(Cause::Failed(ClusterError::DeadlineExceeded { .. }))
+        ),
+        "cause: {:?}",
+        status.cause
     );
     assert!(
         qrio.dead_letters().is_empty(),
@@ -868,13 +884,10 @@ fn timer_events(qrio: &Qrio) -> Vec<(u64, String, &'static str)> {
             timer.then(|| (event.at, event.device.clone(), "probing"))
         });
     let jobs = qrio.watch(0).iter().filter_map(|event| {
-        let reason = event.reason.as_deref().unwrap_or_default();
-        let what = if reason.starts_with("backoff elapsed") {
-            "requeued"
-        } else if reason.contains("deadline") {
-            "expired"
-        } else {
-            return None;
+        let what = match event.cause.as_deref()? {
+            Cause::BackoffElapsed => "requeued",
+            Cause::Failed(ClusterError::DeadlineExceeded { .. }) => "expired",
+            _ => return None,
         };
         Some((event.at, event.job.to_string(), what))
     });

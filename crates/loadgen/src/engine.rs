@@ -507,15 +507,21 @@ mod tests {
         assert_eq!(report.completed, 0, "interrupted job must not complete");
         assert_eq!(report.execution_failures, 1);
         // No retry policy: the interrupt surfaces as a terminal failure whose
-        // reason names the injected device flap.
-        let failed_reason = log
+        // cause is the injected device flap.
+        let failed = log
             .iter()
             .find(|e| e.to == qrio::JobState::Failed)
-            .and_then(|e| e.reason.clone())
-            .expect("interrupted job emits a Failed event with a reason");
+            .and_then(|e| e.cause.as_deref())
+            .expect("interrupted job emits a Failed event with a cause");
         assert!(
-            failed_reason.contains("flapped"),
-            "reason should name the flap fault, got: {failed_reason}"
+            matches!(
+                failed.error(),
+                Some(qrio_cluster::ClusterError::InjectedFault {
+                    kind: qrio_cluster::FaultKind::DeviceFlap,
+                    ..
+                })
+            ),
+            "the cause should be the flap fault, got: {failed}"
         );
     }
 

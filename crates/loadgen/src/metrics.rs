@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use qrio::{BreakerBoard, BreakerEvent, BreakerState, JobEvent, JobId, JobState, Qrio, QrioError};
+use qrio::{BreakerBoard, BreakerEvent, BreakerState, Cause, JobEvent, JobState, Qrio};
 use qrio_cluster::{ClusterError, FaultKind};
 
 use crate::scenario::{Scenario, ScenarioEvent};
@@ -107,16 +107,15 @@ impl<'a> Tally<'a> {
     /// bind notes the depth the job met and joins the queue, a migration
     /// moves it, a bound job's cancellation leaves it; `Running` starts an
     /// attempt, and the attempt's end leaves the queue, charges the device
-    /// the time served, counts the injected fault its reason names and — for
+    /// the time served, counts the injected fault its cause holds and — for
     /// a success — records the sample with the `fidelity` it achieved. A
-    /// retry's re-queue counts, and a failure is a blown deadline (`expired`)
-    /// or, for a job once bound, an execution failure; one never bound is a
+    /// retry's re-queue counts, and a failure is a blown deadline or, for a
+    /// job once bound, an execution failure; one never bound is a
     /// rejection, which its sample's empty device says.
     fn fold(
         log: &'a [JobEvent],
         fleet: impl IntoIterator<Item = &'a str>,
         fidelity: impl Fn(&str) -> Option<f64>,
-        expired: impl Fn(&JobId) -> bool,
     ) -> Self {
         let mut tally = Tally::default();
         let devices = fleet.into_iter().map(|name| (name, DeviceSim::default()));
@@ -138,8 +137,9 @@ impl<'a> Tally<'a> {
             if (from, event.to) == (JobState::Retrying, JobState::Queued) {
                 tally.chaos.retries += 1;
             }
+            let error = event.cause.as_deref().and_then(Cause::error);
             if event.to == JobState::Failed {
-                if expired(&event.job) {
+                if matches!(error, Some(ClusterError::DeadlineExceeded { .. })) {
                     tally.chaos.deadline_cancelled += 1;
                 } else if !job.device.is_empty() {
                     tally.execution_failures += 1;
@@ -168,9 +168,8 @@ impl<'a> Tally<'a> {
                 (JobState::Running, to) => {
                     device.queued -= 1;
                     device.stats.busy_ms += event.at - job.start_ms;
-                    let fault = event.reason.as_deref().and_then(FaultKind::from_reason);
-                    if let Some(kind) = fault {
-                        *tally.chaos.injected(kind) += 1;
+                    if let Some(ClusterError::InjectedFault { kind, .. }) = error {
+                        *tally.chaos.injected(*kind) += 1;
                     }
                     if to == JobState::Succeeded {
                         device.stats.completed += 1;
@@ -455,14 +454,7 @@ impl CloudReport {
     pub(crate) fn from_log(scenario: &Scenario, qrio: &Qrio, interrupted: u64) -> CloudReport {
         let fleet = scenario.fleet.iter().map(|spec| spec.name.as_str());
         let fidelity = |job: &str| qrio.cluster().job(job)?.achieved_fidelity();
-        let expired = |job: &JobId| {
-            let failure = qrio.outcome(job).err();
-            matches!(
-                failure,
-                Some(QrioError::Cluster(ClusterError::DeadlineExceeded { .. }))
-            )
-        };
-        let tally = Tally::fold(qrio.watch(0), fleet, fidelity, expired);
+        let tally = Tally::fold(qrio.watch(0), fleet, fidelity);
         let makespan = qrio.now();
         let tenants = tenant_stats(tally.jobs.values(), &tally.samples, makespan);
         let mut devices = BTreeMap::new();
@@ -837,6 +829,7 @@ mod tests {
 
     // --- The fold, over hand-built logs --------------------------------------------------
 
+    use qrio::JobId;
     use JobState::*;
 
     /// A watch-log event; `from` `None` is a submission, `node` `""` none.
@@ -848,7 +841,17 @@ mod tests {
             from,
             to,
             node: (!node.is_empty()).then(|| node.to_string()),
-            reason: None,
+            cause: None,
+        }
+    }
+
+    /// The failure of `job`'s first attempt on `x` with an injected `kind`.
+    fn injected(job: &str, kind: FaultKind) -> ClusterError {
+        ClusterError::InjectedFault {
+            job: job.to_string(),
+            node: "x".to_string(),
+            kind,
+            attempt: 0,
         }
     }
 
@@ -861,10 +864,9 @@ mod tests {
         ]
     }
 
-    /// Fold `log` over the fleet `x`, `y`: every success at fidelity 0.5,
-    /// no deadline blown.
+    /// Fold `log` over the fleet `x`, `y`: every success at fidelity 0.5.
     fn fold(log: &[JobEvent]) -> Tally<'_> {
-        Tally::fold(log, ["x", "y"], |_| Some(0.5), |_| false)
+        Tally::fold(log, ["x", "y"], |_| Some(0.5))
     }
 
     #[test]
@@ -901,8 +903,11 @@ mod tests {
         log.extend(bound(0, "t-1", "y"));
         log.push(ev(0, "t-1", Some(Scheduled), Running, "y"));
         let mut failed = ev(10, "t-0", Some(Running), Retrying, "x");
-        let reason = FaultKind::TransientExecution.reason();
-        failed.reason = Some(format!("attempt 1 failed: {reason}; backing off 5 ticks"));
+        failed.cause = Some(Box::new(Cause::Attempt {
+            n: 1,
+            error: injected("t-0", FaultKind::TransientExecution),
+            backoff: 5,
+        }));
         log.push(failed);
         log.push(ev(15, "t-0", Some(Retrying), Queued, ""));
         log.push(ev(15, "t-0", Some(Queued), Scheduled, "y"));
@@ -943,7 +948,8 @@ mod tests {
         log.extend(bound(0, "t-0", "x"));
         log.push(ev(5, "t-0", Some(Scheduled), Running, "x"));
         let mut flapped = ev(5, "t-0", Some(Running), Failed, "x");
-        flapped.reason = Some(FaultKind::DeviceFlap.reason().to_string());
+        let flap = injected("t-0", FaultKind::DeviceFlap);
+        flapped.cause = Some(Box::new(Cause::Failed(flap)));
         log.push(flapped);
         // Two jobs never bound: one blows its deadline, one is rejected.
         for job in ["late-0", "none-0"] {
@@ -951,7 +957,13 @@ mod tests {
             log.push(ev(6, job, Some(Submitted), Queued, ""));
             log.push(ev(7, job, Some(Queued), Failed, ""));
         }
-        let tally = Tally::fold(&log, ["x"], |_| None, |job| job.as_str() == "late-0");
+        let expired = ClusterError::DeadlineExceeded {
+            job: "late-0".to_string(),
+            deadline: 6,
+        };
+        let late = log.len() - 4;
+        log[late].cause = Some(Box::new(Cause::Failed(expired)));
+        let tally = Tally::fold(&log, ["x"], |_| None);
         let x = &tally.devices["x"];
         assert_eq!((x.queued, x.stats.peak_queue_depth), (0, 1));
         assert_eq!((x.stats.busy_ms, x.stats.completed), (0, 0));

@@ -5,19 +5,19 @@
 use proptest::prelude::*;
 
 use qrio::durability::{
-    decode_command, decode_events, decode_record, encode_command_record, encode_events_record,
-    Command, JournalEntry, SnapshotState, RECORD_COMMAND, RECORD_EVENTS, RECORD_VERSION,
+    decode_command, decode_record, encode_command_record, events_digest, Command, CommandRecord,
+    JournalEntry, SnapshotState, RECORD_COMMAND, RECORD_VERSION,
 };
 use qrio::{
-    BreakerConfig, DeviceTelemetry, DurabilityConfig, JobEvent, JobId, JobRequestBuilder, JobState,
-    ServiceModel,
+    BreakerConfig, Cause, DeviceTelemetry, DurabilityConfig, JobEvent, JobId, JobRequestBuilder,
+    JobState, ServiceModel,
 };
 use qrio_backend::{topology, Backend};
 use qrio_bytes::{from_bytes, to_bytes};
 use qrio_circuit::library;
 use qrio_cluster::{
-    BackoffPolicy, DeviceRequirements, FaultInjector, ParamValue, Resources, RetryOn, RetryPolicy,
-    StrategySpec,
+    BackoffPolicy, ClusterError, DeviceRequirements, FaultInjector, FaultKind, ParamValue,
+    Resources, RetryOn, RetryPolicy, StrategySpec,
 };
 use qrio_journal::{encode_record, header_bytes, scan_bytes, scan_file, Record};
 use qrio_sim::ParallelConfig;
@@ -56,6 +56,46 @@ fn arb_state(state: &mut u64) -> JobState {
     JobState::ALL[(next(state) % JobState::ALL.len() as u64) as usize]
 }
 
+fn arb_error(state: &mut u64) -> ClusterError {
+    let job = arb_string(state, "job-");
+    match next(state) % 3 {
+        0 => ClusterError::InjectedFault {
+            job,
+            node: arb_string(state, "node-"),
+            kind: FaultKind::ALL[(next(state) % 4) as usize],
+            attempt: (next(state) % 5) as u32,
+        },
+        1 => ClusterError::DeadlineExceeded {
+            job,
+            deadline: next(state) % 1_000,
+        },
+        _ => ClusterError::ExecutionFailed {
+            job,
+            reason: arb_string(state, "because "),
+        },
+    }
+}
+
+/// Every kind of cause, or none.
+fn arb_cause(state: &mut u64) -> Option<Box<Cause>> {
+    let cause = match next(state) % 6 {
+        0 => return None,
+        1 => Cause::Failed(arb_error(state)),
+        2 => Cause::Attempt {
+            n: (next(state) % 9) as u32,
+            error: arb_error(state),
+            backoff: next(state) % 500,
+        },
+        3 => Cause::BackoffElapsed,
+        4 => Cause::Cancelled,
+        _ => Cause::Rebound {
+            from: arb_string(state, "node-"),
+            to: arb_string(state, "node-"),
+        },
+    };
+    Some(Box::new(cause))
+}
+
 fn arb_event(state: &mut u64, seq: u64) -> JobEvent {
     JobEvent {
         seq,
@@ -68,7 +108,7 @@ fn arb_event(state: &mut u64, seq: u64) -> JobEvent {
         },
         to: arb_state(state),
         node: arb_opt_str(state, "node-"),
-        reason: arb_opt_str(state, "because "),
+        cause: arb_cause(state),
     }
 }
 
@@ -192,36 +232,40 @@ fn arb_command(state: &mut u64) -> Command {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Commands of every shape decode back to themselves, and re-encoding
-    /// the decoded value reproduces the original payload byte for byte.
+    /// Command records of every shape decode back to themselves, and
+    /// re-encoding the decoded value reproduces the original payload byte
+    /// for byte.
     #[test]
     fn command_encode_decode_encode_is_identity(seed in 0u64..100_000) {
         let mut state = seed;
-        let cmd = arb_command(&mut state);
-        let record = encode_command_record(&cmd);
+        let cmd = CommandRecord {
+            command: arb_command(&mut state),
+            events_after: next(&mut state) % 10_000,
+            digest: next(&mut state),
+        };
+        let record = cmd.to_record();
         prop_assert_eq!(record.kind, RECORD_COMMAND);
         prop_assert_eq!(record.version, RECORD_VERSION);
         let decoded = decode_command(&record.payload).expect("command decodes");
         prop_assert_eq!(&decoded, &cmd);
-        let re_encoded = encode_command_record(&decoded);
+        let re_encoded = decoded.to_record();
         prop_assert_eq!(re_encoded.payload, record.payload);
     }
 
-    /// Watch-log event batches round-trip exactly, including optional
-    /// from-states, nodes and reasons, and non-ASCII text.
+    /// Watch-log event batches — what a snapshot holds and a command
+    /// record digests — round-trip exactly, including optional from-states,
+    /// nodes and every kind of cause, and non-ASCII text.
     #[test]
     fn event_stream_encode_decode_encode_is_identity(seed in 0u64..100_000) {
         let mut state = seed;
         let events: Vec<JobEvent> = (0..next(&mut state) % 20)
             .map(|seq| arb_event(&mut state, seq))
             .collect();
-        let record = encode_events_record(&events);
-        prop_assert_eq!(record.kind, RECORD_EVENTS);
-        prop_assert_eq!(record.version, RECORD_VERSION);
-        let decoded = decode_events(&record.payload).expect("events decode");
+        let bytes = to_bytes(&events);
+        let decoded: Vec<JobEvent> = from_bytes(&bytes).expect("events decode");
         prop_assert_eq!(&decoded, &events);
-        let re_encoded = encode_events_record(&decoded);
-        prop_assert_eq!(re_encoded.payload, record.payload);
+        prop_assert_eq!(to_bytes(&decoded), bytes);
+        prop_assert_eq!(events_digest(&decoded), events_digest(&events));
     }
 
     /// Decoding a damaged record of any kind — truncated, or with a byte
@@ -229,14 +273,8 @@ proptest! {
     #[test]
     fn truncated_command_payloads_never_panic(seed in 0u64..20_000) {
         let mut state = seed;
-        let mut record = match next(&mut state) % 3 {
+        let mut record = match next(&mut state) % 2 {
             0 => encode_command_record(&arb_command(&mut state)),
-            1 => {
-                let events: Vec<JobEvent> = (0..next(&mut state) % 6)
-                    .map(|seq| arb_event(&mut state, seq))
-                    .collect();
-                encode_events_record(&events)
-            }
             _ => arb_snapshot(&mut state),
         };
         if next(&mut state) % 2 == 0 {
@@ -249,12 +287,8 @@ proptest! {
         match decode_record(&record) {
             Err(_) => {}
             Ok(JournalEntry::Command(cmd)) => {
-                let again = encode_command_record(&cmd);
+                let again = cmd.to_record();
                 prop_assert_eq!(decode_command(&again.payload).expect("re-encodes"), cmd);
-            }
-            Ok(JournalEntry::Events(events)) => {
-                let again = encode_events_record(&events);
-                prop_assert_eq!(decode_events(&again.payload).expect("re-encodes"), events);
             }
             Ok(JournalEntry::Snapshot(snapshot)) => {
                 let again = to_bytes(&*snapshot);
@@ -265,25 +299,36 @@ proptest! {
     }
 }
 
-/// The empty event batch is a valid record: replay heals with zero events.
+/// The empty event batch encodes and has a digest of its own: what the
+/// record of a command that changed no job holds.
 #[test]
 fn empty_event_batch_round_trips() {
-    let record = encode_events_record(&[]);
-    let decoded = decode_events(&record.payload).expect("empty batch decodes");
+    let bytes = to_bytes::<[JobEvent]>(&[]);
+    let decoded: Vec<JobEvent> = from_bytes(&bytes).expect("empty batch decodes");
     assert!(decoded.is_empty());
-    assert_eq!(encode_events_record(&decoded).payload, record.payload);
+    assert_eq!(to_bytes(&decoded), bytes);
+    assert_eq!(events_digest(&[]), qrio_bytes::fnv1a(bytes));
+    let tick = encode_command_record(&Command::Tick);
+    let decoded = decode_command(&tick.payload).unwrap();
+    assert_eq!(
+        (decoded.events_after, decoded.digest),
+        (0, events_digest(&[]))
+    );
 }
 
 // ---------------------------------------------------------------------------
 // Golden bytes: the round trips above would all survive a self-consistent
 // format change. These fixtures were captured from the build that introduced
-// `RECORD_VERSION = 4`; a journal written then must decode now. Moving from 3
-// changed the version field of every record (and its CRC), and, in the
-// snapshot, replaced the cluster job's phase (`Pending`, one tag byte) with
-// the node holding its reservation (none, one tag byte): every record keeps
-// its length (321, 129 and 3050 bytes). Moving from 2 to 3 dropped the
-// cluster's submission queue, added each node's breaker hold, the
-// lifecycle's service state and the service model.
+// `RECORD_VERSION = 5`; a journal written then must decode now. Moving from 4
+// changed the version field of every record (and its CRC), ended the command
+// record with the watch log's length and the digest of its new events (321
+// → 337 bytes), dropped the events record (its fixture is now the events'
+// encoding, as a snapshot holds them, with a typed cause where the text was)
+// and, in the snapshot, a job's separate failure (one tag byte per job:
+// 3050 → 3049 bytes). Moving from 3 to 4 replaced the cluster job's phase
+// with the node holding its reservation; from 2 to 3 dropped the cluster's
+// submission queue, added each node's breaker hold, the lifecycle's service
+// state and the service model.
 // ---------------------------------------------------------------------------
 
 fn hex(bytes: &[u8]) -> String {
@@ -345,6 +390,15 @@ fn golden_enqueue() -> Command {
     }
 }
 
+/// The golden enqueue as journaled after two events.
+fn golden_enqueue_record() -> CommandRecord {
+    CommandRecord {
+        command: golden_enqueue(),
+        events_after: 2,
+        digest: events_digest(&golden_events()),
+    }
+}
+
 fn golden_events() -> Vec<JobEvent> {
     vec![
         JobEvent {
@@ -354,7 +408,7 @@ fn golden_events() -> Vec<JobEvent> {
             from: None,
             to: JobState::Submitted,
             node: None,
-            reason: None,
+            cause: None,
         },
         JobEvent {
             seq: 1,
@@ -363,7 +417,16 @@ fn golden_events() -> Vec<JobEvent> {
             from: Some(JobState::Running),
             to: JobState::Retrying,
             node: Some("dev".into()),
-            reason: Some("attempt 1 failed".into()),
+            cause: Some(Box::new(Cause::Attempt {
+                n: 1,
+                error: ClusterError::InjectedFault {
+                    job: "golden-é".into(),
+                    node: "dev".into(),
+                    kind: FaultKind::TransientExecution,
+                    attempt: 0,
+                },
+                backoff: 3,
+            })),
         },
     ]
 }
@@ -431,22 +494,22 @@ fn sole_record(fixture: &[u8]) -> Record {
 fn golden_records_pin_the_journal_format() {
     let fixture = unhex(GOLDEN_ENQUEUE_RECORD);
     assert_eq!(
-        hex(&encode_record(&encode_command_record(&golden_enqueue()))),
+        hex(&encode_record(&golden_enqueue_record().to_record())),
         hex(&fixture)
     );
     assert_eq!(
         decode_command(&sole_record(&fixture).payload).unwrap(),
-        golden_enqueue()
+        golden_enqueue_record()
     );
 
-    let fixture = unhex(GOLDEN_EVENTS_RECORD);
+    let fixture = unhex(GOLDEN_EVENTS);
+    assert_eq!(hex(&to_bytes(&golden_events())), hex(&fixture));
+    let decoded: Vec<JobEvent> = from_bytes(&fixture).unwrap();
+    assert_eq!(decoded, golden_events());
     assert_eq!(
-        hex(&encode_record(&encode_events_record(&golden_events()))),
-        hex(&fixture)
-    );
-    assert_eq!(
-        decode_events(&sole_record(&fixture).payload).unwrap(),
-        golden_events()
+        decoded[1].cause.as_deref().unwrap().to_string(),
+        "attempt 1 failed: cluster error: attempt 0 of job 'golden-é' on node 'dev' hit \
+         injected fault: transient execution error; backing off 3 ticks"
     );
 
     let dir = std::env::temp_dir().join(format!("qrio-golden-{}", std::process::id()));
@@ -471,91 +534,92 @@ fn golden_records_pin_the_journal_format() {
 }
 
 const GOLDEN_ENQUEUE_RECORD: &str = "\
-    01040036010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
+    01050046010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
     3a3119000000000000004f50454e5141534d20322e303b0a7172656720715b325d3b0a0200000000000000ee \
     020000000000008001000000000000010200000000000000019a9999999999a93f0001000000000000544000 \
     0600000000000000637573746f6d040000000000000005000000000000006564676573030100000000000000 \
     0000000000000000010000000000000004000000000000006e6f746502010000000000000074060000000000 \
     000074617267657400cdccccccccccec3f050000000000000077696474680107000000000000000300010000 \
     0000000002000000000000000103000000000000000102000000000000002000000000000000010101010100 \
-    0178000000000000008764eefd";
+    0178000000000000000200000000000000df7647525cec85d75b6ee3bb";
 
-const GOLDEN_EVENTS_RECORD: &str = "\
-    020400760000000200000000000000000000000000000000000000000000000900000000000000676f6c6465 \
-    6e2dc3a900000000010000000000000004000000000000000900000000000000676f6c64656e2dc3a9010307 \
-    010300000000000000646576011000000000000000617474656d70742031206661696c656469bc9d1e";
+const GOLDEN_EVENTS: &str = "\
+    0200000000000000000000000000000000000000000000000900000000000000676f6c64656e2dc3a9000000 \
+    00010000000000000004000000000000000900000000000000676f6c64656e2dc3a901030701030000000000 \
+    00006465760101010000000a0900000000000000676f6c64656e2dc3a9030000000000000064657600000000 \
+    00000000000300000000000000";
 
 const GOLDEN_SNAPSHOT_RECORD: &str = "\
-    030400df0b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
+    030500de0b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
     0000000600000000000000676f6c64656e000000000100000000000000000000000000000006000000000000 \
     00676f6c64656e010001000001000000000000000600000000000000676f6c64656e01000000020000000000 \
-    0000000000000000000000000000000000000001000000000000000000000000000000000000013200000000 \
-    000000010000000000000001000000000000000000000000000000000600000000000000676f6c64656e0000 \
-    0000000000000000000000000000000000000000000000000000000000000100000000000000080100000000 \
-    000023205152494f206261636b656e642073706563696669636174696f6e0a6e616d65203d206465760a7175 \
-    62697473203d20320a62617369735f6761746573203d2075312c75322c75332c63780a717562697420302074 \
-    313d3130303030302074323d31303030303020726561646f75745f6572726f723d3020726561646f75745f6c \
-    656e6774683d3330206572726f725f31713d302e3030320a717562697420312074313d313030303030207432 \
-    3d31303030303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572 \
-    726f725f31713d302e3030320a6564676520302031206572726f723d302e3031206475726174696f6e3d3330 \
-    300a080000000000000014000000000000007172696f2e696f2f6176672d31712d6572726f72080000000000 \
-    0000302e30303230303014000000000000007172696f2e696f2f6176672d32712d6572726f72080000000000 \
-    0000302e30313030303019000000000000007172696f2e696f2f6176672d726561646f75742d6572726f7208 \
-    00000000000000302e30303030303011000000000000007172696f2e696f2f6176672d74312d757308000000 \
-    000000003130303030302e3011000000000000007172696f2e696f2f6176672d74322d757308000000000000 \
-    003130303030302e3012000000000000007172696f2e696f2f6370752d6d696c6c6973040000000000000034 \
-    30303012000000000000007172696f2e696f2f6d656d6f72792d6d69620400000000000000383139320e0000 \
-    00000000007172696f2e696f2f717562697473010000000000000032a00f0000000000000020000000000000 \
-    000000000000000000000000000000000000000000000000000001000000000000000600000000000000676f \
-    6c64656e12000000000000007172696f2f676f6c64656e3a6c61746573747c000000000000004f50454e5141 \
-    534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a637265 \
-    6720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d \
-    3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0200000000000000f40100000000 \
-    00000002000000000000000000000009000000000000006d696e5f7175657565000000000000000000100000 \
-    0000000000000000000000000001020000000000000000010000000000000001010101010132000000000000 \
-    00000000000000000000000000000000000000010000000000000012000000000000007172696f2f676f6c64 \
-    656e3a6c617465737404000000000000000a00000000000000446f636b657266696c65880000000000000046 \
-    524f4d20707974686f6e3a332e31312d736c696d0a2320696d6167653a207172696f2f676f6c64656e3a6c61 \
-    746573740a574f524b444952202f6a6f620a434f5059202e202f6a6f620a52554e2070697020696e7374616c \
-    6c202d7220726571756972656d656e74732e7478740a434d44205b22707974686f6e222c202272756e2e7079 \
-    225d0a0c00000000000000636972637569742e7161736d7c000000000000004f50454e5141534d20322e303b \
-    0a696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a6372656720635b325d3b \
-    0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b \
-    0a6d65617375726520715b315d202d3e20635b315d3b0a1000000000000000726571756972656d656e74732e \
-    74787444000000000000007169736b69740a7169736b69742d6165720a6d6174706c6f746c69620a7169736b \
-    69745f69626d715f70726f76696465720a7169736b69745f69626d5f72756e74696d65060000000000000072 \
-    756e2e7079eb0100000000000023204175746f2d67656e65726174656420627920746865205152494f206d61 \
-    737465722073657276657220666f72206a6f622027676f6c64656e272e0a2320537465707320706572666f72 \
-    6d6564206f6e207468652061737369676e6564206e6f64653a0a23202020312e206c6f616420746865206e6f \
-    646527732076656e646f72206261636b656e64206465736372697074696f6e20286261636b656e642e737065 \
-    63290a23202020322e20706172736520636972637569742e7161736d207368697070656420696e2074686973 \
-    20636f6e7461696e65720a23202020332e207472616e7370696c6520746865206369726375697420746f2074 \
-    6865206261636b656e6420286c61796f75742c20726f7574696e672c2062617369732c206f7074696d697a65 \
-    290a23202020342e20657865637574652031362073686f747320756e64657220746865206261636b656e6420 \
-    6e6f697365206d6f64656c0a23202020352e2077726974652074686520686973746f6772616d20616e64206c \
-    6f6773206261636b20746f20746865205152494f206d6173746572207365727665720a66726f6d207172696f \
-    20696d706f72742072756e5f6a6f620a0a72756e5f6a6f6228636972637569745f66696c653d226369726375 \
-    69742e7161736d222c2073686f74733d3136290a010000000000000000000000000000000300000000000000 \
-    09000000000000004e6f646541646465641d000000000000006e6f6465202764657627206a6f696e65642074 \
-    686520636c75737465720b00000000000000496d6167655075736865642100000000000000696d6167652027 \
-    7172696f2f676f6c64656e3a6c617465737427207075736865640c000000000000004a6f625375626d697474 \
-    656416000000000000006a6f622027676f6c64656e27207375626d6974746564010700000000000000000000 \
-    000000d03f000000000000c03f000000000000b03f000000000000a03f600000000000000017000000000000 \
-    0000000000000059400100000000000000080100000000000023205152494f206261636b656e642073706563 \
-    696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f676174657320 \
-    3d2075312c75322c75332c63780a717562697420302074313d3130303030302074323d313030303030207265 \
-    61646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e30 \
-    30320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f6572726f72 \
-    3d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a6564676520302031 \
-    206572726f723d302e3031206475726174696f6e3d3330300a01000000000000000100000000000000060000 \
-    0000000000676f6c64656e09000000000000006d696e5f71756575650000000000000000017c000000000000 \
-    004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b \
-    325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d656173757265 \
-    20715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a01000000000000 \
-    0003000000000000006465760300000000000000000000000000e03f000000000000d03f1700000000000000 \
-    a00f000000000000002000000000000040000000000000000000000000000000000000000000000001030000 \
-    0000000000333333333333e33f08000000000000000a00000000000000020000000000000000000000000000 \
-    00000000000000000000488226cb";
+    0000000000000000000000000000000000000001000000000000000000000000000000000001320000000000 \
+    0000010000000000000001000000000000000000000000000000000600000000000000676f6c64656e000000 \
+    0000000000000000000000000000000000000000000000000000000000010000000000000008010000000000 \
+    0023205152494f206261636b656e642073706563696669636174696f6e0a6e616d65203d206465760a717562 \
+    697473203d20320a62617369735f6761746573203d2075312c75322c75332c63780a71756269742030207431 \
+    3d3130303030302074323d31303030303020726561646f75745f6572726f723d3020726561646f75745f6c65 \
+    6e6774683d3330206572726f725f31713d302e3030320a717562697420312074313d3130303030302074323d \
+    31303030303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d333020657272 \
+    6f725f31713d302e3030320a6564676520302031206572726f723d302e3031206475726174696f6e3d333030 \
+    0a080000000000000014000000000000007172696f2e696f2f6176672d31712d6572726f7208000000000000 \
+    00302e30303230303014000000000000007172696f2e696f2f6176672d32712d6572726f7208000000000000 \
+    00302e30313030303019000000000000007172696f2e696f2f6176672d726561646f75742d6572726f720800 \
+    000000000000302e30303030303011000000000000007172696f2e696f2f6176672d74312d75730800000000 \
+    0000003130303030302e3011000000000000007172696f2e696f2f6176672d74322d75730800000000000000 \
+    3130303030302e3012000000000000007172696f2e696f2f6370752d6d696c6c697304000000000000003430 \
+    303012000000000000007172696f2e696f2f6d656d6f72792d6d69620400000000000000383139320e000000 \
+    000000007172696f2e696f2f717562697473010000000000000032a00f000000000000002000000000000000 \
+    0000000000000000000000000000000000000000000000000001000000000000000600000000000000676f6c \
+    64656e12000000000000007172696f2f676f6c64656e3a6c61746573747c000000000000004f50454e514153 \
+    4d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a63726567 \
+    20635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e \
+    20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0200000000000000f4010000000000 \
+    000002000000000000000000000009000000000000006d696e5f717565756500000000000000000010000000 \
+    0000000000000000000000000102000000000000000001000000000000000101010101013200000000000000 \
+    000000000000000000000000000000000000010000000000000012000000000000007172696f2f676f6c6465 \
+    6e3a6c617465737404000000000000000a00000000000000446f636b657266696c6588000000000000004652 \
+    4f4d20707974686f6e3a332e31312d736c696d0a2320696d6167653a207172696f2f676f6c64656e3a6c6174 \
+    6573740a574f524b444952202f6a6f620a434f5059202e202f6a6f620a52554e2070697020696e7374616c6c \
+    202d7220726571756972656d656e74732e7478740a434d44205b22707974686f6e222c202272756e2e707922 \
+    5d0a0c00000000000000636972637569742e7161736d7c000000000000004f50454e5141534d20322e303b0a \
+    696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a6372656720635b325d3b0a \
+    6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b0a \
+    6d65617375726520715b315d202d3e20635b315d3b0a1000000000000000726571756972656d656e74732e74 \
+    787444000000000000007169736b69740a7169736b69742d6165720a6d6174706c6f746c69620a7169736b69 \
+    745f69626d715f70726f76696465720a7169736b69745f69626d5f72756e74696d6506000000000000007275 \
+    6e2e7079eb0100000000000023204175746f2d67656e65726174656420627920746865205152494f206d6173 \
+    7465722073657276657220666f72206a6f622027676f6c64656e272e0a2320537465707320706572666f726d \
+    6564206f6e207468652061737369676e6564206e6f64653a0a23202020312e206c6f616420746865206e6f64 \
+    6527732076656e646f72206261636b656e64206465736372697074696f6e20286261636b656e642e73706563 \
+    290a23202020322e20706172736520636972637569742e7161736d207368697070656420696e207468697320 \
+    636f6e7461696e65720a23202020332e207472616e7370696c6520746865206369726375697420746f207468 \
+    65206261636b656e6420286c61796f75742c20726f7574696e672c2062617369732c206f7074696d697a6529 \
+    0a23202020342e20657865637574652031362073686f747320756e64657220746865206261636b656e64206e \
+    6f697365206d6f64656c0a23202020352e2077726974652074686520686973746f6772616d20616e64206c6f \
+    6773206261636b20746f20746865205152494f206d6173746572207365727665720a66726f6d207172696f20 \
+    696d706f72742072756e5f6a6f620a0a72756e5f6a6f6228636972637569745f66696c653d22636972637569 \
+    742e7161736d222c2073686f74733d3136290a01000000000000000000000000000000030000000000000009 \
+    000000000000004e6f646541646465641d000000000000006e6f6465202764657627206a6f696e6564207468 \
+    6520636c75737465720b00000000000000496d6167655075736865642100000000000000696d616765202771 \
+    72696f2f676f6c64656e3a6c617465737427207075736865640c000000000000004a6f625375626d69747465 \
+    6416000000000000006a6f622027676f6c64656e27207375626d697474656401070000000000000000000000 \
+    0000d03f000000000000c03f000000000000b03f000000000000a03f60000000000000001700000000000000 \
+    00000000000059400100000000000000080100000000000023205152494f206261636b656e64207370656369 \
+    6669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f6761746573203d \
+    2075312c75322c75332c63780a717562697420302074313d3130303030302074323d31303030303020726561 \
+    646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030 \
+    320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f6572726f723d \
+    3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a656467652030203120 \
+    6572726f723d302e3031206475726174696f6e3d3330300a0100000000000000010000000000000006000000 \
+    00000000676f6c64656e09000000000000006d696e5f71756575650000000000000000017c00000000000000 \
+    4f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b32 \
+    5d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520 \
+    715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0100000000000000 \
+    03000000000000006465760300000000000000000000000000e03f000000000000d03f1700000000000000a0 \
+    0f00000000000000200000000000004000000000000000000000000000000000000000000000000103000000 \
+    00000000333333333333e33f08000000000000000a0000000000000002000000000000000000000000000000 \
+    00000000000000000017d9ecec";
 
 // ---------------------------------------------------------------------------
 // A busy snapshot: the genesis golden above holds one queued job. This one
@@ -569,7 +633,9 @@ const GOLDEN_SNAPSHOT_RECORD: &str = "\
 // bytes) a cluster job holds the node of its reservation instead of a phase,
 // its logs lose the line each phase change wrote (80 here), and the
 // cluster's event log the `JobRequeued` of each retry (6) and the
-// `JobCancelled` of each blown deadline (5).
+// `JobCancelled` of each blown deadline (5). With `RECORD_VERSION = 5`
+// (94433 → 91117 bytes) a transition's cause is typed where its text was,
+// and a failed job's error is kept there alone, not a third time beside it.
 // ---------------------------------------------------------------------------
 
 /// The busy fleet's devices, in name order.
@@ -686,13 +752,13 @@ fn busy_snapshot_digest_pins_the_snapshot_format() {
     assert_eq!(
         (
             record.payload.len(),
-            qrio_bytes::fnv1a(&hex(&record.payload))
+            qrio_bytes::fnv1a(hex(&record.payload))
         ),
         BUSY_SNAPSHOT_LEN_AND_DIGEST
     );
 }
 
-const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (94433, 11736040247469153943);
+const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (91117, 1220247653444584998);
 
 /// When the earliest timer of the busy workload fires, read off what a user
 /// can see of every job and every breaker: a `Retrying` job's status says
@@ -708,15 +774,10 @@ fn earliest_timer_in_sight(qrio: &qrio::Qrio, model: Option<&ServiceModel>) -> O
         let expiry = deadline.map(|deadline| status.history[0].0 + deadline + 1);
         let backoff = (status.state == JobState::Retrying).then(|| {
             let (since, _) = status.history.last().expect("a Retrying job has a history");
-            let reason = status.reason.as_deref().expect("a backoff is announced");
-            let (_, delay) = reason
-                .rsplit_once("backing off ")
-                .expect("...with its delay");
-            since
-                + delay
-                    .trim_end_matches(" ticks")
-                    .parse::<u64>()
-                    .expect("a number")
+            match status.cause.as_deref() {
+                Some(Cause::Attempt { backoff, .. }) => since + backoff,
+                other => panic!("a backoff is announced, not {other:?}"),
+            }
         });
         let in_service = model.filter(|_| status.state == JobState::Running);
         let completion = in_service.map(|model| {

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use qrio::durability::{
-    decode_command, encode_command_record, snapshot_cursor, DurabilityError, RECORD_COMMAND,
-    RECORD_EVENTS, RECORD_SNAPSHOT,
+    decode_command, events_digest, snapshot_cursor, CommandRecord, DurabilityError, RECORD_COMMAND,
+    RECORD_SNAPSHOT,
 };
 use qrio::{
     Command, DeviceTelemetry, DurabilityConfig, FidelityRankingConfig, JobRequestBuilder, JobState,
@@ -332,7 +332,9 @@ fn a_recovery_hook_that_changes_the_fault_rates_diverges() {
     // the replayed first attempt succeeds.
     let calm = |qrio: &mut Qrio| qrio.configure_faults(None);
     match Qrio::recover_with(&path, calm) {
-        Err(QrioError::Durability(DurabilityError::ReplayDivergence(_))) => {}
+        Err(QrioError::Durability(DurabilityError::ReplayDivergence(detail))) => {
+            assert!(detail.starts_with("command 0 after the snapshot"), "{detail}");
+        }
         other => panic!("expected replay divergence, got {other:?}"),
     }
     // The journal itself is sound: without the hook it recovers.
@@ -439,7 +441,8 @@ fn faulted_workload_recovers_retries_dead_letters_and_breakers_exactly() {
     use qrio_cluster::{FaultInjector, RetryPolicy};
 
     let path = journal_path("fault-recovery");
-    let (pre_events, pre_dead, pre_board, pre_now);
+    let (pre_events, pre_dead, pre_board, pre_now, pre_outcome);
+    let exhausted = qrio::JobId::new("retry-exhaust");
     {
         let mut qrio = seeded_qrio();
         qrio.enable_durability(
@@ -513,6 +516,14 @@ fn faulted_workload_recovers_retries_dead_letters_and_breakers_exactly() {
         pre_dead = qrio.dead_letters();
         pre_board = qrio.breakers().cloned();
         pre_now = qrio.now();
+        pre_outcome = qrio.outcome(&exhausted).unwrap_err();
+        assert!(
+            matches!(
+                pre_outcome,
+                QrioError::Cluster(qrio_cluster::ClusterError::InjectedFault { .. })
+            ),
+            "{pre_outcome}"
+        );
         // Crash.
     }
 
@@ -524,6 +535,8 @@ fn faulted_workload_recovers_retries_dead_letters_and_breakers_exactly() {
     assert_eq!(recovered.dead_letters(), pre_dead);
     assert_eq!(recovered.breakers().cloned(), pre_board);
     assert_eq!(recovered.now(), pre_now);
+    // A failed job's error is its cause: the same typed error after recovery.
+    assert_eq!(recovered.outcome(&exhausted).unwrap_err(), pre_outcome);
 
     // The recovered instance carries the fault configuration too: clearing
     // it lets the backed-off job finish on a live retry.
@@ -551,7 +564,7 @@ fn small_request(name: &str) -> qrio::JobRequest {
 fn superseded_snapshots_never_outweigh_the_log() {
     // The amortised rule's guarantee, in exact byte counts: every snapshot
     // but the last has been superseded, and together they may not outweigh
-    // the command and events records they summarise.
+    // the command records they summarise.
     let path = journal_path("amortised");
     let mut qrio = seeded_qrio();
     qrio.enable_durability(&path, DurabilityConfig::default())
@@ -572,10 +585,7 @@ fn superseded_snapshots_never_outweigh_the_log() {
         snapshots.len()
     );
     let superseded: u64 = snapshots[..snapshots.len() - 1].iter().sum();
-    let log: u64 = [RECORD_COMMAND, RECORD_EVENTS]
-        .iter()
-        .flat_map(|&kind| framed_sizes(&path, kind))
-        .sum();
+    let log: u64 = framed_sizes(&path, RECORD_COMMAND).iter().sum();
     assert!(
         superseded <= log,
         "{} superseded snapshots hold {superseded} B around {log} B of log",
@@ -1099,7 +1109,7 @@ fn every_command_variant_is_recovered() {
         .records
         .iter()
         .filter(|record| record.kind == RECORD_COMMAND)
-        .map(|record| variant_tag(&decode_command(&record.payload).unwrap()))
+        .map(|record| variant_tag(&decode_command(&record.payload).unwrap().command))
         .collect();
     let missing: Vec<u8> = COMMAND_TAGS
         .into_iter()
@@ -1133,8 +1143,12 @@ fn a_forced_admission_the_journal_made_up_replays_as_a_no_op() {
     let mut journal = qrio_journal::Journal::create(&path).unwrap();
     journal.append(&qrio.snapshot_record()).unwrap();
     for job in ["ghost", "done"] {
-        let command = Command::ForceAdmit { job: job.into() };
-        journal.append(&encode_command_record(&command)).unwrap();
+        let record = CommandRecord {
+            command: Command::ForceAdmit { job: job.into() },
+            events_after: qrio.watch(0).len() as u64,
+            digest: events_digest(&[]),
+        };
+        journal.append(&record.to_record()).unwrap();
     }
     journal.flush().unwrap();
     drop(journal);

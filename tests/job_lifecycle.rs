@@ -276,14 +276,14 @@ fn rebind_moves_the_outcome_with_the_job() {
         .map(|(_, score)| *score)
         .unwrap();
     assert_eq!(outcome.decision.score, beta_score);
-    // The watch log shows the rebind arc with its reason.
+    // The watch log shows the rebind arc with its cause.
     assert!(qrio.watch(0).iter().any(|event| {
         event.from == Some(JobState::Scheduled)
             && event.to == JobState::Scheduled
             && event
-                .reason
+                .cause
                 .as_deref()
-                .is_some_and(|r| r.contains("rebound from 'alpha' to 'beta'"))
+                .is_some_and(|c| c.to_string() == "rebound from 'alpha' to 'beta'")
     }));
 }
 
@@ -300,7 +300,8 @@ fn unschedulable_jobs_end_failed_not_an_enqueue_error() {
     assert_eq!(terminal, vec![id.clone()]);
     assert_eq!(qrio.status(&id).unwrap(), JobState::Failed);
     let status = qrio.job_status(&id).unwrap();
-    assert!(status.reason.as_deref().unwrap().contains("unschedulable"));
+    let cause = status.cause.as_deref().unwrap();
+    assert!(cause.to_string().contains("unschedulable"), "{cause}");
     // The outcome carries the same unschedulable error the blocking submit
     // would have returned.
     assert!(matches!(
@@ -463,7 +464,12 @@ fn watch_lines(qrio: &Qrio) -> Vec<String> {
         .map(|e| {
             format!(
                 "{}@{} {:?}->{:?} node={:?} reason={:?}",
-                e.job, e.at, e.from, e.to, e.node, e.reason
+                e.job,
+                e.at,
+                e.from,
+                e.to,
+                e.node,
+                e.cause.as_deref().map(ToString::to_string)
             )
         })
         .collect()

@@ -118,8 +118,8 @@ fn job_level_score_errors_fail_the_job_once_with_the_cause() {
     assert!(err.to_string().contains(cause), "{err}");
 
     assert_eq!(qrio.status(&id).unwrap(), JobState::Failed);
-    let recorded = qrio.job_status(&id).unwrap().reason.clone().unwrap();
-    assert!(recorded.contains(cause), "{recorded}");
+    let recorded = qrio.job_status(&id).unwrap().cause.clone().unwrap();
+    assert!(recorded.to_string().contains(cause), "{recorded}");
     assert_eq!(qrio.outcome(&id).unwrap_err(), err);
     // The job holds no reservation, and no device is blamed for it.
     assert_eq!(qrio.cluster().job("doomed").unwrap().node(), None);
