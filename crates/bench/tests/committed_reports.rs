@@ -27,8 +27,11 @@ const FIG7_TXT: &str = include_str!("../../../baselines/fig7_fidelity.txt");
 const FIG9_TXT: &str = include_str!("../../../baselines/fig9_topology_choice.txt");
 
 /// fnv1a over every rendered cause of the chaos watch log, then of the
-/// recovery storm's, each followed by a newline.
-const REASONS_DIGEST: u64 = 0xe898_1b7f_ec51_b8de;
+/// recovery storm's, each followed by a newline. The causes render the text
+/// the untyped reasons held (0xe898_1b7f_ec51_b8de over the same runs); the
+/// value moved once since, when a healed node kept the reservations of the
+/// jobs waiting on it and the recovery storm bound later jobs elsewhere.
+const REASONS_DIGEST: u64 = 0x9e9a_ca1b_6196_94c7;
 
 /// `bench_chaos`'s run: its report as JSON, and its watch log.
 fn chaos() -> &'static (String, Vec<JobEvent>) {

@@ -221,11 +221,11 @@ impl Node {
         self.status = NodeStatus::NotReady;
     }
 
-    /// Restart the node: clears allocations and returns it to `Ready`,
-    /// incrementing the restart counter — the self-healing behaviour the paper
-    /// gets from Kubernetes (§3.1).
+    /// Restart the node: it returns to `Ready`, incrementing the restart
+    /// counter — the self-healing behaviour the paper gets from Kubernetes
+    /// (§3.1). Its allocations stay: the jobs waiting on it still hold their
+    /// reservations.
     pub fn restart(&mut self) {
-        self.allocated = Resources::default();
         self.status = NodeStatus::Ready;
         self.restart_count += 1;
     }
@@ -379,14 +379,18 @@ mod tests {
     #[test]
     fn failure_and_restart() {
         let mut n = node();
-        n.allocate(&Resources::new(1000, 1024));
+        let waiting = Resources::new(1000, 1024);
+        n.allocate(&waiting);
         n.mark_not_ready();
         assert_eq!(n.status(), NodeStatus::NotReady);
         assert!(!n.can_accept(&Resources::new(1, 1)));
         n.restart();
         assert_eq!(n.status(), NodeStatus::Ready);
-        assert_eq!(n.allocated(), Resources::default());
+        // The reservation outlives the restart: its job still waits here.
+        assert_eq!(n.allocated(), waiting);
         assert_eq!(n.restart_count(), 1);
+        n.release(&waiting);
+        assert_eq!(n.allocated(), Resources::default());
     }
 
     #[test]

@@ -928,7 +928,7 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
     use qrio::QrioError::Cluster as Refused;
     use qrio_cluster::ClusterError::InjectedFault;
     let (mut cancelled, mut interrupted, mut cut_short) = (0, 0, 0);
-    let (mut bound, mut executed, mut moved) = (0, 0, 0);
+    let (mut bound, mut executed, mut moved, mut healed) = (0, 0, 0, 0);
     for seed in 0..6u64 {
         let mut state = seed;
         let mut qrio = busy_fleet();
@@ -940,7 +940,7 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
         }
         let mut enqueued = 0u64;
         for step in 0..90 {
-            let roll = next(&mut state) % 11;
+            let roll = next(&mut state) % 12;
             // Any job ever enqueued — or, so that the calls which apply to
             // one state only are not refused every time, the newest (likely
             // still `Queued`) for `schedule`, and one that is waiting on a
@@ -998,12 +998,18 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
                     executed += usize::from(qrio.status(&pick).ok() != Some(JobState::Scheduled));
                     "execute"
                 }
-                _ => {
+                10 => {
                     let target = DEVICES[(next(&mut state) % 3) as usize];
                     let from = qrio.job_status(&pick).map(|status| status.node.clone());
                     let applied = qrio.rebind(&pick, target).is_ok();
                     moved += usize::from(applied && from.ok().flatten().as_deref() != Some(target));
                     "rebind"
+                }
+                // A device an interrupt or a fault flapped comes back, and
+                // the jobs still waiting on it keep their reservations.
+                _ => {
+                    healed += qrio.heal_devices().unwrap().len();
+                    "heal"
                 }
             };
             assert_allocations_and_snapshot_fixed_point(
@@ -1015,8 +1021,8 @@ fn allocations_and_snapshots_stay_consistent_under_a_seeded_storm() {
         assert!(enqueued >= 10, "seed {seed} barely enqueued");
     }
     assert!(
-        bound > 0 && executed > 0 && moved > 0,
-        "{bound} schedules, {executed} executes, {moved} rebinds applied"
+        bound > 0 && executed > 0 && moved > 0 && healed > 0,
+        "{bound} schedules, {executed} executes, {moved} rebinds, {healed} heals applied"
     );
     assert!(
         cancelled > 0 && interrupted > 0 && cut_short > 0,

@@ -333,7 +333,10 @@ fn a_recovery_hook_that_changes_the_fault_rates_diverges() {
     let calm = |qrio: &mut Qrio| qrio.configure_faults(None);
     match Qrio::recover_with(&path, calm) {
         Err(QrioError::Durability(DurabilityError::ReplayDivergence(detail))) => {
-            assert!(detail.starts_with("command 0 after the snapshot"), "{detail}");
+            assert!(
+                detail.starts_with("command 0 after the snapshot"),
+                "{detail}"
+            );
         }
         other => panic!("expected replay divergence, got {other:?}"),
     }

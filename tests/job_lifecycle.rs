@@ -247,6 +247,50 @@ fn batch_rejections_do_not_abort_the_rest() {
 
 // --- Rebinding ---------------------------------------------------------------------------
 
+/// A node that flaps under one job and is healed keeps the reservation of
+/// the job still waiting on it: its allocation is the sum of the
+/// reservations that name it, before and after the heal.
+#[test]
+fn healing_a_flapped_device_keeps_the_reservations_of_its_waiting_jobs() {
+    let mut qrio = fast_qrio();
+    qrio.add_device(Backend::uniform("solo", topology::line(8), 0.005, 0.02))
+        .unwrap();
+    let ids: Vec<JobId> = ["flapped", "waiting"]
+        .into_iter()
+        .map(|name| qrio.enqueue(&fidelity_request(name, 3, 0)).unwrap())
+        .collect();
+    for id in &ids {
+        qrio.schedule(id).unwrap();
+    }
+    let reserved = |qrio: &Qrio| {
+        let holders = qrio
+            .cluster()
+            .jobs()
+            .filter(|job| job.node() == Some("solo"));
+        holders.fold(Resources::default(), |sum, job| {
+            sum.plus(&job.spec().resources)
+        })
+    };
+    let allocated = |qrio: &Qrio| qrio.cluster().node("solo").unwrap().allocated();
+    assert!(
+        qrio.interrupt(&ids[0]).is_err(),
+        "an interrupt is a device flap"
+    );
+    assert_eq!(qrio.status(&ids[1]).unwrap(), JobState::Scheduled);
+    assert_eq!(allocated(&qrio), reserved(&qrio));
+    assert_eq!(qrio.heal_devices().unwrap(), ["solo"]);
+    assert_eq!(
+        allocated(&qrio),
+        reserved(&qrio),
+        "the heal kept the waiter's"
+    );
+    assert_ne!(reserved(&qrio), Resources::default());
+    // The waiter runs and gives its reservation back.
+    qrio.run_until_idle();
+    assert_eq!(qrio.status(&ids[1]).unwrap(), JobState::Succeeded);
+    assert_eq!(allocated(&qrio), Resources::default());
+}
+
 #[test]
 fn rebind_moves_the_outcome_with_the_job() {
     let mut qrio = two_device_qrio();
