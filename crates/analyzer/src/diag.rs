@@ -255,11 +255,6 @@ impl Report {
         Report::default()
     }
 
-    /// A report over existing diagnostics.
-    pub fn from_diagnostics(diagnostics: Vec<Diagnostic>) -> Self {
-        Report { diagnostics }
-    }
-
     /// Append one diagnostic.
     pub fn push(&mut self, diagnostic: Diagnostic) {
         self.diagnostics.push(diagnostic);

@@ -128,11 +128,6 @@ impl Circuit {
         &self.name
     }
 
-    /// Rename the circuit.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits

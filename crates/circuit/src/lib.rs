@@ -12,10 +12,9 @@
 //! * the benchmark circuit [`library`] used in the paper's evaluation
 //!   (Bernstein–Vazirani, Grover, HSP, repetition code, random circuits) and
 //!   the *topology circuit* construction used for topology-based scheduling,
+//!   and
 //! * Clifford-canary construction ([`Circuit::to_clifford`]) for the
-//!   fidelity-ranking strategy, and
-//! * a dependency-graph view ([`dag::DependencyGraph`]) used by the
-//!   transpiler's routing pass.
+//!   fidelity-ranking strategy.
 //!
 //! # Examples
 //!
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod circuit;
-pub mod dag;
 mod error;
 mod gate;
 pub mod library;
