@@ -4,9 +4,10 @@
 //!
 //! The report is one fold over the finished run's record:
 //! `CloudReport::from_log` makes one in-order pass over the orchestrator's
-//! watch log and reads the rest off the finished [`Qrio`] — each success's
-//! achieved fidelity, each failure's typed error, the dead letters, the
-//! breaker board, the strategy cache and the clock. Nothing else keeps a
+//! watch log — whose typed causes name each injected fault and each blown
+//! deadline — and reads the rest off the finished [`Qrio`]: each success's
+//! achieved fidelity, the dead letters, the breaker board, the strategy
+//! cache and the clock. Nothing else keeps a
 //! ledger of the run.
 //!
 //! Everything here is computed from virtual-time integers and seeded
@@ -439,9 +440,9 @@ fn escape_json(text: &str) -> String {
 
 impl CloudReport {
     /// The report of a finished run of `scenario`: one in-order pass over
-    /// `qrio`'s watch log, plus what the finished orchestrator holds — each
-    /// success's achieved fidelity, each failure's typed error (a blown
-    /// deadline is not an execution failure), the dead letters, the breaker
+    /// `qrio`'s watch log (a failure whose cause is a blown deadline is not
+    /// an execution failure), plus what the finished orchestrator holds —
+    /// each success's achieved fidelity, the dead letters, the breaker
     /// board's trips and its `Open → HalfOpen` probes, the strategy cache,
     /// and the clock, which is the makespan. Drift and outage counts are the
     /// scenario's own events, all of which a run applies. `interrupted`
