@@ -1,5 +1,5 @@
 //! The cluster control plane: node registry, job store, image registry,
-//! reservations, job execution and the event log.
+//! reservations, job execution and the node event log.
 //!
 //! This is the Kubernetes-shaped substrate QRIO is built on (§3.1): nodes are
 //! quantum devices labelled with their properties, jobs are containerized
@@ -14,6 +14,13 @@
 //! that name it. Which of its states a job is in — and so which call applies
 //! to it — is decided by the caller's job state machine (`qrio`'s
 //! lifecycle), and no call here checks it.
+//!
+//! Nor does the cluster keep a record of what happened to a job: the
+//! caller's watch log has every transition, the job's own log lines what ran
+//! where, the registry's counters every push and pull, and a
+//! [`ScheduleDecision`] what the scheduling cycle filtered out and skipped.
+//! The cluster's event log is a node log ([`ClusterEvent`] names its five
+//! kinds).
 
 use std::collections::BTreeMap;
 
@@ -24,19 +31,41 @@ use crate::error::ClusterError;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::job::{Job, JobSpec};
 use crate::node::{Node, NodeStatus};
-use crate::registry::{decode_keyed, encode_values, ImageBundle, ImageRegistry};
+use crate::registry::ImageRegistry;
 use crate::resources::Resources;
 
-/// One entry in the cluster's event log.
+/// One entry in the cluster's event log: something that happened to a node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterEvent {
-    /// Event kind, e.g. `NodeAdded`, `JobScheduled`, `FilterRejected`.
+    /// Event kind: `NodeAdded`, `NodeRemoved`, `NodeRestarted`,
+    /// `NodeCalibrated` or `NodeFlapped`.
     pub kind: String,
     /// Human-readable message.
     pub message: String,
 }
 
 codec_struct!(ClusterEvent { kind, message });
+
+/// A name-keyed map is stored as the sequence of its values, in name order:
+/// every value carries its own name.
+fn encode_values<T: Encode>(map: &BTreeMap<String, T>, w: &mut ByteWriter) {
+    w.put_usize(map.len());
+    for value in map.values() {
+        value.encode(w);
+    }
+}
+
+/// The inverse of [`encode_values`]: each decoded value is keyed by `name`.
+fn decode_keyed<T: Decode>(
+    r: &mut ByteReader<'_>,
+    name: impl Fn(&T) -> &str,
+) -> Result<BTreeMap<String, T>, CodecError> {
+    let values = Vec::<T>::decode(r)?;
+    Ok(values
+        .into_iter()
+        .map(|value| (name(&value).to_string(), value))
+        .collect())
+}
 
 /// The outcome of running a job on a node, produced by the node agent's
 /// runner.
@@ -90,6 +119,8 @@ pub struct ScheduleDecision {
     pub candidates: Vec<(String, f64)>,
     /// Nodes rejected during filtering, with the rejecting stage and reason.
     pub filtered_out: Vec<(String, String)>,
+    /// Feasible nodes the ranking strategy could not score, with the reason.
+    pub skipped: Vec<(String, String)>,
 }
 
 codec_struct!(ScheduleDecision {
@@ -98,9 +129,10 @@ codec_struct!(ScheduleDecision {
     score,
     candidates,
     filtered_out,
+    skipped,
 });
 
-/// The QRIO cluster: nodes, jobs, images and events.
+/// The QRIO cluster: nodes, jobs, image names and node events.
 #[derive(Default)]
 pub struct Cluster {
     nodes: BTreeMap<String, Node>,
@@ -111,8 +143,9 @@ pub struct Cluster {
     fault_injector: Option<FaultInjector>,
 }
 
-// Nodes, jobs, the registry (with its counters), the event log and the fault
-// injector, verbatim: decoding re-records no event and resets no counter.
+// Nodes, jobs, the registry (names and counters), the node event log and
+// the fault injector, verbatim: decoding re-records no event and resets no
+// counter.
 impl Encode for Cluster {
     fn encode(&self, w: &mut ByteWriter) {
         encode_values(&self.nodes, w);
@@ -243,22 +276,16 @@ impl Cluster {
         &self.registry
     }
 
-    /// Push an image to the cluster's registry.
-    pub fn push_image(&mut self, image: ImageBundle) {
-        self.record("ImagePushed", format!("image '{}' pushed", image.name()));
-        self.registry.push(image);
+    /// Push an image, by name, to the cluster's registry.
+    pub fn push_image(&mut self, name: impl Into<String>) {
+        self.registry.push(name);
     }
 
     /// Remove an image from the cluster's registry — the garbage-collection
     /// hook the orchestrator runs when a job reaches a terminal failure and
-    /// its container will never be pulled. Returns the removed image, or
-    /// `None` when no such image existed.
-    pub fn remove_image(&mut self, name: &str) -> Option<ImageBundle> {
-        let removed = self.registry.remove(name);
-        if removed.is_some() {
-            self.record("ImageRemoved", format!("image '{name}' removed"));
-        }
-        removed
+    /// its container will never be pulled. Returns whether it existed.
+    pub fn remove_image(&mut self, name: &str) -> bool {
+        self.registry.remove(name)
     }
 
     // --- Jobs ----------------------------------------------------------------------------
@@ -273,7 +300,6 @@ impl Cluster {
         if self.jobs.contains_key(&spec.name) {
             return Err(ClusterError::DuplicateJob(spec.name.clone()));
         }
-        self.record("JobSubmitted", format!("job '{}' submitted", spec.name));
         self.jobs.insert(spec.name.clone(), Job::new(spec));
         Ok(())
     }
@@ -306,7 +332,7 @@ impl Cluster {
             .ok_or_else(|| ClusterError::UnknownJob(name.to_string()))
     }
 
-    /// The event log, in chronological order.
+    /// The node event log, in chronological order.
     pub fn events(&self) -> &[ClusterEvent] {
         &self.events
     }
@@ -316,10 +342,11 @@ impl Cluster {
     /// Bind `job_name` to the best-ranked node of a finished scheduling cycle
     /// — the "bind" stage of §3.5. The cycle itself runs outside the cluster
     /// (feasibility per [`Node::rejection`], scores from the meta server);
-    /// this records what it found — `FilterRejected` per `rejected` node,
-    /// `ScoreFailed` per `skipped` one — and reserves the job's resources on
-    /// `ranking[0]` (the ranking is best-first), which then holds its
-    /// reservation ([`Job::node`]).
+    /// reserves the job's resources on `ranking[0]` (the ranking is
+    /// best-first), which then holds its reservation ([`Job::node`]), and
+    /// returns what the cycle found: the `rejected` nodes as
+    /// [`ScheduleDecision::filtered_out`], the `skipped` ones as
+    /// [`ScheduleDecision::skipped`].
     ///
     /// # Errors
     ///
@@ -333,25 +360,13 @@ impl Cluster {
         job_name: &str,
         ranking: Vec<(String, f64)>,
         rejected: Vec<(String, String)>,
-        skipped: &[(String, String)],
+        skipped: Vec<(String, String)>,
     ) -> Result<ScheduleDecision, ClusterError> {
         let resources = self
             .jobs
             .get(job_name)
             .map(|j| j.spec().resources)
             .ok_or_else(|| ClusterError::UnknownJob(job_name.to_string()))?;
-        for (node, reason) in &rejected {
-            self.record(
-                "FilterRejected",
-                format!("job '{job_name}': node '{node}' rejected ({reason})"),
-            );
-        }
-        for (node, reason) in skipped {
-            self.record(
-                "ScoreFailed",
-                format!("job '{job_name}': node '{node}' could not be scored ({reason})"),
-            );
-        }
         let Some((winner, score)) = ranking.first().cloned() else {
             let reason = if skipped.is_empty() {
                 "no node passed the filtering stage"
@@ -379,16 +394,13 @@ impl Cluster {
         job.log(format!(
             "scheduled on '{winner}' with score {score:.4} by plugin 'QrioMetaRanking'"
         ));
-        self.record(
-            "JobScheduled",
-            format!("job '{job_name}' bound to node '{winner}' (score {score:.4})"),
-        );
         Ok(ScheduleDecision {
             job: job_name.to_string(),
             node: winner,
             score,
             candidates: ranking,
             filtered_out: rejected,
+            skipped,
         })
     }
 
@@ -456,37 +468,13 @@ impl Cluster {
         let job = self.job_mut(job_name)?;
         job.node = Some(target.to_string());
         job.log(format!("rebound from '{from}' to '{target}'"));
-        self.record(
-            "JobRebound",
-            format!("job '{job_name}' moved from '{from}' to '{target}'"),
-        );
         Ok(())
     }
 
-    /// Cancel a job: the reservation it holds, if any, is released. Which
-    /// jobs may be cancelled is the caller's to decide.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownJob`] for unknown jobs.
-    pub fn cancel_job(
-        &mut self,
-        job_name: &str,
-        reason: impl Into<String>,
-    ) -> Result<(), ClusterError> {
-        self.release_job(job_name)?;
-        let reason = reason.into();
-        self.record(
-            "JobCancelled",
-            format!("job '{job_name}' cancelled: {reason}"),
-        );
-        Ok(())
-    }
-
-    /// Release the reservation a job holds, if any, and record nothing —
-    /// how an attempt that never reached its device (its image or its node
-    /// gone) ends; [`Cluster::settle_run`] releases the reservation of one
-    /// that did.
+    /// Release the reservation a job holds, if any — how a cancelled job
+    /// ends, and an attempt that never reached its device (its image or its
+    /// node gone); [`Cluster::settle_run`] releases the reservation of one
+    /// that did. Which jobs may be cancelled is the caller's to decide.
     ///
     /// # Errors
     ///
@@ -501,26 +489,26 @@ impl Cluster {
     }
 
     /// The orchestrator half of starting an execution attempt: pull the
-    /// job's image from the registry, verify the node holding its
-    /// reservation exists and record `JobStarted`.
+    /// job's image from the registry and verify the node holding its
+    /// reservation exists.
     ///
-    /// Returns the [`WorkOrder`] to settle later, with the job's spec and the
-    /// pulled image on loan — what the caller describes the attempt from, at
-    /// once or, for a device that serves a while, later with
-    /// [`Cluster::lend_run`]. The device half — cancellation and binding
-    /// checks, the fault decision, the runner — happens on the node's agent,
-    /// and its verdict is applied with [`Cluster::settle_run`].
+    /// Returns the [`WorkOrder`] to settle later, with the job's spec on
+    /// loan — what the caller describes the attempt from, at once or, for a
+    /// device that serves a while, later with [`Cluster::lend_run`]. The
+    /// device half — cancellation and binding checks, the fault decision,
+    /// the runner — happens on the node's agent, and its verdict is applied
+    /// with [`Cluster::settle_run`].
     ///
     /// # Errors
     ///
     /// Returns an error if the job is unknown or holds no reservation, the
-    /// image is missing, or the reserved node is gone. No event is recorded
-    /// then, though a failed pull still counts as a pull.
+    /// image is missing, or the reserved node is gone. A failed pull still
+    /// counts as a pull.
     pub fn prepare_run(
         &mut self,
         job_name: &str,
         attempt: u32,
-    ) -> Result<(WorkOrder, &JobSpec, &ImageBundle), ClusterError> {
+    ) -> Result<(WorkOrder, &JobSpec), ClusterError> {
         let job = self
             .jobs
             .get(job_name)
@@ -530,15 +518,11 @@ impl Cluster {
         if !self.nodes.contains_key(&node) {
             return Err(ClusterError::UnknownNode(node));
         }
-        self.record(
-            "JobStarted",
-            format!("job '{job_name}' running on '{node}'"),
-        );
         self.lend_run(job_name, attempt)
     }
 
     /// What an attempt of a job that holds a reservation describes itself
-    /// from: its [`WorkOrder`], with the job's spec and its image on loan.
+    /// from: its [`WorkOrder`], with the job's spec on loan.
     ///
     /// # Errors
     ///
@@ -548,7 +532,7 @@ impl Cluster {
         &self,
         job_name: &str,
         attempt: u32,
-    ) -> Result<(WorkOrder, &JobSpec, &ImageBundle), ClusterError> {
+    ) -> Result<(WorkOrder, &JobSpec), ClusterError> {
         let job = self
             .jobs
             .get(job_name)
@@ -560,14 +544,15 @@ impl Cluster {
             attempt,
             resources: spec.resources,
         };
-        Ok((order, spec, self.registry.image(&spec.image)?))
+        self.registry.require(&spec.image)?;
+        Ok((order, spec))
     }
 
     /// Apply the device-side verdict of a prepared attempt: release the
-    /// order's reservation, clear the job's, and record the result. An
-    /// injected fault is reported with its typed reason; a
-    /// [`FaultKind::DeviceFlap`] additionally marks the node `NotReady`
-    /// (self-healing restarts it later).
+    /// order's reservation, clear the job's, and keep a completed run's
+    /// result and log lines. An injected fault is reported with its typed
+    /// reason; a [`FaultKind::DeviceFlap`] additionally marks the node
+    /// `NotReady` (self-healing restarts it later) and records `NodeFlapped`.
     ///
     /// # Errors
     ///
@@ -584,36 +569,24 @@ impl Cluster {
         let flapped = verdict == AttemptVerdict::Faulted(FaultKind::DeviceFlap);
         let job = self.job_mut(job_name)?;
         job.node = None;
-        let (kind, message, result) = match verdict {
+        let result = match verdict {
             AttemptVerdict::Completed(outcome) => {
                 for line in outcome.logs {
                     job.log(line);
                 }
                 job.set_result(outcome.counts, outcome.fidelity);
-                let message = format!("job '{job_name}' finished on '{node_name}'");
-                ("JobSucceeded", message, Ok(()))
+                Ok(())
             }
-            AttemptVerdict::Failed(reason) => {
-                let message = format!("job '{job_name}' failed on '{node_name}': {reason}");
-                let err = ClusterError::ExecutionFailed {
-                    job: job_name.clone(),
-                    reason,
-                };
-                ("JobFailed", message, Err(err))
-            }
-            AttemptVerdict::Faulted(kind) => {
-                let message = format!(
-                    "job '{job_name}' attempt {attempt} on '{node_name}' hit {}",
-                    kind.reason()
-                );
-                let err = ClusterError::InjectedFault {
-                    job: job_name.clone(),
-                    node: node_name.clone(),
-                    kind,
-                    attempt,
-                };
-                ("JobFaultInjected", message, Err(err))
-            }
+            AttemptVerdict::Failed(reason) => Err(ClusterError::ExecutionFailed {
+                job: job_name.clone(),
+                reason,
+            }),
+            AttemptVerdict::Faulted(kind) => Err(ClusterError::InjectedFault {
+                job: job_name.clone(),
+                node: node_name.clone(),
+                kind,
+                attempt,
+            }),
         };
         if let Some(node) = self.nodes.get_mut(node_name) {
             node.release(&order.resources);
@@ -627,7 +600,6 @@ impl Cluster {
                 format!("node '{node_name}' flapped while running job '{job_name}'"),
             );
         }
-        self.record(kind, message);
         result
     }
 
@@ -684,7 +656,7 @@ mod tests {
         job: &str,
         verdict: AttemptVerdict,
     ) -> Result<(), ClusterError> {
-        let (order, _, _) = cluster.prepare_run(job, 0)?;
+        let (order, _) = cluster.prepare_run(job, 0)?;
         cluster.settle_run(&order, verdict)
     }
 
@@ -743,7 +715,7 @@ mod tests {
     /// need a `Scheduled` job.
     fn bind(cluster: &mut Cluster, job: &str, node: &str) -> ScheduleDecision {
         cluster
-            .bind_job(job, vec![(node.to_string(), 0.0)], Vec::new(), &[])
+            .bind_job(job, vec![(node.to_string(), 0.0)], Vec::new(), Vec::new())
             .unwrap()
     }
 
@@ -761,13 +733,11 @@ mod tests {
             }
         }
         ranking.sort_by(|a, b| a.1.total_cmp(&b.1));
-        cluster.bind_job(job_name, ranking, rejected, &[])
+        cluster.bind_job(job_name, ranking, rejected, Vec::new())
     }
 
     fn push_image_for(cluster: &mut Cluster, spec: &JobSpec) {
-        let mut image = ImageBundle::new(spec.image.clone());
-        image.add_file("circuit.qasm", spec.qasm.clone());
-        cluster.push_image(image);
+        cluster.push_image(spec.image.clone());
     }
 
     #[test]
@@ -791,7 +761,10 @@ mod tests {
         let decision = schedule(&mut cluster, "job-a").unwrap();
         assert_eq!(decision.node, "quiet");
         assert_eq!(decision.candidates.len(), 2);
-        assert!(decision.filtered_out.iter().any(|(node, _)| node == "tiny"));
+        assert_eq!(decision.filtered_out.len(), 1);
+        let (node, reason) = &decision.filtered_out[0];
+        assert_eq!(node, "tiny");
+        assert!(reason.contains("QubitCount"), "{reason}");
         assert_eq!(cluster.job("job-a").unwrap().node(), Some("quiet"));
         // Resources were reserved on the chosen node.
         assert_eq!(
@@ -813,17 +786,12 @@ mod tests {
                 reason: "no node passed the filtering stage".into()
             }
         );
-        // The job is left as it was: no reservation, no log line.
+        // The job is left as it was: no reservation, no log line, and the
+        // node log holds the three nodes joining and nothing else.
         let job = cluster.job("huge").unwrap();
         assert_eq!((job.node(), job.logs().len()), (None, 0));
-        // One FilterRejected event per node, naming the stage that said no.
-        let rejections: Vec<&ClusterEvent> = cluster
-            .events()
-            .iter()
-            .filter(|e| e.kind == "FilterRejected")
-            .collect();
-        assert_eq!(rejections.len(), 3);
-        assert!(rejections.iter().all(|e| e.message.contains("QubitCount")));
+        let kinds: Vec<&str> = cluster.events().iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(kinds, ["NodeAdded"; 3]);
     }
 
     #[test]
@@ -845,6 +813,8 @@ mod tests {
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
         );
+        // The job's record is its own: the node log did not grow.
+        assert_eq!(cluster.events().len(), 3);
     }
 
     #[test]
@@ -959,13 +929,14 @@ mod tests {
             cluster.node("noisy").unwrap().allocated(),
             Resources::new(1000, 1024)
         );
-        assert!(cluster.events().iter().any(|e| e.kind == "JobRebound"));
+        let logs = cluster.job_logs("mover").unwrap();
+        assert_eq!(logs.last().unwrap(), "rebound from 'quiet' to 'noisy'");
         // Rebinding onto the current node is a no-op.
         cluster.rebind_job("mover", "noisy").unwrap();
+        assert_eq!(cluster.job_logs("mover").unwrap().len(), 2);
         // The migrated job still runs to completion on the new node.
         run(&mut cluster, "mover").unwrap();
-        let finished = cluster.events().last().unwrap();
-        assert!(finished.message.ends_with("finished on 'noisy'"));
+        assert_eq!(cluster.job("mover").unwrap().result_counts()[0].1, 64);
         assert_eq!(
             cluster.node("noisy").unwrap().allocated(),
             Resources::default()
@@ -999,7 +970,7 @@ mod tests {
         cluster.submit_job(hog).unwrap();
         // The hog does not fit next to 'stuck', and binding says so.
         assert!(matches!(
-            cluster.bind_job("hog", vec![("quiet".into(), 0.0)], Vec::new(), &[]),
+            cluster.bind_job("hog", vec![("quiet".into(), 0.0)], Vec::new(), Vec::new()),
             Err(ClusterError::BindingRejected { .. })
         ));
         bind(&mut cluster, "hog", "noisy");
@@ -1033,10 +1004,8 @@ mod tests {
         let pending = make_spec("cancel-pending", 4);
         push_image_for(&mut cluster, &pending);
         cluster.submit_job(pending).unwrap();
-        cluster
-            .cancel_job("cancel-pending", "user request")
-            .unwrap();
-        assert!(cluster.events().iter().any(|e| e.kind == "JobCancelled"));
+        cluster.release_job("cancel-pending").unwrap();
+        assert_eq!(cluster.job("cancel-pending").unwrap().node(), None);
 
         // Bound: cancellation releases the node's reserved resources.
         let scheduled = make_spec("cancel-scheduled", 4);
@@ -1047,7 +1016,7 @@ mod tests {
             cluster.node("quiet").unwrap().allocated(),
             Resources::new(1000, 1024)
         );
-        cluster.cancel_job("cancel-scheduled", "obsolete").unwrap();
+        cluster.release_job("cancel-scheduled").unwrap();
         assert_eq!(cluster.job("cancel-scheduled").unwrap().node(), None);
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
@@ -1056,13 +1025,13 @@ mod tests {
         // A cancelled job holds nothing to run on, and a second cancel
         // releases nothing.
         assert!(run(&mut cluster, "cancel-scheduled").is_err());
-        cluster.cancel_job("cancel-scheduled", "again").unwrap();
+        cluster.release_job("cancel-scheduled").unwrap();
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
         );
         assert!(matches!(
-            cluster.cancel_job("ghost", "missing"),
+            cluster.release_job("ghost"),
             Err(ClusterError::UnknownJob(_))
         ));
     }
@@ -1073,14 +1042,10 @@ mod tests {
         let spec = make_spec("gc-job", 4);
         push_image_for(&mut cluster, &spec);
         assert!(cluster.registry().contains(&spec.image));
-        let removed = cluster.remove_image(&spec.image).unwrap();
-        assert_eq!(removed.name(), spec.image);
+        assert!(cluster.remove_image(&spec.image));
         assert!(!cluster.registry().contains(&spec.image));
-        assert!(cluster.events().iter().any(|e| e.kind == "ImageRemoved"));
-        // Removing a missing image is a silent no-op (no event).
-        let events_before = cluster.events().len();
-        assert!(cluster.remove_image("nope").is_none());
-        assert_eq!(cluster.events().len(), events_before);
+        // Removing a missing image is a no-op.
+        assert!(!cluster.remove_image("nope"));
     }
 
     #[test]
@@ -1180,15 +1145,12 @@ mod tests {
             }
         ));
         assert_eq!(cluster.job("doomed").unwrap().node(), None);
-        // Resources released and the injection left an audit trail.
+        // Resources released; the node did not flap.
         assert_eq!(
             cluster.node("quiet").unwrap().allocated(),
             Resources::default()
         );
-        assert!(cluster
-            .events()
-            .iter()
-            .any(|e| e.kind == "JobFaultInjected"));
+        assert!(cluster.events().iter().all(|e| e.kind == "NodeAdded"));
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! * [`JobSpec`], [`Job`], [`yaml`] — job objects with device-requirement
 //!   bounds, an open [`StrategySpec`] (ranking strategy by name with typed
 //!   [`StrategyParams`]), the node holding each job's reservation, and logs.
-//! * [`ImageRegistry`], [`ImageBundle`] — the simulated Docker Hub the master
-//!   server pushes job containers to.
+//! * [`ImageRegistry`] — the simulated Docker Hub the master server pushes
+//!   job containers to: the names of the pushed images and the push / pull
+//!   counters (an image's files are rendered from its job's spec).
 //! * [`Cluster`] — the control plane: node/job stores, the bind stage of
 //!   the scheduling cycle ([`Cluster::bind_job`]), the two ends of an
-//!   execution attempt ([`Cluster::prepare_run`] starts it and lends out what
-//!   describes it, [`Cluster::settle_run`] applies the device's
-//!   [`AttemptVerdict`]; the device in between belongs to `qrio-agent`), an
-//!   event log.
+//!   execution attempt ([`Cluster::prepare_run`] starts it and lends out the
+//!   spec that describes it, [`Cluster::settle_run`] applies the device's
+//!   [`AttemptVerdict`]; the device in between belongs to `qrio-agent`), a
+//!   node event log.
 //! * [`FaultInjector`], [`FaultKind`], [`RetryPolicy`] — the deterministic
 //!   typed fault plan node agents consult before every execution attempt,
 //!   plus the per-job retry/backoff policies the orchestrator's
@@ -65,5 +66,5 @@ pub use job::{
     strategy_names, DeviceRequirements, Job, JobSpec, ParamValue, StrategyParams, StrategySpec,
 };
 pub use node::{Node, NodeStatus};
-pub use registry::{ImageBundle, ImageRegistry};
+pub use registry::ImageRegistry;
 pub use resources::Resources;

@@ -30,8 +30,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use qrio_agent::{AgentError, InProcTransport, NodeAgent, Transport};
-use qrio_cluster::{AttemptVerdict, ExecutionOutcome, ImageBundle, JobSpec, WorkOrder};
+use qrio_cluster::{AttemptVerdict, ExecutionOutcome, JobSpec, WorkOrder};
 use qrio_proto::{Envelope, NodeCommand, NodeReport, Payload, RunPayload, RunVerdict};
+
+use crate::master_server::{render_image, ImageBundle};
 
 /// Which transport carries control-plane frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,35 +215,28 @@ impl ControlPlane {
     /// Execute one attempt over the wire: [`ControlPlane::send_run`], then
     /// [`ControlPlane::await_phase`] — a round trip, for callers that make
     /// one attempt at a time.
-    pub fn run(
-        &mut self,
-        order: &WorkOrder,
-        spec: &JobSpec,
-        image: &ImageBundle,
-        now: u64,
-    ) -> AttemptVerdict {
-        self.send_run(order, spec, image, now);
+    pub fn run(&mut self, order: &WorkOrder, spec: &JobSpec, now: u64) -> AttemptVerdict {
+        self.send_run(order, spec, now);
         self.await_phase(order)
     }
 
     /// Describe one attempt in a `Run` command and send it to the order's
     /// node, without waiting for its verdict. The [`RunPayload`] built here
-    /// from the borrowed spec and image is the one description of an
-    /// attempt, and its strings the one copy made of them before encoding.
+    /// from the borrowed spec — the job's image rendered from it
+    /// ([`render_image`]) — is the one description of an attempt, and its
+    /// strings the one copy made of them before encoding.
     ///
     /// The protocol itself cannot fail an attempt (rejections travel inside
     /// the verdict); a transport failure is one — `Failed("control plane:
     /// …")`, kept in the node's slot like a report and settled like any
     /// other verdict.
-    pub fn send_run(&mut self, order: &WorkOrder, spec: &JobSpec, image: &ImageBundle, now: u64) {
+    pub fn send_run(&mut self, order: &WorkOrder, spec: &JobSpec, now: u64) {
+        let ImageBundle { name, files } = render_image(spec);
         let payload = RunPayload {
             job: order.job.clone(),
             attempt: order.attempt,
-            image_name: image.name().to_string(),
-            image_files: image
-                .files()
-                .map(|(path, contents)| (path.to_string(), contents.to_string()))
-                .collect(),
+            image_name: name,
+            image_files: files,
             qasm: spec.qasm.clone(),
             num_qubits: spec.num_qubits as u64,
             shots: spec.shots,

@@ -89,8 +89,11 @@ pub const RECORD_SNAPSHOT: u8 = 3;
 /// holding its reservation, and its logs no longer carry a line per phase.
 /// Version 5 typed a transition's cause (a job's failure is kept there
 /// alone), dropped the events record and ended each command record with the
-/// watch log's length and digest.
-pub const RECORD_VERSION: u16 = 5;
+/// watch log's length and digest. Version 6 keeps an image as its name (the
+/// files are rendered from the job's spec), the cluster's event log as node
+/// events only, and a scheduling decision's skipped devices beside its
+/// filtered-out ones.
+pub const RECORD_VERSION: u16 = 6;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -215,16 +218,11 @@ pub struct RecoveryReport {
     pub snapshot_cursor: u64,
     /// Commands replayed after the snapshot.
     pub commands_replayed: u64,
-    /// Post-snapshot events the replayed command records account for: the
-    /// last one's watch-log length less the snapshot's cursor.
-    pub events_journaled: u64,
-    /// Post-snapshot events regenerated by replay.
-    pub events_regenerated: u64,
-    /// Events replay regenerated that no command record accounted for. Every
-    /// command record carries its own count, which replay must meet, so
-    /// this is 0 whenever recovery succeeds — a torn tail loses whole,
+    /// Post-snapshot events regenerated by replay. Every command record
+    /// carries the watch log's length after it, which replay must meet, so
+    /// the journal accounts for each of them — a torn tail loses whole,
     /// unacknowledged commands and nothing else.
-    pub events_healed: u64,
+    pub events_regenerated: u64,
     /// Torn tail truncated on open, as `(file offset, bytes discarded)`.
     pub torn_tail: Option<(u64, u64)>,
     /// Jobs tracked by the recovered lifecycle store.
@@ -238,9 +236,7 @@ impl fmt::Display for RecoveryReport {
         writeln!(f, "recovery report")?;
         writeln!(f, "  snapshot_cursor    = {}", self.snapshot_cursor)?;
         writeln!(f, "  commands_replayed  = {}", self.commands_replayed)?;
-        writeln!(f, "  events_journaled   = {}", self.events_journaled)?;
         writeln!(f, "  events_regenerated = {}", self.events_regenerated)?;
-        writeln!(f, "  events_healed      = {}", self.events_healed)?;
         match self.torn_tail {
             Some((offset, trailing)) => writeln!(
                 f,

@@ -4,8 +4,14 @@
 //! runner script, a `requirements.txt` and a Dockerfile — pushes the image to
 //! the registry, writes the Job YAML specification, and hands the job to the
 //! cluster for scheduling.
+//!
+//! Each of the four files is a function of the job's [`JobSpec`], so an
+//! image is stored once, as the spec: the registry keeps only its name, and
+//! [`render_image`] renders the files whenever they are shipped — by
+//! [`containerize`], and by [`crate::ControlPlane::send_run`] for every
+//! attempt's `Run` payload.
 
-use qrio_cluster::{ImageBundle, JobSpec};
+use qrio_cluster::JobSpec;
 
 use crate::error::QrioError;
 use crate::visualizer::JobRequest;
@@ -20,10 +26,57 @@ pub const REQUIREMENTS_FILE: &str = "requirements.txt";
 /// Dockerfile name.
 pub const DOCKERFILE: &str = "Dockerfile";
 
+/// A container image: a name and its text files, in path order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageBundle {
+    pub(crate) name: String,
+    pub(crate) files: Vec<(String, String)>,
+}
+
+impl ImageBundle {
+    /// The image name (e.g. `qrio/bv-job:latest`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Read a file from the image.
+    pub fn file(&self, path: &str) -> Option<&str> {
+        self.files()
+            .find(|(name, _)| *name == path)
+            .map(|(_, contents)| contents)
+    }
+
+    /// Iterate over `(path, contents)` pairs in path order.
+    pub fn files(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.files.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+}
+
+/// The image of a job, rendered from its spec: the image named
+/// `spec.image`, holding the job's circuit, its runner script, the
+/// requirements and the Dockerfile.
+pub fn render_image(spec: &JobSpec) -> ImageBundle {
+    // In path order: upper case sorts before lower case.
+    let files = [
+        (DOCKERFILE, dockerfile(&spec.image)),
+        (CIRCUIT_FILE, spec.qasm.clone()),
+        (REQUIREMENTS_FILE, requirements_txt()),
+        (RUNNER_FILE, generate_runner_script(spec)),
+    ];
+    ImageBundle {
+        name: spec.image.clone(),
+        files: files
+            .into_iter()
+            .map(|(path, contents)| (path.to_string(), contents))
+            .collect(),
+    }
+}
+
 /// The artifacts produced by containerizing one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerizedJob {
-    /// The container image to push to the registry.
+    /// The container image pushed to the registry, by name: its files are
+    /// [`render_image`] of `spec`.
     pub image: ImageBundle,
     /// The job specification for the scheduler.
     pub spec: JobSpec,
@@ -31,8 +84,8 @@ pub struct ContainerizedJob {
     pub yaml: String,
 }
 
-/// Containerize a job request: build the image bundle, the job spec and its
-/// YAML document.
+/// Containerize a job request: build the job spec, its image and its YAML
+/// document.
 ///
 /// # Errors
 ///
@@ -46,12 +99,6 @@ pub fn containerize(request: &JobRequest) -> Result<ContainerizedJob, QrioError>
             request.strategy.name
         )));
     }
-    let mut image = ImageBundle::new(request.image_name.clone());
-    image.add_file(CIRCUIT_FILE, request.qasm.clone());
-    image.add_file(RUNNER_FILE, generate_runner_script(request));
-    image.add_file(REQUIREMENTS_FILE, requirements_txt());
-    image.add_file(DOCKERFILE, dockerfile(&request.image_name));
-
     let spec = JobSpec {
         name: request.job_name.clone(),
         image: request.image_name.clone(),
@@ -67,6 +114,7 @@ pub fn containerize(request: &JobRequest) -> Result<ContainerizedJob, QrioError>
         deadline: request.deadline,
     };
     let yaml = qrio_cluster::yaml::to_yaml(&spec);
+    let image = render_image(&spec);
     Ok(ContainerizedJob { image, spec, yaml })
 }
 
@@ -75,7 +123,7 @@ pub fn containerize(request: &JobRequest) -> Result<ContainerizedJob, QrioError>
 /// and executes it; here the script is documentation of the same steps — the
 /// actual execution is performed by the in-process [`SimJobRunner`]
 /// (`crate::runner::SimJobRunner`), which follows this script line for line.
-fn generate_runner_script(request: &JobRequest) -> String {
+fn generate_runner_script(spec: &JobSpec) -> String {
     format!(
         r#"# Auto-generated by the QRIO master server for job '{name}'.
 # Steps performed on the assigned node:
@@ -88,9 +136,9 @@ from qrio import run_job
 
 run_job(circuit_file="{circuit}", shots={shots})
 "#,
-        name = request.job_name,
+        name = spec.name,
         circuit = CIRCUIT_FILE,
-        shots = request.shots,
+        shots = spec.shots,
     )
 }
 
@@ -133,10 +181,14 @@ mod tests {
     #[test]
     fn containerized_job_has_all_four_files() {
         let job = containerize(&fidelity_request()).unwrap();
-        assert_eq!(job.image.len(), 4);
-        for file in [CIRCUIT_FILE, RUNNER_FILE, REQUIREMENTS_FILE, DOCKERFILE] {
-            assert!(job.image.file(file).is_some(), "missing {file}");
-        }
+        let paths: Vec<&str> = job.image.files().map(|(path, _)| path).collect();
+        assert_eq!(
+            paths,
+            [DOCKERFILE, CIRCUIT_FILE, REQUIREMENTS_FILE, RUNNER_FILE],
+            "four files, in path order"
+        );
+        assert_eq!(job.image.name(), "qrio/bv:1");
+        assert_eq!(job.image.file("missing"), None);
         assert!(job.image.file(CIRCUIT_FILE).unwrap().contains("OPENQASM"));
         assert!(job.image.file(RUNNER_FILE).unwrap().contains("shots=512"));
         assert!(job

@@ -91,7 +91,7 @@
 //! | rule | calls |
 //! |------|-------|
 //! | on success — a failure changed nothing | `add_device*`, `recalibrate_device`, `cordon_device`, `uncordon_device`, `enqueue`, `cancel` |
-//! | on attempt, unless the id is unknown — a failed attempt still moves the job or logs cluster events | `schedule`, `execute`, `interrupt`, `rebind` |
+//! | on attempt, unless the id is unknown — a failed attempt may still move the job or refresh telemetry | `schedule`, `execute`, `interrupt`, `rebind` |
 //! | always | `tick`, `report_telemetry`, `heal_devices`, `configure_faults`, `configure_breakers`, `configure_service`; `advance_to` unless refused — it moves the clock even when nothing is due |
 //! | when it did something | the forced admission of `run_until_idle` / `submit` (`Queued` stragglers only) |
 //!

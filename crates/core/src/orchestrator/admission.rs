@@ -90,8 +90,8 @@ impl Qrio {
                 return Err(err);
             }
         };
-        let image_name = containerized.image.name().to_string();
-        self.cluster.push_image(containerized.image);
+        let image_name = containerized.spec.image.clone();
+        self.cluster.push_image(image_name.clone());
         // Currently unreachable (submit_job only fails on DuplicateJob,
         // pre-checked above) — kept as rollback defense in case the
         // cluster's submission surface grows more failure modes.
@@ -151,7 +151,7 @@ impl Qrio {
         // (None for jobs cancelled before they were bound).
         let node = status.node.clone();
         let bound = status.state == JobState::Scheduled;
-        self.cluster.cancel_job(id.as_str(), "cancelled by user")?;
+        self.cluster.release_job(id.as_str())?;
         if bound {
             self.lifecycle.leave_device_queue(id.as_str());
         } else {

@@ -517,7 +517,7 @@ impl Qrio {
                     .map(|(device, err)| (device, err.to_string()))
                     .collect();
                 self.cluster
-                    .bind_job(name, cycle.ranking, cycle.rejected, &skipped)
+                    .bind_job(name, cycle.ranking, cycle.rejected, skipped)
             }
             // Job-level: no device was at fault, so none is blamed.
             Err(err) => Err(ClusterError::Unschedulable {
@@ -580,12 +580,12 @@ impl Qrio {
     /// round trip.
     fn send_attempt(&mut self, name: &str) {
         let attempt = self.lifecycle.jobs.get(name).map_or(0, |job| job.attempt);
-        let Ok((order, spec, image)) = self.cluster.lend_run(name, attempt) else {
+        let Ok((order, spec)) = self.cluster.lend_run(name, attempt) else {
             return;
         };
         if self.cluster.node(&order.node).is_some() {
             let now = self.lifecycle.clock;
-            self.control.send_run(&order, spec, image, now);
+            self.control.send_run(&order, spec, now);
         }
     }
 
@@ -660,25 +660,24 @@ impl Qrio {
     }
 
     /// One execution attempt over the control plane: start it in the
-    /// cluster (image pull, `JobStarted`) unless that happened when its
-    /// service began, get the verdict of the node's agent — sending the
-    /// `Run` now, described from the spec and image the cluster lends out,
-    /// unless the dispatch pass already did — and settle it back into the
-    /// cluster. The agent holds the fault-plan replica, so injected-fault
+    /// cluster (image pull) unless that happened when its service began, get
+    /// the verdict of the node's agent — sending the `Run` now, described
+    /// from the spec the cluster lends out, unless the dispatch pass already
+    /// did — and settle it back into the cluster. The agent holds the fault-plan replica, so injected-fault
     /// verdicts are drawn device-side from the same pure decision function.
     /// An interrupt settles a device flap with no agent in between.
     ///
     /// A transport failure comes back as a failed verdict and is settled like
     /// any other.
     fn dispatch(&mut self, name: &str, attempt: u32, reach: Reach) -> Result<(), ClusterError> {
-        let (order, spec, image) = match reach {
+        let (order, spec) = match reach {
             Reach::Interrupted => return self.cluster.interrupt_job(name, attempt),
             Reach::Served => self.cluster.lend_run(name, attempt)?,
             Reach::RoundTrip | Reach::Sent => self.cluster.prepare_run(name, attempt)?,
         };
         let verdict = match reach {
             Reach::Sent => self.control.await_phase(&order),
-            _ => self.control.run(&order, spec, image, self.lifecycle.clock),
+            _ => self.control.run(&order, spec, self.lifecycle.clock),
         };
         self.cluster.settle_run(&order, verdict)
     }
@@ -821,7 +820,7 @@ mod tests {
 
     fn remove_image(qrio: &mut Qrio, id: &JobId) {
         let image = qrio.cluster.job(id.as_str()).unwrap().spec().image.clone();
-        assert!(qrio.cluster.remove_image(&image).is_some());
+        assert!(qrio.cluster.remove_image(&image));
     }
 
     fn assert_released(qrio: &Qrio, id: &JobId) {

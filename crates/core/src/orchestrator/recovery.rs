@@ -364,7 +364,6 @@ impl Qrio {
         // Re-attach the journal: every replayed command met its record, so
         // the journal accounts for the whole regenerated log.
         let journaled_events = qrio.lifecycle.events.len() as u64;
-        let regenerated = journaled_events - cursor;
         let mut durability = Durability::new(journal, config, journaled_events);
         durability.resume_cadence(
             commands_replayed,
@@ -374,9 +373,7 @@ impl Qrio {
         let report = RecoveryReport {
             snapshot_cursor: cursor,
             commands_replayed,
-            events_journaled: regenerated,
-            events_regenerated: regenerated,
-            events_healed: 0,
+            events_regenerated: journaled_events - cursor,
             torn_tail: scan.torn.as_ref().map(|torn| (torn.offset, torn.trailing)),
             jobs: qrio.lifecycle.jobs.len() as u64,
             terminal_jobs: qrio

@@ -6,6 +6,10 @@
 //! executes it under the backend's noise model, and reports the histogram,
 //! achieved fidelity and a transcript of what it did (the job logs the
 //! visualizer later shows).
+//!
+//! The circuit is the payload's `qasm`, the job's own spec; the image files
+//! beside it are rendered from that same spec, so they hold nothing else to
+//! fall back on. A job submitted without a circuit fails here.
 
 use qrio_agent::JobRunner;
 use qrio_backend::Backend;
@@ -15,8 +19,6 @@ use qrio_cluster::ExecutionOutcome;
 use qrio_proto::RunPayload;
 use qrio_sim::{executor, NoiseModel, ParallelConfig, SEED_STREAM_STRIDE};
 use qrio_transpiler::{deflate, transpile};
-
-use crate::master_server::CIRCUIT_FILE;
 
 /// Executes jobs by simulating them on the node's backend.
 #[derive(Debug, Clone, Copy)]
@@ -41,21 +43,12 @@ impl Default for SimJobRunner {
 impl JobRunner for SimJobRunner {
     fn run(&self, run: &RunPayload, backend: &Backend) -> Result<ExecutionOutcome, String> {
         let mut logs = Vec::new();
-        // 1. The job's own circuit, from its spec. Only a spec without one
-        //    falls back to the container image: images are replaced by name
-        //    on push, so a shared image holds some *other* job's circuit.
-        let qasm_text = if run.qasm.is_empty() {
-            run.image_files
-                .iter()
-                .find(|(path, _)| path == CIRCUIT_FILE)
-                .map(|(_, contents)| contents.as_str())
-                .filter(|text| !text.is_empty())
-                .ok_or_else(|| format!("image '{}' contains no circuit", run.image_name))?
-        } else {
-            run.qasm.as_str()
-        };
+        // 1. The job's own circuit, from its spec.
+        if run.qasm.is_empty() {
+            return Err("the job carries no circuit to run".to_string());
+        }
         let circuit =
-            qasm::parse_qasm(qasm_text).map_err(|e| format!("cannot parse circuit: {e}"))?;
+            qasm::parse_qasm(&run.qasm).map_err(|e| format!("cannot parse circuit: {e}"))?;
         let mut circuit = circuit;
         if circuit.measurement_count() == 0 {
             circuit.measure_all().map_err(|e| e.to_string())?;
@@ -124,6 +117,7 @@ impl JobRunner for SimJobRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::master_server::CIRCUIT_FILE;
     use qrio_backend::topology;
     use qrio_circuit::library;
 
@@ -171,15 +165,15 @@ mod tests {
     fn missing_or_bad_circuit_is_an_error() {
         let backend = Backend::uniform("dev", topology::line(5), 0.0, 0.0);
         let mut run = bv_run(64);
+        // A spec without a circuit is an error, whatever the image holds:
+        // the image's circuit is no fallback.
         run.qasm.clear();
-        // With no circuit in the spec, the image's is the fallback ...
-        assert!(SimJobRunner::new(0).run(&run, &backend).is_ok());
-        // ... a bad one fails to parse, and an image without one is an error.
-        run.image_files = vec![(CIRCUIT_FILE.into(), "garbage $".into())];
-        assert!(SimJobRunner::new(0).run(&run, &backend).is_err());
-        run.image_files.clear();
         let err = SimJobRunner::new(0).run(&run, &backend).unwrap_err();
-        assert!(err.contains("contains no circuit"), "{err}");
+        assert!(err.contains("no circuit"), "{err}");
+        // A bad one fails to parse.
+        run.qasm = "garbage $".into();
+        let err = SimJobRunner::new(0).run(&run, &backend).unwrap_err();
+        assert!(err.starts_with("cannot parse circuit"), "{err}");
     }
 
     #[test]

@@ -271,21 +271,6 @@ impl Journal {
             .map_err(|e| JournalError::io("append", &e))
     }
 
-    /// Append several records with a single write, so a crash cannot land
-    /// between them: either a prefix of whole records plus one torn record
-    /// reaches the file, or all of them do. Returns the bytes written — the
-    /// sum of the records' [`Record::framed_len`]s.
-    pub fn append_all(&mut self, records: &[Record]) -> Result<u64, JournalError> {
-        let mut frames = Vec::new();
-        for record in records {
-            frames.extend_from_slice(&checked_frame(record)?);
-        }
-        self.file
-            .write_all(&frames)
-            .map_err(|e| JournalError::io("append", &e))?;
-        Ok(frames.len() as u64)
-    }
-
     /// Flush userspace buffers to the OS. Appends already write through, so
     /// this is a cheap barrier, not an fsync.
     pub fn flush(&mut self) -> Result<(), JournalError> {
@@ -407,6 +392,9 @@ mod tests {
         let report = scan_bytes(&journal_bytes(&records)).unwrap();
         assert_eq!(report.records, records);
         assert!(report.torn.is_none());
+        for r in &records {
+            assert_eq!(r.framed_len(), encode_record(r).len() as u64);
+        }
     }
 
     #[test]
@@ -477,40 +465,6 @@ mod tests {
             ]
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_all_writes_the_bytes_of_separate_appends_and_counts_them() {
-        let dir = std::env::temp_dir().join("qrio-journal-append-all-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let records = vec![
-            record(1, b"command"),
-            record(2, b""),
-            record(3, &[7u8; 300]),
-        ];
-
-        let one_by_one = dir.join("one-by-one.journal");
-        let mut journal = Journal::create(&one_by_one).unwrap();
-        for r in &records {
-            journal.append(r).unwrap();
-        }
-        drop(journal);
-
-        let batched = dir.join("batched.journal");
-        let mut journal = Journal::create(&batched).unwrap();
-        let written = journal.append_all(&records).unwrap();
-        assert_eq!(journal.append_all(&[]).unwrap(), 0);
-        drop(journal);
-
-        assert_eq!(written, records.iter().map(Record::framed_len).sum::<u64>());
-        for r in &records {
-            assert_eq!(r.framed_len(), encode_record(r).len() as u64);
-        }
-        let bytes = std::fs::read(&batched).unwrap();
-        assert_eq!(bytes, std::fs::read(&one_by_one).unwrap());
-        assert_eq!(bytes.len() as u64, HEADER_LEN as u64 + written);
-        std::fs::remove_file(&one_by_one).ok();
-        std::fs::remove_file(&batched).ok();
     }
 
     #[test]

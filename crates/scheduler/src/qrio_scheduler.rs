@@ -368,7 +368,12 @@ mod tests {
         // Binding what the cycle found reserves the winner for the job, and
         // the bound job's own node stays a candidate when it is re-ranked.
         let decision = cluster
-            .bind_job("bv-plugin", cycle.ranking.clone(), cycle.rejected, &[])
+            .bind_job(
+                "bv-plugin",
+                cycle.ranking.clone(),
+                cycle.rejected,
+                Vec::new(),
+            )
             .unwrap();
         assert_eq!(decision.node, "clean");
         let job = cluster.job("bv-plugin").unwrap();

@@ -1,6 +1,8 @@
 //! Vendor / cluster-administrator perspective: define devices with the
-//! `backend.spec` text format, watch the event log, cordon and heal nodes, and
-//! drain a queue of jobs (the multi-job mode the paper lists as future work).
+//! `backend.spec` text format, cordon and heal nodes, drain a queue of jobs
+//! (the multi-job mode the paper lists as future work), then read the two
+//! logs: the cluster's node events and the jobs' transitions
+//! (`Qrio::watch`).
 //!
 //! Run with: `cargo run --example cluster_admin`
 
@@ -80,10 +82,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {id}: {} on {node}", qrio.status(id)?);
     }
 
-    // Event log: the audit trail of everything that happened.
-    println!("\n--- cluster events ---");
+    // The audit trail: what happened to the nodes, then to the jobs.
+    println!("\n--- node events ---");
     for event in qrio.cluster().events() {
         println!("{:<16} {}", event.kind, event.message);
     }
+    println!("\n--- job transitions ---");
+    for event in qrio.watch(0) {
+        let from = event
+            .from
+            .map_or("-".to_string(), |state| state.to_string());
+        let (to, node) = (event.to.to_string(), event.node.as_deref().unwrap_or("-"));
+        print!(
+            "{:>3} {:<8} {from:>9} -> {to:<9} {node}",
+            event.seq, event.job
+        );
+        match &event.cause {
+            Some(cause) => println!(" ({cause})"),
+            None => println!(),
+        }
+    }
+    let registry = qrio.cluster().registry();
+    println!(
+        "\nregistry: {} images, {} pushes, {} pulls",
+        registry.image_names().len(),
+        registry.push_count(),
+        registry.pull_count()
+    );
     Ok(())
 }

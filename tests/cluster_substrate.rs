@@ -2,6 +2,7 @@
 //! the master server artifacts: images, YAML specs, node lifecycle and one
 //! node running a queue of jobs.
 
+use qrio::master_server::{render_image, ImageBundle};
 use qrio::{containerize, ControlPlane, JobRequestBuilder, SimJobRunner};
 use qrio_agent::NodeAgent;
 use qrio_backend::{spec as backend_spec, topology, Backend};
@@ -35,7 +36,7 @@ fn schedule(cluster: &mut Cluster, job_name: &str) -> ScheduleDecision {
         .unwrap();
     assert!(cycle.skipped.is_empty());
     cluster
-        .bind_job(job_name, cycle.ranking, cycle.rejected, &[])
+        .bind_job(job_name, cycle.ranking, cycle.rejected, Vec::new())
         .unwrap()
 }
 
@@ -43,7 +44,12 @@ fn schedule(cluster: &mut Cluster, job_name: &str) -> ScheduleDecision {
 /// `Scheduled` job.
 fn bind(cluster: &mut Cluster, job_name: &str, node: &str) {
     cluster
-        .bind_job(job_name, vec![(node.to_string(), 0.0)], Vec::new(), &[])
+        .bind_job(
+            job_name,
+            vec![(node.to_string(), 0.0)],
+            Vec::new(),
+            Vec::new(),
+        )
         .unwrap();
 }
 
@@ -74,15 +80,12 @@ fn attempt_over_the_wire(
     control: &mut ControlPlane,
     job_name: &str,
 ) -> Result<(), ClusterError> {
-    let (order, spec, image) = cluster.prepare_run(job_name, 0)?;
-    let verdict = control.run(&order, spec, image, 0);
+    let (order, spec) = cluster.prepare_run(job_name, 0)?;
+    let verdict = control.run(&order, spec, 0);
     cluster.settle_run(&order, verdict)
 }
 
-fn containerized_request(
-    name: &str,
-    qubits: usize,
-) -> (qrio_cluster::JobSpec, qrio_cluster::ImageBundle) {
+fn containerized_request(name: &str, qubits: usize) -> (qrio_cluster::JobSpec, ImageBundle) {
     let circuit = library::ghz(qubits).unwrap();
     let request = JobRequestBuilder::new()
         .with_circuit(&circuit)
@@ -108,7 +111,7 @@ fn master_server_artifacts_run_on_the_cluster() {
     assert_eq!(parsed.name, spec.name);
     assert_eq!(parsed.num_qubits, spec.num_qubits);
 
-    cluster.push_image(image);
+    cluster.push_image(image.name());
     cluster.submit_job(spec).unwrap();
     let decision = schedule(&mut cluster, "ghz-cluster");
     assert_eq!(decision.node, "quiet");
@@ -129,7 +132,7 @@ fn node_failure_heal_and_reschedule() {
     // Beta (the better device) goes down: jobs land on alpha.
     cluster.node_mut("beta").unwrap().mark_not_ready();
     let (spec, image) = containerized_request("failover-job", 4);
-    cluster.push_image(image);
+    cluster.push_image(image.name());
     cluster.submit_job(spec).unwrap();
     let decision = schedule(&mut cluster, "failover-job");
     assert_eq!(decision.node, "alpha");
@@ -141,7 +144,7 @@ fn node_failure_heal_and_reschedule() {
     // Self-healing brings beta back and the next job prefers it again.
     assert_eq!(cluster.heal_nodes(), vec!["beta"]);
     let (spec2, image2) = containerized_request("post-heal-job", 4);
-    cluster.push_image(image2);
+    cluster.push_image(image2.name());
     cluster.submit_job(spec2).unwrap();
     let decision2 = schedule(&mut cluster, "post-heal-job");
     assert_eq!(decision2.node, "beta");
@@ -154,7 +157,7 @@ fn fifo_queue_runs_every_job_with_the_real_runner() {
     let queue: Vec<String> = (0..3).map(|i| format!("queued-{i}")).collect();
     for name in &queue {
         let (spec, image) = containerized_request(name, 3);
-        cluster.push_image(image);
+        cluster.push_image(image.name());
         cluster.submit_job(spec).unwrap();
     }
     let mut control = control_plane(&cluster, 9);
@@ -183,8 +186,14 @@ fn registry_tracks_pushes_and_pulls() {
     let mut cluster = Cluster::new();
     cluster.add_node(node("n", 4, 0.05)).unwrap();
     let (spec, image) = containerized_request("registry-job", 3);
-    assert_eq!(image.len(), 4, "circuit, runner, requirements, Dockerfile");
-    cluster.push_image(image);
+    assert_eq!(
+        image.files().count(),
+        4,
+        "circuit, runner, requirements, Dockerfile"
+    );
+    // The registry keeps the name; the files are the spec's, rendered again.
+    assert_eq!(render_image(&spec), image);
+    cluster.push_image(image.name());
     assert!(cluster.registry().contains(&spec.image));
     cluster.submit_job(spec).unwrap();
     bind(&mut cluster, "registry-job", "n");
@@ -212,7 +221,7 @@ fn listings_iterate_in_sorted_order_regardless_of_insertion_order() {
             cluster.add_node(node(name, 6, 0.02)).unwrap();
             meta.register_backend(Backend::uniform(*name, topology::line(6), 0.01, 0.02));
             let (spec, image) = containerized_request(&format!("job-{name}"), 4);
-            cluster.push_image(image);
+            cluster.push_image(image.name());
             cluster.submit_job(spec).unwrap();
         }
         let node_names: Vec<&str> = cluster.nodes().map(|n| n.name()).collect();

@@ -319,7 +319,11 @@ fn empty_event_batch_round_trips() {
 // ---------------------------------------------------------------------------
 // Golden bytes: the round trips above would all survive a self-consistent
 // format change. These fixtures were captured from the build that introduced
-// `RECORD_VERSION = 5`; a journal written then must decode now. Moving from 4
+// `RECORD_VERSION = 6`; a journal written then must decode now. Moving from 5
+// changed the version field of every record (and its CRC) and, in the
+// snapshot, kept the image as its name alone and dropped the cluster's
+// `ImagePushed` and `JobSubmitted` events (3049 → 2004 bytes; the job is
+// queued, so it holds no decision to add skipped devices to). Moving from 4
 // changed the version field of every record (and its CRC), ended the command
 // record with the watch log's length and the digest of its new events (321
 // → 337 bytes), dropped the events record (its fixture is now the events'
@@ -534,14 +538,14 @@ fn golden_records_pin_the_journal_format() {
 }
 
 const GOLDEN_ENQUEUE_RECORD: &str = "\
-    01050046010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
+    01060046010000030900000000000000676f6c64656e2dc3a90d000000000000007172696f2f676f6c64656e \
     3a3119000000000000004f50454e5141534d20322e303b0a7172656720715b325d3b0a0200000000000000ee \
     020000000000008001000000000000010200000000000000019a9999999999a93f0001000000000000544000 \
     0600000000000000637573746f6d040000000000000005000000000000006564676573030100000000000000 \
     0000000000000000010000000000000004000000000000006e6f746502010000000000000074060000000000 \
     000074617267657400cdccccccccccec3f050000000000000077696474680107000000000000000300010000 \
     0000000002000000000000000103000000000000000102000000000000002000000000000000010101010100 \
-    0178000000000000000200000000000000df7647525cec85d75b6ee3bb";
+    0178000000000000000200000000000000df7647525cec85d736e2e30e";
 
 const GOLDEN_EVENTS: &str = "\
     0200000000000000000000000000000000000000000000000900000000000000676f6c64656e2dc3a9000000 \
@@ -550,7 +554,7 @@ const GOLDEN_EVENTS: &str = "\
     00000000000300000000000000";
 
 const GOLDEN_SNAPSHOT_RECORD: &str = "\
-    030500de0b000002000000000000000000000000000000020000000000000000000000000000000000000000 \
+    030600c907000002000000000000000000000000000000020000000000000000000000000000000000000000 \
     0000000600000000000000676f6c64656e000000000100000000000000000000000000000006000000000000 \
     00676f6c64656e010001000001000000000000000600000000000000676f6c64656e01000000020000000000 \
     0000000000000000000000000000000000000001000000000000000000000000000000000001320000000000 \
@@ -578,48 +582,24 @@ const GOLDEN_SNAPSHOT_RECORD: &str = "\
     000002000000000000000000000009000000000000006d696e5f717565756500000000000000000010000000 \
     0000000000000000000000000102000000000000000001000000000000000101010101013200000000000000 \
     000000000000000000000000000000000000010000000000000012000000000000007172696f2f676f6c6465 \
-    6e3a6c617465737404000000000000000a00000000000000446f636b657266696c6588000000000000004652 \
-    4f4d20707974686f6e3a332e31312d736c696d0a2320696d6167653a207172696f2f676f6c64656e3a6c6174 \
-    6573740a574f524b444952202f6a6f620a434f5059202e202f6a6f620a52554e2070697020696e7374616c6c \
-    202d7220726571756972656d656e74732e7478740a434d44205b22707974686f6e222c202272756e2e707922 \
-    5d0a0c00000000000000636972637569742e7161736d7c000000000000004f50454e5141534d20322e303b0a \
-    696e636c756465202271656c6962312e696e63223b0a7172656720715b325d3b0a6372656720635b325d3b0a \
-    6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520715b305d202d3e20635b305d3b0a \
-    6d65617375726520715b315d202d3e20635b315d3b0a1000000000000000726571756972656d656e74732e74 \
-    787444000000000000007169736b69740a7169736b69742d6165720a6d6174706c6f746c69620a7169736b69 \
-    745f69626d715f70726f76696465720a7169736b69745f69626d5f72756e74696d6506000000000000007275 \
-    6e2e7079eb0100000000000023204175746f2d67656e65726174656420627920746865205152494f206d6173 \
-    7465722073657276657220666f72206a6f622027676f6c64656e272e0a2320537465707320706572666f726d \
-    6564206f6e207468652061737369676e6564206e6f64653a0a23202020312e206c6f616420746865206e6f64 \
-    6527732076656e646f72206261636b656e64206465736372697074696f6e20286261636b656e642e73706563 \
-    290a23202020322e20706172736520636972637569742e7161736d207368697070656420696e207468697320 \
-    636f6e7461696e65720a23202020332e207472616e7370696c6520746865206369726375697420746f207468 \
-    65206261636b656e6420286c61796f75742c20726f7574696e672c2062617369732c206f7074696d697a6529 \
-    0a23202020342e20657865637574652031362073686f747320756e64657220746865206261636b656e64206e \
-    6f697365206d6f64656c0a23202020352e2077726974652074686520686973746f6772616d20616e64206c6f \
-    6773206261636b20746f20746865205152494f206d6173746572207365727665720a66726f6d207172696f20 \
-    696d706f72742072756e5f6a6f620a0a72756e5f6a6f6228636972637569745f66696c653d22636972637569 \
-    742e7161736d222c2073686f74733d3136290a01000000000000000000000000000000030000000000000009 \
-    000000000000004e6f646541646465641d000000000000006e6f6465202764657627206a6f696e6564207468 \
-    6520636c75737465720b00000000000000496d6167655075736865642100000000000000696d616765202771 \
-    72696f2f676f6c64656e3a6c617465737427207075736865640c000000000000004a6f625375626d69747465 \
-    6416000000000000006a6f622027676f6c64656e27207375626d697474656401070000000000000000000000 \
-    0000d03f000000000000c03f000000000000b03f000000000000a03f60000000000000001700000000000000 \
-    00000000000059400100000000000000080100000000000023205152494f206261636b656e64207370656369 \
-    6669636174696f6e0a6e616d65203d206465760a717562697473203d20320a62617369735f6761746573203d \
-    2075312c75322c75332c63780a717562697420302074313d3130303030302074323d31303030303020726561 \
+    6e3a6c617465737401000000000000000000000000000000010000000000000009000000000000004e6f6465 \
+    41646465641d000000000000006e6f6465202764657627206a6f696e65642074686520636c75737465720107 \
+    00000000000000000000000000d03f000000000000c03f000000000000b03f000000000000a03f6000000000 \
+    000000170000000000000000000000000059400100000000000000080100000000000023205152494f206261 \
+    636b656e642073706563696669636174696f6e0a6e616d65203d206465760a717562697473203d20320a6261 \
+    7369735f6761746573203d2075312c75322c75332c63780a717562697420302074313d313030303030207432 \
+    3d31303030303020726561646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572 \
+    726f725f31713d302e3030320a717562697420312074313d3130303030302074323d31303030303020726561 \
     646f75745f6572726f723d3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030 \
-    320a717562697420312074313d3130303030302074323d31303030303020726561646f75745f6572726f723d \
-    3020726561646f75745f6c656e6774683d3330206572726f725f31713d302e3030320a656467652030203120 \
-    6572726f723d302e3031206475726174696f6e3d3330300a0100000000000000010000000000000006000000 \
-    00000000676f6c64656e09000000000000006d696e5f71756575650000000000000000017c00000000000000 \
-    4f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63223b0a7172656720715b32 \
-    5d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b315d3b0a6d65617375726520 \
-    715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b315d3b0a0100000000000000 \
-    03000000000000006465760300000000000000000000000000e03f000000000000d03f1700000000000000a0 \
-    0f00000000000000200000000000004000000000000000000000000000000000000000000000000103000000 \
-    00000000333333333333e33f08000000000000000a0000000000000002000000000000000000000000000000 \
-    00000000000000000017d9ecec";
+    320a6564676520302031206572726f723d302e3031206475726174696f6e3d3330300a010000000000000001 \
+    000000000000000600000000000000676f6c64656e09000000000000006d696e5f7175657565000000000000 \
+    0000017c000000000000004f50454e5141534d20322e303b0a696e636c756465202271656c6962312e696e63 \
+    223b0a7172656720715b325d3b0a6372656720635b325d3b0a6820715b305d3b0a637820715b305d2c715b31 \
+    5d3b0a6d65617375726520715b305d202d3e20635b305d3b0a6d65617375726520715b315d202d3e20635b31 \
+    5d3b0a010000000000000003000000000000006465760300000000000000000000000000e03f000000000000 \
+    d03f1700000000000000a00f0000000000000020000000000000400000000000000000000000000000000000 \
+    000000000000010300000000000000333333333333e33f08000000000000000a000000000000000200000000 \
+    00000000000000000000000000000000000000009bb59986";
 
 // ---------------------------------------------------------------------------
 // A busy snapshot: the genesis golden above holds one queued job. This one
@@ -636,6 +616,9 @@ const GOLDEN_SNAPSHOT_RECORD: &str = "\
 // `JobCancelled` of each blown deadline (5). With `RECORD_VERSION = 5`
 // (94433 → 91117 bytes) a transition's cause is typed where its text was,
 // and a failed job's error is kept there alone, not a third time beside it.
+// With `RECORD_VERSION = 6` (91117 → 49470 bytes) the registry keeps each
+// image's name and no files, the cluster's event log only node events, and
+// a scheduling decision its (here empty) skipped devices.
 // ---------------------------------------------------------------------------
 
 /// The busy fleet's devices, in name order.
@@ -758,7 +741,7 @@ fn busy_snapshot_digest_pins_the_snapshot_format() {
     );
 }
 
-const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (91117, 1220247653444584998);
+const BUSY_SNAPSHOT_LEN_AND_DIGEST: (usize, u64) = (49470, 16662924958488828679);
 
 /// When the earliest timer of the busy workload fires, read off what a user
 /// can see of every job and every breaker: a `Retrying` job's status says

@@ -130,7 +130,11 @@ fn recovery_restores_exact_pre_crash_state_and_resumes() {
     assert_eq!(recovered.now(), pre_now);
     assert!(recovered.is_durable());
     assert_eq!(report.torn_tail, None);
-    assert_eq!(report.events_healed, 0);
+    assert_eq!(
+        report.snapshot_cursor + report.events_regenerated,
+        pre_events.len() as u64,
+        "every event is the snapshot's or a replayed command's"
+    );
     assert_eq!(report.jobs, pre_statuses.len() as u64);
 
     // The recovered instance is live: finish the workload.

@@ -600,6 +600,48 @@ fn two_jobs_sharing_an_image_name_each_run_their_own_circuit() {
     }
 }
 
+/// An image is the job's spec rendered again, not a store of circuits: a
+/// job submitted without a circuit fails for want of one, even when a later
+/// job pushed an image of the same name that holds a circuit.
+#[test]
+fn a_circuit_less_job_sharing_an_image_name_fails_for_want_of_a_circuit() {
+    let mut qrio = fast_qrio();
+    qrio.add_device(Backend::uniform("clean", topology::line(3), 0.0, 0.0))
+        .unwrap();
+    let circuit_less = JobRequestBuilder::new()
+        .job_name("no-circuit")
+        .image_name("qrio/shared-ghz:latest")
+        .num_qubits(3)
+        .min_queue()
+        .build()
+        .unwrap();
+    let ghz = JobRequestBuilder::new()
+        .with_circuit(&library::ghz(3).unwrap())
+        .job_name("ghz")
+        .image_name("qrio/shared-ghz:latest")
+        .min_queue()
+        .build()
+        .unwrap();
+    let lonely = qrio.enqueue(&circuit_less).unwrap();
+    let ghz = qrio.enqueue(&ghz).unwrap();
+    qrio.run_until_idle();
+
+    assert_eq!(qrio.status(&lonely).unwrap(), JobState::Failed);
+    let Err(QrioError::Cluster(ClusterError::ExecutionFailed { job, reason })) =
+        qrio.outcome(&lonely)
+    else {
+        panic!("{:?}", qrio.outcome(&lonely));
+    };
+    assert_eq!(job, "no-circuit");
+    assert!(reason.contains("no circuit"), "{reason}");
+    assert_eq!(qrio.status(&ghz).unwrap(), JobState::Succeeded);
+    assert_eq!(
+        qrio.outcome(&ghz).unwrap().counts.len(),
+        2,
+        "|000> and |111>"
+    );
+}
+
 /// Every frame that crosses the control plane during a fixed script — the
 /// `Bind`s, a clean run, a recalibration and a cordon, then a run that
 /// faults and is retried — with the frames' bytes pinned by length and

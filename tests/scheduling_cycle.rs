@@ -59,15 +59,6 @@ fn enqueue_named(qrio: &mut Qrio, job: &str, strategy: &str) -> JobId {
     qrio.enqueue(&request).unwrap()
 }
 
-fn events_of<'q>(qrio: &'q Qrio, kind: &str) -> Vec<&'q str> {
-    let events = qrio.cluster().events();
-    events
-        .iter()
-        .filter(|e| e.kind == kind)
-        .map(|e| e.message.as_str())
-        .collect()
-}
-
 #[test]
 fn nan_scores_are_skipped_not_sorted() {
     // Every third device scores NaN; the rest repeat five values, so the
@@ -90,13 +81,12 @@ fn nan_scores_are_skipped_not_sorted() {
     assert_eq!(qrio.status(&id).unwrap(), JobState::Scheduled);
 
     // The seven NaN devices were skipped, each with the typed reason.
-    let skipped = events_of(&qrio, "ScoreFailed");
-    assert_eq!(skipped.len(), 7);
+    assert_eq!(decision.skipped.len(), 7);
     let reason = MetaError::NonFiniteScore {
         device: "dev-00".into(),
         score: f64::NAN,
     };
-    assert!(skipped[0].contains(&reason.to_string()), "{}", skipped[0]);
+    assert_eq!(decision.skipped[0], ("dev-00".into(), reason.to_string()));
 
     // The meta server's whole-fleet ranking is the same loop, so the same
     // order.
@@ -121,9 +111,11 @@ fn job_level_score_errors_fail_the_job_once_with_the_cause() {
     let recorded = qrio.job_status(&id).unwrap().cause.clone().unwrap();
     assert!(recorded.to_string().contains(cause), "{recorded}");
     assert_eq!(qrio.outcome(&id).unwrap_err(), err);
-    // The job holds no reservation, and no device is blamed for it.
+    // The job holds no reservation, and no device is blamed for it: the
+    // only record of the failure is the job's cause.
     assert_eq!(qrio.cluster().job("doomed").unwrap().node(), None);
-    assert!(events_of(&qrio, "ScoreFailed").is_empty());
+    let kinds = qrio.cluster().events().iter().map(|e| e.kind.as_str());
+    assert!(kinds.into_iter().all(|kind| kind == "NodeAdded"));
 }
 
 #[test]
