@@ -136,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_deletes_the_name() {
+    fn remove_deletes_and_returns_the_image() {
         let mut registry = ImageRegistry::new();
         registry.push("img");
         assert!(registry.remove("img"));

@@ -204,6 +204,18 @@ mod tests {
     }
 
     #[test]
+    fn bundle_helpers() {
+        let job = containerize(&fidelity_request()).unwrap();
+        let image = render_image(&job.spec);
+        assert_eq!(image, job.image, "rendering again gives the same image");
+        assert_eq!(image.name(), "qrio/bv:1");
+        assert_eq!(image.file(CIRCUIT_FILE), Some(job.spec.qasm.as_str()));
+        assert_eq!(image.file("missing"), None);
+        let paths: Vec<&str> = image.files().map(|(path, _)| path).collect();
+        assert!(paths.windows(2).all(|w| w[0] < w[1]), "path order");
+    }
+
+    #[test]
     fn spec_and_yaml_match_the_request() {
         let request = fidelity_request();
         let job = containerize(&request).unwrap();
