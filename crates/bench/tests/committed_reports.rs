@@ -1,6 +1,6 @@
 //! The committed reports, rebuilt: the chaos report, the in-proc smoke
-//! report, the recovery report and its journal, and the fig7 / fig9
-//! outputs must come out of the same calls the binaries make byte for byte
+//! report, the recovery report and its journal, and the outputs of the
+//! fig6 / fig7 / fig9 / fig10 / table2 binaries must come out of the same calls the binaries make byte for byte
 //! as they are committed. A change that moves one of them shows here as a
 //! diff of a committed file.
 //!
@@ -23,8 +23,11 @@ const CHAOS_JSON: &str = include_str!("../../../BENCH_chaos.json");
 const SMOKE_JSON: &str = include_str!("../../../baselines/BENCH_cloud_smoke.json");
 const RECOVERY_TXT: &str = include_str!("../../../baselines/BENCH_recovery.txt");
 const RECOVERY_JOURNAL: &str = include_str!("../../../baselines/bench_recovery_journal.txt");
+const FIG6_TXT: &str = include_str!("../../../baselines/fig6_default_topologies.txt");
 const FIG7_TXT: &str = include_str!("../../../baselines/fig7_fidelity.txt");
 const FIG9_TXT: &str = include_str!("../../../baselines/fig9_topology_choice.txt");
+const FIG10_TXT: &str = include_str!("../../../baselines/fig10_filtering.txt");
+const TABLE2_TXT: &str = include_str!("../../../baselines/table2_fleet.txt");
 
 /// fnv1a over every rendered cause of the chaos watch log, then of the
 /// recovery storm's, each followed by a newline. The causes render the text
@@ -101,12 +104,9 @@ fn every_rendered_reason_is_the_committed_text() {
     assert_eq!(fnv1a(&text), REASONS_DIGEST, "{:#018x}", fnv1a(&text));
 }
 
-#[test]
-fn the_fig7_and_fig9_outputs_are_the_committed_ones() {
-    for (binary, committed) in [
-        (env!("CARGO_BIN_EXE_fig7_fidelity"), FIG7_TXT),
-        (env!("CARGO_BIN_EXE_fig9_topology_choice"), FIG9_TXT),
-    ] {
+/// Each binary, run with no arguments, prints its committed file.
+fn prints_the_committed_files(binaries: &[(&str, &str)]) {
+    for &(binary, committed) in binaries {
         let output = Command::new(binary).output().expect("figure binary runs");
         assert!(output.status.success(), "{binary} failed");
         assert_eq!(
@@ -115,4 +115,21 @@ fn the_fig7_and_fig9_outputs_are_the_committed_ones() {
             "{binary}"
         );
     }
+}
+
+#[test]
+fn the_fig7_and_fig9_outputs_are_the_committed_ones() {
+    prints_the_committed_files(&[
+        (env!("CARGO_BIN_EXE_fig7_fidelity"), FIG7_TXT),
+        (env!("CARGO_BIN_EXE_fig9_topology_choice"), FIG9_TXT),
+    ]);
+}
+
+#[test]
+fn the_fig6_fig10_and_table2_outputs_are_the_committed_ones() {
+    prints_the_committed_files(&[
+        (env!("CARGO_BIN_EXE_fig6_default_topologies"), FIG6_TXT),
+        (env!("CARGO_BIN_EXE_fig10_filtering"), FIG10_TXT),
+        (env!("CARGO_BIN_EXE_table2_fleet"), TABLE2_TXT),
+    ]);
 }
