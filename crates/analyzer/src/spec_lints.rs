@@ -4,11 +4,10 @@
 //! beyond the fleet's service capacity, and strategy parameters the selected
 //! strategy will silently ignore.
 
-use qrio_backend::Backend;
+use qrio_backend::{Backend, NodeLabels};
 use qrio_cluster::{DeviceRequirements, StrategySpec};
 use qrio_loadgen::{Scenario, ScenarioEvent};
 use qrio_meta::StrategyRegistry;
-use qrio_scheduler::filter::filter_backends_report;
 
 use crate::diag::{Diagnostic, LintCode, Location, Severity};
 
@@ -23,20 +22,25 @@ pub fn lint_requirements(
     if fleet.is_empty() {
         return Vec::new();
     }
-    let report = filter_backends_report(fleet, requirements);
-    if report.accepted_count() > 0 {
-        return Vec::new();
+    // The first bound each device violates; one that violates none ends
+    // the lint. Classical resources are not the user's bounds: unlimited.
+    let mut rejected = Vec::with_capacity(fleet.len());
+    for backend in fleet {
+        let labels = NodeLabels::from_backend(backend, u64::MAX, u64::MAX);
+        match requirements.rejection(&labels) {
+            Some(reason) => rejected.push((backend.name(), reason)),
+            None => return Vec::new(),
+        }
     }
     // Summarize why: one representative rejection per device keeps the
     // message bounded on large fleets.
-    let mut reasons: Vec<String> = report
-        .rejected
+    let mut reasons: Vec<String> = rejected
         .iter()
         .take(3)
         .map(|(device, reason)| format!("{device}: {reason}"))
         .collect();
-    if report.rejected.len() > 3 {
-        reasons.push(format!("... and {} more", report.rejected.len() - 3));
+    if rejected.len() > 3 {
+        reasons.push(format!("... and {} more", rejected.len() - 3));
     }
     vec![Diagnostic::new(
         LintCode::UnsatisfiableRequirements,
@@ -210,6 +214,34 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::UnsatisfiableRequirements);
         assert!(diags[0].message.contains("qubits"));
+    }
+
+    #[test]
+    fn the_message_explains_each_rejection() {
+        let mut fleet = vec![
+            Backend::uniform("low-err", topology::line(10), 0.01, 0.05),
+            Backend::uniform("mid-err", topology::line(20), 0.02, 0.3),
+            Backend::uniform("high-err", topology::line(30), 0.05, 0.6),
+        ];
+        let req = DeviceRequirements {
+            max_two_qubit_error: Some(0.1),
+            min_qubits: Some(15),
+            ..DeviceRequirements::default()
+        };
+        let diags = lint_requirements(&req, &fleet, "job 'strict'");
+        assert_eq!(diags.len(), 1);
+        let message = &diags[0].message;
+        assert!(message.starts_with("no device of the 3-device fleet"));
+        // Each device with the first bound it violates.
+        assert!(message.contains("low-err: 10 qubits < required 15"));
+        assert!(message.contains("mid-err: avg 2q error"));
+        assert!(message.contains("high-err: avg 2q error"));
+        assert!(!message.contains("more"));
+        // Past three devices the rest are counted, not listed.
+        fleet.push(Backend::uniform("tiny", topology::line(2), 0.0, 0.0));
+        fleet.push(Backend::uniform("tinier", topology::line(1), 0.0, 0.0));
+        let diags = lint_requirements(&req, &fleet, "job 'strict'");
+        assert!(diags[0].message.ends_with("; ... and 2 more)"));
     }
 
     #[test]

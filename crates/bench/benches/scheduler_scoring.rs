@@ -5,11 +5,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, qasm};
+use qrio_cluster::StrategySpec;
 use qrio_meta::{FidelityRankingConfig, MetaServer};
 
 fn bench_scoring(c: &mut Criterion) {
     let circuit = library::bernstein_vazirani(6, 0b101101).unwrap();
-    let topo_request = library::topology_circuit(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+    let fidelity = StrategySpec::fidelity(0.9);
+    let topology = StrategySpec::topology(&[(0, 1), (1, 2), (2, 3)], 4);
 
     let mut group = c.benchmark_group("meta_server_scoring");
     group.sample_size(10);
@@ -26,9 +28,10 @@ fn bench_scoring(c: &mut Criterion) {
             shortfall_weight: 100.0,
         });
         meta.register_backend(backend);
-        meta.upload_fidelity_metadata("fidelity-job", 0.9, &qasm::to_qasm(&circuit))
+        meta.upload_job_metadata("fidelity-job", &fidelity, Some(&qasm::to_qasm(&circuit)))
             .unwrap();
-        meta.upload_topology_metadata("topology-job", topo_request.clone());
+        meta.upload_job_metadata("topology-job", &topology, None)
+            .unwrap();
         let device = format!("bench-{device_size}");
 
         group.bench_with_input(

@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleet.len()
     );
     println!("{:>24} {:>18}", "max 2q error", "filtered devices");
-    for (threshold, count) in fig10_filtering(&fleet) {
+    for (threshold, count) in fig10_filtering(&fleet)? {
         let bar = "#".repeat(count / 2);
         println!("{threshold:>24.3} {count:>18}   {bar}");
     }

@@ -483,6 +483,50 @@ mod tests {
     }
 
     #[test]
+    fn rejection_names_the_first_violated_bound() {
+        let req = DeviceRequirements {
+            min_qubits: Some(10),
+            max_two_qubit_error: Some(0.1),
+            max_readout_error: Some(0.1),
+            min_t1_us: Some(100.0),
+            min_t2_us: Some(200.0),
+        };
+        // Each bound alone, with its reason; bounds are inclusive.
+        assert_eq!(req.rejection(&labels(10, 0.1, 0.1, 200.0)), None);
+        let cases = [
+            (labels(5, 0.05, 0.05, 1000.0), "5 qubits < required 10"),
+            (
+                labels(20, 0.5, 0.05, 1000.0),
+                "avg 2q error 0.5000 > allowed 0.1000",
+            ),
+            (
+                labels(20, 0.05, 0.5, 1000.0),
+                "avg readout error 0.5000 > allowed 0.1000",
+            ),
+            (labels(20, 0.05, 0.05, 10.0), "avg T1 10us < required 100us"),
+            (
+                labels(20, 0.05, 0.05, 150.0),
+                "avg T2 150us < required 200us",
+            ),
+        ];
+        for (labels, reason) in &cases {
+            assert_eq!(req.rejection(labels).as_deref(), Some(*reason));
+        }
+        // Several violations: the reason is the first bound in field order.
+        let everything_wrong = labels(5, 0.5, 0.5, 10.0);
+        assert_eq!(
+            req.rejection(&everything_wrong).as_deref(),
+            Some("5 qubits < required 10")
+        );
+        let only_errors = labels(20, 0.5, 0.5, 10.0);
+        assert!(req.rejection(&only_errors).unwrap().contains("2q error"));
+        assert_eq!(
+            DeviceRequirements::none().rejection(&everything_wrong),
+            None
+        );
+    }
+
+    #[test]
     fn job_lifecycle_and_logs() {
         let spec = JobSpec {
             name: "bv-job".into(),

@@ -2,6 +2,13 @@
 //! scenarios (§4), shared by the `qrio-bench` figure binaries and the
 //! integration tests.
 //!
+//! QRIO's choices in every figure are the service's decisions: each
+//! experiment stands up a [`Qrio`] holding the figure's fleet, enqueues the
+//! user's job through [`JobRequestBuilder`] and reads the ranking the
+//! service would bind from ([`Qrio::rank_ready`]) — the same cycle that
+//! schedules every job. The oracle and random schedulers stay outside the
+//! service: they are the baselines QRIO is compared to.
+//!
 //! Each function reproduces one table or figure:
 //!
 //! * [`fig6_default_topologies`] — average score decrease of the QRIO
@@ -11,21 +18,35 @@
 //!   median.
 //! * [`fig9_topology_choice`] — the user-drawn tree topology against three
 //!   equal-error 10-qubit devices (tree / ring / line).
-//! * [`fig10_filtering`] — number of devices passing the two-qubit-error
-//!   filter sweep.
+//! * [`fig10_filtering`] — number of devices the service ranks as the
+//!   user's maximum two-qubit error is swept.
 //!
 //! The 100-device fleet itself (Table 2) comes from
 //! [`qrio_backend::fleet::paper_fleet`].
 
 use qrio_backend::{topology, Backend, DefaultTopology};
-use qrio_circuit::{library, qasm, Circuit};
-use qrio_meta::{FidelityRankingConfig, MetaServer};
-use qrio_scheduler::{
-    achieved_fidelity, oracle_select, paper_fig10_thresholds, two_qubit_error_sweep,
-    RandomScheduler,
-};
+use qrio_circuit::{library, Circuit};
+use qrio_cluster::DeviceRequirements;
+use qrio_meta::FidelityRankingConfig;
+use qrio_scheduler::{achieved_fidelity, oracle_select, RandomScheduler, SchedulerError};
 
 use crate::error::QrioError;
+use crate::orchestrator::Qrio;
+use crate::visualizer::{JobRequest, JobRequestBuilder, TopologyDesigner};
+
+/// A service holding `fleet`, scoring fidelity canaries under `ranking`.
+fn service(fleet: &[Backend], ranking: FidelityRankingConfig) -> Result<Qrio, QrioError> {
+    let mut qrio = Qrio::with_config(ranking, ranking.seed);
+    qrio.add_fleet(fleet.iter().cloned())?;
+    Ok(qrio)
+}
+
+/// Enqueue `request` and return the service's ranking for it, best (lowest
+/// score) first: the devices it would bind the job to, before it binds.
+fn ranking(qrio: &mut Qrio, request: &JobRequest) -> Result<Vec<(String, f64)>, QrioError> {
+    let id = qrio.enqueue(request)?;
+    qrio.rank_ready(&id)
+}
 
 /// Parameters shared by the experiment harness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,33 +98,25 @@ pub struct Fig6Row {
 ///
 /// # Errors
 ///
-/// Returns an error if a topology circuit cannot be built or no device can be
-/// scored at all.
+/// Returns an error if the service rejects a topology job or can score no
+/// device for it.
 pub fn fig6_default_topologies(
     fleet: &[Backend],
     config: &ExperimentConfig,
 ) -> Result<Vec<Fig6Row>, QrioError> {
+    let mut qrio = service(fleet, FidelityRankingConfig::default())?;
     let mut rows = Vec::new();
     for default in DefaultTopology::ALL {
-        let mut meta = MetaServer::new();
-        for backend in fleet {
-            meta.register_backend(backend.clone());
-        }
-        let request = library::topology_circuit(default.num_qubits(), &default.edges())?;
-        let job_name = format!("fig6-{}", default.name());
-        meta.upload_topology_metadata(&job_name, request);
-        let ranked = meta.score_all(&job_name)?;
-        if ranked.is_empty() {
-            return Err(QrioError::InvalidRequest(format!(
-                "no device could be scored for topology '{}'",
-                default.name()
-            )));
-        }
-        let qrio_score = ranked[0].value;
+        let request = JobRequestBuilder::new()
+            .job_name(format!("fig6-{}", default.name()))
+            .topology(&TopologyDesigner::from_default(default))
+            .build()?;
+        let ranked = ranking(&mut qrio, &request)?;
+        let qrio_score = ranked[0].1;
         // Random scheduler: uniform over the scoreable devices.
         let scoreable: Vec<&Backend> = fleet
             .iter()
-            .filter(|b| ranked.iter().any(|r| r.device == b.name()))
+            .filter(|b| ranked.iter().any(|(device, _)| device == b.name()))
             .collect();
         let mut random = RandomScheduler::new(config.seed ^ default.num_qubits() as u64);
         let mut random_total = 0.0;
@@ -111,8 +124,8 @@ pub fn fig6_default_topologies(
             let pick = random.pick(&scoreable)?;
             let score = ranked
                 .iter()
-                .find(|r| r.device == pick.name())
-                .map(|r| r.value)
+                .find(|(device, _)| device == pick.name())
+                .map(|&(_, score)| score)
                 .unwrap_or(qrio_score);
             random_total += score;
         }
@@ -191,26 +204,27 @@ pub fn fig7_for_circuit(
     // Oracle: exact simulation of the original circuit on every device.
     let oracle = oracle_select(circuit, fleet, config.shots, config.seed)?;
 
-    // Clifford (QRIO): rank devices with the canary strategy, then measure the
-    // fidelity the *original* circuit achieves on the chosen device.
-    let mut meta = MetaServer::with_config(FidelityRankingConfig {
-        shots: config.shots,
-        seed: config.seed,
-        shortfall_weight: 100.0,
-    });
-    for backend in fleet {
-        meta.register_backend(backend.clone());
-    }
-    let job_name = format!("fig7-{name}");
-    meta.upload_fidelity_metadata(&job_name, 1.0, &qasm::to_qasm(circuit))?;
-    let ranked = meta.score_all(&job_name)?;
-    let clifford_device = ranked.first().map(|r| r.device.clone()).ok_or_else(|| {
-        QrioError::InvalidRequest(format!("no device could be scored for '{name}'"))
-    })?;
+    // Clifford (QRIO): the service ranks devices with the canary strategy,
+    // then we measure the fidelity the *original* circuit achieves on its
+    // choice.
+    let mut qrio = service(
+        fleet,
+        FidelityRankingConfig {
+            shots: config.shots,
+            seed: config.seed,
+            shortfall_weight: 100.0,
+        },
+    )?;
+    let request = JobRequestBuilder::new()
+        .with_circuit(circuit)
+        .job_name(format!("fig7-{name}"))
+        .fidelity_target(1.0)
+        .build()?;
+    let clifford_device = ranking(&mut qrio, &request)?.swap_remove(0).0;
     let clifford_backend = fleet
         .iter()
         .find(|b| b.name() == clifford_device)
-        .expect("scored device comes from the fleet");
+        .expect("ranked device comes from the fleet");
     let clifford = achieved_fidelity(circuit, clifford_backend, config.shots, config.seed)?;
 
     // Random scheduler: mean fidelity over `repetitions` random draws among
@@ -292,22 +306,23 @@ pub fn fig9_devices() -> Vec<Backend> {
 ///
 /// # Errors
 ///
-/// Returns an error if the topology circuit cannot be built or scoring fails.
+/// Returns an error if the service rejects the topology job or can score no
+/// device for it.
 pub fn fig9_topology_choice(config: &ExperimentConfig) -> Result<Fig9Result, QrioError> {
     let devices = fig9_devices();
-    let user_topology = library::topology_circuit(10, &topology::binary_tree(10).edges())?;
-    let mut meta = MetaServer::new();
-    for backend in &devices {
-        meta.register_backend(backend.clone());
+    let mut qrio = service(&devices, FidelityRankingConfig::default())?;
+    let mut designer = TopologyDesigner::new(10);
+    for (a, b) in topology::binary_tree(10).edges() {
+        designer.connect(a, b)?;
     }
-    meta.upload_topology_metadata("fig9-user-topology", user_topology);
+    let request = JobRequestBuilder::new()
+        .job_name("fig9-user-topology")
+        .topology(&designer)
+        .build()?;
+    let id = qrio.enqueue(&request)?;
     let mut selections = Vec::with_capacity(config.repetitions.max(1));
     for _ in 0..config.repetitions.max(1) {
-        let ranked = meta.score_all("fig9-user-topology")?;
-        let winner = ranked.first().map(|r| r.device.clone()).ok_or_else(|| {
-            QrioError::InvalidRequest("no device could be scored for Fig. 9".into())
-        })?;
-        selections.push(winner);
+        selections.push(qrio.rank_ready(&id)?.swap_remove(0).0);
     }
     Ok(Fig9Result {
         devices: devices.iter().map(|b| b.name().to_string()).collect(),
@@ -320,11 +335,43 @@ pub fn fig9_topology_choice(config: &ExperimentConfig) -> Result<Fig9Result, Qri
 // Fig. 10 — filtering sweep
 // ---------------------------------------------------------------------------
 
-/// Run the Fig. 10 experiment: number of fleet devices passing the
-/// user-requested maximum two-qubit error rate, swept over the paper's ten
-/// thresholds.
-pub fn fig10_filtering(fleet: &[Backend]) -> Vec<(f64, usize)> {
-    two_qubit_error_sweep(fleet, &paper_fig10_thresholds())
+/// The ten maximum two-qubit error rates the paper sweeps in Fig. 10
+/// (0.07 → 0.68).
+pub fn paper_fig10_thresholds() -> Vec<f64> {
+    vec![
+        0.07, 0.147, 0.214, 0.280, 0.347, 0.414, 0.480, 0.547, 0.613, 0.680,
+    ]
+}
+
+/// Run the Fig. 10 experiment: for each of the paper's ten thresholds, the
+/// number of fleet devices the service ranks for a job that bounds the
+/// maximum two-qubit error rate by it.
+///
+/// # Errors
+///
+/// Returns an error if the service rejects a job or fails it for any reason
+/// other than no device passing the bound.
+pub fn fig10_filtering(fleet: &[Backend]) -> Result<Vec<(f64, usize)>, QrioError> {
+    let mut qrio = service(fleet, FidelityRankingConfig::default())?;
+    let mut sweep = Vec::new();
+    for (i, threshold) in paper_fig10_thresholds().into_iter().enumerate() {
+        let request = JobRequestBuilder::new()
+            .job_name(format!("fig10-{i}"))
+            .num_qubits(1)
+            .requirements(DeviceRequirements {
+                max_two_qubit_error: Some(threshold),
+                ..DeviceRequirements::default()
+            })
+            .min_queue()
+            .build()?;
+        let passing = match ranking(&mut qrio, &request) {
+            Ok(ranked) => ranked.len(),
+            Err(QrioError::Scheduler(SchedulerError::NoDeviceAfterFiltering { .. })) => 0,
+            Err(err) => return Err(err),
+        };
+        sweep.push((threshold, passing));
+    }
+    Ok(sweep)
 }
 
 #[cfg(test)]
@@ -396,7 +443,7 @@ mod tests {
     #[test]
     fn fig10_counts_grow_with_threshold() {
         let fleet = small_fleet();
-        let sweep = fig10_filtering(&fleet);
+        let sweep = fig10_filtering(&fleet).unwrap();
         assert_eq!(sweep.len(), 10);
         for window in sweep.windows(2) {
             assert!(window[0].1 <= window[1].1);

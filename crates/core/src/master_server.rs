@@ -9,7 +9,8 @@
 //! image is stored once, as the spec: the registry keeps only its name, and
 //! [`render_image`] renders the files whenever they are shipped — by
 //! [`containerize`], and by [`crate::ControlPlane::send_run`] for every
-//! attempt's `Run` payload.
+//! attempt's `Run` payload. Admission (`Qrio::enqueue`) builds only the
+//! spec ([`job_spec`]): it pushes the image by name and ships no file.
 
 use qrio_cluster::JobSpec;
 
@@ -84,22 +85,22 @@ pub struct ContainerizedJob {
     pub yaml: String,
 }
 
-/// Containerize a job request: build the job spec, its image and its YAML
-/// document.
+/// The job spec of a request: what the master server hands the cluster for
+/// scheduling, and what the job's image and YAML document render from.
 ///
 /// # Errors
 ///
 /// Returns an error if the request is internally inconsistent (currently only
 /// when a circuit-scoring built-in strategy is used without a circuit
 /// payload; user-defined strategies validate in the meta server registry).
-pub fn containerize(request: &JobRequest) -> Result<ContainerizedJob, QrioError> {
+pub fn job_spec(request: &JobRequest) -> Result<JobSpec, QrioError> {
     if qrio_meta::requires_circuit(&request.strategy.name) && request.qasm.is_empty() {
         return Err(QrioError::InvalidRequest(format!(
             "'{}'-ranked jobs must include the circuit QASM",
             request.strategy.name
         )));
     }
-    let spec = JobSpec {
+    Ok(JobSpec {
         name: request.job_name.clone(),
         image: request.image_name.clone(),
         qasm: request.qasm.clone(),
@@ -112,7 +113,17 @@ pub fn containerize(request: &JobRequest) -> Result<ContainerizedJob, QrioError>
         threads: request.parallel.threads(),
         retry: request.retry,
         deadline: request.deadline,
-    };
+    })
+}
+
+/// Containerize a job request: its [`job_spec`], the image rendered from
+/// it and its YAML document.
+///
+/// # Errors
+///
+/// The errors of [`job_spec`].
+pub fn containerize(request: &JobRequest) -> Result<ContainerizedJob, QrioError> {
+    let spec = job_spec(request)?;
     let yaml = qrio_cluster::yaml::to_yaml(&spec);
     let image = render_image(&spec);
     Ok(ContainerizedJob { image, spec, yaml })
@@ -219,6 +230,7 @@ mod tests {
     fn spec_and_yaml_match_the_request() {
         let request = fidelity_request();
         let job = containerize(&request).unwrap();
+        assert_eq!(job_spec(&request).unwrap(), job.spec);
         assert_eq!(job.spec.name, "bv-job");
         assert_eq!(job.spec.image, "qrio/bv:1");
         assert_eq!(job.spec.num_qubits, 5);
@@ -257,6 +269,7 @@ mod tests {
         // Construct an inconsistent request by hand.
         let mut request = fidelity_request();
         request.qasm.clear();
+        assert!(job_spec(&request).is_err());
         assert!(containerize(&request).is_err());
     }
 }

@@ -9,7 +9,7 @@ use super::{JobOutcome, Qrio};
 use crate::durability::Command;
 use crate::error::QrioError;
 use crate::lifecycle::{Cause, JobEvent, JobId, JobState, JobStatus, TickReport, Tracked};
-use crate::master_server::containerize;
+use crate::master_server::job_spec;
 use crate::visualizer::JobRequest;
 
 /// How an admission attempt for one queued job ended.
@@ -44,8 +44,8 @@ pub(super) fn phase_conflict(id: &JobId, action: &str, state: JobState) -> QrioE
 
 impl Qrio {
     /// Submit a job without blocking: upload its metadata to the meta server
-    /// (strategy validation runs here), containerize it, push the image and
-    /// admit the job to the scheduling queue. Returns as soon as the job is
+    /// (strategy validation runs here), build its job spec, push its image
+    /// by name and admit the job to the scheduling queue. Returns as soon as the job is
     /// `Queued`; nothing has been scheduled or executed yet — drive the
     /// lifecycle with [`Qrio::tick`] / [`Qrio::run_until_idle`] and read the
     /// result with [`Qrio::outcome`].
@@ -81,21 +81,22 @@ impl Qrio {
         self.meta
             .upload_job_metadata(&request.job_name, &request.strategy, qasm_text)?;
 
-        // 2. Visualizer → master server: containerize and create the job
-        //    spec. A failure here must not leak the metadata uploaded above.
-        let containerized = match containerize(request) {
-            Ok(containerized) => containerized,
+        // 2. Visualizer → master server: create the job spec and push its
+        //    image, by name. A failure here must not leak the metadata
+        //    uploaded above.
+        let spec = match job_spec(request) {
+            Ok(spec) => spec,
             Err(err) => {
                 self.meta.remove_job_metadata(&request.job_name);
                 return Err(err);
             }
         };
-        let image_name = containerized.spec.image.clone();
+        let image_name = spec.image.clone();
         self.cluster.push_image(image_name.clone());
         // Currently unreachable (submit_job only fails on DuplicateJob,
         // pre-checked above) — kept as rollback defense in case the
         // cluster's submission surface grows more failure modes.
-        if let Err(err) = self.cluster.submit_job(containerized.spec) {
+        if let Err(err) = self.cluster.submit_job(spec) {
             self.meta.remove_job_metadata(&request.job_name);
             self.remove_image_if_unreferenced(&image_name, &request.job_name);
             return Err(err.into());

@@ -30,6 +30,7 @@
 //! ```
 //! use qrio_backend::{topology, Backend};
 //! use qrio_circuit::{library, qasm};
+//! use qrio_cluster::StrategySpec;
 //! use qrio_meta::MetaServer;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +39,8 @@
 //! meta.register_backend(Backend::uniform("noisy", topology::line(6), 0.05, 0.3));
 //!
 //! let bv = library::bernstein_vazirani(5, 0b10101)?;
-//! meta.upload_fidelity_metadata("bv-job", 0.95, &qasm::to_qasm(&bv))?;
+//! let fidelity = StrategySpec::fidelity(0.95);
+//! meta.upload_job_metadata("bv-job", &fidelity, Some(&qasm::to_qasm(&bv)))?;
 //! let ranked = meta.score_all("bv-job")?;
 //! assert_eq!(ranked[0].device, "clean");
 //! # Ok(())

@@ -320,48 +320,6 @@ impl MetaServer {
             Some(text) => Some(qasm::parse_qasm(text)?),
             None => None,
         };
-        self.upload_job_record(job_name, strategy.clone(), circuit)
-    }
-
-    /// Upload fidelity-workflow metadata: the target fidelity and the user's
-    /// QASM circuit (sugar for [`Self::upload_job_metadata`] with the built-in
-    /// `"fidelity"` strategy).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the target is outside `[0, 1]` or the QASM fails to
-    /// parse.
-    pub fn upload_fidelity_metadata(
-        &mut self,
-        job_name: impl Into<String>,
-        target: f64,
-        qasm_text: &str,
-    ) -> Result<(), MetaError> {
-        self.upload_job_metadata(job_name, &StrategySpec::fidelity(target), Some(qasm_text))
-    }
-
-    /// Upload topology-workflow metadata: the user-drawn topology circuit
-    /// (sugar for the built-in `"topology"` strategy with the circuit as the
-    /// request).
-    pub fn upload_topology_metadata(
-        &mut self,
-        job_name: impl Into<String>,
-        topology_circuit: Circuit,
-    ) {
-        self.upload_job_record(
-            job_name,
-            StrategySpec::new(qrio_cluster::strategy_names::TOPOLOGY),
-            Some(topology_circuit),
-        )
-        .expect("the built-in topology strategy accepts a circuit upload");
-    }
-
-    fn upload_job_record(
-        &mut self,
-        job_name: impl Into<String>,
-        strategy: StrategySpec,
-        circuit: Option<Circuit>,
-    ) -> Result<(), MetaError> {
         let plugin = self.registry.resolve(&strategy.name)?;
         plugin.validate(&strategy.params, circuit.as_ref())?;
         let job_name = job_name.into();
@@ -371,7 +329,11 @@ impl MetaServer {
             .lock()
             .expect("cache poisoned")
             .forget_job(&job_name);
-        self.jobs.insert(job_name, JobRecord { strategy, circuit });
+        let record = JobRecord {
+            strategy: strategy.clone(),
+            circuit,
+        };
+        self.jobs.insert(job_name, record);
         Ok(())
     }
 
@@ -605,7 +567,11 @@ mod tests {
         let mut server = server_with_devices();
         let bv = library::bernstein_vazirani(5, 0b10110).unwrap();
         server
-            .upload_fidelity_metadata("bv-job", 0.95, &qrio_circuit::qasm::to_qasm(&bv))
+            .upload_job_metadata(
+                "bv-job",
+                &StrategySpec::fidelity(0.95),
+                Some(&qrio_circuit::qasm::to_qasm(&bv)),
+            )
             .unwrap();
         let record = server.job_metadata("bv-job").unwrap();
         assert_eq!(record.strategy_name(), "fidelity");
@@ -630,8 +596,10 @@ mod tests {
         ));
         server.register_backend(Backend::uniform("eq-ring", topology::ring(8), 0.01, 0.05));
         server.register_backend(Backend::uniform("eq-line", topology::line(8), 0.01, 0.05));
-        let request = library::topology_circuit(8, &topology::binary_tree(8).edges()).unwrap();
-        server.upload_topology_metadata("topo-job", request);
+        let request = StrategySpec::topology(&topology::binary_tree(8).edges(), 8);
+        server
+            .upload_job_metadata("topo-job", &request, None)
+            .unwrap();
         assert_eq!(
             server.job_metadata("topo-job").unwrap().strategy_name(),
             "topology"
@@ -728,8 +696,10 @@ mod tests {
         let mut server = MetaServer::new();
         server.register_backend(Backend::uniform("ring", topology::ring(8), 0.01, 0.05));
         server.register_backend(Backend::uniform("line", topology::line(8), 0.01, 0.05));
-        let request = library::topology_circuit(8, &topology::ring(8).edges()).unwrap();
-        server.upload_topology_metadata("topo-cache", request.clone());
+        let request = StrategySpec::topology(&topology::ring(8).edges(), 8);
+        server
+            .upload_job_metadata("topo-cache", &request, None)
+            .unwrap();
 
         let first = server.score_all("topo-cache").unwrap();
         assert_eq!(server.score_cache_stats(), (0, 2), "cold cache: all misses");
@@ -744,7 +714,9 @@ mod tests {
         assert_eq!(server.score_cache_stats(), (3, 3));
 
         // Re-uploading the job drops both of its entries.
-        server.upload_topology_metadata("topo-cache", request);
+        server
+            .upload_job_metadata("topo-cache", &request, None)
+            .unwrap();
         server.score_all("topo-cache").unwrap();
         assert_eq!(server.score_cache_stats(), (3, 5));
     }
@@ -783,8 +755,8 @@ mod tests {
     fn cloned_servers_carry_the_cache() {
         let mut server = MetaServer::new();
         server.register_backend(Backend::uniform("ring", topology::ring(6), 0.01, 0.05));
-        let request = library::topology_circuit(6, &topology::ring(6).edges()).unwrap();
-        server.upload_topology_metadata("topo", request);
+        let request = StrategySpec::topology(&topology::ring(6).edges(), 6);
+        server.upload_job_metadata("topo", &request, None).unwrap();
         server.score("topo", "ring").unwrap();
         let clone = server.clone();
         clone.score("topo", "ring").unwrap();
@@ -819,8 +791,8 @@ mod tests {
         assert_eq!(server.telemetry_for("ring").unwrap().queue_depth, 4);
         assert_eq!(server.telemetry_for("line").unwrap().queue_depth, 1);
 
-        let request = library::topology_circuit(6, &topology::ring(6).edges()).unwrap();
-        server.upload_topology_metadata("topo", request);
+        let request = StrategySpec::topology(&topology::ring(6).edges(), 6);
+        server.upload_job_metadata("topo", &request, None).unwrap();
         server.score_all("topo").unwrap();
         server.score_all("topo").unwrap();
         let stats = server.cache_stats();
@@ -837,11 +809,11 @@ mod tests {
         let mut server = MetaServer::new();
         server.register_backend(Backend::uniform("ring", topology::ring(6), 0.01, 0.05));
         server.register_backend(Backend::uniform("line", topology::line(6), 0.01, 0.05));
-        let request = library::topology_circuit(6, &topology::ring(6).edges()).unwrap();
+        let request = StrategySpec::topology(&topology::ring(6).edges(), 6);
         // The kept jobs sort directly before and after the dropped one, so
         // the range walk over the sorted cache must stop at both ends.
         for job in ["dro", "drop", "drop-2"] {
-            server.upload_topology_metadata(job, request.clone());
+            server.upload_job_metadata(job, &request, None).unwrap();
             server.score_all(job).unwrap();
         }
         assert_eq!(server.job_names(), vec!["dro", "drop", "drop-2"]);
@@ -877,7 +849,11 @@ mod tests {
         server.register_backend(Backend::uniform("noisy", topology::line(8), 0.06, 0.31));
         let bv = library::bernstein_vazirani(4, 0b1011).unwrap();
         server
-            .upload_fidelity_metadata("bv", 0.9, &qrio_circuit::qasm::to_qasm(&bv))
+            .upload_job_metadata(
+                "bv",
+                &StrategySpec::fidelity(0.9),
+                Some(&qrio_circuit::qasm::to_qasm(&bv)),
+            )
             .unwrap();
         server
             .upload_job_metadata("queued", &StrategySpec::min_queue(), None)
@@ -926,7 +902,11 @@ mod tests {
         assert!(server.score_all("nope").is_err());
         let bv = library::bernstein_vazirani(3, 0b101).unwrap();
         server
-            .upload_fidelity_metadata("j", 0.9, &qrio_circuit::qasm::to_qasm(&bv))
+            .upload_job_metadata(
+                "j",
+                &StrategySpec::fidelity(0.9),
+                Some(&qrio_circuit::qasm::to_qasm(&bv)),
+            )
             .unwrap();
         assert!(matches!(
             server.score("j", "missing"),
@@ -939,9 +919,15 @@ mod tests {
         let mut server = server_with_devices();
         let bv = library::bernstein_vazirani(3, 0b1).unwrap();
         let text = qrio_circuit::qasm::to_qasm(&bv);
-        assert!(server.upload_fidelity_metadata("bad", 1.5, &text).is_err());
         assert!(server
-            .upload_fidelity_metadata("bad", 0.9, "not qasm at all $$")
+            .upload_job_metadata("bad", &StrategySpec::fidelity(1.5), Some(&text))
+            .is_err());
+        assert!(server
+            .upload_job_metadata(
+                "bad",
+                &StrategySpec::fidelity(0.9),
+                Some("not qasm at all $$")
+            )
             .is_err());
         // Fidelity without a circuit is rejected by the strategy's validation.
         assert!(server
@@ -955,7 +941,11 @@ mod tests {
         server.register_backend(Backend::uniform("tiny", topology::line(2), 0.0, 0.0));
         let ghz = library::ghz(6).unwrap();
         server
-            .upload_fidelity_metadata("ghz-job", 0.9, &qrio_circuit::qasm::to_qasm(&ghz))
+            .upload_job_metadata(
+                "ghz-job",
+                &StrategySpec::fidelity(0.9),
+                Some(&qrio_circuit::qasm::to_qasm(&ghz)),
+            )
             .unwrap();
         let ranked = server.score_all("ghz-job").unwrap();
         assert!(ranked.iter().all(|r| r.device != "tiny"));

@@ -5,11 +5,11 @@
 //!
 //! Scheduling a quantum job is one two-stage cycle ([`QrioScheduler`]):
 //!
-//! 1. **Filtering** — devices that cannot host the job are removed: over
-//!    cluster nodes, `Node::rejection` (ready, classical resources, qubit
-//!    count, the user's bounds); over a bare fleet ([`filter`]), the user's
-//!    bounds on qubit count, average two-qubit error, readout error or T1/T2
-//!    alone (evaluated in Fig. 10).
+//! 1. **Filtering** — devices that cannot host the job are removed, each
+//!    node saying why (`Node::rejection`): not ready, short of classical
+//!    resources, too few qubits, or outside the user's bounds on qubit
+//!    count, average two-qubit error, readout error or T1/T2 (evaluated in
+//!    Fig. 10).
 //! 2. **Ranking** — each shortlisted device is scored by the QRIO Meta
 //!    Server through the job's registered ranking-strategy plugin
 //!    (Clifford-canary fidelity, Mapomatic topology similarity, weighted
@@ -24,29 +24,32 @@
 //!
 //! # Examples
 //!
+//! The cycle runs inside the service, `qrio::Qrio`: a job enqueued there is
+//! ranked over the nodes that can host it.
+//!
 //! ```
+//! use qrio::{JobRequestBuilder, Qrio};
 //! use qrio_backend::{topology, Backend};
-//! use qrio_circuit::{library, qasm};
-//! use qrio_cluster::DeviceRequirements;
-//! use qrio_meta::MetaServer;
-//! use qrio_scheduler::QrioScheduler;
+//! use qrio_circuit::library;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let fleet = vec![
-//!     Backend::uniform("clean", topology::line(8), 0.001, 0.01),
-//!     Backend::uniform("noisy", topology::line(8), 0.05, 0.4),
-//! ];
-//! let mut meta = MetaServer::new();
-//! for device in &fleet {
-//!     meta.register_backend(device.clone());
-//! }
-//! let bv = library::bernstein_vazirani(5, 0b10101)?;
-//! meta.upload_fidelity_metadata("bv-job", 0.9, &qasm::to_qasm(&bv))?;
+//! let mut qrio = Qrio::new();
+//! qrio.add_device(Backend::uniform("clean", topology::line(8), 0.001, 0.01))?;
+//! qrio.add_device(Backend::uniform("noisy", topology::line(8), 0.05, 0.4))?;
+//! qrio.add_device(Backend::uniform("tiny", topology::line(2), 0.0, 0.0))?;
 //!
-//! let scheduler = QrioScheduler::new(&meta);
-//! let (ranked, shortlisted) = scheduler.rank("bv-job", &fleet, &DeviceRequirements::none())?;
+//! let bv = library::bernstein_vazirani(5, 0b10101)?;
+//! let request = JobRequestBuilder::new()
+//!     .with_circuit(&bv)
+//!     .job_name("bv-job")
+//!     .fidelity_target(0.9)
+//!     .build()?;
+//! let id = qrio.enqueue(&request)?;
+//!
+//! // Filtered out: the 2-qubit device. Ranked: the other two, best first.
+//! let ranked = qrio.rank_ready(&id)?;
+//! assert_eq!(ranked.len(), 2);
 //! assert_eq!(ranked[0].0, "clean");
-//! assert_eq!(shortlisted, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -56,15 +59,10 @@
 
 pub mod baselines;
 mod error;
-pub mod filter;
 mod qrio_scheduler;
 
 pub use baselines::{
     achieved_fidelity, oracle_select, OracleEntry, OracleOutcome, RandomScheduler,
 };
 pub use error::SchedulerError;
-pub use filter::{
-    filter_backends, filter_backends_report, paper_fig10_thresholds, two_qubit_error_sweep,
-    FilterReport,
-};
 pub use qrio_scheduler::{Cycle, QrioScheduler};

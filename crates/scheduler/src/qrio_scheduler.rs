@@ -8,17 +8,17 @@
 //! an already-bound job run this same cycle, so they cannot disagree about
 //! which devices are candidates.
 //!
-//! [`QrioScheduler::rank`] is the same two stages over a bare fleet of
-//! backends — the scheduler the paper evaluates "outside the Kubernetes
-//! infrastructure" (§4.1), where there are no nodes, resources or bindings
-//! and feasibility is the user's device bounds alone.
+//! Every decision QRIO makes — binding, re-ranking, and the paper's figures
+//! — runs this cycle through the service (`Qrio`). [`QrioScheduler::rank`],
+//! the same two stages over a bare fleet with the user's device bounds as
+//! the only feasibility check, is kept as the fixture of the `bench_e2e`
+//! replay benchmark alone, until that benchmark ranks through the service.
 
-use qrio_backend::Backend;
+use qrio_backend::{Backend, NodeLabels};
 use qrio_cluster::{DeviceRequirements, Job, Node};
 use qrio_meta::{MetaError, MetaServer};
 
 use crate::error::SchedulerError;
-use crate::filter::filter_backends;
 
 /// What one scheduling cycle found for a job. Nothing is bound yet.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +98,11 @@ impl<'a> QrioScheduler<'a> {
     /// device for `job_name`, best (lowest score) first. Returns the ranking
     /// plus the shortlist size.
     ///
+    /// This is the `bench_e2e` replay benchmark's fixture, not a decision
+    /// path: it ignores readiness and classical resources, which
+    /// [`QrioScheduler::cycle`] over the service's nodes checks. Rank a job
+    /// through `Qrio::rank_ready` instead.
+    ///
     /// # Errors
     ///
     /// Returns an error if the fleet is empty, no device passes filtering, no
@@ -112,10 +117,15 @@ impl<'a> QrioScheduler<'a> {
         if fleet.is_empty() {
             return Err(SchedulerError::EmptyFleet);
         }
-        let shortlist = filter_backends(fleet, requirements);
+        let shortlist: Vec<&str> = fleet
+            .iter()
+            .filter(|b| {
+                requirements.is_satisfied_by(&NodeLabels::from_backend(b, u64::MAX, u64::MAX))
+            })
+            .map(Backend::name)
+            .collect();
         let shortlisted = shortlist.len();
-        let names = shortlist.into_iter().map(Backend::name);
-        let cycle = self.rank_shortlist(job_name, names, Vec::new())?;
+        let cycle = self.rank_shortlist(job_name, shortlist, Vec::new())?;
         Ok((cycle.ranked(job_name)?, shortlisted))
     }
 
@@ -143,6 +153,7 @@ mod tests {
     use super::*;
     use qrio_backend::topology;
     use qrio_circuit::{library, qasm};
+    use qrio_cluster::StrategySpec;
     use qrio_meta::FidelityRankingConfig;
 
     fn fleet() -> Vec<Backend> {
@@ -170,8 +181,12 @@ mod tests {
         let fleet = fleet();
         let mut meta = meta_with_fleet(&fleet);
         let bv = library::bernstein_vazirani(6, 0b110101).unwrap();
-        meta.upload_fidelity_metadata("bv-job", 0.95, &qasm::to_qasm(&bv))
-            .unwrap();
+        meta.upload_job_metadata(
+            "bv-job",
+            &StrategySpec::fidelity(0.95),
+            Some(&qasm::to_qasm(&bv)),
+        )
+        .unwrap();
         let scheduler = QrioScheduler::new(&meta);
         let (ranked, shortlisted) = scheduler
             .rank("bv-job", &fleet, &DeviceRequirements::none())
@@ -187,8 +202,12 @@ mod tests {
         let fleet = fleet();
         let mut meta = meta_with_fleet(&fleet);
         let bv = library::bernstein_vazirani(4, 0b1010).unwrap();
-        meta.upload_fidelity_metadata("bv-job", 0.9, &qasm::to_qasm(&bv))
-            .unwrap();
+        meta.upload_job_metadata(
+            "bv-job",
+            &StrategySpec::fidelity(0.9),
+            Some(&qasm::to_qasm(&bv)),
+        )
+        .unwrap();
         let scheduler = QrioScheduler::new(&meta);
         let requirements = DeviceRequirements {
             max_two_qubit_error: Some(0.2),
@@ -216,8 +235,9 @@ mod tests {
             Backend::uniform("line-dev", topology::line(10), 0.01, 0.05),
         ];
         let mut meta = meta_with_fleet(&fleet);
-        let request = library::topology_circuit(10, &topology::binary_tree(10).edges()).unwrap();
-        meta.upload_topology_metadata("topo-job", request);
+        let request = StrategySpec::topology(&topology::binary_tree(10).edges(), 10);
+        meta.upload_job_metadata("topo-job", &request, None)
+            .unwrap();
         let scheduler = QrioScheduler::new(&meta);
         let (ranked, _) = scheduler
             .rank("topo-job", &fleet, &DeviceRequirements::none())
@@ -232,8 +252,12 @@ mod tests {
         let fleet = fleet();
         let mut meta = meta_with_fleet(&fleet);
         let bv = library::bernstein_vazirani(5, 0b10011).unwrap();
-        meta.upload_fidelity_metadata("drift-job", 0.9, &qasm::to_qasm(&bv))
-            .unwrap();
+        meta.upload_job_metadata(
+            "drift-job",
+            &StrategySpec::fidelity(0.9),
+            Some(&qasm::to_qasm(&bv)),
+        )
+        .unwrap();
         let scheduler = QrioScheduler::new(&meta);
         let (ranked, shortlisted) = scheduler
             .rank("drift-job", &fleet, &DeviceRequirements::none())
@@ -273,8 +297,12 @@ mod tests {
         fleet.push(Backend::uniform("tiny", topology::line(2), 0.0, 0.0));
         let mut meta = meta_with_fleet(&fleet);
         let ghz = library::ghz(8).unwrap();
-        meta.upload_fidelity_metadata("ghz-job", 0.9, &qasm::to_qasm(&ghz))
-            .unwrap();
+        meta.upload_job_metadata(
+            "ghz-job",
+            &StrategySpec::fidelity(0.9),
+            Some(&qasm::to_qasm(&ghz)),
+        )
+        .unwrap();
         let scheduler = QrioScheduler::new(&meta);
         let (ranked, shortlisted) = scheduler
             .rank("ghz-job", &fleet, &DeviceRequirements::none())
@@ -315,7 +343,7 @@ mod tests {
 
     #[test]
     fn ranking_plugin_scores_cluster_nodes() {
-        use qrio_cluster::{Cluster, JobSpec, Resources, StrategySpec};
+        use qrio_cluster::{Cluster, JobSpec, Resources};
         let mut fleet = fleet();
         fleet.push(Backend::uniform("tiny", topology::line(2), 0.0, 0.0));
         let mut meta = meta_with_fleet(&fleet);

@@ -94,7 +94,7 @@ fn fig9_shape_tree_device_is_always_selected() {
 fn fig10_shape_on_the_full_paper_fleet() {
     let fleet = paper_fleet().unwrap();
     assert_eq!(fleet.len(), 100);
-    let sweep = fig10_filtering(&fleet);
+    let sweep = fig10_filtering(&fleet).unwrap();
     assert_eq!(sweep.len(), 10);
     // Monotone growth from (almost) zero to the full fleet.
     for window in sweep.windows(2) {

@@ -4,7 +4,7 @@
 
 use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, qasm};
-use qrio_cluster::StrategySpec;
+use qrio_cluster::{strategy_names, StrategySpec};
 use qrio_meta::MetaServer;
 
 fn meta_with_devices() -> MetaServer {
@@ -18,8 +18,12 @@ fn meta_with_devices() -> MetaServer {
 fn fidelity_option_stores_fidelity_number_and_original_circuit() {
     let mut meta = meta_with_devices();
     let circuit = library::grover(3, 2).unwrap();
-    meta.upload_fidelity_metadata("grover-job", 0.85, &qasm::to_qasm(&circuit))
-        .unwrap();
+    meta.upload_job_metadata(
+        "grover-job",
+        &StrategySpec::fidelity(0.85),
+        Some(&qasm::to_qasm(&circuit)),
+    )
+    .unwrap();
     let record = meta.job_metadata("grover-job").unwrap();
     assert_eq!(record.strategy_name(), "fidelity");
     assert!((record.params().get_f64("target").unwrap() - 0.85).abs() < 1e-12);
@@ -35,7 +39,10 @@ fn fidelity_option_stores_fidelity_number_and_original_circuit() {
 fn topology_option_stores_the_topology_circuit_only() {
     let mut meta = meta_with_devices();
     let topo = library::topology_circuit(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-    meta.upload_topology_metadata("topo-job", topo.clone());
+    // The canvas upload: the topology circuit itself, no parameters.
+    let canvas = StrategySpec::new(strategy_names::TOPOLOGY);
+    meta.upload_job_metadata("topo-job", &canvas, Some(&qasm::to_qasm(&topo)))
+        .unwrap();
     let record = meta.job_metadata("topo-job").unwrap();
     assert_eq!(record.strategy_name(), "topology");
     assert!(record.params().is_empty());
@@ -54,12 +61,14 @@ fn strategy_dispatch_follows_the_stored_metadata() {
     //  stored strategy *name* selects the registry plugin.
     let mut meta = meta_with_devices();
     let circuit = library::repetition_code_encoder(4).unwrap();
-    meta.upload_fidelity_metadata("job-1", 0.9, &qasm::to_qasm(&circuit))
+    meta.upload_job_metadata(
+        "job-1",
+        &StrategySpec::fidelity(0.9),
+        Some(&qasm::to_qasm(&circuit)),
+    )
+    .unwrap();
+    meta.upload_job_metadata("job-2", &StrategySpec::topology(&[(0, 1), (1, 2)], 3), None)
         .unwrap();
-    meta.upload_topology_metadata(
-        "job-2",
-        library::topology_circuit(3, &[(0, 1), (1, 2)]).unwrap(),
-    );
     assert_eq!(
         meta.job_metadata("job-1").unwrap().strategy_name(),
         "fidelity"

@@ -1,45 +1,71 @@
-//! Integration tests for the QRIO scheduler against generated fleets:
-//! filtering, ranking, and comparison with the random and oracle baselines.
+//! Integration tests for the QRIO scheduler as the service runs it, against
+//! generated fleets: filtering, ranking, and comparison with the random and
+//! oracle baselines.
 
+use qrio::{FidelityRankingConfig, JobRequest, JobRequestBuilder, Qrio, QrioError};
 use qrio_backend::fleet::{generate_fleet, FleetConfig};
 use qrio_backend::{topology, Backend};
-use qrio_circuit::{library, qasm};
-use qrio_cluster::DeviceRequirements;
-use qrio_meta::{FidelityRankingConfig, MetaServer};
-use qrio_scheduler::{
-    achieved_fidelity, filter_backends, oracle_select, QrioScheduler, RandomScheduler,
-};
+use qrio_circuit::{library, Circuit};
+use qrio_cluster::{DeviceRequirements, StrategySpec};
+use qrio_scheduler::{achieved_fidelity, oracle_select, RandomScheduler, SchedulerError};
 
 fn small_fleet() -> Vec<Backend> {
     generate_fleet(&FleetConfig::small(), 9).unwrap()
 }
 
-fn meta_for(fleet: &[Backend]) -> MetaServer {
+fn service_for(fleet: &[Backend]) -> Qrio {
     // 256 canary shots: enough precision for the pick to track the oracle on
     // the small fleet (96 was borderline and flaky across RNG streams).
-    let mut meta = MetaServer::with_config(FidelityRankingConfig {
-        shots: 256,
-        seed: 17,
-        shortfall_weight: 100.0,
-    });
-    for backend in fleet {
-        meta.register_backend(backend.clone());
+    let mut qrio = Qrio::with_config(
+        FidelityRankingConfig {
+            shots: 256,
+            seed: 17,
+            shortfall_weight: 100.0,
+        },
+        17,
+    );
+    qrio.add_fleet(fleet.iter().cloned()).unwrap();
+    qrio
+}
+
+/// A job asking for the highest fidelity the fleet offers `circuit`.
+fn fidelity_job(name: &str, circuit: &Circuit) -> JobRequest {
+    JobRequestBuilder::new()
+        .with_circuit(circuit)
+        .job_name(name)
+        .fidelity_target(1.0)
+        .build()
+        .unwrap()
+}
+
+/// A one-qubit job bounded by `requirements`, ranked by queue alone.
+fn bounded_job(name: &str, requirements: DeviceRequirements) -> JobRequest {
+    JobRequestBuilder::new()
+        .job_name(name)
+        .num_qubits(1)
+        .requirements(requirements)
+        .min_queue()
+        .build()
+        .unwrap()
+}
+
+/// Enqueue `request` and return the service's ranking for it, best first;
+/// empty when no device passes the job's bounds.
+fn ranked(qrio: &mut Qrio, request: &JobRequest) -> Vec<(String, f64)> {
+    let id = qrio.enqueue(request).unwrap();
+    match qrio.rank_ready(&id) {
+        Ok(ranked) => ranked,
+        Err(QrioError::Scheduler(SchedulerError::NoDeviceAfterFiltering { .. })) => Vec::new(),
+        Err(err) => panic!("ranking {id} failed: {err}"),
     }
-    meta
 }
 
 #[test]
 fn qrio_beats_the_random_scheduler_on_achieved_fidelity() {
     let fleet = small_fleet();
-    let mut meta = meta_for(&fleet);
+    let mut qrio = service_for(&fleet);
     let circuit = library::repetition_code_encoder(5).unwrap();
-    meta.upload_fidelity_metadata("rep-job", 1.0, &qasm::to_qasm(&circuit))
-        .unwrap();
-
-    let scheduler = QrioScheduler::new(&meta);
-    let (ranked, _) = scheduler
-        .rank("rep-job", &fleet, &DeviceRequirements::none())
-        .unwrap();
+    let ranked = ranked(&mut qrio, &fidelity_job("rep-job", &circuit));
     let qrio_backend = fleet.iter().find(|b| b.name() == ranked[0].0).unwrap();
     let qrio_fidelity = achieved_fidelity(&circuit, qrio_backend, 128, 3).unwrap();
 
@@ -65,15 +91,9 @@ fn qrio_beats_the_random_scheduler_on_achieved_fidelity() {
 #[test]
 fn qrio_choice_tracks_the_oracle_choice() {
     let fleet = small_fleet();
-    let mut meta = meta_for(&fleet);
+    let mut qrio = service_for(&fleet);
     let circuit = library::bernstein_vazirani(6, 0b110011).unwrap();
-    meta.upload_fidelity_metadata("bv-job", 1.0, &qasm::to_qasm(&circuit))
-        .unwrap();
-
-    let scheduler = QrioScheduler::new(&meta);
-    let (ranked, _) = scheduler
-        .rank("bv-job", &fleet, &DeviceRequirements::none())
-        .unwrap();
+    let ranked = ranked(&mut qrio, &fidelity_job("bv-job", &circuit));
     let oracle = oracle_select(&circuit, &fleet, 128, 5).unwrap();
 
     let qrio_backend = fleet.iter().find(|b| b.name() == ranked[0].0).unwrap();
@@ -98,7 +118,11 @@ fn filtering_respects_every_bound_on_the_paper_fleet_subset() {
         min_t1_us: Some(50_000.0),
         min_t2_us: Some(50_000.0),
     };
-    for backend in filter_backends(&fleet, &req) {
+    let mut qrio = service_for(&fleet);
+    let survivors = ranked(&mut qrio, &bounded_job("bounded", req));
+    assert!(!survivors.is_empty(), "some device meets every bound");
+    for (device, _) in &survivors {
+        let backend = qrio.cluster().node(device).unwrap().backend();
         assert!(backend.num_qubits() >= 10);
         assert!(backend.avg_two_qubit_error() <= 0.45);
         assert!(backend.avg_readout_error() <= 0.2);
@@ -109,14 +133,14 @@ fn filtering_respects_every_bound_on_the_paper_fleet_subset() {
 
 #[test]
 fn tighter_filters_shrink_the_shortlist_monotonically() {
-    let fleet = small_fleet();
+    let mut qrio = service_for(&small_fleet());
     let mut previous = usize::MAX;
-    for threshold in [0.7, 0.5, 0.3, 0.2, 0.1, 0.05] {
+    for (i, threshold) in [0.7, 0.5, 0.3, 0.2, 0.1, 0.05].into_iter().enumerate() {
         let req = DeviceRequirements {
             max_two_qubit_error: Some(threshold),
             ..DeviceRequirements::default()
         };
-        let count = filter_backends(&fleet, &req).len();
+        let count = ranked(&mut qrio, &bounded_job(&format!("bound-{i}"), req)).len();
         assert!(count <= previous, "count must shrink as the bound tightens");
         previous = count;
     }
@@ -130,12 +154,16 @@ fn topology_scheduling_prefers_denser_devices_for_dense_requests() {
         Backend::uniform("dense", topology::fully_connected(6), 0.01, 0.05),
         Backend::uniform("sparse", topology::line(6), 0.01, 0.05),
     ];
-    let mut meta = meta_for(&devices);
-    let request = library::topology_circuit(4, &topology::fully_connected(4).edges()).unwrap();
-    meta.upload_topology_metadata("dense-req", request);
-    let scheduler = QrioScheduler::new(&meta);
-    let (ranked, _) = scheduler
-        .rank("dense-req", &devices, &DeviceRequirements::none())
+    let mut qrio = service_for(&devices);
+    let request = JobRequestBuilder::new()
+        .job_name("dense-req")
+        .num_qubits(4)
+        .strategy(StrategySpec::topology(
+            &topology::fully_connected(4).edges(),
+            4,
+        ))
+        .build()
         .unwrap();
+    let ranked = ranked(&mut qrio, &request);
     assert_eq!(ranked[0].0, "dense");
 }

@@ -10,10 +10,8 @@ use qrio_backend::{topology, Backend};
 use qrio_circuit::{library, Circuit};
 use qrio_cluster::{StrategyParams, StrategySpec};
 use qrio_meta::{
-    DeviceTelemetry, FidelityRankingConfig, JobContext, MetaError, MetaServer, RankingStrategy,
-    Score,
+    DeviceTelemetry, FidelityRankingConfig, JobContext, MetaError, RankingStrategy, Score,
 };
-use qrio_scheduler::QrioScheduler;
 
 fn fast_qrio() -> Qrio {
     Qrio::with_config(
@@ -231,8 +229,8 @@ fn custom_strategy_runs_end_to_end_on_the_two_device_fleet() {
 #[test]
 fn scheduler_tie_break_is_independent_of_fleet_order() {
     // Regression test for the (score, device_name) ordering: identical twins
-    // produce identical fidelity scores; the ranking must come out the same
-    // whichever way the fleet slice is ordered.
+    // produce identical scores; the service's ranking must come out the same
+    // whichever order the devices were added in.
     let twin_a = Backend::uniform("twin-a", topology::line(8), 0.01, 0.05);
     let twin_b = Backend::uniform("twin-b", topology::line(8), 0.01, 0.05);
     let mut winners = Vec::new();
@@ -240,38 +238,34 @@ fn scheduler_tie_break_is_independent_of_fleet_order() {
         vec![twin_a.clone(), twin_b.clone()],
         vec![twin_b.clone(), twin_a.clone()],
     ] {
-        let mut meta = MetaServer::with_config(FidelityRankingConfig {
-            shots: 96,
-            seed: 23,
-            shortfall_weight: 100.0,
-        });
-        for backend in &fleet {
-            meta.register_backend(backend.clone());
-        }
+        let mut qrio = fast_qrio();
+        qrio.add_fleet(fleet).unwrap();
         // min_queue with no telemetry scores exactly 0.0 on both devices — a
         // guaranteed tie.
-        meta.upload_job_metadata("tie", &StrategySpec::min_queue(), None)
+        let request = JobRequestBuilder::new()
+            .job_name("tie")
+            .num_qubits(1)
+            .min_queue()
+            .build()
             .unwrap();
-        let scheduler = QrioScheduler::new(&meta);
-        let (ranked, _) = scheduler
-            .rank("tie", &fleet, &qrio_cluster::DeviceRequirements::none())
-            .unwrap();
+        let id = qrio.enqueue(&request).unwrap();
+        let ranked = qrio.rank_ready(&id).unwrap();
         assert_eq!(ranked[0].1, ranked[1].1);
         winners.push(ranked[0].0.clone());
         // score_all shares the same deterministic ordering.
-        let ranked = meta.score_all("tie").unwrap();
+        let ranked = qrio.meta().score_all("tie").unwrap();
         assert_eq!(ranked[0].device, "twin-a");
         // Telemetry breaks the tie the other way.
-        meta.update_telemetry(
-            "twin-a",
+        qrio.report_telemetry([(
+            "twin-a".to_string(),
             DeviceTelemetry {
                 queue_depth: 2,
                 utilization: 0.5,
                 health_penalty: 0.0,
             },
-        );
-        let reranked = meta.score_all("tie").unwrap();
-        assert_eq!(reranked[0].device, "twin-b");
+        )]);
+        let reranked = qrio.rank_ready(&id).unwrap();
+        assert_eq!(reranked[0].0, "twin-b");
     }
     assert_eq!(winners, vec!["twin-a", "twin-a"]);
 }
