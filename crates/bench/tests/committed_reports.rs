@@ -104,9 +104,15 @@ fn every_rendered_reason_is_the_committed_text() {
     assert_eq!(fnv1a(&text), REASONS_DIGEST, "{:#018x}", fnv1a(&text));
 }
 
-/// Each binary, run with no arguments, prints its committed file.
-fn prints_the_committed_files(binaries: &[(&str, &str)]) {
-    for &(binary, committed) in binaries {
+#[test]
+fn the_figure_and_table_outputs_are_the_committed_ones() {
+    for (binary, committed) in [
+        (env!("CARGO_BIN_EXE_fig6_default_topologies"), FIG6_TXT),
+        (env!("CARGO_BIN_EXE_fig7_fidelity"), FIG7_TXT),
+        (env!("CARGO_BIN_EXE_fig9_topology_choice"), FIG9_TXT),
+        (env!("CARGO_BIN_EXE_fig10_filtering"), FIG10_TXT),
+        (env!("CARGO_BIN_EXE_table2_fleet"), TABLE2_TXT),
+    ] {
         let output = Command::new(binary).output().expect("figure binary runs");
         assert!(output.status.success(), "{binary} failed");
         assert_eq!(
@@ -115,21 +121,4 @@ fn prints_the_committed_files(binaries: &[(&str, &str)]) {
             "{binary}"
         );
     }
-}
-
-#[test]
-fn the_fig7_and_fig9_outputs_are_the_committed_ones() {
-    prints_the_committed_files(&[
-        (env!("CARGO_BIN_EXE_fig7_fidelity"), FIG7_TXT),
-        (env!("CARGO_BIN_EXE_fig9_topology_choice"), FIG9_TXT),
-    ]);
-}
-
-#[test]
-fn the_fig6_fig10_and_table2_outputs_are_the_committed_ones() {
-    prints_the_committed_files(&[
-        (env!("CARGO_BIN_EXE_fig6_default_topologies"), FIG6_TXT),
-        (env!("CARGO_BIN_EXE_fig10_filtering"), FIG10_TXT),
-        (env!("CARGO_BIN_EXE_table2_fleet"), TABLE2_TXT),
-    ]);
 }
