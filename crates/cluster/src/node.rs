@@ -6,7 +6,7 @@ use std::fmt;
 use qrio_backend::{Backend, NodeLabels};
 use qrio_bytes::{codec_enum, codec_struct};
 
-use crate::job::Job;
+use crate::job::{DeviceRequirements, Job};
 use crate::resources::Resources;
 
 /// Health of a cluster node.
@@ -178,6 +178,11 @@ impl Node {
                 spec.num_qubits
             ));
         }
+        // Most jobs ask for no device bound: parse the labels only for one
+        // that does.
+        if spec.requirements == DeviceRequirements::none() {
+            return None;
+        }
         let labels = self.node_labels();
         if !spec.requirements.is_satisfied_by(&labels) {
             return Some(format!(
@@ -343,6 +348,12 @@ mod tests {
         assert_eq!(node().rejection(&job(3)), None);
         let reason = bad.rejection(&job(3)).unwrap();
         assert!(reason.starts_with("DeviceRequirements: node labels ("));
+        // A job that asks for no bound passes whatever the labels say.
+        let unbounded = Job::new(JobSpec {
+            requirements: DeviceRequirements::none(),
+            ..job(3).spec().clone()
+        });
+        assert_eq!(bad.rejection(&unbounded), None);
     }
 
     #[test]

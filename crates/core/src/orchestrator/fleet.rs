@@ -123,7 +123,7 @@ impl Qrio {
 
     /// Apply a calibration refresh (or drift) to a registered device: the
     /// meta server gets the new backend under a bumped calibration revision
-    /// (invalidating memoized scores), the cluster node's labels are
+    /// (dropping the device's memoized scores), the cluster node's labels are
     /// recomputed from it and the node's agent is sent the new calibration.
     /// Under a service model every waiting job is then re-ranked, and moves
     /// where it now scores better ([`Qrio::configure_service`]).

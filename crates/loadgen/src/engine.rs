@@ -383,8 +383,8 @@ impl<'s> Engine<'s> {
             return Ok(());
         };
         let drifted = drift_backend(&backend, factor)?;
-        // New calibration revision in the meta server (memoized scores
-        // against the old calibration are invalidated implicitly), recomputed
+        // New calibration revision in the meta server (the scores memoized
+        // against the old calibration are dropped), recomputed
         // node labels in the cluster and the waiting jobs re-ranked, in one
         // public call.
         self.qrio

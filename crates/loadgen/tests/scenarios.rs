@@ -421,3 +421,108 @@ fn paired_run_equals_two_runs() {
     }
     assert_eq!(checked, 4 * 4 * 6 * 2 * 2);
 }
+
+/// The meta server memoizes a fidelity or topology score per device and job
+/// *content* (strategy, parameters, circuit), not per job, so a job whose
+/// circuit another job already submitted is scored from the memo. That is
+/// exact only if nothing else goes into the score: for the flagship's
+/// fidelity and topology tenants, on every device of its fleet, a server
+/// whose memo other jobs warmed must return each job the score a cold server
+/// holding that job alone computes — value and every detail to the bit —
+/// and again after a device is recalibrated.
+#[test]
+fn a_memoized_score_is_the_score_a_cold_server_computes() {
+    use std::collections::BTreeSet;
+
+    use qrio_backend::Backend;
+    use qrio_circuit::qasm;
+    use qrio_loadgen::TenantStrategy;
+    use qrio_meta::{FidelityRankingConfig, MetaServer, Score};
+
+    let scenario = Scenario::from_yaml(include_str!("../../../scenarios/cloud.yaml")).unwrap();
+    // What the load generator's meta server is configured with.
+    let config = FidelityRankingConfig {
+        shots: scenario.canary_shots,
+        seed: scenario.seed ^ 0xCA11_AB1E,
+        shortfall_weight: 100.0,
+    };
+    let server = |fleet: &[Backend]| {
+        let mut server = MetaServer::with_config(config);
+        for backend in fleet {
+            server.register_backend(backend.clone());
+        }
+        server
+    };
+    let bits = |score: &Score| {
+        let details: Vec<(String, u64)> = score
+            .details
+            .iter()
+            .map(|(key, value)| (key.clone(), value.to_bits()))
+            .collect();
+        (score.device.clone(), score.value.to_bits(), details)
+    };
+    let tenants: Vec<_> = scenario
+        .tenants
+        .iter()
+        .filter(|t| {
+            matches!(
+                t.strategy,
+                TenantStrategy::Fidelity { .. } | TenantStrategy::Topology
+            )
+        })
+        .collect();
+    assert_eq!(tenants.len(), 2, "alice (fidelity) and dave (topology)");
+
+    let mut fleet: Vec<Backend> = scenario.fleet.iter().map(|d| d.backend()).collect();
+    let mut warm = server(&fleet);
+    let mut contents = BTreeSet::new();
+    let (mut lookups, mut misses) = (0, 0);
+    for round in 0..2 {
+        if round == 1 {
+            // Recalibrate the first device, as a drift event does.
+            let spec = &scenario.fleet[0];
+            let drifted = qrio_loadgen::DeviceSpec {
+                two_qubit_error: spec.two_qubit_error * 2.0,
+                readout_error: spec.readout_error * 2.0,
+                ..spec.clone()
+            };
+            fleet[0] = drifted.backend();
+            warm.register_backend(fleet[0].clone());
+            // Every content seen so far misses once more, on that device.
+            misses += contents.len();
+        }
+        // Jobs 0 and 32 of alice share a Bernstein-Vazirani secret, and
+        // dave's jobs are all one GHZ circuit.
+        for tenant in &tenants {
+            for index in [0, 1, 2, 31, 32, 450] {
+                let job = format!("{}-{index}-{round}", tenant.name);
+                let spec = tenant.strategy.strategy_spec();
+                let text = qasm::to_qasm(&tenant.circuit_for(index).unwrap());
+                warm.upload_job_metadata(&job, &spec, Some(&text)).unwrap();
+                let mut cold = server(&fleet);
+                cold.upload_job_metadata(&job, &spec, Some(&text)).unwrap();
+                if contents.insert((tenant.name.clone(), text)) {
+                    misses += fleet.len();
+                }
+                for backend in &fleet {
+                    let device = backend.name();
+                    let (memo, fresh) = (warm.score(&job, device), cold.score(&job, device));
+                    let what = format!("{job} on {device}");
+                    assert_eq!(
+                        bits(&memo.expect(&what)),
+                        bits(&fresh.expect(&what)),
+                        "{what}"
+                    );
+                    lookups += 1;
+                }
+            }
+        }
+    }
+    let stats = warm.cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        ((lookups - misses) as u64, misses as u64)
+    );
+    assert_eq!(stats.entries, contents.len() * fleet.len());
+    assert!(stats.hits > stats.misses, "{stats:?}");
+}

@@ -120,7 +120,8 @@ impl RankingStrategy for FidelityStrategy {
     }
 
     fn is_cacheable(&self) -> bool {
-        // Canary evaluation is seeded per device name and reads no telemetry.
+        // The canary is seeded by the device name; it reads neither the job
+        // name nor telemetry.
         true
     }
 }
@@ -200,7 +201,8 @@ impl RankingStrategy for TopologyStrategy {
     }
 
     fn is_cacheable(&self) -> bool {
-        // The VF2 embedding search is deterministic and reads no telemetry.
+        // The VF2 embedding search is deterministic; it reads neither the job
+        // name nor telemetry.
         true
     }
 }

@@ -23,7 +23,10 @@
 //! * [`MinQueueStrategy`] (`"min_queue"`) — a queue-time-only baseline.
 //!
 //! Scores are "lower is better" throughout, matching the paper's convention;
-//! equal scores order by device name so rankings are deterministic.
+//! equal scores order by device name so rankings are deterministic. The
+//! fidelity and topology scores are memoized per device and job *content*
+//! (strategy, parameters, circuit), so jobs that submit the same circuit
+//! share one canary or embedding search per device calibration.
 //!
 //! # Examples
 //!

@@ -10,12 +10,20 @@
 //! strategies register through [`MetaServer::register_strategy`]. Ordering
 //! the scores is the server's job too ([`MetaServer::rank`]): it is written
 //! here once, for every caller.
+//!
+//! A score from a strategy whose [`RankingStrategy::is_cacheable`] is true
+//! is memoized by what it depends on — the device and the job's encoded
+//! [`JobRecord`] (strategy name, parameters, circuit) — not by the job's
+//! name: jobs that upload the same content share one canary or embedding
+//! search per device, and re-registering a device drops that device's
+//! entries, so the memo holds at most one entry per distinct content and
+//! device.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use qrio_backend::{spec as backend_spec, Backend};
-use qrio_bytes::{codec_struct, ByteReader, ByteWriter, CodecError, Decode, Encode};
+use qrio_bytes::{codec_struct, to_bytes, ByteReader, ByteWriter, CodecError, Decode, Encode};
 use qrio_circuit::{qasm, Circuit};
 use qrio_cluster::{StrategyParams, StrategySpec};
 
@@ -52,31 +60,15 @@ impl JobRecord {
     }
 }
 
-/// Memoized `(job, device)` scores for cacheable strategies, plus hit/miss
-/// counters. Entries carry the device's calibration revision at compute time,
-/// so re-registering a backend invalidates them implicitly.
+/// Memoized scores of cacheable strategies, per device and then per encoded
+/// [`JobRecord`], plus hit/miss counters. [`MetaServer::register_backend`]
+/// drops a device's map, so every entry was computed against the device's
+/// current calibration.
 #[derive(Debug, Clone, Default)]
 struct ScoreCache {
-    entries: BTreeMap<(String, String), (u64, Score)>,
+    entries: BTreeMap<String, BTreeMap<Vec<u8>, Score>>,
     hits: u64,
     misses: u64,
-}
-
-impl ScoreCache {
-    /// Drop every memoized score of `job`. The map is sorted by `(job,
-    /// device)`, so the job's entries are one contiguous range: this walks
-    /// them, not the whole cache (`enqueue` calls it once per job).
-    fn forget_job(&mut self, job: &str) {
-        let doomed: Vec<(String, String)> = self
-            .entries
-            .range((job.to_string(), String::new())..)
-            .take_while(|((owner, _), _)| owner == job)
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in doomed {
-            self.entries.remove(&key);
-        }
-    }
 }
 
 /// A snapshot of the memoized-score cache counters, exported for operational
@@ -123,9 +115,9 @@ pub struct MetaServer {
     /// Calibration revision per device: bumped on every (re-)registration.
     backend_revisions: BTreeMap<String, u64>,
     /// Score memoization for strategies whose
-    /// [`RankingStrategy::is_cacheable`] is true — notably the topology
-    /// strategy's VF2 embedding search, which `score_all` would otherwise
-    /// re-run for every (job, device) pair on every scheduling cycle.
+    /// [`RankingStrategy::is_cacheable`] is true — the canary simulation and
+    /// the VF2 embedding search, which `rank` would otherwise re-run for
+    /// every job and device on every scheduling cycle.
     score_cache: Mutex<ScoreCache>,
 }
 
@@ -238,11 +230,18 @@ impl MetaServer {
 
     /// Register a vendor backend (a copy of the node's backend file, §3.1).
     ///
-    /// Re-registering a device bumps its calibration revision, which
-    /// invalidates every memoized score computed against the old calibration.
+    /// Re-registering a device bumps its calibration revision and drops
+    /// every score memoized against the old calibration.
     pub fn register_backend(&mut self, backend: Backend) {
         let name = backend.name().to_string();
         *self.backend_revisions.entry(name.clone()).or_insert(0) += 1;
+        // Every update of the memo is one insert or one count, so a
+        // poisoned memo is still a valid one.
+        self.score_cache
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entries
+            .remove(&name);
         self.backends.insert(name, backend);
     }
 
@@ -322,18 +321,11 @@ impl MetaServer {
         };
         let plugin = self.registry.resolve(&strategy.name)?;
         plugin.validate(&strategy.params, circuit.as_ref())?;
-        let job_name = job_name.into();
-        // A (re-)upload may change the strategy, parameters or circuit: drop
-        // every memoized score for this job.
-        self.score_cache
-            .lock()
-            .expect("cache poisoned")
-            .forget_job(&job_name);
         let record = JobRecord {
             strategy: strategy.clone(),
             circuit,
         };
-        self.jobs.insert(job_name, record);
+        self.jobs.insert(job_name.into(), record);
         Ok(())
     }
 
@@ -346,15 +338,10 @@ impl MetaServer {
     ///
     /// This is the cleanup hook the orchestrator calls when a job reaches a
     /// terminal failure (unschedulable, execution error, cancelled): the
-    /// upload is garbage-collected instead of accumulating forever. Every
-    /// memoized score of the job is dropped with it.
+    /// upload is garbage-collected instead of accumulating forever. The
+    /// memoized scores of its content stay: other jobs may share them.
     pub fn remove_job_metadata(&mut self, job_name: &str) -> Option<JobRecord> {
-        let removed = self.jobs.remove(job_name)?;
-        self.score_cache
-            .lock()
-            .expect("cache poisoned")
-            .forget_job(job_name);
-        Some(removed)
+        self.jobs.remove(job_name)
     }
 
     /// Number of jobs with metadata currently stored.
@@ -375,10 +362,9 @@ impl MetaServer {
     /// job's parameters, circuit and the device's latest telemetry.
     ///
     /// For strategies whose [`RankingStrategy::is_cacheable`] is true the
-    /// result is memoized per `(job, device, calibration revision)`:
-    /// `score_all` then re-runs the expensive evaluation (VF2 embedding
-    /// search, canary simulation) only when the job metadata was re-uploaded
-    /// or the device calibration re-registered.
+    /// result is memoized per `(device, encoded JobRecord)`: the expensive
+    /// evaluation (canary simulation, VF2 embedding search) runs once per
+    /// distinct content and device calibration, whichever job asks.
     ///
     /// # Errors
     ///
@@ -389,6 +375,19 @@ impl MetaServer {
             .jobs
             .get(job_name)
             .ok_or_else(|| MetaError::UnknownJob(job_name.to_string()))?;
+        self.score_record(job_name, record, &mut None, device)
+    }
+
+    /// [`MetaServer::score`] of a looked-up record. `content` is the memo
+    /// key's record half, encoded on the first cacheable lookup and kept by
+    /// the caller, so a ranking encodes the record once for all devices.
+    fn score_record(
+        &self,
+        job_name: &str,
+        record: &JobRecord,
+        content: &mut Option<Vec<u8>>,
+        device: &str,
+    ) -> Result<Score, MetaError> {
         let backend = self
             .backends
             .get(device)
@@ -403,16 +402,14 @@ impl MetaServer {
         if !strategy.is_cacheable() {
             return strategy.score(&context, backend);
         }
-        let revision = self.backend_revisions.get(device).copied().unwrap_or(0);
-        let key = (job_name.to_string(), device.to_string());
+        let content = content.get_or_insert_with(|| to_bytes(record));
         {
             let mut cache = self.score_cache.lock().expect("cache poisoned");
-            let cached = match cache.entries.get(&key) {
-                Some((cached_revision, score)) if *cached_revision == revision => {
-                    Some(score.clone())
-                }
-                _ => None,
-            };
+            let cached = cache
+                .entries
+                .get(device)
+                .and_then(|scores| scores.get(content.as_slice()))
+                .cloned();
             if let Some(score) = cached {
                 cache.hits += 1;
                 return Ok(score);
@@ -425,7 +422,9 @@ impl MetaServer {
             .lock()
             .expect("cache poisoned")
             .entries
-            .insert(key, (revision, score.clone()));
+            .entry(device.to_string())
+            .or_default()
+            .insert(content.clone(), score.clone());
         Ok(score)
     }
 
@@ -444,7 +443,7 @@ impl MetaServer {
         CacheStats {
             hits: cache.hits,
             misses: cache.misses,
-            entries: cache.entries.len(),
+            entries: cache.entries.values().map(BTreeMap::len).sum(),
         }
     }
 
@@ -469,13 +468,15 @@ impl MetaServer {
         job_name: &str,
         devices: impl IntoIterator<Item = &'d str>,
     ) -> Result<Ranking, MetaError> {
-        if !self.jobs.contains_key(job_name) {
-            return Err(MetaError::UnknownJob(job_name.to_string()));
-        }
+        let record = self
+            .jobs
+            .get(job_name)
+            .ok_or_else(|| MetaError::UnknownJob(job_name.to_string()))?;
+        let mut content = None;
         let mut scored = Vec::new();
         let mut skipped = Vec::new();
         for device in devices {
-            match self.score(job_name, device) {
+            match self.score_record(job_name, record, &mut content, device) {
                 Ok(mut score) if score.value.is_finite() => {
                     // The ranking is keyed by the device that was asked
                     // about, whatever name the strategy wrote into its answer.
@@ -698,27 +699,48 @@ mod tests {
         server.register_backend(Backend::uniform("line", topology::line(8), 0.01, 0.05));
         let request = StrategySpec::topology(&topology::ring(8).edges(), 8);
         server
-            .upload_job_metadata("topo-cache", &request, None)
+            .upload_job_metadata("topo-a", &request, None)
             .unwrap();
+        let stats = |server: &MetaServer| {
+            let stats = server.cache_stats();
+            (stats.hits, stats.misses, stats.entries)
+        };
 
-        let first = server.score_all("topo-cache").unwrap();
-        assert_eq!(server.score_cache_stats(), (0, 2), "cold cache: all misses");
-        let second = server.score_all("topo-cache").unwrap();
-        assert_eq!(first, second, "cached scores must be identical");
-        assert_eq!(server.score_cache_stats(), (2, 2), "warm cache: all hits");
+        let first = server.score_all("topo-a").unwrap();
+        assert_eq!(stats(&server), (0, 2, 2), "cold memo: all misses");
+        let second = server.score_all("topo-a").unwrap();
+        assert_eq!(first, second, "memoized scores must be identical");
+        assert_eq!(stats(&server), (2, 2, 2), "warm memo: all hits");
 
-        // Re-registering one device (new calibration revision) invalidates
-        // only that device's entry.
-        server.register_backend(Backend::uniform("line", topology::line(8), 0.02, 0.1));
-        server.score_all("topo-cache").unwrap();
-        assert_eq!(server.score_cache_stats(), (3, 3));
-
-        // Re-uploading the job drops both of its entries.
+        // A second job with the same content hits on its first ranking.
         server
-            .upload_job_metadata("topo-cache", &request, None)
+            .upload_job_metadata("topo-b", &request, None)
             .unwrap();
-        server.score_all("topo-cache").unwrap();
-        assert_eq!(server.score_cache_stats(), (3, 5));
+        assert_eq!(server.score_all("topo-b").unwrap(), first);
+        assert_eq!(stats(&server), (4, 2, 2));
+
+        // Another request is other content: it misses on both devices.
+        let line = StrategySpec::topology(&topology::line(8).edges(), 8);
+        server.upload_job_metadata("topo-c", &line, None).unwrap();
+        server.score_all("topo-c").unwrap();
+        assert_eq!(stats(&server), (4, 4, 4));
+
+        // Re-registering one device (a new calibration) drops that device's
+        // entries only; the next ranking recomputes them once per content.
+        server.register_backend(Backend::uniform("line", topology::line(8), 0.02, 0.1));
+        assert_eq!(stats(&server), (4, 4, 2));
+        server.score_all("topo-a").unwrap();
+        server.score_all("topo-b").unwrap();
+        assert_eq!(stats(&server), (7, 5, 3));
+        assert_eq!(server.score("topo-b", "ring").unwrap(), first[0]);
+        assert_eq!(stats(&server), (8, 5, 3));
+
+        // A re-upload of the same content under the same name keeps hitting.
+        server
+            .upload_job_metadata("topo-a", &request, None)
+            .unwrap();
+        server.score_all("topo-a").unwrap();
+        assert_eq!(stats(&server), (10, 5, 3));
     }
 
     #[test]
@@ -805,39 +827,38 @@ mod tests {
     }
 
     #[test]
-    fn remove_job_metadata_drops_the_record_and_its_cached_scores() {
-        let mut server = MetaServer::new();
-        server.register_backend(Backend::uniform("ring", topology::ring(6), 0.01, 0.05));
-        server.register_backend(Backend::uniform("line", topology::line(6), 0.01, 0.05));
-        let request = StrategySpec::topology(&topology::ring(6).edges(), 6);
-        // The kept jobs sort directly before and after the dropped one, so
-        // the range walk over the sorted cache must stop at both ends.
-        for job in ["dro", "drop", "drop-2"] {
-            server.upload_job_metadata(job, &request, None).unwrap();
+    fn remove_job_metadata_drops_the_record_and_keeps_shared_scores() {
+        let mut server = server_with_devices();
+        let bv = qrio_circuit::qasm::to_qasm(&library::bernstein_vazirani(4, 0b1011).unwrap());
+        let stats = |server: &MetaServer| {
+            let stats = server.cache_stats();
+            (stats.hits, stats.misses, stats.entries)
+        };
+        // Two jobs with the same content, and the same circuit under another
+        // target, which is other content: it misses on every device.
+        for (job, target) in [("bv-a", 0.9), ("bv-b", 0.9), ("bv-c", 0.95)] {
+            server
+                .upload_job_metadata(job, &StrategySpec::fidelity(target), Some(&bv))
+                .unwrap();
             server.score_all(job).unwrap();
         }
-        assert_eq!(server.job_names(), vec!["dro", "drop", "drop-2"]);
-        assert_eq!(server.cache_stats().entries, 6);
+        assert_eq!(server.job_names(), vec!["bv-a", "bv-b", "bv-c"]);
+        assert_eq!(stats(&server), (3, 6, 6));
 
-        let removed = server.remove_job_metadata("drop").unwrap();
-        assert_eq!(removed.strategy_name(), "topology");
-        assert!(server.job_metadata("drop").is_none());
+        let removed = server.remove_job_metadata("bv-a").unwrap();
+        assert_eq!(removed.strategy_name(), "fidelity");
+        assert!(server.job_metadata("bv-a").is_none());
         assert_eq!(server.job_count(), 2);
-        // Only the removed job's memoized scores are dropped.
-        assert_eq!(server.cache_stats().entries, 4);
-        server.score_all("dro").unwrap();
-        server.score_all("drop-2").unwrap();
-        assert_eq!(
-            server.cache_stats().hits,
-            4,
-            "the neighbours' entries survived"
-        );
+        // The entries bv-a computed are bv-b's too: they stay, and serve it.
+        assert_eq!(stats(&server), (3, 6, 6));
+        server.score_all("bv-b").unwrap();
+        assert_eq!(stats(&server), (6, 6, 6));
         // Removing again (or a never-uploaded job) is None, not an error.
-        assert!(server.remove_job_metadata("drop").is_none());
+        assert!(server.remove_job_metadata("bv-a").is_none());
         assert!(server.remove_job_metadata("ghost").is_none());
         // Scoring the removed job now fails as unknown.
         assert!(matches!(
-            server.score("drop", "ring"),
+            server.score("bv-a", "clean"),
             Err(MetaError::UnknownJob(_))
         ));
     }

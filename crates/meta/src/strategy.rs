@@ -84,7 +84,8 @@ codec_struct!(DeviceTelemetry {
 /// Everything a strategy may consult when scoring a job against a device.
 #[derive(Debug, Clone, Copy)]
 pub struct JobContext<'a> {
-    /// Name of the job being scored.
+    /// Name of the job being scored. A cacheable strategy must not read it
+    /// (see [`RankingStrategy::is_cacheable`]).
     pub job_name: &'a str,
     /// The job's strategy parameters (from the [`qrio_cluster::StrategySpec`]).
     pub params: &'a StrategyParams,
@@ -176,17 +177,19 @@ pub trait RankingStrategy: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Whether a score for a `(job, device)` pair may be memoized by the meta
-    /// server until the job metadata is re-uploaded or the device calibration
-    /// is re-registered.
+    /// Whether the meta server may memoize this strategy's scores by
+    /// content: one score per device and encoded job record (strategy name,
+    /// parameters, circuit), shared by every job that uploads the same record
+    /// and kept until the device is re-registered.
     ///
     /// Return `true` only when `score` is a pure function of the job's
-    /// parameters/circuit and the backend's calibration — in particular, a
-    /// strategy that reads [`JobContext::telemetry`] must keep the default
-    /// `false`, since telemetry changes between scheduling cycles without any
-    /// re-upload. The built-in `fidelity` and `topology` strategies are
-    /// cacheable (their embedding searches and canary simulations are
-    /// deterministic and telemetry-free); `weighted` and `min_queue` are not.
+    /// parameters/circuit and the backend's calibration. It must read neither
+    /// [`JobContext::job_name`] — jobs with the same content share one score —
+    /// nor [`JobContext::telemetry`], which changes between scheduling cycles
+    /// without any re-upload. The built-in `fidelity` and `topology`
+    /// strategies are cacheable (the canary is seeded by the device name, not
+    /// the job, and the embedding search is deterministic; neither reads
+    /// telemetry); `weighted` and `min_queue` are not.
     fn is_cacheable(&self) -> bool {
         false
     }
